@@ -31,10 +31,11 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.perf.continuous_batching import (
     continuous_schedule_stats,
     sample_response_lengths,
+    static_schedule_stats,
 )
 from repro.rlhf import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.serving import RolloutServer, ServingConfig, static_batch_steps
+from repro.serving import RolloutServer, ServingConfig
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -65,7 +66,7 @@ def part1_matched_workload():
     for line in report.summary_lines():
         print(f"  {line}")
     n_steps, util = continuous_schedule_stats(lengths, 6)
-    static = static_batch_steps(lengths, 6)
+    static, _ = static_schedule_stats(lengths, 6)
     print(f"  analytic model       : {n_steps} steps, {util:.3f} utilisation")
     print(f"  static wave batching : {static} steps "
           f"({static / report.n_steps:.2f}x the engine)")

@@ -617,8 +617,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.perf.continuous_batching import (
         continuous_schedule_stats,
         sample_response_lengths,
+        static_schedule_stats,
     )
-    from repro.serving import RolloutServer, ServingConfig, static_batch_steps
+    from repro.serving import RolloutServer, ServingConfig
 
     if args.priority_levels < 1:
         print("--priority-levels must be >= 1", file=sys.stderr)
@@ -674,7 +675,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  {line}")
 
     realised = [r.response_length for r in report.completed]
-    static_steps = static_batch_steps(realised, args.slots)
+    static_steps, _ = static_schedule_stats(realised, args.slots)
     print(
         f"  static wave batching : {static_steps} steps for the same "
         f"responses ({static_steps / max(report.n_steps, 1):.2f}x the "

@@ -8,7 +8,7 @@ reduction uses ``do_sample=False`` for the baseline pass, Figure 6).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,34 @@ def _inverse_cdf_sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (cdf <= uniforms[:, None]).sum(axis=-1).astype(np.int64)
 
 
+def decode_step(
+    logits: np.ndarray,
+    uniforms: Optional[np.ndarray],
+    temperature: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One decode step: last-position ``logits`` ``(batch, vocab)`` to the
+    next token per row and that token's log-prob, both ``(batch,)``.
+
+    The one place the step's arithmetic lives — :func:`generate`, the
+    serving engine and the ``sample_tokens*`` helpers differ only in where
+    ``uniforms`` come from.  Row ``i`` is drawn by inverse CDF from
+    ``uniforms[i]``; ``uniforms=None`` decodes greedily (argmax, nothing
+    random to consume).  Log-probs are under the untempered distribution.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ValueError(f"logits must be (batch, vocab), got {logits.shape}")
+    if uniforms is None:
+        tokens = logits.argmax(axis=-1)
+    else:
+        tokens = _inverse_cdf_sample(
+            _softmax_probs(logits, temperature), uniforms
+        )
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return tokens, logp[np.arange(logits.shape[0]), tokens]
+
+
 def sample_tokens(
     logits: np.ndarray,
     rng: np.random.Generator,
@@ -51,42 +79,12 @@ def sample_tokens(
 ) -> np.ndarray:
     """Sample one token per row from ``logits`` of shape ``(batch, vocab)``.
 
-    Sampling is a single batched inverse-CDF pass that consumes exactly one
-    uniform draw per row from ``rng`` — the same stream consumption, and
-    bit-identical output, as the per-row ``rng.choice`` loop it replaced
-    (:func:`sample_tokens_reference`, kept as the golden-test oracle).
+    Consumes exactly one uniform draw per row from ``rng`` (none when
+    ``greedy``) — the same stream consumption, and bit-identical output, as
+    a per-row ``rng.choice`` loop (the oracle in ``tests/oracles.py``).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be (batch, vocab), got {logits.shape}")
-    if greedy:
-        return logits.argmax(axis=-1)
-    probs = _softmax_probs(logits, temperature)
-    return _inverse_cdf_sample(probs, rng.random(logits.shape[0]))
-
-
-def sample_tokens_reference(
-    logits: np.ndarray,
-    rng: np.random.Generator,
-    temperature: float = 1.0,
-    greedy: bool = False,
-) -> np.ndarray:
-    """The historical per-row ``rng.choice`` sampler.
-
-    Kept solely as the oracle for the bit-exactness golden tests (and the
-    ``sampler_speedup`` measurement in ``repro.perf.bench``); production
-    paths use the vectorized :func:`sample_tokens`.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be (batch, vocab), got {logits.shape}")
-    if greedy:
-        return logits.argmax(axis=-1)
-    probs = _softmax_probs(logits, temperature)
-    out = np.empty(logits.shape[0], dtype=np.int64)
-    for i, row in enumerate(probs):
-        out[i] = rng.choice(len(row), p=row)
-    return out
+    uniforms = None if greedy else rng.random(np.shape(logits)[0])
+    return decode_step(logits, uniforms, temperature)[0]
 
 
 def sample_tokens_batch(
@@ -97,23 +95,17 @@ def sample_tokens_batch(
 ) -> np.ndarray:
     """Sample one token per row where each row has its *own* rng stream.
 
-    The serving engine's batched decode path: row ``i`` consumes exactly one
-    scalar uniform from ``rngs[i]`` (identical stream consumption to sampling
-    that request alone), then the softmax/CDF/search work runs vectorized
-    over the whole batch.
+    Row ``i`` consumes exactly one scalar uniform from ``rngs[i]`` —
+    identical stream consumption to sampling that row alone, which is what
+    makes the serving engine's output independent of how it batches.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be (batch, vocab), got {logits.shape}")
-    if len(rngs) != logits.shape[0]:
+    if len(rngs) != np.shape(logits)[0]:
         raise ValueError(
-            f"need one rng per row: {len(rngs)} rngs for {logits.shape[0]} rows"
+            f"need one rng per row: {len(rngs)} rngs for "
+            f"{np.shape(logits)[0]} rows"
         )
-    if greedy:
-        return logits.argmax(axis=-1)
-    probs = _softmax_probs(logits, temperature)
-    uniforms = np.array([rng.random() for rng in rngs])
-    return _inverse_cdf_sample(probs, uniforms)
+    uniforms = None if greedy else np.array([rng.random() for rng in rngs])
+    return decode_step(logits, uniforms, temperature)[0]
 
 
 @dataclasses.dataclass
@@ -199,50 +191,36 @@ def generate(
 
     batch, prompt_len = prompts.shape
     cache = KVCache(model.config.n_layers)
-    sequences = prompts.copy()
-    log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
-    mask = np.ones((batch, max_new_tokens))
-    alive = np.ones(batch, dtype=bool)
     pad = eos_token_id if pad_token_id is None else pad_token_id
+    sequences = np.full(
+        (batch, prompt_len + max_new_tokens),
+        0 if pad is None else pad,
+        dtype=np.int64,
+    )
+    sequences[:, :prompt_len] = prompts
+    log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
+    mask = np.zeros((batch, max_new_tokens), dtype=np.float64)
+    alive = np.ones(batch, dtype=bool)
 
     with no_grad():
-        logits = model.forward(prompts, cache=cache, pos_offset=0)
-        step_logits = logits.data[:, -1, :]
+        feed, pos_offset = prompts, 0
         for step in range(max_new_tokens):
-            next_tokens = sample_tokens(
-                step_logits, rng, temperature=temperature, greedy=greedy
+            logits = model.forward(feed, cache=cache, pos_offset=pos_offset)
+            next_tokens, step_logp = decode_step(
+                logits.data[:, -1, :],
+                None if greedy else rng.random(batch),
+                temperature,
             )
-            shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            step_logp = logp[np.arange(batch), next_tokens]
             if eos_token_id is not None:
                 next_tokens = np.where(alive, next_tokens, pad)
                 step_logp = np.where(alive, step_logp, 0.0)
                 mask[:, step] = alive
                 alive = alive & (next_tokens != eos_token_id)
             log_probs[:, step] = step_logp
-            sequences = np.concatenate(
-                [sequences, next_tokens[:, None]], axis=1
-            )
-            if step + 1 < max_new_tokens:
-                if eos_token_id is not None and not alive.any():
-                    # every row terminated: emit padding for the remaining
-                    # columns without running the model
-                    remaining = max_new_tokens - (step + 1)
-                    sequences = np.concatenate(
-                        [
-                            sequences,
-                            np.full((batch, remaining), pad, dtype=sequences.dtype),
-                        ],
-                        axis=1,
-                    )
-                    break
-                logits = model.forward(
-                    next_tokens[:, None],
-                    cache=cache,
-                    pos_offset=prompt_len + step,
-                )
-                step_logits = logits.data[:, -1, :]
+            sequences[:, prompt_len + step] = next_tokens
+            if not alive.any():
+                break  # every row terminated: the rest stays padding
+            feed, pos_offset = next_tokens[:, None], prompt_len + step
 
     return GenerationOutput(
         sequences=sequences,

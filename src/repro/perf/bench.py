@@ -18,10 +18,9 @@ Comparison policy (the part that makes the gate portable):
   slow, so a run only *fails* when it exceeds ``baseline * WALL_FACTOR +
   WALL_FLOOR`` — the gate catches order-of-magnitude rot (an accidental
   O(n²), a dropped cache), not scheduler jitter.  Being faster never fails.
-* ``min`` metrics carry their own absolute floor (speedup ratios measured
-  A/B in the same process, where machine speed divides out).  The floor is
-  part of the pinned record: the vectorized sampler must stay measurably
-  faster than the per-row loop it replaced, on every run, forever.
+* ``min`` metrics carry their own absolute floor (host-speed-free ratios
+  and counts: the modeled async overlap speedup, process-group cache
+  hits).  The floor is part of the pinned record.
 * ``info`` metrics are recorded for the trajectory but never compared.
 
 Workload *pins* (model sizes, batch shapes, seeds) are compared exactly;
@@ -76,12 +75,8 @@ def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
 
 
 def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Auto-regressive ``generate`` plus the sampler A/B microbenchmark."""
-    from repro.models.sampler import (
-        generate,
-        sample_tokens,
-        sample_tokens_reference,
-    )
+    """Auto-regressive ``generate``: the static-batching decode loop."""
+    from repro.models.sampler import generate
     from repro.models.tinylm import TinyLM, TinyLMConfig
 
     pins = {
@@ -95,9 +90,6 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "prompt_length": 4,
         "max_new_tokens": 16,
         "seed": 0,
-        "sampler_rows": 256,
-        "sampler_vocab": 64,
-        "sampler_iters": 20,
     }
     cfg = TinyLMConfig(
         n_layers=pins["n_layers"],
@@ -124,37 +116,16 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     wall = _time_best(run)
     tokens = pins["batch"] * pins["max_new_tokens"]  # no EOS: every slot fills
 
-    # sampler A/B: identical logits, identically-seeded rngs, so the only
-    # difference is the per-row loop vs the batched inverse-CDF pass
-    logits = np.random.default_rng(1).normal(
-        size=(pins["sampler_rows"], pins["sampler_vocab"])
-    )
-    rng_ref = np.random.default_rng(2)
-    rng_vec = np.random.default_rng(2)
-    t0 = _now()
-    for _ in range(pins["sampler_iters"]):
-        ref_tokens = sample_tokens_reference(logits, rng_ref)
-    ref_time = _now() - t0
-    t0 = _now()
-    for _ in range(pins["sampler_iters"]):
-        vec_tokens = sample_tokens(logits, rng_vec)
-    vec_time = _now() - t0
-    bit_exact = bool(np.array_equal(ref_tokens, vec_tokens))
-
     metrics = {
         "tokens": _metric("exact", tokens),
-        "sampler_bit_exact": _metric("exact", bit_exact),
         "wall_seconds": _metric("wall", wall),
         "tokens_per_second": _metric("info", tokens / max(wall, 1e-9)),
-        "sampler_speedup": _metric(
-            "min", ref_time / max(vec_time, 1e-9), floor=1.2
-        ),
     }
     return pins, metrics
 
 
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Continuous-batching drain, batched decode A/B'd against per-slot."""
+    """Continuous-batching drain through ``RolloutServer``."""
     from repro.models.tinylm import TinyLM, TinyLMConfig
     from repro.serving import RolloutServer, ServingConfig
 
@@ -185,42 +156,27 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         0, cfg.vocab_size, size=(pins["n_requests"], pins["prompt_length"])
     )
 
-    def drain(batched: bool):
+    def drain():
         server = RolloutServer(
             model,
-            ServingConfig(
-                max_slots=pins["max_slots"],
-                seed=pins["seed"],
-                batched_decode=batched,
-            ),
+            ServingConfig(max_slots=pins["max_slots"], seed=pins["seed"]),
         )
         for i in range(pins["n_requests"]):
             server.submit(prompts[i], max_new_tokens=pins["max_new_tokens"])
         return server.drain()
 
     # equal prompt lengths, no EOS: every step's runners share one KV
-    # length, so the batched path runs one forward per step instead of one
-    # per slot — the best case the cohort grouping is designed to hit
-    batched_wall = _time_best(lambda: drain(batched=True))
-    per_slot_wall = _time_best(lambda: drain(batched=False))
-    report = drain(batched=True)
-    baseline = drain(batched=False)
-    outputs_equal = all(
-        np.array_equal(a.response, b.response)
-        for a, b in zip(report.completed, baseline.completed)
-    )
+    # length, so each step is a single cohort forward
+    wall = _time_best(drain)
+    report = drain()
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
         "total_tokens": _metric("exact", report.total_tokens),
         "n_preemptions": _metric("exact", report.n_preemptions),
-        "batched_equals_per_slot": _metric("exact", outputs_equal),
-        "wall_seconds": _metric("wall", batched_wall),
+        "wall_seconds": _metric("wall", wall),
         "tokens_per_second": _metric(
-            "info", report.total_tokens / max(batched_wall, 1e-9)
-        ),
-        "decode_speedup": _metric(
-            "min", per_slot_wall / max(batched_wall, 1e-9), floor=1.1
+            "info", report.total_tokens / max(wall, 1e-9)
         ),
     }
     return pins, metrics
@@ -575,6 +531,28 @@ def bench_shape_check() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
+def bench_src_lines() -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Lines of ``*.py`` under each top-level ``repro.*`` package or module.
+
+    Not a timing: the trajectory of size, kept beside the trajectory of
+    speed so a diet (or a binge) shows up in the same committed record.
+    """
+    import pathlib
+
+    import repro
+
+    pins = {"files": "*.py", "unit": "newline-terminated lines"}
+    root = pathlib.Path(repro.__file__).parent
+    lines: Dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        top = path.relative_to(root).parts[0].removesuffix(".py")
+        with path.open("rb") as handle:
+            lines[top] = lines.get(top, 0) + sum(1 for _ in handle)
+    metrics = {name: _metric("info", count) for name, count in lines.items()}
+    metrics["total"] = _metric("info", sum(lines.values()))
+    return pins, metrics
+
+
 WORKLOADS: Dict[str, Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]]] = {
     "sequential_generate": bench_sequential_generate,
     "serving_drain": bench_serving_drain,
@@ -582,6 +560,7 @@ WORKLOADS: Dict[str, Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]]] = {
     "train_gen_transition": bench_train_gen_transition,
     "async_ppo_overlap": bench_async_ppo_overlap,
     "shape_check": bench_shape_check,
+    "src_lines": bench_src_lines,
 }
 
 

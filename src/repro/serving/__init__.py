@@ -14,12 +14,7 @@ from repro.serving.paged_kv import (
 )
 from repro.serving.request import CompletedRequest, Request, RequestState
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
-from repro.serving.server import (
-    RolloutServer,
-    ServingConfig,
-    ServingReport,
-    static_batch_steps,
-)
+from repro.serving.server import RolloutServer, ServingConfig, ServingReport
 
 __all__ = [
     "BlockExhausted",
@@ -33,5 +28,4 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "kv_bytes_per_token",
-    "static_batch_steps",
 ]

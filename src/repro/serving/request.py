@@ -65,12 +65,15 @@ class Request:
     def seq_len(self) -> int:
         return self.prompt_length + len(self.generated)
 
-    def tokens(self) -> np.ndarray:
-        """Full ``prompt + generated`` token ids, ``(seq_len,)``."""
-        if not self.generated:
-            return self.prompt
+    def uncached_tokens(self) -> np.ndarray:
+        """Token ids past ``kv_len`` — what the next forward must feed: the
+        whole context after admission or preemption, else the newest token."""
+        generated = self.generated[max(self.kv_len - self.prompt_length, 0) :]
         return np.concatenate(
-            [self.prompt, np.asarray(self.generated, dtype=self.prompt.dtype)]
+            [
+                self.prompt[self.kv_len :],
+                np.asarray(generated, dtype=self.prompt.dtype),
+            ]
         )
 
     def effective_priority(self, aging: float) -> float:

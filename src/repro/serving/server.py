@@ -8,11 +8,14 @@ the same step accounting as the analytical model in
 :mod:`repro.perf.continuous_batching`, so the two can be cross-checked on
 matched workloads.
 
-Per-request decoding is batch-1 prefill + incremental KV decode.  Because
+Every step runs one ``model.forward`` per *cohort* — the runners that share
+a KV length and a number of tokens to feed (a whole context for an
+admission or a post-preemption recompute, one token for a decode).  Because
 numpy's row-independent kernels make a sequence's forward identical whether
-it shares a batch or not, greedy serving output is bit-exact with
-:func:`repro.models.sampler.generate` row by row — the property the actor's
-serving-backed path relies on (and tests assert).
+it shares a batch or not, and every request samples from its own rng,
+serving output is bit-exact with :func:`repro.models.sampler.generate` run
+on each request alone — the property the actor's serving-backed path relies
+on (and tests assert).
 
 Latency accounting: the simulated clock advances ``step_time`` per decode
 step; TTFT/TPOT/latency and SLO attainment are computed per request from
@@ -22,13 +25,13 @@ arrival/first-token/finish stamps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.device import SimDevice
 from repro.models.autograd import no_grad
-from repro.models.sampler import sample_tokens, sample_tokens_batch
+from repro.models.sampler import decode_step
 from repro.models.tinylm import KVCache, TinyLM
 from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import CompletedRequest, Request, RequestState
@@ -58,10 +61,6 @@ class ServingConfig:
     seed: Union[int, Tuple[int, ...]] = 0
     #: Fraction of device free memory the KV pool may claim when deriving.
     memory_fraction: float = 0.9
-    #: Run one forward per equal-kv-length cohort instead of one per slot.
-    #: Bit-exact either way (numpy's kernels are row-independent); False
-    #: forces the per-slot baseline the bench harness measures against.
-    batched_decode: bool = True
 
 
 @dataclasses.dataclass
@@ -192,23 +191,6 @@ class ServingReport:
         }
 
 
-def static_batch_steps(lengths: Sequence[int], capacity: int) -> int:
-    """Decode steps static wave batching needs for ``lengths`` responses.
-
-    Each wave of ``capacity`` requests runs until its longest member
-    finishes — the baseline the continuous engine is measured against
-    (identical step accounting to ``repro.perf.continuous_batching.
-    serve_static``, without the cost model).
-    """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    arr = np.asarray(lengths, dtype=np.int64)
-    return sum(
-        int(arr[start : start + capacity].max())
-        for start in range(0, len(arr), capacity)
-    )
-
-
 class RolloutServer:
     """Submit/step/drain serving interface over one TinyLM replica."""
 
@@ -331,18 +313,18 @@ class RolloutServer:
         return len(self.scheduler.waiting) + len(self.scheduler.running)
 
     def step(self) -> List[CompletedRequest]:
-        """One engine iteration: refill slots, decode one token per slot.
+        """One engine iteration: refill slots, emit one token per slot.
 
         Every occupied slot emits exactly one token (admitted requests
         prefill and sample their first token in the same step), matching the
         step accounting of ``repro.perf.continuous_batching
-        .serve_continuous``.  The pass runs in three phases: reserve blocks
-        for every decoding runner (rank order, so preemption victims are
-        strictly later-ranked than the request that evicts them), prefill
-        admissions one by one (their context lengths differ), then decode
-        the surviving runners one forward per equal-kv-length cohort.
-        Per-request rngs make the emitted tokens independent of cohorting.
-        Returns the requests that finished this step.
+        .serve_continuous``.  Runners are walked in rank order to reserve
+        the block their next token needs; a reservation evicts only runners
+        ranked after the requester — ones the walk has not reached — so
+        whatever already joined a cohort keeps its blocks and its cache.
+        Then each cohort takes one forward.  Per-request rngs make the
+        emitted tokens independent of cohorting.  Returns the requests that
+        finished this step.
         """
         step_end = self.now + self.config.step_time
         span = None
@@ -351,41 +333,27 @@ class RolloutServer:
                 f"serving.step[{self._steps}]", category="serving"
             )
         self.scheduler.schedule(self.now)
-        # rank order makes decode deterministic and preemption victims
-        # strictly later in the pass than the request that evicts them
-        active = sorted(self.scheduler.running, key=self.scheduler.rank_key)
+        preempted_before = self.scheduler.n_preemptions
+        cohorts: Dict[Tuple[int, int], List[Request]] = {}
+        for req in sorted(self.scheduler.running, key=self.scheduler.rank_key):
+            if req.state is not RequestState.RUNNING:
+                continue  # evicted by a better-ranked runner in this walk
+            # a resident runner needs a block for its next token; without a
+            # cache (admission, recompute) schedule() reserved the context
+            if req.cache is None or self.scheduler.ensure_decode_blocks(req):
+                key = (req.kv_len, req.seq_len - req.kv_len)
+                cohorts.setdefault(key, []).append(req)
         finished_now: List[CompletedRequest] = []
         produced = 0
-        with no_grad():
-            prefill: List[Request] = []
-            decode: List[Request] = []
-            for req in active:
-                if req.state is not RequestState.RUNNING:
-                    continue  # preempted earlier in this same pass
-                if req.cache is None:
-                    prefill.append(req)
-                else:
-                    self.scheduler.ensure_decode_blocks(req)
-                    decode.append(req)
-            # a reservation above may have evicted a later-ranked runner
-            prefill = [r for r in prefill if r.state is RequestState.RUNNING]
-            emitted: Dict[int, Tuple[int, float]] = {}
-            for req in prefill:
-                emitted[req.request_id] = self._forward_one(req)
-            for cohort in self._decode_cohorts(decode):
-                for req, token, logp in self._decode_batch(cohort):
-                    emitted[req.request_id] = (token, logp)
-            for req in prefill + decode:
-                token, logp = emitted[req.request_id]
+        for cohort in cohorts.values():
+            tokens, logps = self._forward_cohort(cohort)
+            for req, token, logp in zip(cohort, tokens.tolist(), logps.tolist()):
                 req.generated.append(token)
                 req.log_probs.append(logp)
                 produced += 1
                 if req.first_token_time is None:
                     req.first_token_time = step_end
-                if (
-                    self.config.eos_token_id is not None
-                    and token == self.config.eos_token_id
-                ):
+                if token == self.config.eos_token_id:
                     finished_now.append(self._finish(req, step_end, "eos"))
                 elif len(req.generated) >= req.max_new_tokens:
                     finished_now.append(self._finish(req, step_end, "length"))
@@ -393,113 +361,65 @@ class RolloutServer:
         self._occupied_slot_steps += produced
         self._tokens += produced
         self.now = step_end
-        if self.metrics is not None and produced:
+        if self.metrics is not None:
+            if produced:
+                self.metrics.counter(
+                    "repro_serving_tokens_total",
+                    "Tokens generated by the rollout server",
+                ).inc(produced)
+            # counted here, not in report(): the registry may outlive (and
+            # be shared by) many servers
             self.metrics.counter(
-                "repro_serving_tokens_total",
-                "Tokens generated by the rollout server",
-            ).inc(produced)
+                "repro_serving_preemptions_total",
+                "Sequences preempted under block pressure",
+            ).inc(self.scheduler.n_preemptions - preempted_before)
         if span is not None:
             self.tracer.end(
                 span, active=produced, finished=len(finished_now)
             )
         return finished_now
 
-    def _forward_one(self, req: Request) -> Tuple[int, float]:
-        """Advance one request by one token (prefill or incremental decode)."""
-        if req.cache is None:
-            # fresh admission or post-preemption recompute: one prefill over
-            # the full context rebuilds the dense KV payload
-            req.cache = KVCache(self.model.config.n_layers)
-            context = req.tokens()
-            logits = self.model.forward(
-                context[None, :], cache=req.cache, pos_offset=0
-            )
-            req.kv_len = int(context.shape[0])
-        else:
-            last = req.generated[-1]
-            logits = self.model.forward(
-                np.asarray([[last]], dtype=np.int64),
-                cache=req.cache,
-                pos_offset=req.kv_len,
-            )
-            req.kv_len += 1
-        step_logits = logits.data[:, -1, :]
-        token_arr = sample_tokens(
-            step_logits,
-            req.rng,
-            temperature=self.config.temperature,
-            greedy=self.config.greedy,
-        )
-        token = int(token_arr[0])
-        shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return token, float(logp[0, token])
-
-    def _decode_cohorts(self, decode: List[Request]) -> List[List[Request]]:
-        """Partition decoding runners into equal-kv-length forward cohorts.
-
-        Rows of one forward must share a ``pos_offset`` (and concatenate
-        without padding), so only requests at the same KV length may share a
-        batch.  With ``batched_decode`` off every request is its own cohort
-        — the historical per-slot baseline.
-        """
-        if not self.config.batched_decode:
-            return [[req] for req in decode]
-        groups: Dict[int, List[Request]] = {}
-        for req in decode:
-            groups.setdefault(req.kv_len, []).append(req)
-        return list(groups.values())
-
-    def _decode_batch(
+    def _forward_cohort(
         self, cohort: List[Request]
-    ) -> List[Tuple[Request, int, float]]:
-        """One incremental forward for a whole equal-kv-length cohort.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One forward for requests that share a KV length and a feed length.
 
-        Per-request dense caches are stacked on the batch axis, the model
-        runs once over ``(cohort, 1)`` last tokens, and each request gets
-        its row of the grown cache back as a view.  Sampling draws one
-        scalar uniform from each request's own rng
-        (:func:`sample_tokens_batch`), so tokens are bit-identical to
-        decoding each request alone — cohorting is invisible to output.
+        Rows of one forward must share a ``pos_offset`` and concatenate
+        without padding — hence the cohort key.  Per-request dense caches
+        are stacked on the batch axis, the model runs once over the tokens
+        each request has not cached yet, and each request gets its row of
+        the grown cache back as a view.  Returns the sampled token and its
+        log-prob per request, in cohort order.
         """
-        if len(cohort) == 1:
-            req = cohort[0]
-            token, logp = self._forward_one(req)
-            return [(req, token, logp)]
         n_layers = self.model.config.n_layers
         kv_len = cohort[0].kv_len
         batched = KVCache(n_layers)
-        for layer in range(n_layers):
-            batched.keys[layer] = np.concatenate(
-                [r.cache.keys[layer] for r in cohort], axis=0
-            )
-            batched.values[layer] = np.concatenate(
-                [r.cache.values[layer] for r in cohort], axis=0
-            )
-        last = np.asarray(
-            [[r.generated[-1]] for r in cohort], dtype=np.int64
-        )
-        logits = self.model.forward(last, cache=batched, pos_offset=kv_len)
+        if kv_len:
+            for layer in range(n_layers):
+                batched.keys[layer] = np.concatenate(
+                    [r.cache.keys[layer] for r in cohort], axis=0
+                )
+                batched.values[layer] = np.concatenate(
+                    [r.cache.values[layer] for r in cohort], axis=0
+                )
+        feed = np.array([r.uncached_tokens() for r in cohort])
+        with no_grad():
+            logits = self.model.forward(feed, cache=batched, pos_offset=kv_len)
         for i, req in enumerate(cohort):
             # row views share the cohort's base buffer; every row is live,
             # so nothing beyond the rows themselves is kept alive
-            for layer in range(n_layers):
-                req.cache.keys[layer] = batched.keys[layer][i : i + 1]
-                req.cache.values[layer] = batched.values[layer][i : i + 1]
-            req.kv_len += 1
-        step_logits = logits.data[:, -1, :]
-        tokens = sample_tokens_batch(
-            step_logits,
-            [r.rng for r in cohort],
-            temperature=self.config.temperature,
-            greedy=self.config.greedy,
+            req.cache = KVCache(n_layers)
+            req.cache.keys = [k[i : i + 1] for k in batched.keys]
+            req.cache.values = [v[i : i + 1] for v in batched.values]
+            req.kv_len = req.seq_len
+        uniforms = (
+            None
+            if self.config.greedy
+            else np.array([r.rng.random() for r in cohort])
         )
-        shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return [
-            (req, int(tok), float(logp[i, int(tok)]))
-            for i, (req, tok) in enumerate(zip(cohort, tokens))
-        ]
+        return decode_step(
+            logits.data[:, -1, :], uniforms, self.config.temperature
+        )
 
     def _finish(
         self, req: Request, at_time: float, reason: str
@@ -587,14 +507,4 @@ class RolloutServer:
                 "repro_serving_kv_blocks_peak",
                 "Peak KV blocks in use",
             ).set_max(report.peak_kv_blocks)
-            self.metrics.counter(
-                "repro_serving_preemptions_total",
-                "Sequences preempted under block pressure",
-            )
-            preempt_counter = self.metrics.get(
-                "repro_serving_preemptions_total"
-            )
-            delta = report.n_preemptions - preempt_counter.value
-            if delta > 0:
-                preempt_counter.inc(delta)
         return report

@@ -44,17 +44,21 @@ class TestRunBench:
     def test_self_compare_is_clean(self, record):
         assert compare_records(record, record) == []
 
-    def test_bit_exactness_flags_hold(self, record):
-        gen = record["workloads"]["sequential_generate"]["metrics"]
-        assert gen["sampler_bit_exact"]["value"] is True
-        drain = record["workloads"]["serving_drain"]["metrics"]
-        assert drain["batched_equals_per_slot"]["value"] is True
+    def test_src_lines_cover_every_package(self, record):
+        import pathlib
 
-    def test_speedup_floors_met(self, record):
-        gen = record["workloads"]["sequential_generate"]["metrics"]
-        assert gen["sampler_speedup"]["value"] >= gen["sampler_speedup"]["floor"]
-        drain = record["workloads"]["serving_drain"]["metrics"]
-        assert drain["decode_speedup"]["value"] >= drain["decode_speedup"]["floor"]
+        import repro
+
+        sizes = record["workloads"]["src_lines"]["metrics"]
+        root = pathlib.Path(repro.__file__).parent
+        tops = {
+            p.stem for p in root.iterdir() if p.is_dir() or p.suffix == ".py"
+        }
+        assert set(sizes) - {"total"} == tops - {"__pycache__"}
+        assert all(m["kind"] == "info" for m in sizes.values())
+        assert sizes["total"]["value"] == sum(
+            m["value"] for name, m in sizes.items() if name != "total"
+        )
 
     def test_structure_derived_exact_values(self, record):
         # These are schedule/topology facts, not timings — they must land on

@@ -8,9 +8,9 @@ from repro.models.sampler import (
     generate,
     sample_tokens,
     sample_tokens_batch,
-    sample_tokens_reference,
 )
 from repro.models.tinylm import TinyLM, TinyLMConfig
+from tests.oracles import generate_reference, sample_tokens_reference
 
 
 @pytest.fixture
@@ -244,30 +244,51 @@ class TestVectorizedBitExactness:
         old = sample_tokens_reference(logits, np.random.default_rng(11))
         np.testing.assert_array_equal(new, old)
 
-    def test_generate_bit_identical_to_reference_sampler(
-        self, model, monkeypatch
-    ):
-        # Full EOS/pad generation with the vectorized sampler must equal the
-        # same run with the historical loop swapped in.
-        import repro.models.sampler as sampler_mod
-
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(eos_token_id=2, pad_token_id=0),
+            dict(temperature=0.7),
+            dict(greedy=True, eos_token_id=2),
+        ],
+    )
+    def test_generate_bit_identical_to_reference_loop(self, model, kwargs):
+        # Full EOS/pad generation through ``decode_step`` must equal the
+        # historical loop (per-row sampler, its own log-softmax, one
+        # concatenate per column) token for token and draw for draw.
         prompts = np.arange(12, dtype=int).reshape(3, 4) % 13
-        new = generate(
-            model, prompts, 8, rng=np.random.default_rng(21),
-            eos_token_id=2, pad_token_id=0,
+        rng_new, rng_old = np.random.default_rng(21), np.random.default_rng(21)
+        new = generate(model, prompts, 8, rng=rng_new, **kwargs)
+        sequences, log_probs, mask = generate_reference(
+            model, prompts, 8, rng=rng_old, **kwargs
         )
-        monkeypatch.setattr(
-            sampler_mod, "sample_tokens", sample_tokens_reference
-        )
-        old = generate(
-            model, prompts, 8, rng=np.random.default_rng(21),
-            eos_token_id=2, pad_token_id=0,
-        )
-        np.testing.assert_array_equal(new.sequences, old.sequences)
-        np.testing.assert_array_equal(
-            new.response_log_probs, old.response_log_probs
-        )
-        np.testing.assert_array_equal(new.response_mask, old.response_mask)
+        np.testing.assert_array_equal(new.sequences, sequences)
+        np.testing.assert_array_equal(new.response_log_probs, log_probs)
+        if mask is None:
+            assert new.response_mask is None
+            np.testing.assert_array_equal(rng_new.random(3), rng_old.random(3))
+        else:
+            np.testing.assert_array_equal(new.response_mask, mask)
+
+    def test_early_exit_leaves_padding_and_zero_mask(self, model):
+        # Once every row has emitted EOS the loop stops running the model;
+        # the columns it never reached must read as padding, not as tokens.
+        prompts = np.arange(12, dtype=int).reshape(3, 4) % 13
+        exited_early = 0
+        for eos in range(13):
+            out = generate(
+                model, prompts, 20, rng=np.random.default_rng(eos),
+                eos_token_id=eos, pad_token_id=0,
+            )
+            sequences, log_probs, mask = generate_reference(
+                model, prompts, 20, rng=np.random.default_rng(eos),
+                eos_token_id=eos, pad_token_id=0,
+            )
+            np.testing.assert_array_equal(out.sequences, sequences)
+            np.testing.assert_array_equal(out.response_log_probs, log_probs)
+            np.testing.assert_array_equal(out.response_mask, mask)
+            exited_early += int(out.response_lengths.max() < 19)
+        assert exited_early  # the property was exercised
 
 
 class TestSampleTokensBatch:

@@ -8,11 +8,14 @@ sequential sampler, and the cross-check against the analytic schedule in
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.device import SimDevice
 from repro.config import GpuSpec
 from repro.models.sampler import generate
 from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.observability.metrics import MetricsRegistry
 from repro.perf.continuous_batching import (
     continuous_schedule_stats,
     static_schedule_stats,
@@ -24,7 +27,6 @@ from repro.serving import (
     ServingConfig,
     ServingReport,
     kv_bytes_per_token,
-    static_batch_steps,
 )
 
 CFG = TinyLMConfig(
@@ -368,16 +370,16 @@ class TestAnalyticCrossCheck:
         assert "eos" in report.finish_reasons()
         realised = [r.response_length for r in report.completed]
         assert len(set(realised)) > 1  # the workload is actually variable
-        assert report.n_steps < static_batch_steps(realised, 4)
+        assert report.n_steps < static_schedule_stats(realised, 4)[0]
         # and the measured utilisation matches the analytic schedule
         n_steps, util = continuous_schedule_stats(realised, 4)
         assert report.n_steps == n_steps
         assert report.slot_utilisation == pytest.approx(util, rel=0.05)
 
-    def test_static_helper_matches_perf_module(self):
-        lengths = [3, 9, 2, 7, 5, 1]
-        n_steps, _ = static_schedule_stats(lengths, 2)
-        assert static_batch_steps(lengths, 2) == n_steps
+    def test_static_wave_steps(self):
+        # each wave of 2 runs as long as its longest member: 9 + 7 + 5
+        n_steps, _ = static_schedule_stats([3, 9, 2, 7, 5, 1], 2)
+        assert n_steps == 21
 
 
 class TestLatencyAndSlo:
@@ -520,77 +522,159 @@ class TestWorkerIntegration:
         )
 
 
-class TestBatchedDecode:
-    """The cohort-batched decode path vs the per-slot historical path.
+class TestPreemptionInvariant:
+    """A reservation evicts only runners ranked after the requester."""
 
-    ``batched_decode=True`` groups running requests with equal kv length
-    into one forward per step; numpy's row-independent kernels plus
-    per-request rng streams make the output bit-identical to decoding each
-    slot alone — these tests pin that, including under preemption.
-    """
-
-    def test_sampled_output_matches_per_slot_decode(self, model):
-        rng = np.random.default_rng(3)
-        prompts = rng.integers(0, CFG.vocab_size, size=(8, 5))
-        batched = make_server(model, greedy=False, seed=5, batched_decode=True)
-        per_slot = make_server(
-            model, greedy=False, seed=5, batched_decode=False
+    def test_worst_ranked_requester_yields(self, model):
+        # A (priority 1) and B (priority 0) both hold 2 blocks of 4 with 8
+        # positions cached; one block is free.  In the step where both
+        # need a third, A is served first and takes it, so B — the
+        # worst-ranked runner — finds the pool empty with A already queued
+        # for this step's forward.  B must yield; evicting A would decode
+        # it without a cache and, as A finishes in this very step, crash
+        # ``scheduler.finish``.
+        server = make_server(model, max_slots=2, block_size=4, n_blocks=5)
+        rng = np.random.default_rng(0)
+        prompts = rng.integers(0, CFG.vocab_size, size=(2, 4))
+        a = server.submit(prompts[0], max_new_tokens=6, priority=1)
+        b = server.submit(prompts[1], max_new_tokens=8, priority=0)
+        for _ in range(5):
+            assert server.step() == []
+            server.scheduler.check_invariants()
+        assert server.kv.blocks_free == 1 and server.report().n_preemptions == 0
+        finished = server.step()
+        server.scheduler.check_invariants()
+        assert [r.request_id for r in finished] == [a]
+        (waiting,) = server.scheduler.waiting
+        assert waiting.request_id == b
+        assert waiting.cache is None and waiting.kv_len == 0
+        report = drain_with_invariants(server)
+        assert report.n_preemptions == 1
+        sequential = generate(
+            model, prompts, max_new_tokens=8, greedy=True
         )
-        submit_all(batched, prompts, [9] * 8)
-        submit_all(per_slot, prompts, [9] * 8)
-        r_batched = drain_with_invariants(batched)
-        r_per_slot = per_slot.drain()
-        assert r_batched.n_steps == r_per_slot.n_steps
-        for a, b in zip(r_batched.completed, r_per_slot.completed):
-            assert a.request_id == b.request_id
-            np.testing.assert_array_equal(a.response, b.response)
-            np.testing.assert_array_equal(a.log_probs, b.log_probs)
-
-    def test_matches_per_slot_under_preemption(self, model):
-        rng = np.random.default_rng(8)
-        prompts = rng.integers(0, CFG.vocab_size, size=(8, 6))
-        kwargs = dict(
-            max_slots=4, greedy=False, seed=11, n_blocks=9, block_size=4
-        )
-        batched = make_server(model, batched_decode=True, **kwargs)
-        per_slot = make_server(model, batched_decode=False, **kwargs)
-        submit_all(batched, prompts, [10] * 8)
-        submit_all(per_slot, prompts, [10] * 8)
-        r_batched = drain_with_invariants(batched)
-        r_per_slot = per_slot.drain()
-        assert r_batched.n_preemptions > 0
-        assert r_batched.n_preemptions == r_per_slot.n_preemptions
-        for a, b in zip(r_batched.completed, r_per_slot.completed):
-            assert a.request_id == b.request_id
-            np.testing.assert_array_equal(a.response, b.response)
-
-    def test_batched_decode_reduces_forward_calls(self, model):
-        def run(batched_decode):
-            server = make_server(
-                model, greedy=True, batched_decode=batched_decode
+        for r in report.completed:
+            np.testing.assert_array_equal(
+                r.response,
+                sequential.responses[r.request_id][: r.response_length],
             )
-            calls = 0
-            original = server.model.forward
 
-            def counting(*args, **kwargs):
-                nonlocal calls
-                calls += 1
-                return original(*args, **kwargs)
-
-            server.model.forward = counting
-            prompts = np.ones((4, 4), dtype=int)
-            submit_all(server, prompts, [8] * 4)
+    def test_preemption_counter_is_per_registry_not_per_server(self, model):
+        # two servers, one registry: the counter is the sum of both, and
+        # report() (a read) never moves it
+        metrics = MetricsRegistry()
+        rng = np.random.default_rng(3)
+        prompts = rng.integers(0, CFG.vocab_size, size=(8, 6))
+        expected = 0
+        for _ in range(2):
+            server = RolloutServer(
+                model,
+                ServingConfig(
+                    max_slots=4, n_blocks=9, block_size=4, greedy=True
+                ),
+                metrics=metrics,
+            )
+            submit_all(server, prompts, [10] * 8)
             report = server.drain()
-            server.model.forward = original
-            return calls, report
+            assert report.n_preemptions > 0
+            expected += report.n_preemptions
+            server.report()
+            assert (
+                metrics.total("repro_serving_preemptions_total") == expected
+            )
 
-        batched_calls, r_batched = run(True)
-        per_slot_calls, r_per_slot = run(False)
-        for a, b in zip(r_batched.completed, r_per_slot.completed):
-            np.testing.assert_array_equal(a.response, b.response)
-        # 4 identical-budget requests decode in lock-step: one cohort
-        # forward replaces four per-slot forwards on every decode step.
-        assert batched_calls < per_slot_calls
+
+@st.composite
+def serving_runs(draw):
+    """A whole serving run: requests, engine shape, a pool tight enough to
+    preempt (the longest request just fits, plus 0-4 spare blocks)."""
+    n = draw(st.integers(1, 8))
+
+    def per_request(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    prompt_lengths, budgets = per_request(1, 7), per_request(1, 10)
+    block_size = draw(st.sampled_from([2, 4]))
+    longest = max(p + b for p, b in zip(prompt_lengths, budgets))
+    return dict(
+        prompt_lengths=prompt_lengths,
+        budgets=budgets,
+        priorities=per_request(0, 2),
+        seed=draw(st.integers(0, 2**16)),
+        config=dict(
+            max_slots=draw(st.integers(1, 4)),
+            block_size=block_size,
+            n_blocks=-(-longest // block_size) + draw(st.integers(0, 4)),
+            greedy=draw(st.booleans()),
+            temperature=draw(st.sampled_from([0.7, 1.0, 1.5])),
+            eos_token_id=draw(st.sampled_from([None, 2])),
+        ),
+    )
+
+
+class TestEqualsBatchOneGenerate:
+    """The engine against its oracle: ``generate`` on each request alone."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(run=serving_runs())
+    def test_every_request_matches_generate_alone(self, run):
+        # Cohorting, slot refill, priorities and preempt-and-recompute are
+        # all invisible to output: the tokens of every request, sampled as
+        # well as greedy, equal a batch-1 ``generate`` driven by that
+        # request's own rng stream.  So do its log-probs, bit for bit —
+        # except after a recompute, whose one prefill over ``prompt +
+        # generated`` is the same sum in a different order (last-ulp).
+        model = TinyLM(CFG, seed=4)
+        seed, config = run["seed"], run["config"]
+        server = RolloutServer(model, ServingConfig(seed=seed, **config))
+        rng = np.random.default_rng(seed)
+        prompts = [
+            rng.integers(0, CFG.vocab_size, size=n)
+            for n in run["prompt_lengths"]
+        ]
+        for prompt, budget, priority in zip(
+            prompts, run["budgets"], run["priorities"]
+        ):
+            server.submit(prompt, max_new_tokens=budget, priority=priority)
+
+        forwards = []
+        forward = model.forward
+
+        def recording_forward(ids, cache=None, pos_offset=0):
+            forwards.append((pos_offset, ids.shape[1]))
+            return forward(ids, cache=cache, pos_offset=pos_offset)
+
+        model.forward = recording_forward
+        while server.pending:
+            forwards.clear()
+            server.step()
+            server.scheduler.check_invariants()
+            # one forward per distinct (kv_len, tokens fed) cohort, no more
+            assert len(forwards) == len(set(forwards))
+            assert server._steps < 1000
+        model.forward = forward
+
+        report = server.report()
+        assert len(report.completed) == len(prompts)
+        for done in report.completed:
+            alone = generate(
+                model,
+                prompts[done.request_id][None, :],
+                max_new_tokens=run["budgets"][done.request_id],
+                temperature=config["temperature"],
+                greedy=config["greedy"],
+                rng=np.random.default_rng((seed, done.request_id)),
+                eos_token_id=config["eos_token_id"],
+            )
+            n = done.response_length
+            assert n == alone.response_lengths[0]
+            np.testing.assert_array_equal(done.response, alone.responses[0, :n])
+            np.testing.assert_allclose(
+                done.log_probs,
+                alone.response_log_probs[0, :n],
+                rtol=0,
+                atol=1e-12 if done.n_preemptions else 0,
+            )
 
 
 def _empty_report():
