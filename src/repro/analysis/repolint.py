@@ -26,6 +26,11 @@ depends on:
            ``repro/serving``, the ``repro/rlhf`` loss/advantage core) —
            numpy's float64 default silently promotes int token buffers and
            hides int/float drift (the SF704 float64-creep companion)
+``RL309``  no ``is None`` / ``is not None`` test on a name or attribute
+           called ``tracer`` or ``metrics`` under ``src/repro`` outside
+           ``repro/observability`` — an unobserved component holds
+           ``NULL_TRACER`` / ``NULL_METRICS``, so every instrumented call
+           site is written once
 ========  ====================================================================
 
 Suppression: append ``# repro-lint: ignore`` (all rules) or
@@ -46,6 +51,7 @@ from repro.analysis.report import ERROR, WARNING, AnalysisReport
 
 ALL_RULES = (
     "RL301", "RL302", "RL303", "RL304", "RL305", "RL306", "RL307", "RL308",
+    "RL309",
 )
 
 #: Packages whose dispatch order feeds the concurrent protocols; iteration
@@ -167,6 +173,9 @@ class _LintVisitor(ast.NodeVisitor):
         posix = filename.replace("\\", "/")
         self.schedule_scoped = any(p in posix for p in _SCHEDULE_SCOPED)
         self.hotpath_scoped = any(p in posix for p in _HOTPATH_SCOPED)
+        self.null_object_scoped = (
+            "src/repro/" in posix and "repro/observability" not in posix
+        )
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -316,7 +325,28 @@ class _LintVisitor(ast.NodeVisitor):
             ),
         )
 
+    def _check_optional_observability(self, node: ast.Compare) -> None:
+        """No ``tracer is None`` / ``metrics is not None`` branches (RL309)."""
+        operands = [node.left, *node.comparators]
+        names = {getattr(o, "id", None) or getattr(o, "attr", None) for o in operands}
+        if (
+            self.null_object_scoped
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+            and names & {"tracer", "metrics"}
+        ):
+            self._flag(
+                "RL309", ERROR, node,
+                "optional-observability branch: a tracer/metrics is tested "
+                "against None",
+                hint=(
+                    "default to NULL_TRACER / NULL_METRICS (or read "
+                    "group.tracer / group.metrics) and emit unconditionally"
+                ),
+            )
+
     def visit_Compare(self, node: ast.Compare) -> None:
+        self._check_optional_observability(node)
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
             operands = [node.left, *node.comparators]
             for operand in operands:

@@ -875,7 +875,7 @@ class ShapeFlowChecker:
                 report.add(
                     "SF703",
                     ERROR,
-                    f"_minibatches raises at runtime: batch {bdim.render()} "
+                    f"learn() raises at runtime: batch {bdim.render()} "
                     f"is not divisible by "
                     f"updates_per_epoch={env.updates_per_epoch}",
                     location=f"{algo.value}.learning",

@@ -100,13 +100,11 @@ class FaultInjector:
             ):
                 transient.remaining -= 1
                 self.stats.transients_injected += 1
-                metrics = getattr(self.controller, "metrics", None)
-                if metrics is not None:
-                    metrics.counter(
-                        "repro_transients_injected_total",
-                        "Transient RPC faults delivered by the injector",
-                        group=group.name,
-                    ).inc()
+                self.controller.metrics.counter(
+                    "repro_transients_injected_total",
+                    "Transient RPC faults delivered by the injector",
+                    group=group.name,
+                ).inc()
                 raise TransientRpcError(
                     f"injected transient RPC failure on {group.name}.{method} "
                     f"(trace step {seq})",
@@ -121,11 +119,7 @@ class FaultInjector:
 
     def call_duration(self, group, method: str) -> float:
         """Simulated duration of one call, inflated by the pool's slowest rank."""
-        # Lazy import: runtime.timeline imports the controller module, which
-        # imports worker_group; resolving the table at call time avoids the cycle.
-        from repro.runtime.timeline import DEFAULT_DURATIONS, FALLBACK_DURATION
-
-        base = DEFAULT_DURATIONS.get(method, FALLBACK_DURATION)
+        base = self.controller.planned_duration(method)
         factor = max(
             (self.straggle.get(r, 1.0) for r in group.resource_pool.global_ranks),
             default=1.0,
@@ -143,13 +137,12 @@ class FaultInjector:
 
     def _arm_due(self, seq: int) -> None:
         cluster = self.controller.cluster
-        clock = getattr(self.controller, "clock", None)
-        now = clock.now if clock is not None else None
-        metrics = getattr(self.controller, "metrics", None)
+        now = self.controller.clock.now
+        metrics = self.controller.metrics
 
         def count_kills(n: int) -> None:
             self.stats.devices_killed += n
-            if metrics is not None and n:
+            if n:
                 metrics.counter(
                     "repro_devices_killed_total",
                     "Devices killed by injected faults",
@@ -254,8 +247,3 @@ class ClusterFaultDriver:
             f"ClusterFaultDriver({len(self._pending)} pending of "
             f"{len(self.plan)} events)"
         )
-
-
-def has_faults(controller) -> Optional[FaultInjector]:
-    """The controller's injector, or ``None`` (duck-typed for bare controllers)."""
-    return getattr(controller, "fault_injector", None)

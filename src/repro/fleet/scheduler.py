@@ -399,7 +399,7 @@ class FleetScheduler:
         detected = controller.clock.now
         job.failures += 1
         tracer = job.obs["tracer"]
-        span = tracer.begin(
+        with tracer.span(
             f"fleet.recover[{job.failures - 1}]",
             category="recovery",
             job=job.spec.name,
@@ -407,36 +407,37 @@ class FleetScheduler:
             ranks=tuple(err.dead_ranks),
             cause=err.cause or "worker lost",
             failed_iteration=job.it,
-        )
-        with tracer.span("recovery.teardown", category="recovery"):
-            controller.release_pools()
-        self.metrics.counter(
-            "repro_fleet_job_failures_total",
-            "Worker-loss events detected by fleet jobs",
-            job=job.spec.name,
-        ).inc()
-        if job.failures > self.max_failures_per_job:
-            job.state = JobState.FAILED
-            job.detail = (
-                f"gave up after {job.failures} worker-loss events "
-                f"(max {self.max_failures_per_job})"
-            )
+        ) as span:
+            with tracer.span("recovery.teardown", category="recovery"):
+                controller.release_pools()
+            self.metrics.counter(
+                "repro_fleet_job_failures_total",
+                "Worker-loss events detected by fleet jobs",
+                job=job.spec.name,
+            ).inc()
+            if job.failures > self.max_failures_per_job:
+                job.state = JobState.FAILED
+                job.detail = (
+                    f"gave up after {job.failures} worker-loss events "
+                    f"(max {self.max_failures_per_job})"
+                )
+                job.system = None
+                span.attrs["outcome"] = "failed"
+                return detected - t0
+            job.pending_snapshot = self._snapshot_recovery_point(job)
+            job.requeued_by_fault = True
+            job.state = JobState.PENDING
+            if self._admit_one(job, tick, base_time=detected):
+                span.attrs.update(
+                    outcome="resumed", resumed_iteration=job.it, dp=job.dp
+                )
+                return job.system.controller.clock.now - t0
+            # graceful degradation: not even min_dp fits the survivors right
+            # now — stay queued (with aging) until capacity or a preemption
+            # frees devices.
             job.system = None
-            tracer.end(span, outcome="failed")
+            span.attrs["outcome"] = "requeued"
             return detected - t0
-        job.pending_snapshot = self._snapshot_recovery_point(job)
-        job.requeued_by_fault = True
-        job.state = JobState.PENDING
-        readmitted = self._admit_one(job, tick, base_time=detected)
-        if readmitted:
-            tracer.end(span, outcome="resumed", resumed_iteration=job.it, dp=job.dp)
-            return job.system.controller.clock.now - t0
-        # graceful degradation: not even min_dp fits the survivors right
-        # now — stay queued (with aging) until capacity or a preemption
-        # frees devices.
-        job.system = None
-        tracer.end(span, outcome="requeued")
-        return detected - t0
 
     def _complete(self, job: _JobRuntime) -> None:
         if self.run_checks:

@@ -186,37 +186,27 @@ class HybridEngine3D:
         """The declarative gather plan this engine will execute."""
         return plan_transition(self.gen_topology)
 
-    def _observability(self):
-        """The owning controller's (tracer, metrics), if any."""
-        controller = getattr(self.group, "controller", None)
-        return (
-            getattr(controller, "tracer", None),
-            getattr(controller, "metrics", None),
-        )
-
     def _note_transition(self, direction: str, comm_bytes: int) -> None:
-        tracer, metrics = self._observability()
-        if tracer is not None:
-            pool = self.group.resource_pool
-            tracer.instant(
-                f"{self.group.name}.{direction}",
-                category="transition",
-                pool=pool.name,
-                ranks=tuple(pool.global_ranks),
-                payload_bytes=comm_bytes,
-                direction=direction,
-                mode=self.gen_topology.mode.name,
-            )
-        if metrics is not None:
-            metrics.counter(
-                "repro_transitions_total",
-                "HybridEngine train<->generation layout transitions",
-                direction=direction,
-            ).inc()
-            metrics.counter(
-                "repro_transition_bytes_total",
-                "Bytes moved by HybridEngine transitions",
-            ).inc(comm_bytes)
+        pool = self.group.resource_pool
+        self.group.tracer.instant(
+            f"{self.group.name}.{direction}",
+            category="transition",
+            pool=pool.name,
+            ranks=tuple(pool.global_ranks),
+            payload_bytes=comm_bytes,
+            direction=direction,
+            mode=self.gen_topology.mode.name,
+        )
+        metrics = self.group.metrics
+        metrics.counter(
+            "repro_transitions_total",
+            "HybridEngine train<->generation layout transitions",
+            direction=direction,
+        ).inc()
+        metrics.counter(
+            "repro_transition_bytes_total",
+            "Bytes moved by HybridEngine transitions",
+        ).inc(comm_bytes)
 
     # -- transition: training -> generation (steps 1-2 of Figure 7) ----------------
 

@@ -73,9 +73,6 @@ class WeightPublisher:
         """Version the decode loop currently generates with."""
         return self._active
 
-    def _controller(self):
-        return getattr(self.group, "controller", None)
-
     def publish_bytes_per_version(self) -> int:
         """Bytes one publication ships: the transition plan's gather tiles.
 
@@ -118,32 +115,27 @@ class WeightPublisher:
                 f"version {self._staged}"
             )
         nbytes = self.publish_bytes_per_version()
-        controller = self._controller()
-        if controller is not None:
-            controller.record_access(
-                WRITE,
-                f"pipeline/weights[v{version}]",
-                note=f"publish policy version {version}",
-            )
-            tracer = getattr(controller, "tracer", None)
-            if tracer is not None:
-                tracer.instant(
-                    f"{self.group.name}.publish[v{version}]",
-                    category="pipeline",
-                    version=version,
-                    payload_bytes=nbytes,
-                    staged_behind=version - self._active,
-                )
-            metrics = getattr(controller, "metrics", None)
-            if metrics is not None:
-                metrics.counter(
-                    "repro_pipeline_publications_total",
-                    "Policy-weight publications from trainer to generator",
-                ).inc()
-                metrics.counter(
-                    "repro_pipeline_published_bytes_total",
-                    "Bytes shipped by weight publications",
-                ).inc(nbytes)
+        group = self.group
+        group.record_access(
+            WRITE,
+            f"pipeline/weights[v{version}]",
+            note=f"publish policy version {version}",
+        )
+        group.tracer.instant(
+            f"{group.name}.publish[v{version}]",
+            category="pipeline",
+            version=version,
+            payload_bytes=nbytes,
+            staged_behind=version - self._active,
+        )
+        group.metrics.counter(
+            "repro_pipeline_publications_total",
+            "Policy-weight publications from trainer to generator",
+        ).inc()
+        group.metrics.counter(
+            "repro_pipeline_published_bytes_total",
+            "Bytes shipped by weight publications",
+        ).inc(nbytes)
         self._staged = version
         self.publications += 1
         self.bytes_published += nbytes
@@ -156,13 +148,11 @@ class WeightPublisher:
         tagged with (its behaviour policy).
         """
         self._active = self._staged
-        controller = self._controller()
-        if controller is not None:
-            controller.record_access(
-                READ,
-                f"pipeline/weights[v{self._active}]",
-                note=f"rollout acquires policy version {self._active}",
-            )
+        self.group.record_access(
+            READ,
+            f"pipeline/weights[v{self._active}]",
+            note=f"rollout acquires policy version {self._active}",
+        )
         self.acquisitions += 1
         return self._active
 

@@ -35,14 +35,17 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    NULL_METRICS,
 )
-from repro.observability.spans import Span, SpanTracer
+from repro.observability.spans import NULL_TRACER, Span, SpanTracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NULL_METRICS",
+    "NULL_TRACER",
     "Span",
     "SpanTracer",
     "chrome_trace",

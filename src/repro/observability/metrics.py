@@ -258,3 +258,17 @@ class MetricsRegistry:
             f"MetricsRegistry({len(self._families)} families, "
             f"{len(self._metrics)} series)"
         )
+
+
+class _NullMetrics(MetricsRegistry):
+    """The registry of a component nobody observes: every ``counter`` /
+    ``gauge`` / ``histogram`` call returns a fresh child that is never
+    registered, so updates land nowhere and every query reads empty."""
+
+    def _child(self, cls, name: str, help_text: str, labels: Dict[str, Any], **kwargs):
+        return cls(**kwargs)
+
+
+#: What ``group.metrics`` resolves to without a controller, and the default
+#: of every component that takes an optional registry.
+NULL_METRICS = _NullMetrics()

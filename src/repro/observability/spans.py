@@ -193,3 +193,25 @@ class SpanTracer:
 
     def __repr__(self) -> str:
         return f"SpanTracer({len(self.spans)} spans, {len(self._stack)} open)"
+
+
+class _NullTracer(SpanTracer):
+    """The tracer of a component nobody observes: same interface, no record.
+
+    ``begin`` hands back a throwaway :class:`Span` (so call sites may still
+    set attributes on it) that is never stored, pushed or linked; ``end``,
+    ``span()`` and ``instant()`` are inherited and only ever touch that
+    throwaway — so an exception inside a ``with NULL_TRACER.span(...)``
+    block propagates exactly as under a real tracer.
+    """
+
+    def begin(self, name: str, category: str = "span", **kwargs: Any) -> Span:
+        return Span(span_id=-1, name=name, category=category, start=0.0)
+
+    def register_seq(self, seq: Optional[int], span: Span) -> None:
+        pass
+
+
+#: What ``group.tracer`` resolves to without a controller, and the default
+#: of every component that takes an optional tracer.
+NULL_TRACER = _NullTracer()

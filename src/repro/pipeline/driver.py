@@ -16,8 +16,8 @@ Semantics (``W = staleness_window``):
 * stale batches get per-token truncated importance weights
   (:func:`repro.rlhf.losses.truncated_importance_weights`) so the PPO/GRPO
   surrogate stays sound off-policy;
-* ``W = 0`` degenerates to exactly the synchronous interleave — same
-  dispatches on the same data in the same per-worker order, so the run is
+* ``W = 0`` degenerates to exactly the synchronous interleave — the same
+  trainer stages on the same data in the same order, so the run is
   bit-exact with ``RlhfTrainerBase.train`` (weights, sequences, and
   per-iteration metrics);
 * weight hand-off goes through a
@@ -27,8 +27,10 @@ Semantics (``W = staleness_window``):
   happens-before edges in the access log so the RC5xx race detector can
   prove the overlapped schedule free of torn reads.
 
-The driver dispatches through the same worker-group primitives as the
-synchronous trainers; the overlap materializes in the modeled schedule
+The driver is a *schedule* over the trainer's own stages
+(``rollout`` / ``score`` / ``prepare`` / ``learn`` of
+:class:`~repro.rlhf.trainers.RlhfTrainerBase`) and restates no algorithm;
+the overlap materializes in the modeled schedule
 (:func:`repro.runtime.timeline.build_timeline`): the generate record for
 *t+1* precedes iteration *t*'s scoring/update records in the trace and
 carries no dependency on them, so pools that only score or update overlap
@@ -42,9 +44,8 @@ from typing import Any, Dict, List, Optional
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
 from repro.hybrid_engine.publication import WeightPublisher
-from repro.pipeline.buffer import Experience, ExperienceBuffer
+from repro.pipeline.buffer import ExperienceBuffer
 from repro.pipeline.config import PipelineConfig
-from repro.rlhf.core import AlgoType, compute_advantages
 from repro.rlhf.losses import truncated_importance_weights
 from repro.rlhf.trainers import RlhfTrainerBase
 from repro.single_controller.access_log import READ, WRITE
@@ -62,13 +63,9 @@ class AsyncPipelineDriver:
         self.trainer = trainer
         self.config = config or PipelineConfig()
         self.config.validate()
-        if trainer.algo not in (AlgoType.PPO, AlgoType.GRPO):
-            raise ValueError(
-                f"async pipeline supports PPO and GRPO, not "
-                f"{trainer.algo.value}"
-            )
-        # one source of truth for soundness constraints: the same DF108
-        # findings `repro check` raises statically reject the config here
+        # one source of truth for soundness constraints (supported
+        # algorithms included): the same DF108 findings `repro check` raises
+        # statically reject the config here
         from repro.analysis.dataflow import DataflowChecker
 
         report = DataflowChecker().check_pipeline(
@@ -85,20 +82,6 @@ class AsyncPipelineDriver:
         self._next_gen = 0
         self.max_staleness_seen = 0
 
-    # -- plumbing --------------------------------------------------------------------
-
-    @property
-    def iterations_trained(self) -> int:
-        return len(self.trainer.history)
-
-    def _controller(self):
-        return getattr(self.trainer.actor, "controller", None)
-
-    def _record_access(self, kind: str, resource: str, note: str) -> None:
-        controller = self._controller()
-        if controller is not None:
-            controller.record_access(kind, resource, note=note)
-
     # -- rollout track ---------------------------------------------------------------
 
     def _rollout(self, prompts: DataBatch) -> None:
@@ -114,82 +97,48 @@ class AsyncPipelineDriver:
         index = self._next_gen
         version = self.publisher.acquire()
         trainer = self.trainer
-        if trainer.algo is AlgoType.GRPO:
-            prompts = prompts.repeat(trainer.config.group_size)
-        controller = self._controller()
-        tracer = getattr(controller, "tracer", None)
-        if tracer is None:
-            batch = self._generate_and_score(prompts)
-        else:
-            with tracer.span(
-                f"pipeline.rollout[{index}]",
-                category="pipeline",
-                iteration=index,
-                policy_version=version,
-            ):
-                batch = self._generate_and_score(prompts)
-        self._record_access(
+        with trainer.actor.tracer.span(
+            f"pipeline.rollout[{index}]",
+            category="pipeline",
+            iteration=index,
+            policy_version=version,
+        ):
+            batch = trainer.rollout(prompts)
+            if self.config.stream_scoring:
+                batch = trainer.score(batch)
+        trainer.actor.record_access(
             WRITE,
             f"pipeline/experience[{index}]",
             note=f"rollout buffers iteration {index} at version {version}",
         )
         self.buffer.put(index, version, batch)
-        if controller is not None and controller.metrics is not None:
-            controller.metrics.counter(
-                "repro_pipeline_rollouts_total",
-                "Rollouts completed by the async pipeline",
-            ).inc()
+        trainer.actor.metrics.counter(
+            "repro_pipeline_rollouts_total",
+            "Rollouts completed by the async pipeline",
+        ).inc()
         self._next_gen += 1
-
-    def _generate_and_score(self, prompts: DataBatch) -> DataBatch:
-        trainer = self.trainer
-        gen = trainer.actor.generate_sequences(prompts).get()
-        if not self.config.stream_scoring:
-            return gen
-        ref = trainer.reference.compute_ref_log_prob(gen)
-        scores = trainer.reward.compute_reward(gen)
-        return gen.union(ref.get()).union(scores.get())
 
     # -- training track --------------------------------------------------------------
 
     def _train_one(self) -> Dict[str, Any]:
-        """Consume the oldest buffered batch; mirrors ``run_step`` exactly."""
-        trainer = self.trainer
-        controller = self._controller()
-        tracer = getattr(controller, "tracer", None)
-        metrics = getattr(controller, "metrics", None)
-        iteration = len(trainer.history)
-        algo = trainer.algo.name.lower()
-        started = controller.clock.now if controller is not None else 0.0
-        if tracer is None:
-            result = self._step_from_buffer(iteration)
-        else:
-            with tracer.span(
-                f"iteration[{iteration}]",
-                category="iteration",
-                algo=algo,
-                iteration=iteration,
-            ):
-                result = self._step_from_buffer(iteration)
-        if metrics is not None:
-            metrics.counter(
-                "repro_iterations_total", "RLHF iterations completed", algo=algo
-            ).inc()
-            metrics.histogram(
-                "repro_iteration_seconds",
-                "Simulated seconds per RLHF iteration",
-                algo=algo,
-            ).observe(controller.clock.now - started)
-        trainer.history.append(result)
+        """Consume the oldest buffered batch as the trainer's next iteration."""
+        result = self.trainer.run_iteration(self._learn_from_buffer)
         # the optimizer step produced a new policy version; stage it for the
         # rollout engine without blocking its decode loop
-        self.publisher.publish(len(trainer.history))
+        self.publisher.publish(len(self.trainer.history))
         return result
 
-    def _step_from_buffer(self, iteration: int) -> Dict[str, Any]:
+    def _learn_from_buffer(self) -> Dict[str, Any]:
+        """Stages 2 and 3 on the buffered batch, importance-weighted if stale.
+
+        ``prepare`` skips the frozen-model scoring for streamed entries
+        (their ``ref_log_probs`` / ``scores`` arrived at rollout time) and
+        takes the anchor-policy log-probs *now*, under the train-time policy
+        — the importance-weight anchor.
+        """
         trainer = self.trainer
-        cfg = trainer.config
-        self._record_access(
+        iteration = len(trainer.history)
+        trainer.actor.record_access(
             READ,
             f"pipeline/experience[{iteration}]",
             note=f"trainer consumes iteration {iteration}",
@@ -197,82 +146,16 @@ class AsyncPipelineDriver:
         entry = self.buffer.pop(iteration)
         staleness = iteration - entry.version
         self.max_staleness_seen = max(self.max_staleness_seen, staleness)
-
-        batch = self._prepare(entry)
-        if trainer.algo is AlgoType.PPO:
-            batch = compute_advantages(
-                batch,
-                AlgoType.PPO,
-                kl_coef=cfg.kl_coef,
-                gamma=cfg.gamma,
-                lam=cfg.lam,
-                whiten_advantages=cfg.whiten_advantages,
-            )
-        else:
-            batch = compute_advantages(
-                batch, AlgoType.GRPO, group_size=cfg.group_size
-            )
-        batch = self._attach_importance_weights(batch, staleness)
-
-        metrics: Dict[str, Any] = {"score_mean": float(batch["scores"].mean())}
-        for _ in range(cfg.ppo_epochs):
-            for mini in trainer._minibatches(batch):
-                if trainer.algo is AlgoType.PPO:
-                    critic_metrics = trainer.critic.update_critic(
-                        mini, loss_func="ppo"
-                    ).get()
-                    actor_metrics = trainer.actor.update_actor(
-                        mini, loss_func="ppo"
-                    ).get()
-                else:
-                    actor_metrics = trainer.actor.update_actor(
-                        mini, loss_func="grpo", kl_coef=cfg.kl_coef
-                    ).get()
-            if trainer.algo is AlgoType.PPO:
-                metrics.update(
-                    {f"critic/{k}": v for k, v in critic_metrics.items()}
-                )
-            metrics.update({f"actor/{k}": v for k, v in actor_metrics.items()})
+        batch = self._attach_importance_weights(
+            trainer.prepare(entry.batch), staleness
+        )
+        metrics = trainer.learn(batch)
         if staleness > 0:
             # extra keys only off-policy: the W=0 history stays bit-equal
             # to the synchronous trainer's
             metrics["pipeline/staleness"] = staleness
             metrics["pipeline/policy_version"] = entry.version
         return metrics
-
-    def _prepare(self, entry: Experience) -> DataBatch:
-        """Stage-2 experience preparation, in the synchronous dispatch order.
-
-        For streamed entries the frozen-model columns (``ref_log_probs``,
-        ``scores``) already arrived at rollout time; only the anchor-policy
-        log-probs (always recomputed *now*, under the train-time policy —
-        they are the importance-weight anchor) and the critic values remain.
-        """
-        trainer = self.trainer
-        cfg = trainer.config
-        gen = entry.batch
-        streamed = "scores" in gen
-        if trainer.algo is AlgoType.PPO:
-            values = trainer.critic.compute_values(gen)
-            if streamed:
-                batch = self._anchor_log_probs(gen).union(values.get())
-            else:
-                batch = trainer._prepare_common(gen).union(values.get())
-        else:
-            if streamed:
-                batch = self._anchor_log_probs(gen)
-            else:
-                batch = trainer._prepare_common(gen)
-        return batch
-
-    def _anchor_log_probs(self, gen: DataBatch) -> DataBatch:
-        trainer = self.trainer
-        if trainer.config.recompute_log_probs:
-            logp = trainer.actor.compute_log_prob(gen)
-            return gen.union(logp.get())
-        return gen.union(
-            DataBatch({"log_probs": gen["old_log_probs"]}, meta=gen.meta)
-        )
 
     def _attach_importance_weights(
         self, batch: DataBatch, staleness: int
@@ -341,6 +224,12 @@ class AsyncPipelineDriver:
 
     # -- checkpointing ---------------------------------------------------------------
 
+    def _controller(self):
+        controller = self.trainer.actor.controller
+        if controller is None:
+            raise RuntimeError("checkpointing needs a controller-built system")
+        return controller
+
     def state_dict(self) -> Dict[str, Any]:
         return {
             "next_gen": self._next_gen,
@@ -362,10 +251,7 @@ class AsyncPipelineDriver:
         — captures the buffered experience and both cursors, so the restore
         resumes with the same staleness schedule.
         """
-        controller = self._controller()
-        if controller is None:
-            raise RuntimeError("checkpointing needs a controller-built system")
-        controller.save_checkpoint(
+        self._controller().save_checkpoint(
             directory,
             extra={
                 "trainer": self.trainer.state_dict(),
@@ -374,10 +260,7 @@ class AsyncPipelineDriver:
         )
 
     def load_checkpoint(self, directory: str) -> Dict[str, Any]:
-        controller = self._controller()
-        if controller is None:
-            raise RuntimeError("checkpointing needs a controller-built system")
-        manifest = controller.load_checkpoint(directory)
+        manifest = self._controller().load_checkpoint(directory)
         extra = manifest.get("extra") or {}
         self.trainer.load_state_dict(extra["trainer"])
         self.load_state_dict(extra["pipeline"])

@@ -12,7 +12,7 @@ paper's Figure 6 shows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -43,7 +43,11 @@ class TrainerConfig:
 
 
 class RlhfTrainerBase:
-    """Common loop: iterate prompt batches, run ``step``, record metrics."""
+    """One RLHF iteration as three overridable stages, plus the loop.
+
+    A scheduler that decouples the stages (the async pipeline driver) calls
+    the same ``rollout`` / ``prepare`` / ``learn`` — it restates no algorithm.
+    """
 
     algo: AlgoType
 
@@ -65,11 +69,6 @@ class RlhfTrainerBase:
         self.history: List[Dict[str, Any]] = []
         self._rng = np.random.default_rng(self.config.seed)
 
-    # -- subclass hook -------------------------------------------------------------
-
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        raise NotImplementedError
-
     # -- driver-level checkpoint state (§9: dataloader IDs etc.) -------------------
 
     def state_dict(self) -> Dict[str, Any]:
@@ -83,76 +82,115 @@ class RlhfTrainerBase:
         self.history = [{} for _ in range(int(state["iterations_done"]))]
         self._rng.bit_generator.state = state["rng_state"]
 
-    # -- shared pieces -------------------------------------------------------------
+    # -- the three stages of one iteration (§2.1, Figure 6) ------------------------
 
-    def _prepare_common(self, gen_batch: DataBatch) -> DataBatch:
-        """Reference log-probs + reward scores (stage 2 shared by all algos).
+    def rollout(self, prompts: DataBatch) -> DataBatch:
+        """Stage 1: generate responses under the actor's current policy."""
+        return self.actor.generate_sequences(prompts).get()
+
+    def score(self, gen: DataBatch) -> DataBatch:
+        """The frozen-model half of stage 2: reference log-probs + rewards.
+
+        Valid any time after :meth:`rollout`; :meth:`prepare` skips it when
+        the columns already ride on the batch (streamed scoring).
+        """
+        ref = self.reference.compute_ref_log_prob(gen)
+        scores = self.reward.compute_reward(gen)
+        return gen.union(ref.get()).union(scores.get())
+
+    def _experience(self, gen: DataBatch) -> DataBatch:
+        """Stage-2 columns every algorithm shares.
 
         Every preparation call consumes the *generation output* rather than
         each other's results — the independence that lets models on disjoint
         pools run concurrently (§4.1's asynchronous execution; visible in
-        the execution timelines).
+        the execution timelines).  The anchor log-probs are taken *now*,
+        under the train-time policy.
         """
-        ref = self.reference.compute_ref_log_prob(gen_batch)
-        scores = self.reward.compute_reward(gen_batch)
+        scored = gen if "scores" in gen else self.score(gen)
         if self.config.recompute_log_probs:
-            logp = self.actor.compute_log_prob(gen_batch)
-            batch = gen_batch.union(logp.get())
-        else:
-            batch = gen_batch.union(
-                DataBatch(
-                    {"log_probs": gen_batch["old_log_probs"]},
-                    meta=gen_batch.meta,
-                )
-            )
-        return batch.union(ref.get()).union(scores.get())
+            return scored.union(self.actor.compute_log_prob(gen).get())
+        return scored.union(
+            DataBatch({"log_probs": gen["old_log_probs"]}, meta=gen.meta)
+        )
 
-    def _minibatches(self, batch: DataBatch) -> List[DataBatch]:
-        n = self.config.updates_per_epoch
-        if batch.batch_size % n:
-            raise ValueError(
-                f"batch {batch.batch_size} not divisible into {n} PPO updates"
-            )
-        return batch.chunk(n)
+    def _advantages(self, batch: DataBatch) -> DataBatch:
+        cfg = self.config
+        return compute_advantages(
+            batch,
+            self.algo,
+            kl_coef=cfg.kl_coef,
+            gamma=cfg.gamma,
+            lam=cfg.lam,
+            group_size=cfg.group_size,
+            whiten_advantages=cfg.whiten_advantages,
+        )
 
-    def run_step(self, prompts: DataBatch) -> Dict[str, Any]:
-        """One RLHF iteration, traced and metered through the controller.
+    def prepare(self, gen: DataBatch, *scored) -> DataBatch:
+        """Stage 2: experience preparation, ending in the advantage columns.
 
-        Wraps :meth:`step` in an ``iteration`` span (so every dispatch of
-        the iteration nests under it in the exported trace), records
-        per-iteration count/latency in the controller's metrics registry,
-        and appends the step metrics to :attr:`history` on success — so
-        iteration numbering stays correct for any driver, including the
-        recovery loop.  Works unchanged on bare worker groups with no
-        controller.
+        ``scored``: futures of the scoring calls a subclass dispatched on
+        ``gen`` first (critic values, Safe-RLHF costs).
         """
-        controller = getattr(self.actor, "controller", None)
-        tracer = getattr(controller, "tracer", None)
-        metrics = getattr(controller, "metrics", None)
+        batch = self._experience(gen)
+        for future in scored:
+            batch = batch.union(future.get())
+        return self._advantages(batch)
+
+    def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
+        """One optimizer step per trained model: its metrics, by role."""
+        raise NotImplementedError
+
+    def learn(self, batch: DataBatch, **extra: Any) -> Dict[str, Any]:
+        """Stage 3: ``ppo_epochs`` passes of :meth:`_update` over minibatches
+        (``extra``: the algorithm's own summary metrics, reported first)."""
+        cfg = self.config
+        metrics = {"score_mean": float(batch["scores"].mean()), **extra}
+        for _ in range(cfg.ppo_epochs):
+            for mini in batch.chunk(cfg.updates_per_epoch):
+                update = self._update(mini)
+            for role, values in update.items():
+                metrics.update({f"{role}/{k}": v for k, v in values.items()})
+        return metrics
+
+    def step(self, prompts: DataBatch) -> Dict[str, Any]:
+        return self.learn(self.prepare(self.rollout(prompts)))
+
+    # -- the loop ------------------------------------------------------------------
+
+    def run_iteration(self, body: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
+        """Run ``body`` as the next RLHF iteration, traced and metered.
+
+        Wraps it in an ``iteration`` span (so every dispatch of the
+        iteration nests under it in the exported trace), records
+        per-iteration count/latency, and appends the returned metrics to
+        :attr:`history` on success — so iteration numbering stays correct
+        for any schedule: ``run_step``, the recovery loop, the async pipeline.
+        """
         iteration = len(self.history)
         algo = self.algo.name.lower()
-        started = controller.clock.now if controller is not None else 0.0
-        if tracer is None:
-            result = self.step(prompts)
-        else:
-            with tracer.span(
-                f"iteration[{iteration}]",
-                category="iteration",
-                algo=algo,
-                iteration=iteration,
-            ):
-                result = self.step(prompts)
-        if metrics is not None:
-            metrics.counter(
-                "repro_iterations_total", "RLHF iterations completed", algo=algo
-            ).inc()
-            metrics.histogram(
-                "repro_iteration_seconds",
-                "Simulated seconds per RLHF iteration",
-                algo=algo,
-            ).observe(controller.clock.now - started)
+        with self.actor.tracer.span(
+            f"iteration[{iteration}]",
+            category="iteration",
+            algo=algo,
+            iteration=iteration,
+        ) as span:
+            result = body()
+        metrics = self.actor.metrics
+        metrics.counter(
+            "repro_iterations_total", "RLHF iterations completed", algo=algo
+        ).inc()
+        metrics.histogram(
+            "repro_iteration_seconds",
+            "Simulated seconds per RLHF iteration",
+            algo=algo,
+        ).observe(span.duration)
         self.history.append(result)
         return result
+
+    def run_step(self, prompts: DataBatch) -> Dict[str, Any]:
+        """One synchronous RLHF iteration."""
+        return self.run_iteration(lambda: self.step(prompts))
 
     def train(
         self, dataset: PromptDataset, n_iterations: int, batch_size: int
@@ -169,35 +207,14 @@ class PPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.PPO
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        cfg = self.config
-        # Stage 1: generation
-        gen_batch = self.actor.generate_sequences(prompts).get()
-        # Stage 2: experience preparation — all scoring passes consume the
-        # generation output and can overlap across pools
-        values = self.critic.compute_values(gen_batch)
-        batch = self._prepare_common(gen_batch).union(values.get())
-        batch = compute_advantages(
-            batch,
-            AlgoType.PPO,
-            kl_coef=cfg.kl_coef,
-            gamma=cfg.gamma,
-            lam=cfg.lam,
-            whiten_advantages=cfg.whiten_advantages,
-        )
-        # Stage 3: actor and critic training
-        metrics: Dict[str, Any] = {"score_mean": float(batch["scores"].mean())}
-        for _ in range(cfg.ppo_epochs):
-            for mini in self._minibatches(batch):
-                critic_metrics = self.critic.update_critic(
-                    mini, loss_func="ppo"
-                ).get()
-                actor_metrics = self.actor.update_actor(
-                    mini, loss_func="ppo"
-                ).get()
-            metrics.update({f"critic/{k}": v for k, v in critic_metrics.items()})
-            metrics.update({f"actor/{k}": v for k, v in actor_metrics.items()})
-        return metrics
+    def prepare(self, gen: DataBatch) -> DataBatch:
+        return super().prepare(gen, self.critic.compute_values(gen))
+
+    def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
+        return {
+            "critic": self.critic.update_critic(mini, loss_func="ppo").get(),
+            "actor": self.actor.update_actor(mini, loss_func="ppo").get(),
+        }
 
 
 class ReMaxTrainer(RlhfTrainerBase):
@@ -206,26 +223,23 @@ class ReMaxTrainer(RlhfTrainerBase):
     algo = AlgoType.REMAX
 
     def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        cfg = self.config
-        batch = self.actor.generate_sequences(prompts).get()
+        # the greedy baseline is a second stage-1 pass over the *prompts*
+        # (no dataflow edge from the sampled rollout), so it cannot ride
+        # through rollout()'s single-batch return: ReMax threads it itself
+        gen = self.rollout(prompts)
         baseline = self.actor.generate_sequences(prompts, do_sample=False).get()
-        batch = self._prepare_common(batch)
-        baseline_scores = self.reward.compute_reward(baseline).get()["scores"]
-        batch = batch.union(
-            DataBatch({"baseline_scores": baseline_scores}, meta=batch.meta)
-        )
-        batch = compute_advantages(batch, AlgoType.REMAX, kl_coef=cfg.kl_coef)
-        metrics: Dict[str, Any] = {
-            "score_mean": float(batch["scores"].mean()),
-            "baseline_score_mean": float(baseline_scores.mean()),
-        }
-        for _ in range(cfg.ppo_epochs):
-            for mini in self._minibatches(batch):
-                actor_metrics = self.actor.update_actor(
-                    mini, loss_func="remax"
-                ).get()
-            metrics.update({f"actor/{k}": v for k, v in actor_metrics.items()})
-        return metrics
+        batch = self.prepare(gen, baseline)
+        baseline_mean = float(batch["baseline_scores"].mean())
+        return self.learn(batch, baseline_score_mean=baseline_mean)
+
+    def prepare(self, gen: DataBatch, baseline: DataBatch) -> DataBatch:
+        batch = self._experience(gen)
+        scores = self.reward.compute_reward(baseline).get()["scores"]
+        extra = DataBatch({"baseline_scores": scores}, meta=batch.meta)
+        return self._advantages(batch.union(extra))
+
+    def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
+        return {"actor": self.actor.update_actor(mini, loss_func="remax").get()}
 
 
 class SafeRLHFTrainer(RlhfTrainerBase):
@@ -239,6 +253,7 @@ class SafeRLHFTrainer(RlhfTrainerBase):
             raise ValueError("Safe-RLHF requires a cost worker")
         self.lagrange_multiplier = 0.0
         self.pretrain_dataset = pretrain_dataset
+        self._pretrain: Optional[DataBatch] = None
 
     def state_dict(self):
         state = super().state_dict()
@@ -256,53 +271,38 @@ class SafeRLHFTrainer(RlhfTrainerBase):
         pretrain = self.pretrain_dataset.batch(start, size)
         return DataBatch({"tokens": pretrain["prompts"]})
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
+    def prepare(self, gen: DataBatch) -> DataBatch:
+        values = self.critic.compute_values(gen)
+        costs = self.cost.compute_cost(gen)
+        return super().prepare(gen, values, costs)
+
+    def learn(self, batch: DataBatch) -> Dict[str, Any]:
         cfg = self.config
-        gen_batch = self.actor.generate_sequences(prompts).get()
-        values = self.critic.compute_values(gen_batch)
-        costs = self.cost.compute_cost(gen_batch)
-        batch = (
-            self._prepare_common(gen_batch)
-            .union(values.get())
-            .union(costs.get())
-        )
-        batch = compute_advantages(
-            batch,
-            AlgoType.SAFE_RLHF,
-            kl_coef=cfg.kl_coef,
-            gamma=cfg.gamma,
-            lam=cfg.lam,
-            whiten_advantages=cfg.whiten_advantages,
-        )
         self.lagrange_multiplier = update_lagrange_multiplier(
             self.lagrange_multiplier,
             batch["costs"],
             cfg.cost_limit,
             cfg.lagrange_lr,
         )
-        metrics: Dict[str, Any] = {
-            "score_mean": float(batch["scores"].mean()),
+        extra: Dict[str, Any] = {
             "cost_mean": float(batch["costs"].mean()),
             "lagrange_multiplier": self.lagrange_multiplier,
         }
-        pretrain = self._pretrain_batch(len(prompts))
-        if pretrain is not None:
-            metrics.update(self.actor.compute_loss(pretrain).get())
-        for _ in range(cfg.ppo_epochs):
-            for mini_index, mini in enumerate(self._minibatches(batch)):
-                critic_metrics = self.critic.update_critic(
-                    mini, loss_func="safe-rlhf"
-                ).get()
-                actor_metrics = self.actor.update_actor(
-                    mini,
-                    loss_func="safe-rlhf",
-                    lagrange_multiplier=self.lagrange_multiplier,
-                    pretrain_batch=pretrain,
-                    ptx_coef=cfg.ptx_coef,
-                ).get()
-            metrics.update({f"critic/{k}": v for k, v in critic_metrics.items()})
-            metrics.update({f"actor/{k}": v for k, v in actor_metrics.items()})
-        return metrics
+        self._pretrain = self._pretrain_batch(batch.batch_size)
+        if self._pretrain is not None:
+            extra.update(self.actor.compute_loss(self._pretrain).get())
+        return super().learn(batch, **extra)
+
+    def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
+        critic = self.critic.update_critic(mini, loss_func="safe-rlhf").get()
+        actor = self.actor.update_actor(
+            mini,
+            loss_func="safe-rlhf",
+            lagrange_multiplier=self.lagrange_multiplier,
+            pretrain_batch=self._pretrain,
+            ptx_coef=self.config.ptx_coef,
+        ).get()
+        return {"critic": critic, "actor": actor}
 
 
 class GRPOTrainer(RlhfTrainerBase):
@@ -310,19 +310,11 @@ class GRPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.GRPO
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        cfg = self.config
-        grouped = prompts.repeat(cfg.group_size)
-        batch = self.actor.generate_sequences(grouped).get()
-        batch = self._prepare_common(batch)
-        batch = compute_advantages(
-            batch, AlgoType.GRPO, group_size=cfg.group_size
-        )
-        metrics: Dict[str, Any] = {"score_mean": float(batch["scores"].mean())}
-        for _ in range(cfg.ppo_epochs):
-            for mini in self._minibatches(batch):
-                actor_metrics = self.actor.update_actor(
-                    mini, loss_func="grpo", kl_coef=cfg.kl_coef
-                ).get()
-            metrics.update({f"actor/{k}": v for k, v in actor_metrics.items()})
-        return metrics
+    def rollout(self, prompts: DataBatch) -> DataBatch:
+        return super().rollout(prompts.repeat(self.config.group_size))
+
+    def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
+        actor = self.actor.update_actor(
+            mini, loss_func="grpo", kl_coef=self.config.kl_coef
+        ).get()
+        return {"actor": actor}

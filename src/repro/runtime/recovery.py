@@ -260,33 +260,34 @@ def train_with_recovery(
             tracer = obs["tracer"]
             run_metrics = obs["metrics"]
             detected = system.controller.clock.now
-            recovery_span = tracer.begin(
+            with tracer.span(
                 f"recovery[{recoveries - 1}]",
                 category="recovery",
                 pool=err.pool,
                 ranks=tuple(err.dead_ranks),
                 cause=err.cause or "worker lost",
                 failed_iteration=it,
-            )
-            # tear down the failed job; survivors return to the cluster
-            with tracer.span("recovery.teardown", category="recovery"):
-                system.controller.release_pools()
-            # re-place on the shrunken cluster and restore the checkpoint.
-            # _wire re-points the shared tracer at the rebuilt controller's
-            # clock, which restarts at 0 — advance it back to the detection
-            # time before opening any further spans.
-            system = _wire(build_fn(cluster))
-            system.controller.clock.advance(detected)
-            with tracer.span("recovery.rebuild", category="recovery"):
-                system.controller.clock.advance(cost.reinit_time)
-            with tracer.span("recovery.restore", category="recovery") as restore_span:
-                resumed, restore_time = restore_system(system, root, cost)
-                restore_span.attrs["restore_time"] = restore_time
-            tracer.end(
-                recovery_span,
-                resumed_iteration=resumed,
-                lost_iterations=it - resumed,
-            )
+            ) as recovery_span:
+                # tear down the failed job; survivors return to the cluster
+                with tracer.span("recovery.teardown", category="recovery"):
+                    system.controller.release_pools()
+                # re-place on the shrunken cluster and restore the
+                # checkpoint.  _wire re-points the shared tracer at the
+                # rebuilt controller's clock, which restarts at 0 — advance
+                # it back to the detection time before opening any further
+                # spans.
+                system = _wire(build_fn(cluster))
+                system.controller.clock.advance(detected)
+                with tracer.span("recovery.rebuild", category="recovery"):
+                    system.controller.clock.advance(cost.reinit_time)
+                with tracer.span(
+                    "recovery.restore", category="recovery"
+                ) as restore_span:
+                    resumed, restore_time = restore_system(system, root, cost)
+                    restore_span.attrs["restore_time"] = restore_time
+                recovery_span.attrs.update(
+                    resumed_iteration=resumed, lost_iterations=it - resumed
+                )
             run_metrics.counter(
                 "repro_recoveries_total", "Completed failure recoveries"
             ).inc()

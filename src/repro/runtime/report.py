@@ -112,9 +112,8 @@ def recovery_summary(report) -> List[str]:
 
 def observability_summary(system: RlhfSystem) -> List[str]:
     """Per-iteration latency table from the controller's iteration spans."""
-    controller = system.controller
-    tracer = getattr(controller, "tracer", None)
-    if tracer is None or not tracer.spans:
+    tracer = system.controller.tracer
+    if not tracer.spans:
         return ["observability: (no spans recorded)"]
     counts = ", ".join(
         f"{category}={count}"
@@ -130,16 +129,15 @@ def observability_summary(system: RlhfSystem) -> List[str]:
                 f"{str(span.attrs.get('algo', '?')):8s}  "
                 f"{span.start:9.2f}  {span.duration:9.2f}s"
             )
-    metrics = getattr(controller, "metrics", None)
-    if metrics is not None:
-        retries = metrics.total("repro_retries_total")
-        losses = metrics.total("repro_worker_losses_total")
-        tokens = metrics.total("repro_tokens_generated_total")
-        lines.append(
-            f"  dispatches={int(metrics.total('repro_dispatch_calls_total'))} "
-            f"tokens={int(tokens)} retries={int(retries)} "
-            f"worker_losses={int(losses)}"
-        )
+    metrics = system.controller.metrics
+    retries = metrics.total("repro_retries_total")
+    losses = metrics.total("repro_worker_losses_total")
+    tokens = metrics.total("repro_tokens_generated_total")
+    lines.append(
+        f"  dispatches={int(metrics.total('repro_dispatch_calls_total'))} "
+        f"tokens={int(tokens)} retries={int(retries)} "
+        f"worker_losses={int(losses)}"
+    )
     return lines
 
 

@@ -17,23 +17,12 @@ import dataclasses
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.single_controller.controller import ExecutionRecord, SingleController
-
-#: Default duration (simulated seconds) per call kind; a crude stand-in used
-#: when no duration function is supplied.  Generation dominates an RLHF
-#: iteration (§2.3), updates cost forward+backward, scoring one forward.
-DEFAULT_DURATIONS = {
-    "generate_sequences": 6.0,
-    "update_actor": 3.0,
-    "update_critic": 3.0,
-    "compute_values": 1.0,
-    "compute_ref_log_prob": 1.0,
-    "compute_reward": 1.0,
-    "compute_cost": 1.0,
-    "compute_log_prob": 1.0,
-    "compute_loss": 1.0,
-}
-FALLBACK_DURATION = 1.0
+from repro.single_controller.controller import (
+    DEFAULT_DURATIONS,
+    FALLBACK_DURATION,
+    ExecutionRecord,
+    SingleController,
+)
 
 #: Methods already warned about falling back to ``FALLBACK_DURATION`` — the
 #: warning fires once per method per process so perf numbers are never
@@ -166,25 +155,21 @@ def build_timeline(
     controller: SingleController,
     duration_fn: Optional[DurationFn] = None,
     trace: Optional[Sequence[ExecutionRecord]] = None,
-    metrics=None,
 ) -> Timeline:
     """Schedule the controller's trace under asynchronous dataflow semantics.
 
     Args:
         duration_fn: Maps a trace record to simulated seconds; defaults to
-            the coarse per-method table.  Plugging in the :mod:`repro.perf`
-            latency models gives placement-faithful timelines.
+            the controller's ``planned_duration``.  Plugging in the
+            :mod:`repro.perf` latency models gives placement-faithful
+            timelines.
         trace: Override the trace (e.g. one iteration's slice).
-        metrics: Registry receiving the ``repro_timeline_fallback_total``
-            counter; defaults to the controller's own registry.
 
     Methods missing from the default duration table are charged
     ``FALLBACK_DURATION`` — never silently: a one-time warning names them,
     and each occurrence increments a per-method metrics counter.
     """
     records = list(trace if trace is not None else controller.trace)
-    if metrics is None:
-        metrics = getattr(controller, "metrics", None)
     fallback_counts: Dict[str, int] = {}
 
     def default_duration(record: ExecutionRecord) -> float:
@@ -192,7 +177,7 @@ def build_timeline(
             fallback_counts[record.method] = (
                 fallback_counts.get(record.method, 0) + 1
             )
-        return DEFAULT_DURATIONS.get(record.method, FALLBACK_DURATION)
+        return controller.planned_duration(record.method)
 
     durations = duration_fn or default_duration
     pool_free: Dict[str, float] = {}
@@ -216,13 +201,12 @@ def build_timeline(
             )
         )
     if fallback_counts:
-        if metrics is not None:
-            for method, count in sorted(fallback_counts.items()):
-                metrics.counter(
-                    "repro_timeline_fallback_total",
-                    "Trace records charged FALLBACK_DURATION (no duration model)",
-                    method=method,
-                ).inc(count)
+        for method, count in sorted(fallback_counts.items()):
+            controller.metrics.counter(
+                "repro_timeline_fallback_total",
+                "Trace records charged FALLBACK_DURATION (no duration model)",
+                method=method,
+            ).inc(count)
         unseen = sorted(m for m in fallback_counts if m not in _FALLBACK_WARNED)
         if unseen:
             _FALLBACK_WARNED.update(unseen)

@@ -33,6 +33,8 @@ from repro.cluster.device import SimDevice
 from repro.models.autograd import no_grad
 from repro.models.sampler import decode_step
 from repro.models.tinylm import KVCache, TinyLM
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.observability.spans import NULL_TRACER, SpanTracer
 from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import CompletedRequest, Request, RequestState
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
@@ -199,8 +201,8 @@ class RolloutServer:
         model: TinyLM,
         config: Optional[ServingConfig] = None,
         device: Optional[SimDevice] = None,
-        tracer=None,
-        metrics=None,
+        tracer: SpanTracer = NULL_TRACER,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         if model.config.output_head != "lm":
             raise ValueError("serving requires an LM head")
@@ -298,11 +300,10 @@ class RolloutServer:
             rng=np.random.default_rng(self._seed + (request_id,)),
         )
         self.scheduler.add(req)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_serving_requests_submitted_total",
-                "Requests submitted to the rollout server",
-            ).inc()
+        self.metrics.counter(
+            "repro_serving_requests_submitted_total",
+            "Requests submitted to the rollout server",
+        ).inc()
         return request_id
 
     # -- stepping --------------------------------------------------------------------
@@ -327,41 +328,44 @@ class RolloutServer:
         finished this step.
         """
         step_end = self.now + self.config.step_time
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                f"serving.step[{self._steps}]", category="serving"
-            )
-        self.scheduler.schedule(self.now)
-        preempted_before = self.scheduler.n_preemptions
-        cohorts: Dict[Tuple[int, int], List[Request]] = {}
-        for req in sorted(self.scheduler.running, key=self.scheduler.rank_key):
-            if req.state is not RequestState.RUNNING:
-                continue  # evicted by a better-ranked runner in this walk
-            # a resident runner needs a block for its next token; without a
-            # cache (admission, recompute) schedule() reserved the context
-            if req.cache is None or self.scheduler.ensure_decode_blocks(req):
-                key = (req.kv_len, req.seq_len - req.kv_len)
-                cohorts.setdefault(key, []).append(req)
-        finished_now: List[CompletedRequest] = []
-        produced = 0
-        for cohort in cohorts.values():
-            tokens, logps = self._forward_cohort(cohort)
-            for req, token, logp in zip(cohort, tokens.tolist(), logps.tolist()):
-                req.generated.append(token)
-                req.log_probs.append(logp)
-                produced += 1
-                if req.first_token_time is None:
-                    req.first_token_time = step_end
-                if token == self.config.eos_token_id:
-                    finished_now.append(self._finish(req, step_end, "eos"))
-                elif len(req.generated) >= req.max_new_tokens:
-                    finished_now.append(self._finish(req, step_end, "length"))
-        self._steps += 1
-        self._occupied_slot_steps += produced
-        self._tokens += produced
-        self.now = step_end
-        if self.metrics is not None:
+        with self.tracer.span(
+            f"serving.step[{self._steps}]", category="serving"
+        ) as span:
+            self.scheduler.schedule(self.now)
+            preempted_before = self.scheduler.n_preemptions
+            cohorts: Dict[Tuple[int, int], List[Request]] = {}
+            for req in sorted(
+                self.scheduler.running, key=self.scheduler.rank_key
+            ):
+                if req.state is not RequestState.RUNNING:
+                    continue  # evicted by a better-ranked runner in this walk
+                # a resident runner needs a block for its next token; without
+                # a cache (admission, recompute) schedule() reserved the context
+                if req.cache is None or self.scheduler.ensure_decode_blocks(req):
+                    key = (req.kv_len, req.seq_len - req.kv_len)
+                    cohorts.setdefault(key, []).append(req)
+            finished_now: List[CompletedRequest] = []
+            produced = 0
+            for cohort in cohorts.values():
+                tokens, logps = self._forward_cohort(cohort)
+                for req, token, logp in zip(
+                    cohort, tokens.tolist(), logps.tolist()
+                ):
+                    req.generated.append(token)
+                    req.log_probs.append(logp)
+                    produced += 1
+                    if req.first_token_time is None:
+                        req.first_token_time = step_end
+                    if token == self.config.eos_token_id:
+                        finished_now.append(self._finish(req, step_end, "eos"))
+                    elif len(req.generated) >= req.max_new_tokens:
+                        finished_now.append(
+                            self._finish(req, step_end, "length")
+                        )
+            self._steps += 1
+            self._occupied_slot_steps += produced
+            self._tokens += produced
+            self.now = step_end
             if produced:
                 self.metrics.counter(
                     "repro_serving_tokens_total",
@@ -373,10 +377,7 @@ class RolloutServer:
                 "repro_serving_preemptions_total",
                 "Sequences preempted under block pressure",
             ).inc(self.scheduler.n_preemptions - preempted_before)
-        if span is not None:
-            self.tracer.end(
-                span, active=produced, finished=len(finished_now)
-            )
+            span.attrs.update(active=produced, finished=len(finished_now))
         return finished_now
 
     def _forward_cohort(
@@ -429,28 +430,26 @@ class RolloutServer:
         self.scheduler.finish(req)
         done = CompletedRequest.from_request(req)
         self._completed.append(done)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_serving_requests_total",
-                "Requests completed by the rollout server",
-                reason=reason,
-            ).inc()
-            self.metrics.histogram(
-                "repro_serving_ttft_seconds",
-                "Simulated time to first token",
-            ).observe(done.ttft)
-            self.metrics.histogram(
-                "repro_serving_latency_seconds",
-                "Simulated request latency",
-            ).observe(done.latency)
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"serving.request[{req.request_id}]",
-                category="serving",
-                reason=reason,
-                response_length=done.response_length,
-                preemptions=done.n_preemptions,
-            )
+        self.metrics.counter(
+            "repro_serving_requests_total",
+            "Requests completed by the rollout server",
+            reason=reason,
+        ).inc()
+        self.metrics.histogram(
+            "repro_serving_ttft_seconds",
+            "Simulated time to first token",
+        ).observe(done.ttft)
+        self.metrics.histogram(
+            "repro_serving_latency_seconds",
+            "Simulated request latency",
+        ).observe(done.latency)
+        self.tracer.instant(
+            f"serving.request[{req.request_id}]",
+            category="serving",
+            reason=reason,
+            response_length=done.response_length,
+            preemptions=done.n_preemptions,
+        )
         return done
 
     def drain(
@@ -460,6 +459,9 @@ class RolloutServer:
     ) -> ServingReport:
         """Step until every submitted request has finished; report.
 
+        ``max_steps`` bounds the steps *this drain* takes (a reused server's
+        earlier steps do not count against it).
+
         ``on_finish`` is invoked once per completed request, in completion
         order, the moment its decode step finishes — the streamed hand-off
         primitive the async RLHF pipeline builds on: downstream scoring
@@ -467,12 +469,13 @@ class RolloutServer:
         later requests are still decoding, instead of waiting for the whole
         batch boundary.
         """
+        started = self._steps
         while self.pending:
             finished = self.step()
             if on_finish is not None:
                 for done in finished:
                     on_finish(done)
-            if self._steps > max_steps:
+            if self._steps - started > max_steps:
                 raise RuntimeError(
                     f"serving did not drain within {max_steps} steps "
                     f"({self.pending} requests pending)"
@@ -498,13 +501,12 @@ class RolloutServer:
             slo_ttft=self.config.slo_ttft,
             slo_latency=self.config.slo_latency,
         )
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "repro_serving_slot_utilisation",
-                "Mean fraction of decode slots occupied",
-            ).set(report.slot_utilisation)
-            self.metrics.gauge(
-                "repro_serving_kv_blocks_peak",
-                "Peak KV blocks in use",
-            ).set_max(report.peak_kv_blocks)
+        self.metrics.gauge(
+            "repro_serving_slot_utilisation",
+            "Mean fraction of decode slots occupied",
+        ).set(report.slot_utilisation)
+        self.metrics.gauge(
+            "repro_serving_kv_blocks_peak",
+            "Peak KV blocks in use",
+        ).set_max(report.peak_kv_blocks)
         return report

@@ -67,6 +67,23 @@ class ExecutionRecord:
     deps: tuple = ()
 
 
+#: Simulated seconds per call kind — a crude stand-in for a latency model.
+#: Generation dominates an RLHF iteration (§2.3), updates cost
+#: forward+backward, scoring one forward.
+DEFAULT_DURATIONS = {
+    "generate_sequences": 6.0,
+    "update_actor": 3.0,
+    "update_critic": 3.0,
+    "compute_values": 1.0,
+    "compute_ref_log_prob": 1.0,
+    "compute_reward": 1.0,
+    "compute_cost": 1.0,
+    "compute_log_prob": 1.0,
+    "compute_loss": 1.0,
+}
+FALLBACK_DURATION = 1.0
+
+
 def _json_safe(value: Any, where: str) -> Any:
     """Coerce checkpoint scalars to JSON-serializable Python types.
 
@@ -169,10 +186,18 @@ class SingleController:
         injector.bind(self)
         self.fault_injector = injector
 
+    def planned_duration(self, method: str) -> float:
+        """Simulated seconds one call of ``method`` is planned to take.
+
+        The one duration source of the dispatch gate, the fault injector
+        and the default timeline replay.
+        """
+        return DEFAULT_DURATIONS.get(method, FALLBACK_DURATION)
+
     # -- observability -----------------------------------------------------------------
 
     def attach_observability(
-        self, tracer: Optional[SpanTracer] = None, metrics: Optional[MetricsRegistry] = None
+        self, tracer: SpanTracer, metrics: MetricsRegistry
     ) -> None:
         """Carry a tracer/registry across a recovery rebuild.
 
@@ -181,11 +206,9 @@ class SingleController:
         at this controller's clock) and metrics keep their counts —
         recovery must not zero the job's history.
         """
-        if tracer is not None:
-            tracer.set_clock(self.clock)
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
+        tracer.set_clock(self.clock)
+        self.tracer = tracer
+        self.metrics = metrics
 
     # -- tracing -----------------------------------------------------------------------
 

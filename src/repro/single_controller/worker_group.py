@@ -13,16 +13,20 @@ device and builds the model's parallel topology over those devices (the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.config import GenParallelConfig, ParallelConfig
+from repro.data.batch import LINEAGE_KEY, DataBatch
 from repro.faults.errors import (
     CallTimeoutError,
     RetryBudgetExhausted,
     TransientRpcError,
     WorkerLostError,
 )
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+from repro.observability.spans import NULL_TRACER, SpanTracer
 from repro.parallel.topology import GenGroupingMode, GenTopology, ParallelTopology
+from repro.single_controller.access_log import READ, WRITE
 from repro.single_controller.decorator import (
     registered_blocking,
     registered_protocol,
@@ -61,17 +65,17 @@ class RemoteMethod:
         )
 
     @staticmethod
-    def _dependency_seqs(args: tuple, kwargs: dict) -> tuple:
-        """Trace records whose outputs feed this call (the dataflow edges).
+    def _inputs(args: tuple, kwargs: dict) -> Tuple[tuple, int]:
+        """The call's dataflow edges and input payload bytes.
 
-        Dependencies flow two ways: through unresolved :class:`DataFuture`
-        handles, and through the lineage metadata stamped on every
-        :class:`DataBatch` a remote call returned (which survives ``get()``,
-        ``union`` and ``concat``).
+        Edges are the trace records whose outputs feed this call.  They
+        flow two ways: through unresolved :class:`DataFuture` handles, and
+        through the lineage metadata stamped on every :class:`DataBatch` a
+        remote call returned (which survives ``get()``, ``union`` and
+        ``concat``).  The payload is the bytes of every batch argument.
         """
-        from repro.data.batch import DataBatch, LINEAGE_KEY
-
         deps = set()
+        nbytes = 0
         for value in list(args) + list(kwargs.values()):
             if isinstance(value, DataFuture):
                 if value.record_seq is not None:
@@ -80,21 +84,8 @@ class RemoteMethod:
                     value = value.get()
             if isinstance(value, DataBatch):
                 deps.update(value.meta.get(LINEAGE_KEY, ()))
-        return tuple(sorted(deps))
-
-    @staticmethod
-    def _payload_bytes(args: tuple, kwargs: dict) -> int:
-        """Input payload size: bytes of every batch argument (incl. futures)."""
-        from repro.data.batch import DataBatch
-        from repro.single_controller.future import DataFuture
-
-        total = 0
-        for value in list(args) + list(kwargs.values()):
-            if isinstance(value, DataFuture) and value.resolved:
-                value = value.get()
-            if isinstance(value, DataBatch):
-                total += value.nbytes()
-        return total
+                nbytes += value.nbytes()
+        return tuple(sorted(deps)), nbytes
 
     def _dispatch_gate(self) -> float:
         """Failure detection + retry/backoff/timeout before the call runs (§9).
@@ -102,7 +93,7 @@ class RemoteMethod:
         Returns the call's *planned duration* in simulated seconds; the
         dispatch path advances the clock (and occupies the pool's devices)
         by that much after the workers execute.  Without a fault injector
-        the duration comes from the timeline's per-method table, so the
+        the duration is the controller's ``planned_duration``, so the
         controller clock tracks simulated work even in fault-free runs.
 
         With a :class:`~repro.faults.FaultInjector` attached to the
@@ -125,78 +116,72 @@ class RemoteMethod:
         metrics registry, and each backoff wait is traced as a ``retry``
         span.
         """
-        controller = self.group.controller
+        group = self.group
+        controller = group.controller
         if controller is None:
             return 0.0
-        injector = getattr(controller, "fault_injector", None)
+        injector = controller.fault_injector
         if injector is None:
-            from repro.runtime.timeline import DEFAULT_DURATIONS, FALLBACK_DURATION
+            return controller.planned_duration(self.method_name)
+        try:
+            return self._retry_until_admitted(controller, injector)
+        except RetryBudgetExhausted:
+            raise  # counted as a budget exhaustion, not as a detected loss
+        except WorkerLostError:
+            controller.metrics.counter(
+                "repro_worker_losses_total",
+                "Remote calls that found their workers dead",
+                group=group.name,
+                pool=group.resource_pool.name,
+            ).inc()
+            raise
 
-            return DEFAULT_DURATIONS.get(self.method_name, FALLBACK_DURATION)
+    def _retry_until_admitted(self, controller, injector) -> float:
+        group = self.group
+        labels = dict(group=group.name, method=self.method_name)
         policy = controller.retry_policy
         clock = controller.clock
-        metrics = getattr(controller, "metrics", None)
-        tracer = getattr(controller, "tracer", None)
+        metrics = controller.metrics
         attempt = 0
         call_started = clock.now
         while True:
             try:
-                injector.pre_call(self.group, self.method_name, controller.next_seq)
-                duration = injector.call_duration(self.group, self.method_name)
+                injector.pre_call(group, self.method_name, controller.next_seq)
+                duration = injector.call_duration(group, self.method_name)
                 if policy.timeout is not None and duration > policy.timeout:
                     clock.advance(policy.timeout)
-                    if metrics is not None:
-                        metrics.counter(
-                            "repro_call_timeouts_total",
-                            "Remote calls that exceeded the per-call timeout",
-                            group=self.group.name,
-                            method=self.method_name,
-                        ).inc()
+                    metrics.counter(
+                        "repro_call_timeouts_total",
+                        "Remote calls that exceeded the per-call timeout",
+                        **labels,
+                    ).inc()
                     raise CallTimeoutError(
-                        f"{self.group.name}.{self.method_name} exceeded the "
+                        f"{group.name}.{self.method_name} exceeded the "
                         f"{policy.timeout:.3f}s call timeout "
                         f"(would take {duration:.3f}s)",
-                        group=self.group.name,
+                        group=group.name,
                         method=self.method_name,
-                        ranks=injector.straggler_ranks(self.group),
+                        ranks=injector.straggler_ranks(group),
                     )
                 return duration
-            except WorkerLostError:
-                if metrics is not None:
-                    metrics.counter(
-                        "repro_worker_losses_total",
-                        "Remote calls that found their workers dead",
-                        group=self.group.name,
-                        pool=self.group.resource_pool.name,
-                    ).inc()
-                raise
             except TransientRpcError as exc:
                 attempt += 1
                 if attempt > policy.max_retries:
-                    if metrics is not None:
-                        metrics.counter(
-                            "repro_worker_losses_total",
-                            "Remote calls that found their workers dead",
-                            group=self.group.name,
-                            pool=self.group.resource_pool.name,
-                        ).inc()
                     raise WorkerLostError(
-                        f"{self.group.name}.{self.method_name} still failing "
+                        f"{group.name}.{self.method_name} still failing "
                         f"after {policy.max_retries} retries: {exc}",
-                        group=self.group.name,
-                        pool=self.group.resource_pool.name,
+                        group=group.name,
+                        pool=group.resource_pool.name,
                         dead_ranks=exc.ranks,
                         step=controller.next_seq,
                         cause="retries exhausted",
                     ) from exc
                 injector.note_retry()
-                if metrics is not None:
-                    metrics.counter(
-                        "repro_retries_total",
-                        "Transient-fault retries across all remote calls",
-                        group=self.group.name,
-                        method=self.method_name,
-                    ).inc()
+                metrics.counter(
+                    "repro_retries_total",
+                    "Transient-fault retries across all remote calls",
+                    **labels,
+                ).inc()
                 # Clock time this call already burned (timeouts + backoffs)
                 # counts against the policy's per-call deadline budget.
                 spent = clock.now - call_started
@@ -206,133 +191,115 @@ class RemoteMethod:
                         spent=spent if policy.deadline is not None else None,
                     )
                 except RetryBudgetExhausted:
-                    if metrics is not None:
-                        metrics.counter(
-                            "repro_retry_budget_exhausted_total",
-                            "Remote calls whose retry deadline budget ran out",
-                            group=self.group.name,
-                            method=self.method_name,
-                        ).inc()
+                    metrics.counter(
+                        "repro_retry_budget_exhausted_total",
+                        "Remote calls whose retry deadline budget ran out",
+                        **labels,
+                    ).inc()
                     raise RetryBudgetExhausted(
-                        f"{self.group.name}.{self.method_name} spent "
+                        f"{group.name}.{self.method_name} spent "
                         f"{spent:.3f}s of its {policy.deadline:.3f}s retry "
                         f"deadline over {attempt} attempt(s): {exc}",
-                        group=self.group.name,
+                        group=group.name,
                         method=self.method_name,
-                        pool=self.group.resource_pool.name,
+                        pool=group.resource_pool.name,
                         step=controller.next_seq,
                         deadline=policy.deadline,
                         spent=spent,
                         attempts=attempt,
                     ) from exc
-                if tracer is not None:
-                    with tracer.span(
-                        "backoff",
-                        category="retry",
-                        pool=self.group.resource_pool.name,
-                        attempt=attempt,
-                        delay=delay,
-                        error=type(exc).__name__,
-                    ):
-                        clock.advance(delay)
-                else:
+                with controller.tracer.span(
+                    "backoff",
+                    category="retry",
+                    pool=group.resource_pool.name,
+                    attempt=attempt,
+                    delay=delay,
+                    error=type(exc).__name__,
+                ):
                     clock.advance(delay)
 
     def _execute(self, args: tuple, kwargs: dict):
-        from repro.data.batch import DataBatch, LINEAGE_KEY
-
-        controller = self.group.controller
-        tracer = getattr(controller, "tracer", None)
-        metrics = getattr(controller, "metrics", None)
-        pool = self.group.resource_pool
-        deps = self._dependency_seqs(args, kwargs)
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                f"{self.group.name}.{self.method_name}",
+        group = self.group
+        controller = group.controller
+        tracer, metrics = group.tracer, group.metrics
+        pool = group.resource_pool
+        deps, payload_bytes = self._inputs(args, kwargs)
+        prev_seq = getattr(controller, "current_seq", None)
+        try:
+            with tracer.span(
+                f"{group.name}.{self.method_name}",
                 category="dispatch",
                 pool=pool.name,
                 ranks=tuple(pool.global_ranks),
-                payload_bytes=self._payload_bytes(args, kwargs),
+                payload_bytes=payload_bytes,
                 links=tracer.links_for(deps),
                 protocol=self.protocol_name,
                 deps=list(deps),
-            )
-        prev_seq = getattr(controller, "current_seq", None)
-        try:
-            duration = self._dispatch_gate()
-            # every shared-state access below happens *inside* this dispatch:
-            # stamp it with the seq notify_executed will assign afterwards
-            if controller is not None:
-                controller.current_seq = controller.next_seq
-            if tracer is not None:
+            ) as span:
+                duration = self._dispatch_gate()
+                # every shared-state access below happens *inside* this
+                # dispatch: stamp it with the seq record_execution will
+                # assign afterwards
+                if controller is not None:
+                    controller.current_seq = controller.next_seq
                 with tracer.span(
                     "distribute", category="protocol", pool=pool.name,
                     protocol=self.protocol_name,
                 ):
-                    calls = self.protocol.distribute(self.group, args, kwargs)
-            else:
-                calls = self.protocol.distribute(self.group, args, kwargs)
-            outputs: List[Any] = [
-                bound(*wargs, **wkwargs)
-                for bound, (wargs, wkwargs) in zip(self._bound_calls, calls)
-            ]
-            self._record_merge_accesses(controller, outputs)
-            if tracer is not None:
+                    calls = self.protocol.distribute(group, args, kwargs)
+                outputs: List[Any] = [
+                    bound(*wargs, **wkwargs)
+                    for bound, (wargs, wkwargs) in zip(self._bound_calls, calls)
+                ]
+                self._record_merge_accesses(outputs)
                 with tracer.span(
                     "collect", category="protocol", pool=pool.name,
                     protocol=self.protocol_name,
                 ):
-                    result = self.protocol.collect(self.group, outputs)
-            else:
-                result = self.protocol.collect(self.group, outputs)
-            recorder = getattr(controller, "shape_recorder", None)
-            if recorder is not None:
-                # SF7xx runtime witness: sample the collected result's array
-                # shapes for cross-validation against the static inference
-                recorder.record(self.group.name, self.method_name, result)
-            if controller is not None and duration > 0.0:
-                controller.clock.advance(duration)
-                for device in pool.devices:
-                    device.occupy(duration)
-            seq = self.group.notify_executed(self.method_name, deps)
-            if isinstance(result, DataBatch) and seq is not None:
-                result.meta[LINEAGE_KEY] = (seq,)
-            if span is not None:
+                    result = self.protocol.collect(group, outputs)
+                recorder = getattr(controller, "shape_recorder", None)
+                if recorder is not None:
+                    # SF7xx runtime witness: sample the collected result's
+                    # array shapes for cross-validation against the static
+                    # inference
+                    recorder.record(group.name, self.method_name, result)
+                seq = None
+                if controller is not None:
+                    if duration > 0.0:
+                        controller.clock.advance(duration)
+                        for device in pool.devices:
+                            device.occupy(duration)
+                    seq = controller.record_execution(
+                        group, self.method_name, deps
+                    )
+                    if isinstance(result, DataBatch):
+                        result.meta[LINEAGE_KEY] = (seq,)
                 tracer.register_seq(seq, span)
                 span.attrs["duration_model"] = duration
-            if metrics is not None:
                 metrics.counter(
                     "repro_dispatch_calls_total",
                     "Remote calls dispatched through the single controller",
-                    group=self.group.name,
+                    group=group.name,
                     method=self.method_name,
                 ).inc()
                 metrics.histogram(
                     "repro_dispatch_seconds",
                     "Planned simulated duration per dispatched call",
-                    group=self.group.name,
+                    group=group.name,
                 ).observe(duration)
                 tokens = self._generated_tokens(result)
                 if tokens:
                     metrics.counter(
                         "repro_tokens_generated_total",
                         "Response tokens produced by generate_sequences",
-                        group=self.group.name,
+                        group=group.name,
                     ).inc(tokens)
-            return result, seq
-        except BaseException as exc:
-            if span is not None:
-                span.attrs.setdefault("status", "error")
-                span.attrs.setdefault("error", type(exc).__name__)
-            raise
+                return result, seq
         finally:
             if controller is not None:
                 controller.current_seq = prev_seq
-            if span is not None:
-                tracer.end(span)
 
-    def _record_merge_accesses(self, controller, outputs: List[Any]) -> None:
+    def _record_merge_accesses(self, outputs: List[Any]) -> None:
         """Log the per-rank writes into this call's output merge buffer.
 
         Each rank that produced a (non-``None``) output conceptually writes
@@ -342,18 +309,15 @@ class RemoteMethod:
         (``requires.deterministic_collect``); the RC5xx race detector flags
         unordered multi-rank writes as the nondeterministic-merge hazard.
         """
-        if controller is None or not hasattr(controller, "record_access"):
-            return
-        from repro.single_controller.access_log import READ, WRITE
-
-        resource = f"merge[{self.group.name}.{self.method_name}]"
+        group = self.group
+        resource = f"merge[{group.name}.{self.method_name}]"
         ordered = self.protocol.requires.deterministic_collect
         wrote = False
-        for worker, output in zip(self.group.workers, outputs):
+        for worker, output in zip(group.workers, outputs):
             if output is None:
                 continue
             wrote = True
-            controller.record_access(
+            group.record_access(
                 WRITE,
                 resource,
                 rank=worker.ctx.global_rank,
@@ -361,12 +325,10 @@ class RemoteMethod:
                 note=self.protocol_name,
             )
         if wrote:
-            controller.record_access(READ, resource, note="collect")
+            group.record_access(READ, resource, note="collect")
 
     def _generated_tokens(self, result: Any) -> int:
         """Response tokens in a ``generate_sequences`` output batch, else 0."""
-        from repro.data.batch import DataBatch
-
         if self.method_name != "generate_sequences":
             return 0
         if not isinstance(result, DataBatch) or "sequences" not in result:
@@ -377,26 +339,15 @@ class RemoteMethod:
         return int(sequences.shape[0] * response)
 
     def __call__(self, *args: Any, **kwargs: Any) -> DataFuture:
-        if self.blocking:
-            result, seq = self._execute(args, kwargs)
-            return DataFuture(
-                result,
-                producer=self.group.name,
-                method=self.method_name,
-                record_seq=seq,
-            )
-        future = DataFuture(
-            thunk=lambda: None,  # replaced below (needs the future in scope)
-            producer=self.group.name,
-            method=self.method_name,
-        )
-
-        def run_deferred() -> Any:
-            result, seq = self._execute(args, kwargs)
-            future.record_seq = seq
+        def run() -> Any:
+            result, future.record_seq = self._execute(args, kwargs)
             return result
 
-        future._thunk = run_deferred
+        future = DataFuture(
+            thunk=run, producer=self.group.name, method=self.method_name
+        )
+        if self.blocking:
+            future.get()
         return future
 
 
@@ -502,10 +453,24 @@ class WorkerGroup:
             f"{type(self).__name__} {self.name!r} has no remote method {attr!r}"
         )
 
-    def notify_executed(self, method_name: str, deps: tuple = ()) -> Optional[int]:
+    # -- the controller's instruments, or their null objects ---------------------------
+    #
+    # Everything that emits a span, a metric or an access-log event on behalf
+    # of this group goes through these three, so only they know that a bare
+    # (controller-less) group exists.
+
+    @property
+    def tracer(self) -> SpanTracer:
+        return NULL_TRACER if self.controller is None else self.controller.tracer
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return NULL_METRICS if self.controller is None else self.controller.metrics
+
+    def record_access(self, kind: str, resource: str, **where: Any) -> None:
+        """Log a shared-state access with the controller (no-op without one)."""
         if self.controller is not None:
-            return self.controller.record_execution(self, method_name, deps)
-        return None
+            self.controller.record_access(kind, resource, **where)
 
     def set_gen_topology(self, gen_config, mode=GenGroupingMode.HYBRIDFLOW) -> None:
         """Install/replace the generation topology (HybridEngine setup)."""

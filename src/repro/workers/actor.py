@@ -182,13 +182,12 @@ class ActorWorker(ThreeDParallelWorker):
             greedy=not do_sample,
             seed=(self.seed, self.ctx.local_rank, self._gen_calls),
         )
-        controller = getattr(self.ctx.group, "controller", None)
         server = RolloutServer(
             model,
             config,
             device=self.ctx.device,
-            tracer=getattr(controller, "tracer", None),
-            metrics=getattr(controller, "metrics", None),
+            tracer=self.ctx.group.tracer,
+            metrics=self.ctx.group.metrics,
         )
         for row in prompts:
             server.submit(row, max_new_tokens=max_new_tokens)

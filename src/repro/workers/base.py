@@ -269,18 +269,14 @@ class ShardedModelWorker(Worker):
         # every replica lead contributes its gradients to one shared
         # all-reduce buffer; the contribution order is deterministic (leads
         # in rank order), which the access log records for race analysis
-        controller = (
-            self.ctx.group.controller if self.ctx.group is not None else None
-        )
-        if controller is not None and hasattr(controller, "record_access"):
-            for lead in leads:
-                controller.record_access(
-                    "write",
-                    f"gradsync[{self.tag}]",
-                    rank=lead.ctx.global_rank,
-                    ordered=True,
-                    note="all_reduce",
-                )
+        for lead in leads:
+            self.ctx.group.record_access(
+                "write",
+                f"gradsync[{self.tag}]",
+                rank=lead.ctx.global_rank,
+                ordered=True,
+                note="all_reduce",
+            )
         # average gradients across replicas with a real all-reduce per tensor
         names = list(leads[0]._stashed_grads)
         for name in names:

@@ -747,6 +747,26 @@ class TestRepoLint:
         assert report.findings == []
         assert report.checked["suppressed"] == 1
 
+    # -- RL309: optional-observability branches ---------------------------
+
+    def test_tracer_or_metrics_none_test_is_rl309(self):
+        source = (
+            "def f(self, controller, metrics):\n"
+            "    if self.tracer is None:\n"
+            "        return\n"
+            "    if metrics is not None:\n"
+            "        metrics.counter('x').inc()\n"
+            "    if controller is None:\n"
+            "        return\n"
+        )
+        report = lint(source, filename=self.SCOPED)
+        assert [f.rule for f in report.findings] == ["RL309", "RL309"]
+        assert report.findings[0].severity == ERROR
+        assert "NULL_TRACER" in report.findings[0].hint
+        # the observability package itself may test for None; so may tests
+        for exempt in ("src/repro/observability/spans.py", "tests/test_x.py"):
+            assert lint(source, filename=exempt).findings == []
+
     def test_repo_source_tree_is_clean(self):
         import pathlib
 

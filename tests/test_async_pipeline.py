@@ -7,6 +7,9 @@ mid-overlap checkpoint recovery, the DF108 soundness checks, and the
 analytic overlap model in ``repro.perf.async_pipeline``.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -102,16 +105,31 @@ def histories_equal(ha, hb) -> bool:
     return True
 
 
-class TestStalenessZeroBitExact:
-    def test_ppo_weights_and_history_match_synchronous(self):
-        sync = build_system()
-        sync.trainer.train(dataset(), n_iterations=3, batch_size=4)
+W1_GOLDEN = pathlib.Path(__file__).parent / "golden" / "async_w1_history.json"
 
-        system = build_system()
+ALGO_CASES = {
+    # algo -> (trainer kwargs, prompts per batch, iterations)
+    AlgoType.PPO: ({}, 4, 3),
+    AlgoType.GRPO: ({"group_size": 2}, 2, 2),
+}
+
+
+class TestStalenessZeroBitExact:
+    @pytest.mark.parametrize("recompute", [True, False], ids=["anchor", "reuse"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+    @pytest.mark.parametrize("algo", list(ALGO_CASES), ids=lambda a: a.value)
+    def test_weights_and_history_match_synchronous(self, algo, stream, recompute):
+        kwargs, batch_size, iterations = ALGO_CASES[algo]
+        kwargs = dict(kwargs, recompute_log_probs=recompute)
+        sync = build_system(algo, **kwargs)
+        sync.trainer.train(dataset(), iterations, batch_size)
+
+        system = build_system(algo, **kwargs)
         driver = AsyncPipelineDriver(
-            system.trainer, PipelineConfig(staleness_window=0)
+            system.trainer,
+            PipelineConfig(staleness_window=0, stream_scoring=stream),
         )
-        history = driver.train(dataset(), n_iterations=3, batch_size=4)
+        history = driver.train(dataset(), iterations, batch_size)
 
         assert states_equal(sync, system)
         assert histories_equal(sync.trainer.history, history)
@@ -119,18 +137,28 @@ class TestStalenessZeroBitExact:
         # no pipeline/* keys leak into the on-policy history
         assert all("pipeline/staleness" not in h for h in history)
 
-    def test_grpo_weights_and_history_match_synchronous(self):
-        sync = build_system(AlgoType.GRPO, group_size=2)
-        sync.trainer.train(dataset(), n_iterations=2, batch_size=2)
 
-        system = build_system(AlgoType.GRPO, group_size=2)
+class TestStalenessOneHistoryPinned:
+    """W=1 histories recorded before the driver became a schedule over the
+    trainer's stages (tests/golden/async_w1_history.json): the off-policy
+    path — stale anchor, importance weights, publication order — kept its
+    arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+    @pytest.mark.parametrize("algo", list(ALGO_CASES), ids=lambda a: a.value)
+    def test_history_equals_the_recorded_one(self, algo, stream):
+        golden = json.loads(W1_GOLDEN.read_text())[
+            f"{algo.value}-{'stream' if stream else 'batch'}"
+        ]
+        kwargs, batch_size, _ = ALGO_CASES[algo]
+        system = build_system(algo, **kwargs)
         driver = AsyncPipelineDriver(
-            system.trainer, PipelineConfig(staleness_window=0)
+            system.trainer,
+            PipelineConfig(staleness_window=1, stream_scoring=stream),
         )
-        history = driver.train(dataset(), n_iterations=2, batch_size=2)
-
-        assert states_equal(sync, system)
-        assert histories_equal(sync.trainer.history, history)
+        history = driver.train(dataset(), n_iterations=3, batch_size=batch_size)
+        assert driver.max_staleness_seen == 1
+        assert histories_equal(history, golden)
 
 
 class TestStalenessBounds:

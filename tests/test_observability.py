@@ -275,6 +275,128 @@ class TestFallbackAccounting:
             build_timeline(controller, trace=trace)
 
 
+# -- null objects: an unobserved component behaves the same and records nothing ------
+
+
+class TestNullObjects:
+    LM = TinyLMConfig(
+        n_layers=2, hidden_size=16, n_heads=2, ffn_hidden_size=24,
+        vocab_size=16, max_seq_len=32,
+    )
+
+    def _actor_group(self, controller):
+        """The same 2-rank actor group with or without a controller."""
+        from repro.cluster import SimCluster
+        from repro.single_controller import WorkerGroup
+        from repro.single_controller.resource_pool import ResourcePool
+        from repro.workers import ActorWorker
+
+        parallel = ParallelConfig(pp=1, tp=2, dp=1)
+        pool = (
+            controller.create_pool(2)
+            if controller is not None
+            else ResourcePool.allocate(SimCluster(ClusterSpec(n_machines=1)), 2)
+        )
+        return WorkerGroup(
+            ActorWorker,
+            pool,
+            parallel_config=parallel,
+            gen_config=GenParallelConfig.derive(parallel, 1, 1),
+            controller=controller,
+            name="actor",
+            worker_kwargs={"model_config": self.LM, "max_new_tokens": 4},
+        )
+
+    def test_null_instruments_record_nothing(self):
+        from repro.observability import NULL_METRICS, NULL_TRACER
+
+        with NULL_TRACER.span("outer", category="x", pool="p") as span:
+            span.attrs["k"] = 1
+            NULL_TRACER.instant("tick")
+            NULL_TRACER.register_seq(3, span)
+        NULL_METRICS.counter("c_total", "help", a=1).inc(5)
+        NULL_METRICS.gauge("g").set(2.0)
+        NULL_METRICS.histogram("h").observe(0.3)
+        assert len(NULL_TRACER) == 0 and NULL_TRACER.links_for((3,)) == ()
+        assert len(NULL_METRICS) == 0 and NULL_METRICS.families() == []
+        assert NULL_METRICS.total("c_total") == 0.0
+        assert NULL_METRICS.render_prometheus() == ""
+
+    def test_exception_inside_null_span_propagates(self):
+        from repro.observability import NULL_TRACER
+
+        with pytest.raises(KeyError, match="boom"):
+            with NULL_TRACER.span("doomed"):
+                raise KeyError("boom")
+        assert len(NULL_TRACER) == 0
+
+    def test_controllerless_group_call_matches_an_observed_one(self):
+        from repro.observability import NULL_METRICS, NULL_TRACER
+        from repro.single_controller import SingleController
+
+        controller = SingleController(ClusterSpec(n_machines=1))
+        observed = self._actor_group(controller)
+        bare = self._actor_group(None)
+        assert bare.tracer is NULL_TRACER and bare.metrics is NULL_METRICS
+        prompts = PromptDataset(8, 4, vocab_size=16, seed=1).batch(0, 4)
+        a = observed.generate_sequences(prompts).get()
+        b = bare.generate_sequences(prompts).get()
+        for column in ("sequences", "old_log_probs"):
+            np.testing.assert_array_equal(a[column], b[column])
+        assert controller.tracer.counts_by_category()["dispatch"] == 1
+        assert controller.metrics.total("repro_dispatch_calls_total") == 1
+        assert len(NULL_TRACER) == 0 and len(NULL_METRICS) == 0
+
+    def test_bare_rollout_server_drain_matches_an_observed_one(self):
+        from repro.models.tinylm import TinyLM
+        from repro.observability import NULL_METRICS, NULL_TRACER
+        from repro.serving import RolloutServer, ServingConfig
+
+        model = TinyLM(self.LM, seed=4)
+        config = ServingConfig(max_slots=2, block_size=4, seed=3)
+        tracer, metrics = SpanTracer(SimClock()), MetricsRegistry()
+        reports = []
+        for server in (
+            RolloutServer(model, config),
+            RolloutServer(model, config, tracer=tracer, metrics=metrics),
+        ):
+            for length in (3, 5, 4):
+                server.submit(np.arange(length), max_new_tokens=6)
+            reports.append(server.drain())
+        bare, observed = reports
+        assert bare.to_dict() == observed.to_dict()
+        for x, y in zip(bare.completed, observed.completed):
+            np.testing.assert_array_equal(x.response, y.response)
+            np.testing.assert_array_equal(x.log_probs, y.log_probs)
+        assert tracer.counts_by_category() == {"serving": observed.n_steps + 3}
+        assert metrics.total("repro_serving_tokens_total") == observed.total_tokens
+        assert len(NULL_TRACER) == 0 and len(NULL_METRICS) == 0
+
+    def test_bare_hybrid_engine_round_trip_matches_an_observed_one(self):
+        from repro.hybrid_engine import HybridEngine3D
+        from repro.observability import NULL_METRICS, NULL_TRACER
+        from repro.single_controller import SingleController
+
+        controller = SingleController(ClusterSpec(n_machines=1))
+        observed, bare = self._actor_group(controller), self._actor_group(None)
+        results = []
+        for group in (observed, bare):
+            engine = HybridEngine3D(group)
+            report = engine.to_generation()
+            shards = [dict(w.gen_shard) for w in group.workers]
+            engine.to_training()
+            results.append((report, shards))
+        (report_a, shards_a), (report_b, shards_b) = results
+        assert report_a == report_b
+        for sa, sb in zip(shards_a, shards_b):
+            assert sa.keys() == sb.keys()
+            for name in sa:
+                np.testing.assert_array_equal(sa[name], sb[name])
+        assert controller.tracer.counts_by_category() == {"transition": 2}
+        assert controller.metrics.total("repro_transitions_total") == 2
+        assert len(NULL_TRACER) == 0 and len(NULL_METRICS) == 0
+
+
 # -- golden-file Chrome trace -------------------------------------------------------
 
 

@@ -147,6 +147,20 @@ class TestStreamedHandoff:
         report = server.drain()
         assert len(report.completed) == 3
 
+    def test_max_steps_bounds_this_drain_not_the_servers_lifetime(self, model):
+        server = make_server(model, max_slots=2)
+        prompt = np.arange(4) % CFG.vocab_size
+        for _ in range(2):
+            server.submit(prompt, max_new_tokens=8)
+        assert server.drain().n_steps == 8
+        # a reused server: 8 lifetime steps behind it, 8 more needed
+        server.submit(prompt, max_new_tokens=8)
+        assert server.drain(max_steps=10).n_steps == 16
+        # the bound still bites within one drain
+        server.submit(prompt, max_new_tokens=8)
+        with pytest.raises(RuntimeError, match="did not drain within 3 steps"):
+            server.drain(max_steps=3)
+
 
 class TestScheduling:
     def test_priority_order_of_admission(self, model):

@@ -163,3 +163,35 @@ class TestFigure3Semantics:
         assert timeline.render_ascii() == "(empty timeline)"
         event = TimelineEvent(0, "x", "p", 1.0, 3.0)
         assert event.duration == 2.0
+
+
+class TestPlannedDuration:
+    """One duration lookup: dispatch, fault injector and timeline agree."""
+
+    def test_controller_table_and_fallback(self):
+        controller = build_system(split=False).controller
+        assert controller.planned_duration("generate_sequences") == 6.0
+        assert controller.planned_duration("update_actor") == 3.0
+        assert controller.planned_duration("mystery_method") == 1.0
+
+    def test_dispatch_injector_and_timeline_read_the_same_seam(self):
+        from repro.faults import FaultInjector, FaultPlan
+
+        system = run_iteration(split=False)
+        controller = system.controller
+        planned = sum(controller.planned_duration(r.method) for r in controller.trace)
+        # fault-free dispatch advanced the clock by exactly the planned total
+        assert controller.clock.now == planned
+        # and the default replay charges every record the same durations
+        replayed = build_timeline(controller).events
+        assert sum(e.duration for e in replayed) == planned
+        # the injector inflates the same number by the slowest rank
+        injector = FaultInjector(FaultPlan())
+        controller.attach_fault_injector(injector)
+        injector.straggle[0] = 2.5
+        actor = system.groups["actor"]
+        assert injector.call_duration(actor, "update_actor") == 2.5 * 3.0
+        controller.planned_duration = lambda method: 10.0
+        assert injector.call_duration(actor, "update_actor") == 25.0
+        assert {e.duration for e in build_timeline(controller).events} == {10.0}
+

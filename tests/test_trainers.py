@@ -185,3 +185,77 @@ class TestDriverErrors:
         system = build(AlgoType.PPO, tc)
         with pytest.raises(ValueError, match="divisible"):
             system.trainer.train(dataset(), 1, 8)
+
+
+# (group.method, deps) one ``trainer.step`` leaves in ``controller.trace`` —
+# recorded before ``step`` was split into rollout/prepare/learn, with
+# ppo_epochs=2 x updates_per_epoch=2 (four optimizer rounds).  Dispatch order
+# is the schedule; deps are the dataflow edges the timeline replays.
+STEP_TRACES = {
+    AlgoType.PPO: [
+        ("actor.generate_sequences", ()),
+        ("critic.compute_values", (0,)),
+        ("reference.compute_ref_log_prob", (0,)),
+        ("reward.compute_reward", (0,)),
+        ("actor.compute_log_prob", (0,)),
+    ]
+    + [
+        ("critic.update_critic", (0, 1, 2, 3, 4)),
+        ("actor.update_actor", (0, 1, 2, 3, 4)),
+    ]
+    * 4,
+    AlgoType.REMAX: [
+        ("actor.generate_sequences", ()),
+        ("actor.generate_sequences", ()),
+        ("reference.compute_ref_log_prob", (0,)),
+        ("reward.compute_reward", (0,)),
+        ("actor.compute_log_prob", (0,)),
+        ("reward.compute_reward", (1,)),
+    ]
+    + [("actor.update_actor", (0, 2, 3, 4))] * 4,
+    AlgoType.SAFE_RLHF: [
+        ("actor.generate_sequences", ()),
+        ("critic.compute_values", (0,)),
+        ("cost.compute_cost", (0,)),
+        ("reference.compute_ref_log_prob", (0,)),
+        ("reward.compute_reward", (0,)),
+        ("actor.compute_log_prob", (0,)),
+        ("actor.compute_loss", ()),
+    ]
+    + [
+        ("critic.update_critic", (0, 1, 2, 3, 4, 5)),
+        ("actor.update_actor", (0, 1, 2, 3, 4, 5)),
+    ]
+    * 4,
+    AlgoType.GRPO: [
+        ("actor.generate_sequences", ()),
+        ("reference.compute_ref_log_prob", (0,)),
+        ("reward.compute_reward", (0,)),
+        ("actor.compute_log_prob", (0,)),
+    ]
+    + [("actor.update_actor", (0, 1, 2, 3))] * 4,
+}
+
+
+class TestStageSplitKeepsTheTrace:
+    @pytest.mark.parametrize("algo", list(STEP_TRACES), ids=lambda a: a.value)
+    def test_step_dispatch_order_and_dataflow_edges(self, algo):
+        kwargs = {}
+        if algo is AlgoType.SAFE_RLHF:
+            kwargs["pretrain_dataset"] = PromptDataset(
+                n_prompts=32, prompt_length=12, vocab_size=16, seed=2
+            )
+        tc = TrainerConfig(ppo_epochs=2, updates_per_epoch=2, group_size=2)
+        system = build(algo, tc, **kwargs)
+        system.trainer.step(dataset().batch(0, 8))
+        trace = [
+            (f"{r.group}.{r.method}", r.deps) for r in system.controller.trace
+        ]
+        assert trace == STEP_TRACES[algo]
+
+    def test_step_is_the_three_stages_composed(self):
+        a, b = build(AlgoType.PPO), build(AlgoType.PPO)
+        prompts = dataset().batch(0, 8)
+        composed = b.trainer.learn(b.trainer.prepare(b.trainer.rollout(prompts)))
+        assert a.trainer.step(prompts) == composed
+        assert a.controller.trace == b.controller.trace
