@@ -10,6 +10,7 @@ simulated device tracks every named allocation and raises
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.config import GpuSpec
@@ -72,7 +73,9 @@ class DeviceMemory:
         #: in the shared-state access log (race detection, RC5xx).
         self.recorder: Optional[Callable[[str, str], None]] = None
 
-    def _notify(self, op: str, tag: str) -> None:
+    def _log(self, op: str, tag: str, nbytes: int, balance: int) -> None:
+        # the same few tags recur every iteration: keep one str of each
+        self.events.append(LedgerEvent(op, sys.intern(tag), nbytes, balance))
         if self.recorder is not None:
             self.recorder(op, tag)
 
@@ -94,16 +97,12 @@ class DeviceMemory:
         self.peak_used = max(self.peak_used, self.used)
         if nbytes > 0:
             self.ever_allocated.add(tag)
-        self.events.append(
-            LedgerEvent("alloc", tag, nbytes, self._allocations[tag])
-        )
-        self._notify("alloc", tag)
+        self._log("alloc", tag, nbytes, self._allocations[tag])
 
     def free_tag(self, tag: str) -> int:
         """Release everything under ``tag``; returns the bytes released."""
         released = self._allocations.pop(tag, 0)
-        self.events.append(LedgerEvent("free", tag, released, 0))
-        self._notify("free", tag)
+        self._log("free", tag, released, 0)
         return released
 
     def resize(self, tag: str, nbytes: int) -> None:
@@ -119,8 +118,7 @@ class DeviceMemory:
             self._allocations[tag] = nbytes
             self.ever_allocated.add(tag)
         self.peak_used = max(self.peak_used, self.used)
-        self.events.append(LedgerEvent("resize", tag, nbytes, nbytes))
-        self._notify("resize", tag)
+        self._log("resize", tag, nbytes, nbytes)
 
     def bytes_for(self, tag: str) -> int:
         return self._allocations.get(tag, 0)
@@ -136,8 +134,7 @@ class DeviceMemory:
 
         ``peak_used`` is kept — it is a historical high-water mark."""
         for tag, nbytes in sorted(self._allocations.items()):
-            self.events.append(LedgerEvent("clear", tag, nbytes, 0))
-            self._notify("clear", tag)
+            self._log("clear", tag, nbytes, 0)
         self._allocations.clear()
 
     def __repr__(self) -> str:

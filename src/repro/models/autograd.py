@@ -1,19 +1,26 @@
 """A minimal reverse-mode autograd engine over numpy arrays.
 
-This is the compute substrate standing in for PyTorch: enough of a tape-based
-autodiff to express a transformer LM with RMSNorm, SwiGLU, causal attention,
-and the RLHF losses (PPO clip, value loss, KL penalties), all with exact
-gradients.  It is deliberately small and explicit — no broadcasting tricks
-beyond numpy's own, gradients accumulate into ``Tensor.grad``.
+This is the compute substrate standing in for PyTorch: a tape-based autodiff
+with exact gradients.  The generic ``Tensor`` ops (one tape node each)
+express the RLHF losses (PPO clip, value loss, KL penalties); the
+transformer LM itself is a handful of fused primitives at the end of this
+module — embedding, RMSNorm, causal attention, SwiGLU MLP, head matmul,
+log-softmax-gather — each one tape node with a hand-written VJP, the way
+the engines it stands in for (Megatron-LM, vLLM) are fused kernels.
 
 Shapes follow numpy broadcasting; ``_unbroadcast`` folds gradient axes back
 to the parameter shape, so biases and scalars work naturally.
+
+Tape rules: gradients accumulate in place into the ``.grad`` of leaves only;
+an interior node's ``.grad`` and closure are dropped once it has run, so a
+graph backpropagates once; a VJP that freshly allocated an array hands it to
+``_accumulate(..., owned=True)`` and it is adopted, not copied.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +54,24 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+    return grad if grad.shape == shape else grad.reshape(shape)
+
+
+def _basic_index(index) -> bool:
+    """True for int/slice/``...``/``None`` indices: no element is hit twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+        for i in items
+    )
+
+
+def _released(g: np.ndarray) -> None:
+    """Stands in for the VJP of a node ``backward()`` has already run."""
+    raise RuntimeError(
+        "this graph has already been backpropagated: its saved arrays were "
+        "released, run the forward pass again"
+    )
 
 
 class Tensor:
@@ -85,7 +109,7 @@ class Tensor:
         cls,
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Optional[Callable[[np.ndarray], None]],
     ) -> "Tensor":
         out = cls(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -120,12 +144,20 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (in place once it exists).
+
+        ``owned=True`` hands over an array the caller freshly allocated and
+        will not touch again; a borrowed or shared one is copied first.
+        """
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
+            owned = grad.base is None  # a fresh reduction, not a reshaped view
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -146,7 +178,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-g)
+                self._accumulate(-g, owned=True)
 
         return Tensor._from_op(-self.data, (self,), backward)
 
@@ -162,9 +194,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * other.data)
+                self._accumulate(g * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(g * self.data)
+                other._accumulate(g * self.data, owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -176,9 +208,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g / other.data)
+                self._accumulate(g / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data**2))
+                other._accumulate(-g * self.data / (other.data**2), owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -190,7 +222,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
+                self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -200,10 +232,10 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g @ np.swapaxes(other.data, -1, -2))
+                self._accumulate(g @ np.swapaxes(other.data, -1, -2), owned=True)
             if other.requires_grad:
                 grad_w = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(grad_w)
+                other._accumulate(grad_w, owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -214,7 +246,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * out_data)
+                self._accumulate(g * out_data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -223,7 +255,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g / self.data)
+                self._accumulate(g / self.data, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -232,7 +264,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data**2))
+                self._accumulate(g * (1.0 - out_data**2), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -241,7 +273,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
+                self._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -252,7 +284,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * (sig + self.data * sig * (1.0 - sig)))
+                self._accumulate(g * (sig + self.data * sig * (1.0 - sig)), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -262,7 +294,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * mask)
+                self._accumulate(g * mask, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -275,7 +307,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * sign)
+                self._accumulate(g * sign, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -285,7 +317,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * mask)
+                self._accumulate(g * mask, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -296,9 +328,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * take_self)
+                self._accumulate(g * take_self, owned=True)
             if other.requires_grad:
-                other._accumulate(g * ~take_self)
+                other._accumulate(g * ~take_self, owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -365,15 +397,24 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, g)
-                self._accumulate(full)
+                if _basic_index(index):
+                    full[index] = g
+                else:
+                    np.add.at(full, index, g)
+                self._accumulate(full, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward)
 
     # -- graph execution ------------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode accumulation from this node."""
+        """Run reverse-mode accumulation from this node, once.
+
+        Gradients land on leaves only.  Each interior node's ``.grad`` and
+        VJP closure (with the arrays it saved) are dropped as soon as that
+        node has run, so a VJP may overwrite the gradient it is given or hand
+        it on as ``owned``, and a second pass through the graph raises.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor with no graph")
         if grad is None:
@@ -395,6 +436,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                _released(grad)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -402,9 +445,14 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf: its .grad is the result
+            g, node.grad = node.grad, None
+            if g is not None:
+                node._backward(g)
+            node._backward, node._parents = _released, ()
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -455,7 +503,7 @@ def embedding(table: Tensor, token_ids: np.ndarray) -> Tensor:
         if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, token_ids, g)
-            table._accumulate(full)
+            table._accumulate(full, owned=True)
 
     return Tensor._from_op(out_data, (table,), backward)
 
@@ -470,7 +518,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if x.requires_grad:
             g = np.asarray(g, dtype=np.float64)
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - dot))
+            x._accumulate(out_data * (g - dot), owned=True)
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -485,7 +533,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             g = np.asarray(g, dtype=np.float64)
-            x._accumulate(g - probs * g.sum(axis=axis, keepdims=True))
+            x._accumulate(g - probs * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -504,7 +552,7 @@ def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
         if x.requires_grad:
             full = np.zeros_like(x.data)
             np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-            x._accumulate(full)
+            x._accumulate(full, owned=True)
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -519,8 +567,286 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         g = np.asarray(g, dtype=np.float64)
         if a.requires_grad:
-            a._accumulate(np.where(condition, g, 0.0))
+            a._accumulate(np.where(condition, g, 0.0), owned=True)
         if b.requires_grad:
-            b._accumulate(np.where(condition, 0.0, g))
+            b._accumulate(np.where(condition, 0.0, g), owned=True)
 
     return Tensor._from_op(out_data, (a, b), backward)
+
+
+# -- fused primitives -------------------------------------------------------------
+#
+# The pieces of a transformer block, one tape node each.  Forward arithmetic is
+# the op-by-op composition's, ufunc for ufunc (``tests/oracles.py`` keeps that
+# composition as the oracle), but computed in place; projections stay 3-D
+# matmuls because a row's result must not depend on the batch it rides in.
+# Without a graph (``no_grad``, or no input requiring grad) nothing is saved
+# and no closure is built.  A VJP reads only what it closed over, overwrites
+# those arrays and the gradient it is given as scratch, takes weight
+# gradients as one GEMM over ``batch * seq``, and hands results on as owned.
+
+#: Free lists of block-internal scratch arrays, by shape.  glibc hands freed
+#: heap top above ~2 MB back to the kernel, so a block's temporaries were
+#: unmapped when a graph died and faulted in again by the next update
+#: (docs/PERF.md has the counts with and without); recycling keeps the pages.
+#: Only arrays that never leave a primitive go through here, and only ones
+#: big enough to fault; a flood of distinct shapes starts the table afresh.
+_FREE: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+_RECYCLE_MIN_BYTES = 1 << 16
+_RECYCLE_MAX_SHAPES = 64
+
+
+def _scratch(*shape: int) -> np.ndarray:
+    """An uninitialised float64 array, a recycled one when the shape is held."""
+    free = _FREE.get(shape)
+    return free.pop() if free else np.empty(shape, dtype=np.float64)
+
+
+def _recycle(*arrays: np.ndarray) -> None:
+    """Take scratch back once nothing will read it again."""
+    for a in arrays:
+        if a.nbytes >= _RECYCLE_MIN_BYTES:
+            if a.shape not in _FREE and len(_FREE) >= _RECYCLE_MAX_SHAPES:
+                _FREE.clear()
+            _FREE.setdefault(a.shape, []).append(a)
+
+
+def _tracked(*tensors: Tensor) -> bool:
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+
+
+def embed(
+    tok_table: Tensor, pos_table: Tensor, token_ids: np.ndarray, pos_offset: int = 0
+) -> Tensor:
+    """Token plus learned-position embedding of ``(batch, seq)`` int64 ids."""
+    rows = slice(pos_offset, pos_offset + token_ids.shape[1])
+    out = tok_table.data[token_ids]
+    out += pos_table.data[rows]
+    if not _tracked(tok_table, pos_table):
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        if tok_table.requires_grad:
+            full = np.zeros_like(tok_table.data)
+            np.add.at(full, token_ids, g)
+            tok_table._accumulate(full, owned=True)
+        if pos_table.requires_grad:
+            full = np.zeros_like(pos_table.data)
+            full[rows] = g.sum(axis=0)
+            pos_table._accumulate(full, owned=True)
+
+    return Tensor._from_op(out, (tok_table, pos_table), backward)
+
+
+def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
+    """``x * (mean(x**2, -1) + eps) ** -0.5 * weight`` over the last axis."""
+    xd = x.data
+    out = xd * xd
+    rstd = (out.sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + eps) ** -0.5
+    np.multiply(xd, rstd, out=out)
+    out *= weight.data
+    if not _tracked(x, weight):
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        h = xd.shape[-1]
+        xhat = xd * rstd
+        if weight.requires_grad:
+            dw = np.einsum("nh,nh->h", g.reshape(-1, h), xhat.reshape(-1, h))
+            weight._accumulate(dw, owned=True)
+        if x.requires_grad:
+            # dx = rstd * (dxhat - xhat * mean(dxhat * xhat)), dxhat = g * w
+            g *= weight.data
+            xhat *= np.einsum("...h,...h->...", g, xhat)[..., None] / h
+            g -= xhat
+            g *= rstd
+            x._accumulate(g, owned=True)
+
+    return Tensor._from_op(out, (x, weight), backward)
+
+
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """``x @ weight`` for ``(..., in)`` activations and an ``(in, out)`` weight."""
+    out = x.data @ weight.data
+    if not _tracked(x, weight):
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            x2 = x.data.reshape(-1, x.data.shape[-1])
+            weight._accumulate(x2.T @ g2, owned=True)
+        if x.requires_grad:
+            x._accumulate((g2 @ weight.data.T).reshape(x.data.shape), owned=True)
+
+    return Tensor._from_op(out, (x, weight), backward)
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    n_heads: int,
+    cache=None,
+    layer: int = 0,
+    pos_offset: int = 0,
+    residual: Optional[Tensor] = None,
+) -> Tensor:
+    """Causal multi-head self-attention of ``x`` ``(batch, seq, hidden)``.
+
+    Projections, masked softmax, context and output projection, plus
+    ``residual`` when given.  ``cache`` (a ``KVCache``; inference only)
+    receives this call's K/V through ``cache.append(layer, k, v)`` and
+    returns everything cached so far; query ``i`` sits at position
+    ``pos_offset + i`` and attends to keys at or before it.
+    """
+    parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
+    tracked = _tracked(*parents)
+    if tracked and cache is not None:
+        raise RuntimeError(
+            "a KV cache is inference-only: cached keys/values carry no "
+            "gradient to wk/wv; run the forward under no_grad()"
+        )
+    xd = x.data
+    b, t, h = xd.shape
+    hd = h // n_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def heads(proj: np.ndarray) -> np.ndarray:
+        return proj.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    projs = [np.matmul(xd, w.data, out=_scratch(b, t, h)) for w in (wq, wk, wv)]
+    q, k, v = (heads(proj) for proj in projs)
+    if cache is not None:
+        k, v = cache.append(layer, k, v)
+        del projs[1:]  # the cache keeps the K/V projections: not scratch
+    att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(b, n_heads, t, k.shape[2]))
+    att *= scale
+    masked = np.arange(k.shape[2])[None, :] > pos_offset + np.arange(t)[:, None]
+    att += np.where(masked, -1e9, 0.0)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    per_head = np.matmul(att, v, out=_scratch(b, n_heads, t, hd))
+    ctx = _scratch(b, t, h)
+    ctx.reshape(b, t, n_heads, hd)[...] = per_head.transpose(0, 2, 1, 3)
+    _recycle(per_head)
+    out = ctx @ wo.data
+    if residual is not None:
+        out += residual.data
+    if not tracked:
+        _recycle(att, ctx, *projs)
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        g2, x2 = g.reshape(b * t, h), xd.reshape(b * t, h)
+        if wo.requires_grad:
+            wo._accumulate(ctx.reshape(b * t, h).T @ g2, owned=True)
+        dctx = heads(g2 @ wo.data.T)
+        dv = att.swapaxes(-1, -2) @ dctx
+        datt = dctx @ v.swapaxes(-1, -2)
+        # softmax VJP (masked entries have att == 0), then the score scaling
+        datt -= np.einsum("...k,...k->...", datt, att)[..., None]
+        datt *= att
+        datt *= scale
+        dx = np.zeros((b * t, h), dtype=np.float64)
+        for w, dproj in ((wq, datt @ k), (wk, datt.swapaxes(-1, -2) @ q), (wv, dv)):
+            d2 = dproj.transpose(0, 2, 1, 3).reshape(b * t, h)
+            if w.requires_grad:
+                w._accumulate(x2.T @ d2, owned=True)
+            if x.requires_grad:
+                dx += d2 @ w.data.T
+        if x.requires_grad:
+            x._accumulate(dx.reshape(b, t, h), owned=True)
+        _recycle(att, ctx, *projs)
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g, owned=True)
+
+    return Tensor._from_op(out, parents, backward)
+
+
+def swiglu_mlp(
+    x: Tensor,
+    w_gate: Tensor,
+    w_up: Tensor,
+    w_down: Tensor,
+    residual: Optional[Tensor] = None,
+) -> Tensor:
+    """``(silu(x @ w_gate) * (x @ w_up)) @ w_down``, plus ``residual`` if given."""
+    xd = x.data
+    wide = xd.shape[:-1] + w_gate.data.shape[1:]
+    z = np.matmul(xd, w_gate.data, out=_scratch(*wide))
+    up = np.matmul(xd, w_up.data, out=_scratch(*wide))
+    sig = np.negative(z, out=_scratch(*wide))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    act = np.multiply(z, sig, out=_scratch(*wide))
+    act *= up
+    out = act @ w_down.data
+    if residual is not None:
+        out += residual.data
+    parents = (x, w_gate, w_up, w_down) + (() if residual is None else (residual,))
+    if not _tracked(*parents):
+        _recycle(z, up, sig, act)
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        h, f = xd.shape[-1], z.shape[-1]
+        g2, x2 = g.reshape(-1, h), xd.reshape(-1, h)
+        z2, sig2, up2, act2 = (a.reshape(-1, f) for a in (z, sig, up, act))
+        if w_down.requires_grad:
+            w_down._accumulate(act2.T @ g2, owned=True)
+        dz = g2 @ w_down.data.T  # d(act) for now
+        np.multiply(z2, sig2, out=act2)
+        act2 *= dz  # d(up) = d(act) * silu(z)
+        # d silu(z) = sig * (1 + z * (1 - sig)), built over the saved z
+        z2 *= 1.0 - sig2
+        z2 += 1.0
+        z2 *= sig2
+        dz *= up2
+        dz *= z2
+        if w_up.requires_grad:
+            w_up._accumulate(x2.T @ act2, owned=True)
+        if w_gate.requires_grad:
+            w_gate._accumulate(x2.T @ dz, owned=True)
+        if x.requires_grad:
+            dx = act2 @ w_up.data.T
+            dx += dz @ w_gate.data.T
+            x._accumulate(dx.reshape(xd.shape), owned=True)
+        _recycle(z, up, sig, act)
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g, owned=True)
+
+    return Tensor._from_op(out, parents, backward)
+
+
+def log_softmax_gather(logits: Tensor, index: np.ndarray) -> Tensor:
+    """``log_softmax(logits, -1)`` picked at ``index`` along the last axis.
+
+    ``index`` has the shape of ``logits`` minus the last axis: per-token
+    log-probabilities without materialising the full log-softmax.
+    """
+    picks = np.expand_dims(np.asarray(index, dtype=np.int64), -1)
+    e = logits.data - logits.data.max(axis=-1, keepdims=True)
+    out = np.take_along_axis(e, picks, axis=-1)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    out -= np.log(total)
+    out = out.squeeze(-1)
+    if not _tracked(logits):
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        # d out / d logits = onehot(index) - softmax, built over the saved exp
+        g = np.expand_dims(g, -1)
+        dlogits = np.divide(e, total, out=e)
+        dlogits *= -g
+        np.put_along_axis(
+            dlogits, picks, np.take_along_axis(dlogits, picks, axis=-1) + g, axis=-1
+        )
+        logits._accumulate(dlogits, owned=True)
+
+    return Tensor._from_op(out, (logits,), backward)

@@ -59,11 +59,6 @@ class TinyLMConfig:
         )
 
 
-def _rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
-    variance = (x * x).mean(axis=-1, keepdims=True)
-    return x * ((variance + eps) ** -0.5) * weight
-
-
 class KVCache:
     """Per-layer cached keys/values for incremental generation.
 
@@ -220,57 +215,18 @@ class TinyLM:
 
     # -- forward ------------------------------------------------------------------
 
-    def _attention(
-        self,
-        x: Tensor,
-        layer: int,
-        cache: Optional[KVCache],
-        pos_offset: int,
-    ) -> Tensor:
-        cfg = self.config
-        b, t, h = x.shape
-        nh, hd = cfg.n_heads, cfg.head_dim
-        p = self.params
-        prefix = f"layers.{layer}.attn"
-
-        def split_heads(proj: Tensor) -> Tensor:
-            return proj.reshape(b, t, nh, hd).transpose(0, 2, 1, 3)
-
-        q = split_heads(x @ p[f"{prefix}.wq"])
-        k = split_heads(x @ p[f"{prefix}.wk"])
-        v = split_heads(x @ p[f"{prefix}.wv"])
-
-        if cache is not None:
-            k_data, v_data = cache.append(layer, k.data, v.data)
-            k = Tensor(k_data)
-            v = Tensor(v_data)
-        kv_len = k.shape[2]
-
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
-        # causal mask: query position (pos_offset + i) attends to kv <= it
-        q_pos = pos_offset + np.arange(t)[:, None]
-        kv_pos = np.arange(kv_len)[None, :]
-        mask = kv_pos > q_pos  # True = masked out
-        scores = scores + Tensor(np.where(mask, -1e9, 0.0))
-        attn = ag.softmax(scores, axis=-1)
-        out = attn @ v  # (b, nh, t, hd)
-        out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
-        return out @ p[f"{prefix}.wo"]
-
-    def _mlp(self, x: Tensor, layer: int) -> Tensor:
-        p = self.params
-        prefix = f"layers.{layer}.mlp"
-        gate = (x @ p[f"{prefix}.w_gate"]).silu()
-        up = x @ p[f"{prefix}.w_up"]
-        return (gate * up) @ p[f"{prefix}.w_down"]
-
-    def _trunk(
+    def forward(
         self,
         token_ids: np.ndarray,
         cache: Optional[KVCache] = None,
         pos_offset: int = 0,
     ) -> Tensor:
-        cfg = self.config
+        """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
+
+        ``cache`` is inference-only: passing one while a graph would be
+        built (grad mode on, parameters requiring grad) raises.
+        """
+        cfg, p = self.config, self.params
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be (batch, seq), got {token_ids.shape}")
@@ -280,34 +236,34 @@ class TinyLM:
                 f"sequence length {pos_offset + t} exceeds max_seq_len "
                 f"{cfg.max_seq_len}"
             )
-        positions = np.arange(pos_offset, pos_offset + t)
-        x = ag.embedding(self.params["embed.weight"], token_ids) + ag.embedding(
-            self.params["pos_embed.weight"], positions
-        )
+        x = ag.embed(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
         for layer in range(cfg.n_layers):
-            normed = _rms_norm(
-                x, self.params[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps
+            pre = f"layers.{layer}"
+            normed = ag.rms_norm(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
+            x = ag.attention(
+                normed,
+                p[f"{pre}.attn.wq"],
+                p[f"{pre}.attn.wk"],
+                p[f"{pre}.attn.wv"],
+                p[f"{pre}.attn.wo"],
+                cfg.n_heads,
+                cache=cache,
+                layer=layer,
+                pos_offset=pos_offset,
+                residual=x,
             )
-            x = x + self._attention(normed, layer, cache, pos_offset)
-            normed = _rms_norm(
-                x, self.params[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps
+            normed = ag.rms_norm(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
+            x = ag.swiglu_mlp(
+                normed,
+                p[f"{pre}.mlp.w_gate"],
+                p[f"{pre}.mlp.w_up"],
+                p[f"{pre}.mlp.w_down"],
+                residual=x,
             )
-            x = x + self._mlp(normed, layer)
-        return _rms_norm(x, self.params["final_norm.weight"], cfg.rms_eps)
-
-    def forward(
-        self,
-        token_ids: np.ndarray,
-        cache: Optional[KVCache] = None,
-        pos_offset: int = 0,
-    ) -> Tensor:
-        """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``."""
-        x = self._trunk(token_ids, cache=cache, pos_offset=pos_offset)
-        if self.config.output_head == "lm":
-            return x @ self.params["lm_head.weight"]
-        values = x @ self.params["value_head.weight"]
-        b, t, _one = values.shape
-        return values.reshape(b, t)
+        x = ag.rms_norm(x, p["final_norm.weight"], cfg.rms_eps)
+        if cfg.output_head == "lm":
+            return ag.linear(x, p["lm_head.weight"])
+        return ag.linear(x, p["value_head.weight"]).reshape(*token_ids.shape)
 
     __call__ = forward
 
@@ -322,8 +278,7 @@ class TinyLM:
             raise RuntimeError("token_log_probs requires an LM head")
         token_ids = np.asarray(token_ids, dtype=np.int64)
         logits = self.forward(token_ids[:, :-1])
-        logp = ag.log_softmax(logits, axis=-1)
-        return ag.gather_last(logp, token_ids[:, 1:])
+        return ag.log_softmax_gather(logits, token_ids[:, 1:])
 
     def values(self, token_ids: np.ndarray) -> Tensor:
         """Scalar head output per position ``(batch, seq)``."""

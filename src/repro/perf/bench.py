@@ -14,10 +14,6 @@ Comparison policy (the part that makes the gate portable):
   must match the baseline bit-for-bit on any platform; none of them depends
   on float arithmetic or the sampled token stream, so they are stable
   across Python/numpy versions.
-* ``wall`` metrics are host wall-clock seconds.  CI machines are shared and
-  slow, so a run only *fails* when it exceeds ``baseline * WALL_FACTOR +
-  WALL_FLOOR`` — the gate catches order-of-magnitude rot (an accidental
-  O(n²), a dropped cache), not scheduler jitter.  Being faster never fails.
 * ``min`` metrics carry their own absolute floor (host-speed-free ratios
   and counts: the modeled async overlap speedup, process-group cache
   hits).  The floor is part of the pinned record.
@@ -26,12 +22,16 @@ Comparison policy (the part that makes the gate portable):
 Workload *pins* (model sizes, batch shapes, seeds) are compared exactly;
 changing a pin requires an explicit re-baseline (``repro bench --update``),
 so the committed numbers always describe the committed workloads.
+
+No metric here reads a clock: speed is measured by ``bench/`` (see
+``bench/README.md``), in calibrated units and against the parent commit;
+this suite is the structural gate — counts that move only when the amount
+of work does.
 """
 
 from __future__ import annotations
 
-import math
-import time
+import tracemalloc
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,34 +39,9 @@ import numpy as np
 SCHEMA = 1
 SUITE = "repro.perf.bench"
 
-#: A wall metric regresses only beyond ``baseline * WALL_FACTOR +
-#: WALL_FLOOR`` — loose on purpose; see the module docstring.
-WALL_FACTOR = 4.0
-WALL_FLOOR = 0.05
-
-
-def _now() -> float:
-    """Host wall-clock for *measuring the harness itself*.
-
-    The simulation never reads wall time (rule ``RL302``); the bench
-    harness is the one sanctioned exception, since its entire job is to
-    measure how fast the host executes the simulation.
-    """
-    return time.perf_counter()  # repro-lint: ignore[RL302]
-
-
-def _time_best(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` — the standard noise filter."""
-    best = math.inf
-    for _ in range(repeats):
-        t0 = _now()
-        fn()
-        best = min(best, _now() - t0)
-    return best
-
 
 def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
-    if kind not in ("exact", "wall", "min", "info"):
+    if kind not in ("exact", "min", "info"):
         raise ValueError(f"unknown metric kind {kind!r}")
     return {"kind": kind, "value": value, **extra}
 
@@ -105,23 +80,14 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         0, cfg.vocab_size, size=(pins["batch"], pins["prompt_length"])
     )
 
-    def run() -> None:
-        generate(
-            model,
-            prompts,
-            max_new_tokens=pins["max_new_tokens"],
-            rng=np.random.default_rng(pins["seed"]),
-        )
-
-    wall = _time_best(run)
-    tokens = pins["batch"] * pins["max_new_tokens"]  # no EOS: every slot fills
-
-    metrics = {
-        "tokens": _metric("exact", tokens),
-        "wall_seconds": _metric("wall", wall),
-        "tokens_per_second": _metric("info", tokens / max(wall, 1e-9)),
-    }
-    return pins, metrics
+    out = generate(
+        model,
+        prompts,
+        max_new_tokens=pins["max_new_tokens"],
+        rng=np.random.default_rng(pins["seed"]),
+    )
+    # no EOS: every slot fills
+    return pins, {"tokens": _metric("exact", out.response_log_probs.size)}
 
 
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -156,28 +122,20 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         0, cfg.vocab_size, size=(pins["n_requests"], pins["prompt_length"])
     )
 
-    def drain():
-        server = RolloutServer(
-            model,
-            ServingConfig(max_slots=pins["max_slots"], seed=pins["seed"]),
-        )
-        for i in range(pins["n_requests"]):
-            server.submit(prompts[i], max_new_tokens=pins["max_new_tokens"])
-        return server.drain()
-
     # equal prompt lengths, no EOS: every step's runners share one KV
     # length, so each step is a single cohort forward
-    wall = _time_best(drain)
-    report = drain()
+    server = RolloutServer(
+        model,
+        ServingConfig(max_slots=pins["max_slots"], seed=pins["seed"]),
+    )
+    for i in range(pins["n_requests"]):
+        server.submit(prompts[i], max_new_tokens=pins["max_new_tokens"])
+    report = server.drain()
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
         "total_tokens": _metric("exact", report.total_tokens),
         "n_preemptions": _metric("exact", report.n_preemptions),
-        "wall_seconds": _metric("wall", wall),
-        "tokens_per_second": _metric(
-            "info", report.total_tokens / max(wall, 1e-9)
-        ),
     }
     return pins, metrics
 
@@ -232,6 +190,7 @@ def _build_tiny_ppo():
 def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One full PPO iteration through the single-controller dispatch path."""
     from repro.data import PromptDataset
+    from repro.models.autograd import Tensor
 
     pins = {
         "algo": "ppo",
@@ -246,11 +205,28 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         n_prompts=32, prompt_length=pins["prompt_length"], vocab_size=16, seed=1
     )
 
-    t0 = _now()
-    system.trainer.train(
-        dataset, n_iterations=pins["n_iterations"], batch_size=pins["batch_size"]
-    )
-    wall = _now() - t0
+    # every tape node is one ``Tensor._from_op`` call (looked up on the class
+    # at each call): counted here, in the harness, not in the program
+    nodes = 0
+    from_op = Tensor.__dict__["_from_op"]
+
+    def counting(cls, *args: Any) -> Any:
+        nonlocal nodes
+        nodes += 1
+        return from_op.__func__(cls, *args)
+
+    Tensor._from_op = classmethod(counting)
+    tracemalloc.start()
+    try:
+        system.trainer.train(
+            dataset,
+            n_iterations=pins["n_iterations"],
+            batch_size=pins["batch_size"],
+        )
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        Tensor._from_op = from_op
     dispatch_calls = int(
         system.controller.metrics.total("repro_dispatch_calls_total")
     )
@@ -260,7 +236,10 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # dispatches is a property of the algorithm graph, not the floats
         "dispatch_calls": _metric("exact", dispatch_calls),
         "iterations": _metric("exact", pins["n_iterations"]),
-        "wall_seconds": _metric("wall", wall),
+        # the engine's structure: tape nodes built by one iteration's
+        # forwards and losses (the fused TinyLM primitives are one each)
+        "autograd_nodes": _metric("exact", nodes),
+        "train_peak_bytes": _metric("info", peak_bytes),
         "simulated_seconds": _metric("info", float(system.controller.clock.now)),
     }
     return pins, metrics
@@ -316,12 +295,10 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     engine = HybridEngine3D(group)
 
     clear_plan_cache()
-    t0 = _now()
     for _ in range(pins["cycles"]):
         plan_transition(group.gen_topology)
         engine.to_generation()
         engine.to_training()
-    wall = _now() - t0
     plan_stats = plan_cache_stats()
     group_stats = group.gen_topology.group_cache.stats()
     comm_bytes = int(controller.meter.total_bytes())
@@ -335,7 +312,6 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "group_cache_hits_min": _metric(
             "min", group_stats["hits"], floor=1
         ),
-        "wall_seconds": _metric("wall", wall),
         "group_cache_size": _metric("info", group_stats["size"]),
     }
     return pins, metrics
@@ -466,13 +442,11 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         async_sys.trainer,
         PipelineConfig(staleness_window=pins["staleness_window"]),
     )
-    t0 = _now()
     driver.train(
         dataset(),
         n_iterations=pins["n_iterations"],
         batch_size=pins["batch_size"],
     )
-    wall = _now() - t0
     async_makespan = build_timeline(async_sys.controller).makespan
     report = driver.report()
 
@@ -489,7 +463,6 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "overlap_speedup": _metric(
             "min", sync_makespan / max(async_makespan, 1e-9), floor=1.1
         ),
-        "wall_seconds": _metric("wall", wall),
         "sync_makespan": _metric("info", float(sync_makespan)),
         "async_makespan": _metric("info", float(async_makespan)),
     }
@@ -499,25 +472,16 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def bench_shape_check() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """The SF7xx symbolic shape pass over every shipped algorithm graph.
 
-    The pass runs in CI (``repro check --shapes``), so its wall time is a
-    budget worth watching: the abstract interpretation is pure Python over
-    symbolic dims and must stay cheap relative to the real workloads it
-    guards.  Zero findings on the shipped graphs is pinned as an exact
-    metric — the clean-run guarantee the seeded-mutant tests depend on.
+    Zero findings on the shipped graphs is pinned as an exact metric — the
+    clean-run guarantee the seeded-mutant tests depend on — beside how many
+    graphs and facts the pass covered.
     """
     from repro.analysis import shipped_graph_reports
 
     pins = {"batch": 8}
 
-    def run() -> int:
-        return sum(
-            len(report.findings)
-            for _name, report in shipped_graph_reports(batch=pins["batch"])
-        )
-
-    findings = run()
-    wall = _time_best(run)
     reports = shipped_graph_reports(batch=pins["batch"])
+    findings = sum(len(report.findings) for _name, report in reports)
     checked = sum(
         sum(report.checked.values()) for _name, report in reports
     )
@@ -525,8 +489,6 @@ def bench_shape_check() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "findings": _metric("exact", findings),
         "graphs": _metric("exact", len(reports)),
         "facts_checked": _metric("exact", checked),
-        "wall_seconds": _metric("wall", wall),
-        "shape_pass_seconds": _metric("info", wall),
     }
     return pins, metrics
 
@@ -607,10 +569,7 @@ def _check_min_metrics(record: Dict[str, Any]) -> List[str]:
 
 
 def compare_records(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    wall_factor: float = WALL_FACTOR,
-    wall_floor: float = WALL_FLOOR,
+    current: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
     """Regressions of ``current`` against the committed ``baseline``.
 
@@ -667,14 +626,6 @@ def compare_records(
                     f"{name}.{mname}: {cm['value']!r} != baseline "
                     f"{bm['value']!r}"
                 )
-            elif kind == "wall":
-                limit = bm["value"] * wall_factor + wall_floor
-                if cm["value"] > limit:
-                    problems.append(
-                        f"{name}.{mname}: {cm['value']:.3f}s exceeds "
-                        f"{limit:.3f}s (baseline {bm['value']:.3f}s x "
-                        f"{wall_factor:g} + {wall_floor:g}s)"
-                    )
             elif kind == "min" and cm.get("floor") != bm.get("floor"):
                 problems.append(
                     f"{name}.{mname}: pinned floor changed "

@@ -21,6 +21,7 @@ ranks are exactly the ``merge_outputs`` hazard.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import List, Optional
 
 READ = "read"
@@ -65,7 +66,7 @@ class AccessLog:
     ) -> AccessEvent:
         event = AccessEvent(
             kind=kind,
-            resource=resource,
+            resource=sys.intern(resource),  # few distinct names: one str each
             rank=rank,
             seq=seq,
             after_seq=after_seq,

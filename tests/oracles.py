@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autograd import no_grad
+from repro.models import autograd as ag
+from repro.models.autograd import Tensor, no_grad
 from repro.models.tinylm import KVCache
 
 
@@ -78,3 +79,90 @@ def generate_reference(
                     tokens[:, None], cache=cache, pos_offset=prompt_len + step
                 )
     return sequences, log_probs, mask if eos_token_id is not None else None
+
+
+# -- the op-by-op TinyLM ---------------------------------------------------------
+
+
+def _rms_norm_reference(x, weight, eps):
+    variance = (x * x).mean(axis=-1, keepdims=True)
+    return x * ((variance + eps) ** -0.5) * weight
+
+
+def _attention_reference(model, x, layer, cache, pos_offset):
+    cfg = model.config
+    b, t, h = x.shape
+    nh, hd = cfg.n_heads, cfg.head_dim
+    p = model.params
+    prefix = f"layers.{layer}.attn"
+
+    def split_heads(proj):
+        return proj.reshape(b, t, nh, hd).transpose(0, 2, 1, 3)
+
+    q = split_heads(x @ p[f"{prefix}.wq"])
+    k = split_heads(x @ p[f"{prefix}.wk"])
+    v = split_heads(x @ p[f"{prefix}.wv"])
+
+    if cache is not None:
+        k_data, v_data = cache.append(layer, k.data, v.data)
+        k = Tensor(k_data)
+        v = Tensor(v_data)
+    kv_len = k.shape[2]
+
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
+    # causal mask: query position (pos_offset + i) attends to kv <= it
+    q_pos = pos_offset + np.arange(t)[:, None]
+    kv_pos = np.arange(kv_len)[None, :]
+    mask = kv_pos > q_pos  # True = masked out
+    scores = scores + Tensor(np.where(mask, -1e9, 0.0))
+    attn = ag.softmax(scores, axis=-1)
+    out = attn @ v  # (b, nh, t, hd)
+    out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
+    return out @ p[f"{prefix}.wo"]
+
+
+def _mlp_reference(model, x, layer):
+    p = model.params
+    prefix = f"layers.{layer}.mlp"
+    gate = (x @ p[f"{prefix}.w_gate"]).silu()
+    up = x @ p[f"{prefix}.w_up"]
+    return (gate * up) @ p[f"{prefix}.w_down"]
+
+
+def tinylm_forward_reference(model, token_ids, cache=None, pos_offset=0):
+    """``TinyLM.forward`` as the op-by-op tape composition it used to be.
+
+    One generic ``Tensor`` op per arithmetic step (~170 tape nodes for four
+    layers).  The fused primitives in ``repro.models.autograd`` must
+    reproduce its forward values bit for bit and its gradients to rounding.
+    With a ``cache`` it re-wraps the cached K/V as constants, so it is a
+    forward oracle only there.
+    """
+    cfg, p = model.config, model.params
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    positions = np.arange(pos_offset, pos_offset + token_ids.shape[1])
+    x = ag.embedding(p["embed.weight"], token_ids) + ag.embedding(
+        p["pos_embed.weight"], positions
+    )
+    for layer in range(cfg.n_layers):
+        normed = _rms_norm_reference(
+            x, p[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps
+        )
+        x = x + _attention_reference(model, normed, layer, cache, pos_offset)
+        normed = _rms_norm_reference(
+            x, p[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps
+        )
+        x = x + _mlp_reference(model, normed, layer)
+    x = _rms_norm_reference(x, p["final_norm.weight"], cfg.rms_eps)
+    if cfg.output_head == "lm":
+        return x @ p["lm_head.weight"]
+    values = x @ p["value_head.weight"]
+    b, t, _one = values.shape
+    return values.reshape(b, t)
+
+
+def token_log_probs_reference(model, token_ids):
+    """``TinyLM.token_log_probs`` through a full log-softmax and a gather."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    logits = tinylm_forward_reference(model, token_ids[:, :-1])
+    return ag.gather_last(ag.log_softmax(logits, axis=-1), token_ids[:, 1:])

@@ -37,7 +37,7 @@ class TestRunBench:
         for workload in record["workloads"].values():
             assert workload["pins"]
             for metric in workload["metrics"].values():
-                assert metric["kind"] in {"exact", "wall", "min", "info"}
+                assert metric["kind"] in {"exact", "min", "info"}
                 if metric["kind"] == "min":
                     assert metric["value"] >= metric["floor"]
 
@@ -68,6 +68,12 @@ class TestRunBench:
         assert drain["total_tokens"]["value"] == 192
         ppo = record["workloads"]["ppo_iteration"]["metrics"]
         assert ppo["dispatch_calls"]["value"] == 7
+        # one node per fused TinyLM primitive (12 a forward on this 2-layer
+        # model) plus the generic ops of the losses; BENCH_perf.json pins
+        # the exact count, this only says which regime it is in
+        assert ppo["autograd_nodes"]["kind"] == "exact"
+        assert 0 < ppo["autograd_nodes"]["value"] < 1000
+        assert ppo["train_peak_bytes"]["kind"] == "info"
         transition = record["workloads"]["train_gen_transition"]["metrics"]
         assert transition["plan_cache_hits"]["value"] == 1
         assert transition["plan_cache_misses"]["value"] == 1
@@ -98,7 +104,6 @@ def _synthetic():
                 "pins": {"batch": 8},
                 "metrics": {
                     "tokens": {"kind": "exact", "value": 128},
-                    "wall_seconds": {"kind": "wall", "value": 0.1},
                     "speedup": {"kind": "min", "value": 2.0, "floor": 1.2},
                     "rate": {"kind": "info", "value": 1000.0},
                 },
@@ -116,17 +121,6 @@ class TestCompareRecords:
         cur["workloads"]["w"]["metrics"]["tokens"]["value"] = 127
         problems = compare_records(cur, _synthetic())
         assert any("tokens" in p for p in problems)
-
-    def test_wall_within_tolerance_passes(self):
-        cur = _synthetic()
-        cur["workloads"]["w"]["metrics"]["wall_seconds"]["value"] = 0.3
-        assert compare_records(cur, _synthetic()) == []
-
-    def test_wall_blowup_fails(self):
-        cur = _synthetic()
-        cur["workloads"]["w"]["metrics"]["wall_seconds"]["value"] = 10.0
-        problems = compare_records(cur, _synthetic())
-        assert any("wall_seconds" in p for p in problems)
 
     def test_info_never_compared(self):
         cur = _synthetic()

@@ -329,7 +329,7 @@ class TestBenchCommand:
                      *self.WL]) == 0
         out = capsys.readouterr().out
         assert "sequential_generate" in out
-        assert "tokens_per_second" in out
+        assert "tokens" in out and "[exact] 128" in out
 
     def test_check_without_baseline_exits_2(self, capsys, tmp_path):
         assert main(["bench", "--check", "--baseline",
