@@ -9,13 +9,15 @@ Every sequence carries its behaviour policy's version tag, and stale
 batches are corrected with truncated importance weights inside the PPO
 loss.
 
-Three guarantees, demonstrated end to end below:
+:func:`repro.pipeline.overlap_study` — the function behind ``repro pipeline``
+and the ``async_ppo_overlap`` bench pin — runs the shipped PPO job three
+times on the disaggregated placement (actor alone; critic, reference and
+reward on a scorer pool).  Three guarantees, narrated below:
 
 1. ``staleness_window=0`` is **bit-exact** with the synchronous trainer —
    the relaxation is opt-in, never silent.
 2. ``staleness_window=1`` collapses the generation<->training bubble on the
-   modeled timeline (the speedup is printed, and pinned in the
-   ``async_ppo_overlap`` bench workload).
+   modeled timeline.
 3. The overlapped schedule is **provably race-free**: weight publication
    uses double-buffered version snapshots, and the vector-clock race
    detector (RC5xx) passes over the exported trace.
@@ -26,75 +28,7 @@ Run:  python examples/async_pipeline.py
 
 import argparse
 
-import numpy as np
-
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-from repro.data import PromptDataset
-from repro.models.tinylm import TinyLMConfig
-from repro.pipeline import AsyncPipelineDriver, PipelineConfig
-from repro.rlhf import AlgoType
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.runtime.timeline import build_timeline
-
-LM_CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
-
-
-def build_system():
-    """PPO with the actor alone on its pool — the placement overlap needs.
-
-    Critic, reference, and reward share a scorer pool; in the synchronous
-    loop the actor idles while the scoring chain runs on it.  The async
-    driver fills that idle with the next iteration's generation.
-    """
-    actor_par = ParallelConfig(pp=1, tp=2, dp=1)
-    scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
-    plan = PlacementPlan(
-        pools={"actor": 2, "scorer": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
-            ),
-            "critic": ModelAssignment("scorer", scorer_par),
-            "reference": ModelAssignment("scorer", scorer_par),
-            "reward": ModelAssignment("scorer", scorer_par),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        LM_CFG,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
-def states_equal(sys_a, sys_b) -> bool:
-    for name in sys_a.groups:
-        for wa, wb in zip(
-            sys_a.groups[name].workers, sys_b.groups[name].workers
-        ):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
+from repro.pipeline import PipelineConfig, overlap_study
 
 
 def main(argv=None) -> int:
@@ -123,41 +57,24 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def dataset() -> PromptDataset:
-        return PromptDataset(
-            n_prompts=64, prompt_length=4, vocab_size=16, seed=1
-        )
-
-    # ---- stage 1: the synchronous reference --------------------------------
-    print(f"stage 1: synchronous PPO, {args.iterations} iterations")
-    sync_sys = build_system()
-    sync_sys.trainer.train(dataset(), args.iterations, args.batch)
-    sync_makespan = build_timeline(sync_sys.controller).makespan
-    print(f"  modeled makespan {sync_makespan:.1f}s")
-
-    # ---- stage 2: staleness=0 must be the same loop, bit for bit -----------
-    print("stage 2: async driver with an EMPTY window (W=0)")
-    exact_sys = build_system()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(dataset(), args.iterations, args.batch)
-    if not states_equal(sync_sys, exact_sys):
-        print("  BIT-EXACTNESS VIOLATED — the relaxation leaked into W=0")
-        return 1
-    print("  bit-exact with the synchronous trainer (weights + optimizer)")
-
-    # ---- stage 3: the overlapped schedule ----------------------------------
-    print(f"stage 3: one-step-off overlap (W={args.staleness})")
-    async_sys = build_system()
-    driver = AsyncPipelineDriver(
-        async_sys.trainer,
+    study = overlap_study(
+        args.iterations,
+        args.batch,
         PipelineConfig(
             staleness_window=args.staleness, stream_scoring=args.stream
         ),
     )
-    history = driver.train(dataset(), args.iterations, args.batch)
-    timeline = build_timeline(async_sys.controller)
-    report = driver.report()
+    print(f"stage 1: synchronous PPO, {args.iterations} iterations")
+    print(f"  modeled makespan {study.sync_makespan:.1f}s")
+
+    print("stage 2: async driver with an EMPTY window (W=0)")
+    if not study.bit_exact:
+        print("  BIT-EXACTNESS VIOLATED — the relaxation leaked into W=0")
+        return 1
+    print("  bit-exact with the synchronous trainer (weights + optimizer)")
+
+    print(f"stage 3: one-step-off overlap (W={args.staleness})")
+    report, timeline = study.report, study.timeline
     print(
         f"  max staleness seen {report['max_staleness_seen']} "
         f"(window {report['staleness_window']}), buffer peak "
@@ -168,15 +85,15 @@ def main(argv=None) -> int:
         f"{report['published_bytes']} bytes via the train->gen plan"
     )
     if args.staleness > 0:
+        history = study.system.trainer.history
         stale = [h for h in history if "pipeline/staleness" in h]
         print(
             f"  {len(stale)}/{len(history)} iterations trained on stale "
             "experience (importance-weight corrected)"
         )
-    speedup = sync_makespan / max(timeline.makespan, 1e-9)
     print(
         f"  modeled makespan {timeline.makespan:.1f}s "
-        f"(speedup {speedup:.3f}x over synchronous)"
+        f"(speedup {study.speedup:.3f}x over synchronous)"
     )
     for pool in timeline.pools():
         print(
@@ -185,21 +102,18 @@ def main(argv=None) -> int:
         )
 
     exit_code = 0
+    controller = study.system.controller
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import system_audit
         from repro.observability import write_chrome_trace
 
         out = write_chrome_trace(
-            args.trace,
-            timeline=timeline,
-            spans=async_sys.controller.tracer.spans,
+            args.trace, timeline=timeline, spans=controller.tracer.spans
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")
-        audit = TraceAuditor().audit_system(async_sys)
-        RaceDetector().detect_system(async_sys, report=audit)
+        audit, races = system_audit(study.system)
         for line in audit.summary_lines():
             print(f"  {line}")
-        races = [f for f in audit.findings if f.rule.startswith("RC")]
         if races:
             print(f"  RACE DETECTED: {len(races)} RC5xx finding(s)")
             exit_code = 1
@@ -208,8 +122,8 @@ def main(argv=None) -> int:
     if args.metrics:
         from repro.observability import collect_system_metrics, write_prometheus
 
-        collect_system_metrics(async_sys.controller)
-        out = write_prometheus(args.metrics, async_sys.controller.metrics)
+        collect_system_metrics(controller)
+        out = write_prometheus(args.metrics, controller.metrics)
         print(f"  wrote Prometheus metrics to {out}")
     return exit_code
 

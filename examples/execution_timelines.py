@@ -16,64 +16,38 @@ Run:  python examples/execution_timelines.py
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime import TINY_LM, PlacementPlan, build_rlhf_system
 from repro.runtime.timeline import build_timeline
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 PAR = ParallelConfig(1, 2, 1)
-GEN = GenParallelConfig.derive(PAR, 1, 1)
-ONE = ParallelConfig(1, 1, 1)
+RFN = (ParallelConfig(1, 1, 1), ["reward"])  # the reward function's one GPU
 TASK = SyntheticPreferenceTask(vocab_size=16)
 
-
-def plan_for(kind: str) -> PlacementPlan:
-    if kind == "colocate":
-        return PlacementPlan(
-            pools={"shared": 2, "rfn": 1},
-            assignments={
-                "actor": ModelAssignment("shared", PAR, GEN),
-                "critic": ModelAssignment("shared", PAR),
-                "reference": ModelAssignment("shared", PAR),
-                "reward": ModelAssignment("rfn", ONE),
-            },
-        )
-    if kind == "split":
-        return PlacementPlan(
-            pools={"actor_side": 2, "critic_side": 2, "rfn": 1},
-            assignments={
-                "actor": ModelAssignment("actor_side", PAR, GEN),
-                "reference": ModelAssignment("actor_side", PAR),
-                "critic": ModelAssignment("critic_side", PAR),
-                "reward": ModelAssignment("rfn", ONE),
-            },
-        )
-    return PlacementPlan(  # standalone
-        pools={"p_actor": 2, "p_critic": 2, "p_ref": 2, "rfn": 1},
-        assignments={
-            "actor": ModelAssignment("p_actor", PAR, GEN),
-            "critic": ModelAssignment("p_critic", PAR),
-            "reference": ModelAssignment("p_ref", PAR),
-            "reward": ModelAssignment("rfn", ONE),
-        },
-    )
+# §8.3's three placements, as groupings of the models onto pools
+PLACEMENTS = {
+    "colocate": {"shared": (PAR, ["actor", "critic", "reference"]), "rfn": RFN},
+    "split": {
+        "actor_side": (PAR, ["actor", "reference"]),
+        "critic_side": (PAR, ["critic"]),
+        "rfn": RFN,
+    },
+    "standalone": {
+        "p_actor": (PAR, ["actor"]),
+        "p_critic": (PAR, ["critic"]),
+        "p_ref": (PAR, ["reference"]),
+        "rfn": RFN,
+    },
+}
 
 
 def main() -> None:
     prompts = PromptDataset(32, 4, 16, seed=1)
-    for kind in ("colocate", "split", "standalone"):
+    for kind, groups in PLACEMENTS.items():
         system = build_rlhf_system(
             AlgoType.PPO,
-            plan_for(kind),
-            CFG,
+            PlacementPlan.grouped(groups, GenParallelConfig.derive(PAR, 1, 1)),
+            TINY_LM,
             reward_fn=TASK.reward,
             max_new_tokens=5,
         )

@@ -25,73 +25,36 @@ import tempfile
 
 import numpy as np
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-from repro.data import PromptDataset, SyntheticPreferenceTask
+from repro.config import ClusterSpec
 from repro.faults import FaultInjector, FaultPlan
-from repro.models.tinylm import TinyLMConfig
-from repro.rlhf import AlgoType
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import (
-    ModelAssignment,
-    PlacementPlan,
-    build_rlhf_system,
-    train_with_recovery,
-)
+from repro.runtime import SystemSpec, train_with_recovery
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
-TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-PAR = ParallelConfig(pp=1, tp=2, dp=1)
+# the shipped PPO job: models colocated on main[tp2], function reward on r
+JOB = SystemSpec()
 
 
-def build(cluster=None, cluster_spec=None):
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", PAR, GenParallelConfig.derive(PAR, 1, 1)),
-            "critic": ModelAssignment("main", PAR),
-            "reference": ModelAssignment("main", PAR),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        CFG,
-        cluster_spec=cluster_spec,
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=TASK.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-        cluster=cluster,
-    )
+def rewards(history):
+    return [round(h["score_mean"], 3) for h in history]
 
 
 def main() -> None:
-    dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
+    dataset = JOB.dataset()
 
     print("reference run: 6 uninterrupted PPO iterations")
-    reference = build()
+    reference = JOB.build()
     ref_history = reference.trainer.train(dataset, 6, 8)
-    print("  rewards:", [round(h["score_mean"], 3) for h in ref_history])
+    print("  rewards:", rewards(ref_history))
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
         print("\ninterrupted run: 3 iterations, checkpoint, simulated crash")
-        first = build()
+        first = JOB.build()
         first.trainer.train(dataset, 3, 8)
         first.controller.save_checkpoint(ckpt_dir)
         trainer_state = first.trainer.state_dict()
         del first  # the whole job is gone
 
         print("recovery: rebuild from scratch, restore checkpoint, resume")
-        resumed = build()
+        resumed = JOB.build()
         resumed.controller.load_checkpoint(ckpt_dir)
         resumed.trainer.load_state_dict(trainer_state)
         batches = dataset.iter_batches(8, epochs=10**6)
@@ -99,11 +62,9 @@ def main() -> None:
             next(batches)
         resumed_history = [resumed.trainer.step(next(batches)) for _ in range(3)]
 
-    resumed_scores = [round(h["score_mean"], 3) for h in resumed_history]
-    ref_scores = [round(h["score_mean"], 3) for h in ref_history[3:]]
-    print("  resumed rewards:  ", resumed_scores)
-    print("  reference rewards:", ref_scores)
-    assert resumed_scores == ref_scores, "recovery diverged!"
+    print("  resumed rewards:  ", rewards(resumed_history))
+    print("  reference rewards:", rewards(ref_history[3:]))
+    assert rewards(resumed_history) == rewards(ref_history[3:]), "recovery diverged!"
 
     ref_state = reference.groups["actor"].workers[0].materialize_full_state()
     res_state = resumed.groups["actor"].workers[0].materialize_full_state()
@@ -112,6 +73,7 @@ def main() -> None:
         for name in ref_state
     )
     print(f"  max |weight difference| vs uninterrupted run: {max_diff:.1e}")
+    assert reference.state_equal(resumed), "weights, optimizer or rng diverged!"
     print("\nrecovery is bit-exact: parameters, optimizer, RNG, dataloader.")
 
     # -- part 2: automatic recovery from a machine loss mid-training --------
@@ -120,7 +82,7 @@ def main() -> None:
     injector = FaultInjector(FaultPlan().kill_machine(0, at_step=30))
     with tempfile.TemporaryDirectory() as ckpt_dir:
         system, history, report = train_with_recovery(
-            lambda cluster: build(cluster, cluster_spec=spec),
+            lambda cluster: JOB.build(cluster, spec),
             dataset,
             n_iterations=6,
             batch_size=8,
@@ -134,12 +96,9 @@ def main() -> None:
         w.ctx.device.global_rank for w in system.groups["actor"].workers
     )
     print(f"  actor re-placed on surviving GPUs {survivors}")
-    recovered_scores = [round(h["score_mean"], 3) for h in history]
-    print("  recovered rewards:   ", recovered_scores)
-    print("  uninterrupted rewards:", [round(h["score_mean"], 3) for h in ref_history])
-    assert recovered_scores == [round(h["score_mean"], 3) for h in ref_history], (
-        "automatic recovery diverged!"
-    )
+    print("  recovered rewards:   ", rewards(history))
+    print("  uninterrupted rewards:", rewards(ref_history))
+    assert system.state_equal(reference), "automatic recovery diverged!"
     print("\nmachine loss survived; trajectory identical to the failure-free run.")
 
 

@@ -22,22 +22,13 @@ import numpy as np
 
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
 from repro.rlhf.pipeline import RewardModelTrainer, SFTTrainer
 from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime import TINY_LM, PlacementPlan, build_rlhf_system
 from repro.single_controller import SingleController, WorkerGroup
 from repro.workers.scorers import TrainableRewardWorker
 
-LM_CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
 
 
@@ -57,21 +48,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     parallel = ParallelConfig(pp=1, tp=2, dp=1)
-    plan = PlacementPlan(
-        pools={"main": 2},
-        assignments={
-            "actor": ModelAssignment(
-                "main", parallel, GenParallelConfig.derive(parallel, 1, 1)
-            ),
-            "critic": ModelAssignment("main", parallel),
-            "reference": ModelAssignment("main", parallel),
-            "reward": ModelAssignment("main", parallel),
-        },
+    plan = PlacementPlan.grouped(
+        {"main": (parallel, ["actor", "critic", "reference", "reward"])},
+        GenParallelConfig.derive(parallel, 1, 1),
     )
     system = build_rlhf_system(
         AlgoType.PPO,
         plan,
-        LM_CFG,
+        TINY_LM,
         trainer_config=TrainerConfig(kl_coef=0.01, ppo_epochs=2, updates_per_epoch=2),
         max_new_tokens=8,
         lr=5e-3,
@@ -101,7 +85,7 @@ def main(argv=None) -> int:
         controller=controller,
         name="reward",
         worker_kwargs={
-            "model_config": dataclasses.replace(LM_CFG, output_head="scalar"),
+            "model_config": dataclasses.replace(TINY_LM, output_head="scalar"),
             "lr": 5e-3,
         },
     )
@@ -145,7 +129,11 @@ def main(argv=None) -> int:
     )
     exit_code = 0
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import (
+            predict_system_outputs,
+            shape_cross_validate,
+            system_audit,
+        )
         from repro.observability import write_chrome_trace
         from repro.runtime.report import system_report_dict
         from repro.runtime.timeline import build_timeline
@@ -157,18 +145,15 @@ def main(argv=None) -> int:
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")
 
-        # post-run audit: happens-before over the spans and ledgers; the
-        # findings ride along inside the machine-readable run report
-        audit = TraceAuditor().audit_system(system)
+        # post-run audit: happens-before over the spans and ledgers, then
         # vector-clock race detection over the same trace plus the
-        # shared-state access log (device memory, checkpoints, merges)
-        RaceDetector().detect_system(system, report=audit)
+        # shared-state access log (device memory, checkpoints, merges); the
+        # findings ride along inside the machine-readable run report
+        audit, races = system_audit(system)
         for line in audit.summary_lines():
             print(f"  {line}")
         # SF7xx cross-validation: recorded runtime shapes vs the static
         # symbolic inference over the same system
-        from repro.analysis import predict_system_outputs, shape_cross_validate
-
         predictions = predict_system_outputs(
             system, batch_size=16, prompt_length=4
         )
@@ -182,7 +167,6 @@ def main(argv=None) -> int:
             f"  run report embeds {len(report_doc['analysis']['findings'])} "
             "audit finding(s)"
         )
-        races = [f for f in audit.findings if f.rule.startswith("RC")]
         if races:
             print(f"  RACE DETECTED: {len(races)} RC5xx finding(s)")
             exit_code = 1

@@ -23,28 +23,22 @@ with the sequential sampler.
 Run:  python examples/rollout_serving.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
-from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.models.tinylm import TinyLM
 from repro.perf.continuous_batching import (
-    continuous_schedule_stats,
+    cross_check_engine,
     sample_response_lengths,
-    static_schedule_stats,
 )
 from repro.rlhf import AlgoType
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime import TINY_LM, PlacementPlan, build_rlhf_system
 from repro.serving import RolloutServer, ServingConfig
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=48,
-)
+CFG = dataclasses.replace(TINY_LM, max_seq_len=48)
 
 
 def part1_matched_workload():
@@ -65,13 +59,14 @@ def part1_matched_workload():
     report = server.drain()
     for line in report.summary_lines():
         print(f"  {line}")
-    n_steps, util = continuous_schedule_stats(lengths, 6)
-    static, _ = static_schedule_stats(lengths, 6)
-    print(f"  analytic model       : {n_steps} steps, {util:.3f} utilisation")
-    print(f"  static wave batching : {static} steps "
-          f"({static / report.n_steps:.2f}x the engine)")
-    assert report.n_steps == n_steps, "engine diverged from the Orca schedule"
-    assert abs(report.slot_utilisation - util) < 1e-9
+    # the check `repro serve` exits on: the drain against both analytic
+    # schedules of the responses it realised
+    check = cross_check_engine(report, 6)
+    print(f"  analytic model       : {check.n_steps} steps, "
+          f"{check.slot_utilisation:.3f} utilisation")
+    print(f"  static wave batching : {check.static_steps} steps "
+          f"({check.static_steps / report.n_steps:.2f}x the engine)")
+    assert check.matched and check.ok, "engine diverged from the Orca schedule"
 
 
 def part2_bursty_slo_stream():
@@ -119,37 +114,24 @@ def part3_serving_backed_actor():
     print("Part 3: the serving engine inside the RLHF pipeline")
     print("=" * 72)
     par = ParallelConfig(pp=1, tp=2, dp=1)
-    gen = GenParallelConfig.derive(par, 1, 1)
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    plan = PlacementPlan(
-        pools={"main": 2},
-        assignments={
-            m: ModelAssignment("main", par, gen if m == "actor" else None)
-            for m in ("actor", "critic", "reference", "reward")
-        },
+    plan = PlacementPlan.grouped(
+        {"main": (par, ["actor", "critic", "reference", "reward"])},
+        GenParallelConfig.derive(par, 1, 1),
     )
 
     def build(use_serving):
         return build_rlhf_system(
             AlgoType.PPO,
             plan,
-            cfg,
+            TINY_LM,
             max_new_tokens=8,
             lr=5e-3,
             eos_token_id=0,
             use_serving=use_serving,
         )
 
-    prompts = PromptDataset(
-        n_prompts=16, prompt_length=4, vocab_size=16, seed=1
-    ).batch(0, 8)
+    dataset = PromptDataset(n_prompts=64, prompt_length=4, vocab_size=16, seed=1)
+    prompts = dataset.batch(0, 8)
     served = build(True).groups["actor"].generate_sequences(
         prompts, do_sample=False
     ).get()
@@ -166,11 +148,7 @@ def part3_serving_backed_actor():
     print(f"  EOS-terminated response lengths: {lengths.tolist()}")
 
     system = build(True)
-    history = system.trainer.train(
-        PromptDataset(n_prompts=64, prompt_length=4, vocab_size=16, seed=1),
-        2,
-        8,
-    )
+    history = system.trainer.train(dataset, 2, 8)
     print("  2 PPO iterations through the serving path, score_mean:",
           [round(h["score_mean"], 3) for h in history])
     tokens = system.controller.metrics.total("repro_serving_tokens_total")
@@ -178,7 +156,11 @@ def part3_serving_backed_actor():
     print(f"  observability: {int(tokens)} served tokens, {spans} serving spans")
 
 
-if __name__ == "__main__":
+def main() -> None:
     part1_matched_workload()
     part2_bursty_slo_stream()
     part3_serving_backed_actor()
+
+
+if __name__ == "__main__":
+    main()

@@ -71,7 +71,11 @@ from repro.analysis.sharding import (
     sweep_overlap_fraction,
     sweep_union_fraction,
 )
-from repro.analysis.trace_audit import PERSISTENT_SUFFIXES, TraceAuditor
+from repro.analysis.trace_audit import (
+    PERSISTENT_SUFFIXES,
+    TraceAuditor,
+    system_audit,
+)
 
 __all__ = [
     "ALL_RULES",
@@ -111,4 +115,5 @@ __all__ = [
     "sweep_difference_fraction",
     "sweep_overlap_fraction",
     "sweep_union_fraction",
+    "system_audit",
 ]

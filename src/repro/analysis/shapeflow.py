@@ -624,7 +624,9 @@ class ShapeFlowChecker:
         report = report if report is not None else AnalysisReport("shapeflow")
         algo = AlgoType(algo) if algo is not None else AlgoType.PPO
         if plan is None:
-            plan = _tiny_plan(algo)
+            from repro.runtime.builder import SystemSpec
+
+            plan = SystemSpec(algo=algo).plan
         window = pipeline_config.staleness_window
         weighted = getattr(pipeline_config, "importance_weighting", True)
         report.note_checked("pipeline_configs")
@@ -1278,36 +1280,6 @@ class ShapeFlowChecker:
 # ---------------------------------------------------------------------------
 
 
-def _tiny_plan(algo: Any) -> Any:
-    """The cli's tiny example placement: 2-GPU main pool + 1-GPU reward."""
-    from repro.config import GenParallelConfig, ParallelConfig
-    from repro.rlhf.core import AlgoType
-    from repro.runtime.placement import ModelAssignment, PlacementPlan
-    from repro.runtime.builder import required_models
-
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    gen = GenParallelConfig.derive(par, 1, 1)
-    assignments = {}
-    for role in required_models(AlgoType(algo)):
-        if role == "actor":
-            assignments[role] = ModelAssignment("main", par, gen)
-        elif role == "reward":
-            assignments[role] = ModelAssignment(
-                "r", _one_gpu_parallel()
-            )
-        else:
-            assignments[role] = ModelAssignment("main", par)
-    return PlacementPlan(
-        pools={"main": 2, "r": 1}, assignments=assignments
-    )
-
-
-def _one_gpu_parallel() -> Any:
-    from repro.config import ParallelConfig
-
-    return ParallelConfig(pp=1, tp=1, dp=1)
-
-
 def shipped_graph_reports(
     batch: int = 8,
     mutate: Optional[str] = None,
@@ -1319,7 +1291,6 @@ def shipped_graph_reports(
     serving-backed actor, the async one-step-off pipeline, and the
     train→gen transition geometry (both grouping modes, tiny + colocate).
     """
-    from repro.config import GenParallelConfig, ParallelConfig
     from repro.parallel.topology import (
         GenGroupingMode,
         GenTopology,
@@ -1327,47 +1298,27 @@ def shipped_graph_reports(
     )
     from repro.pipeline import PipelineConfig
     from repro.rlhf.core import AlgoType
+    from repro.runtime.builder import SystemSpec, shipped_placements
 
     chk = checker if checker is not None else ShapeFlowChecker(mutate=mutate)
-    common = dict(
-        batch_size=batch, prompt_length=4, max_new_tokens=6, max_seq_len=32
-    )
     out: List[Tuple[str, AnalysisReport]] = []
-    out.append(
-        (
-            "shapeflow[tiny-ppo]",
-            chk.check_plan(
-                AlgoType.PPO,
-                _tiny_plan(AlgoType.PPO),
-                function_rewards=("reward",),
-                **common,
-            ),
+    for name, algo, serving in (
+        ("tiny-ppo", AlgoType.PPO, {}),
+        ("grpo", AlgoType.GRPO, {}),
+        ("serving-ppo", AlgoType.PPO, dict(eos_token_id=3, use_serving=True)),
+    ):
+        spec = SystemSpec(algo=algo)
+        report = chk.check_plan(
+            algo,
+            spec.plan,
+            function_rewards=spec.function_rewards,
+            batch_size=batch,
+            prompt_length=spec.prompt_length,
+            max_new_tokens=spec.max_new_tokens,
+            max_seq_len=spec.model_config.max_seq_len,
+            **serving,
         )
-    )
-    out.append(
-        (
-            "shapeflow[grpo]",
-            chk.check_plan(
-                AlgoType.GRPO,
-                _tiny_plan(AlgoType.GRPO),
-                function_rewards=("reward",),
-                **common,
-            ),
-        )
-    )
-    out.append(
-        (
-            "shapeflow[serving-ppo]",
-            chk.check_plan(
-                AlgoType.PPO,
-                _tiny_plan(AlgoType.PPO),
-                function_rewards=("reward",),
-                eos_token_id=3,
-                use_serving=True,
-                **common,
-            ),
-        )
-    )
+        out.append((f"shapeflow[{name}]", report))
     out.append(
         (
             "shapeflow[async-pipeline]",
@@ -1380,16 +1331,13 @@ def shipped_graph_reports(
         )
     )
     transition_report = AnalysisReport("shapeflow")
-    grids = (
-        (ParallelConfig(pp=1, tp=2, dp=1), 1, 1),
-        (ParallelConfig(pp=1, tp=8, dp=2), 1, 2),
-    )
-    for par, gen_pp, gen_tp in grids:
-        train = ParallelTopology(par)
-        gen_cfg = GenParallelConfig.derive(par, gen_pp, gen_tp)
+    for plan in shipped_placements().values():
+        actor = plan.assignments["actor"]
+        train = ParallelTopology(actor.parallel)
         for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
             chk.check_transition(
-                GenTopology(train, gen_cfg, mode), report=transition_report
+                GenTopology(train, actor.gen_parallel, mode),
+                report=transition_report,
             )
     out.append(("shapeflow[transition]", transition_report))
     return out

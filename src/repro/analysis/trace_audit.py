@@ -18,13 +18,16 @@ Three entry points: :meth:`TraceAuditor.audit_system` for a live
 :class:`~repro.runtime.RlhfSystem`, :meth:`TraceAuditor.audit` for explicit
 spans/timeline/devices, and :meth:`TraceAuditor.audit_chrome_trace` for an
 exported ``trace_event`` JSON document (as a viewer sees it).
+:func:`system_audit` is the whole post-run gate over a live system: this
+audit plus the RC5xx race pass, in one report.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.report import ERROR, WARNING, AnalysisReport
+from repro.analysis.races import RaceDetector
+from repro.analysis.report import ERROR, WARNING, AnalysisReport, Finding
 
 #: Tag suffixes resident by design between stages (§2.3): parameters,
 #: gradients and optimizer state live for the whole job, so they are not
@@ -300,3 +303,15 @@ class TraceAuditor:
                         "must come from the same model"
                     ),
                 )
+
+
+def system_audit(system: Any) -> Tuple[AnalysisReport, List[Finding]]:
+    """Audit a finished run of a live system: TA2xx over its spans, timeline
+    and ledgers, then RC5xx over the same trace plus the access log.
+
+    Returns the merged report and its race findings; a caller gating a
+    schedule (the async overlap, a fleet tenant) fails on any of the latter.
+    """
+    report = TraceAuditor().audit_system(system)
+    RaceDetector().detect_system(system, report=report)
+    return report, [f for f in report.findings if f.rule.startswith("RC")]

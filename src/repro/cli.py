@@ -1,33 +1,13 @@
-"""Command-line interface for the analytical tools.
+"""Command-line interface: argument parsing, dispatch and printing.
 
-Five subcommands, mirroring the evaluation's workflows:
-
-* ``throughput`` — compare HybridFlow and the baselines on one scenario
-  (one row of Figures 9-11).
-* ``map`` — run the auto device-mapping algorithm (§6) and print the chosen
-  placement, parallel strategies, and iteration breakdown.
-* ``transition`` — Table 2's overhead algebra plus estimated transition
-  time for a given actor configuration.
-* ``sweep-gen`` — Figure 15's generation-TP sweep for one model.
-* ``map-hetero`` — device mapping over heterogeneous zones (the extension
-  §6 sketches).
-* ``faults`` — run a tiny functional PPO job under injected failures with
-  automatic recovery (§9) and report MTTR plus the checkpoint-interval
-  goodput trade-off.
-* ``trace`` — run the tiny functional PPO job (optionally fault-injected)
-  and export a Chrome ``trace_event`` JSON with one track per pool
-  (Figure 3) plus the runtime-span track, verifying the exported busy/idle
-  fractions against the in-memory timeline accounting.
-* ``metrics`` — same run, dumped as Prometheus text exposition.
-* ``fleet`` — gang-schedule several tenant RLHF jobs onto one shared
-  simulated cluster under injected machine/rack kills, with elastic
-  resizing, checkpoint-and-evict preemption, and per-job MTTR/goodput/
-  fairness accounting (``repro.fleet``).
-* ``serve`` — run the functional continuous-batching rollout server
-  (paged KV blocks, priority scheduling, preempt-and-recompute) on a
-  synthetic request stream, report latency/SLO statistics, and cross-check
-  the measured schedule against the analytic model of
-  ``repro.perf.continuous_batching``.
+Each subcommand parses its flags, calls the function that does the work —
+the analytic models of ``repro.perf``/``repro.mapping``, or a
+self-verifying flow beside its subsystem (``runtime.train_with_recovery``,
+``pipeline.overlap_study``, ``perf.continuous_batching.cross_check_engine``,
+``fleet.FleetScheduler``, ``analysis``) — and prints what came back.
+``python -m repro.cli --help`` lists the subcommands; ``<subcommand>
+--help`` its flags.  Bad arguments exit 2 with a message on stderr before
+anything runs; a run that fails or fails its own check exits 1.
 
 Examples::
 
@@ -41,13 +21,16 @@ Examples::
     python -m repro.cli metrics --out metrics.prom
     python -m repro.cli serve --requests 16 --slots 4 --blocks 12
     python -m repro.cli fleet --jobs 3 --kill-machine 0 --kill-machine 2
+    python -m repro.cli pipeline --staleness 1 --iterations 3 --trace async.json
+    python -m repro.cli check --strict --models --shapes
+    python -m repro.cli bench --check
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.baselines import ALL_SYSTEMS
 from repro.baselines.common import InfeasibleScenario
@@ -64,13 +47,34 @@ from repro.mapping import map_dataflow
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time
 from repro.rlhf.core import AlgoType
+from repro.runtime.builder import required_models
 
-_MODELS_BY_ALGO = {
-    AlgoType.PPO: ("actor", "critic", "reference", "reward"),
-    AlgoType.REMAX: ("actor", "reference", "reward"),
-    AlgoType.SAFE_RLHF: ("actor", "critic", "reference", "reward", "cost"),
-    AlgoType.GRPO: ("actor", "reference", "reward"),
-}
+
+class UsageError(Exception):
+    """Arguments no run could honour: ``main`` exits 2."""
+
+
+class RunFailed(Exception):
+    """A run that died or failed its own check: ``main`` exits 1."""
+
+
+def _require_index(flag: str, value: int, n: int, unit: str) -> None:
+    if not 0 <= value < n:
+        raise UsageError(f"{flag} {value} out of range for {n} {unit}")
+
+
+def _write_json(path: str, doc: Any, context: str):
+    """Write ``doc`` through the ``json_safe`` sanitizer (a raw ``json.dumps``
+    could leak numpy scalars into the file)."""
+    import json
+    import pathlib
+
+    from repro.serialization import json_safe
+
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(json_safe(doc, context), indent=2) + "\n")
+    return out
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +118,7 @@ def _workload(args: argparse.Namespace) -> RlhfWorkload:
 def _specs(args: argparse.Namespace):
     algo = AlgoType(args.algo)
     return algo, {
-        role: MODEL_SPECS[args.model] for role in _MODELS_BY_ALGO[algo]
+        role: MODEL_SPECS[args.model] for role in required_models(algo)
     }
 
 
@@ -258,12 +262,10 @@ def cmd_map_hetero(args: argparse.Namespace) -> int:
             name, gpu_name, machines = entry.split(":")
             gpu = GPU_SPECS[gpu_name]
         except (ValueError, KeyError):
-            print(
+            raise UsageError(
                 f"bad --zone {entry!r}; expected NAME:GPU:MACHINES with GPU "
-                f"in {sorted(GPU_SPECS)}",
-                file=sys.stderr,
-            )
-            return 2
+                f"in {sorted(GPU_SPECS)}"
+            ) from None
         zones.append(
             ClusterZone(name, ClusterSpec(n_machines=int(machines), gpu=gpu))
         )
@@ -284,95 +286,46 @@ def cmd_map_hetero(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    # Functional-path imports stay local so the analytic subcommands keep
-    # their fast import time.
-    import tempfile
+def _shipped_job_faults(args: argparse.Namespace):
+    """``(cluster spec, injector)``: where the shipped job runs and the
+    faults ``args`` schedule against it, validated."""
+    from repro.faults import FaultInjector, FaultPlan
 
-    from repro.config import GenParallelConfig as GenPC
-    from repro.data import PromptDataset, SyntheticPreferenceTask
-    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-    from repro.models.tinylm import TinyLMConfig
-    from repro.perf import goodput_vs_interval, optimal_checkpoint_interval
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import (
-        ModelAssignment,
-        PlacementPlan,
-        build_rlhf_system,
-        train_with_recovery,
-    )
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    par = ParallelConfig(pp=1, tp=2, dp=1)
+    if args.iterations < 1:
+        raise UsageError(f"--iterations must be >= 1, got {args.iterations}")
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
-
-    def build(cluster=None):
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", par, GenPC.derive(par, 1, 1)),
-                "critic": ModelAssignment("main", par),
-                "reference": ModelAssignment("main", par),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
-        )
-        return build_rlhf_system(
-            AlgoType.PPO,
-            plan,
-            cfg,
-            cluster_spec=spec,
-            trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-            reward_fn=task.reward,
-            max_new_tokens=6,
-            lr=5e-3,
-            seed=7,
-            cluster=cluster,
-        )
-
-    fault_plan = FaultPlan()
+    plan = FaultPlan()
     if args.kill_machine is not None:
-        if not 0 <= args.kill_machine < spec.n_machines:
-            print(
-                f"--kill-machine {args.kill_machine} out of range for "
-                f"{spec.n_machines} machine(s)",
-                file=sys.stderr,
-            )
-            return 2
-        fault_plan.kill_machine(args.kill_machine, at_step=args.at_step)
+        _require_index(
+            "--kill-machine", args.kill_machine, spec.n_machines, "machine(s)"
+        )
+        plan.kill_machine(args.kill_machine, at_step=args.at_step)
     if args.kill_device is not None:
-        if not 0 <= args.kill_device < spec.n_gpus:
-            print(
-                f"--kill-device {args.kill_device} out of range for "
-                f"{spec.n_gpus} GPU(s)",
-                file=sys.stderr,
-            )
-            return 2
-        fault_plan.kill_device(args.kill_device, at_step=args.at_step)
+        _require_index("--kill-device", args.kill_device, spec.n_gpus, "GPU(s)")
+        plan.kill_device(args.kill_device, at_step=args.at_step)
     if args.transients:
-        fault_plan.transient(at_step=args.at_step, count=args.transients)
-    injector = FaultInjector(fault_plan)
+        plan.transient(at_step=args.at_step, count=args.transients)
+    return spec, FaultInjector(plan)
 
-    print(
-        f"fault-injected PPO on {spec.n_gpus} simulated GPUs "
-        f"({args.iterations} iterations, checkpoint every {args.ckpt_every}, "
-        f"{len(fault_plan)} scheduled fault(s))"
-    )
-    dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
+
+def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector):
+    """The shipped PPO job under automatic recovery (§9), batch 8.
+
+    Returns ``train_with_recovery``'s ``(system, history, report)``.
+    """
+    import tempfile
+
+    from repro.faults import RetryPolicy
+    from repro.runtime import SystemSpec, train_with_recovery
+
+    job = SystemSpec()
     with tempfile.TemporaryDirectory() as ckpt_dir:
         try:
-            system, history, report = train_with_recovery(
-                build,
-                dataset,
+            return train_with_recovery(
+                lambda cluster: job.build(cluster, cluster_spec),
+                job.dataset(),
                 n_iterations=args.iterations,
                 batch_size=8,
                 checkpoint_dir=ckpt_dir,
@@ -381,8 +334,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 retry_policy=RetryPolicy(seed=args.seed),
             )
         except (RuntimeError, ValueError) as exc:  # worker lost, exhausted, bad args
-            print(f"unrecoverable failure: {exc}", file=sys.stderr)
-            return 1
+            raise RunFailed(f"unrecoverable failure: {exc}") from exc
+
+
+def cmd_faults(args: argparse.Namespace) -> int:
+    from repro.perf import goodput_vs_interval, optimal_checkpoint_interval
+
+    spec, injector = _shipped_job_faults(args)
+    print(
+        f"fault-injected PPO on {spec.n_gpus} simulated GPUs "
+        f"({args.iterations} iterations, checkpoint every {args.ckpt_every}, "
+        f"{len(injector.plan)} scheduled fault(s))"
+    )
+    _system, history, report = _train_shipped_job(args, spec, injector)
     print("  rewards:", [round(h["score_mean"], 3) for h in history])
     for line in report.summary_lines():
         print(line)
@@ -414,91 +378,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_tiny_ppo(args: argparse.Namespace):
-    """The tiny functional PPO job the observability subcommands profile.
-
-    Mirrors ``cmd_faults``'s system (2-layer TinyLM, pools main=2/r=1) with
-    an optional single device kill, so traces and metrics can be inspected
-    both for clean runs and across a fault-and-recovery cycle.
-
-    Returns ``(system, history, report)``.
-    """
-    import tempfile
-
-    from repro.config import GenParallelConfig as GenPC
-    from repro.data import PromptDataset, SyntheticPreferenceTask
-    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import (
-        ModelAssignment,
-        PlacementPlan,
-        build_rlhf_system,
-        train_with_recovery,
-    )
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    spec = ClusterSpec(
-        n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
-    )
-
-    def build(cluster=None):
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", par, GenPC.derive(par, 1, 1)),
-                "critic": ModelAssignment("main", par),
-                "reference": ModelAssignment("main", par),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
-        )
-        return build_rlhf_system(
-            AlgoType.PPO,
-            plan,
-            cfg,
-            cluster_spec=spec,
-            trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-            reward_fn=task.reward,
-            max_new_tokens=6,
-            lr=5e-3,
-            seed=7,
-            cluster=cluster,
-        )
-
-    fault_plan = FaultPlan()
-    if args.kill_device is not None:
-        if not 0 <= args.kill_device < spec.n_gpus:
-            raise ValueError(
-                f"--kill-device {args.kill_device} out of range for "
-                f"{spec.n_gpus} GPU(s)"
-            )
-        fault_plan.kill_device(args.kill_device, at_step=args.at_step)
-    injector = FaultInjector(fault_plan) if len(fault_plan) else None
-
-    dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        system, history, report = train_with_recovery(
-            build,
-            dataset,
-            n_iterations=args.iterations,
-            batch_size=8,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=args.ckpt_every,
-            injector=injector,
-            retry_policy=RetryPolicy(seed=args.seed),
-        )
-    return system, history, report
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability import (
         chrome_trace,
@@ -507,11 +386,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.runtime.timeline import build_timeline
 
-    try:
-        system, history, report = _run_tiny_ppo(args)
-    except (RuntimeError, ValueError) as exc:
-        print(f"unrecoverable failure: {exc}", file=sys.stderr)
-        return 1
+    system, _history, report = _train_shipped_job(
+        args, *_shipped_job_faults(args)
+    )
     controller = system.controller
     timeline = build_timeline(controller)
     doc = chrome_trace(timeline=timeline, spans=controller.tracer.spans)
@@ -552,30 +429,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"[{'ok' if match else 'MISMATCH'}]"
         )
     if not ok:
-        print("trace does not match timeline accounting", file=sys.stderr)
-        return 1
+        raise RunFailed("trace does not match timeline accounting")
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability import collect_system_metrics
+    from repro.observability import collect_system_metrics, write_prometheus
 
-    try:
-        system, history, report = _run_tiny_ppo(args)
-    except (RuntimeError, ValueError) as exc:
-        print(f"unrecoverable failure: {exc}", file=sys.stderr)
-        return 1
+    system, _history, _report = _train_shipped_job(
+        args, *_shipped_job_faults(args)
+    )
     registry = collect_system_metrics(system.controller)
-    text = registry.render_prometheus()
     if args.out:
-        import pathlib
-
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        out = write_prometheus(args.out, registry)
         print(f"wrote {len(registry)} series to {out}", file=sys.stderr)
     else:
-        print(text, end="")
+        print(registry.render_prometheus(), end="")
     return 0
 
 
@@ -606,65 +475,65 @@ def _observability_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=0, help="retry-backoff jitter seed")
     p.add_argument("--out", default=None, help="output file path")
+    # the faults these two subcommands do not offer (see `repro faults`)
+    p.set_defaults(kill_machine=None, transients=0)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     # Functional-path imports stay local so the analytic subcommands keep
     # their fast import time.
+    import dataclasses
+
     import numpy as np
 
-    from repro.models.tinylm import TinyLM, TinyLMConfig
+    from repro.models.tinylm import TinyLM
     from repro.perf.continuous_batching import (
-        continuous_schedule_stats,
+        cross_check_engine,
         sample_response_lengths,
-        static_schedule_stats,
     )
+    from repro.runtime import TINY_LM
     from repro.serving import RolloutServer, ServingConfig
 
     if args.priority_levels < 1:
-        print("--priority-levels must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--priority-levels must be >= 1")
     rng = np.random.default_rng(args.seed)
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=args.prompt_length + args.max_response,
+    cfg = dataclasses.replace(
+        TINY_LM, max_seq_len=args.prompt_length + args.max_response
     )
-    model = TinyLM(cfg, seed=args.seed)
-    lengths = sample_response_lengths(
-        args.requests, args.mean_response, args.max_response, rng
-    )
-    serving = ServingConfig(
-        max_slots=args.slots,
-        block_size=args.block_size,
-        n_blocks=args.blocks,
-        eos_token_id=args.eos,
-        greedy=args.eos is None,
-        slo_ttft=args.slo_ttft,
-        slo_latency=args.slo_latency,
-        seed=args.seed,
-    )
-    server = RolloutServer(model, serving)
-    arrival = 0.0
-    for i in range(args.requests):
-        if args.arrival_rate > 0:
-            arrival += (
-                float(rng.exponential(1.0 / args.arrival_rate))
-                * serving.step_time
-            )
-        server.submit(
-            rng.integers(0, cfg.vocab_size, size=args.prompt_length),
-            # with EOS the response length is sampled by the model itself;
-            # without, each request greedily runs to its target length
-            max_new_tokens=(
-                args.max_response if args.eos is not None else int(lengths[i])
-            ),
-            priority=int(rng.integers(0, args.priority_levels)),
-            arrival_time=arrival if args.arrival_rate > 0 else 0.0,
+    try:  # everything up to the drain is set-up: its ValueErrors are usage
+        lengths = sample_response_lengths(
+            args.requests, args.mean_response, args.max_response, rng
         )
+        serving = ServingConfig(
+            max_slots=args.slots,
+            block_size=args.block_size,
+            n_blocks=args.blocks,
+            eos_token_id=args.eos,
+            greedy=args.eos is None,
+            slo_ttft=args.slo_ttft,
+            slo_latency=args.slo_latency,
+            seed=args.seed,
+        )
+        server = RolloutServer(TinyLM(cfg, seed=args.seed), serving)
+        arrival = 0.0
+        for i in range(args.requests):
+            if args.arrival_rate > 0:
+                arrival += (
+                    float(rng.exponential(1.0 / args.arrival_rate))
+                    * serving.step_time
+                )
+            server.submit(
+                rng.integers(0, cfg.vocab_size, size=args.prompt_length),
+                # with EOS the response length is sampled by the model itself;
+                # without, each request greedily runs to its target length
+                max_new_tokens=(
+                    args.max_response if args.eos is not None else int(lengths[i])
+                ),
+                priority=int(rng.integers(0, args.priority_levels)),
+                arrival_time=arrival if args.arrival_rate > 0 else 0.0,
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = server.drain()
     print(
         f"continuous-batching rollout serving: {args.requests} requests on "
@@ -674,53 +543,35 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for line in report.summary_lines():
         print(f"  {line}")
 
-    realised = [r.response_length for r in report.completed]
-    static_steps, _ = static_schedule_stats(realised, args.slots)
+    check = cross_check_engine(report, args.slots)
     print(
-        f"  static wave batching : {static_steps} steps for the same "
-        f"responses ({static_steps / max(report.n_steps, 1):.2f}x the "
+        f"  static wave batching : {check.static_steps} steps for the same "
+        f"responses ({check.static_steps / max(report.n_steps, 1):.2f}x the "
         f"engine's {report.n_steps})"
     )
-
-    # On a matched workload (all requests at t=0, one priority class, no
-    # preemption) the engine must replay the analytic Orca schedule exactly.
-    if (
-        args.arrival_rate == 0
-        and args.priority_levels == 1
-        and report.n_preemptions == 0
-    ):
-        n_steps, util = continuous_schedule_stats(realised, args.slots)
-        ok = (
-            n_steps == report.n_steps
-            and abs(util - report.slot_utilisation) < 1e-9
-        )
+    if check.matched:
         print(
             f"  analytic cross-check : engine {report.n_steps} steps / "
-            f"{report.slot_utilisation:.3f} util vs model {n_steps} / "
-            f"{util:.3f} [{'ok' if ok else 'MISMATCH'}]"
+            f"{report.slot_utilisation:.3f} util vs model {check.n_steps} / "
+            f"{check.slot_utilisation:.3f} [{'ok' if check.ok else 'MISMATCH'}]"
         )
-        if not ok:
-            print(
-                "engine disagrees with repro.perf.continuous_batching",
-                file=sys.stderr,
-            )
-            return 1
+        if not check.ok:
+            raise RunFailed("engine disagrees with repro.perf.continuous_batching")
     return 0
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Multi-tenant fleet run: N jobs, one shared cluster, injected kills."""
-    import json
     import tempfile
 
     from repro.faults import FaultPlan
     from repro.fleet import FleetScheduler, JobSpec
     from repro.observability import collect_fleet_metrics
-    from repro.serialization import json_safe
 
     if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--jobs must be >= 1")
+    if args.machines_per_rack < 1:
+        raise UsageError("--machines-per-rack must be >= 1")
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
@@ -743,23 +594,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     plan = FaultPlan()
     for machine in args.kill_machines or ():
-        if not 0 <= machine < spec.n_machines:
-            print(
-                f"--kill-machine {machine} out of range for "
-                f"{spec.n_machines} machine(s)",
-                file=sys.stderr,
-            )
-            return 2
+        _require_index("--kill-machine", machine, spec.n_machines, "machine(s)")
         plan.kill_machine(machine, at_step=args.at_tick)
     if args.kill_rack is not None:
-        n_racks = max(1, spec.n_machines // args.machines_per_rack)
-        if not 0 <= args.kill_rack < n_racks:
-            print(
-                f"--kill-rack {args.kill_rack} out of range for "
-                f"{n_racks} rack(s)",
-                file=sys.stderr,
-            )
-            return 2
+        _require_index(
+            "--kill-rack",
+            args.kill_rack,
+            spec.n_racks(args.machines_per_rack),
+            "rack(s)",
+        )
         plan.kill_rack(
             args.kill_rack,
             at_step=args.at_tick,
@@ -784,50 +627,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         registry = collect_fleet_metrics(scheduler)
     for line in report.summary_lines():
         print(line)
-
-    gate_clean = not report.checks_run or not report.analysis_findings
-    goodputs = {j.name: j.goodput for j in report.jobs}
-    ok = (
-        report.all_completed
-        and all(g > 0 for g in goodputs.values())
-        and gate_clean
-    )
     if args.bench_out:
-        import pathlib
-
-        bench = {
-            "benchmark": "fleet_chaos_smoke",
-            "jobs": args.jobs,
-            "cluster_gpus": spec.n_gpus,
-            "devices_killed": report.devices_killed,
-            "goodput_per_job": goodputs,
-            "goodput_mean": sum(goodputs.values()) / len(goodputs),
-            "mttr": report.mttr,
-            "fairness": report.fairness,
-            "preemptions": report.preemptions,
-            "resizes": report.resizes,
-            "failures": report.failures,
-            "makespan": report.makespan,
-            "ticks": report.ticks,
-            "all_completed": report.all_completed,
-            "analysis_findings": dict(report.analysis_findings),
-            "metrics_series": len(registry),
-            "ok": ok,
-        }
-        out = pathlib.Path(args.bench_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(json_safe(bench, "fleet"), indent=2) + "\n")
+        out = _write_json(
+            args.bench_out,
+            report.bench_record(spec.n_gpus, len(registry)),
+            "fleet",
+        )
         print(f"  wrote benchmark record to {out}")
-    if not ok:
-        reasons = []
-        if not report.all_completed:
-            reasons.append("not every job completed")
-        if not all(g > 0 for g in goodputs.values()):
-            reasons.append("a job finished with zero goodput")
-        if not gate_clean:
-            reasons.append("analysis gate found issues")
-        print(f"fleet run FAILED: {'; '.join(reasons)}", file=sys.stderr)
-        return 1
+    problems = report.problems()
+    if problems:
+        raise RunFailed(f"fleet run FAILED: {'; '.join(problems)}")
     return 0
 
 
@@ -837,64 +646,34 @@ def _example_plan_reports(batch: int):
     Two plans are checked: the tiny functional PPO placement every
     faults/trace/metrics subcommand runs (function reward on a 1-GPU pool),
     and a full-scale llama-7b colocated placement with the memory projection
-    enabled (App. C) — the same shape §8's evaluation clusters use.
+    enabled (App. C) — the same shape §8's evaluation clusters use — plus
+    the shipped async-pipeline config (repro pipeline / async_ppo_overlap
+    bench): DF108 soundness of the bounded-staleness relaxation.
     """
     from repro.analysis import DataflowChecker
-    from repro.config import GenParallelConfig as GenPC
-    from repro.runtime import ModelAssignment, PlacementPlan
+    from repro.pipeline import PipelineConfig
+    from repro.rlhf.trainers import TrainerConfig
+    from repro.runtime import SystemSpec, shipped_placements
 
-    reports = []
-    tiny_par = ParallelConfig(pp=1, tp=2, dp=1)
-    tiny_plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", tiny_par, GenPC.derive(tiny_par, 1, 1)),
-            "critic": ModelAssignment("main", tiny_par),
-            "reference": ModelAssignment("main", tiny_par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    checker = DataflowChecker(global_batch_size=batch)
-    report = checker.check_plan(
-        AlgoType.PPO, tiny_plan, function_rewards=("reward",)
-    )
-    report.name = "dataflow[tiny-ppo]"
-    reports.append(report)
-
-    full_par = ParallelConfig(pp=1, tp=8, dp=2)
-    full_plan = PlacementPlan(
-        pools={"all": 16},
-        assignments={
-            "actor": ModelAssignment("all", full_par, GenPC.derive(full_par, 1, 2)),
-            "critic": ModelAssignment("all", full_par),
-            "reference": ModelAssignment("all", full_par),
-            "reward": ModelAssignment("all", full_par),
-        },
-    )
-    checker = DataflowChecker(
+    tiny = SystemSpec()
+    plans = shipped_placements()
+    full = DataflowChecker(
         global_batch_size=1024,
         model_specs={
-            role: MODEL_SPECS["llama-7b"]
-            for role in ("actor", "critic", "reference", "reward")
+            role: MODEL_SPECS["llama-7b"] for role in required_models(AlgoType.PPO)
         },
         workload=RlhfWorkload(),
         cluster_spec=ClusterSpec(n_machines=2),
     )
-    report = checker.check_plan(AlgoType.PPO, full_plan)
-    report.name = "dataflow[llama-7b-colocate]"
-    reports.append(report)
-
-    # the shipped async-pipeline config (repro pipeline / async_ppo_overlap
-    # bench): DF108 soundness of the bounded-staleness relaxation
-    from repro.pipeline import PipelineConfig
-    from repro.rlhf.trainers import TrainerConfig
-
-    report = DataflowChecker(global_batch_size=batch).check_pipeline(
-        PipelineConfig(staleness_window=1), TrainerConfig(), AlgoType.PPO
-    )
-    report.name = "dataflow[async-pipeline]"
-    reports.append(report)
-    return reports
+    return [
+        DataflowChecker(global_batch_size=batch).check_plan(
+            tiny.algo, plans["tiny-ppo"], function_rewards=tiny.function_rewards
+        ),
+        full.check_plan(AlgoType.PPO, plans["llama-7b-colocate"]),
+        DataflowChecker(global_batch_size=batch).check_pipeline(
+            PipelineConfig(staleness_window=1), TrainerConfig(), AlgoType.PPO
+        ),
+    ]
 
 
 def _sharding_reports():
@@ -913,21 +692,18 @@ def _sharding_reports():
         ParallelTopology,
     )
     from repro.parallel.zero import ZeroConfig, ZeroStage
+    from repro.runtime import shipped_placements
 
     verifier = ShardingVerifier()
     reports = []
-    for name, par, gen_pp, gen_tp in (
-        ("tiny-ppo", ParallelConfig(pp=1, tp=2, dp=1), 1, 1),
-        ("llama-7b-colocate", ParallelConfig(pp=1, tp=8, dp=2), 1, 2),
-    ):
-        topo = ParallelTopology(par, name=name)
+    for name, plan in shipped_placements().items():
+        actor = plan.assignments["actor"]
+        topo = ParallelTopology(actor.parallel, name=name)
         report = verifier.verify_topology(topo)
         for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
-            gen = GenTopology(
-                topo, GenParallelConfig.derive(par, gen_pp, gen_tp), mode
+            verifier.verify_transition(
+                GenTopology(topo, actor.gen_parallel, mode), report=report
             )
-            verifier.verify_transition(gen, report=report)
-        report.name = f"sharding[{name}]"
         reports.append(report)
 
     spec = MODEL_SPECS["llama-7b"]
@@ -947,7 +723,6 @@ def _sharding_reports():
         report=report,
         location="fsdp[llama-7b]",
     )
-    report.name = "sharding[zero/fsdp]"
     reports.append(report)
     return reports
 
@@ -998,7 +773,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             combined.merge(report)
     if args.models:
         import dataclasses
-        import pathlib
 
         from repro.analysis import ModelChecker
 
@@ -1011,22 +785,10 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "max_depth": args.mc_depth,
                 "max_states": args.mc_states,
                 "models": [
-                    {
-                        "model": result.model,
-                        "states": result.states,
-                        "transitions": result.transitions,
-                        "truncated": result.truncated,
-                        "counterexamples": [
-                            dataclasses.asdict(ce)
-                            for ce in result.counterexamples
-                        ],
-                    }
-                    for result in checker.last_results
+                    dataclasses.asdict(result) for result in checker.last_results
                 ],
             }
-            pathlib.Path(args.mc_report).write_text(
-                json.dumps(json_safe(doc, "mc_report"), indent=2) + "\n"
-            )
+            _write_json(args.mc_report, doc, "mc_report")
             print(f"model-check report written to {args.mc_report}", file=out)
     for line in combined.summary_lines():
         print(line, file=out)
@@ -1037,12 +799,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         families = " ".join(
             f"{family}={n}" for family, n in combined.family_counts().items()
         )
-        print(
+        raise RunFailed(
             f"repro check FAILED [{families}]"
-            + (" (strict: warnings are failures)" if args.strict else ""),
-            file=sys.stderr,
+            + (" (strict: warnings are failures)" if args.strict else "")
         )
-        return 1
     print("repro check passed", file=out)
     return 0
 
@@ -1050,59 +810,35 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """The ``repro pipeline`` gate: one-step-off overlap with proofs attached.
 
-    Always runs the staleness=0 self-check first — the async driver with an
-    empty window must land bit-for-bit on the synchronous trainer's weights —
-    then runs the requested window and reports the overlap.  With ``--trace``
-    the overlapped schedule is exported and put through the trace auditor and
-    the vector-clock race detector; any RC5xx finding fails the command.
+    :func:`repro.pipeline.overlap_study` runs the staleness=0 self-check —
+    the async driver with an empty window must land bit-for-bit on the
+    synchronous trainer's weights — and the requested window.  With
+    ``--trace`` the overlapped schedule is exported and put through the
+    trace auditor and the vector-clock race detector; any RC5xx finding
+    fails the command.
     """
-    from repro.data import PromptDataset
-    from repro.perf.bench import _build_disaggregated_ppo, _system_states_equal
-    from repro.pipeline import AsyncPipelineDriver, PipelineConfig
-    from repro.runtime.timeline import build_timeline
+    from repro.pipeline import PipelineConfig, overlap_study
 
-    def dataset() -> PromptDataset:
-        return PromptDataset(
-            n_prompts=64, prompt_length=4, vocab_size=16, seed=1
-        )
-
-    n, bs = args.iterations, args.batch
-    pipeline_config = PipelineConfig(
-        staleness_window=args.staleness, stream_scoring=args.stream
-    )
     try:
-        pipeline_config.validate()
-    except ValueError as exc:
-        print(f"bad pipeline config: {exc}", file=sys.stderr)
-        return 2
-
-    sync_sys = _build_disaggregated_ppo()
-    sync_sys.trainer.train(dataset(), n_iterations=n, batch_size=bs)
-    sync_makespan = build_timeline(sync_sys.controller).makespan
-
-    # structural guarantee first: an empty window IS the synchronous loop
-    exact_sys = _build_disaggregated_ppo()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(dataset(), n_iterations=n, batch_size=bs)
-    if not _system_states_equal(sync_sys, exact_sys):
-        print(
-            "staleness=0 self-check FAILED: async driver diverged from the "
-            "synchronous trainer",
-            file=sys.stderr,
+        study = overlap_study(
+            args.iterations,
+            args.batch,
+            PipelineConfig(
+                staleness_window=args.staleness, stream_scoring=args.stream
+            ),
         )
-        return 1
+    except ValueError as exc:
+        raise UsageError(f"bad pipeline config: {exc}") from None
+    if not study.bit_exact:
+        raise RunFailed(
+            "staleness=0 self-check FAILED: async driver diverged from the "
+            "synchronous trainer"
+        )
     print(
         f"staleness=0 self-check: bit-exact with synchronous run_step "
-        f"over {n} iterations"
+        f"over {args.iterations} iterations"
     )
-
-    async_sys = _build_disaggregated_ppo()
-    driver = AsyncPipelineDriver(async_sys.trainer, pipeline_config)
-    driver.train(dataset(), n_iterations=n, batch_size=bs)
-    timeline = build_timeline(async_sys.controller)
-    report = driver.report()
-    speedup = sync_makespan / max(timeline.makespan, 1e-9)
+    report, timeline = study.report, study.timeline
     print(
         f"async pipeline: staleness_window={report['staleness_window']} "
         f"max_staleness_seen={report['max_staleness_seen']} "
@@ -1114,8 +850,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"({report['published_bytes']} bytes via the train->gen plan)"
     )
     print(
-        f"  modeled makespan: sync {sync_makespan:.1f}s -> overlapped "
-        f"{timeline.makespan:.1f}s (speedup {speedup:.3f}x)"
+        f"  modeled makespan: sync {study.sync_makespan:.1f}s -> overlapped "
+        f"{timeline.makespan:.1f}s (speedup {study.speedup:.3f}x)"
     )
     for pool in timeline.pools():
         print(
@@ -1124,27 +860,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import system_audit
         from repro.observability import write_chrome_trace
 
         out = write_chrome_trace(
             args.trace,
             timeline=timeline,
-            spans=async_sys.controller.tracer.spans,
+            spans=study.system.controller.tracer.spans,
         )
         print(f"  wrote Chrome trace to {out}")
-        audit = TraceAuditor().audit_system(async_sys)
-        RaceDetector().detect_system(async_sys, report=audit)
+        audit, races = system_audit(study.system)
         for line in audit.summary_lines():
             print(f"  {line}")
-        races = [f for f in audit.findings if f.rule.startswith("RC")]
         if races:
-            print(
+            raise RunFailed(
                 f"RACE DETECTED on overlapped schedule: {len(races)} "
-                "RC5xx finding(s)",
-                file=sys.stderr,
+                "RC5xx finding(s)"
             )
-            return 1
         print("  race detector: overlapped schedule is clean")
     return 0
 
@@ -1154,84 +886,65 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
+    from repro.fleet.report import compare_fleet_records
     from repro.perf.bench import (
         WORKLOADS,
-        compare_fleet_records,
         compare_records,
         run_bench,
         summary_lines,
     )
-    from repro.serialization import json_safe
 
     baseline_path = pathlib.Path(args.baseline)
+
+    def fail_on(problems: List[str], header: str) -> None:
+        if problems:
+            raise RunFailed("\n".join([header, *(f"  - {p}" for p in problems)]))
 
     if args.current is not None:
         # compare-only mode: gate a record produced elsewhere (e.g. the CI
         # fleet run) against its committed baseline — nothing is executed
         current = json.loads(pathlib.Path(args.current).read_text())
         if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
+            raise UsageError(f"no baseline at {baseline_path}")
         compare = compare_fleet_records if args.fleet else compare_records
-        problems = compare(current, baseline)
-        if problems:
-            print(
-                f"bench comparison vs {baseline_path} FAILED:", file=sys.stderr
-            )
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
+        fail_on(
+            compare(current, json.loads(baseline_path.read_text())),
+            f"bench comparison vs {baseline_path} FAILED:",
+        )
         print(f"bench comparison vs {baseline_path} passed")
         return 0
 
-    names = args.workload or None
-    if names:
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            print(
-                f"unknown workload(s) {unknown}; have {sorted(WORKLOADS)}",
-                file=sys.stderr,
-            )
-            return 2
-    record = run_bench(names)
+    unknown = [n for n in args.workload or () if n not in WORKLOADS]
+    if unknown:
+        raise UsageError(
+            f"unknown workload(s) {unknown}; have {sorted(WORKLOADS)}"
+        )
+    record = run_bench(args.workload or None)
     for line in summary_lines(record):
         print(line)
-
-    def write(path: pathlib.Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(json_safe(record, "bench"), indent=2) + "\n"
-        )
-        print(f"wrote bench record to {path}")
-
     if args.out:
-        write(pathlib.Path(args.out))
+        print(f"wrote bench record to {_write_json(args.out, record, 'bench')}")
     if args.update:
-        write(baseline_path)
+        out = _write_json(baseline_path, record, "bench")
+        print(f"wrote bench record to {out}")
         return 0
     if args.check:
         if not baseline_path.exists():
-            print(
+            raise UsageError(
                 f"no baseline at {baseline_path} — create one with "
-                "'repro bench --update'",
-                file=sys.stderr,
+                "'repro bench --update'"
             )
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        problems = compare_records(record, baseline)
-        if problems:
-            print(
-                f"bench regression vs {baseline_path}:", file=sys.stderr
-            )
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
+        fail_on(
+            compare_records(record, json.loads(baseline_path.read_text())),
+            f"bench regression vs {baseline_path}:",
+        )
         print(f"bench check vs {baseline_path} passed")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.perf.bench import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="HybridFlow reproduction: analytical tools",
@@ -1580,9 +1293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help=(
-            "perf trajectory gate: run the pinned workloads (sequential "
-            "generate, serving drain, PPO iteration, train->gen transition) "
-            "and compare against the committed BENCH_perf.json baseline"
+            f"perf trajectory gate: run the pinned workloads "
+            f"({', '.join(WORKLOADS)}) and compare against the committed "
+            "BENCH_perf.json baseline"
         ),
     )
     p.add_argument(
@@ -1669,7 +1382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (UsageError, RunFailed) as exc:
+        print(exc, file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -178,16 +178,10 @@ class SimCluster:
         ``[r * machines_per_rack, (r + 1) * machines_per_rack)``, clipped to
         the cluster.  Returns the ranks that died now.
         """
-        if machines_per_rack < 1:
-            raise ValueError(
-                f"machines_per_rack must be >= 1, got {machines_per_rack}"
-            )
+        n_racks = self.spec.n_racks(machines_per_rack)
+        if not 0 <= rack < n_racks:
+            raise ValueError(f"rack {rack} out of range for {n_racks} rack(s)")
         first = rack * machines_per_rack
-        if not 0 <= first < self.spec.n_machines:
-            raise ValueError(
-                f"rack {rack} out of range: machines start at {first}, "
-                f"cluster has {self.spec.n_machines} machines"
-            )
         died = []
         last = min(first + machines_per_rack, self.spec.n_machines)
         for machine in range(first, last):

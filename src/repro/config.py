@@ -204,6 +204,15 @@ class ClusterSpec:
             raise ValueError(f"rank {rank} out of range for {self.n_gpus} GPUs")
         return rank // self.gpus_per_machine
 
+    def n_racks(self, machines_per_rack: int) -> int:
+        """Racks of ``machines_per_rack`` contiguous machines (a failure
+        domain, :meth:`SimCluster.fail_rack`); a partial last rack counts."""
+        if machines_per_rack < 1:
+            raise ValueError(
+                f"machines_per_rack must be >= 1, got {machines_per_rack}"
+            )
+        return -(-self.n_machines // machines_per_rack)
+
     def bandwidth_between(self, rank_a: int, rank_b: int) -> float:
         """Point-to-point bandwidth between two device ranks."""
         if rank_a == rank_b:

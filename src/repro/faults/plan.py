@@ -16,6 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.config import ClusterSpec
+
 
 class FaultKind(str, enum.Enum):
     """The failure modes the simulated cluster can express."""
@@ -180,7 +182,7 @@ class FaultPlan:
         if n_events < 0 or max_step < 1 or n_ranks < 1:
             raise ValueError("need n_events >= 0, max_step >= 1, n_ranks >= 1")
         rng = np.random.default_rng(seed)
-        n_racks = max(1, n_machines // machines_per_rack)
+        n_racks = ClusterSpec(n_machines=n_machines).n_racks(machines_per_rack)
         events: List[FaultEvent] = []
         for _ in range(n_events):
             kind = kinds[int(rng.integers(len(kinds)))]

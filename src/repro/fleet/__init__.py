@@ -12,11 +12,17 @@ loss *across* tenants.
   admission, checkpoint-and-evict preemption, and fault-driven rebalancing
   (elastic resize onto survivors + bit-exact checkpoint resume).
 * :class:`FleetReport` / :class:`JobReport` — per-job MTTR, goodput, lost
-  work, preemption/resize counts, and Jain-fairness across the fleet.
+  work, preemption/resize counts, and Jain-fairness across the fleet; the
+  ``BENCH_fleet.json`` record and :func:`compare_fleet_records`, its gate.
 """
 
 from repro.fleet.job import JobSpec
-from repro.fleet.report import FleetReport, JobReport, jain_fairness
+from repro.fleet.report import (
+    FleetReport,
+    JobReport,
+    compare_fleet_records,
+    jain_fairness,
+)
 from repro.fleet.scheduler import FleetScheduler, JobState
 
 __all__ = [
@@ -25,5 +31,6 @@ __all__ = [
     "JobReport",
     "JobSpec",
     "JobState",
+    "compare_fleet_records",
     "jain_fairness",
 ]

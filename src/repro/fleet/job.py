@@ -1,10 +1,11 @@
 """Tenant job description: what one RLHF job in the fleet looks like.
 
 A :class:`JobSpec` is the scheduler-facing contract of a job: its priority,
-its iteration budget, its *elastic range* of data-parallel widths, and how
-to build a fresh :class:`~repro.runtime.builder.RlhfSystem` for it at any
-admissible width.  The build is deterministic in (spec, width), which is
-what makes checkpoint/evict/resize/resume bit-exact.
+its iteration budget, its *elastic range* of data-parallel widths, and — as
+a :class:`~repro.runtime.SystemSpec` at any admissible width — how to build
+a fresh :class:`~repro.runtime.builder.RlhfSystem` for it.  The build is
+deterministic in (spec, width), which is what makes checkpoint/evict/resize/
+resume bit-exact.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.config import ClusterSpec
 from repro.data.dataset import PromptDataset
 from repro.mapping.elastic import candidate_dps as _candidate_dps
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
-from repro.data.dataset import SyntheticPreferenceTask
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime.builder import RlhfSystem, build_rlhf_system
-from repro.runtime.placement import ModelAssignment, PlacementPlan
+from repro.runtime.builder import RlhfSystem, SystemSpec
 
 #: Algorithms whose model set (actor/critic/reference + function reward) the
 #: default job shape can build; SAFE_RLHF needs a cost model pool.
@@ -30,6 +28,9 @@ SUPPORTED_ALGOS = (AlgoType.PPO, AlgoType.REMAX, AlgoType.GRPO)
 @dataclasses.dataclass
 class JobSpec:
     """One tenant RLHF job submitted to the fleet.
+
+    The scheduling fields are documented here; ``tp`` … ``model_config``
+    are :class:`~repro.runtime.SystemSpec`'s, with its defaults.
 
     Attributes:
         name: Unique job name (also its checkpoint subdirectory).
@@ -44,10 +45,7 @@ class JobSpec:
         preferred_dp: DP width the job wants when capacity allows.
         min_dp: Narrowest DP width the job accepts when degraded.
         arrival_tick: Fleet tick at which the job becomes schedulable.
-        seed: Seed for model init, worker RNG streams, and the trainer.
         algo: RLHF algorithm variant (see :data:`SUPPORTED_ALGOS`).
-        model_config: Model architecture; defaults to the tiny functional
-            LM every integration test uses.
     """
 
     name: str
@@ -55,19 +53,19 @@ class JobSpec:
     n_iterations: int = 4
     batch_size: int = 8
     checkpoint_every: int = 1
-    tp: int = 2
+    tp: int = SystemSpec.tp
     preferred_dp: int = 1
     min_dp: int = 1
     arrival_tick: int = 0
-    seed: int = 7
-    lr: float = 5e-3
-    kl_coef: float = 0.01
-    max_new_tokens: int = 6
-    target_token: int = 7
-    dataset_seed: int = 1
-    n_prompts: int = 128
-    prompt_length: int = 4
-    algo: AlgoType = AlgoType.PPO
+    seed: int = SystemSpec.seed
+    lr: float = SystemSpec.lr
+    kl_coef: float = SystemSpec.kl_coef
+    max_new_tokens: int = SystemSpec.max_new_tokens
+    target_token: int = SystemSpec.target_token
+    dataset_seed: int = SystemSpec.dataset_seed
+    n_prompts: int = SystemSpec.n_prompts
+    prompt_length: int = SystemSpec.prompt_length
+    algo: AlgoType = SystemSpec.algo
     model_config: Optional[TinyLMConfig] = None
 
     def __post_init__(self) -> None:
@@ -91,14 +89,7 @@ class JobSpec:
                 f"got {self.algo.value}"
             )
         if self.model_config is None:
-            self.model_config = TinyLMConfig(
-                n_layers=2,
-                hidden_size=32,
-                n_heads=4,
-                ffn_hidden_size=48,
-                vocab_size=16,
-                max_seq_len=32,
-            )
+            self.model_config = SystemSpec.model_config
         if not self.candidate_dps():
             raise ValueError(
                 f"job {self.name!r} has no admissible DP width: none of "
@@ -124,33 +115,15 @@ class JobSpec:
 
     # -- construction ------------------------------------------------------------------
 
-    def plan_at(self, dp: int) -> PlacementPlan:
-        """Colocated placement of the job's models at DP width ``dp``."""
-        par = ParallelConfig(pp=1, tp=self.tp, dp=dp)
-        roles = {"actor", "critic", "reference"}
-        if self.algo in (AlgoType.REMAX, AlgoType.GRPO):
-            roles = {"actor", "reference"}
-        assignments = {
-            role: ModelAssignment(
-                "main",
-                par,
-                GenParallelConfig.derive(par, 1, 1) if role == "actor" else None,
-            )
-            for role in roles
-        }
-        assignments["reward"] = ModelAssignment("r", ParallelConfig(1, 1, 1))
-        return PlacementPlan(
-            pools={"main": self.tp * dp, "r": 1}, assignments=assignments
-        )
+    def system_at(self, dp: int) -> SystemSpec:
+        """The job as a buildable system at DP width ``dp``."""
+        own = vars(self)
+        shared = [f.name for f in dataclasses.fields(SystemSpec) if f.name in own]
+        return SystemSpec(dp=dp, **{name: own[name] for name in shared})
 
     def dataset(self) -> PromptDataset:
         """A fresh, deterministic prompt stream (same bytes every call)."""
-        return PromptDataset(
-            n_prompts=self.n_prompts,
-            prompt_length=self.prompt_length,
-            vocab_size=self.model_config.vocab_size,
-            seed=self.dataset_seed,
-        )
+        return self.system_at(self.preferred_dp).dataset()
 
     def build(
         self,
@@ -171,19 +144,4 @@ class JobSpec:
                 f"job {self.name!r} cannot run at dp={dp}; admissible "
                 f"widths are {self.candidate_dps()}"
             )
-        task = SyntheticPreferenceTask(
-            vocab_size=self.model_config.vocab_size,
-            target_token=self.target_token,
-        )
-        return build_rlhf_system(
-            self.algo,
-            self.plan_at(dp),
-            self.model_config,
-            cluster_spec=cluster_spec,
-            trainer_config=TrainerConfig(kl_coef=self.kl_coef, seed=self.seed),
-            reward_fn=task.reward,
-            max_new_tokens=self.max_new_tokens,
-            lr=self.lr,
-            seed=self.seed,
-            cluster=cluster,
-        )
+        return self.system_at(dp).build(cluster=cluster, cluster_spec=cluster_spec)

@@ -122,6 +122,42 @@ class FleetReport:
                 return j
         raise KeyError(f"no job named {name!r} in this report")
 
+    def problems(self) -> List[str]:
+        """Why this run does not pass (empty = it does): the verdict
+        ``repro fleet`` exits on and :meth:`bench_record` stores as ``ok``."""
+        problems = []
+        if not self.all_completed:
+            problems.append("not every job completed")
+        if not all(j.goodput > 0 for j in self.jobs):
+            problems.append("a job finished with zero goodput")
+        if self.analysis_findings:
+            problems.append("analysis gate found issues")
+        return problems
+
+    def bench_record(self, cluster_gpus: int, metrics_series: int) -> Dict[str, Any]:
+        """The ``BENCH_fleet.json`` record (``repro fleet --bench-out``);
+        :func:`compare_fleet_records` is its gate."""
+        goodputs = {j.name: j.goodput for j in self.jobs}
+        return {
+            "benchmark": "fleet_chaos_smoke",
+            "jobs": len(self.jobs),
+            "cluster_gpus": cluster_gpus,
+            "devices_killed": self.devices_killed,
+            "goodput_per_job": goodputs,
+            "goodput_mean": sum(goodputs.values()) / len(goodputs),
+            "mttr": self.mttr,
+            "fairness": self.fairness,
+            "preemptions": self.preemptions,
+            "resizes": self.resizes,
+            "failures": self.failures,
+            "makespan": self.makespan,
+            "ticks": self.ticks,
+            "all_completed": self.all_completed,
+            "analysis_findings": dict(self.analysis_findings),
+            "metrics_series": metrics_series,
+            "ok": not self.problems(),
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "jobs": [j.to_dict() for j in self.jobs],
@@ -170,3 +206,31 @@ class FleetReport:
             else:
                 lines.append("  analysis gate: clean (DF/TA/SH/RC)")
         return lines
+
+
+def compare_fleet_records(
+    current: Dict[str, Any], baseline: Dict[str, Any]
+) -> List[str]:
+    """Trajectory check for :meth:`FleetReport.bench_record` records.
+
+    The fleet record mixes structural facts (job/cluster shape, kill
+    count) with outcome flags; only those are compared — goodput magnitudes
+    are host-speed-free but schedule-derived, so they are required positive
+    rather than equal.
+    """
+    problems: List[str] = []
+    for field in ("benchmark", "jobs", "cluster_gpus", "devices_killed"):
+        if current.get(field) != baseline.get(field):
+            problems.append(
+                f"{field}: {current.get(field)!r} != baseline "
+                f"{baseline.get(field)!r} — re-baseline the fleet record"
+            )
+    for flag in ("all_completed", "ok"):
+        if not current.get(flag):
+            problems.append(f"{flag} is false in the current fleet run")
+    if not current.get("goodput_mean", 0) > 0:
+        problems.append("goodput_mean is not positive in the current fleet run")
+    findings = current.get("analysis_findings") or {}
+    if any(findings.values()):
+        problems.append(f"fleet analysis gate found issues: {findings}")
+    return problems

@@ -449,20 +449,17 @@ class FleetScheduler:
     def _check(self, job: _JobRuntime) -> None:
         """Run the repo's DF/TA/SH/RC analysis gate over one finished job."""
         from repro.analysis import (
+            AnalysisReport,
             DataflowChecker,
-            RaceDetector,
             ShardingVerifier,
-            TraceAuditor,
+            system_audit,
         )
 
         if self.analysis is None:
-            from repro.analysis import AnalysisReport
-
             self.analysis = AnalysisReport(name="fleet")
         system = job.system
         self.analysis.merge(DataflowChecker().check_system(system))
-        self.analysis.merge(TraceAuditor().audit_system(system))
-        self.analysis.merge(RaceDetector().detect_system(system))
+        self.analysis.merge(system_audit(system)[0])
         verifier = ShardingVerifier()
         actor = system.groups["actor"]
         sh = verifier.verify_topology(actor.train_topology)

@@ -15,11 +15,7 @@ from repro.perf.async_pipeline import (
     async_schedule,
     overlap_speedup,
 )
-from repro.perf.bench import (
-    compare_fleet_records,
-    compare_records,
-    run_bench,
-)
+from repro.perf.bench import compare_records, run_bench
 from repro.perf.memory import MemoryModel, StageMemory
 from repro.perf.compute import inference_latency, training_latency
 from repro.perf.generation import GenerationEstimate, generation_latency
@@ -53,7 +49,6 @@ __all__ = [
     "ModelExecution",
     "bubble_fraction",
     "bubble_multiplier",
-    "compare_fleet_records",
     "compare_records",
     "run_bench",
     "gpipe_schedule",

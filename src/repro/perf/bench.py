@@ -49,10 +49,28 @@ def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
 # -- workloads -----------------------------------------------------------------------
 
 
+def _model_config(pins: Dict[str, Any]):
+    """The TinyLM architecture among a workload's pins."""
+    from repro.models.tinylm import TinyLMConfig
+
+    fields = TinyLMConfig.__dataclass_fields__
+    return TinyLMConfig(**{k: v for k, v in pins.items() if k in fields})
+
+
+def _model_and_prompts(pins: Dict[str, Any], n_prompts: int):
+    """That TinyLM and ``n_prompts`` prompts, both from the pinned seed."""
+    from repro.models.tinylm import TinyLM
+
+    model = TinyLM(_model_config(pins), seed=pins["seed"])
+    prompts = np.random.default_rng(pins["seed"]).integers(
+        0, model.config.vocab_size, size=(n_prompts, pins["prompt_length"])
+    )
+    return model, prompts
+
+
 def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Auto-regressive ``generate``: the static-batching decode loop."""
     from repro.models.sampler import generate
-    from repro.models.tinylm import TinyLM, TinyLMConfig
 
     pins = {
         "n_layers": 2,
@@ -66,20 +84,7 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "max_new_tokens": 16,
         "seed": 0,
     }
-    cfg = TinyLMConfig(
-        n_layers=pins["n_layers"],
-        hidden_size=pins["hidden_size"],
-        n_heads=pins["n_heads"],
-        ffn_hidden_size=pins["ffn_hidden_size"],
-        vocab_size=pins["vocab_size"],
-        max_seq_len=pins["max_seq_len"],
-    )
-    model = TinyLM(cfg, seed=pins["seed"])
-    prompt_rng = np.random.default_rng(pins["seed"])
-    prompts = prompt_rng.integers(
-        0, cfg.vocab_size, size=(pins["batch"], pins["prompt_length"])
-    )
-
+    model, prompts = _model_and_prompts(pins, pins["batch"])
     out = generate(
         model,
         prompts,
@@ -92,7 +97,6 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Continuous-batching drain through ``RolloutServer``."""
-    from repro.models.tinylm import TinyLM, TinyLMConfig
     from repro.serving import RolloutServer, ServingConfig
 
     pins = {
@@ -108,20 +112,7 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "max_slots": 4,
         "seed": 0,
     }
-    cfg = TinyLMConfig(
-        n_layers=pins["n_layers"],
-        hidden_size=pins["hidden_size"],
-        n_heads=pins["n_heads"],
-        ffn_hidden_size=pins["ffn_hidden_size"],
-        vocab_size=pins["vocab_size"],
-        max_seq_len=pins["max_seq_len"],
-    )
-    model = TinyLM(cfg, seed=pins["seed"])
-    prompt_rng = np.random.default_rng(pins["seed"])
-    prompts = prompt_rng.integers(
-        0, cfg.vocab_size, size=(pins["n_requests"], pins["prompt_length"])
-    )
-
+    model, prompts = _model_and_prompts(pins, pins["n_requests"])
     # equal prompt lengths, no EOS: every step's runners share one KV
     # length, so each step is a single cohort forward
     server = RolloutServer(
@@ -140,69 +131,23 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
-def _build_tiny_ppo():
-    """The tiny 4-model PPO system every functional subcommand pins."""
-    from repro.config import (
-        ClusterSpec,
-        GenParallelConfig,
-        ParallelConfig,
-    )
-    from repro.data import SyntheticPreferenceTask
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.core import AlgoType
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", par, GenParallelConfig.derive(par, 1, 1)
-            ),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        cfg,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=task.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
 def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One full PPO iteration through the single-controller dispatch path."""
-    from repro.data import PromptDataset
+    from repro.config import ClusterSpec
     from repro.models.autograd import Tensor
+    from repro.runtime.builder import SystemSpec
 
+    spec = SystemSpec()
     pins = {
-        "algo": "ppo",
+        "algo": spec.algo.value,
         "n_iterations": 1,
         "batch_size": 8,
-        "max_new_tokens": 6,
-        "prompt_length": 4,
-        "seed": 7,
+        "max_new_tokens": spec.max_new_tokens,
+        "prompt_length": spec.prompt_length,
+        "seed": spec.seed,
     }
-    system = _build_tiny_ppo()
-    dataset = PromptDataset(
-        n_prompts=32, prompt_length=pins["prompt_length"], vocab_size=16, seed=1
+    system = spec.build(
+        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4)
     )
 
     # every tape node is one ``Tensor._from_op`` call (looked up on the class
@@ -219,7 +164,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     tracemalloc.start()
     try:
         system.trainer.train(
-            dataset,
+            spec.dataset(),
             n_iterations=pins["n_iterations"],
             batch_size=pins["batch_size"],
         )
@@ -254,7 +199,6 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         plan_cache_stats,
         plan_transition,
     )
-    from repro.models.tinylm import TinyLMConfig
     from repro.single_controller import SingleController, WorkerGroup
     from repro.workers import ActorWorker
 
@@ -272,14 +216,7 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "gen_pp": 1,
         "cycles": 2,
     }
-    cfg = TinyLMConfig(
-        n_layers=pins["n_layers"],
-        hidden_size=pins["hidden_size"],
-        n_heads=pins["n_heads"],
-        ffn_hidden_size=pins["ffn_hidden_size"],
-        vocab_size=pins["vocab_size"],
-        max_seq_len=pins["max_seq_len"],
-    )
+    cfg = _model_config(pins)
     parallel = ParallelConfig(pp=pins["pp"], tp=pins["tp"], dp=pins["dp"])
     controller = SingleController(ClusterSpec(n_machines=2))
     pool = controller.create_pool(parallel.world_size)
@@ -317,88 +254,14 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
-def _build_disaggregated_ppo():
-    """PPO with the actor alone on its pool — the async-overlap placement.
-
-    Rollout and training both run on the actor's devices, so overlap gains
-    come from the *other* pools: with critic/reference/reward colocated on
-    one scorer pool, the synchronous loop leaves the actor idle while the
-    scoring chain runs; the one-step-off schedule fills that idle with the
-    next iteration's generation.
-    """
-    from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.core import AlgoType
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    actor_par = ParallelConfig(pp=1, tp=2, dp=1)
-    scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
-    plan = PlacementPlan(
-        pools={"actor": 2, "scorer": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
-            ),
-            "critic": ModelAssignment("scorer", scorer_par),
-            "reference": ModelAssignment("scorer", scorer_par),
-            "reward": ModelAssignment("scorer", scorer_par),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        cfg,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
-def _system_states_equal(sys_a, sys_b) -> bool:
-    """Bit-equality of every worker's checkpointable state across systems."""
-    for name in sys_a.groups:
-        workers_a = sys_a.groups[name].workers
-        workers_b = sys_b.groups[name].workers
-        if len(workers_a) != len(workers_b):
-            return False
-        for wa, wb in zip(workers_a, workers_b):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
-
-
 def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """One-step-off async pipeline vs the synchronous loop, same workload.
+    """:func:`repro.pipeline.overlap_study` at W=1, pinned.
 
-    Three runs of the same pinned workload: the synchronous trainer, the
-    async driver with ``staleness_window=0`` (must be bit-exact with the
-    first — the structural guarantee), and the async driver with
-    ``staleness_window=1``.  The overlap win is measured on the modeled
-    execution timeline (simulated seconds, deterministic on every host);
-    the floor pins the bubble collapse so it can never silently regress.
+    The overlap win is measured on the modeled execution timeline
+    (simulated seconds, deterministic on every host); the floor pins the
+    bubble collapse so it can never silently regress.
     """
-    from repro.data import PromptDataset
-    from repro.pipeline import AsyncPipelineDriver, PipelineConfig
-    from repro.runtime.timeline import build_timeline
+    from repro.pipeline import PipelineConfig, overlap_study
 
     pins = {
         "algo": "ppo",
@@ -410,61 +273,26 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "seed": 7,
         "placement": "actor@actor[2gpu,tp2] critic+reference+reward@scorer",
     }
-
-    def dataset() -> PromptDataset:
-        return PromptDataset(
-            n_prompts=32,
-            prompt_length=pins["prompt_length"],
-            vocab_size=16,
-            seed=1,
-        )
-
-    sync_sys = _build_disaggregated_ppo()
-    sync_sys.trainer.train(
-        dataset(),
-        n_iterations=pins["n_iterations"],
-        batch_size=pins["batch_size"],
-    )
-    sync_makespan = build_timeline(sync_sys.controller).makespan
-
-    exact_sys = _build_disaggregated_ppo()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(
-        dataset(),
-        n_iterations=pins["n_iterations"],
-        batch_size=pins["batch_size"],
-    )
-    staleness0_bit_exact = _system_states_equal(sync_sys, exact_sys)
-
-    async_sys = _build_disaggregated_ppo()
-    driver = AsyncPipelineDriver(
-        async_sys.trainer,
+    study = overlap_study(
+        pins["n_iterations"],
+        pins["batch_size"],
         PipelineConfig(staleness_window=pins["staleness_window"]),
     )
-    driver.train(
-        dataset(),
-        n_iterations=pins["n_iterations"],
-        batch_size=pins["batch_size"],
-    )
-    async_makespan = build_timeline(async_sys.controller).makespan
-    report = driver.report()
+    report = study.report
 
     metrics = {
         # schedule structure: staleness tags, buffer pressure, publication
         # bytes are functions of the dataflow and shard shapes, not floats
-        "staleness0_bit_exact": _metric("exact", bool(staleness0_bit_exact)),
+        "staleness0_bit_exact": _metric("exact", study.bit_exact),
         "max_staleness": _metric("exact", report["max_staleness_seen"]),
         "buffer_peak_occupancy": _metric(
             "exact", report["buffer_peak_occupancy"]
         ),
         "publications": _metric("exact", report["publications"]),
         "published_bytes": _metric("exact", report["published_bytes"]),
-        "overlap_speedup": _metric(
-            "min", sync_makespan / max(async_makespan, 1e-9), floor=1.1
-        ),
-        "sync_makespan": _metric("info", float(sync_makespan)),
-        "async_makespan": _metric("info", float(async_makespan)),
+        "overlap_speedup": _metric("min", study.speedup, floor=1.1),
+        "sync_makespan": _metric("info", float(study.sync_makespan)),
+        "async_makespan": _metric("info", float(study.timeline.makespan)),
     }
     return pins, metrics
 
@@ -631,34 +459,6 @@ def compare_records(
                     f"{name}.{mname}: pinned floor changed "
                     f"({bm.get('floor')} -> {cm.get('floor')}) — re-baseline"
                 )
-    return problems
-
-
-def compare_fleet_records(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> List[str]:
-    """Trajectory check for ``repro fleet --bench-out`` records.
-
-    The fleet record mixes structural facts (job/cluster shape, kill
-    count) with outcome flags; only those are compared — goodput magnitudes
-    are host-speed-free but schedule-derived, so they are required positive
-    rather than equal.
-    """
-    problems: List[str] = []
-    for field in ("benchmark", "jobs", "cluster_gpus", "devices_killed"):
-        if current.get(field) != baseline.get(field):
-            problems.append(
-                f"{field}: {current.get(field)!r} != baseline "
-                f"{baseline.get(field)!r} — re-baseline the fleet record"
-            )
-    for flag in ("all_completed", "ok"):
-        if not current.get(flag):
-            problems.append(f"{flag} is false in the current fleet run")
-    if not current.get("goodput_mean", 0) > 0:
-        problems.append("goodput_mean is not positive in the current fleet run")
-    findings = current.get("analysis_findings") or {}
-    if any(findings.values()):
-        problems.append(f"fleet analysis gate found issues: {findings}")
     return problems
 
 

@@ -166,6 +166,42 @@ def static_schedule_stats(
     return n_steps, occupied / denominator
 
 
+@dataclasses.dataclass(frozen=True)
+class EngineCrossCheck:
+    """A drain of the functional engine against both analytic schedules."""
+
+    static_steps: int
+    n_steps: int
+    slot_utilisation: float
+    #: Everything queued at t=0, one priority class, no preemption: only
+    #: then must the engine replay the Orca schedule, so only then is
+    #: ``ok`` a verdict.
+    matched: bool
+    ok: bool
+
+
+def cross_check_engine(report, capacity: int) -> EngineCrossCheck:
+    """Hold a :class:`~repro.serving.ServingReport` of a ``capacity``-slot
+    server to the analytic schedules of the responses it realised."""
+    realised = [r.response_length for r in report.completed]
+    static_steps, _ = static_schedule_stats(realised, capacity)
+    n_steps, util = continuous_schedule_stats(realised, capacity)
+    return EngineCrossCheck(
+        static_steps=static_steps,
+        n_steps=n_steps,
+        slot_utilisation=util,
+        matched=(
+            report.n_preemptions == 0
+            and len({r.priority for r in report.completed}) == 1
+            and not any(r.arrival_time for r in report.completed)
+        ),
+        ok=(
+            n_steps == report.n_steps
+            and abs(util - report.slot_utilisation) < 1e-9
+        ),
+    )
+
+
 def serve_continuous(
     lengths: Sequence[int],
     capacity: int,

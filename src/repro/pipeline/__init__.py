@@ -10,16 +10,24 @@ trace audit, RC5xx race detection) still passes on the overlapped schedule.
 * :class:`ExperienceBuffer` — bounded in-flight experience, version-tagged.
 * :class:`AsyncPipelineDriver` — the loop; ``staleness_window=0`` is
   bit-exact with the synchronous trainers.
+* :func:`overlap_study` — sync vs W=0 (bit-exact) vs W on the shipped job:
+  the self-verifying run behind ``repro pipeline`` and its bench pin.
 """
 
 from repro.pipeline.buffer import BufferFull, Experience, ExperienceBuffer
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.driver import AsyncPipelineDriver
+from repro.pipeline.driver import (
+    AsyncPipelineDriver,
+    OverlapStudy,
+    overlap_study,
+)
 
 __all__ = [
     "AsyncPipelineDriver",
     "BufferFull",
     "Experience",
     "ExperienceBuffer",
+    "OverlapStudy",
     "PipelineConfig",
+    "overlap_study",
 ]

@@ -1,7 +1,13 @@
 """Runtime glue: placement plans and end-to-end RLHF system construction."""
 
 from repro.runtime.placement import ModelAssignment, PlacementPlan
-from repro.runtime.builder import RlhfSystem, build_rlhf_system
+from repro.runtime.builder import (
+    TINY_LM,
+    RlhfSystem,
+    SystemSpec,
+    build_rlhf_system,
+    shipped_placements,
+)
 from repro.runtime.timeline import Timeline, TimelineEvent, build_timeline
 from repro.runtime.report import (
     observability_summary,
@@ -24,6 +30,8 @@ __all__ = [
     "RecoveryEvent",
     "RecoveryReport",
     "RlhfSystem",
+    "SystemSpec",
+    "TINY_LM",
     "Timeline",
     "TimelineEvent",
     "build_rlhf_system",
@@ -31,6 +39,7 @@ __all__ = [
     "observability_summary",
     "recovery_summary",
     "restore_system",
+    "shipped_placements",
     "system_report",
     "system_report_dict",
     "train_with_recovery",

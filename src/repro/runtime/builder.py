@@ -5,16 +5,24 @@ user supplies model specifications, a device placement (hand-written or from
 the auto-mapping algorithm), and per-model parallelism strategies; the single
 controller initialises worker groups on the virtualised resource pools and
 returns a ready-to-run trainer.
+
+:class:`SystemSpec` is that input for the one functional job the repo ships
+— the tiny PPO/ReMax/GRPO job every functional subcommand, bench workload,
+analysis pass, example and fleet tenant runs.  §8.3 varies the placement, so
+the spec can say both shipped ones; everything else is a pinned
+hyperparameter.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Optional
+import hashlib
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config import ClusterSpec
+from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.parallel.topology import GenGroupingMode
 from repro.rlhf.core import AlgoType
@@ -71,6 +79,36 @@ class RlhfSystem:
 
     def group(self, model: str) -> WorkerGroup:
         return self.groups[model]
+
+    # -- the bit-exactness oracle: recovery, resize, W=0 and every refactor
+    #    are "the same run" when this state is -------------------------------------
+
+    def checkpoint_state(self) -> Dict[Tuple[str, int, str], Any]:
+        """Every worker's ``state_for_checkpoint()`` under ``(group, rank, key)``:
+        weights, optimizer moments and step, rng counters."""
+        return {
+            (name, rank, key): value
+            for name, group in self.groups.items()
+            for rank, worker in enumerate(group.workers)
+            for key, value in worker.state_for_checkpoint().items()
+        }
+
+    def state_equal(self, other: "RlhfSystem") -> bool:
+        """Whether both systems' checkpoint state is equal bit for bit."""
+        mine, theirs = self.checkpoint_state(), other.checkpoint_state()
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(np.asarray(value), np.asarray(theirs[key]))
+            for key, value in mine.items()
+        )
+
+    def state_digest(self) -> str:
+        """sha256 of the checkpoint state — equality across processes/commits."""
+        digest = hashlib.sha256()
+        state = self.checkpoint_state()
+        for key in sorted(state):
+            digest.update(repr(key).encode())
+            digest.update(np.ascontiguousarray(np.asarray(state[key])).tobytes())
+        return digest.hexdigest()
 
 
 def required_models(algo: AlgoType) -> tuple:
@@ -202,3 +240,107 @@ def build_rlhf_system(
     return RlhfSystem(
         controller=controller, groups=groups, trainer=trainer, plan=plan
     )
+
+
+#: The 2-layer, 32-wide, vocab-16 LM of every shipped functional run.
+TINY_LM = TinyLMConfig(
+    n_layers=2,
+    hidden_size=32,
+    n_heads=4,
+    ffn_hidden_size=48,
+    vocab_size=16,
+    max_seq_len=32,
+)
+
+ONE_GPU = ParallelConfig(pp=1, tp=1, dp=1)
+
+
+@dataclasses.dataclass(frozen=True)
+class SystemSpec:
+    """One RLHF job: algorithm, model, 3D width, placement, seeds, data.
+
+    Attributes:
+        disaggregated: ``False`` colocates the models on ``main[tp*dp]``
+            and scores with the task's reward *function* on a 1-GPU ``r``;
+            ``True`` leaves the actor alone on ``actor[tp*dp]`` and puts
+            critic, reference and a reward *model* on a 1-GPU ``scorer`` —
+            the placement whose idle actor the async pipeline fills.
+        seed: Model init, worker rng streams and the trainer.
+    """
+
+    algo: AlgoType = AlgoType.PPO
+    model_config: TinyLMConfig = TINY_LM
+    tp: int = 2
+    dp: int = 1
+    disaggregated: bool = False
+    seed: int = 7
+    lr: float = 5e-3
+    kl_coef: float = 0.01
+    max_new_tokens: int = 6
+    target_token: int = 7
+    dataset_seed: int = 1
+    n_prompts: int = 128
+    prompt_length: int = 4
+
+    @property
+    def function_rewards(self) -> Tuple[str, ...]:
+        """Roles served by a plain function instead of a model."""
+        return () if self.disaggregated else ("reward",)
+
+    @property
+    def plan(self) -> PlacementPlan:
+        par = ParallelConfig(pp=1, tp=self.tp, dp=self.dp)
+        roles = required_models(self.algo)
+        if self.disaggregated:
+            scorers = [role for role in roles if role != "actor"]
+            groups = {"actor": (par, ["actor"]), "scorer": (ONE_GPU, scorers)}
+        else:
+            models = [role for role in roles if role != "reward"]
+            groups = {"main": (par, models), "r": (ONE_GPU, ["reward"])}
+        return PlacementPlan.grouped(groups, GenParallelConfig.derive(par, 1, 1))
+
+    def dataset(self) -> PromptDataset:
+        """A fresh, deterministic prompt stream (same bytes every call)."""
+        return PromptDataset(
+            n_prompts=self.n_prompts,
+            prompt_length=self.prompt_length,
+            vocab_size=self.model_config.vocab_size,
+            seed=self.dataset_seed,
+        )
+
+    def build(
+        self, cluster=None, cluster_spec: Optional[ClusterSpec] = None
+    ) -> RlhfSystem:
+        """A fresh system, deterministic in the spec: two builds start
+        bit-identical.  Allocate out of a live ``cluster`` (recovery, the
+        fleet) or materialise ``cluster_spec``."""
+        task = SyntheticPreferenceTask(
+            vocab_size=self.model_config.vocab_size,
+            target_token=self.target_token,
+        )
+        return build_rlhf_system(
+            self.algo,
+            self.plan,
+            self.model_config,
+            cluster_spec=cluster_spec,
+            trainer_config=TrainerConfig(kl_coef=self.kl_coef, seed=self.seed),
+            reward_fn=task.reward if self.function_rewards else None,
+            max_new_tokens=self.max_new_tokens,
+            lr=self.lr,
+            seed=self.seed,
+            cluster=cluster,
+        )
+
+
+def shipped_placements() -> Dict[str, PlacementPlan]:
+    """The two placements ``repro check`` proves (DF, SH and SF read these):
+    the tiny job (1-2-1 → generation 1-1) and the llama-7b colocated
+    placement of §8's evaluation clusters (1-8-2 → generation 1-2)."""
+    full = ParallelConfig(pp=1, tp=8, dp=2)
+    return {
+        "tiny-ppo": SystemSpec().plan,
+        "llama-7b-colocate": PlacementPlan.grouped(
+            {"all": (full, required_models(AlgoType.PPO))},
+            GenParallelConfig.derive(full, 1, 2),
+        ),
+    }

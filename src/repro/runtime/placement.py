@@ -3,14 +3,15 @@
 A :class:`PlacementPlan` names a set of resource pools (with GPU counts) and
 assigns each model a pool plus its parallelism strategy.  The canonical plans
 of the paper's evaluation — *colocate* (DeepSpeed-Chat), *standalone*
-(OpenRLHF), *split* (NeMo-Aligner) — are provided as constructors, and the
-auto-mapping algorithm (§6) emits the same structure.
+(OpenRLHF), *split* (NeMo-Aligner) — are all groupings of roles onto pools
+(:meth:`PlacementPlan.grouped`), and the auto-mapping algorithm (§6) emits
+the same structure.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import GenParallelConfig, ParallelConfig
 
@@ -69,67 +70,27 @@ class PlacementPlan:
     def pool_of(self, model: str) -> str:
         return self.assignments[model].pool
 
-    # -- canonical plans of §8.3 -----------------------------------------------------
-
     @classmethod
-    def colocate(
+    def grouped(
         cls,
-        models: List[str],
-        n_gpus: int,
-        parallel: Dict[str, ParallelConfig],
+        groups: Dict[str, Tuple[ParallelConfig, Sequence[str]]],
         gen_parallel: Optional[GenParallelConfig] = None,
     ) -> "PlacementPlan":
-        """All models time-share one pool (DeepSpeed-Chat's placement)."""
-        assignments = {
-            m: ModelAssignment(
-                pool="shared",
-                parallel=parallel[m],
-                gen_parallel=gen_parallel if m == "actor" else None,
-            )
-            for m in models
-        }
-        return cls(pools={"shared": n_gpus}, assignments=assignments)
+        """A plan from ``{pool: (parallel, roles)}``.
 
-    @classmethod
-    def standalone(
-        cls,
-        gpus_per_model: Dict[str, int],
-        parallel: Dict[str, ParallelConfig],
-        gen_parallel: Optional[GenParallelConfig] = None,
-    ) -> "PlacementPlan":
-        """Every model on its own devices (OpenRLHF's placement)."""
-        pools = {f"pool-{m}": n for m, n in gpus_per_model.items()}
-        assignments = {
-            m: ModelAssignment(
-                pool=f"pool-{m}",
-                parallel=parallel[m],
-                gen_parallel=gen_parallel if m == "actor" else None,
-            )
-            for m in gpus_per_model
-        }
-        return cls(pools=pools, assignments=assignments)
-
-    @classmethod
-    def split(
-        cls,
-        actor_side: List[str],
-        critic_side: List[str],
-        actor_gpus: int,
-        critic_gpus: int,
-        parallel: Dict[str, ParallelConfig],
-        gen_parallel: Optional[GenParallelConfig] = None,
-    ) -> "PlacementPlan":
-        """NeMo-Aligner's split: actor+reference vs critic+reward pools."""
-        assignments: Dict[str, ModelAssignment] = {}
-        for m in actor_side:
-            assignments[m] = ModelAssignment(
-                pool="actor_side",
-                parallel=parallel[m],
-                gen_parallel=gen_parallel if m == "actor" else None,
-            )
-        for m in critic_side:
-            assignments[m] = ModelAssignment(pool="critic_side", parallel=parallel[m])
+        Each pool has ``parallel.world_size`` GPUs and hosts ``roles``, all
+        under that strategy; the actor generates under ``gen_parallel``.
+        §8.3's shapes are one literal each: *colocate* is a single group,
+        *standalone* one group per model, *split* actor+reference vs
+        critic+reward.
+        """
         return cls(
-            pools={"actor_side": actor_gpus, "critic_side": critic_gpus},
-            assignments=assignments,
+            pools={pool: par.world_size for pool, (par, _) in groups.items()},
+            assignments={
+                role: ModelAssignment(
+                    pool, par, gen_parallel if role == "actor" else None
+                )
+                for pool, (par, roles) in groups.items()
+                for role in roles
+            },
         )

@@ -64,6 +64,14 @@ class ServingConfig:
     #: Fraction of device free memory the KV pool may claim when deriving.
     memory_fraction: float = 0.9
 
+    def __post_init__(self) -> None:
+        if self.max_slots < 1:
+            raise ValueError(f"max_slots must be >= 1, got {self.max_slots}")
+        if self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        if self.n_blocks is not None and self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be None or >= 1, got {self.n_blocks}")
+
 
 @dataclasses.dataclass
 class ServingReport:

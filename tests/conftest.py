@@ -38,14 +38,12 @@ def small_cluster_spec() -> ClusterSpec:
     return ClusterSpec(n_machines=1, gpus_per_machine=8)
 
 
-def make_plan(n_gpus: int, parallel: ParallelConfig, gen: GenParallelConfig):
+def make_plan(parallel: ParallelConfig, gen: GenParallelConfig):
     """A colocated placement plan for the standard PPO model set."""
     from repro.runtime.placement import PlacementPlan
 
     models = ["actor", "critic", "reference", "reward"]
-    return PlacementPlan.colocate(
-        models, n_gpus, {m: parallel for m in models}, gen_parallel=gen
-    )
+    return PlacementPlan.grouped({"shared": (parallel, models)}, gen)
 
 
 def build_small_ppo(
@@ -63,7 +61,7 @@ def build_small_ppo(
 
     gen = GenParallelConfig.derive(parallel, gen_pp, gen_tp)
     if reward_fn is None:
-        plan = make_plan(parallel.world_size, parallel, gen)
+        plan = make_plan(parallel, gen)
     else:
         # non-NN reward functions run on a single rank (one_to_one protocol)
         plan = PlacementPlan(

@@ -75,24 +75,6 @@ def dataset():
     return PromptDataset(n_prompts=64, prompt_length=4, vocab_size=16, seed=1)
 
 
-def states_equal(sys_a, sys_b) -> bool:
-    for name in sys_a.groups:
-        for wa, wb in zip(
-            sys_a.groups[name].workers, sys_b.groups[name].workers
-        ):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
-
-
 def histories_equal(ha, hb) -> bool:
     if len(ha) != len(hb):
         return False
@@ -131,7 +113,7 @@ class TestStalenessZeroBitExact:
         )
         history = driver.train(dataset(), iterations, batch_size)
 
-        assert states_equal(sync, system)
+        assert sync.state_equal(system)
         assert histories_equal(sync.trainer.history, history)
         assert driver.max_staleness_seen == 0
         # no pipeline/* keys leak into the on-policy history
@@ -330,7 +312,7 @@ class TestRecoveryMidOverlap:
             oracle_sys.trainer, PipelineConfig(staleness_window=1)
         )
         oracle.train(dataset(), n_iterations=4, batch_size=4)
-        assert states_equal(oracle_sys, restored_sys)
+        assert oracle_sys.state_equal(restored_sys)
         # trainer checkpoints persist the history *count*, not the metric
         # dicts (matching RlhfTrainerBase.load_state_dict); every iteration
         # trained after the restore must match the uninterrupted run
@@ -541,7 +523,7 @@ class TestStreamedScoring:
             PipelineConfig(staleness_window=1, stream_scoring=True),
         ).train(dataset(), n_iterations=3, batch_size=4)
 
-        assert states_equal(plain_sys, stream_sys)
+        assert plain_sys.state_equal(stream_sys)
         assert histories_equal(
             plain_sys.trainer.history, stream_sys.trainer.history
         )

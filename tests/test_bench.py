@@ -9,11 +9,11 @@ import copy
 
 import pytest
 
+from repro.fleet.report import compare_fleet_records
 from repro.perf.bench import (
     SCHEMA,
     SUITE,
     WORKLOADS,
-    compare_fleet_records,
     compare_records,
     run_bench,
     summary_lines,

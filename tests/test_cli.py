@@ -99,6 +99,64 @@ class TestMapHetero:
         assert main(["map-hetero", "--zone", "z:TPU-v5:1"]) == 2
 
 
+class TestUsageErrors:
+    """Bad arguments leave one way: exit 2, message on stderr, nothing run."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # tracebacks before ServingConfig validated itself
+            (["serve", "--slots", "0"], "max_slots"),
+            (["serve", "--block-size", "0"], "block_size"),
+            (["serve", "--blocks", "0"], "n_blocks"),
+            (["serve", "--requests", "0"], "bad request shape"),
+            (
+                ["serve", "--mean-response", "40", "--max-response", "24"],
+                "bad request shape",
+            ),
+            (["serve", "--priority-levels", "0"], "--priority-levels"),
+            # exit 1 "unrecoverable failure" from trace/metrics, 2 from faults
+            (["trace", "--kill-device", "99"], "--kill-device 99 out of range"),
+            (["metrics", "--kill-device", "99"], "--kill-device 99 out of range"),
+            (["faults", "--kill-device", "99"], "--kill-device 99 out of range"),
+            (["faults", "--kill-machine", "2"], "--kill-machine 2 out of range"),
+            # exit 0 having verified nothing
+            (["faults", "--iterations", "0"], "--iterations"),
+            (["pipeline", "--iterations", "0"], "n_iterations"),
+            # a traceback from DataBatch.chunk
+            (["pipeline", "--batch", "3"], "not divisible"),
+            (["pipeline", "--staleness", "-1"], "staleness_window"),
+            # 3 machines in racks of 2 are 2 racks; a ZeroDivisionError
+            (["fleet", "--kill-rack", "2"], "out of range for 2 rack(s)"),
+            (["fleet", "--kill-rack", "0", "--machines-per-rack", "0"],
+             "--machines-per-rack"),
+            (["fleet", "--jobs", "0"], "--jobs"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_exit_2_with_message_and_no_output(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_a_run_that_fails_is_exit_1_not_usage(self, capsys):
+        # one machine, and it dies: a real failure, detected mid-run
+        assert main(
+            ["faults", "--machines", "1", "--kill-machine", "0",
+             "--at-step", "5", "--iterations", "2"]
+        ) == 1
+        assert "unrecoverable failure" in capsys.readouterr().err
+
+    def test_the_partial_last_rack_can_be_killed(self, capsys):
+        # the CLI's own defaults (3 machines, racks of 2) have a rack 1
+        assert main(
+            ["fleet", "--kill-rack", "1", "--at-tick", "1", "--iterations", "2",
+             "--no-checks"]
+        ) == 0
+        assert "4 device(s) killed" in capsys.readouterr().out
+
+
 class TestFaults:
     def test_device_kill_recovers(self, capsys):
         assert main(

@@ -81,6 +81,13 @@ class TestClusterSpec:
         sub = ClusterSpec().subcluster(4)
         assert sub.n_gpus == 4 and sub.n_machines == 1
 
+    def test_n_racks_counts_the_partial_last_rack(self):
+        assert ClusterSpec(n_machines=4).n_racks(2) == 2
+        assert ClusterSpec(n_machines=3).n_racks(2) == 2
+        assert ClusterSpec(n_machines=1).n_racks(2) == 1
+        with pytest.raises(ValueError, match="machines_per_rack"):
+            ClusterSpec().n_racks(0)
+
     def test_subcluster_invalid(self):
         with pytest.raises(ValueError):
             ClusterSpec().subcluster(12)  # not a whole number of machines

@@ -18,6 +18,7 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.observability.metrics import MetricsRegistry
 from repro.perf.continuous_batching import (
     continuous_schedule_stats,
+    cross_check_engine,
     static_schedule_stats,
 )
 from repro.serving import (
@@ -245,6 +246,16 @@ class TestScheduling:
         with pytest.raises(ValueError):
             server.submit(prompt, max_new_tokens=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_slots", 0), ("block_size", 0), ("n_blocks", 0), ("n_blocks", -1)],
+    )
+    def test_config_rejects_what_no_server_could_run(self, field, value):
+        # block_size=0 used to be a ZeroDivisionError deep in the server and
+        # max_slots=0 surfaced as "n_blocks must be >= 1"
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: value})
+
 
 class TestBlockBudget:
     def test_blocks_never_exceed_budget_under_pressure(self, model):
@@ -370,6 +381,15 @@ class TestAnalyticCrossCheck:
         assert report.n_steps == n_steps
         assert report.slot_utilisation == pytest.approx(util, abs=1e-12)
         assert report.total_tokens == int(lengths.sum())
+        # the flow `repro serve` and the serving example print
+        check = cross_check_engine(report, 4)
+        assert check.matched and check.ok
+        assert (check.n_steps, check.static_steps) == (
+            n_steps,
+            static_schedule_stats(lengths, 4)[0],
+        )
+        # a different slot count is a different schedule: the check must bite
+        assert not cross_check_engine(report, 3).ok
 
     def test_fewer_steps_than_static_batching(self, model):
         # With EOS sampling, response lengths vary and continuous batching
