@@ -466,18 +466,6 @@ class DataflowChecker:
         cfg = getattr(worker, "serving_config", None)
         if cfg is None:
             return
-        if cfg.max_slots < 1:
-            report.add(
-                "DF103", ERROR,
-                f"serving max_slots must be >= 1, got {cfg.max_slots}",
-                location=location, hint="no request could ever be admitted",
-            )
-        if cfg.block_size < 1:
-            report.add(
-                "DF103", ERROR,
-                f"serving block_size must be >= 1, got {cfg.block_size}",
-                location=location, hint="KV pages need at least one token",
-            )
         if cfg.n_blocks is not None and cfg.n_blocks < cfg.max_slots:
             report.add(
                 "DF103",

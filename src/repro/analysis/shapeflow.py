@@ -16,15 +16,14 @@ What flows where is derived from three declarative sources:
   :class:`~repro.single_controller.protocols.ProtocolRequires` gives the
   batch split degree (divisibility) and collect semantics (all shipped
   splitting protocols restore the full batch on collect);
-* **engine geometry** — the train→gen :func:`plan_transition` gather plans
-  are cross-checked against the SH4xx :mod:`repro.parallel.sharding`
-  interval geometry, and the serving reassembly path against its
-  fixed-width + ``response_mask``/``response_lengths`` invariants.
+* **engine geometry** — the serving reassembly path is checked against its
+  fixed-width + ``response_mask``/``response_lengths`` invariants (the
+  train→gen gather plan is the SH4xx pass's to prove).
 
 Rules:
 
 =======  ==================================================================
-SF701    shape mismatch at a role boundary (or transition-plan coverage)
+SF701    shape mismatch at a role boundary
 SF702    mask/length inconsistency (eos vs ``response_mask``)
 SF703    dim not divisible under the assigned sharding
 SF704    silent dtype promotion (float64 creep) on a hot path
@@ -464,8 +463,7 @@ class ShapeFlowChecker:
     Entry points mirror the other analysis passes: :meth:`check_plan`
     (pre-build, from a placement plan), :meth:`check_system` (a constructed
     :class:`RlhfSystem`), :meth:`check_pipeline` (the async one-step-off
-    loop), :meth:`check_transition` (train→gen gather plans vs the SH4xx
-    geometry), and :meth:`check_shipped` over every shipped example graph.
+    loop), and :meth:`check_shipped` over every shipped example graph.
 
     Args:
         global_batch_size: Default concrete batch for divisibility checks;
@@ -644,88 +642,6 @@ class ShapeFlowChecker:
             report=report,
             _staleness=staleness,
         )
-
-    def check_transition(
-        self,
-        gen: Any,
-        report: Optional[AnalysisReport] = None,
-    ) -> AnalysisReport:
-        """Cross-check a train→gen :func:`plan_transition` against SH4xx.
-
-        Every rank's gather plan must (a) target exactly its generation
-        shard, (b) cover that shard with its reused resting shard plus the
-        received tiles, (c) source each tile from the sender's *training*
-        shard, and — HYBRIDFLOW grouping only — (d) gather zero redundant
-        bytes (§5.3 Eq. 1–2).  All arithmetic is exact Fractions.
-        """
-        from repro.hybrid_engine.engine import plan_transition
-        from repro.parallel.sharding import generation_shard, training_shard
-        from repro.parallel.topology import GenGroupingMode
-
-        report = report if report is not None else AnalysisReport("shapeflow")
-        plan = plan_transition(gen)
-        train = gen.train
-        hybrid = plan.mode is GenGroupingMode.HYBRIDFLOW
-        tcfg = train.config
-        where = (
-            f"transition pp{tcfg.pp} tp{tcfg.tp} dp{tcfg.dp}->"
-            f"pp{gen.config.pp} tp{gen.config.tp} [{plan.mode.name}]"
-        )
-        for rank, rank_plan in sorted(plan.by_rank.items()):
-            report.note_checked("transition_ranks")
-            target = rank_plan.target
-            if target != generation_shard(gen, rank):
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"rank {rank}: plan target is not the rank's generation "
-                    "shard under the §5.1 grouping",
-                    location=where,
-                    hint=SF_RULES["SF701"][1],
-                )
-            pieces = [rank_plan.reused] + [t.shard for t in rank_plan.tiles]
-            covered = sum(
-                (p.overlap_fraction(target) for p in pieces), Fraction(0)
-            )
-            if covered != target.fraction:
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"rank {rank}: gather plan covers {covered} of the "
-                    f"generation shard's {target.fraction} of the weights",
-                    location=where,
-                    hint="the reused shard plus the gather tiles must tile "
-                    "the generation shard exactly (§5.3 Eq. 1)",
-                )
-            if hybrid:
-                report.note_checked("zero_redundancy_ranks")
-                gathered = sum(
-                    (p.fraction for p in pieces), Fraction(0)
-                )
-                if gathered != target.fraction:
-                    report.add(
-                        "SF701",
-                        ERROR,
-                        f"rank {rank}: gathers {gathered} of the weights for "
-                        f"a {target.fraction} generation shard — redundant "
-                        "bytes under HYBRIDFLOW grouping",
-                        location=where,
-                        hint="§5.3 Eq. 2: interval grouping is "
-                        "zero-redundancy; only VANILLA over-gathers",
-                    )
-            for tile in rank_plan.tiles:
-                report.note_checked("transition_tiles")
-                if tile.shard != training_shard(train, tile.source_rank):
-                    report.add(
-                        "SF701",
-                        ERROR,
-                        f"rank {rank}: tile from rank {tile.source_rank} is "
-                        "not that rank's training shard",
-                        location=where,
-                        hint="gather tiles ship resting training shards "
-                        "verbatim; re-derive the plan from the topology",
-                    )
-        return report
 
     def check_shipped(self, batch: int = 8) -> AnalysisReport:
         """Run the pass over every shipped example graph, merged."""
@@ -1288,17 +1204,11 @@ def shipped_graph_reports(
     """The SF pass over every shipped example graph, one report per graph.
 
     Covers the acceptance surface: the full PPO graph, GRPO, the
-    serving-backed actor, the async one-step-off pipeline, and the
-    train→gen transition geometry (both grouping modes, tiny + colocate).
+    serving-backed actor, and the async one-step-off pipeline.
     """
-    from repro.parallel.topology import (
-        GenGroupingMode,
-        GenTopology,
-        ParallelTopology,
-    )
     from repro.pipeline import PipelineConfig
     from repro.rlhf.core import AlgoType
-    from repro.runtime.builder import SystemSpec, shipped_placements
+    from repro.runtime.builder import SystemSpec
 
     chk = checker if checker is not None else ShapeFlowChecker(mutate=mutate)
     out: List[Tuple[str, AnalysisReport]] = []
@@ -1330,16 +1240,6 @@ def shipped_graph_reports(
             ),
         )
     )
-    transition_report = AnalysisReport("shapeflow")
-    for plan in shipped_placements().values():
-        actor = plan.assignments["actor"]
-        train = ParallelTopology(actor.parallel)
-        for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
-            chk.check_transition(
-                GenTopology(train, actor.gen_parallel, mode),
-                report=transition_report,
-            )
-    out.append(("shapeflow[transition]", transition_report))
     return out
 
 

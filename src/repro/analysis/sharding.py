@@ -18,8 +18,9 @@ Rules:
 
 * ``SH401`` — a DP replica's training shards do not partition the unit
   square (a gap or double-ownership).
-* ``SH402`` — a transition plan leaves part of a rank's generation shard
-  uncovered, or ships a tile its source rank does not own.
+* ``SH402`` — a transition plan targets something other than the rank's
+  generation shard, leaves part of it uncovered, reuses or ships a piece
+  its holder does not own.
 * ``SH403`` — a transition plan gathers redundant bytes under the
   zero-redundancy grouping, or the closed-form overlap/redundancy algebra
   disagrees with the interval sweep.
@@ -215,8 +216,8 @@ class ShardingVerifier:
         """SH402/SH403 over a transition plan + SH404 over the gen groups.
 
         ``plan`` is a :class:`repro.hybrid_engine.engine.TransitionPlan`;
-        when omitted it is derived from the topology pair (the plan the
-        engine itself would execute).
+        when omitted it is the topology pair's memoized plan — the very
+        object :meth:`HybridEngine3D.to_generation` executes.
         """
         if report is None:
             report = AnalysisReport("sharding")
@@ -238,7 +239,12 @@ class ShardingVerifier:
                 )
                 continue
             self._check_rank_plan(
-                train.name, rank_plan, plan.mode, owner_shards, report
+                train.name,
+                rank_plan,
+                plan.mode,
+                owner_shards,
+                generation_shard(gen, rank),
+                report,
             )
             self._cross_check_closed_form(train.name, gen, rank, report)
             report.note_checked("ranks")
@@ -261,11 +267,20 @@ class ShardingVerifier:
         rank_plan,
         mode: GenGroupingMode,
         owner_shards: Dict[int, WeightShard],
+        gen_shard: WeightShard,
         report: AnalysisReport,
     ) -> None:
         problems: List[str] = []
+        if rank_plan.target != gen_shard:
+            problems.append(
+                "plan target is not the rank's generation shard under the "
+                "§5.1 grouping"
+            )
         cover = [rank_plan.reused] + [tile.shard for tile in rank_plan.tiles]
-        # provenance: a tile must come out of its source rank's resting shard
+        # provenance: the reused piece is the rank's own resting shard, and a
+        # tile must come out of its source rank's
+        if rank_plan.reused != owner_shards.get(rank_plan.rank):
+            problems.append("reused piece is not the rank's training shard")
         for tile in rank_plan.tiles:
             report.note_checked("tiles")
             owner = owner_shards.get(tile.source_rank)

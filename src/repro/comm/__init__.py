@@ -15,6 +15,7 @@ from repro.comm.groups import (
     ProcessGroup,
     TrafficMeter,
     partition_problems,
+    ring_all_gather_bytes,
 )
 from repro.comm.collectives import (
     all_gather,
@@ -57,5 +58,6 @@ __all__ = [
     "partition_problems",
     "reduce_scatter",
     "reduce_scatter_volume_per_rank",
+    "ring_all_gather_bytes",
     "scatter",
 ]

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
-from repro.comm.groups import ProcessGroup
+from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
 
 
 def _require_group_sized(inputs: Sequence[Any], group: ProcessGroup, op: str) -> None:
@@ -35,8 +35,7 @@ def all_gather(shards: Sequence[np.ndarray], group: ProcessGroup, axis: int = 0)
     """
     _require_group_sized(shards, group, "all_gather")
     gathered = np.concatenate([np.asarray(s) for s in shards], axis=axis)
-    total = gathered.nbytes
-    per_rank = (group.size - 1) * total // group.size if group.size > 1 else 0
+    per_rank = ring_all_gather_bytes(gathered.nbytes, group.size)
     group.record_traffic("all_gather", per_rank)
     return [gathered.copy() for _ in range(group.size)]
 
@@ -98,9 +97,7 @@ def reduce_scatter(
             f"by group size {group.size}"
         )
     chunks = np.split(total, group.size, axis=axis)
-    per_rank = (
-        (group.size - 1) * total.nbytes // group.size if group.size > 1 else 0
-    )
+    per_rank = ring_all_gather_bytes(total.nbytes, group.size)
     group.record_traffic("reduce_scatter", per_rank)
     return [c.copy() for c in chunks]
 

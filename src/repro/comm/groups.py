@@ -49,6 +49,11 @@ class TrafficMeter:
         return dict(self._bytes)
 
 
+def ring_all_gather_bytes(total_bytes: int, group_size: int) -> int:
+    """Per-rank bytes a ring all-gather (or reduce-scatter) of ``total_bytes`` moves."""
+    return (group_size - 1) * total_bytes // group_size
+
+
 class ProcessGroup:
     """An ordered set of global ranks participating in collectives together."""
 

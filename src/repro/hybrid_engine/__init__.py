@@ -15,8 +15,7 @@ from repro.hybrid_engine.engine import (
     RankTransitionPlan,
     TransitionPlan,
     TransitionReport,
-    clear_plan_cache,
-    plan_cache_stats,
+    plan_for_geometry,
     plan_transition,
 )
 from repro.hybrid_engine.overhead import (
@@ -35,8 +34,7 @@ __all__ = [
     "TransitionOverhead",
     "TransitionPlan",
     "TransitionReport",
-    "clear_plan_cache",
-    "plan_cache_stats",
+    "plan_for_geometry",
     "plan_transition",
     "transition_overhead",
 ]

@@ -2,38 +2,42 @@
 
 Operates on a :class:`~repro.single_controller.worker_group.WorkerGroup` of
 :class:`~repro.workers.base.ShardedModelWorker` ranks that has a generation
-topology installed.  ``to_generation`` builds every rank's *generation shard*
-from the resting training shards:
+topology installed.  The paper's two systems differ in one decision (§5.3,
+Figure 8) — which ranks gather together, :func:`gather_group`:
 
-* **HYBRIDFLOW grouping** (§5.3): the members of a rank's micro-DP group hold
-  exactly the training tiles that make up its generation shard, so one
-  all-gather within the micro-DP group suffices; the rank's own training
-  shard is reused in place (zero redundancy).
-* **VANILLA grouping** (HybridFlow-V): micro-DP peers hold the *same* target
-  shard but different source tiles, so the full model must be gathered
-  within the training model-parallel group and then sliced — the peak-memory
-  ``M`` and redundant storage of Table 2.
+* **HYBRIDFLOW**: a rank's micro-DP group holds exactly the training tiles
+  of its generation shard, so one all-gather within it suffices and the
+  rank's own training shard is reused in place (zero redundancy).
+* **VANILLA** (HybridFlow-V): micro-DP peers hold the *same* target shard
+  but different source tiles, so the whole training model-parallel group is
+  gathered and the generation shard sliced out — the peak-memory ``M`` and
+  redundant storage of Table 2.
 
-All movement is in real numpy arrays with traffic metered, and the device
-memory ledger reflects the generation-only buffers, so the Table 2 algebra is
-verified against observed bytes, not re-derived.
+Everything else exists once: :func:`plan_transition` states the gather,
+:meth:`HybridEngine3D.to_generation` interprets that plan over real numpy
+arrays, :class:`~repro.analysis.ShardingVerifier` proves the object the
+engine executes, and every cost (metered traffic, ledger charges, peak,
+redundancy) is read off the executed plan and the arrays it moved.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import functools
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
+from repro.config import GenParallelConfig, ParallelConfig
 from repro.models.sharding import (
     gather_full_params,
+    merge_tp_shards,
     param_partition,
     shard_nbytes,
-    shard_params,
 )
 from repro.parallel.sharding import WeightShard, generation_shard, training_shard
-from repro.parallel.topology import GenGroupingMode, GenTopology
+from repro.parallel.topology import GenGroupingMode, GenTopology, ParallelTopology
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,83 +69,84 @@ class RankTransitionPlan:
 class TransitionPlan:
     """The full train->generation all-gather plan, one entry per rank.
 
-    This is the *declarative* form of what :meth:`HybridEngine3D.to_generation`
-    executes — produced independently from the topology geometry so the
-    :class:`~repro.analysis.ShardingVerifier` can prove coverage and
-    zero-redundancy (§5.3, Eq. 1–2) without running the engine.
+    :meth:`HybridEngine3D.to_generation` executes it and the
+    :class:`~repro.analysis.ShardingVerifier` proves coverage and
+    zero-redundancy (§5.3, Eq. 1–2) of the same object.
     """
 
     mode: GenGroupingMode
     by_rank: Dict[int, RankTransitionPlan]
 
 
-# plan_transition is a pure function of the topology *geometry* — grouping
-# mode, training/generation parallel configs, and the rank list — so plans
-# are memoized on that key.  Every PPO iteration replans the same pair of
-# layouts twice (train->gen and back); with the cache only the first
-# iteration pays the per-rank shard/tile derivation.
-_PLAN_CACHE: Dict[tuple, TransitionPlan] = {}
-_PLAN_CACHE_STATS = {"hits": 0, "misses": 0}
+def gather_group(gen: GenTopology, rank: int) -> ProcessGroup:
+    """The group ``rank`` all-gathers in — the one decision §5.3 varies.
 
-
-def plan_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the transition-plan memo (for the bench)."""
-    return {**_PLAN_CACHE_STATS, "size": len(_PLAN_CACHE)}
-
-
-def clear_plan_cache() -> None:
-    """Drop memoized transition plans (tests and benchmarks)."""
-    _PLAN_CACHE.clear()
-    _PLAN_CACHE_STATS["hits"] = 0
-    _PLAN_CACHE_STATS["misses"] = 0
+    :func:`plan_transition` reads its ranks, the executor meters on it.
+    """
+    if gen.mode is GenGroupingMode.HYBRIDFLOW:
+        return gen.micro_dp_group(rank)
+    return gen.train.mp_group(rank)
 
 
 def plan_transition(gen: GenTopology) -> TransitionPlan:
-    """Derive the per-rank gather plan a topology pair implies.
-
-    * HYBRIDFLOW: each rank gathers exactly its micro-DP peers' training
-      shards — those tile its generation shard with its own shard reused in
-      place (the zero-redundancy grouping of Figure 8b).
-    * VANILLA: each rank gathers every training model-parallel peer's shard
-      (the full replica) and slices its generation shard out, as
-      ``_gather_vanilla`` does.
-
-    The result is memoized: ``TransitionPlan`` is frozen, so callers across
-    topologies with identical geometry share one instance.
-    """
+    """The gather plan a topology pair implies: every rank keeps its training
+    shard and receives that of every other member of its :func:`gather_group`."""
     train = gen.train
-    cache_key = (
-        gen.mode,
-        gen.config,
-        train.config,
-        tuple(train.global_ranks),
+    return plan_for_geometry(
+        gen.mode, gen.config, train.config, tuple(train.global_ranks)
     )
-    cached = _PLAN_CACHE.get(cache_key)
-    if cached is not None:
-        _PLAN_CACHE_STATS["hits"] += 1
-        return cached
-    _PLAN_CACHE_STATS["misses"] += 1
+
+
+@functools.lru_cache(maxsize=None)
+def plan_for_geometry(
+    mode: GenGroupingMode,
+    gen_config: GenParallelConfig,
+    train_config: ParallelConfig,
+    ranks: Tuple[int, ...],
+) -> TransitionPlan:
+    """:func:`plan_transition` as a pure function of the geometry it reads.
+
+    Memoized on that key (``cache_info()``/``cache_clear()``): the engine
+    plans on every ``to_generation``, the publisher on every publication.
+    Controllers with equal geometry share the plan, so it is derived on a
+    meter-less scratch topology and holds no live group.
+    """
+    train = ParallelTopology(train_config, ranks)
+    gen = GenTopology(train, gen_config, mode)
     by_rank: Dict[int, RankTransitionPlan] = {}
-    for rank in train.global_ranks:
-        if gen.mode is GenGroupingMode.HYBRIDFLOW:
-            group = gen.micro_dp_group(rank)
-        else:
-            group = train.mp_group(rank)
-        tiles = tuple(
-            GatherTile(peer, training_shard(train, peer))
-            for peer in group.ranks
-            if peer != rank
-        )
+    for rank in ranks:
+        group_ranks = tuple(gather_group(gen, rank).ranks)
         by_rank[rank] = RankTransitionPlan(
             rank=rank,
             target=generation_shard(gen, rank),
             reused=training_shard(train, rank),
-            tiles=tiles,
-            group_ranks=tuple(group.ranks),
+            tiles=tuple(
+                GatherTile(peer, training_shard(train, peer))
+                for peer in group_ranks
+                if peer != rank
+            ),
+            group_ranks=group_ranks,
         )
-    plan = TransitionPlan(mode=gen.mode, by_rank=by_rank)
-    _PLAN_CACHE[cache_key] = plan
-    return plan
+    return TransitionPlan(mode=mode, by_rank=by_rank)
+
+
+def gather_bytes_per_rank(
+    plan: TransitionPlan, shards: Mapping[int, Mapping[str, np.ndarray]]
+) -> Dict[int, int]:
+    """Ring all-gather bytes each rank moves when ``plan`` is executed.
+
+    ``shards`` maps a global rank to its resting training shard.  A rank's
+    gather runs over ``group_ranks`` and its payload is the rank's own shard
+    plus the source shard of every tile.
+    """
+    sizes = {rank: shard_nbytes(shard) for rank, shard in shards.items()}
+    return {
+        rank: ring_all_gather_bytes(
+            sizes[rank] + sum(sizes[t.source_rank] for t in rank_plan.tiles),
+            len(rank_plan.group_ranks),
+        )
+        for rank, rank_plan in plan.by_rank.items()
+    }
 
 
 @dataclasses.dataclass
@@ -183,7 +188,7 @@ class HybridEngine3D:
         return self.group.gen_topology
 
     def plan_transition(self) -> TransitionPlan:
-        """The declarative gather plan this engine will execute."""
+        """The gather plan :meth:`to_generation` executes."""
         return plan_transition(self.gen_topology)
 
     def _note_transition(self, direction: str, comm_bytes: int) -> None:
@@ -211,127 +216,57 @@ class HybridEngine3D:
     # -- transition: training -> generation (steps 1-2 of Figure 7) ----------------
 
     def to_generation(self) -> TransitionReport:
-        """Build generation shards on every rank; returns observed costs."""
+        """Execute :meth:`plan_transition` on every rank; returns observed costs."""
         if self.in_generation:
             raise RuntimeError("engine is already in the generation layout")
         gen = self.gen_topology
-        mode = gen.mode
-        comm: Dict[int, int] = {}
+        plan = self.plan_transition()
+        shards = {w.ctx.global_rank: w.shard for w in self.group.workers}
+        comm = gather_bytes_per_rank(plan, shards)
         peak: Dict[int, int] = {}
         redundant: Dict[int, int] = {}
 
         for worker in self.group.workers:
             rank = worker.ctx.global_rank
-            train_bytes = shard_nbytes(worker.shard)
-            if mode is GenGroupingMode.HYBRIDFLOW:
-                gen_shard, moved = self._gather_micro_dp(worker)
-                # training shard is contained in the generation shard: reuse
-                extra = shard_nbytes(gen_shard) - train_bytes
-                redundant[rank] = 0
-                peak[rank] = shard_nbytes(gen_shard)
-            else:
-                # vanilla aggregates the full model before slicing (Table 2):
-                # account the transient gather buffer in the device ledger
-                full_bytes = self._full_model_bytes()
-                tmp_tag = f"{worker.tag}/transition_gather"
-                worker.ctx.device.memory.alloc(tmp_tag, full_bytes - train_bytes)
-                gen_shard, moved, extra, dup = self._gather_vanilla(worker)
-                worker.ctx.device.memory.free_tag(tmp_tag)
-                redundant[rank] = dup
-                peak[rank] = full_bytes
-            comm[rank] = moved
-            worker.gen_shard = gen_shard
-            worker.ctx.device.memory.alloc(
-                f"{worker.tag}/gen_params_extra", max(extra, 0)
+            rank_plan = plan.by_rank[rank]
+            target = rank_plan.target
+            memory = worker.ctx.device.memory
+            gather_group(gen, rank).record_traffic(
+                "hybrid_engine_all_gather", comm[rank]
             )
+            gathered = (GatherTile(rank, rank_plan.reused), *rank_plan.tiles)
+            held = sorted(
+                (tile for tile in gathered if target.contains(tile.shard)),
+                key=lambda tile: (tile.shard.layers.start, tile.shard.tensor.start),
+            )
+            gen_shard = merge_tp_shards([shards[t.source_rank] for t in held])
+            train_bytes = shard_nbytes(worker.shard)
+            peak[rank] = gen_bytes = shard_nbytes(gen_shard)
+            if len(held) < len(gathered):
+                # pieces gathered beyond the target: the replica is assembled
+                # beside the resting shard before the target is sliced out of
+                # it (Table 2's peak M) — a transient buffer in the ledger
+                peak[rank] = 8 * sum(int(np.prod(s)) for s in worker._shapes.values())
+                tmp_tag = f"{worker.tag}/transition_gather"
+                memory.alloc(tmp_tag, peak[rank] - train_bytes)
+                memory.free_tag(tmp_tag)
+            # resting bytes the generation shard keeps in place: a replicated
+            # parameter when the generation shard holds it too, a partitioned
+            # one iff its training interval lies inside the target's; the
+            # rest of the resting shard is duplicate storage
+            inside = target.tensor.contains(rank_plan.reused.tensor)
+            kept = sum(
+                arr.nbytes
+                for name, arr in worker.shard.items()
+                if name in gen_shard and (inside or param_partition(name) is None)
+            )
+            redundant[rank] = train_bytes - kept
+            worker.gen_shard = gen_shard
+            memory.alloc(f"{worker.tag}/gen_params_extra", gen_bytes - kept)
         self.in_generation = True
         self.last_report = TransitionReport(comm, peak, redundant)
         self._note_transition("to_generation", sum(comm.values()))
         return self.last_report
-
-    def _full_model_bytes(self) -> int:
-        worker = self.group.workers[0]
-        return sum(
-            int(np.prod(shape)) * 8 for shape in worker._shapes.values()
-        )
-
-    def _gather_micro_dp(self, worker):
-        """HYBRIDFLOW path: all-gather training tiles within the micro-DP group."""
-        gen = self.gen_topology
-        group = gen.micro_dp_group(worker.ctx.global_rank)
-        members = [worker.ctx.peer(r) for r in group.ranks]
-        total = sum(shard_nbytes(m.shard) for m in members)
-        moved = (group.size - 1) * total // group.size if group.size > 1 else 0
-        group.record_traffic("hybrid_engine_all_gather", moved)
-
-        # merge member training shards: same layer params concat on TP axis,
-        # members ordered by training tensor rank
-        members_sorted = sorted(members, key=lambda m: (m.ctx.coords.p, m.ctx.coords.t))
-        merged: Dict[str, List[np.ndarray]] = {}
-        order: Dict[str, List[int]] = {}
-        for member in members_sorted:
-            t_rank = member.ctx.coords.t
-            for name, arr in member.shard.items():
-                merged.setdefault(name, []).append(arr)
-                order.setdefault(name, []).append(t_rank)
-        gen_shard: Dict[str, np.ndarray] = {}
-        for name, pieces in merged.items():
-            axis = param_partition(name)
-            if axis is None or len(pieces) == 1:
-                gen_shard[name] = pieces[0].copy()
-            else:
-                ranked = [p for _, p in sorted(zip(order[name], pieces))]
-                gen_shard[name] = np.concatenate(ranked, axis=axis)
-        return gen_shard, moved
-
-    def _gather_vanilla(self, worker):
-        """VANILLA path: gather the full model in the MP group, then slice."""
-        topo = self.group.train_topology
-        cfg = topo.config
-        gen = self.gen_topology
-        mp_group = topo.mp_group(worker.ctx.global_rank)
-        members = [worker.ctx.peer(r) for r in mp_group.ranks]
-        total = sum(shard_nbytes(m.shard) for m in members)
-        moved = (
-            (mp_group.size - 1) * total // mp_group.size
-            if mp_group.size > 1
-            else 0
-        )
-        mp_group.record_traffic("hybrid_engine_all_gather", moved)
-        by_coord = {
-            (m.ctx.coords.p, m.ctx.coords.t): m.shard for m in members
-        }
-        full = gather_full_params(by_coord, tp_size=cfg.tp, pp_size=cfg.pp)
-        c = gen.coords(worker.ctx.global_rank)
-        gen_shard = shard_params(
-            full,
-            tp_rank=c.tg,
-            tp_size=gen.config.tp,
-            pp_rank=c.pg,
-            pp_size=gen.config.pp,
-            n_layers=worker.model_config.n_layers,
-        )
-        # overlap between the rank's training shard and its new gen shard:
-        # bytes it can reuse; the rest of the training shard is duplicate
-        overlap = 0
-        for name, arr in worker.shard.items():
-            if name in gen_shard:
-                gen_arr = gen_shard[name]
-                axis = param_partition(name)
-                if axis is None:
-                    overlap += arr.nbytes
-                else:
-                    # training slice [t/tp] overlaps gen slice [tg/tg_size]?
-                    t_lo = worker.ctx.coords.t / cfg.tp
-                    t_hi = (worker.ctx.coords.t + 1) / cfg.tp
-                    g_lo = c.tg / gen.config.tp
-                    g_hi = (c.tg + 1) / gen.config.tp
-                    frac = max(0.0, min(t_hi, g_hi) - max(t_lo, g_lo)) * cfg.tp
-                    overlap += int(arr.nbytes * frac)
-        train_bytes = shard_nbytes(worker.shard)
-        duplicate = train_bytes - overlap
-        extra = shard_nbytes(gen_shard) - overlap
-        return gen_shard, moved, extra, duplicate
 
     # -- generation-side helpers -----------------------------------------------------
 

@@ -13,10 +13,11 @@ use:
 * ``publish(version)`` — called by the trainer after each optimizer step.
   It *stages* the new weights for the generator (writes the version's
   snapshot slot) and returns immediately; the decode loop keeps running on
-  the previously active snapshot.  The per-rank bytes the publication ships
-  are exactly the tiles of the memoized train→generation
-  :func:`~repro.hybrid_engine.engine.plan_transition` — publication reuses
-  the §5.2 all-gather plan rather than inventing a second resharding path.
+  the previously active snapshot.  The bytes a publication ships are what
+  executing the memoized train→generation
+  :func:`~repro.hybrid_engine.engine.plan_transition` moves — publication
+  reuses the §5.2 all-gather plan and the engine's own byte count rather
+  than inventing a second resharding path.
 * ``acquire()`` — called at a generate-call boundary.  The engine flips the
   staged snapshot to active and tags every sequence it produces with that
   policy version.  Switching only at call boundaries is what keeps a batch's
@@ -32,10 +33,7 @@ makes for version *t+1* never touch the snapshot version *t* decodes from.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from repro.hybrid_engine.engine import plan_transition
-from repro.models.sharding import shard_nbytes
+from repro.hybrid_engine.engine import gather_bytes_per_rank, plan_transition
 from repro.single_controller.access_log import READ, WRITE
 
 
@@ -74,31 +72,16 @@ class WeightPublisher:
         return self._active
 
     def publish_bytes_per_version(self) -> int:
-        """Bytes one publication ships: the transition plan's gather tiles.
+        """Bytes one publication ships: the transition plan's gather volume.
 
-        Per rank, the tiles received from *peers* (the rank's own resting
-        shard is reused in place and never moves) — identical accounting to
-        :meth:`~repro.hybrid_engine.engine.HybridEngine3D.to_generation`,
-        and served from the same memoized plan.  Tile rectangles are
-        fractions of the unit square, scaled by the real replica bytes held
-        on the workers' resting shards.
+        The same plan and the same
+        :func:`~repro.hybrid_engine.engine.gather_bytes_per_rank` that
+        :meth:`~repro.hybrid_engine.engine.HybridEngine3D.to_generation`
+        meters, summed over ranks (a rank's own resting shard never moves).
         """
+        shards = {w.ctx.global_rank: w.shard for w in self.group.workers}
         plan = plan_transition(self.group.gen_topology)
-        moved = sum(
-            (
-                tile.shard.fraction
-                for rank_plan in plan.by_rank.values()
-                for tile in rank_plan.tiles
-                if tile.source_rank != rank_plan.rank
-            ),
-            Fraction(0),
-        )
-        replica_bytes = sum(
-            shard_nbytes(w.shard)
-            for w in self.group.workers
-            if w.ctx.coords.d == 0
-        )
-        return int(moved * replica_bytes)
+        return sum(gather_bytes_per_rank(plan, shards).values())
 
     # -- the protocol ----------------------------------------------------------------
 

@@ -10,6 +10,9 @@ Maps every TinyLM parameter to a Megatron-style partition spec:
   and position embeddings live on the first stage, the final norm and output
   head on the last stage.
 
+``merge_tp_shards`` is the one function that concatenates TP pieces: the
+HybridEngine merges the tiles of a generation shard with it and
+``gather_full_params`` is it over every ``(pp, tp)`` coordinate.
 ``shard_params``/``gather_full_params`` are exact inverses, which the
 HybridEngine tests rely on for the bit-exact resharding check.
 """
@@ -17,7 +20,7 @@ HybridEngine tests rely on for the bit-exact resharding check.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,22 +130,7 @@ def gather_full_params(
             f"need shards for all (pp, tp) ranks {sorted(expected)}, "
             f"got {sorted(shards)}"
         )
-    full: Dict[str, np.ndarray] = {}
-    for pp_rank in range(pp_size):
-        names = shards[(pp_rank, 0)].keys()
-        for name in names:
-            axis = param_partition(name)
-            if axis is None or tp_size == 1:
-                full[name] = np.asarray(
-                    shards[(pp_rank, 0)][name], dtype=np.float64
-                ).copy()
-            else:
-                pieces = [
-                    np.asarray(shards[(pp_rank, t)][name], dtype=np.float64)
-                    for t in range(tp_size)
-                ]
-                full[name] = np.concatenate(pieces, axis=axis)
-    return full
+    return merge_tp_shards([shards[coord] for coord in sorted(expected)])
 
 
 def shard_nbytes(shard: Mapping[str, np.ndarray]) -> int:
@@ -193,30 +181,34 @@ def gather_flat_shards(
 
 
 def merge_tp_shards(
-    pieces: List[Mapping[str, np.ndarray]],
+    pieces: Sequence[Mapping[str, np.ndarray]],
 ) -> Dict[str, np.ndarray]:
-    """Concatenate TP shards of the *same* PP stage into a wider shard.
+    """Merge the shards that tile a wider shard, given in ``(pp, tp)`` order.
 
-    Used by the HybridEngine's micro-DP all-gather: gathering ``t/t_g``
-    training TP shards yields one generation TP shard.  Parameter-name sets
-    must match across pieces; replicated parameters are taken from the first.
+    The one place TP pieces are concatenated: the HybridEngine builds every
+    generation shard with it and :func:`gather_full_params` the full model.
+    Pieces of one PP stage carry the same parameter names — a replicated
+    parameter is taken from the first, a partitioned one concatenated on its
+    TP axis in the order given; pieces of different stages carry disjoint
+    names.  Anything in between is a shard that lost parameters.
     """
     if not pieces:
         raise ValueError("no shards to merge")
-    names = set(pieces[0])
-    for piece in pieces[1:]:
-        if set(piece) != names:
-            raise ValueError("TP shards disagree on parameter names")
+    stages: List[set] = []
+    parts: Dict[str, List[np.ndarray]] = {}
+    for piece in pieces:
+        names = set(piece)
+        if names not in stages:
+            if any(names & stage for stage in stages):
+                raise ValueError("TP shards disagree on parameter names")
+            stages.append(names)
+        for name, arr in piece.items():
+            parts.setdefault(name, []).append(np.asarray(arr, dtype=np.float64))
     merged: Dict[str, np.ndarray] = {}
-    for name in names:
+    for name, arrs in parts.items():
         axis = param_partition(name)
-        if axis is None or len(pieces) == 1:
-            merged[name] = np.asarray(
-                pieces[0][name], dtype=np.float64
-            ).copy()
+        if axis is None or len(arrs) == 1:
+            merged[name] = arrs[0].copy()
         else:
-            merged[name] = np.concatenate(
-                [np.asarray(p[name], dtype=np.float64) for p in pieces],
-                axis=axis,
-            )
+            merged[name] = np.concatenate(arrs, axis=axis)
     return merged

@@ -193,12 +193,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Two 3D-HybridEngine transition cycles, plan/group caches observed."""
     from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-    from repro.hybrid_engine import (
-        HybridEngine3D,
-        clear_plan_cache,
-        plan_cache_stats,
-        plan_transition,
-    )
+    from repro.hybrid_engine import HybridEngine3D, plan_for_geometry
     from repro.single_controller import SingleController, WorkerGroup
     from repro.workers import ActorWorker
 
@@ -231,12 +226,11 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
     engine = HybridEngine3D(group)
 
-    clear_plan_cache()
+    plan_for_geometry.cache_clear()
     for _ in range(pins["cycles"]):
-        plan_transition(group.gen_topology)
         engine.to_generation()
         engine.to_training()
-    plan_stats = plan_cache_stats()
+    plan_stats = plan_for_geometry.cache_info()
     group_stats = group.gen_topology.group_cache.stats()
     comm_bytes = int(controller.meter.total_bytes())
 
@@ -244,8 +238,8 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # collective bytes are a function of shard shapes — Table 2 algebra,
         # identical on every platform
         "comm_bytes": _metric("exact", comm_bytes),
-        "plan_cache_hits": _metric("exact", plan_stats["hits"]),
-        "plan_cache_misses": _metric("exact", plan_stats["misses"]),
+        "plan_cache_hits": _metric("exact", plan_stats.hits),
+        "plan_cache_misses": _metric("exact", plan_stats.misses),
         "group_cache_hits_min": _metric(
             "min", group_stats["hits"], floor=1
         ),

@@ -16,6 +16,7 @@ import numpy as np
 
 import dataclasses
 
+from repro.comm.groups import ring_all_gather_bytes
 from repro.data.batch import DataBatch
 from repro.hybrid_engine.engine import HybridEngine3D
 from repro.models.sampler import GenerationOutput, generate
@@ -239,9 +240,7 @@ class ActorWorker(ThreeDParallelWorker):
                 for out in leads
                 if out._stashed_output is not None
             )
-            per_rank = (
-                (group.size - 1) * payload // group.size if group.size > 1 else 0
-            )
+            per_rank = ring_all_gather_bytes(payload, group.size)
             group.record_traffic("gen_results_all_gather", per_rank)
 
     def _release_kv_caches(self) -> None:

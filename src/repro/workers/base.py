@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.comm import collectives
-from repro.comm.groups import ProcessGroup
+from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
 from repro.models.adam import Adam
 from repro.models.autograd import Tensor
 from repro.models.sharding import (
@@ -167,9 +167,7 @@ class ShardedModelWorker(Worker):
         peers = [self.ctx.peer(r) for r in group.ranks]
         shards = [p.shard for p in peers]
         total = sum(shard_nbytes(s) for s in shards)
-        per_rank = (
-            (group.size - 1) * total // group.size if group.size > 1 else 0
-        )
+        per_rank = ring_all_gather_bytes(total, group.size)
         group.record_traffic("all_gather_params", per_rank)
         if self.layout == "flat":
             return gather_flat_shards(shards, self._shapes)

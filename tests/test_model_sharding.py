@@ -129,6 +129,21 @@ class TestMergeTpShards:
         for name in expected:
             np.testing.assert_array_equal(left[name], expected[name])
 
+    def test_pieces_of_several_pp_stages_merge_into_one_shard(self, state):
+        """The engine's case: 4 PP stages x 4 TP ranks hold the tiles of the
+        generation shard (pp 2 of 2, tp 1 of 2), handed over in (pp, tp) order."""
+        full, cfg = state
+        tiles = [
+            shard_params(full, t, 4, p, 4, cfg.n_layers)
+            for p in (2, 3)
+            for t in (2, 3)
+        ]
+        merged = merge_tp_shards(tiles)
+        expected = shard_params(full, 1, 2, 1, 2, cfg.n_layers)
+        assert set(merged) == set(expected)
+        for name in expected:
+            np.testing.assert_array_equal(merged[name], expected[name])
+
     def test_mismatched_names_rejected(self, state):
         full, cfg = state
         a = shard_params(full, 0, 2)

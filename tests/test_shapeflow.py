@@ -275,7 +275,6 @@ class TestShippedGraphs:
             "shapeflow[grpo]",
             "shapeflow[serving-ppo]",
             "shapeflow[async-pipeline]",
-            "shapeflow[transition]",
         ]
         for name, report in reports:
             assert report.findings == [], f"{name}: {report.findings}"
@@ -294,22 +293,6 @@ class TestShippedGraphs:
                 f"mutant {checker.mutate!r} produced {sorted(rules)}, "
                 f"expected exactly {{{expected}}}"
             )
-
-    def test_transition_grid_is_clean_directly(self):
-        from repro.parallel.topology import (
-            GenGroupingMode,
-            GenTopology,
-            ParallelTopology,
-        )
-
-        par = ParallelConfig(pp=1, tp=8, dp=2)
-        topo = ParallelTopology(par)
-        checker = ShapeFlowChecker()
-        for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
-            gen = GenTopology(topo, GenParallelConfig.derive(par, 1, 2), mode)
-            report = checker.check_transition(gen)
-            assert report.findings == []
-            assert report.checked["transition_tiles"] > 0
 
 
 # ---------------------------------------------------------------------------

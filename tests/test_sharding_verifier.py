@@ -163,6 +163,17 @@ class TestSeededBreaks:
         assert rules == ["SH402"]
         assert "outside that rank's training shard" in report.findings[0].message
 
+    def test_wrong_target_is_exactly_one_sh402(self):
+        gen = make_gen(2, 2, 1, 1, 2, GenGroupingMode.HYBRIDFLOW)
+        plan = plan_transition(gen)
+        # rank 0 is told to build rank 1's generation shard, out of rank 1's
+        # own (consistent) cover: only the target assertion can catch it
+        broken = dataclasses.replace(plan.by_rank[1], rank=0)
+        plan = dataclasses.replace(plan, by_rank={**plan.by_rank, 0: broken})
+        report = ShardingVerifier().verify_transition(gen, plan=plan)
+        assert [f.rule for f in report.findings] == ["SH402"]
+        assert "not the rank's generation shard" in report.findings[0].message
+
     def test_overlapping_groups_are_exactly_one_sh404(self):
         groups = [
             ProcessGroup([0, 1], name="g0"),
