@@ -57,10 +57,8 @@ def main() -> None:
         resumed = JOB.build()
         resumed.controller.load_checkpoint(ckpt_dir)
         resumed.trainer.load_state_dict(trainer_state)
-        batches = dataset.iter_batches(8, epochs=10**6)
-        for _ in range(3):  # fast-forward the dataloader (saved position)
-            next(batches)
-        resumed_history = [resumed.trainer.step(next(batches)) for _ in range(3)]
+        # the trainer state carries the dataloader position: batch 3 is next
+        resumed_history = resumed.trainer.train(dataset, 3, 8)[3:]
 
     print("  resumed rewards:  ", rewards(resumed_history))
     print("  reference rewards:", rewards(ref_history[3:]))

@@ -338,7 +338,7 @@ def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector):
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    from repro.perf import goodput_vs_interval, optimal_checkpoint_interval
+    from repro.perf import measured_interval_study
 
     spec, injector = _shipped_job_faults(args)
     print(
@@ -356,24 +356,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
         f"{injector.stats.retries_observed} retry(ies)"
     )
 
-    overhead = report.checkpoint_time + report.total_downtime
-    useful = max(report.total_time - overhead, 1e-9)
-    iter_time = useful / max(len(history) + report.total_lost_iterations, 1)
-    ckpt_time = report.checkpoint_time / max(report.checkpoints_saved, 1)
-    restore = (
-        report.events[0].restore_time if report.events else ckpt_time * 2.0
-    )
-    reinit = report.events[0].reinit_time if report.events else 2.0
+    interval, interval_iters, curve = measured_interval_study(report, args.mtbf)
     print(f"\nanalytic model (MTBF {args.mtbf:.0f}s):")
-    interval = optimal_checkpoint_interval(max(ckpt_time, 1e-9), args.mtbf)
     print(
         f"  Young optimal interval: {interval:.1f}s of work "
-        f"(~{interval / iter_time:.1f} iterations)"
+        f"(~{interval_iters:.1f} iterations)"
     )
     print("  goodput vs checkpoint interval:")
-    for k, goodput in goodput_vs_interval(
-        iter_time, ckpt_time, restore, reinit, args.mtbf
-    ):
+    for k, goodput in curve:
         print(f"    every {k:3d} iter(s): {goodput:.4f}")
     return 0
 

@@ -55,14 +55,20 @@ class PromptDataset:
         return DataBatch({"prompts": self.prompts[start : start + size]})
 
     def iter_batches(
-        self, batch_size: int, epochs: int = 1
+        self, batch_size: int, epochs: int = 1, skip: int = 0
     ) -> Iterator[DataBatch]:
-        """Yield full batches; drops the remainder like the paper's loader."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        for _ in range(epochs):
-            for start in range(0, len(self) - batch_size + 1, batch_size):
-                yield self.batch(start, batch_size)
+        """Yield full batches; drops the remainder like the paper's loader.
+
+        ``skip`` starts the stream that many batches in — a restored run's
+        dataloader position (§9) — without materialising the skipped ones.
+        """
+        if batch_size < 1 or skip < 0:
+            raise ValueError(
+                f"need batch_size >= 1 and skip >= 0, got {batch_size}, {skip}"
+            )
+        per_epoch = len(self) // batch_size
+        for index in range(skip, epochs * per_epoch):
+            yield self.batch(index % per_epoch * batch_size, batch_size)
 
 
 @dataclasses.dataclass

@@ -136,35 +136,19 @@ class FaultInjector:
     # -- event activation --------------------------------------------------------------
 
     def _arm_due(self, seq: int) -> None:
-        cluster = self.controller.cluster
-        now = self.controller.clock.now
-        metrics = self.controller.metrics
-
-        def count_kills(n: int) -> None:
-            self.stats.devices_killed += n
-            if n:
-                metrics.counter(
-                    "repro_devices_killed_total",
-                    "Devices killed by injected faults",
-                ).inc(n)
-
         while self._pending and self._pending[0].at_step <= seq:
             event = self._pending.pop(0)
             self.stats.events_armed += 1
-            if event.kind is FaultKind.DEVICE_LOSS:
-                if cluster.device(event.rank).alive:
-                    cluster.fail_device(event.rank, at_time=now)
-                    count_kills(1)
-            elif event.kind is FaultKind.MACHINE_LOSS:
-                count_kills(len(cluster.fail_machine(event.machine, at_time=now)))
-            elif event.kind is FaultKind.RACK_LOSS:
-                count_kills(
-                    len(
-                        cluster.fail_rack(
-                            event.rack, event.machines_per_rack, at_time=now
-                        )
-                    )
+            if event.kind in KILL_KINDS:
+                died = apply_kill(
+                    self.controller.cluster, event, self.controller.clock.now
                 )
+                self.stats.devices_killed += len(died)
+                if died:
+                    self.controller.metrics.counter(
+                        "repro_devices_killed_total",
+                        "Devices killed by injected faults",
+                    ).inc(len(died))
             elif event.kind is FaultKind.TRANSIENT_RPC:
                 self._transients.append(_ActiveTransient(event))
             elif event.kind is FaultKind.STRAGGLER:
@@ -183,6 +167,21 @@ class FaultInjector:
 KILL_KINDS = frozenset(
     {FaultKind.DEVICE_LOSS, FaultKind.MACHINE_LOSS, FaultKind.RACK_LOSS}
 )
+
+
+def apply_kill(cluster, event: FaultEvent, at_time: Optional[float]) -> List[int]:
+    """Kill what one :data:`KILL_KINDS` event names; returns the ranks that
+    died now (an already-dead device does not die twice)."""
+    if event.kind is FaultKind.MACHINE_LOSS:
+        return cluster.fail_machine(event.machine, at_time=at_time)
+    if event.kind is FaultKind.RACK_LOSS:
+        return cluster.fail_rack(
+            event.rack, event.machines_per_rack, at_time=at_time
+        )
+    if not cluster.device(event.rank).alive:
+        return []
+    cluster.fail_device(event.rank, at_time=at_time)
+    return [event.rank]
 
 
 class ClusterFaultDriver:
@@ -226,19 +225,7 @@ class ClusterFaultDriver:
         """Apply every event due at or before ``tick``; returns ranks killed now."""
         died: List[int] = []
         while self._pending and self._pending[0].at_step <= tick:
-            event = self._pending.pop(0)
-            if event.kind is FaultKind.DEVICE_LOSS:
-                if cluster.device(event.rank).alive:
-                    cluster.fail_device(event.rank, at_time=at_time)
-                    died.append(event.rank)
-            elif event.kind is FaultKind.MACHINE_LOSS:
-                died.extend(cluster.fail_machine(event.machine, at_time=at_time))
-            elif event.kind is FaultKind.RACK_LOSS:
-                died.extend(
-                    cluster.fail_rack(
-                        event.rack, event.machines_per_rack, at_time=at_time
-                    )
-                )
+            died.extend(apply_kill(cluster, self._pending.pop(0), at_time))
         self.devices_killed += len(died)
         return died
 

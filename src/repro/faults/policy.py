@@ -34,6 +34,12 @@ class SimClock:
         self._now += seconds
         return self._now
 
+    def advance_to(self, instant: float) -> float:
+        """Catch up to ``instant`` (a no-op when already past it): time a
+        queued job spent waiting on somebody else's clock."""
+        self._now = max(self._now, float(instant))
+        return self._now
+
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"
 

@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from repro.config import ClusterSpec
 from repro.data.dataset import PromptDataset
-from repro.mapping.elastic import candidate_dps as _candidate_dps
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime.builder import RlhfSystem, SystemSpec
@@ -100,10 +99,17 @@ class JobSpec:
     # -- elastic geometry --------------------------------------------------------------
 
     def candidate_dps(self) -> List[int]:
-        """Admissible DP widths, widest (most preferred) first."""
-        return _candidate_dps(
-            self.preferred_dp, self.min_dp, batch_size=self.batch_size
-        )
+        """Admissible DP widths, widest (most preferred) first.
+
+        Widths that do not divide ``batch_size`` are skipped: DP replicas
+        each take an equal batch slice, so an indivisible width would change
+        the per-replica batch shape and break bit-exact resume.
+        """
+        return [
+            dp
+            for dp in range(self.preferred_dp, self.min_dp - 1, -1)
+            if self.batch_size % dp == 0
+        ]
 
     def gpus_at(self, dp: int) -> int:
         """GPU demand at width ``dp``: the model pool plus one reward GPU."""

@@ -1,9 +1,9 @@
 """Fleet accounting: per-job recovery/goodput rows and fleet-wide fairness.
 
 Everything is measured on the simulated clocks the rest of the repo uses:
-per-job *useful* time is the simulated seconds that job's controller spent
-on iterations whose work survived (lost work is subtracted on rollback),
-and goodput is useful time over the job's wall time inside the fleet —
+per-job *useful* time is the simulated seconds that job spent on iterations
+whose work survived (its :class:`~repro.runtime.RecoveryReport`'s
+``iteration_times``, truncated by every rollback), and goodput is useful time over the job's wall time inside the fleet —
 queue waits, repairs, and re-runs all erode it.  Fairness is Jain's index
 over per-job goodput.
 """
@@ -185,6 +185,8 @@ class FleetReport:
             extras = []
             if j.failures:
                 extras.append(f"{j.failures} failure(s), MTTR {j.mttr:.2f}s")
+            if j.lost_iterations:
+                extras.append(f"lost {j.lost_iterations} iter(s)")
             if j.preemptions:
                 extras.append(f"preempted x{j.preemptions}")
             if j.resizes:

@@ -1,9 +1,10 @@
 """Multi-tenant gang scheduler over one shared :class:`SimCluster`.
 
-One :class:`FleetScheduler` drives several tenant RLHF jobs — each a full
-:class:`~repro.runtime.builder.RlhfSystem` with its own single controller,
-clock, tracer, and metrics — against one shared cluster, in discrete
-scheduler *ticks*:
+One :class:`FleetScheduler` drives several tenant RLHF jobs — each a
+:class:`~repro.runtime.recovery.JobRun`, the same supervised lifecycle
+``train_with_recovery`` loops over, with its own clock, tracer, and metrics
+— against one shared cluster, in discrete scheduler *ticks*; this module
+only decides *when* each run starts, steps, saves and stops:
 
 1. **Faults** — kill events from a fleet-level :class:`FaultPlan` (keyed by
    tick, applied by :class:`~repro.faults.ClusterFaultDriver`) mutate the
@@ -42,12 +43,7 @@ from repro.faults.policy import RetryPolicy, SimClock
 from repro.fleet.job import JobSpec
 from repro.fleet.report import FleetReport, JobReport
 from repro.observability.metrics import MetricsRegistry
-from repro.runtime.builder import RlhfSystem
-from repro.runtime.recovery import (
-    RecoveryCostModel,
-    _checkpoint_nbytes,
-    restore_system,
-)
+from repro.runtime import JobRun, RecoveryCostModel
 
 
 class JobState:
@@ -57,37 +53,38 @@ class JobState:
     FAILED = "failed"
 
 
-class _JobRuntime:
-    """Mutable scheduler-side state of one tenant job."""
+class _JobRuntime(JobRun):
+    """One tenant: its supervised run plus the scheduler's own state."""
 
-    def __init__(self, spec: JobSpec, checkpoint_dir: pathlib.Path) -> None:
+    def __init__(
+        self,
+        spec: JobSpec,
+        checkpoint_dir: pathlib.Path,
+        cluster: SimCluster,
+        cost_model: Optional[RecoveryCostModel],
+        retry_policy: Optional[RetryPolicy],
+    ) -> None:
+        # One injector per job for the lifetime of the fleet run: the
+        # dispatch gate only does dead-device detection when an injector is
+        # attached, so even fault-free tenants carry an empty-plan one.
+        super().__init__(
+            lambda shared: spec.build(cluster=shared, dp=self.dp),
+            spec.dataset(),
+            spec.batch_size,
+            checkpoint_dir,
+            cost_model=cost_model,
+            retry_policy=retry_policy,
+            injector=FaultInjector(FaultPlan()),
+            cluster=cluster,
+            allow_resize=True,
+        )
         self.spec = spec
-        self.checkpoint_dir = checkpoint_dir
         self.state = JobState.PENDING
-        self.system: Optional[RlhfSystem] = None
+        #: DP width of the current (or, while queued, the last) placement.
         self.dp: Optional[int] = None
-        self.it = 0
-        self.batches = None
-        self.history: List[Dict[str, Any]] = []
-        self.iter_durations: List[float] = []
-        #: One injector per job for the lifetime of the fleet run: the
-        #: dispatch gate only does dead-device detection when an injector is
-        #: attached, so even fault-free tenants carry an empty-plan one.
-        self.injector = FaultInjector(FaultPlan())
-        #: Tracer/metrics captured at first build and re-attached on every
-        #: rebuild, so one observability record spans the job's whole life.
-        self.obs: Dict[str, Any] = {}
-        self.has_checkpoint = False
-        self.requeued_by_fault = False
-        self.pending_snapshot: Optional[str] = None
         self.preemptions = 0
         self.resizes = 0
         self.failures = 0
-        self.lost_iterations = 0
-        self.lost_time = 0.0
-        self.downtime = 0.0
-        self.useful_time = 0.0
-        self.checkpoint_time = 0.0
         self.wait_ticks = 0
         self.submitted_at: Optional[float] = None
         self.completed_at: Optional[float] = None
@@ -156,8 +153,6 @@ class FleetScheduler:
         self.cluster = SimCluster(cluster_spec)
         self.clock = SimClock()
         self.metrics = MetricsRegistry()
-        self.cost = cost_model or RecoveryCostModel()
-        self.retry_policy = retry_policy
         self.aging = aging
         self.preemption = preemption
         self.run_checks = run_checks
@@ -170,8 +165,10 @@ class FleetScheduler:
             else None
         )
         root = pathlib.Path(checkpoint_root)
-        self.jobs = [_JobRuntime(spec, root / spec.name) for spec in jobs]
-        self.devices_killed = 0
+        self.jobs = [
+            _JobRuntime(spec, root / spec.name, self.cluster, cost_model, retry_policy)
+            for spec in jobs
+        ]
         self.ticks_run = 0
         self.analysis = None  # AnalysisReport once run_checks fires
 
@@ -188,104 +185,18 @@ class FleetScheduler:
 
     # -- job lifecycle -----------------------------------------------------------------
 
-    def _wire(self, job: _JobRuntime, system: RlhfSystem) -> None:
-        controller = system.controller
-        if self.retry_policy is not None:
-            controller.retry_policy = self.retry_policy
-        controller.attach_fault_injector(job.injector)
-        if not job.obs:
-            job.obs = {"tracer": controller.tracer, "metrics": controller.metrics}
-        else:
-            controller.attach_observability(job.obs["tracer"], job.obs["metrics"])
-        job.system = system
-
-    def _stream_at(self, job: _JobRuntime, iteration: int):
-        batches = job.spec.dataset().iter_batches(
-            job.spec.batch_size, epochs=10**6
-        )
-        for _ in range(iteration):
-            next(batches)
-        return batches
-
-    def _save(self, job: _JobRuntime, iteration: int) -> None:
-        controller = job.system.controller
-        with controller.tracer.span(
-            "checkpoint.save",
-            category="checkpoint",
-            job=job.spec.name,
-            iteration=iteration,
-        ) as span:
-            controller.save_checkpoint(
-                job.checkpoint_dir,
-                extra={
-                    "iteration": iteration,
-                    "trainer": job.system.trainer.state_dict(),
-                    "dp": job.dp,
-                },
-            )
-            save_time = self.cost.save_time(_checkpoint_nbytes(job.checkpoint_dir))
-            controller.clock.advance(save_time)
-            span.attrs["save_time"] = save_time
-        job.checkpoint_time += save_time
-        job.has_checkpoint = True
-
-    def _restore(self, job: _JobRuntime, as_repair: bool) -> int:
-        """Restore the job's checkpoint into its (possibly resized) system.
-
-        Rolls the runtime's iteration cursor back to the checkpointed one,
-        charging lost work; repair costs (reinit + restore) accrue to the
-        job's downtime only for fault-driven restores (``as_repair``) —
-        preemption restores are scheduling overhead, not MTTR.
-        """
-        controller = job.system.controller
-        tracer = job.obs["tracer"]
-        with tracer.span(
-            "recovery.rebuild", category="recovery", job=job.spec.name
-        ):
-            controller.clock.advance(self.cost.reinit_time)
-        with tracer.span(
-            "recovery.restore", category="recovery", job=job.spec.name
-        ) as span:
-            resumed, restore_time = restore_system(
-                job.system,
-                job.checkpoint_dir,
-                self.cost,
-                allow_resize=True,
-            )
-            span.attrs["restore_time"] = restore_time
-        if as_repair:
-            job.downtime += self.cost.reinit_time + restore_time
-        lost = job.it - resumed
-        if lost > 0:
-            job.lost_iterations += lost
-            job.lost_time += sum(job.iter_durations[resumed:])
-            job.obs["metrics"].counter(
-                "repro_lost_iterations_total",
-                "Completed iterations whose work was lost to failures",
-            ).inc(lost)
-        job.history = job.history[:resumed]
-        job.iter_durations = job.iter_durations[:resumed]
-        job.it = resumed
-        return resumed
-
-    def _admit_one(
-        self, job: _JobRuntime, tick: int, base_time: Optional[float] = None
-    ) -> bool:
-        """Build (or rebuild) a pending job at the widest width that fits."""
+    def _admit_one(self, job: _JobRuntime, tick: int) -> bool:
+        """Place (or re-place) a pending job at the widest width that fits."""
         dp = self._choose_dp(job.spec, self._free_gpus())
         if dp is None:
             return False
         resized = job.dp is not None and dp != job.dp
-        self._wire(job, job.spec.build(cluster=self.cluster, dp=dp))
-        controller = job.system.controller
-        # A fresh controller clock starts at 0; line it up with the fleet
-        # (or with the fault-detection time a recovery hands in) before any
-        # spans open on it.
-        controller.clock.advance(max(self.clock.now, base_time or 0.0))
+        job.dp = dp
+        # time that passed while the job sat in the queue is idle, not work
+        job.clock.advance_to(self.clock.now)
         if job.submitted_at is None:
             job.submitted_at = self.clock.now
-        tracer = job.obs["tracer"]
-        with tracer.span(
+        with job.tracer.span(
             "fleet.admit",
             category="fleet",
             job=job.spec.name,
@@ -293,22 +204,16 @@ class FleetScheduler:
             dp=dp,
             resized=resized,
         ):
-            if job.has_checkpoint:
-                self._restore(job, as_repair=job.requeued_by_fault)
-                if job.requeued_by_fault:
-                    job.recovery_points.append(
-                        {
-                            "resumed_iteration": job.it,
-                            "dp": dp,
-                            "snapshot": job.pending_snapshot,
-                            "tick": tick,
-                        }
-                    )
-                    job.pending_snapshot = None
-            else:
-                # iteration-0 checkpoint: the recovery target before the
-                # first periodic save exists
-                self._save(job, 0)
+            repair = job.start()
+        if repair is not None:
+            job.recovery_points.append(
+                {
+                    "resumed_iteration": repair.resumed_iteration,
+                    "dp": dp,
+                    "snapshot": self._snapshot_recovery_point(job),
+                    "tick": tick,
+                }
+            )
         if resized:
             job.resizes += 1
             self.metrics.counter(
@@ -316,20 +221,16 @@ class FleetScheduler:
                 "Elastic DP resizes across the fleet",
                 job=job.spec.name,
             ).inc()
-        job.dp = dp
         job.state = JobState.RUNNING
-        job.requeued_by_fault = False
-        job.batches = self._stream_at(job, job.it)
         return True
 
     def _preempt(self, victim: _JobRuntime, tick: int) -> None:
         """Checkpoint-and-evict: the victim requeues with its progress saved."""
-        tracer = victim.obs["tracer"]
-        with tracer.span(
+        with victim.tracer.span(
             "fleet.preempt", category="fleet", job=victim.spec.name, tick=tick
         ):
-            self._save(victim, victim.it)
-            victim.system.controller.release_pools()
+            victim.save()
+            victim.stop()
         victim.state = JobState.PENDING
         victim.preemptions += 1
         self.metrics.counter(
@@ -382,6 +283,8 @@ class FleetScheduler:
         return admitted
 
     def _snapshot_recovery_point(self, job: _JobRuntime) -> Optional[str]:
+        """Copy of the checkpoint a repair just restored from (the job
+        overwrites the live one as it advances)."""
         if not self.keep_recovery_checkpoints:
             return None
         dest = job.checkpoint_dir.parent / (
@@ -394,22 +297,8 @@ class FleetScheduler:
 
     def _recover(self, job: _JobRuntime, err: WorkerLostError, tick: int) -> float:
         """Fault-driven rebalance of one job; returns its clock delta."""
-        t0 = self.clock.now
-        controller = job.system.controller
-        detected = controller.clock.now
         job.failures += 1
-        tracer = job.obs["tracer"]
-        with tracer.span(
-            f"fleet.recover[{job.failures - 1}]",
-            category="recovery",
-            job=job.spec.name,
-            pool=err.pool,
-            ranks=tuple(err.dead_ranks),
-            cause=err.cause or "worker lost",
-            failed_iteration=job.it,
-        ) as span:
-            with tracer.span("recovery.teardown", category="recovery"):
-                controller.release_pools()
+        with job.recovery(err) as span:
             self.metrics.counter(
                 "repro_fleet_job_failures_total",
                 "Worker-loss events detected by fleet jobs",
@@ -421,29 +310,21 @@ class FleetScheduler:
                     f"gave up after {job.failures} worker-loss events "
                     f"(max {self.max_failures_per_job})"
                 )
-                job.system = None
                 span.attrs["outcome"] = "failed"
-                return detected - t0
-            job.pending_snapshot = self._snapshot_recovery_point(job)
-            job.requeued_by_fault = True
-            job.state = JobState.PENDING
-            if self._admit_one(job, tick, base_time=detected):
-                span.attrs.update(
-                    outcome="resumed", resumed_iteration=job.it, dp=job.dp
-                )
-                return job.system.controller.clock.now - t0
-            # graceful degradation: not even min_dp fits the survivors right
-            # now — stay queued (with aging) until capacity or a preemption
-            # frees devices.
-            job.system = None
-            span.attrs["outcome"] = "requeued"
-            return detected - t0
+            else:
+                job.state = JobState.PENDING
+                # graceful degradation: when not even min_dp fits the
+                # survivors right now, stay queued (with aging) until
+                # capacity or a preemption frees devices.
+                resumed = self._admit_one(job, tick)
+                span.attrs["outcome"] = "resumed" if resumed else "requeued"
+        return job.clock.now - self.clock.now
 
     def _complete(self, job: _JobRuntime) -> None:
         if self.run_checks:
             self._check(job)
-        job.completed_at = job.system.controller.clock.now
-        job.system.controller.release_pools()
+        job.completed_at = job.clock.now
+        job.stop()
         job.state = JobState.COMPLETED
 
     def _check(self, job: _JobRuntime) -> None:
@@ -469,28 +350,17 @@ class FleetScheduler:
 
     def _step_job(self, job: _JobRuntime, tick: int) -> float:
         """One RLHF iteration for one running job; returns its clock delta."""
-        controller = job.system.controller
-        # Catch the job's clock up to the fleet: time that passed while
-        # other tenants ran (or while this job waited in queue) is idle
-        # time, not work.
-        if controller.clock.now < self.clock.now:
-            controller.clock.advance(self.clock.now - controller.clock.now)
-        t0 = controller.clock.now
-        prompts = next(job.batches)
+        # time that passed while other tenants ran is idle time, not work
+        started = job.clock.advance_to(self.clock.now)
         try:
-            step_metrics = job.system.trainer.run_step(prompts)
+            job.step()
         except WorkerLostError as err:
             return self._recover(job, err, tick)
-        dt = controller.clock.now - t0
-        job.history.append(step_metrics)
-        job.iter_durations.append(dt)
-        job.useful_time += dt
-        job.it += 1
-        if job.it >= job.spec.n_iterations:
+        if job.iteration >= job.spec.n_iterations:
             self._complete(job)
-        elif job.it % job.spec.checkpoint_every == 0:
-            self._save(job, job.it)
-        return job.system.controller.clock.now - t0 if job.system else dt
+        elif job.iteration % job.spec.checkpoint_every == 0:
+            job.save()
+        return job.clock.now - started
 
     # -- the tick loop -----------------------------------------------------------------
 
@@ -510,7 +380,6 @@ class FleetScheduler:
                     self.cluster, tick, at_time=self.clock.now
                 )
                 if died:
-                    self.devices_killed += len(died)
                     self.metrics.counter(
                         "repro_fleet_devices_killed_total",
                         "Devices killed by the fleet fault driver",
@@ -572,15 +441,15 @@ class FleetScheduler:
                     priority=job.spec.priority,
                     state=job.state,
                     dp=job.dp or 0,
-                    iterations=job.it,
+                    iterations=job.iteration,
                     preemptions=job.preemptions,
                     resizes=job.resizes,
                     failures=job.failures,
-                    lost_iterations=job.lost_iterations,
+                    lost_iterations=job.report.total_lost_iterations,
                     wait_ticks=job.wait_ticks,
-                    downtime=job.downtime,
-                    useful_time=job.useful_time,
-                    checkpoint_time=job.checkpoint_time,
+                    downtime=job.report.total_downtime,
+                    useful_time=job.report.useful_time,
+                    checkpoint_time=job.report.checkpoint_time,
                     total_time=total,
                     detail=job.detail,
                 )
@@ -592,7 +461,7 @@ class FleetScheduler:
             jobs=rows,
             makespan=self.clock.now,
             ticks=self.ticks_run,
-            devices_killed=self.devices_killed,
+            devices_killed=self.driver.devices_killed if self.driver else 0,
             analysis_findings=findings,
             checks_run=self.run_checks,
         )

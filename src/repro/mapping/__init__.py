@@ -15,7 +15,6 @@ from repro.mapping.placement_enum import (
 )
 from repro.mapping.auto_parallel import ModelRole, StrategyChoice, auto_parallel
 from repro.mapping.device_mapping import MappingResult, map_dataflow
-from repro.mapping.elastic import candidate_dps, max_feasible_dp, replan_under_loss
 from repro.mapping.heterogeneous import (
     ClusterZone,
     HeterogeneousMapping,
@@ -31,10 +30,7 @@ __all__ = [
     "StrategyChoice",
     "allowed_allocations",
     "auto_parallel",
-    "candidate_dps",
     "enum_alloc",
     "map_dataflow",
-    "max_feasible_dp",
-    "replan_under_loss",
     "set_partitions",
 ]

@@ -13,9 +13,10 @@ bytes, and two kinds of structure:
   fed this call, derived from future provenance (the same lineage the
   timeline scheduler replays), exported as Chrome flow arrows.
 
-The tracer survives controller rebuilds: recovery re-attaches the same
-:class:`SpanTracer` to the re-placed controller, so one trace spans the
-faulted run, the recovery phases, and the resumed run.
+The tracer survives controller rebuilds: a supervised job owns one
+:class:`SpanTracer` and the clock it reads, and every controller the job
+builds adopts both, so one trace spans the faulted run, the recovery
+phases, and the resumed run.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ class SpanTracer:
 
     Args:
         clock: Anything with a ``now`` attribute (the controller's
-            :class:`~repro.faults.SimClock`).  ``None`` pins every span at
-            time 0 — useful for tracers built before a clock exists.
+            :class:`~repro.faults.SimClock`); ``None`` pins every span at 0.
     """
 
     def __init__(self, clock: Optional[Any] = None) -> None:
@@ -89,10 +89,6 @@ class SpanTracer:
     @property
     def now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
-
-    def set_clock(self, clock: Any) -> None:
-        """Re-point the tracer at a rebuilt controller's clock (recovery)."""
-        self.clock = clock
 
     # -- span lifecycle ----------------------------------------------------------------
 

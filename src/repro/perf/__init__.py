@@ -36,6 +36,7 @@ from repro.perf.recovery import (
     expected_goodput,
     goodput_vs_interval,
     mean_time_to_recover,
+    measured_interval_study,
     optimal_checkpoint_interval,
 )
 
@@ -61,6 +62,7 @@ __all__ = [
     "goodput_vs_interval",
     "inference_latency",
     "mean_time_to_recover",
+    "measured_interval_study",
     "optimal_checkpoint_interval",
     "simulate_latency",
     "training_latency",

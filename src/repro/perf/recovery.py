@@ -73,6 +73,28 @@ def goodput_vs_interval(
     ]
 
 
+def measured_interval_study(
+    report, mtbf: float
+) -> Tuple[float, float, List[Tuple[int, float]]]:
+    """Young's interval and the goodput curve for the job one run measured.
+
+    Parameterises the algebra above from a :class:`~repro.runtime.RecoveryReport`:
+    the mean *surviving* iteration and checkpoint-write times, and the first
+    repair's restore/re-init (twice a save, and 2 s, when nothing failed).
+
+    Returns:
+        ``(interval_seconds, interval_iterations, goodput_curve)``.
+    """
+    iter_time = report.useful_time / max(len(report.iteration_times), 1)
+    ckpt_time = report.checkpoint_time / max(report.checkpoints_saved, 1)
+    first = report.events[0] if report.events else None
+    restore = first.restore_time if first else ckpt_time * 2.0
+    reinit = first.reinit_time if first else 2.0
+    interval = optimal_checkpoint_interval(max(ckpt_time, 1e-9), mtbf)
+    curve = goodput_vs_interval(iter_time, ckpt_time, restore, reinit, mtbf)
+    return interval, interval / iter_time, curve
+
+
 def mean_time_to_recover(
     restore_time: float, reinit_time: float, lost_work_time: float = 0.0
 ) -> float:

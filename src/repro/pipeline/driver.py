@@ -192,9 +192,9 @@ class AsyncPipelineDriver:
                 f"{self._next_gen} rollouts already buffered but only "
                 f"{target} total iterations requested"
             )
-        batches = dataset.iter_batches(batch_size, epochs=10**6)
-        for _ in range(self._next_gen):
-            next(batches)
+        batches = dataset.iter_batches(
+            batch_size, epochs=10**6, skip=self._next_gen
+        )
         while len(self.trainer.history) < target:
             horizon = min(
                 len(self.trainer.history) + self.config.staleness_window,

@@ -195,8 +195,15 @@ class RlhfTrainerBase:
     def train(
         self, dataset: PromptDataset, n_iterations: int, batch_size: int
     ) -> List[Dict[str, Any]]:
-        """Run ``n_iterations`` RLHF iterations over the prompt dataset."""
-        batches = dataset.iter_batches(batch_size, epochs=10**6)
+        """Run ``n_iterations`` more RLHF iterations over the prompt dataset.
+
+        Prompt batches are consumed in absolute iteration order — batch
+        ``len(self.history)`` next — so a restored trainer resumes the
+        stream where the checkpointed one stopped (§9's dataloader IDs).
+        """
+        batches = dataset.iter_batches(
+            batch_size, epochs=10**6, skip=len(self.history)
+        )
         for _ in range(n_iterations):
             self.run_step(next(batches))
         return self.history

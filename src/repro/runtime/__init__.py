@@ -16,6 +16,7 @@ from repro.runtime.report import (
     system_report_dict,
 )
 from repro.runtime.recovery import (
+    JobRun,
     RecoveryCostModel,
     RecoveryEvent,
     RecoveryReport,
@@ -24,6 +25,7 @@ from repro.runtime.recovery import (
 )
 
 __all__ = [
+    "JobRun",
     "ModelAssignment",
     "PlacementPlan",
     "RecoveryCostModel",

@@ -1,7 +1,8 @@
 """Automatic failure recovery for functional RLHF runs (§9, beyond the happy path).
 
-:func:`train_with_recovery` wraps a trainer loop with the full
-fail-detect-recover cycle the single-controller model makes easy:
+:class:`JobRun` is the one supervised-job lifecycle — :func:`train_with_recovery`
+and the fleet scheduler both drive it — with the full fail-detect-recover
+cycle the single-controller model makes easy:
 
 1. **Detect** — a remote call against a pool with a dead device (or with an
    exhausted retry budget) raises a typed
@@ -15,22 +16,25 @@ fail-detect-recover cycle the single-controller model makes easy:
    worker RNG streams are keyed by local rank, the recovered trajectory is
    bit-exact against an uninterrupted run.
 
-Every recovery is accounted on the simulated clock (lost work since the
-last checkpoint, re-init, restore) and surfaced in a
+Every recovery is accounted on the job's one simulated clock (surviving
+and lost work, checkpoint writes, re-init, restore) and surfaced in a
 :class:`RecoveryReport`, so MTTR and goodput-vs-checkpoint-interval can be
 studied with :mod:`repro.perf.recovery`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pathlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.data.dataset import PromptDataset
 from repro.faults.errors import WorkerLostError
 from repro.faults.injector import FaultInjector
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import RetryPolicy, SimClock
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.spans import Span, SpanTracer
 from repro.runtime.builder import RlhfSystem
 
 #: Builds (or rebuilds) the RLHF system; receives the surviving cluster on
@@ -88,10 +92,18 @@ class RecoveryReport:
     checkpoints_saved: int = 0
     checkpoint_time: float = 0.0  # total simulated seconds spent saving
     total_time: float = 0.0  # simulated clock at the end of the run
+    #: Simulated seconds of each surviving iteration; a rollback truncates it
+    #: together with the history, so re-run work is never counted twice.
+    iteration_times: List[float] = dataclasses.field(default_factory=list)
 
     @property
     def n_failures(self) -> int:
         return len(self.events)
+
+    @property
+    def useful_time(self) -> float:
+        """Simulated seconds of iteration work that survived."""
+        return sum(self.iteration_times)
 
     @property
     def total_lost_iterations(self) -> int:
@@ -142,11 +154,10 @@ def restore_system(
 ) -> Tuple[int, float]:
     """Load the atomic checkpoint into a (possibly resized) rebuilt system.
 
-    The one restore path shared by :func:`train_with_recovery` and the fleet
-    scheduler: loads worker state (``allow_resize=True`` permits a different
-    DP width — see :meth:`SingleController.load_checkpoint`), charges the
-    restore to the simulated clock, and re-hydrates the trainer's RNG and
-    iteration counter from the manifest.
+    Loads worker state (``allow_resize=True`` permits a different DP width
+    — see :meth:`SingleController.load_checkpoint`), charges the restore to
+    the simulated clock, and re-hydrates the trainer's RNG and iteration
+    counter from the manifest.
 
     Returns:
         ``(resumed_iteration, restore_time)``.
@@ -161,6 +172,168 @@ def restore_system(
     if "trainer" in extra:
         system.trainer.load_state_dict(extra["trainer"])
     return int(extra.get("iteration", 0)), restore_time
+
+
+class JobRun:
+    """One supervised job: build -> checkpoint -> step -> recover, written once.
+
+    Owns what is job-long — build function, checkpoint directory, cost
+    model, fault wiring, **one** clock / tracer / registry that every
+    controller the job builds adopts, the surviving ``history`` and the
+    :class:`RecoveryReport` — while :attr:`system` comes and goes with each
+    placement.  The caller decides only *when* to start, step, save and stop.
+    """
+
+    def __init__(
+        self,
+        build_fn: BuildFn,
+        dataset: PromptDataset,
+        batch_size: int,
+        checkpoint_dir: str,
+        cost_model: Optional[RecoveryCostModel] = None,
+        retry_policy: Optional[RetryPolicy] = None,
+        injector: Optional[FaultInjector] = None,
+        cluster: Optional[Any] = None,
+        allow_resize: bool = False,
+    ) -> None:
+        self.build_fn = build_fn
+        self.dataset = dataset
+        self.batch_size = batch_size
+        self.checkpoint_dir = pathlib.Path(checkpoint_dir)
+        self.cost = cost_model or RecoveryCostModel()
+        self.retry_policy = retry_policy
+        self.injector = injector
+        #: ``None`` until the first build creates one; every later build
+        #: re-places the job on what survives of the same cluster.
+        self.cluster = cluster
+        self.allow_resize = allow_resize
+        self.clock = SimClock()
+        self.tracer = SpanTracer(self.clock)
+        self.metrics = MetricsRegistry()
+        self.system: Optional[RlhfSystem] = None
+        #: Per-iteration trainer metrics of the work that survived.
+        self.history: List[Dict[str, Any]] = []
+        self.report = RecoveryReport()
+        #: The error and the ``recovery[N]`` span (opened at detection) of a
+        #: failure the next :meth:`start` repairs.
+        self._failure: Optional[Tuple[WorkerLostError, Span]] = None
+
+    @property
+    def iteration(self) -> int:
+        """Completed iterations whose work survives (the next one to run)."""
+        return len(self.history)
+
+    def start(self) -> Optional[RecoveryEvent]:
+        """Place the job and bring it to its last durable state.
+
+        Builds on what is alive of the cluster and hands the new controller
+        the fault policy and the job's clock/tracer/registry.  The first
+        start writes the iteration-0 checkpoint (the recovery target before
+        any periodic save exists); every later one pays re-init, restores
+        the checkpoint and rolls ``history`` back to it — booked (and
+        returned) as a :class:`RecoveryEvent` when it repairs a failure,
+        plain scheduling overhead when it resumes a preempted job.
+        """
+        self.system = self.build_fn(self.cluster)
+        controller = self.system.controller
+        self.cluster = controller.cluster
+        controller.adopt(self.clock, self.tracer, self.metrics)
+        if self.retry_policy is not None:
+            controller.retry_policy = self.retry_policy
+        if self.injector is not None:
+            controller.attach_fault_injector(self.injector)
+        if not self.report.checkpoints_saved:
+            self.save()
+            return None
+        with self.tracer.span("recovery.rebuild", category="recovery"):
+            self.clock.advance(self.cost.reinit_time)
+        with self.tracer.span("recovery.restore", category="recovery") as span:
+            resumed, restore_time = restore_system(
+                self.system, self.checkpoint_dir, self.cost, self.allow_resize
+            )
+            span.attrs["restore_time"] = restore_time
+        failed_iteration = self.iteration
+        lost = failed_iteration - resumed
+        del self.history[resumed:]
+        del self.report.iteration_times[resumed:]
+        if self._failure is None:
+            return None
+        err, recovery_span = self._failure
+        self._failure = None
+        recovery_span.attrs.update(resumed_iteration=resumed, lost_iterations=lost)
+        self.metrics.counter(
+            "repro_recoveries_total", "Completed failure recoveries"
+        ).inc()
+        self.metrics.counter(
+            "repro_lost_iterations_total",
+            "Completed iterations whose work was lost to failures",
+        ).inc(lost)
+        event = RecoveryEvent(
+            failed_iteration=failed_iteration,
+            resumed_iteration=resumed,
+            lost_iterations=lost,
+            dead_ranks=err.dead_ranks,
+            pool=err.pool,
+            cause=err.cause or "worker lost",
+            detected_at=recovery_span.start,
+            restore_time=restore_time,
+            reinit_time=self.cost.reinit_time,
+        )
+        self.report.events.append(event)
+        return event
+
+    def save(self) -> None:
+        """Atomic checkpoint of workers + trainer at the current iteration."""
+        with self.tracer.span(
+            "checkpoint.save", category="checkpoint", iteration=self.iteration
+        ) as span:
+            self.system.controller.save_checkpoint(
+                self.checkpoint_dir,
+                extra={
+                    "iteration": self.iteration,
+                    "trainer": self.system.trainer.state_dict(),
+                },
+            )
+            save_time = self.cost.save_time(_checkpoint_nbytes(self.checkpoint_dir))
+            self.clock.advance(save_time)
+            span.attrs["save_time"] = save_time
+        self.report.checkpoints_saved += 1
+        self.report.checkpoint_time += save_time
+
+    def step(self) -> Dict[str, Any]:
+        """One RLHF iteration; a ``WorkerLostError`` leaves the books as
+        they were (an aborted iteration is neither history nor useful time)."""
+        started = self.clock.now
+        metrics = self.system.trainer.train(self.dataset, 1, self.batch_size)[-1]
+        self.history.append(metrics)
+        self.report.iteration_times.append(self.clock.now - started)
+        return metrics
+
+    def stop(self) -> None:
+        """Tear the placement down: its devices go back to the cluster."""
+        self.system.controller.release_pools()
+        self.system = None
+
+    @contextlib.contextmanager
+    def recovery(self, err: WorkerLostError) -> Iterator[Span]:
+        """The ``recovery[N]`` span of one detected failure.
+
+        Tears the victim down on entry; whatever the caller does next —
+        restart at once, requeue, give up — happens under the span, and the
+        next :meth:`start`, whenever it comes, is booked as this repair.
+        """
+        with self.tracer.span(
+            f"recovery[{self.report.n_failures}]",
+            category="recovery",
+            pool=err.pool,
+            ranks=tuple(err.dead_ranks),
+            cause=err.cause or "worker lost",
+            failed_iteration=self.iteration,
+        ) as span:
+            self._failure = (err, span)
+            with self.tracer.span("recovery.teardown", category="recovery"):
+                self.stop()
+            yield span
 
 
 def train_with_recovery(
@@ -198,123 +371,21 @@ def train_with_recovery(
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    cost = cost_model or RecoveryCostModel()
-    root = pathlib.Path(checkpoint_dir)
-    report = RecoveryReport()
-    #: Observability record of the whole run: captured from the first build
-    #: and re-attached to every rebuilt controller, so one tracer/registry
-    #: spans the faulted run, the recovery phases, and the resumed run.
-    obs: Dict[str, Any] = {}
-
-    def _wire(system: RlhfSystem) -> RlhfSystem:
-        if retry_policy is not None:
-            system.controller.retry_policy = retry_policy
-        if injector is not None:
-            system.controller.attach_fault_injector(injector)
-        if not obs:
-            obs["tracer"] = system.controller.tracer
-            obs["metrics"] = system.controller.metrics
-        else:
-            system.controller.attach_observability(obs["tracer"], obs["metrics"])
-        return system
-
-    def _save(system: RlhfSystem, iteration: int) -> None:
-        controller = system.controller
-        with controller.tracer.span(
-            "checkpoint.save", category="checkpoint", iteration=iteration
-        ) as span:
-            controller.save_checkpoint(
-                root,
-                extra={
-                    "iteration": iteration,
-                    "trainer": system.trainer.state_dict(),
-                },
-            )
-            save_time = cost.save_time(_checkpoint_nbytes(root))
-            controller.clock.advance(save_time)
-            span.attrs["save_time"] = save_time
-        report.checkpoints_saved += 1
-        report.checkpoint_time += save_time
-
-    def _stream_at(iteration: int):
-        batches = dataset.iter_batches(batch_size, epochs=10**6)
-        for _ in range(iteration):
-            next(batches)
-        return batches
-
-    system = _wire(build_fn(None))
-    cluster = system.controller.cluster
-    _save(system, 0)  # recovery target before the first periodic save exists
-    history: List[Dict[str, Any]] = []
-    batches = _stream_at(0)
-    it = 0
-    recoveries = 0
-    while it < n_iterations:
-        prompts = next(batches)
+    run = JobRun(
+        build_fn, dataset, batch_size, checkpoint_dir,
+        cost_model=cost_model, retry_policy=retry_policy, injector=injector,
+    )
+    run.start()
+    while run.iteration < n_iterations:
         try:
-            metrics = system.trainer.run_step(prompts)
+            run.step()
         except WorkerLostError as err:
-            recoveries += 1
-            if recoveries > max_recoveries:
+            if run.report.n_failures >= max_recoveries:
                 raise
-            tracer = obs["tracer"]
-            run_metrics = obs["metrics"]
-            detected = system.controller.clock.now
-            with tracer.span(
-                f"recovery[{recoveries - 1}]",
-                category="recovery",
-                pool=err.pool,
-                ranks=tuple(err.dead_ranks),
-                cause=err.cause or "worker lost",
-                failed_iteration=it,
-            ) as recovery_span:
-                # tear down the failed job; survivors return to the cluster
-                with tracer.span("recovery.teardown", category="recovery"):
-                    system.controller.release_pools()
-                # re-place on the shrunken cluster and restore the
-                # checkpoint.  _wire re-points the shared tracer at the
-                # rebuilt controller's clock, which restarts at 0 — advance
-                # it back to the detection time before opening any further
-                # spans.
-                system = _wire(build_fn(cluster))
-                system.controller.clock.advance(detected)
-                with tracer.span("recovery.rebuild", category="recovery"):
-                    system.controller.clock.advance(cost.reinit_time)
-                with tracer.span(
-                    "recovery.restore", category="recovery"
-                ) as restore_span:
-                    resumed, restore_time = restore_system(system, root, cost)
-                    restore_span.attrs["restore_time"] = restore_time
-                recovery_span.attrs.update(
-                    resumed_iteration=resumed, lost_iterations=it - resumed
-                )
-            run_metrics.counter(
-                "repro_recoveries_total", "Completed failure recoveries"
-            ).inc()
-            run_metrics.counter(
-                "repro_lost_iterations_total",
-                "Completed iterations whose work was lost to failures",
-            ).inc(it - resumed)
-            report.events.append(
-                RecoveryEvent(
-                    failed_iteration=it,
-                    resumed_iteration=resumed,
-                    lost_iterations=it - resumed,
-                    dead_ranks=err.dead_ranks,
-                    pool=err.pool,
-                    cause=err.cause or "worker lost",
-                    detected_at=detected,
-                    restore_time=restore_time,
-                    reinit_time=cost.reinit_time,
-                )
-            )
-            history = history[:resumed]
-            batches = _stream_at(resumed)
-            it = resumed
+            with run.recovery(err):
+                run.start()
             continue
-        history.append(metrics)
-        it += 1
-        if it % checkpoint_every == 0:
-            _save(system, it)
-    report.total_time = system.controller.clock.now
-    return system, history, report
+        if run.iteration % checkpoint_every == 0:
+            run.save()
+    run.report.total_time = run.clock.now
+    return run.system, run.history, run.report

@@ -196,17 +196,17 @@ class SingleController:
 
     # -- observability -----------------------------------------------------------------
 
-    def attach_observability(
-        self, tracer: SpanTracer, metrics: MetricsRegistry
+    def adopt(
+        self, clock: SimClock, tracer: SpanTracer, metrics: MetricsRegistry
     ) -> None:
-        """Carry a tracer/registry across a recovery rebuild.
+        """Run on a supervised job's clock, tracer and registry.
 
-        The rebuilt controller keeps the observability record of the failed
-        incarnation: spans keep accumulating on the same tracer (re-pointed
-        at this controller's clock) and metrics keep their counts —
-        recovery must not zero the job's history.
+        The job outlives every controller it builds: simulated time never
+        restarts, spans keep accumulating on the one tracer (which reads
+        that clock) and metrics keep their counts — a rebuild must not zero
+        the job's history.
         """
-        tracer.set_clock(self.clock)
+        self.clock = clock
         self.tracer = tracer
         self.metrics = metrics
 

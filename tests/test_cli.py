@@ -181,6 +181,24 @@ class TestFaults:
         out = capsys.readouterr().out
         assert "recovery: 0 failure(s)" in out
 
+    def test_goodput_curve_is_the_jobs_not_the_accidents(self, capsys):
+        """The analytic model is fed the measured mean of the iterations that
+        completed (16.0 s on the shipped job): an aborted iteration's partial
+        time is not averaged in, so a fault does not move the curve."""
+
+        def analytic_model(argv):
+            assert main(["faults", *argv]) == 0
+            return capsys.readouterr().out.split("analytic model")[1].split("\n")
+
+        clean = analytic_model([])
+        assert clean[1] == (
+            "  Young optimal interval: 2.0s of work (~0.1 iterations)"
+        )
+        assert [line.split(": ")[1] for line in clean[3:9]] == [
+            "0.9972", "0.9950", "0.9906", "0.9820", "0.9651", "0.9331",
+        ]
+        assert analytic_model(["--kill-machine", "0", "--machines", "2"]) == clean
+
 
 class TestServe:
     def test_matched_workload_cross_checks_against_analytic_model(self, capsys):

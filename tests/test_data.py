@@ -123,6 +123,17 @@ class TestPromptDataset:
         batches = list(ds.iter_batches(3))
         assert len(batches) == 3
 
+    def test_iter_batches_skip_is_the_tail_of_the_stream(self):
+        ds = PromptDataset(10, 4, 16)
+        whole = [b["prompts"] for b in ds.iter_batches(3, epochs=3)]
+        for skip in (0, 2, 3, 7, 9, 12):  # mid-epoch, on and across boundaries, past the end
+            tail = [b["prompts"] for b in ds.iter_batches(3, epochs=3, skip=skip)]
+            assert len(tail) == len(whole[skip:])
+            for got, want in zip(tail, whole[skip:]):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="skip"):
+            next(ds.iter_batches(3, skip=-1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PromptDataset(0, 4, 16)

@@ -1,10 +1,14 @@
 """Fault injection, retry/backoff, detection, and automatic recovery (§9)."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import system_audit
 from repro.cluster import SimCluster
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
@@ -32,6 +36,7 @@ from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import (
     ModelAssignment,
     PlacementPlan,
+    SystemSpec,
     build_rlhf_system,
     train_with_recovery,
 )
@@ -487,6 +492,71 @@ class TestAutomaticRecovery:
                 checkpoint_dir=str(tmp_path / "ckpt"),
                 injector=injector,
             )
+
+
+# -- whole supervised runs under random fault schedules (ROADMAP item 5) ----------
+
+SPEC_3x4 = ClusterSpec(n_machines=3, gpus_per_machine=4)  # 4 GPUs outlive any 2 kills
+N_ITER = 4
+
+
+@functools.lru_cache(maxsize=None)
+def fault_free(job: SystemSpec):
+    system = job.build(cluster_spec=SPEC_3x4)
+    return system, list(system.trainer.train(job.dataset(), N_ITER, 8))
+
+
+@st.composite
+def fault_plans(draw):
+    step = st.integers(0, 27)  # traces are 20 (GRPO) to 28 (PPO, ReMax) calls long
+    plan = FaultPlan()
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):  # ranks the job sits on before/after a re-placement
+            plan.kill_device(draw(st.integers(0, 5)), at_step=draw(step))
+        else:
+            plan.kill_machine(draw(st.integers(0, 2)), at_step=draw(step))
+    if draw(st.booleans()):  # counts above max_retries=3 escalate to a loss
+        plan.transient(at_step=draw(step), count=draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        plan.straggler(draw(st.integers(0, 11)), at_step=draw(step))
+    return plan
+
+
+class TestSupervisedJobProperty:
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(
+        algo=st.sampled_from([AlgoType.PPO, AlgoType.GRPO, AlgoType.REMAX]),
+        disaggregated=st.booleans(),
+        checkpoint_every=st.integers(1, 3),
+        plan=fault_plans(),
+    )
+    def test_recovered_run_is_the_fault_free_run(
+        self, tmp_path_factory, algo, disaggregated, checkpoint_every, plan
+    ):
+        job = SystemSpec(algo=algo, disaggregated=disaggregated)
+        reference, ref_history = fault_free(job)
+        system, history, report = train_with_recovery(
+            lambda cluster: job.build(cluster, SPEC_3x4),
+            job.dataset(),
+            N_ITER,
+            8,
+            str(tmp_path_factory.mktemp("job") / "ckpt"),
+            checkpoint_every=checkpoint_every,
+            injector=FaultInjector(plan),
+        )
+        assert history == ref_history
+        assert system.state_equal(reference)
+        # the books: only surviving work is useful, and nothing is counted twice
+        assert len(report.iteration_times) == N_ITER
+        assert report.total_time >= (
+            report.useful_time + report.total_downtime + report.checkpoint_time - 1e-9
+        )
+        # one clock: simulated time never restarts across rebuilds
+        controller = system.controller
+        assert controller.clock is controller.tracer.clock
+        starts = [span.start for span in controller.tracer.spans]
+        assert starts == sorted(starts)
+        assert system_audit(system)[0].findings == []
 
 
 class TestRecoveryAnalytics:

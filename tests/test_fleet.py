@@ -12,11 +12,11 @@ import json
 import pytest
 
 from repro.config import ClusterSpec
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.fleet import FleetScheduler, JobSpec, JobState, jain_fairness
 from repro.observability import collect_fleet_metrics
 from repro.rlhf import AlgoType
-from repro.runtime import restore_system
+from repro.runtime import JobRun, restore_system, train_with_recovery
 
 SPEC_12 = ClusterSpec(n_machines=3, gpus_per_machine=4)
 SPEC_8 = ClusterSpec(n_machines=2, gpus_per_machine=4)
@@ -32,6 +32,39 @@ FLOAT_KEYS = (
     "actor/approx_kl",
     "actor/ratio_mean",
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def one_clock_one_count():
+    """Every fleet run in this module: each placement of a job — first
+    admission, preemption resume, resize, repair — runs on the job's one
+    clock, and a job's ``useful_time`` is exactly its iteration spans whose
+    work survived (the last clean run of each index), so re-run work is never
+    counted twice."""
+    real_run, real_start = FleetScheduler.run, JobRun.start
+
+    def start(self):
+        event = real_start(self)
+        controller = self.system.controller
+        assert controller.clock is controller.tracer.clock is self.clock
+        return event
+
+    def run(self):
+        report = real_run(self)
+        for job in self.jobs:
+            survived = {}
+            for span in job.tracer.by_category("iteration"):
+                if span.attrs.get("status") != "error":
+                    survived[span.attrs["iteration"]] = span.duration
+            row = report.job(job.spec.name)
+            assert len(survived) == row.iterations
+            assert row.useful_time == pytest.approx(sum(survived.values()))
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetScheduler, "run", run)
+        patch.setattr(JobRun, "start", start)
+        yield
 
 
 def tenant(name, **kw):
@@ -223,14 +256,65 @@ class TestChaosAcceptance:
             reference, point["snapshot"], allow_resize=True
         )
         assert resumed == point["resumed_iteration"]
-        batches = spec.dataset().iter_batches(spec.batch_size, epochs=10**6)
-        for _ in range(resumed):
-            next(batches)
+        batches = spec.dataset().iter_batches(
+            spec.batch_size, epochs=10**6, skip=resumed
+        )
         replay = [
             reference.trainer.run_step(next(batches))
             for _ in range(spec.n_iterations - resumed)
         ]
         assert_bit_exact(alpha.history[resumed:], replay)
+
+
+class TestLostWorkAccounting:
+    def test_rerun_iterations_are_not_counted_twice(self, tmp_path):
+        """checkpoint_every=4, device 0 dies at tick 5: iteration 4 completed,
+        was rolled back and re-run — 8 x 16 s survive, not 9 x 16 s."""
+        report = FleetScheduler(
+            ClusterSpec(n_machines=1, gpus_per_machine=6),
+            [JobSpec("a", n_iterations=8, checkpoint_every=4, tp=2)],
+            str(tmp_path),
+            fault_plan=FaultPlan().kill_device(0, at_step=5),
+        ).run()
+        row = report.job("a")
+        assert row.lost_iterations == 1
+        assert row.useful_time == pytest.approx(128.0)
+        assert row.goodput == pytest.approx(128.0 / row.total_time)
+        assert row.goodput == pytest.approx(0.8767, abs=1e-4)
+        assert "lost 1 iter(s)" in "\n".join(report.summary_lines())
+
+    def test_fleet_of_one_is_the_supervised_job(self, tmp_path):
+        """One lifecycle, two callers: the same job, killed as iteration 3
+        starts, keeps the same books under the scheduler and under
+        ``train_with_recovery`` — and the same bits."""
+        spec = tenant("alpha", n_iterations=5, checkpoint_every=2)
+        scheduler = FleetScheduler(
+            SPEC_12,
+            [spec],
+            str(tmp_path / "fleet"),
+            fault_plan=FaultPlan().kill_device(0, at_step=3),
+        )
+        row = scheduler.run().job("alpha")
+
+        probe = spec.build(cluster_spec=SPEC_12)
+        probe.trainer.train(spec.dataset(), 3, spec.batch_size)
+        _, history, report = train_with_recovery(
+            lambda cluster: spec.build(cluster=cluster, cluster_spec=SPEC_12),
+            spec.dataset(),
+            spec.n_iterations,
+            spec.batch_size,
+            str(tmp_path / "solo"),
+            checkpoint_every=spec.checkpoint_every,
+            injector=FaultInjector(
+                FaultPlan().kill_device(0, at_step=probe.controller.next_seq)
+            ),
+        )
+        assert_bit_exact(scheduler.jobs[0].history, history)
+        assert row.failures == report.n_failures == 1
+        assert row.lost_iterations == report.total_lost_iterations == 1
+        assert row.useful_time == pytest.approx(report.useful_time)
+        assert row.downtime == pytest.approx(report.total_downtime)
+        assert row.checkpoint_time == pytest.approx(report.checkpoint_time)
 
 
 class TestPreemption:

@@ -202,6 +202,16 @@ class TestSystemSpec:
         assert split.function_rewards == ()
         assert shipped_placements()["tiny-ppo"] == SystemSpec().plan
 
+    def test_a_second_train_call_continues_the_prompt_stream(self):
+        """Batches are consumed in absolute iteration order: 2 + 1 iterations
+        are the 3-iteration run, not batch 0 replayed (§9's dataloader IDs)."""
+        once, twice = SystemSpec().build(), SystemSpec().build()
+        once.trainer.train(SystemSpec().dataset(), 3, 8)
+        twice.trainer.train(SystemSpec().dataset(), 2, 8)
+        twice.trainer.train(SystemSpec().dataset(), 1, 8)
+        assert twice.state_equal(once)
+        assert twice.trainer.history == once.trainer.history
+
     def test_state_oracle_separates_runs(self):
         a, b = SystemSpec().build(), SystemSpec().build()
         assert a.state_equal(b) and a.state_digest() == b.state_digest()
