@@ -19,6 +19,7 @@ from repro.baselines import ALL_SYSTEMS
 from repro.baselines.common import InfeasibleScenario
 from repro.config import MODEL_SPECS, ClusterSpec, RlhfWorkload
 from repro.rlhf.core import AlgoType
+from repro.runtime.builder import required_models
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -39,17 +40,6 @@ END_TO_END_GRID = [
     ("llama-70b", 16),
 ]
 
-PPO_MODELS = ("actor", "critic", "reference", "reward")
-SAFE_MODELS = ("actor", "critic", "reference", "reward", "cost")
-REMAX_MODELS = ("actor", "reference", "reward")
-
-MODELS_BY_ALGO = {
-    AlgoType.PPO: PPO_MODELS,
-    AlgoType.REMAX: REMAX_MODELS,
-    AlgoType.SAFE_RLHF: SAFE_MODELS,
-    AlgoType.GRPO: REMAX_MODELS,
-}
-
 
 def workload() -> RlhfWorkload:
     """The §8.1 workload: 1024/1024 tokens, global batch 1024, 8 updates."""
@@ -57,7 +47,7 @@ def workload() -> RlhfWorkload:
 
 
 def specs_for(algo: AlgoType, model_name: str) -> Dict[str, object]:
-    return {m: MODEL_SPECS[model_name] for m in MODELS_BY_ALGO[algo]}
+    return {m: MODEL_SPECS[model_name] for m in required_models(algo)}
 
 
 def run_end_to_end_grid(algo: AlgoType) -> List[Dict[str, object]]:

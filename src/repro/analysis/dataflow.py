@@ -27,6 +27,7 @@ Rules:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ERROR, WARNING, AnalysisReport
@@ -51,35 +52,57 @@ def registered_methods(worker_cls: type) -> List[Tuple[str, str]]:
     return out
 
 
-class _RoleShape:
-    """The topology facts the checker needs about one model role."""
+@dataclasses.dataclass(frozen=True)
+class RoleBinding:
+    """Where and how one model role runs — the placement facts the DF and SF
+    checkers bind an algorithm's dataflow graph to."""
 
-    def __init__(
-        self,
-        role: str,
-        worker_cls: type,
-        pool: str,
-        world_size: int,
-        parallel: Any,
-        gen_config: Any = None,
-        has_gen_topology: Optional[bool] = None,
-        use_serving: bool = False,
-    ) -> None:
-        self.role = role
-        self.worker_cls = worker_cls
-        self.pool = pool
-        self.world_size = world_size
-        self.parallel = parallel
-        self.gen_config = gen_config
-        self.has_gen_topology = (
-            has_gen_topology
-            if has_gen_topology is not None
-            else gen_config is not None
+    role: str
+    worker_cls: type
+    pool: str
+    parallel: Any
+    gen_config: Any = None
+    #: Serving-backed actors take variable-length batches; their batch
+    #: divisibility is deferred to the symbolic SF703 check instead of
+    #: the static DF102 one (which would be a false positive).
+    use_serving: bool = False
+
+
+def bind_roles(
+    placement: Any, function_rewards: Sequence[str] = (), use_serving: bool = False
+) -> Dict[str, RoleBinding]:
+    """``role -> RoleBinding`` of a :class:`PlacementPlan` (pre-build; the
+    two arguments say what the builder would be told) or of a built
+    :class:`~repro.runtime.RlhfSystem` (read off its live groups)."""
+    # imported here: the checkers stay importable without the worker stack
+    from repro.workers import WORKER_CLASSES, RewardFunctionWorker
+
+    if hasattr(placement, "groups"):
+        return {
+            role: RoleBinding(
+                role,
+                group.worker_cls,
+                group.resource_pool.name,
+                group.train_topology.config,
+                group.gen_topology.config if group.gen_topology else None,
+                any(getattr(w, "use_serving", False) for w in group.workers),
+            )
+            for role, group in placement.groups.items()
+        }
+    classes = dict(WORKER_CLASSES)
+    classes.update(dict.fromkeys(function_rewards, RewardFunctionWorker))
+    return {
+        role: RoleBinding(
+            role,
+            classes[role],
+            assignment.pool,
+            assignment.parallel,
+            assignment.gen_parallel,
+            use_serving and role == "actor",
         )
-        #: Serving-backed actors take variable-length batches; their batch
-        #: divisibility is deferred to the symbolic SF703 check instead of
-        #: the static DF102 one (which would be a false positive).
-        self.use_serving = use_serving
+        for role, assignment in placement.assignments.items()
+        if role in classes
+    }
 
 
 class DataflowChecker:
@@ -113,28 +136,7 @@ class DataflowChecker:
     def check_system(self, system: Any) -> AnalysisReport:
         """Validate a built :class:`~repro.runtime.RlhfSystem` pre-dispatch."""
         report = AnalysisReport("dataflow")
-        shapes = []
-        for role, group in system.groups.items():
-            shapes.append(
-                _RoleShape(
-                    role=role,
-                    worker_cls=group.worker_cls,
-                    pool=group.resource_pool.name,
-                    world_size=group.world_size,
-                    parallel=group.train_topology.config,
-                    gen_config=(
-                        group.gen_topology.config
-                        if group.gen_topology is not None
-                        else None
-                    ),
-                    has_gen_topology=group.gen_topology is not None,
-                    use_serving=any(
-                        getattr(w, "use_serving", False)
-                        for w in group.workers
-                    ),
-                )
-            )
-        self._check_shapes(shapes, report)
+        self._check_shapes(list(bind_roles(system).values()), report)
         for role, group in system.groups.items():
             for worker in group.workers:
                 if getattr(worker, "use_serving", False):
@@ -165,22 +167,19 @@ class DataflowChecker:
                 ``global_batch_size * group_size`` sequences.  ``None``
                 inherits the trainer's default.
         """
-        # imported here: repro.runtime.builder imports workers, trainers and
-        # the controller — the checker stays importable without that stack
+        # imported here: the checker stays importable without the rlhf stack
         from repro.rlhf.core import AlgoType
-        from repro.runtime.builder import _WORKER_CLASSES, required_models
-        from repro.workers import RewardFunctionWorker
+        from repro.rlhf.graph import dataflow_of
 
         report = AnalysisReport("dataflow")
-        algo = AlgoType(algo)
-        missing = [
-            m for m in required_models(algo) if m not in plan.assignments
-        ]
+        graph = dataflow_of(algo)
+        needed = graph.roles
+        missing = [m for m in needed if m not in plan.assignments]
         if missing:
             report.add(
                 "DF105",
                 ERROR,
-                f"{algo.value} needs assignments for {missing}",
+                f"{graph.name} needs assignments for {missing}",
                 location="plan",
                 hint="add the missing roles to PlacementPlan.assignments",
             )
@@ -195,20 +194,20 @@ class DataflowChecker:
                 location="plan.actor",
                 hint="derive one with GenParallelConfig.derive(parallel, ...)",
             )
-        needed = set(required_models(algo))
+        roles = bind_roles(plan, function_rewards)
         for role in sorted(plan.assignments):
             report.note_checked("roles")
-            if role in _WORKER_CLASSES and role not in needed:
+            if role in roles and role not in needed:
                 report.add(
                     "DF106",
                     WARNING,
-                    f"plan assigns {role!r}, but the {algo.value} dataflow "
+                    f"plan assigns {role!r}, but the {graph.name} dataflow "
                     "never calls it — the pool's GPUs sit idle",
                     location=f"plan.{role}",
-                    hint=f"{algo.value} uses {sorted(needed)}; drop the "
+                    hint=f"{graph.name} uses {sorted(needed)}; drop the "
                     "assignment or switch algorithms",
                 )
-        if algo is AlgoType.GRPO:
+        if graph.name == AlgoType.GRPO.value:
             if group_size is None:
                 from repro.rlhf.trainers import TrainerConfig
 
@@ -227,25 +226,7 @@ class DataflowChecker:
                     location="plan",
                     hint="set TrainerConfig.group_size >= 2",
                 )
-        shapes = []
-        for role, assignment in plan.assignments.items():
-            if role in function_rewards:
-                worker_cls: type = RewardFunctionWorker
-            else:
-                worker_cls = _WORKER_CLASSES.get(role)
-            if worker_cls is None:
-                continue
-            shapes.append(
-                _RoleShape(
-                    role=role,
-                    worker_cls=worker_cls,
-                    pool=assignment.pool,
-                    world_size=assignment.parallel.world_size,
-                    parallel=assignment.parallel,
-                    gen_config=assignment.gen_parallel,
-                )
-            )
-        self._check_shapes(shapes, report)
+        self._check_shapes(list(roles.values()), report)
         return report
 
     def check_pipeline(
@@ -324,8 +305,9 @@ class DataflowChecker:
             )
         if algo is not None:
             from repro.rlhf.core import AlgoType
+            from repro.rlhf.trainers import trainer_class
 
-            algo = AlgoType(algo)
+            algo = trainer_class(algo).algo
             if algo not in (AlgoType.PPO, AlgoType.GRPO):
                 report.add(
                     "DF108",
@@ -381,14 +363,14 @@ class DataflowChecker:
     # -- individual passes -----------------------------------------------------------
 
     def _check_shapes(
-        self, shapes: List[_RoleShape], report: AnalysisReport
+        self, shapes: List[RoleBinding], report: AnalysisReport
     ) -> None:
         for shape in shapes:
             self._check_protocols(shape, report)
         self._check_memory(shapes, report)
 
     def _check_protocols(
-        self, shape: _RoleShape, report: AnalysisReport
+        self, shape: RoleBinding, report: AnalysisReport
     ) -> None:
         # aggregate identical problems across a role's methods into one
         # finding each, so a 4-method worker yields one precise diagnosis
@@ -398,7 +380,9 @@ class DataflowChecker:
             protocol = get_protocol(protocol_name)
             report.note_checked("methods")
             for kind, severity, message in protocol.validate_shape(
-                shape.world_size, shape.parallel, shape.has_gen_topology
+                shape.parallel.world_size,
+                shape.parallel,
+                shape.gen_config is not None,
             ):
                 key = (protocol_name, kind, severity, message)
                 by_problem.setdefault(key, []).append(method)
@@ -423,7 +407,7 @@ class DataflowChecker:
             )
         if self.global_batch_size is not None:
             for (protocol_name, degree), methods in sorted(by_split.items()):
-                if getattr(shape, "use_serving", False):
+                if shape.use_serving:
                     # serving-backed actors submit variable-length batches;
                     # a static global batch is not required — divisibility
                     # moves to the symbolic dim (shapeflow rule SF703, with
@@ -496,7 +480,7 @@ class DataflowChecker:
             )
 
     def _check_memory(
-        self, shapes: List[_RoleShape], report: AnalysisReport
+        self, shapes: List[RoleBinding], report: AnalysisReport
     ) -> None:
         """Projected per-GPU persistent memory per pool vs capacity (App. C)."""
         if self.cluster_spec is None or not self.model_specs:

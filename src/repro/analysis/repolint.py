@@ -31,6 +31,10 @@ depends on:
            ``repro/observability`` — an unobserved component holds
            ``NULL_TRACER`` / ``NULL_METRICS``, so every instrumented call
            site is written once
+``RL310``  no dict literal keyed by two or more ``AlgoType`` members outside
+           ``repro/rlhf`` (tests keep their reference pins) — an algorithm
+           is written once, in its trainer; every other layer reads roles,
+           stages, call counts and columns off ``dataflow_of(algo)``
 ========  ====================================================================
 
 Suppression: append ``# repro-lint: ignore`` (all rules) or
@@ -51,7 +55,7 @@ from repro.analysis.report import ERROR, WARNING, AnalysisReport
 
 ALL_RULES = (
     "RL301", "RL302", "RL303", "RL304", "RL305", "RL306", "RL307", "RL308",
-    "RL309",
+    "RL309", "RL310",
 )
 
 #: Packages whose dispatch order feeds the concurrent protocols; iteration
@@ -175,6 +179,9 @@ class _LintVisitor(ast.NodeVisitor):
         self.hotpath_scoped = any(p in posix for p in _HOTPATH_SCOPED)
         self.null_object_scoped = (
             "src/repro/" in posix and "repro/observability" not in posix
+        )
+        self.algo_table_scoped = (
+            "repro/rlhf/" not in posix and "tests/" not in posix
         )
 
     # -- helpers ---------------------------------------------------------------------
@@ -344,6 +351,24 @@ class _LintVisitor(ast.NodeVisitor):
                     "group.tracer / group.metrics) and emit unconditionally"
                 ),
             )
+
+    def visit_Dict(self, node: ast.Dict) -> None:
+        """No per-algorithm table outside ``repro/rlhf`` (RL310)."""
+        members = [
+            key for key in node.keys
+            if (self._dotted(key) or [])[-2:-1] == ["AlgoType"]
+        ]
+        if self.algo_table_scoped and len(members) >= 2:
+            self._flag(
+                "RL310", ERROR, node,
+                "a dict keyed by AlgoType members restates the algorithms' "
+                "dataflow",
+                hint=(
+                    "read it off repro.rlhf.graph.dataflow_of(algo) — a new "
+                    "algorithm must need no edit outside its trainer"
+                ),
+            )
+        self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
         self._check_optional_observability(node)

@@ -7,8 +7,12 @@ are affine expressions over the batch ``B``, prompt length ``P``, response
 length ``R``, the GRPO ``group_size`` ``G``, and concrete ints; dtypes are
 tracked by family so integer token buffers cannot silently become float64.
 
-What flows where is derived from three declarative sources:
+What flows where is derived, never restated:
 
+* **the algorithm's graph** — :func:`repro.rlhf.graph.dataflow_of` runs the
+  trainer's own ``step`` against contract-driven probes; the pass walks the
+  resulting DAG, so a call's input flow is the union of its deps' outputs
+  plus the columns the controller-side advantage step was seen to write;
 * **shape contracts** — ``@shape_contract`` annotations on worker methods
   (:mod:`repro.single_controller.decorator`), stating the columns a method
   consumes and produces with their symbolic shapes and dtypes;
@@ -44,6 +48,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.dataflow import RoleBinding, bind_roles
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.single_controller.decorator import (
     registered_protocol,
@@ -427,18 +432,6 @@ def predict_protocol_shapes(
 
 
 @dataclasses.dataclass
-class _RoleFacts:
-    """Static facts about one role's worker group (plan- or system-derived)."""
-
-    role: str
-    worker_cls: type
-    pool: str
-    parallel: Any
-    gen_config: Any = None
-    use_serving: bool = False
-
-
-@dataclasses.dataclass
 class _Env:
     """Ambient bindings one walk runs under.  ``tainted`` flips after an
     SF706 so a missing contract does not cascade into spurious SF701s."""
@@ -447,13 +440,11 @@ class _Env:
     P: Dim
     R: Dim
     T: Dim
-    group_size: int = 1
+    cfg: Any  #: the TrainerConfig: group size, minibatch split, graph key
     eos: bool = False
     max_seq_len: Optional[int] = None
     prompt_length: Optional[int] = None
     max_new_tokens: Optional[int] = None
-    updates_per_epoch: int = 1
-    recompute_log_probs: bool = True
     tainted: bool = False
 
 
@@ -509,6 +500,9 @@ class ShapeFlowChecker:
         """Walk one algorithm graph over a placement plan, pre-build.
 
         Args:
+            algo: An ``AlgoType`` member or a trainer class.
+            plan: A :class:`PlacementPlan` (or a built system, whose live
+                groups then stand for the plan — see :meth:`check_system`).
             function_rewards: Roles served by the non-NN
                 :class:`RewardFunctionWorker` (``one_to_one`` methods).
             batch_size: Concrete global batch; ``None`` (and no checker
@@ -516,29 +510,9 @@ class ShapeFlowChecker:
                 instead of failing, the serving-batch generalization DF102
                 hands over to this pass.
         """
-        from repro.rlhf.core import AlgoType
         from repro.rlhf.trainers import TrainerConfig
-        from repro.runtime.builder import _WORKER_CLASSES
-        from repro.workers import RewardFunctionWorker
 
         report = report if report is not None else AnalysisReport("shapeflow")
-        algo = AlgoType(algo)
-        facts: Dict[str, _RoleFacts] = {}
-        for role, assignment in plan.assignments.items():
-            if role in function_rewards:
-                worker_cls: Optional[type] = RewardFunctionWorker
-            else:
-                worker_cls = _WORKER_CLASSES.get(role)
-            if worker_cls is None:
-                continue
-            facts[role] = _RoleFacts(
-                role=role,
-                worker_cls=worker_cls,
-                pool=assignment.pool,
-                parallel=assignment.parallel,
-                gen_config=assignment.gen_parallel,
-                use_serving=use_serving and role == "actor",
-            )
         cfg = trainer_config or TrainerConfig()
         env = self._make_env(
             batch_size=batch_size,
@@ -549,6 +523,7 @@ class ShapeFlowChecker:
             cfg=cfg,
         )
         report.note_checked("graphs")
+        facts = bind_roles(plan, function_rewards, use_serving)
         self._walk(algo, facts, env, report, staleness=_staleness)
         return report
 
@@ -564,40 +539,17 @@ class ShapeFlowChecker:
         ``eos_token_id``, ``use_serving``, the TinyLM ``max_seq_len``) so
         the static prediction matches what the runtime recorder will see.
         """
-        report = AnalysisReport("shapeflow")
-        trainer = system.trainer
-        facts: Dict[str, _RoleFacts] = {}
-        for role, group in sorted(system.groups.items()):
-            pool = getattr(group, "resource_pool", None)
-            facts[role] = _RoleFacts(
-                role=role,
-                worker_cls=getattr(
-                    group, "worker_cls", type(group.workers[0])
-                ),
-                pool=getattr(pool, "name", role),
-                parallel=group.train_topology.config,
-                gen_config=(
-                    group.gen_topology.config if group.gen_topology else None
-                ),
-                use_serving=any(
-                    getattr(w, "use_serving", False) for w in group.workers
-                ),
-            )
         actor0 = system.groups["actor"].workers[0]
-        cfg = trainer.config
-        env = self._make_env(
+        return self.check_plan(
+            type(system.trainer),
+            system,
             batch_size=batch_size,
             prompt_length=prompt_length,
-            max_new_tokens=getattr(actor0, "max_new_tokens", None),
-            max_seq_len=getattr(
-                getattr(actor0, "model_config", None), "max_seq_len", None
-            ),
-            eos=getattr(actor0, "eos_token_id", None) is not None,
-            cfg=cfg,
+            max_new_tokens=actor0.max_new_tokens,
+            max_seq_len=actor0.model_config.max_seq_len,
+            eos_token_id=actor0.eos_token_id,
+            trainer_config=system.trainer.config,
         )
-        report.note_checked("graphs")
-        self._walk(trainer.algo, facts, env, report)
-        return report
 
     def check_pipeline(
         self,
@@ -617,13 +569,11 @@ class ShapeFlowChecker:
         contract must declare it or training would crash (or worse, drop
         the off-policy correction) at the first overlapped step — SF701.
         """
-        from repro.rlhf.core import AlgoType
+        from repro.runtime.builder import SystemSpec
 
         report = report if report is not None else AnalysisReport("shapeflow")
-        algo = AlgoType(algo) if algo is not None else AlgoType.PPO
+        algo = SystemSpec.algo if algo is None else algo
         if plan is None:
-            from repro.runtime.builder import SystemSpec
-
             plan = SystemSpec(algo=algo).plan
         window = pipeline_config.staleness_window
         weighted = getattr(pipeline_config, "importance_weighting", True)
@@ -680,13 +630,11 @@ class ShapeFlowChecker:
                 else Dim.sym("R")
             ),
             T=Dim.sym("T"),
-            group_size=getattr(cfg, "group_size", 1),
+            cfg=cfg,
             eos=eos,
             max_seq_len=max_seq_len,
             prompt_length=prompt_length,
             max_new_tokens=max_new_tokens,
-            updates_per_epoch=getattr(cfg, "updates_per_epoch", 1),
-            recompute_log_probs=getattr(cfg, "recompute_log_probs", True),
         )
 
     def _bind(
@@ -707,171 +655,125 @@ class ShapeFlowChecker:
             elif token == "T":
                 dims.append(env.T)
             elif token == "G":
-                dims.append(Dim.const(env.group_size))
+                dims.append(Dim.const(env.cfg.group_size))
             else:  # unreachable: tokens validated at parse time
                 raise ContractError(f"unknown dim symbol {token!r}")
         return tuple(dims)
 
     def _contract_of(
-        self, facts: Dict[str, _RoleFacts], role: str, method: str
+        self, facts: Dict[str, RoleBinding], role: str, method: str
     ) -> Optional[Contract]:
-        role_facts = facts.get(role)
-        if role_facts is None:
-            return None
-        fn = getattr(role_facts.worker_cls, method, None)
-        raw = registered_shape_contract(fn) if fn is not None else None
-        if raw is None:
-            return None
+        worker_cls = getattr(facts.get(role), "worker_cls", None)
         try:
-            return parse_contract(raw)
+            return parse_contract(
+                registered_shape_contract(getattr(worker_cls, method, None))
+            )
         except ContractError:
             return None
 
     def _walk(
         self,
         algo: Any,
-        facts: Dict[str, _RoleFacts],
+        facts: Dict[str, RoleBinding],
         env: _Env,
         report: AnalysisReport,
         staleness: int = 0,
-    ) -> Dict[str, SymArray]:
-        from repro.rlhf.core import AlgoType
+    ) -> None:
+        """Propagate symbolic columns along the algorithm's derived DAG.
 
-        bdim = env.B
-        if algo is AlgoType.GRPO:
-            # GRPOTrainer repeats prompts group_size times *before* generate
-            bdim = bdim * Dim.const(env.group_size)
-            report.note_checked("grpo_group_repeat")
-        flow: Dict[str, SymArray] = {
-            "prompts": SymArray((bdim, env.P), "int64")
-        }
-        flow = self._call(
-            facts, "actor", "generate_sequences", flow, bdim, env, report
-        )
-        self._post_generate(facts, env, flow, bdim, report)
-        if algo is AlgoType.REMAX:
-            # second, greedy rollout scored as the variance-reduction baseline
-            baseline: Dict[str, SymArray] = {
-                "prompts": SymArray((bdim, env.P), "int64")
-            }
-            baseline = self._call(
-                facts,
-                "actor",
-                "generate_sequences",
-                baseline,
-                bdim,
-                env,
-                report,
-            )
-            baseline = self._call(
-                facts, "reward", "compute_reward", baseline, bdim, env, report
-            )
-            if "scores" in baseline:
-                flow["baseline_scores"] = baseline["scores"]
-        if algo in (AlgoType.PPO, AlgoType.SAFE_RLHF):
-            flow = self._call(
-                facts, "critic", "compute_values", flow, bdim, env, report
-            )
-        if algo is AlgoType.SAFE_RLHF:
-            flow = self._call(
-                facts, "cost", "compute_cost", flow, bdim, env, report
-            )
-        flow = self._call(
-            facts, "reference", "compute_ref_log_prob", flow, bdim, env, report
-        )
-        flow = self._call(
-            facts, "reward", "compute_reward", flow, bdim, env, report
-        )
-        if env.recompute_log_probs:
-            flow = self._call(
-                facts, "actor", "compute_log_prob", flow, bdim, env, report
-            )
-        flow = self._advantages(algo, flow, bdim, env, report)
-        if env.updates_per_epoch > 1:
-            div = bdim.divisible_by(env.updates_per_epoch)
-            if div is False:
-                report.add(
-                    "SF703",
-                    ERROR,
-                    f"learn() raises at runtime: batch {bdim.render()} "
-                    f"is not divisible by "
-                    f"updates_per_epoch={env.updates_per_epoch}",
-                    location=f"{algo.value}.learning",
-                    hint=SF_RULES["SF703"][1],
+        A call's input flow is the union of its deps' outputs — the prompt
+        batch for a source — plus the columns the controller has written by
+        then.  Shapes are per batch: the graph is taken at one update round
+        and the minibatch split is the one SF703 check on entering learning.
+        """
+        from repro.rlhf.graph import GENERATION, TRAINING, dataflow_of
+
+        updates = env.cfg.updates_per_epoch
+        one_round = dataclasses.replace(env.cfg, ppo_epochs=1, updates_per_epoch=1)
+        graph = dataflow_of(algo, one_round)
+        steps = list(graph.controller)
+        outputs: Dict[int, Dict[str, SymArray]] = {}
+        written: Dict[str, SymArray] = {}
+        entered = set()
+        for node in graph.nodes:
+            bdim = env.B * (node.rows // graph.rows)
+            while steps and steps[0].before <= node.seq:
+                self._controller_step(
+                    graph, steps.pop(0), outputs, written, env, report
                 )
-            elif div is None:
-                report.note_checked("deferred_batch_splits")
-            else:
-                report.note_checked("minibatch_splits")
-        if staleness > 0:
-            self._check_staleness(facts, flow, bdim, env, report, staleness)
-        if (
-            algo is AlgoType.GRPO
-            and not env.tainted
-            and "ref_log_probs" not in flow
-        ):
-            report.add(
-                "SF701",
-                ERROR,
-                "the grpo loss reads ref_log_probs but the column never "
-                "flows into the learning stage",
-                location="grpo.learning",
-                hint="keep ReferenceWorker.compute_ref_log_prob in the "
-                "preparation stage",
-            )
-        if algo in (AlgoType.PPO, AlgoType.SAFE_RLHF):
-            flow = self._call(
-                facts, "critic", "update_critic", flow, bdim, env, report
-            )
-        flow = self._call(
-            facts, "actor", "update_actor", flow, bdim, env, report
-        )
-        return flow
+            first_of_stage = node.stage not in entered
+            entered.add(node.stage)
+            if first_of_stage and node.stage == TRAINING:
+                div = bdim.divisible_by(updates)
+                if div is False:
+                    report.add(
+                        "SF703",
+                        ERROR,
+                        f"learn() raises at runtime: batch {bdim.render()} "
+                        f"is not divisible by updates_per_epoch={updates}",
+                        location=f"{graph.name}.learning",
+                        hint=SF_RULES["SF703"][1],
+                    )
+                elif updates > 1:
+                    report.note_checked(
+                        "minibatch_splits" if div else "deferred_batch_splits"
+                    )
+                if staleness > 0:
+                    self._check_staleness(
+                        facts, written, bdim, env, report, staleness
+                    )
+            flow: Dict[str, SymArray] = {}
+            if not node.deps:
+                flow["prompts"] = SymArray((bdim, env.P), "int64")
+                if node.rows != graph.rows:
+                    # the trainer repeats each prompt *before* generating
+                    report.note_checked("grpo_group_repeat")
+            for dep in node.deps:
+                flow.update(outputs[dep])
+            flow.update(written)
+            outputs[node.seq] = self._call(facts, node, flow, bdim, env, report)
+            if first_of_stage and node.stage == GENERATION:
+                self._post_generate(
+                    facts, env, outputs[node.seq], bdim, report
+                )
 
     def _call(
         self,
-        facts_map: Dict[str, _RoleFacts],
-        role: str,
-        method: str,
+        facts_map: Dict[str, RoleBinding],
+        node: Any,
         flow: Dict[str, SymArray],
         bdim: Dim,
         env: _Env,
         report: AnalysisReport,
     ) -> Dict[str, SymArray]:
+        """Check one call's boundary; its output columns — or, for a call
+        that cannot be interpreted, its input flow passed through."""
+        role, method = node.role, node.method
         facts = facts_map.get(role)
         if facts is None:
             report.note_checked("skipped_roles")
             return flow
         location = f"{role}.{method}@{facts.pool}"
         fn = getattr(facts.worker_cls, method, None)
-        raw = registered_shape_contract(fn) if fn is not None else None
+        raw = registered_shape_contract(fn)
         if (
             self.mutate == "forget_contract"
             and role == "actor"
             and method == "generate_sequences"
         ):
             raw = None
-        if raw is None:
-            report.add(
-                "SF706",
-                ERROR,
-                f"{facts.worker_cls.__name__}.{method} has no "
-                f"@shape_contract; the {role} boundary cannot be verified",
-                location=location,
-                hint=SF_RULES["SF706"][1],
-            )
-            env.tainted = True
-            return flow
         try:
             contract = parse_contract(raw)
         except ContractError as exc:
+            owner = f"{facts.worker_cls.__name__}.{method}"
+            problem = f"unsound contract on {owner}: {exc}"
+            if raw is None:
+                problem = (
+                    f"{owner} has no @shape_contract; the {role} boundary "
+                    "cannot be verified"
+                )
             report.add(
-                "SF706",
-                ERROR,
-                f"unsound contract on {facts.worker_cls.__name__}."
-                f"{method}: {exc}",
-                location=location,
-                hint=SF_RULES["SF706"][1],
+                "SF706", ERROR, problem, location=location, hint=SF_RULES["SF706"][1]
             )
             env.tainted = True
             return flow
@@ -880,7 +782,9 @@ class ShapeFlowChecker:
         for spec in contract.inputs:
             arr = flow.get(spec.name)
             if arr is None:
-                if spec.optional:
+                # an optional column is owed only when the trainer was seen
+                # handing it to this call (GRPO's loss reads ref_log_probs)
+                if spec.optional and spec.name not in node.consumed:
                     continue
                 if env.tainted:
                     report.note_checked("suppressed_by_taint")
@@ -955,15 +859,11 @@ class ShapeFlowChecker:
                 self._bind(tokens, env, bdim), spec.dtype
             )
         self.call_outputs[(role, method)] = dict(out)
-        if method == "generate_sequences":
-            return out
-        merged = dict(flow)
-        merged.update(out)
-        return merged
+        return out
 
     def _check_split(
         self,
-        facts: _RoleFacts,
+        facts: RoleBinding,
         fn: Any,
         bdim: Dim,
         report: AnalysisReport,
@@ -1000,57 +900,42 @@ class ShapeFlowChecker:
         else:
             report.note_checked("batch_splits")
 
-    def _advantages(
+    def _controller_step(
         self,
-        algo: Any,
-        flow: Dict[str, SymArray],
-        bdim: Dim,
+        graph: Any,
+        step: Any,
+        outputs: Dict[int, Dict[str, SymArray]],
+        written: Dict[str, SymArray],
         env: _Env,
         report: AnalysisReport,
-    ) -> Dict[str, SymArray]:
-        from repro.rlhf.core import AlgoType
-
-        need = {
-            AlgoType.PPO: (
-                "values",
-                "scores",
-                "old_log_probs",
-                "ref_log_probs",
-            ),
-            AlgoType.GRPO: ("scores",),
-            AlgoType.REMAX: ("scores", "baseline_scores"),
-            AlgoType.SAFE_RLHF: (
-                "values",
-                "cost_values",
-                "scores",
-                "costs",
-            ),
-        }[algo]
-        for name in need:
+    ) -> None:
+        """The controller-side advantage step: every column it was seen to
+        read must flow in; the columns it was seen to write flow on."""
+        bdim = env.B * (step.rows // graph.rows)
+        for name, spec in step.writes:
+            column = _parse_spec(name, spec)
+            written[name] = SymArray(
+                self._bind(column.tokens, env, bdim), column.dtype
+            )
+        flowing = set(written).union(*(outputs[dep] for dep in step.deps))
+        for name in step.reads:
             report.note_checked("advantage_inputs")
-            if name not in flow:
+            if name not in flowing:
                 if env.tainted:
                     report.note_checked("suppressed_by_taint")
                     continue
                 report.add(
                     "SF701",
                     ERROR,
-                    f"compute_advantages({algo.value}) consumes {name!r} "
+                    f"compute_advantages({graph.name}) consumes {name!r} "
                     "which never flows out of the preparation stage",
-                    location=f"{algo.value}.preparation",
+                    location=f"{graph.name}.preparation",
                     hint=SF_RULES["SF701"][1],
                 )
-        flow = dict(flow)
-        flow["advantages"] = SymArray((bdim, env.R), "float64")
-        if algo in (AlgoType.PPO, AlgoType.SAFE_RLHF):
-            flow["returns"] = SymArray((bdim, env.R), "float64")
-        if algo is AlgoType.SAFE_RLHF:
-            flow["cost_advantages"] = SymArray((bdim, env.R), "float64")
-        return flow
 
     def _post_generate(
         self,
-        facts: Dict[str, _RoleFacts],
+        facts: Dict[str, RoleBinding],
         env: _Env,
         flow: Dict[str, SymArray],
         bdim: Dim,
@@ -1113,7 +998,7 @@ class ShapeFlowChecker:
 
     def _check_serving(
         self,
-        actor: _RoleFacts,
+        actor: RoleBinding,
         env: _Env,
         flow: Dict[str, SymArray],
         bdim: Dim,
@@ -1164,7 +1049,7 @@ class ShapeFlowChecker:
 
     def _check_staleness(
         self,
-        facts: Dict[str, _RoleFacts],
+        facts: Dict[str, RoleBinding],
         flow: Dict[str, SymArray],
         bdim: Dim,
         env: _Env,
@@ -1203,7 +1088,7 @@ def shipped_graph_reports(
 ) -> List[Tuple[str, AnalysisReport]]:
     """The SF pass over every shipped example graph, one report per graph.
 
-    Covers the acceptance surface: the full PPO graph, GRPO, the
+    Covers every shipped algorithm (PPO, GRPO, ReMax, Safe-RLHF), the
     serving-backed actor, and the async one-step-off pipeline.
     """
     from repro.pipeline import PipelineConfig
@@ -1215,6 +1100,8 @@ def shipped_graph_reports(
     for name, algo, serving in (
         ("tiny-ppo", AlgoType.PPO, {}),
         ("grpo", AlgoType.GRPO, {}),
+        ("remax", AlgoType.REMAX, {}),
+        ("safe-rlhf", AlgoType.SAFE_RLHF, {}),
         ("serving-ppo", AlgoType.PPO, dict(eos_token_id=3, use_serving=True)),
     ):
         spec = SystemSpec(algo=algo)

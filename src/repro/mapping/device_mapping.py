@@ -172,6 +172,7 @@ def map_dataflow(
     """Algorithm 1: best placement + allocation + parallelism for a dataflow.
 
     Args:
+        algo: An ``AlgoType`` member or a trainer class.
         specs: Model role -> architecture (e.g. ``{"actor": 7B, ...}``).
         max_allocations_per_placement: Safety cap on the allocation
             enumeration per placement (the integer-partition space).
@@ -180,7 +181,6 @@ def map_dataflow(
             evaluate the colocate / standalone / split strategies under
             HybridFlow; by default all set partitions are searched.
     """
-    algo = AlgoType(algo)
     models = list(specs)
     if "actor" not in models:
         raise ValueError("the dataflow needs an actor model")

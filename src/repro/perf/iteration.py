@@ -25,6 +25,8 @@ from repro.perf.compute import inference_latency, training_latency
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time, weight_sync_time
 from repro.rlhf.core import AlgoType
+from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING, dataflow_of
+from repro.rlhf.trainers import TrainerConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,18 +95,12 @@ class IterationBreakdown:
         return workload.tokens_per_iteration / self.total
 
 
-#: (prep-stage models, train-stage models, extra passes) per algorithm.
-_STAGE_ROLES: Dict[AlgoType, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    AlgoType.PPO: (("critic", "reference", "reward"), ("actor", "critic")),
-    AlgoType.REMAX: (("reference", "reward"), ("actor",)),
-    AlgoType.SAFE_RLHF: (
-        ("critic", "reference", "reward", "cost"),
-        ("actor", "critic"),
-    ),
-    AlgoType.GRPO: (("reference", "reward"), ("actor",)),
-}
+#: Figure 1 draws the dataflow whose anchor log-probs are the sampler's own
+#: (no recompute pass); stages and pass counts are read off that graph.
+FIGURE1_DATAFLOW = TrainerConfig(recompute_log_probs=False)
 
-#: Safe-RLHF trains the actor on RL data plus the auxiliary pretraining batch.
+#: Safe-RLHF trains the actor on RL data plus the auxiliary pretraining batch
+#: — a cost of its loss, not a call in its graph.
 SAFE_RLHF_ACTOR_TRAIN_FACTOR = 1.5
 
 #: Per-iteration serial overhead: dataloading, controller dispatch, optimizer
@@ -133,17 +129,16 @@ def estimate_iteration(
 ) -> IterationBreakdown:
     """Latency of one RLHF iteration under a full system configuration.
 
-    ``executions`` maps the algorithm's model roles (Figure 1) to their
-    placement and parallelism; ``gen_plan`` describes the actor's generation
+    ``algo`` is an ``AlgoType`` member or a trainer class; ``executions``
+    maps the model roles its dataflow calls (Figure 1) to their placement
+    and parallelism; ``gen_plan`` describes the actor's generation
     configuration and resharding mechanism.
     """
-    algo = AlgoType(algo)
-    prep_roles, train_roles = _STAGE_ROLES[algo]
-    missing = [
-        r for r in set(prep_roles + train_roles) if r not in executions
-    ]
+    graph = dataflow_of(algo, FIGURE1_DATAFLOW)
+    prep_calls, train_calls = graph.calls(PREPARATION), graph.calls(TRAINING)
+    missing = [r for r in graph.roles if r not in executions]
     if missing:
-        raise ValueError(f"{algo.value} needs executions for {missing}")
+        raise ValueError(f"{graph.name} needs executions for {missing}")
     actor = executions["actor"]
 
     # -- transition --------------------------------------------------------------
@@ -169,7 +164,6 @@ def estimate_iteration(
         )
 
     # -- stage 1: generation --------------------------------------------------------
-    n_gen_passes = 2 if algo is AlgoType.REMAX else 1
     gen_estimate = generation_latency(
         actor.spec,
         gen_cluster,
@@ -179,14 +173,14 @@ def estimate_iteration(
         workload=workload,
         use_kv_cache=gen_plan.use_kv_cache,
         reserved_bytes=gen_plan.reserved_bytes,
-        n_generation_passes=n_gen_passes,
+        n_generation_passes=sum(graph.calls(GENERATION).values()),
         step_overhead=gen_plan.step_overhead,
     )
     generation = gen_estimate.total
 
     # -- stage 2: preparation ---------------------------------------------------------
     prep: Dict[str, Tuple[str, float]] = {}
-    for role in prep_roles:
+    for role, n_calls in prep_calls.items():
         execution = executions[role]
         latency = inference_latency(
             execution.spec,
@@ -195,17 +189,15 @@ def estimate_iteration(
             workload,
             zero3=execution.zero3,
         )
-        if role == "reward" and algo is AlgoType.REMAX:
-            latency *= 2.0  # scores for sampled and greedy responses
-        prep[role] = (execution.pool, latency)
+        prep[role] = (execution.pool, latency * n_calls)
     preparation = _stage_latency(prep)
 
     # -- stage 3: training ----------------------------------------------------------------
     train: Dict[str, Tuple[str, float]] = {}
-    for role in train_roles:
+    for role, n_calls in train_calls.items():
         execution = executions[role]
-        n_passes = float(workload.ppo_epochs)
-        if role == "actor" and algo is AlgoType.SAFE_RLHF:
+        n_passes = float(workload.ppo_epochs) * n_calls
+        if role == "actor" and graph.name == AlgoType.SAFE_RLHF.value:
             n_passes *= SAFE_RLHF_ACTOR_TRAIN_FACTOR
         latency = training_latency(
             execution.spec,
@@ -222,7 +214,7 @@ def estimate_iteration(
     # sequences + per-token floats flow between models; tiny next to weights
     batch_tokens = workload.tokens_per_iteration
     edge_bytes = batch_tokens * (8 + 4 * BYTES_BF16)
-    n_edges = len(prep_roles) + len(train_roles)
+    n_edges = len(prep_calls) + len(train_calls)
     data_transfer = n_edges * edge_bytes / cluster.inter_node_bandwidth
     data_transfer += (
         FRAMEWORK_OVERHEAD_BASE

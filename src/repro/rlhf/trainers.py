@@ -12,7 +12,7 @@ paper's Figure 6 shows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type
 
 import numpy as np
 
@@ -241,8 +241,9 @@ class ReMaxTrainer(RlhfTrainerBase):
 
     def prepare(self, gen: DataBatch, baseline: DataBatch) -> DataBatch:
         batch = self._experience(gen)
-        scores = self.reward.compute_reward(baseline).get()["scores"]
-        extra = DataBatch({"baseline_scores": scores}, meta=batch.meta)
+        scored = self.reward.compute_reward(baseline).get()
+        # built with the call's own meta: the advantages depend on this call
+        extra = DataBatch({"baseline_scores": scored["scores"]}, meta=scored.meta)
         return self._advantages(batch.union(extra))
 
     def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
@@ -325,3 +326,21 @@ class GRPOTrainer(RlhfTrainerBase):
             mini, loss_func="grpo", kl_coef=self.config.kl_coef
         ).get()
         return {"actor": actor}
+
+
+#: The shipped algorithms — the CLI's vocabulary.  Any other algorithm is
+#: named by its trainer class.
+_TRAINERS = {
+    AlgoType.PPO: PPOTrainer,
+    AlgoType.REMAX: ReMaxTrainer,
+    AlgoType.SAFE_RLHF: SafeRLHFTrainer,
+    AlgoType.GRPO: GRPOTrainer,
+}
+
+
+def trainer_class(algo: Any) -> Type[RlhfTrainerBase]:
+    """The trainer behind "an algorithm": an :class:`AlgoType` member (or its
+    value), or a :class:`RlhfTrainerBase` subclass standing for itself."""
+    if isinstance(algo, type) and issubclass(algo, RlhfTrainerBase):
+        return algo
+    return _TRAINERS[AlgoType(algo)]

@@ -26,46 +26,11 @@ from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.parallel.topology import GenGroupingMode
 from repro.rlhf.core import AlgoType
-from repro.rlhf.trainers import (
-    GRPOTrainer,
-    PPOTrainer,
-    ReMaxTrainer,
-    RlhfTrainerBase,
-    SafeRLHFTrainer,
-    TrainerConfig,
-)
+from repro.rlhf.graph import dataflow_of
+from repro.rlhf.trainers import RlhfTrainerBase, TrainerConfig, trainer_class
 from repro.runtime.placement import PlacementPlan
 from repro.single_controller import ResourcePool, SingleController, WorkerGroup
-from repro.workers import (
-    ActorWorker,
-    CostWorker,
-    CriticWorker,
-    ReferenceWorker,
-    RewardFunctionWorker,
-    RewardWorker,
-)
-
-_TRAINERS = {
-    AlgoType.PPO: PPOTrainer,
-    AlgoType.REMAX: ReMaxTrainer,
-    AlgoType.SAFE_RLHF: SafeRLHFTrainer,
-    AlgoType.GRPO: GRPOTrainer,
-}
-
-_MODELS_BY_ALGO = {
-    AlgoType.PPO: ("actor", "critic", "reference", "reward"),
-    AlgoType.REMAX: ("actor", "reference", "reward"),
-    AlgoType.SAFE_RLHF: ("actor", "critic", "reference", "reward", "cost"),
-    AlgoType.GRPO: ("actor", "reference", "reward"),
-}
-
-_WORKER_CLASSES = {
-    "actor": ActorWorker,
-    "critic": CriticWorker,
-    "reference": ReferenceWorker,
-    "reward": RewardWorker,
-    "cost": CostWorker,
-}
+from repro.workers import WORKER_CLASSES, RewardFunctionWorker
 
 
 @dataclasses.dataclass
@@ -112,8 +77,9 @@ class RlhfSystem:
 
 
 def required_models(algo: AlgoType) -> tuple:
-    """Model roles an algorithm's dataflow contains (Figure 1)."""
-    return _MODELS_BY_ALGO[AlgoType(algo)]
+    """Model roles an algorithm's dataflow contains (Figure 1): the roles
+    its trainer's ``step`` calls."""
+    return dataflow_of(algo).roles
 
 
 def build_rlhf_system(
@@ -140,7 +106,8 @@ def build_rlhf_system(
     """Construct controller, pools, worker groups, and trainer.
 
     Args:
-        algo: Which RLHF dataflow to build (Figure 1).
+        algo: Which RLHF dataflow to build (Figure 1): an ``AlgoType``
+            member, or a ``RlhfTrainerBase`` subclass for any other algorithm.
         plan: Device placement plus per-model parallelism.
         actor_config: TinyLM architecture of the actor/reference.
         critic_config: Architecture of critic/reward/cost models (scalar
@@ -165,8 +132,8 @@ def build_rlhf_system(
             overriding the serving engine's defaults (slots, block size,
             SLOs); eos/temperature/seed fields are filled in per call.
     """
-    algo = AlgoType(algo)
-    models = required_models(algo)
+    trainer_cls = trainer_class(algo)
+    models = required_models(trainer_cls)
     missing = [m for m in models if m not in plan.assignments]
     if missing:
         raise ValueError(f"placement plan lacks assignments for {missing}")
@@ -204,7 +171,7 @@ def build_rlhf_system(
     groups: Dict[str, WorkerGroup] = {}
     for model in models:
         assignment = plan.assignments[model]
-        worker_cls = _WORKER_CLASSES[model]
+        worker_cls = WORKER_CLASSES[model]
         kwargs = worker_kwargs[model]
         if model == "reward" and reward_fn is not None:
             worker_cls = RewardFunctionWorker
@@ -225,18 +192,10 @@ def build_rlhf_system(
             worker_kwargs=kwargs,
         )
 
-    trainer_cls = _TRAINERS[algo]
-    trainer_args: Dict[str, Any] = dict(
-        actor=groups["actor"],
-        reference=groups["reference"],
-        reward=groups["reward"],
-        critic=groups.get("critic"),
-        cost=groups.get("cost"),
-        config=trainer_config,
-    )
-    if algo is AlgoType.SAFE_RLHF:
+    trainer_args: Dict[str, Any] = {role: groups.get(role) for role in WORKER_CLASSES}
+    if pretrain_dataset is not None:
         trainer_args["pretrain_dataset"] = pretrain_dataset
-    trainer = trainer_cls(**trainer_args)
+    trainer = trainer_cls(**trainer_args, config=trainer_config)
     return RlhfSystem(
         controller=controller, groups=groups, trainer=trainer, plan=plan
     )

@@ -27,6 +27,15 @@ from repro.workers.scorers import (
     TrainableRewardWorker,
 )
 
+#: Model role -> worker class (Figure 1); key order is the canonical role order.
+WORKER_CLASSES = {
+    "actor": ActorWorker,
+    "critic": CriticWorker,
+    "reference": ReferenceWorker,
+    "reward": RewardWorker,
+    "cost": CostWorker,
+}
+
 __all__ = [
     "ActorWorker",
     "CostWorker",
@@ -38,5 +47,6 @@ __all__ = [
     "ShardedModelWorker",
     "ThreeDParallelWorker",
     "TrainableRewardWorker",
+    "WORKER_CLASSES",
     "ZeROWorker",
 ]

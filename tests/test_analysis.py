@@ -767,6 +767,22 @@ class TestRepoLint:
         for exempt in ("src/repro/observability/spans.py", "tests/test_x.py"):
             assert lint(source, filename=exempt).findings == []
 
+    # -- RL310: per-algorithm tables outside repro/rlhf --------------------
+
+    def test_dict_keyed_by_algotype_members_is_rl310(self):
+        source = (
+            "from repro.rlhf.core import AlgoType\n"
+            "ROLES = {AlgoType.PPO: ('actor', 'critic'), AlgoType.GRPO: ('actor',)}\n"
+            "ONE = {AlgoType.PPO: 1, 'other': 2}\n"
+        )
+        report = lint(source, filename="src/repro/perf/iteration.py")
+        assert [f.rule for f in report.findings] == ["RL310"]
+        assert report.findings[0].location.endswith(":2")
+        assert "dataflow_of" in report.findings[0].hint
+        # the registry lives beside the trainers; tests keep reference pins
+        for exempt in ("src/repro/rlhf/trainers.py", "tests/test_trainers.py"):
+            assert lint(source, filename=exempt).findings == []
+
     def test_repo_source_tree_is_clean(self):
         import pathlib
 

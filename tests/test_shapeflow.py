@@ -159,10 +159,10 @@ class TestContracts:
 
     def test_all_shipped_contracts_parse(self):
         from repro.analysis import registered_methods
-        from repro.runtime.builder import _WORKER_CLASSES
+        from repro.workers import WORKER_CLASSES
 
         seen = 0
-        for cls in set(_WORKER_CLASSES.values()):
+        for cls in set(WORKER_CLASSES.values()):
             for method_name, _proto in registered_methods(cls):
                 raw = registered_shape_contract(getattr(cls, method_name))
                 assert raw is not None, f"{cls.__name__}.{method_name}"
@@ -273,6 +273,8 @@ class TestShippedGraphs:
         assert names == [
             "shapeflow[tiny-ppo]",
             "shapeflow[grpo]",
+            "shapeflow[remax]",
+            "shapeflow[safe-rlhf]",
             "shapeflow[serving-ppo]",
             "shapeflow[async-pipeline]",
         ]

@@ -1,14 +1,42 @@
 """End-to-end functional tests of the four RLHF algorithm drivers (Figure 6)."""
 
+import enum
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import GenParallelConfig, ParallelConfig
+from repro.analysis import (
+    DataflowChecker,
+    ShapeFlowChecker,
+    ShapeRecorder,
+    predict_system_outputs,
+    shape_cross_validate,
+)
+from repro.config import (
+    MODEL_SPECS,
+    ClusterSpec,
+    GenParallelConfig,
+    ParallelConfig,
+    RlhfWorkload,
+)
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
+from repro.mapping import map_dataflow
 from repro.models.tinylm import TinyLMConfig
+from repro.perf.compute import inference_latency, training_latency
+from repro.perf.iteration import GenerationPlan, ModelExecution, estimate_iteration
 from repro.rlhf.core import AlgoType
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import build_rlhf_system
+from repro.rlhf.graph import (
+    GENERATION,
+    PREPARATION,
+    TRAINING,
+    UncontractedCallError,
+    dataflow_of,
+)
+from repro.rlhf.trainers import RlhfTrainerBase, TrainerConfig
+from repro.runtime import SystemSpec, build_rlhf_system, build_timeline
+from repro.runtime.builder import required_models
 from repro.runtime.placement import ModelAssignment, PlacementPlan
 
 CFG = TinyLMConfig(
@@ -25,8 +53,6 @@ TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7, unsafe_token=3)
 def plan_for(algo: AlgoType, use_reward_fn: bool) -> PlacementPlan:
     par = ParallelConfig(pp=1, tp=2, dp=1)
     gen = GenParallelConfig.derive(par, 1, 1)
-    from repro.runtime.builder import required_models
-
     models = required_models(algo)
     pools = {"main": 2}
     assignments = {}
@@ -113,6 +139,25 @@ class TestReMax:
         history = system.trainer.train(dataset(), 1, 8)
         assert "baseline_score_mean" in history[0]
 
+    def test_update_waits_for_the_baseline_reward(self):
+        # the advantages are computed from the baseline's scores, so the
+        # replayed schedule may not start the update before they land (with
+        # the edge dropped it started at 13.0 s, the score landed at 15.0 s)
+        spec = SystemSpec(algo=AlgoType.REMAX, disaggregated=True)
+        system = spec.build()
+        system.trainer.train(spec.dataset(), 1, 8)
+        controller = system.controller
+
+        def duration(record):
+            if record.method == "compute_reward":
+                return 3.0
+            return controller.planned_duration(record.method)
+
+        events = build_timeline(controller, duration_fn=duration).events
+        baseline = [e for e in events if e.name == "reward.compute_reward"][-1]
+        update = next(e for e in events if e.name == "actor.update_actor")
+        assert update.start >= baseline.end
+
 
 class TestSafeRLHF:
     def test_runs_with_cost_model_and_lagrange(self):
@@ -190,7 +235,9 @@ class TestDriverErrors:
 # (group.method, deps) one ``trainer.step`` leaves in ``controller.trace`` —
 # recorded before ``step`` was split into rollout/prepare/learn, with
 # ppo_epochs=2 x updates_per_epoch=2 (four optimizer rounds).  Dispatch order
-# is the schedule; deps are the dataflow edges the timeline replays.
+# is the schedule; deps are the dataflow edges the timeline replays.  Kept as
+# literal data: it is the reference the derived graph (``dataflow_of``) and
+# every real trace are compared against.
 STEP_TRACES = {
     AlgoType.PPO: [
         ("actor.generate_sequences", ()),
@@ -212,7 +259,10 @@ STEP_TRACES = {
         ("actor.compute_log_prob", (0,)),
         ("reward.compute_reward", (1,)),
     ]
-    + [("actor.update_actor", (0, 2, 3, 4))] * 4,
+    # moved once (PR 21): update_actor now also depends on call 5, the
+    # baseline's reward, whose lineage ReMaxTrainer.prepare used to drop —
+    # the pin had recorded that bug as truth: (0, 2, 3, 4)
+    + [("actor.update_actor", (0, 2, 3, 4, 5))] * 4,
     AlgoType.SAFE_RLHF: [
         ("actor.generate_sequences", ()),
         ("critic.compute_values", (0,)),
@@ -237,21 +287,34 @@ STEP_TRACES = {
 }
 
 
+PRETRAIN = PromptDataset(n_prompts=32, prompt_length=12, vocab_size=16, seed=2)
+
+
+def trainer_kwargs(algo, pretrain=True):
+    """Safe-RLHF's pretrain set: the one trainer argument that adds a call."""
+    if algo is AlgoType.SAFE_RLHF and pretrain:
+        return {"pretrain_dataset": PRETRAIN}
+    return {}
+
+
+def executed(system):
+    return [(f"{r.group}.{r.method}", r.deps) for r in system.controller.trace]
+
+
+def derived(algo, tc=None, **kwargs):
+    graph = dataflow_of(algo, tc, **kwargs)
+    return [(f"{n.role}.{n.method}", n.deps) for n in graph.nodes]
+
+
 class TestStageSplitKeepsTheTrace:
     @pytest.mark.parametrize("algo", list(STEP_TRACES), ids=lambda a: a.value)
     def test_step_dispatch_order_and_dataflow_edges(self, algo):
-        kwargs = {}
-        if algo is AlgoType.SAFE_RLHF:
-            kwargs["pretrain_dataset"] = PromptDataset(
-                n_prompts=32, prompt_length=12, vocab_size=16, seed=2
-            )
+        kwargs = trainer_kwargs(algo)
         tc = TrainerConfig(ppo_epochs=2, updates_per_epoch=2, group_size=2)
         system = build(algo, tc, **kwargs)
         system.trainer.step(dataset().batch(0, 8))
-        trace = [
-            (f"{r.group}.{r.method}", r.deps) for r in system.controller.trace
-        ]
-        assert trace == STEP_TRACES[algo]
+        # derived == executed == pinned
+        assert derived(algo, tc, **kwargs) == executed(system) == STEP_TRACES[algo]
 
     def test_step_is_the_three_stages_composed(self):
         a, b = build(AlgoType.PPO), build(AlgoType.PPO)
@@ -259,3 +322,201 @@ class TestStageSplitKeepsTheTrace:
         composed = b.trainer.learn(b.trainer.prepare(b.trainer.rollout(prompts)))
         assert a.trainer.step(prompts) == composed
         assert a.controller.trace == b.controller.trace
+
+
+class TestDerivedGraphIsTheExecutedGraph:
+    """``dataflow_of`` runs the trainer's own ``step`` against contract-shaped
+    probes; what it derives must be what a built system really dispatches."""
+
+    @pytest.mark.parametrize("disaggregated", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize("algo", list(STEP_TRACES), ids=lambda a: a.value)
+    def test_on_both_shipped_placements(self, algo, disaggregated):
+        spec = SystemSpec(algo=algo, disaggregated=disaggregated)
+        tc = TrainerConfig(ppo_epochs=2, updates_per_epoch=2, group_size=2)
+        system = build_rlhf_system(
+            algo,
+            spec.plan,
+            CFG,
+            trainer_config=tc,
+            reward_fn=TASK.reward if spec.function_rewards else None,
+            **trainer_kwargs(algo),
+        )
+        system.trainer.step(dataset().batch(0, 8))
+        assert executed(system) == STEP_TRACES[algo]
+        assert set(system.groups) == set(dataflow_of(algo).roles)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        algo=st.sampled_from(list(AlgoType)),
+        ppo_epochs=st.integers(1, 3),
+        updates_per_epoch=st.sampled_from([1, 2, 4]),
+        recompute=st.booleans(),
+        group_size=st.sampled_from([2, 4]),
+        pretrain=st.booleans(),
+    )
+    def test_under_every_trainer_config(
+        self, algo, ppo_epochs, updates_per_epoch, recompute, group_size, pretrain
+    ):
+        tc = TrainerConfig(
+            ppo_epochs=ppo_epochs,
+            updates_per_epoch=updates_per_epoch,
+            recompute_log_probs=recompute,
+            group_size=group_size,
+        )
+        kwargs = trainer_kwargs(algo, pretrain)
+        system = build(algo, tc, **kwargs)
+        recorder = system.controller.shape_recorder = ShapeRecorder()
+        system.trainer.step(dataset().batch(0, 8))
+        assert derived(algo, tc, **kwargs) == executed(system)
+        # ... and the shapes the SF pass infers along that graph are the
+        # shapes the run produced (ROADMAP 7(d))
+        report = shape_cross_validate(
+            recorder, predict_system_outputs(system, batch_size=8, prompt_length=4)
+        )
+        assert report.findings == [], [f.message for f in report.findings]
+        graph = dataflow_of(algo, tc, **kwargs)
+        assert report.checked["recorded_samples"] == sum(
+            1 for node in graph.nodes if node.produced
+        )
+        assert "unpredicted_calls" not in report.checked
+
+    def test_figure1_stages_and_multiplicities(self):
+        figure1 = TrainerConfig(recompute_log_probs=False)
+        stages = {
+            algo: tuple(
+                dataflow_of(algo, figure1).calls(stage)
+                for stage in (GENERATION, PREPARATION, TRAINING)
+            )
+            for algo in AlgoType
+        }
+        scorers = {"reference": 1, "reward": 1}
+        assert stages == {
+            AlgoType.PPO: (
+                {"actor": 1},
+                {"critic": 1, **scorers},
+                {"actor": 1, "critic": 1},
+            ),
+            # ReMax's two special cases, structurally: a second generation
+            # pass and the reward model scoring both responses
+            AlgoType.REMAX: ({"actor": 2}, {"reference": 1, "reward": 2}, {"actor": 1}),
+            AlgoType.SAFE_RLHF: (
+                {"actor": 1},
+                {"critic": 1, **scorers, "cost": 1},
+                {"actor": 1, "critic": 1},
+            ),
+            AlgoType.GRPO: ({"actor": 1}, scorers, {"actor": 1}),
+        }
+
+    def test_controller_step_is_observed(self):
+        (step,) = dataflow_of(AlgoType.REMAX).controller
+        assert step.reads == ("log_probs", "scores", "ref_log_probs", "baseline_scores")
+        assert step.writes == (
+            ("baseline_scores", "B:float64"),
+            ("advantages", "B,R:float64"),
+        )
+        assert step.deps == (0, 2, 3, 4, 5) and step.before == 6
+
+    def test_memoised_per_trainer_and_config(self):
+        graph = dataflow_of(AlgoType.PPO, TrainerConfig(ppo_epochs=2))
+        assert dataflow_of(AlgoType.PPO, TrainerConfig(ppo_epochs=2)) is graph
+        assert dataflow_of(AlgoType.PPO) is dataflow_of("ppo", TrainerConfig())
+        assert dataflow_of(AlgoType.PPO) is not graph
+
+    def test_uncontracted_call_is_a_typed_error(self):
+        class Peeking(RlhfTrainerBase):
+            algo = AlgoType.PPO
+
+            def prepare(self, gen):
+                return self.actor.save_checkpoint(gen).get()
+
+        with pytest.raises(UncontractedCallError, match="actor.save_checkpoint"):
+            dataflow_of(Peeking)
+
+
+class Algo(str, enum.Enum):
+    REINFORCE = "reinforce"
+
+
+class ReinforceTrainer(RlhfTrainerBase):
+    """REINFORCE with a batch-mean baseline: rollout → reward → update_actor.
+
+    The fifth algorithm, defined only here: everything below holds with no
+    edit under ``src/repro`` — the paper's §4 flexibility claim.
+    """
+
+    algo = Algo.REINFORCE
+
+    def prepare(self, gen):
+        return self._advantages(gen.union(self.reward.compute_reward(gen).get()))
+
+    def _advantages(self, batch):
+        out = batch.copy()
+        centred = batch["scores"] - batch["scores"].mean()
+        out["advantages"] = centred[:, None] * np.ones_like(batch["old_log_probs"])
+        return out
+
+    def _update(self, mini):
+        return {"actor": self.actor.update_actor(mini, loss_func="ppo").get()}
+
+
+class TestFifthAlgorithm:
+    PAR = ParallelConfig(pp=1, tp=2, dp=1)
+
+    def plan(self, *extra):
+        return PlacementPlan.grouped(
+            {"main": (self.PAR, ["actor", *extra]), "r": (ParallelConfig(1, 1, 1), ["reward"])},
+            GenParallelConfig.derive(self.PAR, 1, 1),
+        )
+
+    def test_roles_are_read_off_its_step(self):
+        assert required_models(ReinforceTrainer) == ("actor", "reward")
+        assert derived(ReinforceTrainer) == [
+            ("actor.generate_sequences", ()),
+            ("reward.compute_reward", (0,)),
+            ("actor.update_actor", (0, 1)),
+        ]
+
+    def test_passes_the_static_checkers(self):
+        df = DataflowChecker(global_batch_size=8)
+        sf = ShapeFlowChecker(global_batch_size=8)
+        for checker in (df, sf):
+            report = checker.check_plan(
+                ReinforceTrainer, self.plan(), function_rewards=("reward",)
+            )
+            assert report.findings == [], report.findings
+        idle = df.check_plan(
+            ReinforceTrainer, self.plan("critic"), function_rewards=("reward",)
+        )
+        assert [f.rule for f in idle.findings] == ["DF106"]
+        assert "reinforce" in idle.findings[0].message
+
+    def test_builds_and_trains(self):
+        system = build_rlhf_system(
+            ReinforceTrainer, self.plan(), CFG, reward_fn=TASK.reward, lr=5e-3
+        )
+        assert set(system.groups) == {"actor", "reward"}
+        history = system.trainer.train(dataset(), 2, 8)
+        assert len(history) == 2
+        assert all(np.isfinite(v) for h in history for v in h.values())
+        calls = [name for name, _deps in derived(ReinforceTrainer)]
+        assert system.controller.trace_methods() == calls * 2
+        assert ShapeFlowChecker().check_system(system, 8, 4).findings == []
+
+    def test_is_priced_by_the_iteration_model(self):
+        spec, cluster, wl = MODEL_SPECS["llama-7b"], ClusterSpec(n_machines=2), RlhfWorkload()
+        par = ParallelConfig(1, 8, 2)
+        executions = {
+            role: ModelExecution(spec=spec, pool="shared", parallel=par)
+            for role in required_models(ReinforceTrainer)
+        }
+        gen_plan = GenerationPlan(tp=2, pp=1, n_replicas=8, pool="shared")
+        cost = estimate_iteration(ReinforceTrainer, executions, gen_plan, wl, cluster)
+        # preparation = one reward inference, training = one actor pass
+        assert cost.preparation == inference_latency(spec, cluster, par, wl)
+        assert cost.training == training_latency(
+            spec, cluster, par, wl, n_passes_over_batch=float(wl.ppo_epochs)
+        )
+        mapped = map_dataflow(
+            ReinforceTrainer, {r: spec for r in executions}, ClusterSpec(n_machines=1), wl
+        )
+        assert sorted(mapped.strategies) == ["actor", "reward"]
