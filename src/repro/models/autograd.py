@@ -616,10 +616,19 @@ def _tracked(*tensors: Tensor) -> bool:
 
 
 def embed(
-    tok_table: Tensor, pos_table: Tensor, token_ids: np.ndarray, pos_offset: int = 0
+    tok_table: Tensor,
+    pos_table: Tensor,
+    token_ids: np.ndarray,
+    pos_offset: Union[int, np.ndarray] = 0,
 ) -> Tensor:
-    """Token plus learned-position embedding of ``(batch, seq)`` int64 ids."""
-    rows = slice(pos_offset, pos_offset + token_ids.shape[1])
+    """Token plus learned-position embedding of ``(batch, seq)`` int64 ids;
+    row ``i`` starts at position ``pos_offset`` (``pos_offset[i]`` of an array)."""
+    t = token_ids.shape[1]
+    per_row = isinstance(pos_offset, np.ndarray)
+    if per_row:
+        rows = pos_offset[:, None] + np.arange(t)
+    else:
+        rows = slice(pos_offset, pos_offset + t)
     out = tok_table.data[token_ids]
     out += pos_table.data[rows]
     if not _tracked(tok_table, pos_table):
@@ -632,7 +641,10 @@ def embed(
             tok_table._accumulate(full, owned=True)
         if pos_table.requires_grad:
             full = np.zeros_like(pos_table.data)
-            full[rows] = g.sum(axis=0)
+            if per_row:
+                np.add.at(full, rows, g)
+            else:
+                full[rows] = g.sum(axis=0)
             pos_table._accumulate(full, owned=True)
 
     return Tensor._from_op(out, (tok_table, pos_table), backward)
@@ -697,10 +709,15 @@ def attention(
     """Causal multi-head self-attention of ``x`` ``(batch, seq, hidden)``.
 
     Projections, masked softmax, context and output projection, plus
-    ``residual`` when given.  ``cache`` (a ``KVCache``; inference only)
-    receives this call's K/V through ``cache.append(layer, k, v)`` and
-    returns everything cached so far; query ``i`` sits at position
-    ``pos_offset + i`` and attends to keys at or before it.
+    ``residual`` when given.  Keys start at position 0; query ``i`` sits at
+    position ``pos_offset + i`` and attends to keys at or before it.
+    ``cache`` (a ``KVStore`` bound to this forward's per-row cached lengths
+    by ``KVStore.at``; inference only) takes this call's K/V in place
+    through ``cache.extend(layer, k, v)`` (projections, heads not yet split)
+    and hands back everything cached so far per group of rows sharing a
+    length, which is then that group's ``pos_offset``.  Only scores,
+    softmax and context run per group — a sum over keys is not bit-stable
+    under padding — and everything per token runs once.
     """
     parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
     tracked = _tracked(*parents)
@@ -715,24 +732,27 @@ def attention(
     scale = 1.0 / np.sqrt(hd)
 
     def heads(proj: np.ndarray) -> np.ndarray:
-        return proj.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        return proj.reshape(len(proj), -1, n_heads, hd).transpose(0, 2, 1, 3)
 
     projs = [np.matmul(xd, w.data, out=_scratch(b, t, h)) for w in (wq, wk, wv)]
-    q, k, v = (heads(proj) for proj in projs)
+    groups = [(slice(None), projs[1], projs[2], pos_offset)]
     if cache is not None:
-        k, v = cache.append(layer, k, v)
-        del projs[1:]  # the cache keeps the K/V projections: not scratch
-    att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(b, n_heads, t, k.shape[2]))
-    att *= scale
-    masked = np.arange(k.shape[2])[None, :] > pos_offset + np.arange(t)[:, None]
-    att += np.where(masked, -1e9, 0.0)
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    per_head = np.matmul(att, v, out=_scratch(b, n_heads, t, hd))
+        groups = cache.extend(layer, projs[1], projs[2])
     ctx = _scratch(b, t, h)
-    ctx.reshape(b, t, n_heads, hd)[...] = per_head.transpose(0, 2, 1, 3)
-    _recycle(per_head)
+    ctx_heads = ctx.reshape(b, t, n_heads, hd)
+    for rows, k, v, offset in groups:
+        q, k, v = heads(projs[0][rows]), heads(k), heads(v)
+        att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(*q.shape[:3], k.shape[2]))
+        att *= scale
+        if t > 1:  # a lone query is the newest position: nothing to mask
+            masked = np.arange(k.shape[2])[None, :] > offset + np.arange(t)[:, None]
+            att += np.where(masked, -1e9, 0.0)
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        per_head = np.matmul(att, v, out=_scratch(*q.shape))
+        ctx_heads[rows] = per_head.transpose(0, 2, 1, 3)
+        _recycle(per_head)
     out = ctx @ wo.data
     if residual is not None:
         out += residual.data
@@ -744,7 +764,7 @@ def attention(
         g2, x2 = g.reshape(b * t, h), xd.reshape(b * t, h)
         if wo.requires_grad:
             wo._accumulate(ctx.reshape(b * t, h).T @ g2, owned=True)
-        dctx = heads(g2 @ wo.data.T)
+        dctx = heads((g2 @ wo.data.T).reshape(b, t, h))
         dv = att.swapaxes(-1, -2) @ dctx
         datt = dctx @ v.swapaxes(-1, -2)
         # softmax VJP (masked entries have att == 0), then the score scaling

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.models.autograd import no_grad
-from repro.models.tinylm import KVCache, TinyLM
+from repro.models.tinylm import KVStore, TinyLM
 
 
 def _softmax_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -190,7 +190,9 @@ def generate(
         rng = np.random.default_rng(0)
 
     batch, prompt_len = prompts.shape
-    cache = KVCache(model.config.n_layers)
+    n_layers, hidden = model.config.n_layers, model.config.hidden_size
+    # the last sampled token is never fed back, so never cached
+    cache = KVStore(model.config, batch, prompt_len + max_new_tokens - 1)
     pad = eos_token_id if pad_token_id is None else pad_token_id
     sequences = np.full(
         (batch, prompt_len + max_new_tokens),
@@ -226,6 +228,7 @@ def generate(
         sequences=sequences,
         response_log_probs=log_probs,
         prompt_length=prompt_len,
-        kv_cache_bytes=cache.nbytes(),
+        # float64 K and V per layer of what the last forward (``step``) cached
+        kv_cache_bytes=2 * n_layers * batch * hidden * (prompt_len + step) * 8,
         response_mask=mask if eos_token_id is not None else None,
     )

@@ -1,4 +1,4 @@
-"""TinyLM: a decoder-only transformer LM with exact gradients and a KV cache.
+"""TinyLM: a decoder-only transformer LM with exact gradients and a KV store.
 
 Plays the roles of the paper's Llama actors/critics/reference/reward models at
 miniature scale.  Architecture mirrors Llama: RMSNorm, SwiGLU MLP, causal
@@ -10,8 +10,9 @@ for actor/reference) or a scalar head (``"scalar"``, for critic/reward/cost —
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,63 +60,82 @@ class TinyLMConfig:
         )
 
 
-class KVCache:
-    """Per-layer cached keys/values for incremental generation.
+def _span(index: Sequence[int]) -> Any:
+    """``index`` as a slice when it is one ascending run — basic indexing
+    reads a view and writes without a gather — else unchanged."""
+    first, n = int(index[0]), len(index)
+    run = list(index) == list(range(first, first + n))
+    return slice(first, first + n) if run else index
 
-    Arrays have shape ``(batch, n_heads, seq, head_dim)`` and grow along the
-    sequence axis as tokens are appended — the same layout vLLM pages manage
-    on real hardware.
+
+class KVStore:
+    """Slot-resident keys/values for incremental generation.
+
+    Per layer one preallocated ``(n_slots, capacity, hidden)`` K and V
+    buffer, written in place: a forward's new rows land at each row's
+    cached length and attention reads ``[:length]`` views, so nothing is
+    ever copied to grow and a freed slot needs no clearing — positions at
+    or past a row's length are never read.  Rows are kept as the K/V
+    projections produce them (heads side by side, split by a view): a
+    head's ``(length, head_dim)`` matrix then has the row stride it has in
+    a plain forward, which is what keeps BLAS on the same path bit for bit.
+    How long each slot's prefix is stays with the caller (``pos_offset`` of
+    the forward that extends it); whether it may exist is the block
+    manager's business (:class:`repro.serving.PagedKVCache`).
     """
 
-    def __init__(self, n_layers: int) -> None:
-        self.keys: List[Optional[np.ndarray]] = [None] * n_layers
-        self.values: List[Optional[np.ndarray]] = [None] * n_layers
+    def __init__(
+        self, config: TinyLMConfig, n_slots: int, capacity: Optional[int] = None
+    ) -> None:
+        shape = (n_slots, capacity or config.max_seq_len, config.hidden_size)
+        self.keys = [np.empty(shape, dtype=np.float64) for _ in range(config.n_layers)]
+        self.values = [np.empty(shape, dtype=np.float64) for _ in range(config.n_layers)]
+        #: Slot of each forward row; ``None``: row ``i`` lives in slot ``i``.
+        self.slots: Optional[np.ndarray] = None
+        #: ``(rows, slots, offset)`` per group of the forward :meth:`at` bound.
+        self.groups: Optional[List[Tuple[Any, Any, int]]] = None
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.keys[layer] is None:
-            self.keys[layer] = k
-            self.values[layer] = v
-        else:
-            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=2)
-            self.values[layer] = np.concatenate([self.values[layer], v], axis=2)
-        return self.keys[layer], self.values[layer]
+    def rows(self, slots: Sequence[int]) -> "KVStore":
+        """The same buffers for forwards whose row ``i`` is ``slots[i]``."""
+        view = copy.copy(self)
+        view.slots = np.asarray(slots, dtype=np.intp)
+        return view
 
-    @property
-    def seq_len(self) -> int:
-        return 0 if self.keys[0] is None else self.keys[0].shape[2]
-
-    def trim(self, seq_len: int) -> None:
-        """Drop cached entries beyond position ``seq_len`` in every layer.
-
-        Copies the kept prefix so the tail's memory is actually released
-        (a plain slice would keep the full buffer alive through its base).
-        Used by preempt-and-recompute serving to roll a sequence back.
-        """
-        if seq_len < 0:
-            raise ValueError(f"seq_len must be >= 0, got {seq_len}")
-        if seq_len == 0:
-            self.free()
-            return
-        for layer, (k, v) in enumerate(zip(self.keys, self.values)):
-            if k is not None and k.shape[2] > seq_len:
-                self.keys[layer] = k[:, :, :seq_len].copy()
-                self.values[layer] = v[:, :, :seq_len].copy()
-
-    def free(self) -> None:
-        """Release every cached tensor (sequence finished or was preempted)."""
-        for layer in range(len(self.keys)):
-            self.keys[layer] = None
-            self.values[layer] = None
-
-    def nbytes_by_layer(self) -> List[int]:
-        """Per-layer K+V byte totals — the granularity a block manager meters."""
-        return [
-            (k.nbytes + v.nbytes) if k is not None else 0
-            for k, v in zip(self.keys, self.values)
+    def at(self, offsets: Union[int, np.ndarray]) -> "KVStore":
+        """The same buffers bound to one forward whose row ``i`` has cached
+        ``offsets[i]`` positions (an int: every row the same): rows are
+        grouped by cached length once, for every layer's :meth:`extend`."""
+        view = copy.copy(self)
+        if not isinstance(offsets, np.ndarray):
+            slots = slice(None) if self.slots is None else self.slots
+            view.groups = [(slice(None), slots, offsets)]
+            return view
+        by_offset: Dict[int, List[int]] = {}
+        for row, offset in enumerate(offsets.tolist()):
+            by_offset.setdefault(offset, []).append(row)
+        view.groups = [
+            (_span(rows), _span(rows if self.slots is None else self.slots[rows]), offset)
+            for offset, rows in by_offset.items()
         ]
+        return view
 
-    def nbytes(self) -> int:
-        return sum(self.nbytes_by_layer())
+    def extend(
+        self, layer: int, k: np.ndarray, v: np.ndarray
+    ) -> List[Tuple[Any, np.ndarray, np.ndarray, int]]:
+        """Cache the projections ``k``/``v`` ``(batch, t, hidden)`` behind
+        what each row of the bound forward holds.  Returns ``(rows, keys,
+        values, offset)`` per group of rows sharing a cached length:
+        ``keys``/``values`` are those rows' ``offset + t`` positions.
+        """
+        t = k.shape[1]
+        keys, values = self.keys[layer], self.values[layer]
+        out = []
+        for rows, slots, offset in self.groups:
+            end = offset + t
+            keys[slots, offset:end] = k[rows]
+            values[slots, offset:end] = v[rows]
+            out.append((rows, keys[slots, :end], values[slots, :end], offset))
+        return out
 
 
 class TinyLM:
@@ -218,11 +238,13 @@ class TinyLM:
     def forward(
         self,
         token_ids: np.ndarray,
-        cache: Optional[KVCache] = None,
-        pos_offset: int = 0,
+        cache: Optional[KVStore] = None,
+        pos_offset: Union[int, np.ndarray] = 0,
     ) -> Tensor:
         """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
 
+        ``pos_offset`` is the position of each row's first token — one int,
+        or a ``(batch,)`` array when rows have cached different lengths.
         ``cache`` is inference-only: passing one while a graph would be
         built (grad mode on, parameters requiring grad) raises.
         """
@@ -230,13 +252,15 @@ class TinyLM:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be (batch, seq), got {token_ids.shape}")
-        t = token_ids.shape[1]
-        if pos_offset + t > cfg.max_seq_len:
+        first = pos_offset.max() if isinstance(pos_offset, np.ndarray) else pos_offset
+        length = first + token_ids.shape[1]
+        if length > cfg.max_seq_len:
             raise ValueError(
-                f"sequence length {pos_offset + t} exceeds max_seq_len "
-                f"{cfg.max_seq_len}"
+                f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}"
             )
         x = ag.embed(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
+        if cache is not None:
+            cache = cache.at(pos_offset)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}"
             normed = ag.rms_norm(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
@@ -249,7 +273,6 @@ class TinyLM:
                 cfg.n_heads,
                 cache=cache,
                 layer=layer,
-                pos_offset=pos_offset,
                 residual=x,
             )
             normed = ag.rms_norm(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)

@@ -108,23 +108,31 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "max_seq_len": 64,
         "n_requests": 12,
         "prompt_length": 4,
+        "min_new_tokens": 4,
         "max_new_tokens": 16,
         "max_slots": 4,
         "seed": 0,
     }
     model, prompts = _model_and_prompts(pins, pins["n_requests"])
-    # equal prompt lengths, no EOS: every step's runners share one KV
-    # length, so each step is a single cohort forward
+    # no EOS, but budgets differ per request: slots refill at different
+    # steps, so the runners of a step hold different KV lengths — and still
+    # share one forward (admissions, a whole prompt each, take their own)
+    budgets = np.random.default_rng(pins["seed"]).integers(
+        pins["min_new_tokens"],
+        pins["max_new_tokens"] + 1,
+        size=pins["n_requests"],
+    )
     server = RolloutServer(
         model,
         ServingConfig(max_slots=pins["max_slots"], seed=pins["seed"]),
     )
-    for i in range(pins["n_requests"]):
-        server.submit(prompts[i], max_new_tokens=pins["max_new_tokens"])
+    for prompt, budget in zip(prompts, budgets):
+        server.submit(prompt, max_new_tokens=int(budget))
     report = server.drain()
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
+        "forwards": _metric("exact", report.n_forwards),
         "total_tokens": _metric("exact", report.total_tokens),
         "n_preemptions": _metric("exact", report.n_preemptions),
     }

@@ -12,9 +12,10 @@ This manager tracks the *accounting* half of that design exactly: a free
 pool of block ids, per-request block tables, reserve/release, and a charge
 against a :class:`repro.cluster.SimDevice` memory ledger under a named tag —
 so block exhaustion and simulated-device OOM are the same budget viewed at
-two granularities.  The token payloads themselves live in each request's
-:class:`repro.models.tinylm.KVCache` (dense per-sequence arrays); the block
-manager decides *whether they may exist*, which is all the scheduler needs.
+two granularities.  The token payloads themselves live in the server's one
+:class:`repro.models.tinylm.KVStore` (a slot per running request, written in
+place); the block manager decides *whether they may exist*, which is all the
+scheduler needs.
 """
 
 from __future__ import annotations

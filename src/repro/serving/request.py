@@ -1,7 +1,7 @@
 """Request lifecycle state for the rollout serving engine.
 
 A request moves ``QUEUED -> RUNNING -> FINISHED``, possibly detouring
-through ``PREEMPTED`` (blocks reclaimed, KV cache dropped, re-queued for
+through ``PREEMPTED`` (blocks reclaimed, KV slot given up, re-queued for
 recompute) any number of times.  Sampled tokens survive preemption — the
 recompute prefill replays ``prompt + generated`` so the sequence resumes
 exactly where it stopped, and because the per-request rng draws once per
@@ -16,8 +16,6 @@ import enum
 from typing import List, Optional
 
 import numpy as np
-
-from repro.models.tinylm import KVCache
 
 
 class RequestState(enum.Enum):
@@ -43,8 +41,9 @@ class Request:
     rng: Optional[np.random.Generator] = dataclasses.field(
         default=None, repr=False
     )
-    #: Dense KV payload while resident; ``None`` when queued/preempted.
-    cache: Optional[KVCache] = dataclasses.field(default=None, repr=False)
+    #: Row of the server's ``KVStore`` while running; ``None`` when
+    #: queued/preempted/finished.
+    slot: Optional[int] = None
     #: Token positions currently cached (<= seq_len; the newest sampled
     #: token is only cached by the *next* forward).
     kv_len: int = 0
@@ -65,16 +64,12 @@ class Request:
     def seq_len(self) -> int:
         return self.prompt_length + len(self.generated)
 
-    def uncached_tokens(self) -> np.ndarray:
+    def uncached_tokens(self) -> List[int]:
         """Token ids past ``kv_len`` — what the next forward must feed: the
         whole context after admission or preemption, else the newest token."""
-        generated = self.generated[max(self.kv_len - self.prompt_length, 0) :]
-        return np.concatenate(
-            [
-                self.prompt[self.kv_len :],
-                np.asarray(generated, dtype=self.prompt.dtype),
-            ]
-        )
+        if self.kv_len >= self.prompt_length:
+            return self.generated[self.kv_len - self.prompt_length :]
+        return self.prompt[self.kv_len :].tolist() + self.generated
 
     def effective_priority(self, aging: float) -> float:
         """Submitted priority plus aging credit — what the scheduler ranks.

@@ -13,11 +13,12 @@ plus the two policies a real rollout server needs on top:
 * **Preempt-and-recompute** — when the block pool cannot cover a running
   sequence's next token, the lowest-ranked runner is evicted (the
   requester itself when nothing ranks below it — never a better-ranked
-  one): its blocks return to the pool, its dense KV cache is freed
-  (:meth:`repro.models.tinylm.KVCache.free`), and it re-queues keeping its
-  sampled tokens.  On re-admission a single prefill over ``prompt +
-  generated`` rebuilds the cache — vLLM's recomputation recovery, which
-  trades FLOPs for never swapping KV off-device.
+  one): its blocks return to the pool, its slot of the KV store is given
+  up (nothing to clear: positions past a row's length are never read), and
+  it re-queues keeping its sampled tokens.  On re-admission a single
+  prefill over ``prompt + generated`` rebuilds the cache — vLLM's
+  recomputation recovery, which trades FLOPs for never swapping KV
+  off-device.
 
 Admission is head-of-line: if the highest-ranked eligible request does not
 fit the free blocks, nothing behind it is admitted this step.  Skipping
@@ -58,6 +59,8 @@ class ContinuousBatchScheduler:
         self.kv = kv
         self.waiting: List[Request] = []
         self.running: List[Request] = []
+        # pop() hands out low slots first, like the block pool
+        self._free_slots: List[int] = list(range(config.max_slots - 1, -1, -1))
         self.n_admissions = 0
         self.n_preemptions = 0
 
@@ -80,10 +83,10 @@ class ContinuousBatchScheduler:
     def schedule(self, now: float) -> List[Request]:
         """Refill free slots from the queue; returns newly admitted requests.
 
-        An admitted request gets blocks reserved for its full current
-        context (``prompt + generated``) — what the prefill this step will
-        cache.  Requests not yet arrived are ignored; the rest accrue one
-        waiting step each.
+        An admitted request gets a slot of the KV store and blocks reserved
+        for its full current context (``prompt + generated``) — what the
+        prefill this step will cache.  Requests not yet arrived are ignored;
+        the rest accrue one waiting step each.
         """
         admitted: List[Request] = []
         while len(self.running) < self.config.max_slots:
@@ -96,6 +99,7 @@ class ContinuousBatchScheduler:
             self.kv.reserve(head.request_id, head.seq_len)
             self.waiting.remove(head)
             head.state = RequestState.RUNNING
+            head.slot = self._free_slots.pop()
             self.running.append(head)
             admitted.append(head)
             self.n_admissions += 1
@@ -127,11 +131,8 @@ class ContinuousBatchScheduler:
         return True
 
     def preempt(self, victim: Request) -> None:
-        """Evict a runner: blocks back to the pool, KV dropped, re-queued."""
-        self.kv.release(victim.request_id)
-        if victim.cache is not None:
-            victim.cache.free()
-            victim.cache = None
+        """Evict a runner: blocks and slot back, KV dropped, re-queued."""
+        self._vacate(victim)
         victim.recomputed_tokens += victim.kv_len
         victim.kv_len = 0
         victim.state = RequestState.PREEMPTED
@@ -143,13 +144,15 @@ class ContinuousBatchScheduler:
     # -- completion ------------------------------------------------------------------
 
     def finish(self, req: Request) -> None:
-        """Release a finished runner's blocks and cache, free its slot."""
-        self.kv.release(req.request_id)
-        if req.cache is not None:
-            req.cache.free()
-            req.cache = None
+        """Release a finished runner's blocks and free its slot."""
+        self._vacate(req)
         req.state = RequestState.FINISHED
         self.running.remove(req)
+
+    def _vacate(self, req: Request) -> None:
+        self.kv.release(req.request_id)
+        self._free_slots.append(req.slot)
+        req.slot = None
 
     # -- invariants (asserted by tests) ----------------------------------------------
 
@@ -157,6 +160,10 @@ class ContinuousBatchScheduler:
         """Raise ``AssertionError`` if the block accounting drifted."""
         assert self.kv.blocks_in_use <= self.kv.n_blocks
         assert len(self.running) <= self.config.max_slots
+        held_slots = sorted(req.slot for req in self.running)
+        assert sorted(held_slots + self._free_slots) == list(
+            range(self.config.max_slots)
+        ), f"slots {held_slots} held, {self._free_slots} free"
         for req in self.running:
             held = len(self.kv.block_table(req.request_id))
             assert held == self.kv.blocks_needed(req.kv_len), (
@@ -166,4 +173,7 @@ class ContinuousBatchScheduler:
         for req in self.waiting:
             assert not self.kv.block_table(req.request_id), (
                 f"queued request {req.request_id} still holds blocks"
+            )
+            assert req.slot is None, (
+                f"queued request {req.request_id} still holds slot {req.slot}"
             )

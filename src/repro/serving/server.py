@@ -8,14 +8,17 @@ the same step accounting as the analytical model in
 :mod:`repro.perf.continuous_batching`, so the two can be cross-checked on
 matched workloads.
 
-Every step runs one ``model.forward`` per *cohort* — the runners that share
-a KV length and a number of tokens to feed (a whole context for an
-admission or a post-preemption recompute, one token for a decode).  Because
-numpy's row-independent kernels make a sequence's forward identical whether
-it shares a batch or not, and every request samples from its own rng,
-serving output is bit-exact with :func:`repro.models.sampler.generate` run
-on each request alone — the property the actor's serving-backed path relies
-on (and tests assert).
+Every step runs one ``model.forward`` per *feed length*: all one-token
+decodes share a forward whatever their KV lengths, and admissions or
+post-preemption recomputes take one per distinct context length.  Keys and
+values live in one slot-resident :class:`repro.models.tinylm.KVStore`,
+written in place; a request holds a slot of it, and the forward carries each
+row's cached length so that only the attention core runs per KV length.
+Because numpy's row-independent kernels make a sequence's forward identical
+whether it shares a batch or not, and every request samples from its own
+rng, serving output is bit-exact with :func:`repro.models.sampler.generate`
+run on each request alone — the property the actor's serving-backed path
+relies on (and tests assert).
 
 Latency accounting: the simulated clock advances ``step_time`` per decode
 step; TTFT/TPOT/latency and SLO attainment are computed per request from
@@ -32,7 +35,7 @@ import numpy as np
 from repro.cluster.device import SimDevice
 from repro.models.autograd import no_grad
 from repro.models.sampler import decode_step
-from repro.models.tinylm import KVCache, TinyLM
+from repro.models.tinylm import KVStore, TinyLM
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.spans import NULL_TRACER, SpanTracer
 from repro.serving.paged_kv import PagedKVCache
@@ -79,6 +82,8 @@ class ServingReport:
 
     completed: List[CompletedRequest]
     n_steps: int
+    #: ``model.forward`` calls over those steps (1 per step is the ideal).
+    n_forwards: int
     total_tokens: int
     slot_utilisation: float
     n_preemptions: int
@@ -157,6 +162,7 @@ class ServingReport:
         lines = [
             f"requests completed   : {len(self.completed)} ({reasons})",
             f"decode steps         : {self.n_steps}",
+            f"model forwards       : {self.n_forwards}",
             f"tokens generated     : {self.total_tokens}",
             f"slot utilisation     : {self.slot_utilisation:.3f}",
             f"preemptions          : {self.n_preemptions} "
@@ -185,6 +191,7 @@ class ServingReport:
         return {
             "n_requests": len(self.completed),
             "n_steps": self.n_steps,
+            "n_forwards": self.n_forwards,
             "total_tokens": self.total_tokens,
             "slot_utilisation": self.slot_utilisation,
             "n_preemptions": self.n_preemptions,
@@ -232,6 +239,7 @@ class RolloutServer:
             n_blocks=self._resolve_n_blocks(model, device),
             device=device,
         )
+        self.store = KVStore(model.config, self.config.max_slots)
         self.scheduler = ContinuousBatchScheduler(
             SchedulerConfig(
                 max_slots=self.config.max_slots, aging=self.config.aging
@@ -246,6 +254,7 @@ class RolloutServer:
         self._next_id = 0
         self._completed: List[CompletedRequest] = []
         self._steps = 0
+        self._forwards = 0
         self._occupied_slot_steps = 0
         self._tokens = 0
 
@@ -330,10 +339,11 @@ class RolloutServer:
         .serve_continuous``.  Runners are walked in rank order to reserve
         the block their next token needs; a reservation evicts only runners
         ranked after the requester — ones the walk has not reached — so
-        whatever already joined a cohort keeps its blocks and its cache.
-        Then each cohort takes one forward.  Per-request rngs make the
-        emitted tokens independent of cohorting.  Returns the requests that
-        finished this step.
+        whatever already joined a cohort keeps its blocks and its slot.
+        Then each cohort — the runners feeding the same number of tokens —
+        takes one forward.  Per-request rngs make the emitted tokens
+        independent of cohorting.  Returns the requests that finished this
+        step.
         """
         step_end = self.now + self.config.step_time
         with self.tracer.span(
@@ -341,17 +351,17 @@ class RolloutServer:
         ) as span:
             self.scheduler.schedule(self.now)
             preempted_before = self.scheduler.n_preemptions
-            cohorts: Dict[Tuple[int, int], List[Request]] = {}
+            cohorts: Dict[int, List[Request]] = {}
             for req in sorted(
                 self.scheduler.running, key=self.scheduler.rank_key
             ):
                 if req.state is not RequestState.RUNNING:
                     continue  # evicted by a better-ranked runner in this walk
-                # a resident runner needs a block for its next token; without
-                # a cache (admission, recompute) schedule() reserved the context
-                if req.cache is None or self.scheduler.ensure_decode_blocks(req):
-                    key = (req.kv_len, req.seq_len - req.kv_len)
-                    cohorts.setdefault(key, []).append(req)
+                # a resident runner needs a block for its next token; with
+                # nothing cached (admission, recompute) schedule() reserved
+                # the context
+                if req.kv_len == 0 or self.scheduler.ensure_decode_blocks(req):
+                    cohorts.setdefault(req.seq_len - req.kv_len, []).append(req)
             finished_now: List[CompletedRequest] = []
             produced = 0
             for cohort in cohorts.values():
@@ -371,6 +381,7 @@ class RolloutServer:
                             self._finish(req, step_end, "length")
                         )
             self._steps += 1
+            self._forwards += len(cohorts)
             self._occupied_slot_steps += produced
             self._tokens += produced
             self.now = step_end
@@ -379,6 +390,10 @@ class RolloutServer:
                     "repro_serving_tokens_total",
                     "Tokens generated by the rollout server",
                 ).inc(produced)
+                self.metrics.counter(
+                    "repro_serving_forwards_total",
+                    "Model forwards run by the rollout server",
+                ).inc(len(cohorts))
             # counted here, not in report(): the registry may outlive (and
             # be shared by) many servers
             self.metrics.counter(
@@ -391,35 +406,22 @@ class RolloutServer:
     def _forward_cohort(
         self, cohort: List[Request]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One forward for requests that share a KV length and a feed length.
+        """One forward for requests that feed the same number of tokens.
 
-        Rows of one forward must share a ``pos_offset`` and concatenate
-        without padding — hence the cohort key.  Per-request dense caches
-        are stacked on the batch axis, the model runs once over the tokens
-        each request has not cached yet, and each request gets its row of
-        the grown cache back as a view.  Returns the sampled token and its
-        log-prob per request, in cohort order.
+        Rows concatenate without padding — hence the cohort key — and may
+        have cached different lengths: the model runs once over the tokens
+        each request has not cached yet, writing their K/V into each
+        request's slot of the store behind what it holds.  Returns the
+        sampled token and its log-prob per request, in cohort order.
         """
-        n_layers = self.model.config.n_layers
-        kv_len = cohort[0].kv_len
-        batched = KVCache(n_layers)
-        if kv_len:
-            for layer in range(n_layers):
-                batched.keys[layer] = np.concatenate(
-                    [r.cache.keys[layer] for r in cohort], axis=0
-                )
-                batched.values[layer] = np.concatenate(
-                    [r.cache.values[layer] for r in cohort], axis=0
-                )
         feed = np.array([r.uncached_tokens() for r in cohort])
         with no_grad():
-            logits = self.model.forward(feed, cache=batched, pos_offset=kv_len)
-        for i, req in enumerate(cohort):
-            # row views share the cohort's base buffer; every row is live,
-            # so nothing beyond the rows themselves is kept alive
-            req.cache = KVCache(n_layers)
-            req.cache.keys = [k[i : i + 1] for k in batched.keys]
-            req.cache.values = [v[i : i + 1] for v in batched.values]
+            logits = self.model.forward(
+                feed,
+                cache=self.store.rows([r.slot for r in cohort]),
+                pos_offset=np.array([r.kv_len for r in cohort]),
+            )
+        for req in cohort:
             req.kv_len = req.seq_len
         uniforms = (
             None
@@ -479,15 +481,15 @@ class RolloutServer:
         """
         started = self._steps
         while self.pending:
-            finished = self.step()
-            if on_finish is not None:
-                for done in finished:
-                    on_finish(done)
-            if self._steps - started > max_steps:
+            if self._steps - started >= max_steps:
                 raise RuntimeError(
                     f"serving did not drain within {max_steps} steps "
                     f"({self.pending} requests pending)"
                 )
+            finished = self.step()
+            if on_finish is not None:
+                for done in finished:
+                    on_finish(done)
         return self.report()
 
     # -- reporting -------------------------------------------------------------------
@@ -497,6 +499,7 @@ class RolloutServer:
         report = ServingReport(
             completed=sorted(self._completed, key=lambda r: r.request_id),
             n_steps=self._steps,
+            n_forwards=self._forwards,
             total_tokens=self._tokens,
             slot_utilisation=self._occupied_slot_steps / denominator,
             n_preemptions=self.scheduler.n_preemptions,

@@ -11,7 +11,22 @@ import numpy as np
 
 from repro.models import autograd as ag
 from repro.models.autograd import Tensor, no_grad
-from repro.models.tinylm import KVCache
+
+
+class ConcatKVCache:
+    """The historical grow-by-concatenate KV cache, one per batch.  The
+    oracle's own: it shares nothing with the ``KVStore`` it checks."""
+
+    def __init__(self, n_layers):
+        self.keys = [None] * n_layers
+        self.values = [None] * n_layers
+
+    def append(self, layer, k, v):
+        if self.keys[layer] is not None:
+            k = np.concatenate([self.keys[layer], k], axis=2)
+            v = np.concatenate([self.values[layer], v], axis=2)
+        self.keys[layer], self.values[layer] = k, v
+        return k, v
 
 
 def sample_tokens_reference(logits, rng, temperature=1.0, greedy=False):
@@ -44,21 +59,22 @@ def generate_reference(
     pad_token_id=None,
 ):
     """The historical ``generate`` loop: per-row sampler, its own log-softmax,
-    one ``np.concatenate`` per emitted column, no early exit.
+    one ``np.concatenate`` per emitted column, no early exit, the op-by-op
+    forward through the concatenate cache.
 
     Returns ``(sequences, response_log_probs, response_mask)``; the mask is
     ``None`` without an ``eos_token_id``.
     """
     prompts = np.asarray(prompts, dtype=np.int64)
     batch, prompt_len = prompts.shape
-    cache = KVCache(model.config.n_layers)
+    cache = ConcatKVCache(model.config.n_layers)
     sequences = prompts.copy()
     log_probs = np.zeros((batch, max_new_tokens))
     mask = np.zeros((batch, max_new_tokens))
     alive = np.ones(batch, dtype=bool)
     pad = eos_token_id if pad_token_id is None else pad_token_id
     with no_grad():
-        logits = model.forward(prompts, cache=cache, pos_offset=0)
+        logits = tinylm_forward_reference(model, prompts, cache, 0)
         for step in range(max_new_tokens):
             step_logits = logits.data[:, -1, :]
             tokens = sample_tokens_reference(
@@ -75,8 +91,8 @@ def generate_reference(
             log_probs[:, step] = step_logp
             sequences = np.concatenate([sequences, tokens[:, None]], axis=1)
             if step + 1 < max_new_tokens:
-                logits = model.forward(
-                    tokens[:, None], cache=cache, pos_offset=prompt_len + step
+                logits = tinylm_forward_reference(
+                    model, tokens[:, None], cache, prompt_len + step
                 )
     return sequences, log_probs, mask if eos_token_id is not None else None
 

@@ -64,8 +64,11 @@ class TestRunBench:
         # These are schedule/topology facts, not timings — they must land on
         # the same values on any host (they are the committed baseline).
         drain = record["workloads"]["serving_drain"]["metrics"]
-        assert drain["n_steps"]["value"] == 48
-        assert drain["total_tokens"]["value"] == 192
+        assert drain["n_steps"]["value"] == 33
+        assert drain["total_tokens"]["value"] == 111
+        # one forward per step plus one per step that admits (a whole prompt
+        # is a different feed length): 76 when cohorts were per KV length
+        assert drain["forwards"] == {"kind": "exact", "value": 40}
         ppo = record["workloads"]["ppo_iteration"]["metrics"]
         assert ppo["dispatch_calls"]["value"] == 7
         # one node per fused TinyLM primitive (12 a forward on this 2-layer

@@ -3,7 +3,7 @@
 ``tests/oracles.py`` keeps TinyLM's former body — one generic ``Tensor`` op
 per arithmetic step — as ``tinylm_forward_reference``.  The primitives in
 ``repro.models.autograd`` must reproduce its forward values bit for bit
-(train mode, ``no_grad``, incremental decode through a ``KVCache``) and its
+(train mode, ``no_grad``, incremental decode through a ``KVStore``) and its
 gradients to rounding; each primitive's VJP is also finite-difference
 checked on its own, and the tape's ownership rules (one ``backward()`` per
 graph, gradients on leaves only, a KV cache is inference-only) are pinned.
@@ -17,9 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.models import autograd as ag
 from repro.models.autograd import Tensor, no_grad
-from repro.models.tinylm import KVCache, TinyLM, TinyLMConfig
+from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
 from repro.rlhf.losses import ppo_policy_loss, value_loss
-from tests.oracles import tinylm_forward_reference, token_log_probs_reference
+from tests.oracles import (
+    ConcatKVCache,
+    tinylm_forward_reference,
+    token_log_probs_reference,
+)
 from tests.test_autograd import finite_diff
 
 VOCAB = 11
@@ -37,6 +41,12 @@ def build(n_layers, n_heads, head_dim, output_head="lm", seed=3):
         output_head=output_head,
     )
     return TinyLM(cfg, seed=seed)
+
+
+def split_heads(rows, n_heads):
+    """``(batch, seq, hidden)`` rows of a ``KVStore`` (heads side by side) as
+    the ``(batch, n_heads, seq, head_dim)`` the oracle's cache holds."""
+    return rows.reshape(*rows.shape[:2], n_heads, -1).swapaxes(1, 2)
 
 
 def grads_of(model, loss):
@@ -93,7 +103,7 @@ class TestMatchesOpByOpOracle:
             assert np.array_equal(quiet.data, expected.data)
 
             # prefill, then one token at a time, through a KV cache each
-            ours, theirs = KVCache(n_layers), KVCache(n_layers)
+            ours, theirs = KVStore(model.config, batch), ConcatKVCache(n_layers)
             steps = [(0, prefill)] + [(i, i + 1) for i in range(prefill, seq)]
             for lo, hi in steps:
                 a = model.forward(ids[:, lo:hi], cache=ours, pos_offset=lo)
@@ -101,9 +111,48 @@ class TestMatchesOpByOpOracle:
                 assert np.array_equal(a.data, b.data)
                 # every row of the full forward, whatever batch it rode in
                 assert np.allclose(a.data, expected.data[:, lo:hi], atol=1e-12)
-            for layer in range(n_layers):
-                assert np.array_equal(ours.keys[layer], theirs.keys[layer])
-                assert np.array_equal(ours.values[layer], theirs.values[layer])
+            for mine, oracle in zip(
+                ours.keys + ours.values, theirs.keys + theirs.values
+            ):
+                assert np.array_equal(split_heads(mine[:, :seq], n_heads), oracle)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),  # n_layers
+        st.sampled_from([1, 2, 4]),  # n_heads
+        st.sampled_from([2, 4, 8]),  # head_dim
+        st.lists(st.integers(1, 9), min_size=1, max_size=6),  # cached lengths
+        st.integers(1, 4),  # tokens fed
+    )
+    def test_rows_of_differing_cached_length_equal_each_row_alone(
+        self, n_layers, n_heads, head_dim, cached, feed
+    ):
+        # one forward over rows that have cached different lengths, scattered
+        # over the store's slots, against each row alone through the
+        # op-by-op oracle and its own concatenate cache
+        model = build(n_layers, n_heads, head_dim)
+        rng = np.random.default_rng(sum(cached))
+        rows = [rng.integers(0, VOCAB, size=n + feed) for n in cached]
+        slots = rng.permutation(len(rows) + 2)[: len(rows)]
+        store = KVStore(model.config, len(rows) + 2)
+        for buffer in store.keys + store.values:
+            buffer[...] = np.nan
+        with no_grad():
+            for ids, n, slot in zip(rows, cached, slots):
+                model.forward(ids[None, :n], cache=store.rows([slot]))
+            together = model.forward(
+                np.stack([ids[n:] for ids, n in zip(rows, cached)]),
+                cache=store.rows(slots),
+                pos_offset=np.array(cached),
+            )
+            for i, (ids, n) in enumerate(zip(rows, cached)):
+                alone = ConcatKVCache(n_layers)
+                tinylm_forward_reference(model, ids[None, :n], alone)
+                expected = tinylm_forward_reference(model, ids[None, n:], alone, n)
+                assert np.array_equal(together.data[i], expected.data[0])
+                for layer in range(n_layers):
+                    ours = store.keys[layer][slots[i], None, : n + feed]
+                    assert np.array_equal(split_heads(ours, n_heads), alone.keys[layer])
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(shapes)
@@ -306,21 +355,46 @@ class TestStructuralCeilings:
             assert np.array_equal(first[name], third[name]), name
 
 
+class TestPerRowPositionOffsets:
+    def test_gradients_are_the_sum_of_each_row_at_its_own_offset(self):
+        model = build(2, 2, 4)
+        ids = np.random.default_rng(0).integers(0, VOCAB, size=(3, 4))
+        offsets = np.array([5, 0, 5])
+        together = model.forward(ids, pos_offset=offsets)
+        alone = [model.forward(ids[i : i + 1], pos_offset=int(o)) for i, o in enumerate(offsets)]
+        for i, row in enumerate(alone):
+            assert np.array_equal(together.data[i], row.data[0])
+        weights = np.random.default_rng(1).normal(size=together.shape)
+        fused = grads_of(model, (together * weights).sum())
+        summed = {name: np.zeros_like(g) for name, g in fused.items()}
+        for i, row in enumerate(alone):
+            for name, g in grads_of(model, (row * weights[i : i + 1]).sum()).items():
+                summed[name] += g
+        assert_grads_close(fused, summed)
+        assert np.abs(fused["pos_embed.weight"][9:]).max() == 0  # rows end at 5 + 4
+
+
 class TestKVCacheIsInferenceOnly:
     def test_cache_with_grad_raises(self):
         model = build(1, 2, 4)
         ids = np.array([[1, 2, 3]])
         with pytest.raises(RuntimeError, match="inference-only"):
-            model.forward(ids, cache=KVCache(1))
+            model.forward(ids, cache=KVStore(model.config, 1))
+        with pytest.raises(RuntimeError, match="inference-only"):
+            model.forward(
+                ids, cache=KVStore(model.config, 1), pos_offset=np.array([0])
+            )
         with no_grad():
-            model.forward(ids, cache=KVCache(1))
+            model.forward(ids, cache=KVStore(model.config, 1))
 
     def test_cache_allowed_when_nothing_requires_grad(self):
         model = build(1, 2, 4)
         frozen = TinyLM(
             model.config, params={k: Tensor(p.data) for k, p in model.params.items()}
         )
-        out = frozen.forward(np.array([[1, 2, 3]]), cache=KVCache(1))
+        out = frozen.forward(
+            np.array([[1, 2, 3]]), cache=KVStore(model.config, 1)
+        )
         assert not out.requires_grad
 
 

@@ -162,6 +162,24 @@ class TestStreamedHandoff:
         with pytest.raises(RuntimeError, match="did not drain within 3 steps"):
             server.drain(max_steps=3)
 
+    def test_max_steps_is_the_number_of_steps_taken(self, model):
+        # budgets 2 and 5 on two slots: exactly 5 steps drain both
+        def loaded():
+            server = make_server(model, max_slots=2)
+            for budget in (2, 5):
+                server.submit(np.arange(4) % CFG.vocab_size, max_new_tokens=budget)
+            return server
+
+        assert loaded().drain(max_steps=5).n_steps == 5
+        server = loaded()
+        with pytest.raises(
+            RuntimeError, match=r"within 4 steps \(1 requests pending\)"
+        ):
+            server.drain(max_steps=4)
+        # the bound was tested before stepping: 4 steps taken, not 5
+        assert server.report().n_steps == 4
+        assert server.drain(max_steps=1).n_steps == 5
+
 
 class TestScheduling:
     def test_priority_order_of_admission(self, model):
@@ -291,7 +309,7 @@ class TestBlockBudget:
             assert tag == server.kv.bytes_in_use()
             for req in server.scheduler.waiting:
                 if req.n_preemptions:
-                    assert req.cache is None and req.kv_len == 0
+                    assert req.slot is None and req.kv_len == 0
                     saw_preempted_free = True
         assert saw_preempted_free
         assert device.memory.bytes_for("serving/kv_blocks") == 0
@@ -565,7 +583,7 @@ class TestPreemptionInvariant:
         # need a third, A is served first and takes it, so B — the
         # worst-ranked runner — finds the pool empty with A already queued
         # for this step's forward.  B must yield; evicting A would decode
-        # it without a cache and, as A finishes in this very step, crash
+        # it without a slot and, as A finishes in this very step, crash
         # ``scheduler.finish``.
         server = make_server(model, max_slots=2, block_size=4, n_blocks=5)
         rng = np.random.default_rng(0)
@@ -581,7 +599,7 @@ class TestPreemptionInvariant:
         assert [r.request_id for r in finished] == [a]
         (waiting,) = server.scheduler.waiting
         assert waiting.request_id == b
-        assert waiting.cache is None and waiting.kv_len == 0
+        assert waiting.slot is None and waiting.kv_len == 0
         report = drain_with_invariants(server)
         assert report.n_preemptions == 1
         sequential = generate(
@@ -618,6 +636,25 @@ class TestPreemptionInvariant:
             )
 
 
+class TestForwardAccounting:
+    def test_one_forward_per_step_whatever_the_kv_lengths(self, model):
+        # budgets differ, so slots refill at different steps and the runners
+        # of a step hold different KV lengths; only a step that also admits
+        # (a whole prompt is another feed length) takes a second forward
+        metrics = MetricsRegistry()
+        server = RolloutServer(
+            model,
+            ServingConfig(max_slots=2, block_size=4, greedy=True),
+            metrics=metrics,
+        )
+        submit_all(server, np.arange(12).reshape(3, 4) % CFG.vocab_size, [2, 5, 4])
+        report = server.drain()
+        assert (report.n_steps, report.n_forwards) == (6, 7)
+        assert metrics.total("repro_serving_forwards_total") == 7
+        assert report.to_dict()["n_forwards"] == 7
+        assert "model forwards       : 7" in report.summary_lines()
+
+
 @st.composite
 def serving_runs(draw):
     """A whole serving run: requests, engine shape, a pool tight enough to
@@ -646,6 +683,79 @@ def serving_runs(draw):
     )
 
 
+def serve_checked(run, after_step=lambda server: None):
+    """Run a ``serving_runs`` draw to completion — block/slot invariants and
+    "one forward per distinct feed length" asserted every step, ``after_step``
+    called between steps — then hold every request against ``generate`` on
+    that request alone.  Returns the report."""
+    model = TinyLM(CFG, seed=4)
+    seed, config = run["seed"], run["config"]
+    server = RolloutServer(model, ServingConfig(seed=seed, **config))
+    rng = np.random.default_rng(seed)
+    prompts = [
+        rng.integers(0, CFG.vocab_size, size=n) for n in run["prompt_lengths"]
+    ]
+    for prompt, budget, priority in zip(
+        prompts, run["budgets"], run["priorities"]
+    ):
+        server.submit(prompt, max_new_tokens=budget, priority=priority)
+
+    feeds = []
+    forward = model.forward
+
+    def recording_forward(ids, cache=None, pos_offset=0):
+        feeds.append(ids.shape[1])
+        return forward(ids, cache=cache, pos_offset=pos_offset)
+
+    model.forward = recording_forward
+    n_forwards = 0
+    while server.pending:
+        feeds.clear()
+        server.step()
+        server.scheduler.check_invariants()
+        # one forward per distinct number of tokens fed, whatever the rows'
+        # KV lengths: every one-token decode shares a forward
+        assert len(feeds) == len(set(feeds))
+        n_forwards += len(feeds)
+        assert server._steps < 1000
+        after_step(server)
+    model.forward = forward
+
+    report = server.report()
+    assert report.n_forwards == n_forwards
+    assert len(report.completed) == len(prompts)
+    for done in report.completed:
+        alone = generate(
+            model,
+            prompts[done.request_id][None, :],
+            max_new_tokens=run["budgets"][done.request_id],
+            temperature=config["temperature"],
+            greedy=config["greedy"],
+            rng=np.random.default_rng((seed, done.request_id)),
+            eos_token_id=config["eos_token_id"],
+        )
+        n = done.response_length
+        assert n == alone.response_lengths[0]
+        np.testing.assert_array_equal(done.response, alone.responses[0, :n])
+        np.testing.assert_allclose(
+            done.log_probs,
+            alone.response_log_probs[0, :n],
+            rtol=0,
+            atol=1e-12 if done.n_preemptions else 0,
+        )
+    return report
+
+
+def poison_unowned_kv(server):
+    """NaN every store position no live row owns: free slots whole, held
+    slots from the holder's cached length on."""
+    owned = {req.slot: req.kv_len for req in server.scheduler.running}
+    for buffers in (server.store.keys, server.store.values):
+        for buffer in buffers:
+            for slot in range(buffer.shape[0]):
+                buffer[slot, owned.get(slot, 0) :] = np.nan
+
+
 class TestEqualsBatchOneGenerate:
     """The engine against its oracle: ``generate`` on each request alone."""
 
@@ -658,63 +768,39 @@ class TestEqualsBatchOneGenerate:
         # request's own rng stream.  So do its log-probs, bit for bit —
         # except after a recompute, whose one prefill over ``prompt +
         # generated`` is the same sum in a different order (last-ulp).
-        model = TinyLM(CFG, seed=4)
-        seed, config = run["seed"], run["config"]
-        server = RolloutServer(model, ServingConfig(seed=seed, **config))
-        rng = np.random.default_rng(seed)
-        prompts = [
-            rng.integers(0, CFG.vocab_size, size=n)
-            for n in run["prompt_lengths"]
-        ]
-        for prompt, budget, priority in zip(
-            prompts, run["budgets"], run["priorities"]
-        ):
-            server.submit(prompt, max_new_tokens=budget, priority=priority)
+        serve_checked(run)
 
-        forwards = []
-        forward = model.forward
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=serving_runs())
+    def test_stale_slots_cannot_leak(self, run):
+        # The store is written in place and never cleared: what a finished
+        # or preempted request left in its slot, and whatever lies past a
+        # row's cached length, must be unreadable.  One NaN read would
+        # reach a logit.
+        serve_checked(run, after_step=poison_unowned_kv)
 
-        def recording_forward(ids, cache=None, pos_offset=0):
-            forwards.append((pos_offset, ids.shape[1]))
-            return forward(ids, cache=cache, pos_offset=pos_offset)
-
-        model.forward = recording_forward
-        while server.pending:
-            forwards.clear()
-            server.step()
-            server.scheduler.check_invariants()
-            # one forward per distinct (kv_len, tokens fed) cohort, no more
-            assert len(forwards) == len(set(forwards))
-            assert server._steps < 1000
-        model.forward = forward
-
-        report = server.report()
-        assert len(report.completed) == len(prompts)
-        for done in report.completed:
-            alone = generate(
-                model,
-                prompts[done.request_id][None, :],
-                max_new_tokens=run["budgets"][done.request_id],
-                temperature=config["temperature"],
-                greedy=config["greedy"],
-                rng=np.random.default_rng((seed, done.request_id)),
-                eos_token_id=config["eos_token_id"],
-            )
-            n = done.response_length
-            assert n == alone.response_lengths[0]
-            np.testing.assert_array_equal(done.response, alone.responses[0, :n])
-            np.testing.assert_allclose(
-                done.log_probs,
-                alone.response_log_probs[0, :n],
-                rtol=0,
-                atol=1e-12 if done.n_preemptions else 0,
-            )
+    def test_stale_slots_cannot_leak_under_preemption_and_reuse(self):
+        run = dict(
+            prompt_lengths=[6, 3, 7, 2, 5, 4, 6, 3, 1, 5],
+            budgets=[10, 4, 8, 10, 3, 9, 6, 10, 7, 5],
+            priorities=[0, 1, 0, 2, 0, 1, 0, 0, 2, 1],
+            seed=11,
+            config=dict(
+                max_slots=4, block_size=4, n_blocks=7, greedy=False,
+                temperature=1.0, eos_token_id=None,
+            ),
+        )
+        report = serve_checked(run, after_step=poison_unowned_kv)
+        assert report.n_preemptions > 0
+        assert len(report.completed) > run["config"]["max_slots"]  # slots reused
+        assert report.n_forwards < 2 * report.n_steps
 
 
 def _empty_report():
     return ServingReport(
         completed=[],
         n_steps=0,
+        n_forwards=0,
         total_tokens=0,
         slot_utilisation=0.0,
         n_preemptions=0,

@@ -7,7 +7,8 @@ import pytest
 
 from repro.models.adam import Adam
 from repro.models.autograd import no_grad
-from repro.models.tinylm import KVCache, TinyLM, TinyLMConfig
+from repro.models.sampler import generate
+from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
 
 
 @pytest.fixture
@@ -74,7 +75,7 @@ class TestKVCache:
         ids = tokens(config, seq=8)
         with no_grad():
             full = model.forward(ids).data
-            cache = KVCache(config.n_layers)
+            cache = KVStore(config, n_slots=2)
             inc = model.forward(ids[:, :3], cache=cache).data
             for t in range(3, 8):
                 step = model.forward(ids[:, t : t + 1], cache=cache, pos_offset=t)
@@ -82,12 +83,56 @@ class TestKVCache:
         np.testing.assert_allclose(full, inc, atol=1e-10)
 
     def test_cache_grows_and_reports_bytes(self, model, config):
-        cache = KVCache(config.n_layers)
+        # grows in place: preallocated once, each forward writes behind the last
+        cache = KVStore(config, n_slots=2, capacity=6)
+        buffers = [id(a) for a in cache.keys + cache.values]
+        shape = (2, 6, config.hidden_size)
+        assert all(a.shape == shape for a in cache.keys + cache.values)
+        ids = tokens(config, seq=5)
         with no_grad():
-            model.forward(tokens(config, seq=4), cache=cache)
-        assert cache.seq_len == 4
-        # 2 layers * (K + V) * batch 2 * seq 4 * hidden 16 * 8 bytes
-        assert cache.nbytes() == 2 * 2 * 2 * 4 * 16 * 8
+            model.forward(ids[:, :4], cache=cache)
+            prefix = cache.keys[0][:, :4].copy()
+            model.forward(ids[:, 4:], cache=cache, pos_offset=4)
+        assert [id(a) for a in cache.keys + cache.values] == buffers
+        assert np.array_equal(cache.keys[0][:, :4], prefix)
+        assert KVStore(config, n_slots=3).keys[0].shape[1] == config.max_seq_len
+        # the bytes a pass reports are what its last forward had cached:
+        # 2 layers * (K + V) * batch 2 * (4 + 2) positions * hidden 16 * 8 bytes
+        out = generate(model, ids[:, :4], max_new_tokens=3)
+        assert out.kv_cache_bytes == 2 * 2 * 2 * 6 * 16 * 8
+
+    def test_rows_share_buffers_and_run_at_their_own_lengths(self, model, config):
+        # slot 2 has cached 5 positions, slot 0 has cached 3: one forward
+        # decodes both, each row equal to that sequence decoded alone
+        ids = tokens(config, seq=6)
+        store = KVStore(config, n_slots=3)
+        with no_grad():
+            model.forward(ids[:1, :5], cache=store.rows([2]))
+            model.forward(ids[1:, :3], cache=store.rows([0]))
+            both = model.forward(
+                np.array([[ids[0, 5]], [ids[1, 3]]]),
+                cache=store.rows([2, 0]),
+                pos_offset=np.array([5, 3]),
+            ).data
+            for row, n in ((0, 5), (1, 3)):
+                alone = KVStore(config, n_slots=1)
+                model.forward(ids[row : row + 1, :n], cache=alone)
+                expected = model.forward(
+                    ids[row : row + 1, n : n + 1], cache=alone, pos_offset=n
+                ).data
+                assert np.array_equal(both[row], expected[0])
+        assert store.rows([1]).keys[0] is store.keys[0]
+
+    def test_overflowing_the_capacity_raises(self, model, config):
+        cache = KVStore(config, n_slots=2, capacity=4)
+        with no_grad(), pytest.raises(ValueError):
+            model.forward(tokens(config, seq=5), cache=cache)
+        with no_grad(), pytest.raises(ValueError, match="max_seq_len"):
+            model.forward(
+                tokens(config, seq=1),
+                cache=KVStore(config, n_slots=2),
+                pos_offset=np.array([3, config.max_seq_len]),
+            )
 
 
 class TestLogProbs:
@@ -199,64 +244,36 @@ class TestAdam:
 
 
 class TestKVCacheTrimFree:
+    """Rolling a row back (preempt-and-recompute) or giving its slot to
+    another sequence clears nothing: a forward's ``pos_offset`` *is* the
+    row's length, and nothing at or past it is ever read."""
+
     def test_trim_keeps_prefix_and_matches_recompute(self, model, config):
         ids = tokens(config, seq=8)
         with no_grad():
-            cache = KVCache(config.n_layers)
+            cache = KVStore(config, n_slots=2)
             model.forward(ids, cache=cache)
-            cache.trim(5)
-            fresh = KVCache(config.n_layers)
+            fresh = KVStore(config, n_slots=2)
             model.forward(ids[:, :5], cache=fresh)
-        assert cache.seq_len == 5
-        for k1, v1, k2, v2 in zip(
-            cache.keys, cache.values, fresh.keys, fresh.values
-        ):
-            np.testing.assert_allclose(k1, k2, atol=1e-12)
-            np.testing.assert_allclose(v1, v2, atol=1e-12)
-
-    def test_trim_shrinks_bytes_after_preemption(self, model, config):
-        # the preempt-and-recompute path in repro.serving relies on trim/free
-        # actually returning memory
-        ids = tokens(config, seq=8)
-        with no_grad():
-            cache = KVCache(config.n_layers)
-            model.forward(ids, cache=cache)
-        before = cache.nbytes()
-        cache.trim(3)
-        assert cache.nbytes() == before * 3 // 8
-        per_layer = cache.nbytes_by_layer()
-        assert len(per_layer) == config.n_layers
-        assert sum(per_layer) == cache.nbytes()
+            for k1, v1, k2, v2 in zip(
+                cache.keys, cache.values, fresh.keys, fresh.values
+            ):
+                np.testing.assert_allclose(k1[:, :5], k2[:, :5], atol=1e-12)
+                np.testing.assert_allclose(v1[:, :5], v2[:, :5], atol=1e-12)
+            # rolled back to 5 cached positions: positions 5..7 are stale
+            other = (ids[:, 5:6] + 1) % config.vocab_size
+            rolled = model.forward(other, cache=cache, pos_offset=5).data
+            recomputed = model.forward(other, cache=fresh, pos_offset=5).data
+        np.testing.assert_allclose(rolled, recomputed, atol=1e-12)
 
     def test_trim_to_zero_and_free(self, model, config):
+        # a slot given up and taken by another sequence starts from zero
         with no_grad():
-            a = KVCache(config.n_layers)
-            b = KVCache(config.n_layers)
-            model.forward(tokens(config, seq=4), cache=a)
-            model.forward(tokens(config, seq=4), cache=b)
-        a.trim(0)
-        b.free()
-        for cache in (a, b):
-            assert cache.seq_len == 0
-            assert cache.nbytes() == 0
-            assert cache.nbytes_by_layer() == [0] * config.n_layers
-
-    def test_trim_validates_bounds(self, model, config):
-        with no_grad():
-            cache = KVCache(config.n_layers)
-            model.forward(tokens(config, seq=4), cache=cache)
-        with pytest.raises(ValueError):
-            cache.trim(-1)
-        cache.trim(5)  # shrink-only: trimming past the end is a no-op
-        assert cache.seq_len == 4
-
-    def test_trim_copies_so_tail_is_released(self, model, config):
-        with no_grad():
-            cache = KVCache(config.n_layers)
-            model.forward(tokens(config, seq=8), cache=cache)
-        k_before = cache.keys[0]
-        cache.trim(4)
-        k_after = cache.keys[0]
-        # a fresh owned array, not a view pinning the full buffer
-        assert k_after.base is None
-        assert k_after is not k_before
+            used = KVStore(config, n_slots=2)
+            model.forward(tokens(config, seq=6), cache=used)
+            for buffer in used.keys + used.values:
+                buffer[...] = np.nan  # whatever the last holder left
+            ids = tokens(config, seq=4, seed=1)
+            reused = model.forward(ids, cache=used).data
+            fresh = model.forward(ids, cache=KVStore(config, n_slots=2)).data
+        assert np.array_equal(reused, fresh)
