@@ -239,27 +239,26 @@ class DataflowChecker:
         """Validate an async-pipeline configuration *before* any overlap.
 
         The bounded-staleness loop (:mod:`repro.pipeline`) is sound only
-        under specific conditions; each violation is a ``DF108`` finding:
+        under specific conditions; each violation is a ``DF108`` finding.
+        ``staleness_window=0`` is the synchronous loop; a positive window
+        additionally rejects:
 
-        * ``staleness_window > 0`` with importance weighting disabled —
-          stale batches would be trained as if on-policy, silently biasing
-          the PPO/GRPO surrogate;
-        * a window the experience buffer cannot hold (``window + 1``
-          in-flight batches exceed capacity) — the rollout engine would
-          dead-end on :class:`~repro.pipeline.buffer.BufferFull`;
-        * ``iw_clip < 1`` — truncation below 1 scales even on-policy
-          tokens, breaking the ``staleness=0 ⇒ weight ≡ 1`` invariant;
-        * an algorithm without an off-policy correction path;
-        * ``recompute_log_probs=False`` with a positive window (warning) —
-          the anchor collapses onto the behaviour policy and every
-          importance weight degenerates to 1;
-        * an ``actor`` group without a generation topology — the
-          :class:`~repro.hybrid_engine.publication.WeightPublisher` has no
-          plan to stage weights into, so the first publish would fail at
-          runtime instead of at config time;
+        * importance weighting disabled — stale batches would be trained as
+          if on-policy, silently biasing the PPO/GRPO surrogate;
+        * a trainer whose loss is not ``off_policy_correctable``;
+        * ``recompute_log_probs=False`` (warning) — the anchor collapses
+          onto the behaviour policy and every importance weight is 1;
         * a serving-backed ``actor`` (``use_serving=True``) — the
           continuous-batching engine owns its own weight lifetime and
           cannot participate in the pipeline's flip-buffer protocol.
+
+        At any window: a buffer that cannot hold ``window + 1`` in-flight
+        batches (the rollout engine would dead-end on
+        :class:`~repro.pipeline.buffer.BufferFull`); ``iw_clip < 1`` (it
+        scales even on-policy tokens); an ``actor`` group without a
+        generation topology (the
+        :class:`~repro.hybrid_engine.publication.WeightPublisher` has no
+        plan to stage weights into).
         """
         report = AnalysisReport("dataflow")
         report.note_checked("pipeline_configs")
@@ -303,19 +302,18 @@ class DataflowChecker:
                 hint="set iw_clip >= 1 (V-trace uses 1.0; 2.0 is a safe "
                 "default)",
             )
-        if algo is not None:
-            from repro.rlhf.core import AlgoType
+        if window > 0 and algo is not None:
             from repro.rlhf.trainers import trainer_class
 
-            algo = trainer_class(algo).algo
-            if algo not in (AlgoType.PPO, AlgoType.GRPO):
+            trainer = trainer_class(algo)
+            if not trainer.off_policy_correctable:
                 report.add(
                     "DF108",
                     ERROR,
-                    f"{algo.value} has no off-policy correction path in the "
-                    "async pipeline (PPO and GRPO are supported)",
+                    f"{trainer.algo.value} has no off-policy correction "
+                    "path: its loss takes no importance weights",
                     location=location,
-                    hint="run the synchronous trainer for this algorithm",
+                    hint="run it with staleness_window=0 (synchronous)",
                 )
         if (
             window > 0
@@ -343,7 +341,7 @@ class DataflowChecker:
                     hint="build the actor with a generation parallel config "
                     "(gen_parallel=...) before wiring the async pipeline",
                 )
-            elif any(
+            elif window > 0 and any(
                 getattr(worker, "use_serving", False)
                 for worker in getattr(actor, "workers", ())
             ):

@@ -353,7 +353,7 @@ class FleetScheduler:
         # time that passed while other tenants ran is idle time, not work
         started = job.clock.advance_to(self.clock.now)
         try:
-            job.step()
+            job.step(job.spec.n_iterations)
         except WorkerLostError as err:
             return self._recover(job, err, tick)
         if job.iteration >= job.spec.n_iterations:

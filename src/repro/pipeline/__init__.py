@@ -8,8 +8,8 @@ trace audit, RC5xx race detection) still passes on the overlapped schedule.
 
 * :class:`PipelineConfig` — staleness window, importance weighting, buffer.
 * :class:`ExperienceBuffer` — bounded in-flight experience, version-tagged.
-* :class:`AsyncPipelineDriver` — the loop; ``staleness_window=0`` is
-  bit-exact with the synchronous trainers.
+* :class:`AsyncPipelineDriver` — attaches to a trainer and overlaps its one
+  loop; ``staleness_window=0`` is the synchronous loop itself.
 * :func:`overlap_study` — sync vs W=0 (bit-exact) vs W on the shipped job:
   the self-verifying run behind ``repro pipeline`` and its bench pin.
 """

@@ -12,8 +12,8 @@ class PipelineConfig:
 
     Attributes:
         staleness_window: Maximum iterations the behaviour policy may lag
-            the trained policy.  ``0`` degenerates to today's synchronous
-            loop (and is bit-exact with it); ``1`` is classic one-step-off
+            the trained policy.  ``0`` is the synchronous loop — every
+            iteration is ``trainer.run_step``; ``1`` is classic one-step-off
             overlap; larger windows absorb generation-time jitter at the
             price of more off-policy drift.
         importance_weighting: Attach per-token truncated importance weights

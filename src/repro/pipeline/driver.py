@@ -1,11 +1,12 @@
 """``AsyncPipelineDriver``: the one-step-off bounded-staleness RLHF loop.
 
-The synchronous drivers (:mod:`repro.rlhf.trainers`) serialize every
-iteration end to end: generate → score → update, with the rollout engine
-idle while the trainer consumes its output and vice versa.  This driver
-relaxes that barrier the way DistFlow / MindSpeed-RL do: while the trainer
-consumes iteration *t*'s experience, the rollout engine is already
-generating iteration *t+1* on the last *published* policy.
+The synchronous loop (:meth:`repro.rlhf.trainers.RlhfTrainerBase.train`)
+serializes every iteration end to end: generate → score → update, with the
+rollout engine idle while the trainer consumes its output and vice versa.
+A driver attached to the trainer relaxes that barrier the way DistFlow /
+MindSpeed-RL do: while the trainer consumes iteration *t*'s experience, the
+rollout engine is already generating iteration *t+1* on the last
+*published* policy.
 
 Semantics (``W = staleness_window``):
 
@@ -16,10 +17,8 @@ Semantics (``W = staleness_window``):
 * stale batches get per-token truncated importance weights
   (:func:`repro.rlhf.losses.truncated_importance_weights`) so the PPO/GRPO
   surrogate stays sound off-policy;
-* ``W = 0`` degenerates to exactly the synchronous interleave — the same
-  trainer stages on the same data in the same order, so the run is
-  bit-exact with ``RlhfTrainerBase.train`` (weights, sequences, and
-  per-iteration metrics);
+* ``W = 0`` *is* the synchronous loop: the trainer's one loop never looks
+  ahead, so every iteration is ``run_step`` — no buffer, no publication;
 * weight hand-off goes through a
   :class:`~repro.hybrid_engine.WeightPublisher`: the trainer *publishes*
   after every optimizer step without blocking decode, the rollout engine
@@ -27,10 +26,13 @@ Semantics (``W = staleness_window``):
   happens-before edges in the access log so the RC5xx race detector can
   prove the overlapped schedule free of torn reads.
 
-The driver is a *schedule* over the trainer's own stages
-(``rollout`` / ``score`` / ``prepare`` / ``learn`` of
-:class:`~repro.rlhf.trainers.RlhfTrainerBase`) and restates no algorithm;
-the overlap materializes in the modeled schedule
+The driver holds only what is asynchronous — buffer, publisher, staleness
+bookkeeping — and the two stage bodies the trainer's loop calls when it
+runs ahead (:meth:`AsyncPipelineDriver.rollout`,
+:meth:`AsyncPipelineDriver.learn`); the trainer's ``state_dict`` carries
+that state, so :class:`~repro.runtime.JobRun` checkpoints a job with
+rollouts in flight.  It restates no algorithm; the overlap materializes in
+the modeled schedule
 (:func:`repro.runtime.timeline.build_timeline`): the generate record for
 *t+1* precedes iteration *t*'s scoring/update records in the trace and
 carries no dependency on them, so pools that only score or update overlap
@@ -53,7 +55,12 @@ from repro.single_controller.access_log import READ, WRITE
 
 
 class AsyncPipelineDriver:
-    """Bounded-staleness overlap of rollout and training for PPO / GRPO."""
+    """Bounded-staleness overlap of rollout and training.
+
+    Attaches itself to ``trainer`` (:attr:`RlhfTrainerBase.pipeline`): the
+    trainer's loop then runs ahead through :meth:`rollout` and trains the
+    buffered batches through :meth:`learn`.
+    """
 
     def __init__(
         self,
@@ -70,23 +77,23 @@ class AsyncPipelineDriver:
         from repro.analysis.dataflow import DataflowChecker
 
         report = DataflowChecker().check_pipeline(
-            self.config, trainer.config, trainer.algo, actor=trainer.actor
+            self.config, trainer.config, type(trainer), actor=trainer.actor
         )
-        errors = [f for f in report.findings if f.severity == "error"]
-        if errors:
+        if report.errors:
             raise ValueError(
                 "pipeline config rejected by DF108: "
-                + "; ".join(f.message for f in errors)
+                + "; ".join(f.message for f in report.errors)
             )
         self.buffer = ExperienceBuffer(self.config.resolved_capacity)
         self.publisher = publisher or WeightPublisher(trainer.actor)
-        self._next_gen = 0
         self.max_staleness_seen = 0
+        trainer.pipeline = self
 
     # -- rollout track ---------------------------------------------------------------
 
-    def _rollout(self, prompts: DataBatch) -> None:
-        """Generate batch ``self._next_gen`` under the active policy version.
+    def rollout(self, prompts: DataBatch) -> None:
+        """Generate the next batch (the cursor, ``len(history) + len(buffer)``)
+        under the active policy version and buffer it.
 
         With ``stream_scoring`` the frozen-model scoring passes (reference
         log-probs, rewards) are dispatched as soon as generation finishes —
@@ -95,9 +102,9 @@ class AsyncPipelineDriver:
         sitting on the training critical path.  Both models are frozen, so
         the results are identical either way.
         """
-        index = self._next_gen
-        version = self.publisher.acquire()
         trainer = self.trainer
+        index = len(trainer.history) + len(self.buffer)
+        version = self.publisher.acquire()
         with trainer.actor.tracer.span(
             f"pipeline.rollout[{index}]",
             category="pipeline",
@@ -117,19 +124,10 @@ class AsyncPipelineDriver:
             "repro_pipeline_rollouts_total",
             "Rollouts completed by the async pipeline",
         ).inc()
-        self._next_gen += 1
 
     # -- training track --------------------------------------------------------------
 
-    def _train_one(self) -> Dict[str, Any]:
-        """Consume the oldest buffered batch as the trainer's next iteration."""
-        result = self.trainer.run_iteration(self._learn_from_buffer)
-        # the optimizer step produced a new policy version; stage it for the
-        # rollout engine without blocking its decode loop
-        self.publisher.publish(len(self.trainer.history))
-        return result
-
-    def _learn_from_buffer(self) -> Dict[str, Any]:
+    def learn(self) -> Dict[str, Any]:
         """Stages 2 and 3 on the buffered batch, importance-weighted if stale.
 
         ``prepare`` skips the frozen-model scoring for streamed entries
@@ -147,63 +145,32 @@ class AsyncPipelineDriver:
         entry = self.buffer.pop(iteration)
         staleness = iteration - entry.version
         self.max_staleness_seen = max(self.max_staleness_seen, staleness)
-        batch = self._attach_importance_weights(
-            trainer.prepare(entry.batch), staleness
-        )
+        batch = trainer.prepare(entry.batch)
+        if staleness > 0 and self.config.importance_weighting:
+            mask = batch["response_mask"] if "response_mask" in batch else None
+            weights = truncated_importance_weights(
+                batch["log_probs"],
+                batch["old_log_probs"],
+                clip=self.config.iw_clip,
+                response_mask=mask,
+            )
+            batch = batch.union(
+                DataBatch({"importance_weights": weights}, meta=batch.meta)
+            )
         metrics = trainer.learn(batch)
         if staleness > 0:
-            # extra keys only off-policy: the W=0 history stays bit-equal
-            # to the synchronous trainer's
+            # extra keys only off-policy: an on-policy history stays
+            # bit-equal to the synchronous trainer's
             metrics["pipeline/staleness"] = staleness
             metrics["pipeline/policy_version"] = entry.version
         return metrics
 
-    def _attach_importance_weights(
-        self, batch: DataBatch, staleness: int
-    ) -> DataBatch:
-        if staleness == 0 or not self.config.importance_weighting:
-            return batch
-        mask = batch["response_mask"] if "response_mask" in batch else None
-        weights = truncated_importance_weights(
-            batch["log_probs"],
-            batch["old_log_probs"],
-            clip=self.config.iw_clip,
-            response_mask=mask,
-        )
-        return batch.union(
-            DataBatch({"importance_weights": weights}, meta=batch.meta)
-        )
-
-    # -- the loop --------------------------------------------------------------------
-
     def train(
         self, dataset: PromptDataset, n_iterations: int, batch_size: int
     ) -> List[Dict[str, Any]]:
-        """Run ``n_iterations`` more iterations with bounded-staleness overlap.
-
-        Prompt batches are consumed in absolute iteration order: a driver
-        restored mid-overlap fast-forwards the deterministic dataset
-        iterator past the batches it already generated, so the resumed run
-        is bit-exact with an uninterrupted one.
-        """
-        target = len(self.trainer.history) + n_iterations
-        if self._next_gen > target:
-            raise ValueError(
-                f"{self._next_gen} rollouts already buffered but only "
-                f"{target} total iterations requested"
-            )
-        batches = dataset.iter_batches(
-            batch_size, epochs=10**6, skip=self._next_gen
-        )
-        while len(self.trainer.history) < target:
-            horizon = min(
-                len(self.trainer.history) + self.config.staleness_window,
-                target - 1,
-            )
-            while self._next_gen <= horizon:
-                self._rollout(next(batches))
-            self._train_one()
-        return self.trainer.history
+        """Run ``n_iterations`` more iterations of the trainer's one loop,
+        with this driver's staleness window."""
+        return self.trainer.train(dataset, n_iterations, batch_size)
 
     # -- reporting -------------------------------------------------------------------
 
@@ -222,50 +189,6 @@ class AsyncPipelineDriver:
             "published_bytes": self.publisher.bytes_published,
             "active_policy_version": self.publisher.active_version,
         }
-
-    # -- checkpointing ---------------------------------------------------------------
-
-    def _controller(self):
-        controller = self.trainer.actor.controller
-        if controller is None:
-            raise RuntimeError("checkpointing needs a controller-built system")
-        return controller
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "next_gen": self._next_gen,
-            "max_staleness_seen": self.max_staleness_seen,
-            "buffer": self.buffer.state_dict(),
-            "publisher": self.publisher.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._next_gen = int(state["next_gen"])
-        self.max_staleness_seen = int(state["max_staleness_seen"])
-        self.buffer.load_state_dict(state["buffer"])
-        self.publisher.load_state_dict(state["publisher"])
-
-    def save_checkpoint(self, directory: str) -> None:
-        """Atomic checkpoint of workers + trainer + in-flight pipeline state.
-
-        A save taken *mid-overlap* — rollouts buffered ahead of the trainer
-        — captures the buffered experience and both cursors, so the restore
-        resumes with the same staleness schedule.
-        """
-        self._controller().save_checkpoint(
-            directory,
-            extra={
-                "trainer": self.trainer.state_dict(),
-                "pipeline": self.state_dict(),
-            },
-        )
-
-    def load_checkpoint(self, directory: str) -> Dict[str, Any]:
-        manifest = self._controller().load_checkpoint(directory)
-        extra = manifest.get("extra") or {}
-        self.trainer.load_state_dict(extra["trainer"])
-        self.load_state_dict(extra["pipeline"])
-        return manifest
 
 
 @dataclasses.dataclass

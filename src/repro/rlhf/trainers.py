@@ -43,13 +43,17 @@ class TrainerConfig:
 
 
 class RlhfTrainerBase:
-    """One RLHF iteration as three overridable stages, plus the loop.
+    """One RLHF iteration as three overridable stages, plus the one loop.
 
-    A scheduler that decouples the stages (the async pipeline driver) calls
-    the same ``rollout`` / ``prepare`` / ``learn`` — it restates no algorithm.
+    An async pipeline driver that overlaps the loop's stages calls the same
+    ``rollout`` / ``prepare`` / ``learn`` — it restates no algorithm.
     """
 
     algo: AlgoType
+    #: The loss stays sound on stale batches: it scales its surrogate by
+    #: truncated importance weights, so the async pipeline may run it with a
+    #: positive staleness window (DF108).
+    off_policy_correctable = False
 
     def __init__(
         self,
@@ -68,19 +72,35 @@ class RlhfTrainerBase:
         self.config = config or TrainerConfig()
         self.history: List[Dict[str, Any]] = []
         self._rng = np.random.default_rng(self.config.seed)
+        #: The :class:`~repro.pipeline.AsyncPipelineDriver` that attached
+        #: itself to this trainer; ``None`` runs every iteration in step.
+        self.pipeline = None
 
     # -- driver-level checkpoint state (§9: dataloader IDs etc.) -------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Driver state to persist alongside the workers' checkpoints."""
-        return {
+        """Driver state to persist alongside the workers' checkpoints,
+        rollouts in flight and the published policy version included."""
+        state = {
             "iterations_done": len(self.history),
             "rng_state": self._rng.bit_generator.state,
         }
+        if self.pipeline is not None:
+            state["pipeline"] = {
+                "max_staleness_seen": self.pipeline.max_staleness_seen,
+                "buffer": self.pipeline.buffer.state_dict(),
+                "publisher": self.pipeline.publisher.state_dict(),
+            }
+        return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.history = [{} for _ in range(int(state["iterations_done"]))]
         self._rng.bit_generator.state = state["rng_state"]
+        if self.pipeline is not None:
+            saved = state["pipeline"]
+            self.pipeline.max_staleness_seen = int(saved["max_staleness_seen"])
+            self.pipeline.buffer.load_state_dict(saved["buffer"])
+            self.pipeline.publisher.load_state_dict(saved["publisher"])
 
     # -- the three stages of one iteration (§2.1, Figure 6) ------------------------
 
@@ -193,19 +213,47 @@ class RlhfTrainerBase:
         return self.run_iteration(lambda: self.step(prompts))
 
     def train(
-        self, dataset: PromptDataset, n_iterations: int, batch_size: int
+        self,
+        dataset: PromptDataset,
+        n_iterations: int,
+        batch_size: int,
+        target: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Run ``n_iterations`` more RLHF iterations over the prompt dataset.
+        """Run ``n_iterations`` more RLHF iterations: the one loop, overlapped
+        by an attached :attr:`pipeline` with staleness window ``W``.
 
-        Prompt batches are consumed in absolute iteration order — batch
-        ``len(self.history)`` next — so a restored trainer resumes the
-        stream where the checkpointed one stopped (§9's dataloader IDs).
+        One prompt cursor, batch ``len(history) + len(buffer)`` next, so a
+        restored trainer resumes the stream, rollouts in flight included
+        (§9's dataloader IDs).  Rollouts run ahead to iteration
+        ``min(len(history) + W, target - 1)``; ``target``, the job's final
+        iteration count (default: this call's), makes a job stepped one
+        iteration at a time run the schedule of one call.  An iteration with
+        nothing buffered that may not look ahead — every one at ``W = 0`` —
+        is exactly :meth:`run_step`.
         """
+        pipeline = self.pipeline
+        window = pipeline.config.staleness_window if pipeline else 0
+        buffer = pipeline.buffer if pipeline else ()
+        stop = len(self.history) + n_iterations
+        target = stop if target is None else target
+        if target < stop:
+            raise ValueError(f"target {target} is before iteration {stop}")
         batches = dataset.iter_batches(
-            batch_size, epochs=10**6, skip=len(self.history)
+            batch_size, epochs=10**6, skip=len(self.history) + len(buffer)
         )
-        for _ in range(n_iterations):
-            self.run_step(next(batches))
+        while len(self.history) < stop:
+            done = len(self.history)
+            ahead = min(done + window, target - 1)
+            if not buffer and ahead == done:
+                self.run_step(next(batches))
+            else:
+                while done + len(buffer) <= ahead:
+                    pipeline.rollout(next(batches))
+                self.run_iteration(pipeline.learn)
+            if window:
+                # a new policy version: staged for the rollout engine
+                # without blocking its decode loop
+                pipeline.publisher.publish(len(self.history))
         return self.history
 
 
@@ -213,6 +261,7 @@ class PPOTrainer(RlhfTrainerBase):
     """PPO [55, 68]: the 8-line driver of Figure 6."""
 
     algo = AlgoType.PPO
+    off_policy_correctable = True
 
     def prepare(self, gen: DataBatch) -> DataBatch:
         return super().prepare(gen, self.critic.compute_values(gen))
@@ -317,6 +366,7 @@ class GRPOTrainer(RlhfTrainerBase):
     """GRPO [70]: group-relative advantages, no critic (§9's reasoning recipe)."""
 
     algo = AlgoType.GRPO
+    off_policy_correctable = True
 
     def rollout(self, prompts: DataBatch) -> DataBatch:
         return super().rollout(prompts.repeat(self.config.group_size))

@@ -12,9 +12,10 @@ cycle the single-controller model makes easy:
 3. **Re-place** — the caller's build function runs again *on the surviving
    cluster*, so pool allocation re-runs placement on the shrunken world.
 4. **Restore** — the last atomic checkpoint is loaded (workers, optimizer,
-   RNG, trainer/dataloader state) and lost iterations are re-run; because
-   worker RNG streams are keyed by local rank, the recovered trajectory is
-   bit-exact against an uninterrupted run.
+   RNG, trainer/dataloader state, an async job's rollouts in flight) and
+   lost iterations are re-run; because worker RNG streams are keyed by
+   local rank, the recovered trajectory is bit-exact against an
+   uninterrupted run.
 
 Every recovery is accounted on the job's one simulated clock (surviving
 and lost work, checkpoint writes, re-init, restore) and surfaced in a
@@ -156,8 +157,8 @@ def restore_system(
 
     Loads worker state (``allow_resize=True`` permits a different DP width
     — see :meth:`SingleController.load_checkpoint`), charges the restore to
-    the simulated clock, and re-hydrates the trainer's RNG and iteration
-    counter from the manifest.
+    the simulated clock, and re-hydrates the trainer's ``state_dict`` (RNG,
+    iteration counter, an attached pipeline's buffer and publisher).
 
     Returns:
         ``(resumed_iteration, restore_time)``.
@@ -300,11 +301,14 @@ class JobRun:
         self.report.checkpoints_saved += 1
         self.report.checkpoint_time += save_time
 
-    def step(self) -> Dict[str, Any]:
-        """One RLHF iteration; a ``WorkerLostError`` leaves the books as
-        they were (an aborted iteration is neither history nor useful time)."""
+    def step(self, target: int) -> Dict[str, Any]:
+        """One RLHF iteration of a job ``target`` iterations long — an async
+        job's rollouts run ahead toward it exactly as in one unsupervised
+        call.  A ``WorkerLostError`` leaves the books as they were (an
+        aborted iteration is neither history nor useful time)."""
         started = self.clock.now
-        metrics = self.system.trainer.train(self.dataset, 1, self.batch_size)[-1]
+        trainer = self.system.trainer
+        metrics = trainer.train(self.dataset, 1, self.batch_size, target)[-1]
         self.history.append(metrics)
         self.report.iteration_times.append(self.clock.now - started)
         return metrics
@@ -378,7 +382,7 @@ def train_with_recovery(
     run.start()
     while run.iteration < n_iterations:
         try:
-            run.step()
+            run.step(n_iterations)
         except WorkerLostError as err:
             if run.report.n_failures >= max_recoveries:
                 raise

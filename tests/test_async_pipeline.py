@@ -1,10 +1,11 @@
 """Tests for the async one-step-off pipeline (``repro.pipeline``).
 
-Covers the staleness-window semantics (0 = bit-exact synchronous, W bounds
+Covers the staleness-window semantics (0 = the synchronous loop, W bounds
 the version lag and the buffer), the truncated importance-weight numerics,
 the weight-publication protocol, race-freedom of the overlapped schedule,
-mid-overlap checkpoint recovery, the DF108 soundness checks, and the
-analytic overlap model in ``repro.perf.async_pipeline``.
+supervised async jobs (``JobRun`` checkpoints, steps and recovers them with
+rollouts in flight), the DF108 soundness checks, and the analytic overlap
+model in ``repro.perf.async_pipeline``.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 from repro.analysis import DataflowChecker, RaceDetector, TraceAuditor
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
+from repro.faults import FaultInjector, FaultPlan
 from repro.models.tinylm import TinyLMConfig
 from repro.perf.async_pipeline import async_schedule, overlap_speedup
 from repro.pipeline import (
@@ -30,7 +32,15 @@ from repro.rlhf.losses import (
     truncated_importance_weights,
 )
 from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime import (
+    JobRun,
+    ModelAssignment,
+    PlacementPlan,
+    build_rlhf_system,
+    restore_system,
+    train_with_recovery,
+)
+from repro.runtime.builder import required_models
 from repro.runtime.timeline import build_timeline
 
 CFG = TinyLMConfig(
@@ -43,7 +53,7 @@ CFG = TinyLMConfig(
 )
 
 
-def build_system(algo=AlgoType.PPO, **trainer_kwargs):
+def build_system(algo=AlgoType.PPO, cluster=None, use_serving=False, **trainer_kwargs):
     """Disaggregated placement: actor alone, scorers on a shared pool."""
     actor_par = ParallelConfig(pp=1, tp=2, dp=1)
     scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
@@ -51,11 +61,10 @@ def build_system(algo=AlgoType.PPO, **trainer_kwargs):
         "actor": ModelAssignment(
             "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
         ),
-        "reference": ModelAssignment("scorer", scorer_par),
-        "reward": ModelAssignment("scorer", scorer_par),
     }
-    if algo is AlgoType.PPO:
-        assignments["critic"] = ModelAssignment("scorer", scorer_par)
+    for role in ("reference", "reward", "critic", "cost"):
+        if role in required_models(algo):
+            assignments[role] = ModelAssignment("scorer", scorer_par)
     plan = PlacementPlan(
         pools={"actor": 2, "scorer": 1}, assignments=assignments
     )
@@ -68,7 +77,16 @@ def build_system(algo=AlgoType.PPO, **trainer_kwargs):
         max_new_tokens=6,
         lr=5e-3,
         seed=7,
+        cluster=cluster,
+        use_serving=use_serving,
     )
+
+
+def build_async(cluster=None):
+    """The W=1 PPO job as ``JobRun`` builds it: a driver wraps the trainer."""
+    system = build_system(cluster=cluster)
+    AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
+    return system
 
 
 def dataset():
@@ -96,28 +114,66 @@ ALGO_CASES = {
 }
 
 
-class TestStalenessZeroBitExact:
-    @pytest.mark.parametrize("recompute", [True, False], ids=["anchor", "reuse"])
-    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
-    @pytest.mark.parametrize("algo", list(ALGO_CASES), ids=lambda a: a.value)
-    def test_weights_and_history_match_synchronous(self, algo, stream, recompute):
-        kwargs, batch_size, iterations = ALGO_CASES[algo]
-        kwargs = dict(kwargs, recompute_log_probs=recompute)
-        sync = build_system(algo, **kwargs)
+#: algo, whether the actor generates through the serving engine, trainer
+#: kwargs, prompts per batch, iterations
+SYNC_CASES = {
+    "ppo": (AlgoType.PPO, False, {}, 4, 3),
+    "remax": (AlgoType.REMAX, False, {}, 4, 2),
+    "safe-rlhf": (AlgoType.SAFE_RLHF, False, {}, 4, 2),
+    "grpo": (AlgoType.GRPO, False, {"group_size": 2}, 2, 2),
+    "grpo-serving": (AlgoType.GRPO, True, {"group_size": 2}, 2, 2),
+}
+
+
+def observed(system):
+    """What one run leaves behind besides its weights and history."""
+    controller = system.controller
+    return (
+        [(r.group, r.method, r.deps) for r in controller.trace],
+        [e.resource for e in controller.access_log.events],
+        controller.metrics.families(),
+    )
+
+
+class TestWindowZeroIsSync:
+    """``W = 0`` is the synchronous loop: a W = 0 driver run and
+    ``trainer.train`` are the same run — every algorithm, serving-backed
+    actors included, no buffer or publisher traffic."""
+
+    @pytest.mark.parametrize("case", list(SYNC_CASES))
+    def test_driver_run_is_trainer_train(self, case):
+        algo, serving, kwargs, batch_size, iterations = SYNC_CASES[case]
+        sync = build_system(algo, use_serving=serving, **kwargs)
         sync.trainer.train(dataset(), iterations, batch_size)
 
-        system = build_system(algo, **kwargs)
+        system = build_system(algo, use_serving=serving, **kwargs)
         driver = AsyncPipelineDriver(
-            system.trainer,
-            PipelineConfig(staleness_window=0, stream_scoring=stream),
+            system.trainer, PipelineConfig(staleness_window=0)
         )
         history = driver.train(dataset(), iterations, batch_size)
 
         assert sync.state_equal(system)
         assert histories_equal(sync.trainer.history, history)
-        assert driver.max_staleness_seen == 0
-        # no pipeline/* keys leak into the on-policy history
-        assert all("pipeline/staleness" not in h for h in history)
+        assert observed(sync) == observed(system)
+        report = driver.report()
+        assert report["publications"] == report["buffer_peak_occupancy"] == 0
+        assert driver.publisher.acquisitions == 0
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+    @pytest.mark.parametrize("algo", list(ALGO_CASES), ids=lambda a: a.value)
+    def test_buffered_first_iteration_is_the_synchronous_one(self, algo, stream):
+        """Iteration 0 of a W = 1 run goes through the buffer on-policy —
+        rollout, put, pop, learn — and lands on the synchronous numbers."""
+        kwargs, batch_size, _ = ALGO_CASES[algo]
+        sync = build_system(algo, **kwargs)
+        sync.trainer.train(dataset(), 1, batch_size)
+
+        system = build_system(algo, **kwargs)
+        AsyncPipelineDriver(
+            system.trainer,
+            PipelineConfig(staleness_window=1, stream_scoring=stream),
+        ).train(dataset(), 2, batch_size)
+        assert histories_equal(sync.trainer.history, system.trainer.history[:1])
 
 
 class TestStalenessOneHistoryPinned:
@@ -165,7 +221,8 @@ class TestStalenessBounds:
         assert len(driver.buffer) == 0  # fully drained at the end
         report = driver.report()
         assert report["iterations"] == n
-        assert report["publications"] == n
+        # at W = 0 there is nothing to hand off
+        assert report["publications"] == (n if window else 0)
 
     def test_stale_iterations_are_tagged_in_history(self):
         system = build_system()
@@ -282,44 +339,71 @@ class TestRaceFreedom:
 
 
 class TestRecoveryMidOverlap:
-    def test_checkpoint_restores_trainer_and_rollout_state(self, tmp_path):
-        # drive manually into a mid-overlap state: rollouts 0 and 1 done,
-        # iteration 0 trained -> batch 1 still buffered, one step off
-        system = build_system()
-        driver = AsyncPipelineDriver(
-            system.trainer, PipelineConfig(staleness_window=1)
-        )
-        batches = dataset().iter_batches(4, epochs=100)
-        driver._rollout(next(batches))
-        driver._rollout(next(batches))
-        driver._train_one()
-        assert len(driver.buffer) == 1
-        driver.save_checkpoint(str(tmp_path / "ckpt"))
+    """An async job under ``JobRun``: checkpointed and restored with a
+    rollout in flight, and stepped one iteration at a time on the schedule
+    of one unsupervised call."""
 
-        restored_sys = build_system()
-        restored = AsyncPipelineDriver(
-            restored_sys.trainer, PipelineConfig(staleness_window=1)
-        )
-        restored.load_checkpoint(str(tmp_path / "ckpt"))
-        assert restored._next_gen == 2
-        assert len(restored.buffer) == 1
-        assert restored.publisher.staged_version == 1
-        restored.train(dataset(), n_iterations=3, batch_size=4)
+    N = 4
 
-        # an uninterrupted run of the same schedule must match bit for bit
-        oracle_sys = build_system()
-        oracle = AsyncPipelineDriver(
-            oracle_sys.trainer, PipelineConfig(staleness_window=1)
-        )
-        oracle.train(dataset(), n_iterations=4, batch_size=4)
-        assert oracle_sys.state_equal(restored_sys)
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        system = build_async()
+        system.trainer.train(dataset(), self.N, 4)
+        return system
+
+    def test_checkpoint_restores_trainer_and_rollout_state(self, oracle, tmp_path):
+        run = JobRun(build_async, dataset(), 4, str(tmp_path / "ckpt"))
+        run.start()
+        run.step(self.N)  # rollouts 0 and 1, iteration 0: batch 1 in flight
+        run.save()
+
+        restored = build_async()
+        resumed, _ = restore_system(restored, str(tmp_path / "ckpt"))
+        trainer, pipeline = restored.trainer, restored.trainer.pipeline
+        assert resumed == len(trainer.history) == 1
+        assert pipeline.buffer.indices() == [1]
+        assert len(trainer.history) + len(pipeline.buffer) == 2  # the cursor
+        assert pipeline.publisher.staged_version == 1
+        trainer.train(dataset(), self.N - 1, 4)
+
+        assert oracle.state_equal(restored)
         # trainer checkpoints persist the history *count*, not the metric
         # dicts (matching RlhfTrainerBase.load_state_dict); every iteration
         # trained after the restore must match the uninterrupted run
-        assert len(restored_sys.trainer.history) == 4
-        assert histories_equal(
-            oracle_sys.trainer.history[1:], restored_sys.trainer.history[1:]
+        assert histories_equal(oracle.trainer.history[1:], trainer.history[1:])
+
+    def test_stepped_job_is_one_call(self, oracle, tmp_path):
+        run = JobRun(build_async, dataset(), 4, str(tmp_path / "ckpt"))
+        run.start()
+        while run.iteration < self.N:
+            run.step(self.N)
+        assert histories_equal(oracle.trainer.history, run.history)
+        assert oracle.state_equal(run.system)
+        pipeline = run.system.trainer.pipeline
+        assert pipeline.max_staleness_seen == 1
+        assert pipeline.buffer.peak_occupancy == 2
+
+    def test_device_lost_between_a_rollout_and_its_learn(self, oracle, tmp_path):
+        # rollout 2 is the third generation; the next actor call is
+        # iteration 1's anchor log-probs, so the kill lands with batch 2
+        # buffered and iteration 1 unfinished
+        generations = [
+            r.seq for r in oracle.controller.trace
+            if r.method == "generate_sequences"
+        ]
+        injector = FaultInjector(
+            FaultPlan().kill_device(0, at_step=generations[2] + 1)
         )
+        system, history, report = train_with_recovery(
+            build_async, dataset(), self.N, 4, str(tmp_path / "ckpt"),
+            checkpoint_every=1, injector=injector,
+        )
+        assert [(e.failed_iteration, e.resumed_iteration) for e in report.events] == [
+            (1, 1)
+        ]
+        assert histories_equal(oracle.trainer.history, history)
+        assert oracle.state_equal(system)
+        assert system.trainer.pipeline.max_staleness_seen == 1
 
 
 class TestWeightPublisher:
@@ -472,10 +556,23 @@ class TestDataflowRule108:
             )
 
     def test_driver_refuses_unsupported_algo(self):
-        system = build_system()
-        system.trainer.algo = AlgoType.REMAX
-        with pytest.raises(ValueError):
-            AsyncPipelineDriver(system.trainer)
+        system = build_system(AlgoType.REMAX)
+        with pytest.raises(ValueError, match="DF108.*remax"):
+            AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
+
+    @pytest.mark.parametrize("algo", [AlgoType.REMAX, AlgoType.SAFE_RLHF])
+    def test_window_zero_accepts_any_trainer(self, algo):
+        assert self.check(PipelineConfig(staleness_window=0), algo=algo).findings == []
+        assert self.check(PipelineConfig(staleness_window=1), algo=algo).errors
+
+    def test_window_zero_accepts_a_serving_backed_actor(self):
+        system = build_system(AlgoType.GRPO, use_serving=True)
+        driver = AsyncPipelineDriver(
+            system.trainer, PipelineConfig(staleness_window=0)
+        )
+        assert system.trainer.pipeline is driver
+        with pytest.raises(ValueError, match="DF108.*use_serving"):
+            AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
 
 
 class TestAnalyticOverlapModel:

@@ -20,6 +20,7 @@ PINNED = {
         "  modeled makespan 48.0s",
         "  4 weight publications, 665600 bytes via the train->gen plan",
         "  modeled makespan 42.0s (speedup 1.143x over synchronous)",
+        "  recovery: 1 failure(s), 0 iteration(s) of work lost",
     ],
     "fault_tolerance": [
         "  rewards: [0.062, 0.062, 0.0, 0.042, 0.042, 0.083]",

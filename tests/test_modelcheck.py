@@ -266,47 +266,58 @@ def build_pipeline_system():
     )
 
 
+def recorded_pipeline(ops):
+    """The W=1 PPO job whose driver appends each acquire/put/pop/publish to
+    ``ops`` as the matching ``AsyncPipelineModel`` action."""
+    system = build_pipeline_system()
+    driver = AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
+    trainer, buffer, publisher = system.trainer, driver.buffer, driver.publisher
+    real_acquire, real_publish = publisher.acquire, publisher.publish
+    real_put, real_pop = buffer.put, buffer.pop
+
+    def acquire():
+        ops.append(f"rollout.begin[{len(trainer.history) + len(buffer)}]")
+        return real_acquire()
+
+    def put(index, version, batch):
+        ops.append(f"rollout.end[{index}]")
+        return real_put(index, version, batch)
+
+    def pop(iteration):
+        ops.append(f"train.consume[{iteration}]")
+        return real_pop(iteration)
+
+    def publish(version):
+        ops.append(f"publish.begin[{version}]")
+        ops.append(f"publish.end[{version}]")
+        return real_publish(version)
+
+    publisher.acquire, publisher.publish = acquire, publish
+    buffer.put, buffer.pop = put, pop
+    return system
+
+
 class TestRealImplementationConformance:
-    def test_async_pipeline_driver_trace_is_a_model_behaviour(self):
+    def test_async_pipeline_driver_trace_is_a_model_behaviour(self, tmp_path):
         """Every op the real W=1 driver performs maps to an enabled model
         action, and the whole real run is a terminal, violation-free model
-        schedule."""
-        system = build_pipeline_system()
-        driver = AsyncPipelineDriver(
-            system.trainer, PipelineConfig(staleness_window=1)
-        )
-        ops = []
-        real_acquire = driver.publisher.acquire
-        real_publish = driver.publisher.publish
-        real_put = driver.buffer.put
-        real_pop = driver.buffer.pop
-
-        def acquire():
-            ops.append(f"rollout.begin[{driver._next_gen}]")
-            return real_acquire()
-
-        def put(index, version, batch):
-            ops.append(f"rollout.end[{index}]")
-            return real_put(index, version, batch)
-
-        def pop(iteration):
-            ops.append(f"train.consume[{iteration}]")
-            return real_pop(iteration)
-
-        def publish(version):
-            ops.append(f"publish.begin[{version}]")
-            ops.append(f"publish.end[{version}]")
-            return real_publish(version)
-
-        driver.publisher.acquire = acquire
-        driver.publisher.publish = publish
-        driver.buffer.put = put
-        driver.buffer.pop = pop
+        schedule — run as one call and stepped one iteration per
+        ``JobRun.step``, which is the same schedule."""
+        from repro.runtime import JobRun
 
         dataset = PromptDataset(
             n_prompts=64, prompt_length=4, vocab_size=16, seed=1
         )
-        driver.train(dataset, n_iterations=3, batch_size=4)
+        ops = []
+        recorded_pipeline(ops).trainer.train(dataset, 3, 4)
+        stepped = []
+        run = JobRun(
+            lambda cluster: recorded_pipeline(stepped), dataset, 4, str(tmp_path)
+        )
+        run.start()
+        while run.iteration < 3:
+            run.step(3)
+        assert stepped == ops
 
         model = AsyncPipelineModel(n_iterations=3, window=1)
         final = model.run_schedule(ops)  # raises if any op is not enabled
