@@ -18,7 +18,8 @@ Rules:
 ``DF104``  placement's projected persistent memory exceeds device capacity
 ``DF105``  placement plan structure (missing roles, missing gen config)
 ``DF106``  plan assigns a model role the algorithm's dataflow never calls
-``DF107``  GRPO group sampling misconfigured (``group_size < 2``)
+``DF107``  group sampling misconfigured (``group_size`` below the
+           trainer's ``min_group_size``: 2 for GRPO)
 ``DF108``  async pipeline staleness misconfigured (stale batches without
            importance weighting, window exceeding buffer capacity, clip or
            algorithm the off-policy correction cannot support)
@@ -154,8 +155,9 @@ class DataflowChecker:
         """Validate an algorithm + placement plan *before* building workers.
 
         Covers every shipped dataflow variant (PPO, ReMax, GRPO, Safe-RLHF,
-        Figure 1): role requirements differ per algorithm, and GRPO carries
-        the extra group-sampling constraint.
+        Figure 1): role requirements differ per algorithm, and a trainer that
+        samples groups (``min_group_size > 1``: GRPO) carries the extra
+        group-sampling constraint.
 
         Args:
             function_rewards: Roles served by a non-NN
@@ -168,8 +170,8 @@ class DataflowChecker:
                 inherits the trainer's default.
         """
         # imported here: the checker stays importable without the rlhf stack
-        from repro.rlhf.core import AlgoType
         from repro.rlhf.graph import dataflow_of
+        from repro.rlhf.trainers import TrainerConfig, trainer_class
 
         report = AnalysisReport("dataflow")
         graph = dataflow_of(algo)
@@ -207,25 +209,18 @@ class DataflowChecker:
                     hint=f"{graph.name} uses {sorted(needed)}; drop the "
                     "assignment or switch algorithms",
                 )
-        if graph.name == AlgoType.GRPO.value:
+        trainer = trainer_class(algo)
+        if trainer.min_group_size > 1:
             if group_size is None:
-                from repro.rlhf.trainers import TrainerConfig
-
                 group_size = TrainerConfig().group_size
             # the learning stage trains on batch * group_size sequences; the
             # split-degree divisibility below already transfers (d | b ⇒
             # d | b·g), so the only extra constraint is the group itself
             report.note_checked("grpo_group_size")
-            if group_size < 2:
-                report.add(
-                    "DF107",
-                    ERROR,
-                    f"GRPO group_size={group_size}: group-normalised "
-                    "advantages need at least 2 samples per prompt (the "
-                    "group std of a single sample is zero)",
-                    location="plan",
-                    hint="set TrainerConfig.group_size >= 2",
-                )
+            problem = trainer.group_size_problem(group_size)
+            if problem is not None:
+                message, hint = problem
+                report.add("DF107", ERROR, message, location="plan", hint=hint)
         self._check_shapes(list(roles.values()), report)
         return report
 

@@ -1,12 +1,16 @@
 """A minimal reverse-mode autograd engine over numpy arrays.
 
-This is the compute substrate standing in for PyTorch: a tape-based autodiff
-with exact gradients.  The generic ``Tensor`` ops (one tape node each)
-express the RLHF losses (PPO clip, value loss, KL penalties); the
-transformer LM itself is a handful of fused primitives at the end of this
-module — embedding, RMSNorm, causal attention, SwiGLU MLP, head matmul,
-log-softmax-gather — each one tape node with a hand-written VJP, the way
-the engines it stands in for (Megatron-LM, vLLM) are fused kernels.
+This is the compute substrate standing in for PyTorch: a tape of exact
+gradients where every differentiable computation is a primitive, one tape
+node with a hand-written VJP, the way the engines it stands in for
+(Megatron-LM, vLLM) are fused kernels.  The transformer LM is the fused
+primitives at the end of this module — embedding, RMSNorm, causal
+attention, SwiGLU MLP, head matmul, log-softmax-gather — and each RLHF loss
+is one more (``repro.rlhf.losses``).  ``Tensor`` holds parameters and
+gradients and runs ``backward()``; its few operators (``+``, ``*``, unary
+``-``, ``sum``/``mean``, ``reshape``, indexing) are what the callers glue
+primitives with.  The op-by-op algebra the primitives replaced is the test
+oracle (``tests/oracles.py``).
 
 Shapes follow numpy broadcasting; ``_unbroadcast`` folds gradient axes back
 to the parameter shape, so biases and scalars work naturally.
@@ -125,21 +129,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -171,7 +165,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(g)
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        return self._from_op(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -180,13 +174,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-g, owned=True)
 
-        return Tensor._from_op(-self.data, (self,), backward)
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap(other) + (-self)
+        return self._from_op(-self.data, (self,), backward)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._wrap(other)
@@ -198,141 +186,9 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(g * self.data, owned=True)
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        return self._from_op(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        out_data = self.data / other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g / other.data, owned=True)
-            if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data**2), owned=True)
-
-        return Tensor._from_op(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data**exponent
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        out_data = self.data @ other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g @ np.swapaxes(other.data, -1, -2), owned=True)
-            if other.requires_grad:
-                grad_w = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(grad_w, owned=True)
-
-        return Tensor._from_op(out_data, (self, other), backward)
-
-    # -- elementwise nonlinearities --------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data, owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g / self.data, owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data**2), owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data), owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def silu(self) -> "Tensor":
-        """SiLU / swish, the Llama MLP activation: ``x * sigmoid(x)``."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * (sig + self.data * sig * (1.0 - sig)), owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * mask, owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * sign, owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        mask = (self.data >= lo) & (self.data <= hi)
-        out_data = np.clip(self.data, lo, hi)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * mask, owned=True)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def maximum(self, other: ArrayLike) -> "Tensor":
-        other = self._wrap(other)
-        take_self = self.data >= other.data
-        out_data = np.maximum(self.data, other.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * take_self, owned=True)
-            if other.requires_grad:
-                other._accumulate(g * ~take_self, owned=True)
-
-        return Tensor._from_op(out_data, (self, other), backward)
 
     # -- reductions -------------------------------------------------------------
 
@@ -347,7 +203,7 @@ class Tensor:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(np.broadcast_to(grad, self.data.shape))
 
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._from_op(out_data, (self,), backward)
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -365,31 +221,7 @@ class Tensor:
                     np.asarray(g, dtype=np.float64).reshape(orig_shape)
                 )
 
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes_t)
-        inverse = tuple(np.argsort(axes_t))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(
-                    np.asarray(g, dtype=np.float64).transpose(inverse)
-                )
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out_data = np.swapaxes(self.data, a, b)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(
-                    np.swapaxes(np.asarray(g, dtype=np.float64), a, b)
-                )
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._from_op(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -403,7 +235,7 @@ class Tensor:
                     np.add.at(full, index, g)
                 self._accumulate(full, owned=True)
 
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._from_op(out_data, (self,), backward)
 
     # -- graph execution ------------------------------------------------------------
 
@@ -457,121 +289,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
-
-
-# -- free functions -------------------------------------------------------------
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation."""
-    tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g, dtype=np.float64)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
-
-    return Tensor._from_op(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new axis."""
-    tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g, dtype=np.float64)
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
-
-    return Tensor._from_op(out_data, tuple(tensors), backward)
-
-
-def embedding(table: Tensor, token_ids: np.ndarray) -> Tensor:
-    """Look up rows of ``table`` for integer ``token_ids``."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    out_data = table.data[token_ids]
-
-    def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, token_ids, g)
-            table._accumulate(full, owned=True)
-
-    return Tensor._from_op(out_data, (table,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax with exact gradient."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            g = np.asarray(g, dtype=np.float64)
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - dot), owned=True)
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable log-softmax with exact gradient."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - logsum
-    probs = np.exp(out_data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            g = np.asarray(g, dtype=np.float64)
-            x._accumulate(g - probs * g.sum(axis=axis, keepdims=True), owned=True)
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
-    """Gather along the last axis: ``out[..., ] = x[..., index[...]]``.
-
-    ``index`` must have the shape of ``x`` minus the last axis; used to pick
-    per-token log-probabilities from the vocabulary axis.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    expanded = np.expand_dims(index, -1)
-    out_data = np.take_along_axis(x.data, expanded, axis=-1).squeeze(-1)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-            x._accumulate(full, owned=True)
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable select: gradient flows to the chosen branch."""
-    condition = np.asarray(condition, dtype=bool)
-    a = Tensor._wrap(a)
-    b = Tensor._wrap(b)
-    out_data = np.where(condition, a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g, dtype=np.float64)
-        if a.requires_grad:
-            a._accumulate(np.where(condition, g, 0.0), owned=True)
-        if b.requires_grad:
-            b._accumulate(np.where(condition, 0.0, g), owned=True)
-
-    return Tensor._from_op(out_data, (a, b), backward)
 
 
 # -- fused primitives -------------------------------------------------------------

@@ -3,11 +3,17 @@
 These are the per-algorithm loss functions the paper lists in Table 4
 ("We implement various loss for diverse RLHF algorithms including PPO,
 Safe-RLHF, ReMax, GRPO and others"), shared by the actor/critic workers.
+
+Each token loss — the PPO clip (PPO, ReMax, Safe-RLHF, GRPO), the value
+clip, the k1/k3 KL — and the reward model's pairwise loss is **one** tape
+node whose forward and VJP are written together.  Both follow the op-by-op
+spelling kept in ``tests/oracles.py`` ufunc for ufunc, in its summation and
+multiplication order, so values and gradients are bit-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +37,40 @@ def _mask_array(
     return mask
 
 
-def _masked_mean_t(t: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-    """Mean of a Tensor over real tokens (differentiable)."""
+def _n_tokens(mask: Optional[np.ndarray], shape: Tuple[int, ...]) -> float:
+    """A loss's normaliser: the real tokens of this batch (all of them
+    without a mask).  Each data-parallel rank counts its own rows."""
     if mask is None:
-        return t.mean()
-    n = max(float(mask.sum()), 1.0)
-    return (t * Tensor(mask)).sum() * (1.0 / n)
+        return float(np.prod(shape))
+    return max(float(mask.sum()), 1.0)
+
+
+def _token_mean(
+    x: Tensor,
+    per_token: np.ndarray,
+    vjp: Callable[[np.ndarray], np.ndarray],
+    mask: Optional[np.ndarray],
+    n_tokens: float,
+    coef: float = 1.0,
+) -> Tensor:
+    """``coef * sum(per_token * mask) / n_tokens`` as one tape node on ``x``.
+
+    ``per_token`` was computed from ``x``'s values; ``vjp`` maps the
+    gradient of ``per_token`` (a fresh array it may overwrite) to that of
+    ``x``.  An array ``x`` is a constant.
+    """
+    x = Tensor._wrap(x)
+    inv_n = 1.0 / n_tokens
+    total = per_token.sum() if mask is None else (per_token * mask).sum()
+    out = total * inv_n * coef
+
+    def backward(g: np.ndarray) -> None:
+        d = np.full(per_token.shape, g * coef * inv_n)
+        if mask is not None:
+            d *= mask
+        x._accumulate(vjp(d), owned=True)
+
+    return Tensor._from_op(out, (x,), backward)
 
 
 def _masked_mean_np(arr: np.ndarray, mask: Optional[np.ndarray]) -> float:
@@ -128,21 +162,34 @@ def ppo_policy_loss(
                 f"advantages {advantages.shape}"
             )
         advantages = advantages * weights
-    ratio = (log_probs - Tensor(old_log_probs)).exp()
-    surr1 = ratio * Tensor(advantages)
-    surr2 = ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * Tensor(advantages)
-    # elementwise min(surr1, surr2) via -max(-a, -b); loss is its negated mean
-    per_token = -((-surr1).maximum(-surr2))
-    loss = -(_masked_mean_t(per_token, mask))
-    ratio_data = ratio.data
-    clipped = (
-        (ratio_data < 1.0 - clip_ratio) | (ratio_data > 1.0 + clip_ratio)
-    ).astype(np.float64)
+    lo, hi = 1.0 - clip_ratio, 1.0 + clip_ratio
+    ratio = np.exp(_as_array(log_probs) - old_log_probs)
+    in_range = (ratio >= lo) & (ratio <= hi)
+    # min(surr1, surr2) spelled -max(-surr1, -surr2), the loss its negated mean
+    neg1 = -(ratio * advantages)
+    neg2 = -(np.clip(ratio, lo, hi) * advantages)
+    take1 = neg1 >= neg2
+
+    def vjp(d: np.ndarray) -> np.ndarray:
+        d = -d
+        grad = -(d * take1) * advantages
+        grad += -(d * ~take1) * advantages * in_range
+        grad *= ratio
+        return grad
+
+    loss = _token_mean(
+        log_probs,
+        -np.maximum(neg1, neg2),
+        vjp,
+        mask,
+        _n_tokens(mask, ratio.shape),
+        coef=-1.0,
+    )
     metrics = {
         "policy_loss": float(loss.item()),
-        "clip_frac": _masked_mean_np(clipped, mask),
-        "approx_kl": _masked_mean_np(old_log_probs - log_probs.data, mask),
-        "ratio_mean": _masked_mean_np(ratio_data, mask),
+        "clip_frac": _masked_mean_np((~in_range).astype(np.float64), mask),
+        "approx_kl": _masked_mean_np(old_log_probs - _as_array(log_probs), mask),
+        "ratio_mean": _masked_mean_np(ratio, mask),
     }
     if importance_weights is not None:
         metrics["iw_mean"] = _masked_mean_np(weights, mask)
@@ -167,20 +214,32 @@ def value_loss(
     old_values = _as_array(old_values)
     returns = _as_array(returns)
     mask = _mask_array(response_mask, old_values.shape)
-    clipped = old_values + (values - Tensor(old_values)).clip(
-        -clip_range, clip_range
+    pred = _as_array(values)
+    delta = pred - old_values
+    in_range = (delta >= -clip_range) & (delta <= clip_range)
+    err = pred - returns
+    err_clipped = old_values + np.clip(delta, -clip_range, clip_range) - returns
+    sq, sq_clipped = err**2, err_clipped**2
+    take = sq >= sq_clipped
+
+    def vjp(d: np.ndarray) -> np.ndarray:
+        grad = d * take * 2 * err
+        grad += d * ~take * 2 * err_clipped * in_range
+        return grad
+
+    loss = _token_mean(
+        values,
+        np.maximum(sq, sq_clipped),
+        vjp,
+        mask,
+        _n_tokens(mask, sq.shape),
+        coef=0.5,
     )
-    err = (values - Tensor(returns)) ** 2
-    err_clipped = (clipped - Tensor(returns)) ** 2
-    loss = 0.5 * _masked_mean_t(err.maximum(err_clipped), mask)
-    clip_hits = (np.abs(values.data - old_values) > clip_range).astype(
-        np.float64
-    )
-    if mask is None:
-        pred, target = values.data, returns
-    else:
+    clip_hits = (np.abs(delta) > clip_range).astype(np.float64)
+    target = returns
+    if mask is not None:
         keep = mask > 0
-        pred, target = values.data[keep], returns[keep]
+        pred, target = pred[keep], returns[keep]
     metrics = {
         "value_loss": float(loss.item()),
         "value_clip_frac": _masked_mean_np(clip_hits, mask),
@@ -196,6 +255,24 @@ def _explained_variance(pred: np.ndarray, target: np.ndarray) -> float:
     if var < 1e-12:
         return 0.0
     return float(1.0 - np.var(target - pred) / var)
+
+
+def preference_loss(chosen: Tensor, rejected: Tensor) -> Tensor:
+    """Pairwise reward-model loss ``mean(-log sigmoid(chosen - rejected))``
+    over ``(batch,)`` scores, spelled ``softplus(-margin)`` for stability."""
+    e = np.exp(-(chosen.data - rejected.data))
+    shifted = e + 1.0
+    inv_n = 1.0 / shifted.size
+
+    def backward(g: np.ndarray) -> None:
+        d_margin = -(np.full(shifted.shape, g * inv_n) / shifted * e)
+        if chosen.requires_grad:
+            chosen._accumulate(d_margin)
+        if rejected.requires_grad:
+            rejected._accumulate(-d_margin, owned=True)
+
+    out = np.log(shifted).sum() * inv_n
+    return Tensor._from_op(out, (chosen, rejected), backward)
 
 
 def pretrain_loss(log_probs: Tensor) -> Tensor:
@@ -221,12 +298,16 @@ def kl_penalty(
     """
     ref_arr = _as_array(ref_log_probs)
     mask = _mask_array(response_mask, ref_arr.shape)
-    diff = log_probs - Tensor(ref_arr)
-    if kind == "k1":
-        return _masked_mean_t(diff, mask)
-    if kind == "k3":
-        return _masked_mean_t((-diff).exp() - 1.0 + diff, mask)
-    raise ValueError(f"unknown KL estimator {kind!r}")
+    if kind not in ("k1", "k3"):
+        raise ValueError(f"unknown KL estimator {kind!r}")
+    diff = _as_array(log_probs) - ref_arr
+    e = np.exp(-diff) if kind == "k3" else None
+
+    def vjp(d: np.ndarray) -> np.ndarray:
+        return d if e is None else d - d * e
+
+    per_token = diff if e is None else e - 1.0 + diff
+    return _token_mean(log_probs, per_token, vjp, mask, _n_tokens(mask, diff.shape))
 
 
 def grpo_policy_loss(

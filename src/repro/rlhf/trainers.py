@@ -12,7 +12,7 @@ paper's Figure 6 shows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class RlhfTrainerBase:
     #: truncated importance weights, so the async pipeline may run it with a
     #: positive staleness window (DF108).
     off_policy_correctable = False
+    #: Fewest responses per prompt the advantage can be normalised over;
+    #: above 1 the trainer samples groups and checks ``group_size`` (DF107).
+    min_group_size = 1
 
     def __init__(
         self,
@@ -75,6 +78,19 @@ class RlhfTrainerBase:
         #: The :class:`~repro.pipeline.AsyncPipelineDriver` that attached
         #: itself to this trainer; ``None`` runs every iteration in step.
         self.pipeline = None
+
+    @classmethod
+    def group_size_problem(cls, group_size: int) -> Optional[Tuple[str, str]]:
+        """``(message, hint)`` when ``group_size`` is below
+        :attr:`min_group_size`; ``None`` when the trainer can run it."""
+        if group_size >= cls.min_group_size:
+            return None
+        return (
+            f"{cls.algo.name} group_size={group_size}: group-normalised "
+            f"advantages need at least {cls.min_group_size} samples per prompt "
+            "(the group std of a single sample is zero)",
+            f"set TrainerConfig.group_size >= {cls.min_group_size}",
+        )
 
     # -- driver-level checkpoint state (§9: dataloader IDs etc.) -------------------
 
@@ -367,6 +383,13 @@ class GRPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.GRPO
     off_policy_correctable = True
+    min_group_size = 2
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        problem = self.group_size_problem(self.config.group_size)
+        if problem is not None:
+            raise ValueError("%s; %s" % problem)
 
     def rollout(self, prompts: DataBatch) -> DataBatch:
         return super().rollout(prompts.repeat(self.config.group_size))

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.data.batch import DataBatch
 from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.rlhf import losses as L
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import Worker, WorkerContext
 from repro.workers.base import ThreeDParallelWorker
@@ -138,14 +139,12 @@ class TrainableRewardWorker(RewardWorker):
         def compute(model: TinyLM):
             r_chosen = model.sequence_reward(batch["chosen"])
             r_rejected = model.sequence_reward(batch["rejected"])
-            margin = r_chosen - r_rejected
-            # -log sigmoid(margin), numerically stable via softplus(-margin)
-            loss = ((-margin).exp() + 1.0).log().mean()
-            accuracy = float((margin.data > 0).mean())
+            loss = L.preference_loss(r_chosen, r_rejected)
+            margin = r_chosen.data - r_rejected.data
             return loss, {
                 "rm_loss": float(loss.item()),
-                "rm_accuracy": accuracy,
-                "rm_margin": float(margin.data.mean()),
+                "rm_accuracy": float((margin > 0).mean()),
+                "rm_margin": float(margin.mean()),
             }
 
         return self.replica_train_step(compute)

@@ -3,14 +3,323 @@
 Tests-only: nothing under ``src/`` imports this module.  Each function is
 the historical, obviously-correct spelling of something production code now
 does in one vectorized pass.
+
+The op-by-op tape lives here too: :class:`OpTensor` is ``Tensor`` plus the
+generic operators (one tape node each) and the free functions below it are
+the generic array ops.  ``TinyLM``'s former body and the former tape-built
+RLHF losses are written with them; the fused primitives in
+``repro.models.autograd`` and ``repro.rlhf.losses`` are graded against
+those compositions.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.models import autograd as ag
 from repro.models.autograd import Tensor, no_grad
+
+
+# -- the op-by-op tape ------------------------------------------------------------
+
+
+class OpTensor(Tensor):
+    """``Tensor`` with the generic operators: every op one tape node.
+
+    Results of an op on an ``OpTensor`` are ``OpTensor``s (``Tensor``'s own
+    operators build through ``self._from_op``); :func:`lift` brings a plain
+    ``Tensor`` onto this tape through an identity node.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _wrap(x):
+        return x if isinstance(x, Tensor) else OpTensor(x)
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    def __sub__(self, other: object) -> "OpTensor":
+        return self + (-self._wrap(other))
+
+    def __rsub__(self, other: object) -> "OpTensor":
+        return self._wrap(other) + (-self)
+
+    def __truediv__(self, other: object) -> "OpTensor":
+        other = self._wrap(other)
+        out_data = self.data / other.data
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g / other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(-g * self.data / (other.data**2), owned=True)
+
+        return self._from_op(out_data, (self, other), backward)
+
+    def __rtruediv__(self, other: object) -> "OpTensor":
+        return self._wrap(other) / self
+
+    def __pow__(self, exponent: float) -> "OpTensor":
+        out_data = self.data**exponent
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def __matmul__(self, other: object) -> "OpTensor":
+        other = self._wrap(other)
+        out_data = self.data @ other.data
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g @ np.swapaxes(other.data, -1, -2), owned=True)
+            if other.requires_grad:
+                grad_w = np.swapaxes(self.data, -1, -2) @ g
+                other._accumulate(grad_w, owned=True)
+
+        return self._from_op(out_data, (self, other), backward)
+
+    # -- elementwise nonlinearities --------------------------------------------
+
+    def exp(self) -> "OpTensor":
+        out_data = np.exp(self.data)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * out_data, owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def log(self) -> "OpTensor":
+        out_data = np.log(self.data)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g / self.data, owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def tanh(self) -> "OpTensor":
+        out_data = np.tanh(self.data)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * (1.0 - out_data**2), owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def sigmoid(self) -> "OpTensor":
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * out_data * (1.0 - out_data), owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def silu(self) -> "OpTensor":
+        """SiLU / swish, the Llama MLP activation: ``x * sigmoid(x)``."""
+        sig = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = self.data * sig
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * (sig + self.data * sig * (1.0 - sig)), owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def relu(self) -> "OpTensor":
+        mask = self.data > 0
+        out_data = self.data * mask
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * mask, owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def sqrt(self) -> "OpTensor":
+        return self**0.5
+
+    def abs(self) -> "OpTensor":
+        sign = np.sign(self.data)
+        out_data = np.abs(self.data)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * sign, owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def clip(self, lo: float, hi: float) -> "OpTensor":
+        mask = (self.data >= lo) & (self.data <= hi)
+        out_data = np.clip(self.data, lo, hi)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * mask, owned=True)
+
+        return self._from_op(out_data, (self,), backward)
+
+    def maximum(self, other: object) -> "OpTensor":
+        other = self._wrap(other)
+        take_self = self.data >= other.data
+        out_data = np.maximum(self.data, other.data)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(g * take_self, owned=True)
+            if other.requires_grad:
+                other._accumulate(g * ~take_self, owned=True)
+
+        return self._from_op(out_data, (self, other), backward)
+
+    def transpose(self, *axes: int) -> "OpTensor":
+        axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
+        out_data = self.data.transpose(axes_t)
+        inverse = tuple(np.argsort(axes_t))
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(
+                    np.asarray(g, dtype=np.float64).transpose(inverse)
+                )
+
+        return self._from_op(out_data, (self,), backward)
+
+    def swapaxes(self, a: int, b: int) -> "OpTensor":
+        out_data = np.swapaxes(self.data, a, b)
+
+        def backward(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(
+                    np.swapaxes(np.asarray(g, dtype=np.float64), a, b)
+                )
+
+        return self._from_op(out_data, (self,), backward)
+
+
+def lift(t: Tensor) -> OpTensor:
+    """``t`` as an :class:`OpTensor`; gradients pass through to ``t``."""
+    return OpTensor._from_op(t.data, (t,), t._accumulate)
+
+
+def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> OpTensor:
+    """Differentiable concatenation."""
+    tensors = [OpTensor._wrap(t) for t in tensors]
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g: np.ndarray) -> None:
+        g = np.asarray(g, dtype=np.float64)
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(index)])
+
+    return OpTensor._from_op(out_data, tuple(tensors), backward)
+
+
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> OpTensor:
+    """Differentiable stack along a new axis."""
+    tensors = [OpTensor._wrap(t) for t in tensors]
+    out_data = np.stack([t.data for t in tensors], axis=axis)
+
+    def backward(g: np.ndarray) -> None:
+        g = np.asarray(g, dtype=np.float64)
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
+
+    return OpTensor._from_op(out_data, tuple(tensors), backward)
+
+
+def embedding(table: Tensor, token_ids: np.ndarray) -> OpTensor:
+    """Look up rows of ``table`` for integer ``token_ids``."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    out_data = table.data[token_ids]
+
+    def backward(g: np.ndarray) -> None:
+        if table.requires_grad:
+            full = np.zeros_like(table.data)
+            np.add.at(full, token_ids, g)
+            table._accumulate(full, owned=True)
+
+    return OpTensor._from_op(out_data, (table,), backward)
+
+
+def softmax(x: Tensor, axis: int = -1) -> OpTensor:
+    """Numerically-stable softmax with exact gradient."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    out_data = exp / exp.sum(axis=axis, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            g = np.asarray(g, dtype=np.float64)
+            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            x._accumulate(out_data * (g - dot), owned=True)
+
+    return OpTensor._from_op(out_data, (x,), backward)
+
+
+def log_softmax(x: Tensor, axis: int = -1) -> OpTensor:
+    """Numerically-stable log-softmax with exact gradient."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out_data = shifted - logsum
+    probs = np.exp(out_data)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            g = np.asarray(g, dtype=np.float64)
+            x._accumulate(g - probs * g.sum(axis=axis, keepdims=True), owned=True)
+
+    return OpTensor._from_op(out_data, (x,), backward)
+
+
+def gather_last(x: Tensor, index: np.ndarray) -> OpTensor:
+    """Gather along the last axis: ``out[..., ] = x[..., index[...]]``.
+
+    ``index`` must have the shape of ``x`` minus the last axis; used to pick
+    per-token log-probabilities from the vocabulary axis.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    expanded = np.expand_dims(index, -1)
+    out_data = np.take_along_axis(x.data, expanded, axis=-1).squeeze(-1)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
+            x._accumulate(full, owned=True)
+
+    return OpTensor._from_op(out_data, (x,), backward)
+
+
+def where(condition: np.ndarray, a: Tensor, b: Tensor) -> OpTensor:
+    """Differentiable select: gradient flows to the chosen branch."""
+    condition = np.asarray(condition, dtype=bool)
+    a = OpTensor._wrap(a)
+    b = OpTensor._wrap(b)
+    out_data = np.where(condition, a.data, b.data)
+
+    def backward(g: np.ndarray) -> None:
+        g = np.asarray(g, dtype=np.float64)
+        if a.requires_grad:
+            a._accumulate(np.where(condition, g, 0.0), owned=True)
+        if b.requires_grad:
+            b._accumulate(np.where(condition, 0.0, g), owned=True)
+
+    return OpTensor._from_op(out_data, (a, b), backward)
 
 
 class ConcatKVCache:
@@ -100,29 +409,33 @@ def generate_reference(
 # -- the op-by-op TinyLM ---------------------------------------------------------
 
 
-def _rms_norm_reference(x, weight, eps):
+def embed_reference(tok_table, pos_table, token_ids, pos_offset=0):
+    positions = np.asarray(pos_offset)[..., None] + np.arange(token_ids.shape[1])
+    return embedding(tok_table, token_ids) + embedding(pos_table, positions)
+
+
+def rms_norm_reference(x, weight, eps):
     variance = (x * x).mean(axis=-1, keepdims=True)
     return x * ((variance + eps) ** -0.5) * weight
 
 
-def _attention_reference(model, x, layer, cache, pos_offset):
-    cfg = model.config
+def attention_reference(x, wq, wk, wv, wo, n_heads, cache=None, layer=0, pos_offset=0):
+    """``ag.attention`` without ``residual``, op by op; ``cache`` is a
+    :class:`ConcatKVCache`, whose K/V are re-wrapped as constants."""
     b, t, h = x.shape
-    nh, hd = cfg.n_heads, cfg.head_dim
-    p = model.params
-    prefix = f"layers.{layer}.attn"
+    hd = h // n_heads
 
     def split_heads(proj):
-        return proj.reshape(b, t, nh, hd).transpose(0, 2, 1, 3)
+        return proj.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
 
-    q = split_heads(x @ p[f"{prefix}.wq"])
-    k = split_heads(x @ p[f"{prefix}.wk"])
-    v = split_heads(x @ p[f"{prefix}.wv"])
+    q = split_heads(x @ wq)
+    k = split_heads(x @ wk)
+    v = split_heads(x @ wv)
 
     if cache is not None:
         k_data, v_data = cache.append(layer, k.data, v.data)
-        k = Tensor(k_data)
-        v = Tensor(v_data)
+        k = OpTensor(k_data)
+        v = OpTensor(v_data)
     kv_len = k.shape[2]
 
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
@@ -131,24 +444,22 @@ def _attention_reference(model, x, layer, cache, pos_offset):
     kv_pos = np.arange(kv_len)[None, :]
     mask = kv_pos > q_pos  # True = masked out
     scores = scores + Tensor(np.where(mask, -1e9, 0.0))
-    attn = ag.softmax(scores, axis=-1)
+    attn = softmax(scores, axis=-1)
     out = attn @ v  # (b, nh, t, hd)
     out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
-    return out @ p[f"{prefix}.wo"]
+    return out @ wo
 
 
-def _mlp_reference(model, x, layer):
-    p = model.params
-    prefix = f"layers.{layer}.mlp"
-    gate = (x @ p[f"{prefix}.w_gate"]).silu()
-    up = x @ p[f"{prefix}.w_up"]
-    return (gate * up) @ p[f"{prefix}.w_down"]
+def mlp_reference(x, w_gate, w_up, w_down):
+    gate = (x @ w_gate).silu()
+    up = x @ w_up
+    return (gate * up) @ w_down
 
 
 def tinylm_forward_reference(model, token_ids, cache=None, pos_offset=0):
     """``TinyLM.forward`` as the op-by-op tape composition it used to be.
 
-    One generic ``Tensor`` op per arithmetic step (~170 tape nodes for four
+    One generic tape op per arithmetic step (~170 tape nodes for four
     layers).  The fused primitives in ``repro.models.autograd`` must
     reproduce its forward values bit for bit and its gradients to rounding.
     With a ``cache`` it re-wraps the cached K/V as constants, so it is a
@@ -156,20 +467,18 @@ def tinylm_forward_reference(model, token_ids, cache=None, pos_offset=0):
     """
     cfg, p = model.config, model.params
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    positions = np.arange(pos_offset, pos_offset + token_ids.shape[1])
-    x = ag.embedding(p["embed.weight"], token_ids) + ag.embedding(
-        p["pos_embed.weight"], positions
-    )
+    x = embed_reference(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
     for layer in range(cfg.n_layers):
-        normed = _rms_norm_reference(
-            x, p[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps
+        pre = f"layers.{layer}"
+        normed = rms_norm_reference(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
+        weights = [p[f"{pre}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
+        x = x + attention_reference(
+            normed, *weights, cfg.n_heads, cache, layer, pos_offset
         )
-        x = x + _attention_reference(model, normed, layer, cache, pos_offset)
-        normed = _rms_norm_reference(
-            x, p[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps
-        )
-        x = x + _mlp_reference(model, normed, layer)
-    x = _rms_norm_reference(x, p["final_norm.weight"], cfg.rms_eps)
+        normed = rms_norm_reference(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
+        weights = [p[f"{pre}.mlp.{w}"] for w in ("w_gate", "w_up", "w_down")]
+        x = x + mlp_reference(normed, *weights)
+    x = rms_norm_reference(x, p["final_norm.weight"], cfg.rms_eps)
     if cfg.output_head == "lm":
         return x @ p["lm_head.weight"]
     values = x @ p["value_head.weight"]
@@ -181,4 +490,83 @@ def token_log_probs_reference(model, token_ids):
     """``TinyLM.token_log_probs`` through a full log-softmax and a gather."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     logits = tinylm_forward_reference(model, token_ids[:, :-1])
-    return ag.gather_last(ag.log_softmax(logits, axis=-1), token_ids[:, 1:])
+    return gather_last(log_softmax(logits, axis=-1), token_ids[:, 1:])
+
+
+# -- the tape-built RLHF losses ----------------------------------------------------
+#
+# Differentiable inputs are ``OpTensor``s (:func:`lift` a ``Tensor``).
+
+
+def masked_mean_reference(t, mask):
+    """Mean of ``t`` over real tokens, op by op (all tokens without a mask)."""
+    if mask is None:
+        return t.mean()
+    n = max(float(np.sum(mask)), 1.0)
+    return (t * OpTensor(mask)).sum() * (1.0 / n)
+
+
+def ppo_policy_loss_reference(
+    log_probs, old_log_probs, advantages, clip_ratio=0.2, response_mask=None,
+    importance_weights=None,
+):
+    """``rlhf.losses.ppo_policy_loss``'s loss as the tape composition it was."""
+    if importance_weights is not None:
+        advantages = advantages * importance_weights
+    ratio = (log_probs - OpTensor(old_log_probs)).exp()
+    surr1 = ratio * OpTensor(advantages)
+    surr2 = ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * OpTensor(advantages)
+    # elementwise min(surr1, surr2) via -max(-a, -b); loss is its negated mean
+    per_token = -((-surr1).maximum(-surr2))
+    return -(masked_mean_reference(per_token, response_mask))
+
+
+def value_loss_reference(
+    values, old_values, returns, clip_range=0.2, response_mask=None
+):
+    """``rlhf.losses.value_loss``'s loss as the tape composition it was."""
+    clipped = old_values + (values - OpTensor(old_values)).clip(
+        -clip_range, clip_range
+    )
+    err = (values - OpTensor(returns)) ** 2
+    err_clipped = (clipped - OpTensor(returns)) ** 2
+    return 0.5 * masked_mean_reference(err.maximum(err_clipped), response_mask)
+
+
+def kl_penalty_reference(log_probs, ref_log_probs, kind="k1", response_mask=None):
+    """``rlhf.losses.kl_penalty`` as the tape composition it was."""
+    diff = log_probs - OpTensor(ref_log_probs)
+    if kind == "k1":
+        return masked_mean_reference(diff, response_mask)
+    return masked_mean_reference((-diff).exp() - 1.0 + diff, response_mask)
+
+
+def grpo_policy_loss_reference(
+    log_probs, old_log_probs, advantages, ref_log_probs, clip_ratio=0.2,
+    kl_coef=0.04, response_mask=None, importance_weights=None,
+):
+    loss = ppo_policy_loss_reference(
+        log_probs, old_log_probs, advantages, clip_ratio, response_mask,
+        importance_weights,
+    )
+    kl = kl_penalty_reference(log_probs, ref_log_probs, "k3", response_mask)
+    return loss + kl_coef * kl
+
+
+def safe_rlhf_policy_loss_reference(
+    log_probs, old_log_probs, reward_advantages, cost_advantages,
+    lagrange_multiplier, clip_ratio=0.2, response_mask=None,
+):
+    combined = (reward_advantages - lagrange_multiplier * cost_advantages) / (
+        1.0 + lagrange_multiplier
+    )
+    return ppo_policy_loss_reference(
+        log_probs, old_log_probs, combined, clip_ratio, response_mask
+    )
+
+
+def preference_loss_reference(chosen, rejected):
+    """The reward model's pairwise loss as the tape composition it was."""
+    margin = chosen - rejected
+    # -log sigmoid(margin), numerically stable via softplus(-margin)
+    return ((-margin).exp() + 1.0).log().mean()

@@ -294,6 +294,22 @@ class TestDataflowVariants:
         assert len(df107) == 1 and df107[0].severity == ERROR
         assert "group_size=1" in df107[0].message
 
+    def test_df107_reads_the_trainers_min_group_size(self):
+        from repro.rlhf.trainers import GRPOTrainer
+
+        class TripletTrainer(GRPOTrainer):
+            min_group_size = 3
+
+        report = DataflowChecker(global_batch_size=8).check_plan(
+            TripletTrainer,
+            variant_plan(("actor", "reference", "reward")),
+            function_rewards=("reward",),
+            group_size=2,
+        )
+        (finding,) = report.by_rule("DF107")
+        assert (finding.message, finding.hint) == TripletTrainer.group_size_problem(2)
+        assert "at least 3" in finding.message
+
     def test_grpo_default_group_size_is_clean(self):
         # group_size=None inherits TrainerConfig's default (4)
         report = DataflowChecker(global_batch_size=8).check_plan(

@@ -134,7 +134,7 @@ class TestTinyLMExtraPaths:
 
         t = Tensor(np.zeros(3), requires_grad=True, name="w")
         assert "name='w'" in repr(t)
-        assert t.detach().requires_grad is False
+        assert Tensor(t).requires_grad is False
 
     def test_stage_memory_properties(self):
         from repro.perf.memory import StageMemory

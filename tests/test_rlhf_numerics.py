@@ -227,6 +227,43 @@ class TestKLAndSafety:
         assert loss.item() == pytest.approx(0.5 * metrics["kl_to_ref"])
 
 
+class TestLossDoesNotDependOnTheSplit:
+    """A data-parallel actor/critic update: each replica computes its rows'
+    loss and gradient, and ``workers/base.py`` mean-all-reduces the
+    gradients.  With ragged masks that must equal the whole batch's."""
+
+    LENGTHS = [5, 1, 3, 6]  # shard 0 holds 6 real tokens, shard 1 holds 9
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP 10(a): each rank normalises by its own token count",
+    )
+    @pytest.mark.parametrize(
+        "loss_fn", [L.ppo_policy_loss, L.value_loss], ids=["ppo_clip", "value_clip"]
+    )
+    def test_mean_of_shard_gradients_is_the_whole_batch_gradient(self, loss_fn):
+        rng = np.random.default_rng(0)
+        t = max(self.LENGTHS)
+        mask = (np.arange(t) < np.array(self.LENGTHS)[:, None]).astype(float)
+        data = rng.normal(-1.0, 0.5, size=mask.shape)
+        old = data + rng.normal(scale=0.3, size=mask.shape)  # log-probs / values
+        target = rng.normal(size=mask.shape)  # advantages / returns
+        consts = (old, target)
+
+        def grad(rows):
+            x = Tensor(data[rows].copy(), requires_grad=True)
+            loss, _ = loss_fn(x, *(c[rows] for c in consts), response_mask=mask[rows])
+            loss.backward()
+            full = np.zeros_like(data)
+            full[rows] = x.grad
+            return full
+
+        whole = grad(slice(None))
+        shards = [grad(slice(0, 2)), grad(slice(2, None))]
+        np.testing.assert_allclose(sum(shards) / len(shards), whole, rtol=1e-12)
+
+
 class TestComputeAdvantages:
     def batch(self, n=4, t=3):
         rng = np.random.default_rng(0)

@@ -223,6 +223,15 @@ class TestGRPO:
         system = build(AlgoType.GRPO)
         assert "critic" not in system.groups
 
+    def test_group_of_one_rejected_at_construction(self):
+        from repro.rlhf.trainers import GRPOTrainer
+
+        with pytest.raises(ValueError) as err:
+            GRPOTrainer(None, None, None, config=TrainerConfig(group_size=1))
+        message, hint = GRPOTrainer.group_size_problem(1)
+        assert str(err.value) == f"{message}; {hint}"
+        assert "group_size=1" in message and hint.endswith(">= 2")
+
 
 class TestDriverErrors:
     def test_indivisible_minibatches_rejected(self):
