@@ -5,12 +5,13 @@ gradients where every differentiable computation is a primitive, one tape
 node with a hand-written VJP, the way the engines it stands in for
 (Megatron-LM, vLLM) are fused kernels.  The transformer LM is the fused
 primitives at the end of this module — embedding, RMSNorm, causal
-attention, SwiGLU MLP, head matmul, log-softmax-gather — and each RLHF loss
-is one more (``repro.rlhf.losses``).  ``Tensor`` holds parameters and
-gradients and runs ``backward()``; its few operators (``+``, ``*``, unary
-``-``, ``sum``/``mean``, ``reshape``, indexing) are what the callers glue
-primitives with.  The op-by-op algebra the primitives replaced is the test
-oracle (``tests/oracles.py``).
+attention, SwiGLU MLP, head matmul, log-softmax-gather, and the ``unpack``
+that lays a packed stream of ragged rows' real tokens back on its grid
+(``Packing``) — and each RLHF loss is one more (``repro.rlhf.losses``).
+``Tensor`` holds parameters and gradients and runs ``backward()``; its few
+operators (``+``, ``*``, unary ``-``, ``sum``/``mean``, ``reshape``,
+indexing) are what the callers glue primitives with.  The op-by-op algebra
+the primitives replaced is the test oracle (``tests/oracles.py``).
 
 Shapes follow numpy broadcasting; ``_unbroadcast`` folds gradient axes back
 to the parameter shape, so biases and scalars work naturally.
@@ -24,6 +25,7 @@ graph backpropagates once; a VJP that freshly allocated an array hands it to
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -295,41 +297,154 @@ class Tensor:
 #
 # The pieces of a transformer block, one tape node each.  Forward arithmetic is
 # the op-by-op composition's, ufunc for ufunc (``tests/oracles.py`` keeps that
-# composition as the oracle), but computed in place; projections stay 3-D
-# matmuls because a row's result must not depend on the batch it rides in.
+# composition as the oracle), but computed in place.  A row's result must not
+# depend on the batch it rides in: dense projections stay 3-D matmuls, and a
+# packed stream's 2-D GEMMs compute each row as they do (``Packing``).
 # Without a graph (``no_grad``, or no input requiring grad) nothing is saved
 # and no closure is built.  A VJP reads only what it closed over, overwrites
 # those arrays and the gradient it is given as scratch, takes weight
-# gradients as one GEMM over ``batch * seq``, and hands results on as owned.
+# gradients as one GEMM over the stream's tokens, and hands results on as owned.
 
-#: Free lists of block-internal scratch arrays, by shape.  glibc hands freed
-#: heap top above ~2 MB back to the kernel, so a block's temporaries were
-#: unmapped when a graph died and faulted in again by the next update
+#: Free lists of block-internal scratch buffers, flat, by size.  glibc hands
+#: freed heap top above ~2 MB back to the kernel, so a block's temporaries
+#: were unmapped when a graph died and faulted in again by the next update
 #: (docs/PERF.md has the counts with and without); recycling keeps the pages.
-#: Only arrays that never leave a primitive go through here, and only ones
-#: big enough to fault; a flood of distinct shapes starts the table afresh.
-_FREE: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-_RECYCLE_MIN_BYTES = 1 << 16
-_RECYCLE_MAX_SHAPES = 64
+#: A buffer big enough to fault holds the power of two at or above the
+#: element count asked for, and every shape gets a view of one: the token
+#: counts of ragged batches, new with every batch, reuse the last batch's
+#: buffers instead of adding sizes.  Only arrays that never leave a primitive
+#: go through here, and the table keeps at most ``_RECYCLE_MAX_BYTES``; past
+#: that a buffer given back is freed.
+_FREE: Dict[int, List[np.ndarray]] = {}
+_RECYCLE_MIN_SIZE = 1 << 13  # float64 elements: 64 KiB
+_RECYCLE_MAX_BYTES = 16 << 20
 
 
 def _scratch(*shape: int) -> np.ndarray:
-    """An uninitialised float64 array, a recycled one when the shape is held."""
-    free = _FREE.get(shape)
-    return free.pop() if free else np.empty(shape, dtype=np.float64)
+    """An uninitialised float64 array; from ``_RECYCLE_MIN_SIZE`` elements, a
+    view of a flat buffer, recycled when one of its size is held."""
+    n = math.prod(shape)
+    if n < _RECYCLE_MIN_SIZE:  # exact: rounded up, they tripled faults
+        return np.empty(shape, dtype=np.float64)
+    size = 1 << (n - 1).bit_length()
+    free = _FREE.get(size)
+    flat = free.pop() if free else np.empty(size, dtype=np.float64)
+    return flat[:n].reshape(shape)
 
 
 def _recycle(*arrays: np.ndarray) -> None:
-    """Take scratch back once nothing will read it again."""
+    """Take :func:`_scratch` arrays (or views of them) back once nothing
+    will read them again."""
     for a in arrays:
-        if a.nbytes >= _RECYCLE_MIN_BYTES:
-            if a.shape not in _FREE and len(_FREE) >= _RECYCLE_MAX_SHAPES:
-                _FREE.clear()
-            _FREE.setdefault(a.shape, []).append(a)
+        flat = a.base
+        if flat is None or flat.size < _RECYCLE_MIN_SIZE:
+            continue
+        held = 8 * sum(size * len(free) for size, free in _FREE.items())
+        if held + flat.nbytes <= _RECYCLE_MAX_BYTES:
+            _FREE.setdefault(flat.size, []).append(flat)
 
 
 def _tracked(*tensors: Tensor) -> bool:
     return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+
+
+class Rows:
+    """Rows of one forward whose attention core runs together.
+
+    ``take`` reads their ``(rows, width, ...)`` block out of the forward's
+    stream and ``put`` writes one back.  On a ``(batch, seq, ...)`` grid the
+    rows are an index of its first axis (a slice reads a view).  In a packed
+    stream, stream token ``src[j]`` sits at ``(row, position) = at[j]`` of
+    the block, whose other positions read 0.
+    """
+
+    __slots__ = ("rows", "width", "src", "at")
+
+    def __init__(self, rows, width: int = 0, src=None, at=None) -> None:
+        self.rows, self.width, self.src, self.at = rows, width, src, at
+
+    def take(self, stream: np.ndarray) -> np.ndarray:
+        if self.src is None:
+            return stream[self.rows]
+        block = _scratch(len(self.rows), self.width, *stream.shape[1:])
+        block.fill(0.0)
+        block[self.at] = stream[self.src]
+        return block
+
+    def put(self, stream: np.ndarray, block: np.ndarray) -> None:
+        if self.src is None:
+            stream[self.rows] = block
+        else:
+            stream[self.src] = block[self.at]
+
+
+_EVERY_ROW = (Rows(slice(None)),)
+
+
+class Packing:
+    """Which positions of a ``(batch, seq)`` grid one forward computes.
+
+    Without ``lengths``, or when every row is full, the forward is dense:
+    its stream is the grid itself, ``(batch, seq, ...)``, and attention
+    runs once over all rows, on views.  Otherwise row ``i`` computes its
+    first ``lengths[i]`` positions only.  The token-wise layers run once
+    over the packed stream of those tokens, row after row
+    (``(n_tokens, ...)``), and attention runs once per group of rows that
+    share a key width: the length rounded up to a multiple of 8 and at
+    least 16, or ``seq`` once that would pass ``seq - seq % 8``.  At such a
+    width a row's softmax sum and ``att @ v`` associate as they do over the
+    whole grid (numpy's pairwise sum and the BLAS k-loop unroll by 8, and
+    the masked keys are exact zeros; at width 8 BLAS takes another path for
+    some head dims), so every computed position is bit-identical to the
+    dense forward's wherever BLAS computes a GEMM row the same at any place
+    in the matrix — for layer widths that are multiples of 8, as every
+    shipped config's are (docs/PERF.md, "padding-free forwards").  A
+    forward of fewer than two real tokens runs dense.
+    """
+
+    def __init__(self, shape: Tuple[int, int], lengths: Optional[np.ndarray] = None):
+        self.shape = shape
+        seq = shape[1]
+        #: Grid position (``row * seq + position``) of each stream token;
+        #: ``None`` when dense.
+        self.index: Optional[np.ndarray] = None
+        self.groups = _EVERY_ROW
+        if lengths is None:
+            return
+        lengths = np.minimum(np.asarray(lengths, dtype=np.int64), seq)
+        # one token would make every GEMM a matrix-vector product
+        if lengths.sum() < 2 or lengths.min() >= seq:
+            return
+        self.index = np.flatnonzero(np.arange(seq) < lengths[:, None])
+        self.positions = self.index % seq
+        starts = np.cumsum(lengths) - lengths
+        widths = np.maximum(-(-lengths // 8) * 8, 16)
+        widths[widths > seq - seq % 8] = seq
+        widths[lengths == 0] = 0
+        self.groups = []
+        for width in np.unique(widths[widths > 0]).tolist():
+            rows = np.flatnonzero(widths == width)
+            n = lengths[rows]
+            pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            src = np.repeat(starts[rows], n) + pos
+            at = (np.repeat(np.arange(len(rows)), n), pos)
+            self.groups.append(Rows(rows, width, src, at))
+
+    def pack(self, grid: np.ndarray) -> np.ndarray:
+        """The stream of a ``(batch, seq, ...)`` array."""
+        if self.index is None:
+            return grid
+        return grid.reshape(-1, *grid.shape[2:])[self.index]
+
+    def merge(self, blocks: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+        """The stream of one ``(rows, width, ...)`` block per group, as a
+        ``shape`` array."""
+        if self.index is None:
+            return blocks[0].reshape(shape)
+        stream = np.empty((len(self.index),) + blocks[0].shape[2:], dtype=np.float64)
+        for rows, block in zip(self.groups, blocks):
+            rows.put(stream, block)
+        return stream.reshape(shape)
 
 
 def embed(
@@ -337,12 +452,16 @@ def embed(
     pos_table: Tensor,
     token_ids: np.ndarray,
     pos_offset: Union[int, np.ndarray] = 0,
+    packing: Optional[Packing] = None,
 ) -> Tensor:
     """Token plus learned-position embedding of ``(batch, seq)`` int64 ids;
-    row ``i`` starts at position ``pos_offset`` (``pos_offset[i]`` of an array)."""
+    row ``i`` starts at position ``pos_offset`` (``pos_offset[i]`` of an
+    array).  A ragged ``packing`` embeds its stream, from position 0."""
     t = token_ids.shape[1]
-    per_row = isinstance(pos_offset, np.ndarray)
-    if per_row:
+    if packing is not None and packing.index is not None:
+        rows = packing.positions
+        token_ids = packing.pack(token_ids)
+    elif isinstance(pos_offset, np.ndarray):
         rows = pos_offset[:, None] + np.arange(t)
     else:
         rows = slice(pos_offset, pos_offset + t)
@@ -358,13 +477,30 @@ def embed(
             tok_table._accumulate(full, owned=True)
         if pos_table.requires_grad:
             full = np.zeros_like(pos_table.data)
-            if per_row:
-                np.add.at(full, rows, g)
-            else:
+            if isinstance(rows, slice):
                 full[rows] = g.sum(axis=0)
+            else:
+                np.add.at(full, rows, g)
             pos_table._accumulate(full, owned=True)
 
     return Tensor._from_op(out, (tok_table, pos_table), backward)
+
+
+def unpack(x: Tensor, packing: Packing) -> Tensor:
+    """A packed stream ``(n_tokens, ...)`` laid back on its ``(batch, seq,
+    ...)`` grid, 0 at every position it skips; a dense stream is the grid."""
+    if packing.index is None:
+        return x
+    out = np.zeros((math.prod(packing.shape),) + x.shape[1:], dtype=np.float64)
+    out[packing.index] = x.data
+    out = out.reshape(packing.shape + x.shape[1:])
+    if not _tracked(x):
+        return Tensor._from_op(out, (), None)
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g.reshape(-1, *x.shape[1:])[packing.index], owned=True)
+
+    return Tensor._from_op(out, (x,), backward)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
@@ -422,19 +558,24 @@ def attention(
     layer: int = 0,
     pos_offset: int = 0,
     residual: Optional[Tensor] = None,
+    packing: Optional[Packing] = None,
 ) -> Tensor:
-    """Causal multi-head self-attention of ``x`` ``(batch, seq, hidden)``.
+    """Causal multi-head self-attention of ``x``: a ``(batch, seq, hidden)``
+    grid, or the packed ``(n_tokens, hidden)`` stream of a ragged ``packing``.
 
     Projections, masked softmax, context and output projection, plus
-    ``residual`` when given.  Keys start at position 0; query ``i`` sits at
-    position ``pos_offset + i`` and attends to keys at or before it.
-    ``cache`` (a ``KVStore`` bound to this forward's per-row cached lengths
-    by ``KVStore.at``; inference only) takes this call's K/V in place
-    through ``cache.extend(layer, k, v)`` (projections, heads not yet split)
-    and hands back everything cached so far per group of rows sharing a
-    length, which is then that group's ``pos_offset``.  Only scores,
-    softmax and context run per group — a sum over keys is not bit-stable
-    under padding — and everything per token runs once.
+    ``residual`` when given.  Everything per token runs once over the
+    stream; scores, softmax and context run once per group of rows, which
+    reads its queries, keys and values out of the stream as a ``(rows,
+    width, hidden)`` block.  Keys start at position 0; query ``i`` of a
+    group sits at position ``offset + i`` and attends to keys at or before
+    it.  Without ``cache`` the groups are ``packing``'s (one group of every
+    row when dense), at offset ``pos_offset``.  ``cache`` (a ``KVStore``
+    bound to this forward's per-row cached lengths by ``KVStore.at``;
+    inference only) takes this call's K/V in place through
+    ``cache.extend(layer, k, v)`` (projections, heads not yet split) and
+    hands back everything cached so far per group of rows sharing a
+    length, which is then that group's offset.
     """
     parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
     tracked = _tracked(*parents)
@@ -444,21 +585,28 @@ def attention(
             "gradient to wk/wv; run the forward under no_grad()"
         )
     xd = x.data
-    b, t, h = xd.shape
+    h = xd.shape[-1]
     hd = h // n_heads
     scale = 1.0 / np.sqrt(hd)
 
-    def heads(proj: np.ndarray) -> np.ndarray:
-        return proj.reshape(len(proj), -1, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(block: np.ndarray) -> np.ndarray:
+        return block.reshape(len(block), -1, n_heads, hd).transpose(0, 2, 1, 3)
 
-    projs = [np.matmul(xd, w.data, out=_scratch(b, t, h)) for w in (wq, wk, wv)]
-    groups = [(slice(None), projs[1], projs[2], pos_offset)]
+    layout = packing or Packing(xd.shape[:2])
+    projs = [np.matmul(xd, w.data, out=_scratch(*xd.shape)) for w in (wq, wk, wv)]
     if cache is not None:
         groups = cache.extend(layer, projs[1], projs[2])
-    ctx = _scratch(b, t, h)
-    ctx_heads = ctx.reshape(b, t, n_heads, hd)
+    else:
+        groups = [
+            (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset)
+            for rows in layout.groups
+        ]
+    ctx = _scratch(*xd.shape)
+    ctx_heads = ctx.reshape(*xd.shape[:-1], n_heads, hd)
+    saved = []
     for rows, k, v, offset in groups:
-        q, k, v = heads(projs[0][rows]), heads(k), heads(v)
+        q, k, v = heads(rows.take(projs[0])), heads(k), heads(v)
+        t = q.shape[2]
         att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(*q.shape[:3], k.shape[2]))
         att *= scale
         if t > 1:  # a lone query is the newest position: nothing to mask
@@ -468,40 +616,59 @@ def attention(
         np.exp(att, out=att)
         att /= att.sum(axis=-1, keepdims=True)
         per_head = np.matmul(att, v, out=_scratch(*q.shape))
-        ctx_heads[rows] = per_head.transpose(0, 2, 1, 3)
-        _recycle(per_head)
+        rows.put(ctx_heads, per_head.transpose(0, 2, 1, 3))
+        if tracked:
+            saved.append((rows, att, q, k, v))
+            _recycle(per_head)
+        else:
+            _recycle(per_head, att, *_gathered(rows, q, k, v))
+    if layout.index is not None:
+        _recycle(*projs)  # the core read, and backward reads, the blocks
+        projs = []
     out = ctx @ wo.data
     if residual is not None:
         out += residual.data
     if not tracked:
-        _recycle(att, ctx, *projs)
+        _recycle(ctx, *projs)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        g2, x2 = g.reshape(b * t, h), xd.reshape(b * t, h)
+        g2, x2 = g.reshape(-1, h), xd.reshape(-1, h)
         if wo.requires_grad:
-            wo._accumulate(ctx.reshape(b * t, h).T @ g2, owned=True)
-        dctx = heads((g2 @ wo.data.T).reshape(b, t, h))
-        dv = att.swapaxes(-1, -2) @ dctx
-        datt = dctx @ v.swapaxes(-1, -2)
-        # softmax VJP (masked entries have att == 0), then the score scaling
-        datt -= np.einsum("...k,...k->...", datt, att)[..., None]
-        datt *= att
-        datt *= scale
-        dx = np.zeros((b * t, h), dtype=np.float64)
-        for w, dproj in ((wq, datt @ k), (wk, datt.swapaxes(-1, -2) @ q), (wv, dv)):
-            d2 = dproj.transpose(0, 2, 1, 3).reshape(b * t, h)
+            wo._accumulate(ctx.reshape(-1, h).T @ g2, owned=True)
+        dctx = (g2 @ wo.data.T).reshape(xd.shape)
+        dprojs = ([], [], [])  # per group, the blocks of dq, dk, dv
+        for rows, att, q, k, v in saved:
+            dctx_rows = heads(rows.take(dctx))
+            dv = att.swapaxes(-1, -2) @ dctx_rows
+            datt = dctx_rows @ v.swapaxes(-1, -2)
+            # softmax VJP (masked entries have att == 0), then the score scaling
+            datt -= np.einsum("...k,...k->...", datt, att)[..., None]
+            datt *= att
+            datt *= scale
+            for blocks, d in zip(dprojs, (datt @ k, datt.swapaxes(-1, -2) @ q, dv)):
+                blocks.append(d.transpose(0, 2, 1, 3))
+            _recycle(att, *_gathered(rows, q, k, v, dctx_rows))
+        dx = np.zeros(x2.shape, dtype=np.float64)
+        for w, blocks in zip((wq, wk, wv), dprojs):
+            d2 = layout.merge(blocks, x2.shape)
             if w.requires_grad:
                 w._accumulate(x2.T @ d2, owned=True)
             if x.requires_grad:
                 dx += d2 @ w.data.T
         if x.requires_grad:
-            x._accumulate(dx.reshape(b, t, h), owned=True)
-        _recycle(att, ctx, *projs)
+            x._accumulate(dx.reshape(xd.shape), owned=True)
+        _recycle(ctx, *projs)
         if residual is not None and residual.requires_grad:
             residual._accumulate(g, owned=True)
 
     return Tensor._from_op(out, parents, backward)
+
+
+def _gathered(rows: Rows, *blocks: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Those of ``rows.take``'s blocks that are scratch: all of them when it
+    gathered, none when it read views of the stream."""
+    return () if rows.src is None else blocks
 
 
 def swiglu_mlp(

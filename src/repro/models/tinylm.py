@@ -93,7 +93,7 @@ class KVStore:
         #: Slot of each forward row; ``None``: row ``i`` lives in slot ``i``.
         self.slots: Optional[np.ndarray] = None
         #: ``(rows, slots, offset)`` per group of the forward :meth:`at` bound.
-        self.groups: Optional[List[Tuple[Any, Any, int]]] = None
+        self.groups: Optional[List[Tuple[ag.Rows, Any, int]]] = None
 
     def rows(self, slots: Sequence[int]) -> "KVStore":
         """The same buffers for forwards whose row ``i`` is ``slots[i]``."""
@@ -108,20 +108,24 @@ class KVStore:
         view = copy.copy(self)
         if not isinstance(offsets, np.ndarray):
             slots = slice(None) if self.slots is None else self.slots
-            view.groups = [(slice(None), slots, offsets)]
+            view.groups = [(ag.Rows(slice(None)), slots, offsets)]
             return view
         by_offset: Dict[int, List[int]] = {}
         for row, offset in enumerate(offsets.tolist()):
             by_offset.setdefault(offset, []).append(row)
         view.groups = [
-            (_span(rows), _span(rows if self.slots is None else self.slots[rows]), offset)
+            (
+                ag.Rows(_span(rows)),
+                _span(rows if self.slots is None else self.slots[rows]),
+                offset,
+            )
             for offset, rows in by_offset.items()
         ]
         return view
 
     def extend(
         self, layer: int, k: np.ndarray, v: np.ndarray
-    ) -> List[Tuple[Any, np.ndarray, np.ndarray, int]]:
+    ) -> List[Tuple[ag.Rows, np.ndarray, np.ndarray, int]]:
         """Cache the projections ``k``/``v`` ``(batch, t, hidden)`` behind
         what each row of the bound forward holds.  Returns ``(rows, keys,
         values, offset)`` per group of rows sharing a cached length:
@@ -132,8 +136,8 @@ class KVStore:
         out = []
         for rows, slots, offset in self.groups:
             end = offset + t
-            keys[slots, offset:end] = k[rows]
-            values[slots, offset:end] = v[rows]
+            keys[slots, offset:end] = k[rows.rows]
+            values[slots, offset:end] = v[rows.rows]
             out.append((rows, keys[slots, :end], values[slots, :end], offset))
         return out
 
@@ -240,6 +244,7 @@ class TinyLM:
         token_ids: np.ndarray,
         cache: Optional[KVStore] = None,
         pos_offset: Union[int, np.ndarray] = 0,
+        lengths: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
 
@@ -247,7 +252,30 @@ class TinyLM:
         or a ``(batch,)`` array when rows have cached different lengths.
         ``cache`` is inference-only: passing one while a graph would be
         built (grad mode on, parameters requiring grad) raises.
+        ``lengths``: row ``i`` has ``lengths[i]`` real tokens and only those
+        are computed (:class:`~repro.models.autograd.Packing`); the output
+        is 0 at every later position.
         """
+        x, packing = self._trunk(token_ids, cache, pos_offset, lengths)
+        p = self.params
+        if self.config.output_head == "lm":
+            return ag.unpack(ag.linear(x, p["lm_head.weight"]), packing)
+        # a matrix-vector product rounds a row by its place in the matrix (the
+        # last rows of a call take another BLAS path): the scalar head runs on
+        # the grid, where every row sits where the dense forward has it
+        values = ag.linear(ag.unpack(x, packing), p["value_head.weight"])
+        return values.reshape(*packing.shape)
+
+    __call__ = forward
+
+    def _trunk(
+        self,
+        token_ids: np.ndarray,
+        cache: Optional[KVStore],
+        pos_offset: Union[int, np.ndarray],
+        lengths: Optional[np.ndarray],
+    ) -> Tuple[Tensor, ag.Packing]:
+        """The final-normed hidden stream of a forward, and its packing."""
         cfg, p = self.config, self.params
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
@@ -258,7 +286,12 @@ class TinyLM:
             raise ValueError(
                 f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}"
             )
-        x = ag.embed(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
+        if lengths is not None and (cache is not None or first):
+            raise ValueError("lengths packs whole rows: no cache, no pos_offset")
+        packing = ag.Packing(token_ids.shape, lengths)
+        x = ag.embed(
+            p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset, packing
+        )
         if cache is not None:
             cache = cache.at(pos_offset)
         for layer in range(cfg.n_layers):
@@ -274,6 +307,7 @@ class TinyLM:
                 cache=cache,
                 layer=layer,
                 residual=x,
+                packing=packing,
             )
             normed = ag.rms_norm(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
             x = ag.swiglu_mlp(
@@ -283,31 +317,37 @@ class TinyLM:
                 p[f"{pre}.mlp.w_down"],
                 residual=x,
             )
-        x = ag.rms_norm(x, p["final_norm.weight"], cfg.rms_eps)
-        if cfg.output_head == "lm":
-            return ag.linear(x, p["lm_head.weight"])
-        return ag.linear(x, p["value_head.weight"]).reshape(*token_ids.shape)
-
-    __call__ = forward
+        return ag.rms_norm(x, p["final_norm.weight"], cfg.rms_eps), packing
 
     # -- LM conveniences -------------------------------------------------------------
 
-    def token_log_probs(self, token_ids: np.ndarray) -> Tensor:
+    def token_log_probs(
+        self, token_ids: np.ndarray, lengths: Optional[np.ndarray] = None
+    ) -> Tensor:
         """Log-prob of each next token: out ``(batch, seq-1)``.
 
-        ``out[:, i] = log p(token[i+1] | token[:i+1])``.
+        ``out[:, i] = log p(token[i+1] | token[:i+1])``.  With ``lengths``
+        (real tokens per row of ``token_ids``) only the ``lengths - 1``
+        predictions of real tokens are computed; the rest of ``out`` is 0.
         """
         if self.config.output_head != "lm":
             raise RuntimeError("token_log_probs requires an LM head")
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        logits = self.forward(token_ids[:, :-1])
-        return ag.log_softmax_gather(logits, token_ids[:, 1:])
+        x, packing = self._trunk(
+            token_ids[:, :-1], None, 0, None if lengths is None else lengths - 1
+        )
+        logits = ag.linear(x, self.params["lm_head.weight"])
+        logp = ag.log_softmax_gather(logits, packing.pack(token_ids[:, 1:]))
+        return ag.unpack(logp, packing)
 
-    def values(self, token_ids: np.ndarray) -> Tensor:
-        """Scalar head output per position ``(batch, seq)``."""
+    def values(
+        self, token_ids: np.ndarray, lengths: Optional[np.ndarray] = None
+    ) -> Tensor:
+        """Scalar head output per position ``(batch, seq)``; with ``lengths``,
+        at the real positions only (0 elsewhere)."""
         if self.config.output_head != "scalar":
             raise RuntimeError("values() requires a scalar head")
-        return self.forward(token_ids)
+        return self.forward(token_ids, lengths=lengths)
 
     def sequence_reward(self, token_ids: np.ndarray) -> Tensor:
         """Sample-level score: scalar head at the final position ``(batch,)``."""

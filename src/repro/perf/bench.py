@@ -13,7 +13,9 @@ Comparison policy (the part that makes the gate portable):
   collective bytes (a function of array shapes), cache hit counts.  They
   must match the baseline bit-for-bit on any platform; none of them depends
   on float arithmetic or the sampled token stream, so they are stable
-  across Python/numpy versions.
+  across Python/numpy versions — except ``grpo_eos_iteration``'s two token
+  counts, which follow where sampling emitted EOS (a sampler or model
+  change that moves them is a re-baseline, said so).
 * ``min`` metrics carry their own absolute floor (host-speed-free ratios
   and counts: the modeled async overlap speedup, process-group cache
   hits).  The floor is part of the pinned record.
@@ -198,6 +200,70 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
+def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """One GRPO iteration served by ``RolloutServer`` with an EOS id: the
+    scoring and training forwards compute only the real tokens of its
+    ragged rows."""
+    from repro.config import ClusterSpec
+    from repro.data import SyntheticPreferenceTask
+    from repro.models import autograd as ag
+    from repro.rlhf.core import AlgoType
+    from repro.rlhf.trainers import TrainerConfig
+    from repro.runtime.builder import SystemSpec, build_rlhf_system
+
+    spec = SystemSpec(algo=AlgoType.GRPO)
+    pins = {
+        "algo": spec.algo.value,
+        "group_size": 4,
+        "batch_size": 4,
+        "prompt_length": spec.prompt_length,
+        "max_new_tokens": 8,
+        "eos_token_id": 1,
+        "serving": True,
+        "seed": spec.seed,
+    }
+    system = build_rlhf_system(
+        spec.algo,
+        spec.plan,
+        spec.model_config,
+        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
+        trainer_config=TrainerConfig(group_size=pins["group_size"], seed=spec.seed),
+        reward_fn=SyntheticPreferenceTask(
+            vocab_size=spec.model_config.vocab_size, target_token=spec.target_token
+        ).reward,
+        max_new_tokens=pins["max_new_tokens"],
+        seed=spec.seed,
+        eos_token_id=pins["eos_token_id"],
+        use_serving=pins["serving"],
+    )
+
+    # positions entering TinyLM forwards: the grid each ``embed`` is handed,
+    # and the tokens it embeds (counted here, in the harness)
+    padded = computed = 0
+    embed = ag.embed
+
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        nonlocal padded, computed
+        out = embed(*args, **kwargs)
+        padded += args[2].size
+        computed += out.size // out.shape[-1]
+        return out
+
+    ag.embed = counting
+    try:
+        system.trainer.train(spec.dataset(), 1, pins["batch_size"])
+    finally:
+        ag.embed = embed
+    served = system.controller.metrics.total("repro_serving_tokens_total")
+
+    metrics = {
+        "forward_tokens": _metric("exact", computed),
+        "padded_forward_tokens": _metric("info", padded),
+        "response_tokens": _metric("exact", int(served)),
+    }
+    return pins, metrics
+
+
 def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Two 3D-HybridEngine transition cycles, plan/group caches observed."""
     from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
@@ -349,6 +415,7 @@ WORKLOADS: Dict[str, Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]]] = {
     "sequential_generate": bench_sequential_generate,
     "serving_drain": bench_serving_drain,
     "ppo_iteration": bench_ppo_iteration,
+    "grpo_eos_iteration": bench_grpo_eos_iteration,
     "train_gen_transition": bench_train_gen_transition,
     "async_ppo_overlap": bench_async_ppo_overlap,
     "shape_check": bench_shape_check,

@@ -26,7 +26,7 @@ from repro.serving import RolloutServer, ServingConfig
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import WorkerContext
 from repro.models.tinylm import TinyLMConfig
-from repro.workers.base import ThreeDParallelWorker
+from repro.workers.base import ThreeDParallelWorker, real_lengths
 
 
 class ActorWorker(ThreeDParallelWorker):
@@ -264,7 +264,7 @@ class ActorWorker(ThreeDParallelWorker):
 
     @register(protocol="3d_proto")
     @shape_contract(
-        inputs={"sequences": "B,L:int64"},
+        inputs={"sequences": "B,L:int64", "?response_mask": "B,R"},
         outputs={"sequences": "B,L:int64", "log_probs": "B,R"},
     )
     def compute_log_prob(self, batch: DataBatch) -> Optional[DataBatch]:
@@ -272,7 +272,9 @@ class ActorWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(batch["sequences"]).data
+            logp = model.token_log_probs(
+                batch["sequences"], real_lengths(batch)
+            ).data
             return batch.select(["sequences"]).union(
                 DataBatch(
                     {"log_probs": logp[:, prompt_len - 1 :]},
@@ -345,9 +347,9 @@ class ActorWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(batch["sequences"])[
-                :, prompt_len - 1 :
-            ]
+            logp = model.token_log_probs(
+                batch["sequences"], real_lengths(batch)
+            )[:, prompt_len - 1 :]
             old = batch["old_log_probs"]
             advantages = batch["advantages"]
             mask = batch["response_mask"] if "response_mask" in batch else None

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.comm import collectives
 from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
+from repro.data.batch import DataBatch
 from repro.models.adam import Adam
 from repro.models.autograd import Tensor
 from repro.models.sharding import (
@@ -44,6 +45,16 @@ from repro.single_controller.worker import Worker, WorkerContext
 #: accounting where the paper stores FP32 grads/optimizer for BF16 params.
 GRAD_FACTOR = 1.0
 OPTIM_FACTOR = 3.0
+
+
+def real_lengths(batch: DataBatch) -> Optional[np.ndarray]:
+    """Real tokens of each ``sequences`` row, ``prompt_length +
+    response_mask.sum(1)``: the forwards of EOS-ragged rows compute only
+    those (``None`` without a mask: every row is full)."""
+    if "response_mask" not in batch:
+        return None
+    mask = batch["response_mask"]
+    return batch.meta["prompt_length"] + mask.sum(axis=1).astype(np.int64)
 
 
 class ShardedModelWorker(Worker):

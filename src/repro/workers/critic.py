@@ -9,7 +9,7 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.rlhf import losses as L
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import WorkerContext
-from repro.workers.base import ThreeDParallelWorker
+from repro.workers.base import ThreeDParallelWorker, real_lengths
 
 
 class CriticWorker(ThreeDParallelWorker):
@@ -39,7 +39,7 @@ class CriticWorker(ThreeDParallelWorker):
 
     @register(protocol="3d_proto")
     @shape_contract(
-        inputs={"sequences": "B,L:int64"},
+        inputs={"sequences": "B,L:int64", "?response_mask": "B,R"},
         outputs={"sequences": "B,L:int64", "values": "B,R"},
     )
     def compute_values(self, batch: DataBatch) -> Optional[DataBatch]:
@@ -51,7 +51,7 @@ class CriticWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            values = model.values(batch["sequences"]).data
+            values = model.values(batch["sequences"], real_lengths(batch)).data
             return batch.select(["sequences"]).union(
                 DataBatch(
                     {"values": values[:, prompt_len - 1 : -1]},
@@ -87,7 +87,9 @@ class CriticWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            values = model.values(batch["sequences"])[:, prompt_len - 1 : -1]
+            values = model.values(batch["sequences"], real_lengths(batch))[
+                :, prompt_len - 1 : -1
+            ]
             mask = batch["response_mask"] if "response_mask" in batch else None
             return L.value_loss(
                 values,

@@ -8,7 +8,7 @@ as a sandbox environment for evaluating generated code or a reward function
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -17,24 +17,28 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.rlhf import losses as L
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import Worker, WorkerContext
-from repro.workers.base import ThreeDParallelWorker
+from repro.workers.base import ThreeDParallelWorker, real_lengths
 
 
-def _sequence_scores(model: TinyLM, batch: DataBatch) -> np.ndarray:
-    """Scalar-head score of each sequence at its last *real* token.
+def _sequence_scores(
+    model: TinyLM, batch: DataBatch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar-head score of each sequence at its last *real* token, and the
+    head's output at every position it computed.
 
-    Without a ``response_mask`` this is the final position (the historical
-    behaviour); with one (EOS sampling), scoring the padded final column
-    would judge the response by its padding, so the score is gathered at
-    ``prompt_length + response_length - 1`` per row instead.
+    Without a ``response_mask`` the score is the final position's (the
+    historical behaviour); with one (EOS sampling), scoring the padded final
+    column would judge the response by its padding, so the forward runs
+    over ``prompt_length + max(response_length, 1)`` tokens per row and
+    scores the last of them.
     """
-    if "response_mask" not in batch:
-        return model.sequence_reward(batch["sequences"]).data
-    values = model.values(batch["sequences"]).data
-    prompt_len = batch.meta["prompt_length"]
-    lengths = batch["response_mask"].sum(axis=1).astype(np.int64)
-    last = prompt_len + np.maximum(lengths, 1) - 1
-    return values[np.arange(values.shape[0]), last]
+    lengths = real_lengths(batch)
+    if lengths is not None:
+        lengths = np.maximum(lengths, batch.meta["prompt_length"] + 1)
+    values = model.values(batch["sequences"], lengths).data
+    if lengths is None:
+        return values[:, -1], values
+    return values[np.arange(len(values)), lengths - 1], values
 
 
 class ReferenceWorker(ThreeDParallelWorker):
@@ -55,7 +59,7 @@ class ReferenceWorker(ThreeDParallelWorker):
 
     @register(protocol="3d_proto")
     @shape_contract(
-        inputs={"sequences": "B,L:int64"},
+        inputs={"sequences": "B,L:int64", "?response_mask": "B,R"},
         outputs={"sequences": "B,L:int64", "ref_log_probs": "B,R"},
     )
     def compute_ref_log_prob(self, batch: DataBatch) -> Optional[DataBatch]:
@@ -63,7 +67,9 @@ class ReferenceWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(batch["sequences"]).data
+            logp = model.token_log_probs(
+                batch["sequences"], real_lengths(batch)
+            ).data
             return batch.select(["sequences"]).union(
                 DataBatch(
                     {"ref_log_probs": logp[:, prompt_len - 1 :]},
@@ -98,7 +104,7 @@ class RewardWorker(ThreeDParallelWorker):
     )
     def compute_reward(self, batch: DataBatch) -> Optional[DataBatch]:
         def compute(model: TinyLM):
-            scores = _sequence_scores(model, batch)
+            scores, _values = _sequence_scores(model, batch)
             return batch.select(["sequences"]).union(
                 DataBatch({self.score_column: scores}, meta=batch.meta)
             )
@@ -183,11 +189,11 @@ class CostWorker(RewardWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            values = model.values(batch["sequences"]).data
+            costs, values = _sequence_scores(model, batch)
             return batch.select(["sequences"]).union(
                 DataBatch(
                     {
-                        "costs": _sequence_scores(model, batch),
+                        "costs": costs,
                         "cost_values": values[:, prompt_len - 1 : -1],
                     },
                     meta=batch.meta,

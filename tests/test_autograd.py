@@ -182,6 +182,29 @@ def _draw_logits(data, rng):
     }
 
 
+def _draw_unpack(data, rng):
+    b, t = _ints(data, 1, 3), _ints(data, 2, 5)
+    packing = ag.Packing((b, t), rng.integers(0, t + 1, size=b))
+    grid = (b, t) if packing.index is None else (len(packing.index),)
+    features = data.draw(st.sampled_from([(), (_ints(data, 1, 3),)]))
+    return [rng.normal(size=grid + features)], {"packing": packing}
+
+
+def _unpack_reference(x, packing):
+    """Each grid position picks its stream token (any one where it has
+    none), then ``where`` zeroes the positions the stream skips."""
+    if packing.index is None:
+        return x
+    b, t = packing.shape
+    slot = np.zeros(b * t, dtype=np.int64)
+    slot[packing.index] = np.arange(len(packing.index))
+    real = np.zeros(b * t, dtype=bool)
+    real[packing.index] = True
+    picked = x[slot.reshape(b, t)]
+    real = real.reshape((b, t) + (1,) * (x.ndim - 1))
+    return O.where(real, picked, OpTensor(np.zeros(picked.shape)))
+
+
 def _draw_matrix(data, rng):
     return rng.normal(size=(_ints(data, 1, 4), _ints(data, 1, 5)))
 
@@ -273,6 +296,7 @@ REGISTRY = {
         ag.log_softmax_gather,
         lambda logits, index: O.gather_last(O.log_softmax(logits), index),
     ),
+    "unpack": Primitive(_draw_unpack, ag.unpack, _unpack_reference, True),
     # -- Tensor's operators ------------------------------------------------------
     "Tensor.__add__": Primitive(_draw_binary, lambda a, b: a + b, None),
     "Tensor.__mul__": Primitive(_draw_binary, lambda a, b: a * b, None),

@@ -77,6 +77,15 @@ class TestRunBench:
         assert ppo["autograd_nodes"]["kind"] == "exact"
         assert 0 < ppo["autograd_nodes"]["value"] < 1000
         assert ppo["train_peak_bytes"]["kind"] == "info"
+        # EOS-ragged rows: only their real tokens enter the forwards (decode
+        # feeds are real either way), and the responses did stop early
+        grpo = record["workloads"]["grpo_eos_iteration"]["metrics"]
+        assert grpo["forward_tokens"]["kind"] == "exact"
+        padded = grpo["padded_forward_tokens"]["value"]
+        assert 0 < grpo["forward_tokens"]["value"] < padded
+        pins = record["workloads"]["grpo_eos_iteration"]["pins"]
+        rows = pins["batch_size"] * pins["group_size"]
+        assert 0 < grpo["response_tokens"]["value"] < rows * pins["max_new_tokens"]
         transition = record["workloads"]["train_gen_transition"]["metrics"]
         assert transition["plan_cache_hits"]["value"] == 1
         assert transition["plan_cache_misses"]["value"] == 1

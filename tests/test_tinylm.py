@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models.adam import Adam
-from repro.models.autograd import no_grad
+from repro.models.autograd import Packing, Tensor, no_grad
 from repro.models.sampler import generate
 from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
 
@@ -277,3 +278,87 @@ class TestKVCacheTrimFree:
             reused = model.forward(ids, cache=used).data
             fresh = model.forward(ids, cache=KVStore(config, n_slots=2)).data
         assert np.array_equal(reused, fresh)
+
+
+#: Every layer width a multiple of 8, as in every shipped config: BLAS
+#: treats the last 1-3 columns of a narrower output by a path that depends
+#: on a row's place in the matrix (docs/PERF.md, "padding-free forwards").
+PACKED = TinyLMConfig(
+    n_layers=2,
+    hidden_size=16,
+    n_heads=2,
+    ffn_hidden_size=24,
+    vocab_size=16,
+    max_seq_len=40,
+)
+PACKED_MODELS = {
+    head: TinyLM(dataclasses.replace(PACKED, output_head=head), seed=5)
+    for head in ("lm", "scalar")
+}
+
+
+class TestPackedForwardIsThePaddedForward:
+    """With ``lengths`` TinyLM computes each row's real tokens only; on them
+    it is the dense forward bit for bit, its gradients agree to rounding
+    (weight GEMMs reduce over fewer rows), and full rows change nothing."""
+
+    @staticmethod
+    def run(head, ids, lengths, probe):
+        """Forward output and parameter gradients of ``<output, probe>``:
+        log-probs of ``ids`` for the LM head, values for the scalar one."""
+        model = PACKED_MODELS[head]
+        model.zero_grad()
+        if head == "lm":
+            out = model.token_log_probs(ids, lengths)
+        else:
+            out = model.values(ids, lengths)
+        (out * Tensor(probe)).sum().backward()
+        return out.data, {name: p.grad.copy() for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("residue", range(8))
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_packed_is_padded(self, residue, data):
+        head = data.draw(st.sampled_from(["lm", "scalar"]))
+        t = 8 * data.draw(st.integers(0 if residue >= 2 else 1, 4)) + residue
+        b = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
+        lengths = rng.integers(1, t + 1, size=b)
+        # an LM row of n tokens predicts n - 1 of them
+        computed = lengths - 1 if head == "lm" else lengths
+        width = t - 1 if head == "lm" else t
+        real = np.arange(width) < computed[:, None]
+        probe = rng.normal(size=(b, width)) * real
+
+        dense, dense_grads = self.run(head, ids, None, probe)
+        packed, packed_grads = self.run(head, ids, lengths, probe)
+        assert np.array_equal(packed[real], dense[real])
+        if Packing((b, width), computed).index is not None:
+            assert not packed[~real].any()  # never computed: 0
+        for name, want in dense_grads.items():
+            got = packed_grads[name]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+        full, full_grads = self.run(head, ids, np.full(b, t), probe)
+        assert np.array_equal(full, dense)
+        for name, want in dense_grads.items():
+            assert np.array_equal(full_grads[name], want), name
+
+    def test_only_real_tokens_enter_the_forward(self):
+        lengths = np.array([3, 9, 17, 40])
+        packing = Packing((4, 40), lengths)
+        assert len(packing.index) == lengths.sum()
+        # keys at a width of 16, 24 or 40 (past 40 - 40 % 8 = 40: 40 itself)
+        widths = {tuple(rows.rows): rows.width for rows in packing.groups}
+        assert widths == {(0, 1): 16, (2,): 24, (3,): 40}
+        assert Packing((4, 40), np.full(4, 40)).index is None
+        assert Packing((4, 40)).index is None
+
+    def test_lengths_pack_whole_rows_only(self, model, config):
+        with pytest.raises(ValueError, match="lengths"):
+            model.forward(
+                tokens(config, seq=4),
+                cache=KVStore(config, 2),
+                lengths=np.array([2, 4]),
+            )

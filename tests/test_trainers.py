@@ -23,7 +23,7 @@ from repro.config import (
 )
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.mapping import map_dataflow
-from repro.models.tinylm import TinyLMConfig
+from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.perf.compute import inference_latency, training_latency
 from repro.perf.iteration import GenerationPlan, ModelExecution, estimate_iteration
 from repro.rlhf.core import AlgoType
@@ -231,6 +231,43 @@ class TestGRPO:
         message, hint = GRPOTrainer.group_size_problem(1)
         assert str(err.value) == f"{message}; {hint}"
         assert "group_size=1" in message and hint.endswith(">= 2")
+
+
+class TestEosRaggedRuns:
+    """Trainer-level runs over EOS-ragged batches: every scoring and
+    training forward packs each row's real tokens."""
+
+    @staticmethod
+    def run_twice(monkeypatch, algo, **kwargs):
+        packed = []
+        trunk = TinyLM._trunk
+
+        def spy(model, token_ids, cache, pos_offset, lengths):
+            x, packing = trunk(model, token_ids, cache, pos_offset, lengths)
+            packed.append(packing.index is not None)
+            return x, packing
+
+        monkeypatch.setattr(TinyLM, "_trunk", spy)
+        runs = []
+        for _ in range(2):
+            system = build(algo, eos_token_id=1, **kwargs)
+            history = system.trainer.train(dataset(), 1, 8)
+            runs.append((history, system.state_digest()))
+        assert runs[0] == runs[1]
+        values = [v for v in runs[0][0][0].values() if isinstance(v, float)]
+        assert values and np.isfinite(values).all()
+        assert any(packed)  # EOS left ragged rows, and a forward packed them
+
+    def test_grpo_through_the_server(self, monkeypatch):
+        self.run_twice(
+            monkeypatch,
+            AlgoType.GRPO,
+            trainer_config=TrainerConfig(group_size=4),
+            use_serving=True,
+        )
+
+    def test_ppo_with_a_reward_model(self, monkeypatch):
+        self.run_twice(monkeypatch, AlgoType.PPO, reward_fn=None)
 
 
 class TestDriverErrors:

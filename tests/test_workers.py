@@ -11,6 +11,7 @@ from repro.data.dataset import SyntheticPreferenceTask
 from repro.models.sharding import gather_full_params
 from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.single_controller import SingleController, WorkerGroup
+from repro.workers.base import ShardedModelWorker
 from repro.workers import (
     ActorWorker,
     CostWorker,
@@ -279,6 +280,78 @@ class TestScorers:
         )
         with pytest.raises(ValueError, match="shape"):
             group.compute_reward(out).get()
+
+
+class TestPaddingIsNeverRead:
+    """Post-EOS positions of an EOS-ragged batch never enter a forward:
+    whatever ids sit there — other tokens, or ids past the vocabulary that
+    an embedding lookup would reject — every column a worker returns for
+    the real tokens, and every update, is the same."""
+
+    P, R = 4, 6
+
+    def batch(self, padding):
+        rng = np.random.default_rng(0)
+        b, p, r = 4, self.P, self.R
+        sequences = rng.integers(0, 16, size=(b, p + r))
+        mask = (np.arange(r) < np.array([[1], [3], [6], [2]])).astype(np.float64)
+        post = np.concatenate([np.zeros((b, p), dtype=bool), mask == 0], axis=1)
+        sequences[post] = padding[: post.sum()]
+        columns = {
+            "sequences": sequences,
+            "response_mask": mask,
+            "old_log_probs": rng.normal(-2.0, 0.3, size=(b, r)) * mask,
+            "advantages": rng.normal(size=(b, r)) * mask,
+            "values": rng.normal(size=(b, r)) * mask,
+            "returns": rng.normal(size=(b, r)) * mask,
+        }
+        return DataBatch(columns, meta={"prompt_length": p})
+
+    def batches(self):
+        other = np.random.default_rng(1).integers(0, 16, size=64)
+        return self.batch(other), self.batch(16 + np.arange(64))
+
+    def test_scoring_columns_on_real_tokens(self):
+        a, b = self.batches()
+        real = a["response_mask"] > 0
+        tp2 = ParallelConfig(1, 2, 1)
+        reference = make_group(ReferenceWorker, tp2, model_config=LM_CFG)[1]
+        critic = make_group(CriticWorker, tp2, model_config=SCALAR_CFG)[1]
+        reward = make_group(RewardWorker, tp2, model_config=SCALAR_CFG)[1]
+        cost = make_group(CostWorker, tp2, model_config=SCALAR_CFG)[1]
+        for method, column, rows in (
+            (actor_group()[1].compute_log_prob, "log_probs", real),
+            (reference.compute_ref_log_prob, "ref_log_probs", real),
+            (critic.compute_values, "values", real),
+            (cost.compute_cost, "cost_values", real),
+            (cost.compute_cost, "costs", slice(None)),
+            (reward.compute_reward, "scores", slice(None)),
+        ):
+            got, want = method(b).get()[column], method(a).get()[column]
+            assert np.array_equal(got[rows], want[rows]), column
+
+    def test_update_gradients(self, monkeypatch):
+        grads = []
+        apply = ShardedModelWorker._apply_update
+
+        def spy(worker):
+            grads.append({k: g.copy() for k, g in worker._stashed_grads.items()})
+            apply(worker)
+
+        monkeypatch.setattr(ShardedModelWorker, "_apply_update", spy)
+        tp2 = ParallelConfig(1, 2, 1)
+        for build, update in (
+            (actor_group, lambda g, batch: g.update_actor(batch)),
+            (
+                lambda: make_group(CriticWorker, tp2, model_config=SCALAR_CFG),
+                lambda g, batch: g.update_critic(batch),
+            ),
+        ):
+            metrics = [update(build()[1], batch).get() for batch in self.batches()]
+            assert metrics[0] == metrics[1]
+            first, second = grads[-2:]
+            for name in first:
+                assert np.array_equal(first[name], second[name]), name
 
 
 class TestShardedStorage:
