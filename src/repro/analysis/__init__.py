@@ -23,12 +23,12 @@ Seven passes behind one report type:
   shipped concurrent protocols (async pipeline, drain hand-off, fleet
   gang scheduling); violations carry minimal counterexample schedules
   replayable through the RaceDetector / TraceAuditor.
-* :class:`ShapeFlowChecker` — abstract interpretation of symbolic array
-  shapes and dtypes through the whole algorithm graph: declarative
-  ``@shape_contract`` specs on worker methods, per-protocol split/collect
-  transfer functions, serving reassembly, the train→generation transition
-  plan, and async-pipeline staleness; a :class:`ShapeRecorder` cross-
-  validates the static inference against real run shapes.
+* :class:`ShapeFlowChecker` — shape/dtype flow by a probe run: each
+  trainer's own ``step`` once per plan, every call through its method's
+  real transfer protocol over stand-in groups of the plan's geometry,
+  checked against the ``@shape_contract`` specs at the call, plus the
+  worker's own serving reassembly and async-pipeline staleness; a
+  :class:`ShapeRecorder` cross-validates the probe against real runs.
 
 All findings carry a rule id (``DF1xx`` / ``TA2xx`` / ``RL3xx`` / ``SH4xx``
 / ``RC5xx`` / ``MC6xx`` / ``SF7xx``), severity, location, and fix hint;
@@ -52,13 +52,9 @@ from repro.analysis.shapeflow import (
     MUTATIONS as SF_MUTATIONS,
     SF_RULES,
     ContractError,
-    Dim,
-    ProbeGroup,
     ShapeFlowChecker,
     ShapeRecorder,
-    SymArray,
     parse_contract,
-    predict_protocol_shapes,
     predict_system_outputs,
     shipped_graph_reports,
 )
@@ -83,14 +79,12 @@ __all__ = [
     "ContractError",
     "Counterexample",
     "DataflowChecker",
-    "Dim",
     "ERROR",
     "Finding",
     "MC_RULES",
     "ModelCheckResult",
     "ModelChecker",
     "PERSISTENT_SUFFIXES",
-    "ProbeGroup",
     "RaceDetector",
     "RepoLint",
     "SF_MUTATIONS",
@@ -98,12 +92,10 @@ __all__ = [
     "ShapeFlowChecker",
     "ShapeRecorder",
     "ShardingVerifier",
-    "SymArray",
     "TraceAuditor",
     "WARNING",
     "cross_validate",
     "parse_contract",
-    "predict_protocol_shapes",
     "predict_system_outputs",
     "registered_methods",
     "seeded_mutants",

@@ -64,8 +64,8 @@ class RoleBinding:
     parallel: Any
     gen_config: Any = None
     #: Serving-backed actors take variable-length batches; their batch
-    #: divisibility is deferred to the symbolic SF703 check instead of
-    #: the static DF102 one (which would be a false positive).
+    #: divisibility is left to the SF pass's SF703 (run through the real
+    #: protocols) instead of the static DF102 (a false positive there).
     use_serving: bool = False
 
 
@@ -403,8 +403,8 @@ class DataflowChecker:
                 if shape.use_serving:
                     # serving-backed actors submit variable-length batches;
                     # a static global batch is not required — divisibility
-                    # moves to the symbolic dim (shapeflow rule SF703, with
-                    # a pad-up fix hint) instead of a false DF102 here
+                    # moves to the SF pass (rule SF703, with a pad-up fix
+                    # hint) instead of a false DF102 here
                     report.note_checked("deferred_batch_splits")
                     continue
                 report.note_checked("batch_splits")

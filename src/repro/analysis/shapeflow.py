@@ -1,30 +1,19 @@
-"""Symbolic shape/dtype flow analysis over the RLHF dataflow graph (SF7xx).
+"""Shape/dtype flow over the RLHF dataflow, checked by running it (SF7xx).
 
-The seventh static pass behind ``repro check``: an abstract interpreter that
-propagates *symbolic array shapes and dtypes* through a whole algorithm graph
-— PPO, ReMax, Safe-RLHF, GRPO (Figure 1) — before any worker exists.  Dims
-are affine expressions over the batch ``B``, prompt length ``P``, response
-length ``R``, the GRPO ``group_size`` ``G``, and concrete ints; dtypes are
-tracked by family so integer token buffers cannot silently become float64.
-
-What flows where is derived, never restated:
-
-* **the algorithm's graph** — :func:`repro.rlhf.graph.dataflow_of` runs the
-  trainer's own ``step`` against contract-driven probes; the pass walks the
-  resulting DAG, so a call's input flow is the union of its deps' outputs
-  plus the columns the controller-side advantage step was seen to write;
-* **shape contracts** — ``@shape_contract`` annotations on worker methods
-  (:mod:`repro.single_controller.decorator`), stating the columns a method
-  consumes and produces with their symbolic shapes and dtypes;
-* **transfer protocols** — each registered method's
-  :class:`~repro.single_controller.protocols.ProtocolRequires` gives the
-  batch split degree (divisibility) and collect semantics (all shipped
-  splitting protocols restore the full batch on collect);
-* **engine geometry** — the serving reassembly path is checked against its
-  fixed-width + ``response_mask``/``response_lengths`` invariants (the
-  train→gen gather plan is the SH4xx pass's to prove).
-
-Rules:
+The seventh pass behind ``repro check``.  Once per plan it runs the
+trainer's own, unmodified ``step`` (:class:`repro.rlhf.graph.Probe`) with a
+stand-in group per role that has the plan's geometry, so every call goes
+through its method's real registered transfer protocol: ``distribute``
+splits what the trainer handed it, each rank answers its own chunk with
+zeros shaped by the method's ``@shape_contract``, ``collect`` merges them.
+The rules read what the run shows: the columns each call was handed
+against its contract (SF701/SF704); the real ``DataBatch.chunk`` refusing a
+split at the call that made it, minibatches included (SF703); eos vs
+``response_mask``, the context budget, the worker's own serving reassembly
+and the async pipeline's ``importance_weights`` (SF702/SF705/SF701);
+missing or unsound contracts (SF706).  With the batch unbound the probe
+runs at a sentinel ``B`` and :func:`divisible_for_every_b` is the one
+symbolic fact left; unbound ``B``/``P``/``R``/``T`` are named back.
 
 =======  ==================================================================
 SF701    shape mismatch at a role boundary
@@ -35,26 +24,35 @@ SF705    padding/packing invariant violation (context or reassembly width)
 SF706    missing or unsound shape contract
 =======  ==================================================================
 
-A runtime :class:`ShapeRecorder` samples real collected batches during
-execution; :func:`cross_validate` compares them against the static
-inference, so every contract is either proven or witnessed (the MC6xx
-``cross_validate`` idiom).  ``seeded_mutants()`` returns one checker per
-rule with a single flipped guard — the mutation smoke test.
+The probe samples what it collects with the :class:`ShapeRecorder` a real
+run feeds: :func:`predict_system_outputs` is the probe over a built system's
+bindings, and :func:`cross_validate` compares the two.  ``seeded_mutants()``
+returns one checker per rule with a single flipped guard.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import RoleBinding, bind_roles
+import numpy as np
+
+from repro.analysis.dataflow import bind_roles
 from repro.analysis.report import ERROR, AnalysisReport
+from repro.data.batch import DataBatch, IndivisibleBatchError
+from repro.rlhf.graph import _ROWS, _SIZES, GENERATION, TRAINING, Probe, dataflow_of
 from repro.single_controller.decorator import (
+    ContractError,
+    parse_contract,
+    parse_spec,
     registered_protocol,
     registered_shape_contract,
 )
 from repro.single_controller.protocols import get_protocol
+from repro.workers import WORKER_CLASSES
+from repro.workers.actor import reassemble_responses
 
 SF_RULES: Dict[str, Tuple[str, str]] = {
     "SF701": (
@@ -99,357 +97,290 @@ MUTATIONS: Dict[str, str] = {
     "forget_contract": "SF706",
 }
 
-_SYMBOLS = ("B", "P", "R", "L", "T", "G")
-_DTYPES = ("int64", "float64", "float32", "bool")
+#: How one column's mismatch reads at a call and in :func:`cross_validate`.
+_AT_CALL = {
+    "shape": "{col}: flow has {G}, contract wants {W}",
+    "creep": "{col} declared {wd} arrives as {gd} — float64 creep upstream",
+    "dtype": "{col}: dtype family mismatch (contract {wd}, flow {gd})",
+}
+_RECORDED = {
+    "shape": "{col}: recorded shape {G}, predicted {W}",
+    "creep": "{col}: predicted {wd} but recorded {gd} — float64 creep on the hot path",
+    "dtype": "{col}: recorded dtype {gd}, predicted {wd}",
+}
 
 
-class ContractError(ValueError):
-    """A @shape_contract that cannot be interpreted (SF706)."""
+def _family(dtype: Any) -> str:
+    dtype = str(dtype)
+    return "int" if dtype.startswith(("int", "uint")) else "bool" if dtype == "bool" else "float"
 
 
-# ---------------------------------------------------------------------------
-# symbolic dims: polynomials over named symbols with Fraction coefficients
-# ---------------------------------------------------------------------------
+def _mismatches(col: str, got: Tuple, want: Tuple, texts: Dict[str, str], render=str):
+    """``(rule, message)`` for a ``(shape, dtype)`` column against the one
+    wanted: the shape (SF701), then the dtype family — an int column
+    arriving as float is creep (SF704), any other change SF701."""
+    kinds = ["shape"] if tuple(got[0]) != tuple(want[0]) else []
+    g, w = _family(got[1]), _family(want[1])
+    if g != w:
+        kinds.append("creep" if (w, g) == ("int", "float") else "dtype")
+    words = dict(col=col, G=render(got[0]), W=render(want[0]), gd=got[1], wd=want[1])
+    return [("SF704" if k == "creep" else "SF701", texts[k].format(**words)) for k in kinds]
 
 
-class Dim:
-    """An affine/polynomial dim expression, e.g. ``B``, ``4*B``, ``P+R``.
+def divisible_for_every_b(rows: int, degree: int) -> bool:
+    """SF703's one symbolic fact.  With the batch unbound the probe runs at
+    ``B = 8``; a call handed ``rows = c·B`` rows splits ``degree`` ways for
+    every ``B`` exactly when ``c`` is an integer multiple of ``degree``."""
+    c = Fraction(rows, _ROWS)
+    return c.denominator == 1 and c.numerator % degree == 0
 
-    Internally a map monomial → coefficient where a monomial is a sorted
-    tuple of symbol names (empty = the constant term).  Coefficients are
-    :class:`~fractions.Fraction` so per-rank chunk sizes like ``B/2`` stay
-    exact.  Instances are immutable and hash/compare structurally.
-    """
 
-    __slots__ = ("terms",)
+class _PlanProbe(Probe):
+    """One run of a trainer's step over a plan's stand-in groups, reporting
+    SF7xx as it goes; ``p``/``r`` are the bound prompt/response lengths
+    (``None``: run at the sentinel size, named back)."""
 
-    def __init__(self, terms: Dict[Tuple[str, ...], Any]) -> None:
-        clean = {
-            tuple(m): Fraction(c) for m, c in terms.items() if Fraction(c)
+    def __init__(self, checker, trainer_cls, config, bindings, report, batch,
+                 p, r, max_seq_len, eos, staleness) -> None:
+        sizes = dict(_SIZES, P=p or _SIZES["P"], R=r or _SIZES["R"])
+        sizes["L"] = sizes["P"] + sizes["R"]
+        placement = {
+            role: (b.worker_cls, b.parallel, b.gen_config) for role, b in bindings.items()
         }
-        object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+        # a copy: learn() runs unsplit once its minibatch split is reported
+        super().__init__(trainer_cls, dataclasses.replace(config), sizes, placement)
+        self.mutate, self.bindings, self.report = checker.mutate, bindings, report
+        self.batch, self.p, self.r, self.max_seq_len = batch, p, r, max_seq_len
+        self.eos, self.staleness, self.name = eos, staleness, trainer_cls.algo.value
+        self.reassemble = reassemble_responses
+        if self.mutate == "promote_pad":  # a float buffer promotes the tokens
+            self.reassemble = lambda q, *a: reassemble_responses(q.astype(np.float64), *a)
+        self.recorder = ShapeRecorder()
+        # what the advantage step reads and writes, as the placement-free
+        # run of the same trainer saw it
+        one_round = dataclasses.replace(config, ppo_epochs=1, updates_per_epoch=1)
+        self.reference = dataflow_of(trainer_cls, one_round).controller
+        # unbound symbols are named back (L reads "6+P" when only R is bound)
+        given = [(sizes["P"], "P", p), (sizes["R"], "R", r)]
+        self.names = {_SIZES["T"]: "T", **{size: str(v or sym) for size, sym, v in given}}
+        bound = [str(sum(size for size, _, v in given if v))] if p or r else []
+        self.names[sizes["L"]] = "+".join(bound + [sym for _, sym, v in given if not v])
+        self.scale: Dict[int, Fraction] = {}
+        self.trained: set = set()
+        self.quiet = self.blind = self.tainted = self.found = self.generated = False
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Dim is immutable")
+    def note(self, what: str, n: int = 1) -> None:
+        if not self.quiet:
+            self.report.note_checked(what, n)
 
-    @classmethod
-    def const(cls, value: int) -> "Dim":
-        return cls({(): Fraction(value)})
+    def add(self, rule: str, message: str, location: str, hint: str = "") -> None:
+        if not self.quiet:
+            self.found = True
+            self.report.add(rule, ERROR, message, location, hint or SF_RULES[rule][1])
 
-    @classmethod
-    def sym(cls, name: str) -> "Dim":
-        return cls({(name,): Fraction(1)})
+    def render(self, shape: Sequence[Any]) -> str:
+        rows = Fraction(shape[0])
+        if self.batch is None:  # rows in units of the unbound B
+            num, den = (rows / _ROWS).numerator, (rows / _ROWS).denominator
+            rows = ("B" if num == 1 else f"{num}*B") + (f"/{den}" if den > 1 else "")
+        dims = [str(rows)] + [self.names.get(d, str(d)) for d in shape[1:]]
+        return "(" + ", ".join(dims) + ")"
 
-    def _as_dim(self, other: Any) -> Optional["Dim"]:
-        if isinstance(other, Dim):
-            return other
-        if isinstance(other, int):
-            return Dim.const(other)
-        return None
-
-    def __add__(self, other: Any) -> "Dim":
-        o = self._as_dim(other)
-        if o is None:
-            return NotImplemented
-        terms = {m: c for m, c in self.terms}
-        for m, c in o.terms:
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Dim(terms)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: Any) -> "Dim":
-        o = self._as_dim(other)
-        if o is None:
-            return NotImplemented
-        terms: Dict[Tuple[str, ...], Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in o.terms:
-                m = tuple(sorted(m1 + m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Dim(terms)
-
-    __rmul__ = __mul__
-
-    def over(self, divisor: int) -> "Dim":
-        """This dim scaled by ``1/divisor`` (a per-rank chunk size)."""
-        return Dim({m: c / divisor for m, c in self.terms})
-
-    def __eq__(self, other: Any) -> bool:
-        o = self._as_dim(other)
-        return NotImplemented if o is None else self.terms == o.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def const_value(self) -> Optional[int]:
-        """The concrete integer value, or None if symbolic/non-integral."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and self.terms[0][0] == ():
-            c = self.terms[0][1]
-            return int(c) if c.denominator == 1 else None
-        return None
-
-    def subst(self, env: Dict[str, int]) -> Optional[int]:
-        """Evaluate under concrete symbol bindings; None if under-bound."""
-        total = Fraction(0)
-        for mono, coef in self.terms:
-            value = coef
-            for name in mono:
-                if name not in env:
-                    return None
-                value *= env[name]
-            total += value
-        return int(total) if total.denominator == 1 else None
-
-    def divisible_by(self, divisor: int) -> Optional[bool]:
-        """True/False when decidable; None when it depends on the symbols.
-
-        A symbolic dim is provably divisible when every coefficient is an
-        integer multiple of ``divisor`` (e.g. ``4*B`` by 2 for any int B);
-        otherwise divisibility is deferred, not refuted.
-        """
-        value = self.const_value()
-        if value is not None:
-            return value % divisor == 0
-        if all(
-            c.denominator == 1 and c.numerator % divisor == 0
-            for _, c in self.terms
-        ):
-            return True
-        return None
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coef in self.terms:
-            syms = "*".join(mono)
-            num, den = coef.numerator, coef.denominator
-            if not mono:
-                text = str(coef)
-            elif num == 1 and den == 1:
-                text = syms
-            elif den == 1:
-                text = f"{num}*{syms}"
-            elif num == 1:
-                text = f"{syms}/{den}"
-            else:
-                text = f"{num}*{syms}/{den}"
-            parts.append(text)
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Dim({self.render()})"
-
-
-@dataclasses.dataclass(frozen=True)
-class SymArray:
-    """A symbolic array: a tuple of :class:`Dim` plus a dtype name."""
-
-    dims: Tuple[Dim, ...]
-    dtype: str
-
-    def render(self) -> str:
-        return _render_dims(self.dims) + f":{self.dtype}"
-
-
-def _render_dims(dims: Sequence[Dim]) -> str:
-    return "(" + ", ".join(d.render() for d in dims) + ")"
-
-
-def _family(dtype: str) -> str:
-    if dtype.startswith("int") or dtype.startswith("uint"):
-        return "int"
-    if dtype == "bool":
-        return "bool"
-    return "float"
-
-
-# ---------------------------------------------------------------------------
-# contract parsing
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ColumnSpec:
-    """One column in a contract: name, symbolic dim tokens, dtype."""
-
-    name: str
-    tokens: Tuple[str, ...]
-    dtype: str
-    optional: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class Contract:
-    inputs: Tuple[ColumnSpec, ...]
-    outputs: Tuple[ColumnSpec, ...]
-    returns: str  # "batch" | "metrics"
-
-
-def _parse_spec(name: str, spec: Any) -> ColumnSpec:
-    optional = name.startswith("?")
-    if optional:
-        name = name[1:]
-    if not name:
-        raise ContractError("empty column name")
-    if not isinstance(spec, str) or not spec.strip():
-        raise ContractError(f"column {name!r}: spec must be a string")
-    if ":" in spec:
-        dims_part, dtype = spec.split(":", 1)
-    else:
-        dims_part, dtype = spec, "float64"
-    dtype = dtype.strip()
-    if dtype not in _DTYPES:
-        raise ContractError(f"column {name!r}: unknown dtype {dtype!r}")
-    tokens = tuple(t.strip() for t in dims_part.split(",") if t.strip())
-    if not tokens:
-        raise ContractError(f"column {name!r}: empty dims")
-    for token in tokens:
-        if not (token.isdigit() or token in _SYMBOLS):
-            raise ContractError(
-                f"column {name!r}: unknown dim symbol {token!r} "
-                f"(known: {', '.join(_SYMBOLS)})"
-            )
-    return ColumnSpec(name=name, tokens=tokens, dtype=dtype, optional=optional)
-
-
-def parse_contract(raw: Any) -> Contract:
-    """Validate a raw ``@shape_contract`` payload into a :class:`Contract`."""
-    if not isinstance(raw, dict):
-        raise ContractError("contract payload must be a dict")
-    returns = raw.get("returns", "batch")
-    if returns not in ("batch", "metrics"):
-        raise ContractError(f"returns must be 'batch' or 'metrics', got {returns!r}")
-    inputs = tuple(
-        _parse_spec(n, s) for n, s in (raw.get("inputs") or {}).items()
-    )
-    outputs = tuple(
-        _parse_spec(n, s) for n, s in (raw.get("outputs") or {}).items()
-    )
-    if returns == "metrics" and outputs:
-        raise ContractError("a metrics method declares no output columns")
-    return Contract(inputs=inputs, outputs=outputs, returns=returns)
-
-
-# ---------------------------------------------------------------------------
-# per-protocol transfer functions (closed forms over ProtocolRequires)
-# ---------------------------------------------------------------------------
-
-
-class ProbeGroup:
-    """Duck-typed stand-in for a WorkerGroup — just enough geometry for
-    ``TransferProtocol.distribute``/``collect``: the property test replays
-    real protocols through it and compares against the closed forms."""
-
-    def __init__(self, parallel: Any, gen_config: Any = None, mode=None) -> None:
-        from repro.parallel.topology import (
-            GenGroupingMode,
-            GenTopology,
-            ParallelTopology,
-        )
-
-        self.name = "probe"
-        self.train_topology = ParallelTopology(parallel)
-        self.world_size = parallel.world_size
-        self.gen_topology = (
-            GenTopology(
-                self.train_topology,
-                gen_config,
-                mode or GenGroupingMode.HYBRIDFLOW,
-            )
-            if gen_config is not None
-            else None
-        )
-
-    def coords(self, index: int):
-        return self.train_topology.coords(index)
-
-    def global_rank_of(self, index: int) -> int:
-        return index
-
-
-def predict_protocol_shapes(
-    protocol_name: str,
-    parallel: Any,
-    gen_config: Any = None,
-    batch_size: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Closed-form transfer function of one protocol over one topology.
-
-    Returns the per-rank batch rows each worker sees after ``distribute``
-    and the shape of the collected result — derived from the protocol's
-    :class:`ProtocolRequires` (split degree) plus its collect mode.  The
-    SF pass leans on the central invariant encoded here: every shipped
-    *splitting* protocol's collect restores the full batch, so symbolic
-    flow shapes are protocol-invariant and only divisibility can fail.
-    """
-    requires = get_protocol(protocol_name).requires
-    world = parallel.world_size
-    degree = requires.split_degree(parallel, gen_config)
-    out: Dict[str, Any] = {
-        "protocol": protocol_name,
-        "world_size": world,
-        "degree": degree,
-    }
-    if requires.splits_batch_by is not None:
-        if batch_size is not None and degree and batch_size % degree == 0:
-            out["per_rank_rows"] = batch_size // degree
+    def split(self, rows, degree, refused, message, where, hint="") -> None:
+        """SF703 on a split the real ``DataBatch.chunk`` made or refused."""
+        if self.batch is None:
+            proven = divisible_for_every_b(rows, degree)
+            self.note("batch_splits" if proven else "deferred_batch_splits")
+        elif refused:
+            self.add("SF703", message, where, hint)
         else:
-            out["per_rank_rows"] = None
-        out["collect"] = "merge"
-        out["n_collected"] = degree
-        out["collected_rows"] = batch_size
-    elif requires.per_rank_args:
-        out["per_rank_rows"] = None  # caller supplies per-rank args
-        out["collect"] = "list"
-        out["n_collected"] = world
-        out["collected_rows"] = None
-    elif protocol_name == "3d_pp_only":
-        pp = parallel.pp
-        out["per_rank_rows"] = batch_size
-        out["collect"] = "list" if pp > 1 else "merge"
-        out["n_collected"] = pp
-        out["collected_rows"] = batch_size
-    elif requires.single_rank:
-        out["per_rank_rows"] = batch_size
-        out["collect"] = "single"
-        out["n_collected"] = 1
-        out["collected_rows"] = batch_size
-    else:  # broadcast, list collect (one_to_all)
-        out["per_rank_rows"] = batch_size
-        out["collect"] = "list"
-        out["n_collected"] = world
-        out["collected_rows"] = batch_size
-    return out
+            self.note("batch_splits")
 
+    def dispatch(self, role: str, method: str, batch: DataBatch, **kwargs: Any) -> Any:
+        # a learning loop's later minibatches repeat its first: run, don't re-check
+        self.quiet = (role, method) in self.trained
+        future = super().dispatch(role, method, batch, **kwargs)
+        if self.nodes[-1].stage == TRAINING:
+            self.trained.add((role, method))
+        self.quiet = self.blind = False
+        return future
 
-# ---------------------------------------------------------------------------
-# the abstract interpreter
-# ---------------------------------------------------------------------------
+    def contract(self, role: str, method: str) -> Any:
+        binding = self.bindings.get(role)
+        if binding is None:
+            self.note("skipped_roles")
+            return None  # the call hands its batch on
+        raw = registered_shape_contract(getattr(binding.worker_cls, method, None))
+        if self.mutate == "forget_contract" and (role, method) == ("actor", "generate_sequences"):
+            raw = None
+        try:
+            contract = parse_contract(raw)
+        except ContractError as exc:
+            owner = f"{binding.worker_cls.__name__}.{method}"
+            problem = f"unsound contract on {owner}: {exc}"
+            if raw is None:
+                problem = f"{owner} has no @shape_contract; the {role} boundary cannot be verified"
+            self.add("SF706", problem, f"{role}.{method}@{binding.pool}")
+            # the call runs on, unchecked, as the placement-free graph ran it
+            self.tainted = self.blind = True
+            fn = getattr(WORKER_CLASSES[role], method)
+            contract = parse_contract(registered_shape_contract(fn))
+        outputs = []
+        for spec in contract.outputs:
+            if spec.optional:  # of the optional outputs only the eos mask flows
+                if spec.name != "response_mask" or not self.eos or (
+                    self.mutate == "drop_mask" and method == "generate_sequences"
+                ):
+                    continue
+                spec = dataclasses.replace(spec, optional=False)
+            if self.mutate == "widen_values" and (role, method, spec.name) == (
+                "critic", "compute_values", "values"
+            ):
+                spec = dataclasses.replace(spec, tokens=("B", "L"))
+            outputs.append(spec)
+        return dataclasses.replace(contract, outputs=tuple(outputs))
 
+    def execute(self, node: Any, contract: Any, batch: DataBatch, kwargs: dict) -> Any:
+        binding = self.bindings[node.role]
+        where = f"{node.role}.{node.method}@{binding.pool}"
+        refused = None
+        try:
+            result = super().execute(node, contract, batch, kwargs)
+        except IndivisibleBatchError as exc:
+            result, refused = self.answer(contract, batch), exc
+        except (ValueError, RuntimeError):
+            # a group its protocol cannot bind at all: DF101/DF105 report it
+            result = self.answer(contract, batch)
+        # a collect that did not restore its batch scales every consumer
+        scale = next((self.scale[d] for d in node.deps if self.scale.get(d, 1) != 1), 1)
+        protocol = registered_protocol(getattr(binding.worker_cls, node.method))
+        if not self.blind and protocol is not None:
+            self.note("contracts")
+            requires = get_protocol(protocol).requires
+            degree = requires.split_degree(binding.parallel, binding.gen_config)
+            degree = refused.n_chunks if refused else degree or 1
+            if degree > 1:
+                self.split(len(batch), degree, refused, f"batch dim {len(batch)} is not "
+                           f"divisible by the {protocol} split degree {degree}", where,
+                           "serving batches are variable-length: pad the submitted "
+                           "prompt batch up to a multiple of the generation DP degree, "
+                           "or lower micro_dp" if binding.use_serving else "")
+            self._check_inputs(node, contract, batch, len(batch) * scale, where)
+        if isinstance(result, DataBatch) and result.tensors:
+            self.scale[node.seq] = Fraction(len(batch), len(result))
+            self.recorder.record(node.role, node.method, result)
+            if node.stage == GENERATION and not self.generated:
+                self.generated = True
+                self._post_generate(node, binding, result, len(batch) * scale)
+        return result
 
-@dataclasses.dataclass
-class _Env:
-    """Ambient bindings one walk runs under.  ``tainted`` flips after an
-    SF706 so a missing contract does not cascade into spurious SF701s."""
+    def _check_inputs(self, node, contract, batch, want_rows, where) -> None:
+        call = f"{node.role}.{node.method}"
+        if self.staleness and call == "actor.update_actor":
+            self.note("stale_batches", self.staleness)
+            if "importance_weights" not in {spec.name for spec in contract.inputs}:
+                self.add("SF701", "stale batches carry a per-token importance_weights "
+                         "column but update_actor's contract does not declare it",
+                         "pipeline.update_actor", "add '?importance_weights': 'B,R' to "
+                         "the update contract so the off-policy correction reaches the loss")
+        for spec in contract.inputs:
+            if spec.name in batch:
+                self.note("boundary_columns")
+                arr, want = batch[spec.name], spec.shape(dict(self.sizes, B=want_rows))
+                for rule, message in _mismatches(
+                    f"{call} input {spec.name!r}", (arr.shape, arr.dtype),
+                    (want, spec.dtype), _AT_CALL, self.render,
+                ):
+                    self.add(rule, message, where)
+            elif self.tainted and not spec.optional:
+                self.note("suppressed_by_taint")
+            elif not spec.optional:  # an optional one is owed only when handed over
+                self.add("SF701", f"{call} expects column {spec.name!r} but the flow "
+                         f"carries {sorted(batch.keys())}", where)
 
-    B: Dim
-    P: Dim
-    R: Dim
-    T: Dim
-    cfg: Any  #: the TrainerConfig: group size, minibatch split, graph key
-    eos: bool = False
-    max_seq_len: Optional[int] = None
-    prompt_length: Optional[int] = None
-    max_new_tokens: Optional[int] = None
-    tainted: bool = False
+    def advantages(self, real: Any, batch: DataBatch) -> DataBatch:
+        """The trainer's own advantage step: every column it reads must flow
+        in; when it cannot run, the columns it writes are stood in.  Then
+        the minibatch split ``learn()`` makes next, tried on its output."""
+        step = self.reference[min(len(self.steps), len(self.reference) - 1)]
+        self.steps.append(step)
+        for name in step.reads:
+            self.note("advantage_inputs")
+            if name not in batch and self.tainted:
+                self.note("suppressed_by_taint")
+            elif name not in batch:
+                self.add("SF701", f"compute_advantages({self.name}) consumes {name!r} "
+                         "which never flows out of the preparation stage",
+                         f"{self.name}.preparation")
+        try:
+            out = real(batch)
+        except (KeyError, ValueError):  # reported above, or at the producer
+            out = batch.copy()
+            for name, spec in step.writes:
+                col = parse_spec(name, spec)
+                out[name] = np.zeros(col.shape(dict(self.sizes, B=len(batch))), dtype=col.dtype)
+        if self.staleness:  # the async pipeline's off-policy correction
+            out["importance_weights"] = np.zeros((len(out), self.sizes["R"]))
+        updates = self.config.updates_per_epoch
+        if updates > 1 and len(self.steps) == 1:
+            try:
+                refused = not out.chunk(updates)  # the split learn() makes next
+            except IndivisibleBatchError:
+                refused, self.config.updates_per_epoch = True, 1  # train unsplit
+            self.split(len(out), updates, refused, f"learn() raises at runtime: batch "
+                       f"{len(out)} is not divisible by updates_per_epoch={updates}",
+                       f"{self.name}.learning")
+        return out
+
+    def _post_generate(self, node, binding, flow, want_rows) -> None:
+        """Plan facts at the first generation: the context budget, eos vs
+        ``response_mask``, and the worker's own serving reassembly run on
+        ragged stand-in completions."""
+        where, p, r = f"{node.role}.{node.method}@{binding.pool}", self.p, self.r
+        limit = p if self.mutate == "shrink_ctx" else self.max_seq_len
+        if p is not None and r is not None and limit is not None:
+            self.note("context_budget")
+            if p + r > limit:
+                self.add("SF705", f"prompt_length {p} + max_new_tokens {r} = {p + r} "
+                         f"exceeds max_seq_len {limit}; generation overruns the "
+                         "position table mid-iteration", where)
+        mask, want = flow.tensors.get("response_mask"), (want_rows, self.sizes["R"])
+        if not self.tainted:
+            self.note("mask_consistency")
+            if self.eos and mask is None:
+                self.add("SF702", "eos_token_id is set but no response_mask column "
+                         "leaves generate_sequences — losses and advantages would "
+                         "train on post-EOS padding", where)
+            elif not self.eos and mask is not None:
+                self.add("SF702", "response_mask flows without an eos_token_id — "
+                         "nothing defines where responses end", where)
+            elif mask is not None and mask.shape != want:
+                self.add("SF702", f"response_mask has {self.render(mask.shape)}, want "
+                         f"{self.render(want)} — one entry per response token", where)
+        if not binding.use_serving:
+            return
+        where = f"{node.role}._serve_generate@{binding.pool}"
+        r, rows = self.sizes["R"], int(want_rows)
+        self.note("serving_reassembly")
+        done = [SimpleNamespace(request_id=i, response=np.zeros(i % (r + 1), dtype=np.int64),
+                                log_probs=np.zeros(i % (r + 1))) for i in range(rows)]
+        prompts = np.zeros((rows, self.sizes["P"]), dtype=np.int64)
+        sequences = self.reassemble(prompts, done, r, 0, self.eos)[0]
+        if _family(sequences.dtype) != "int":
+            self.add("SF704", "serving reassembly pads sequences with a float buffer; "
+                     "np.concatenate promotes the int64 token matrix to float64 "
+                     "across the serving boundary", where)
+        observed, width = flow.tensors.get("sequences"), sequences.shape[1]
+        if not self.tainted and observed is not None and observed.ndim == 2:
+            self.note("serving_width")
+            if observed.shape[1] != width:
+                self.add("SF705", f"serving reassembles to fixed width "
+                         f"{self.names.get(width, width)} but the contract says "
+                         f"sequences are {self.render(observed.shape)}", where)
 
 
 class ShapeFlowChecker:
-    """Abstract interpreter emitting SF7xx findings over algorithm graphs.
+    """Runs each algorithm's step through a plan and emits SF7xx findings.
 
     Entry points mirror the other analysis passes: :meth:`check_plan`
     (pre-build, from a placement plan), :meth:`check_system` (a constructed
@@ -458,7 +389,7 @@ class ShapeFlowChecker:
 
     Args:
         global_batch_size: Default concrete batch for divisibility checks;
-            ``None`` keeps ``B`` symbolic and *defers* divisibility.
+            ``None`` leaves ``B`` unbound and *defers* divisibility.
         mutate: One of :data:`MUTATIONS` — flips exactly one guard so the
             named rule fires (seeded mutation smoke); ``None`` = faithful.
     """
@@ -474,10 +405,8 @@ class ShapeFlowChecker:
             )
         self.global_batch_size = global_batch_size
         self.mutate = mutate
-        #: (role, method) -> {column: SymArray} of the last walk's collected
-        #: outputs — the static side :func:`cross_validate` compares against.
-        self.call_outputs: Dict[Tuple[str, str], Dict[str, SymArray]] = {}
-        self.last_results: Dict[str, AnalysisReport] = {}
+        #: The last run's collected batches, as a real run's recorder has them.
+        self.recorder = ShapeRecorder()
 
     # -- entry points -------------------------------------------------------
 
@@ -497,7 +426,7 @@ class ShapeFlowChecker:
         report: Optional[AnalysisReport] = None,
         _staleness: int = 0,
     ) -> AnalysisReport:
-        """Walk one algorithm graph over a placement plan, pre-build.
+        """Run one algorithm's step over a placement plan, pre-build.
 
         Args:
             algo: An ``AlgoType`` member or a trainer class.
@@ -506,25 +435,32 @@ class ShapeFlowChecker:
             function_rewards: Roles served by the non-NN
                 :class:`RewardFunctionWorker` (``one_to_one`` methods).
             batch_size: Concrete global batch; ``None`` (and no checker
-                default) keeps ``B`` symbolic — divisibility then *defers*
+                default) leaves ``B`` unbound — divisibility then *defers*
                 instead of failing, the serving-batch generalization DF102
                 hands over to this pass.
         """
-        from repro.rlhf.trainers import TrainerConfig
+        from repro.rlhf.trainers import TrainerConfig, trainer_class
 
         report = report if report is not None else AnalysisReport("shapeflow")
-        cfg = trainer_config or TrainerConfig()
-        env = self._make_env(
-            batch_size=batch_size,
-            prompt_length=prompt_length,
-            max_new_tokens=max_new_tokens,
-            max_seq_len=max_seq_len,
-            eos=eos_token_id is not None,
-            cfg=cfg,
-        )
         report.note_checked("graphs")
-        facts = bind_roles(plan, function_rewards, use_serving)
-        self._walk(algo, facts, env, report, staleness=_staleness)
+        if batch_size is None:
+            batch_size = self.global_batch_size
+        if self.mutate == "skew_batch" and batch_size is not None:
+            batch_size += 1
+        probe = _PlanProbe(
+            self, trainer_class(algo), trainer_config or TrainerConfig(),
+            bind_roles(plan, function_rewards, use_serving), report, batch_size,
+            prompt_length, max_new_tokens, max_seq_len, eos_token_id is not None,
+            _staleness,
+        )
+        try:
+            probe.run(batch_size if batch_size is not None else _ROWS)
+        except (KeyError, ValueError, IndexError) as exc:
+            # the trainer's own code failed on what it was handed; after a
+            # finding (or a missing contract) that is its consequence
+            if not (probe.found or probe.tainted):
+                probe.add("SF701", f"{probe.name}.step raises {exc!r}", f"{probe.name}.step")
+        self.recorder = probe.recorder
         return report
 
     def check_system(
@@ -533,11 +469,11 @@ class ShapeFlowChecker:
         batch_size: Optional[int] = None,
         prompt_length: Optional[int] = None,
     ) -> AnalysisReport:
-        """Walk a constructed :class:`RlhfSystem`'s graph.
+        """Run a constructed :class:`RlhfSystem`'s step over its bindings.
 
         Reads the real worker attributes (``max_new_tokens``,
         ``eos_token_id``, ``use_serving``, the TinyLM ``max_seq_len``) so
-        the static prediction matches what the runtime recorder will see.
+        the probe's batches match what the runtime recorder will see.
         """
         actor0 = system.groups["actor"].workers[0]
         return self.check_plan(
@@ -577,10 +513,6 @@ class ShapeFlowChecker:
             plan = SystemSpec(algo=algo).plan
         window = pipeline_config.staleness_window
         weighted = getattr(pipeline_config, "importance_weighting", True)
-        report.note_checked("pipeline_configs")
-        # window+1 buffer versions in flight, all with identical symbolic
-        # column shapes (the buffer is version-tagged, not shape-tagged)
-        report.note_checked("buffer_versions", max(window, 0) + 1)
         staleness = window if (window > 0 and weighted) else 0
         return self.check_plan(
             algo,
@@ -596,484 +528,9 @@ class ShapeFlowChecker:
     def check_shipped(self, batch: int = 8) -> AnalysisReport:
         """Run the pass over every shipped example graph, merged."""
         merged = AnalysisReport("shapeflow")
-        self.last_results = {}
-        for name, rep in shipped_graph_reports(batch=batch, checker=self):
-            self.last_results[name] = rep
-            merged.merge(rep)
+        for _name, report in shipped_graph_reports(batch=batch, checker=self):
+            merged.merge(report)
         return merged
-
-    # -- internals ----------------------------------------------------------
-
-    def _make_env(
-        self,
-        batch_size: Optional[int],
-        prompt_length: Optional[int],
-        max_new_tokens: Optional[int],
-        max_seq_len: Optional[int],
-        eos: bool,
-        cfg: Any,
-    ) -> _Env:
-        if batch_size is None:
-            batch_size = self.global_batch_size
-        if self.mutate == "skew_batch" and batch_size is not None:
-            batch_size += 1
-        return _Env(
-            B=Dim.const(batch_size) if batch_size is not None else Dim.sym("B"),
-            P=(
-                Dim.const(prompt_length)
-                if prompt_length is not None
-                else Dim.sym("P")
-            ),
-            R=(
-                Dim.const(max_new_tokens)
-                if max_new_tokens is not None
-                else Dim.sym("R")
-            ),
-            T=Dim.sym("T"),
-            cfg=cfg,
-            eos=eos,
-            max_seq_len=max_seq_len,
-            prompt_length=prompt_length,
-            max_new_tokens=max_new_tokens,
-        )
-
-    def _bind(
-        self, tokens: Sequence[str], env: _Env, bdim: Dim
-    ) -> Tuple[Dim, ...]:
-        dims: List[Dim] = []
-        for token in tokens:
-            if token.isdigit():
-                dims.append(Dim.const(int(token)))
-            elif token == "B":
-                dims.append(bdim)
-            elif token == "P":
-                dims.append(env.P)
-            elif token == "R":
-                dims.append(env.R)
-            elif token == "L":
-                dims.append(env.P + env.R)
-            elif token == "T":
-                dims.append(env.T)
-            elif token == "G":
-                dims.append(Dim.const(env.cfg.group_size))
-            else:  # unreachable: tokens validated at parse time
-                raise ContractError(f"unknown dim symbol {token!r}")
-        return tuple(dims)
-
-    def _contract_of(
-        self, facts: Dict[str, RoleBinding], role: str, method: str
-    ) -> Optional[Contract]:
-        worker_cls = getattr(facts.get(role), "worker_cls", None)
-        try:
-            return parse_contract(
-                registered_shape_contract(getattr(worker_cls, method, None))
-            )
-        except ContractError:
-            return None
-
-    def _walk(
-        self,
-        algo: Any,
-        facts: Dict[str, RoleBinding],
-        env: _Env,
-        report: AnalysisReport,
-        staleness: int = 0,
-    ) -> None:
-        """Propagate symbolic columns along the algorithm's derived DAG.
-
-        A call's input flow is the union of its deps' outputs — the prompt
-        batch for a source — plus the columns the controller has written by
-        then.  Shapes are per batch: the graph is taken at one update round
-        and the minibatch split is the one SF703 check on entering learning.
-        """
-        from repro.rlhf.graph import GENERATION, TRAINING, dataflow_of
-
-        updates = env.cfg.updates_per_epoch
-        one_round = dataclasses.replace(env.cfg, ppo_epochs=1, updates_per_epoch=1)
-        graph = dataflow_of(algo, one_round)
-        steps = list(graph.controller)
-        outputs: Dict[int, Dict[str, SymArray]] = {}
-        written: Dict[str, SymArray] = {}
-        entered = set()
-        for node in graph.nodes:
-            bdim = env.B * (node.rows // graph.rows)
-            while steps and steps[0].before <= node.seq:
-                self._controller_step(
-                    graph, steps.pop(0), outputs, written, env, report
-                )
-            first_of_stage = node.stage not in entered
-            entered.add(node.stage)
-            if first_of_stage and node.stage == TRAINING:
-                div = bdim.divisible_by(updates)
-                if div is False:
-                    report.add(
-                        "SF703",
-                        ERROR,
-                        f"learn() raises at runtime: batch {bdim.render()} "
-                        f"is not divisible by updates_per_epoch={updates}",
-                        location=f"{graph.name}.learning",
-                        hint=SF_RULES["SF703"][1],
-                    )
-                elif updates > 1:
-                    report.note_checked(
-                        "minibatch_splits" if div else "deferred_batch_splits"
-                    )
-                if staleness > 0:
-                    self._check_staleness(
-                        facts, written, bdim, env, report, staleness
-                    )
-            flow: Dict[str, SymArray] = {}
-            if not node.deps:
-                flow["prompts"] = SymArray((bdim, env.P), "int64")
-                if node.rows != graph.rows:
-                    # the trainer repeats each prompt *before* generating
-                    report.note_checked("grpo_group_repeat")
-            for dep in node.deps:
-                flow.update(outputs[dep])
-            flow.update(written)
-            outputs[node.seq] = self._call(facts, node, flow, bdim, env, report)
-            if first_of_stage and node.stage == GENERATION:
-                self._post_generate(
-                    facts, env, outputs[node.seq], bdim, report
-                )
-
-    def _call(
-        self,
-        facts_map: Dict[str, RoleBinding],
-        node: Any,
-        flow: Dict[str, SymArray],
-        bdim: Dim,
-        env: _Env,
-        report: AnalysisReport,
-    ) -> Dict[str, SymArray]:
-        """Check one call's boundary; its output columns — or, for a call
-        that cannot be interpreted, its input flow passed through."""
-        role, method = node.role, node.method
-        facts = facts_map.get(role)
-        if facts is None:
-            report.note_checked("skipped_roles")
-            return flow
-        location = f"{role}.{method}@{facts.pool}"
-        fn = getattr(facts.worker_cls, method, None)
-        raw = registered_shape_contract(fn)
-        if (
-            self.mutate == "forget_contract"
-            and role == "actor"
-            and method == "generate_sequences"
-        ):
-            raw = None
-        try:
-            contract = parse_contract(raw)
-        except ContractError as exc:
-            owner = f"{facts.worker_cls.__name__}.{method}"
-            problem = f"unsound contract on {owner}: {exc}"
-            if raw is None:
-                problem = (
-                    f"{owner} has no @shape_contract; the {role} boundary "
-                    "cannot be verified"
-                )
-            report.add(
-                "SF706", ERROR, problem, location=location, hint=SF_RULES["SF706"][1]
-            )
-            env.tainted = True
-            return flow
-        report.note_checked("contracts")
-        self._check_split(facts, fn, bdim, report, location)
-        for spec in contract.inputs:
-            arr = flow.get(spec.name)
-            if arr is None:
-                # an optional column is owed only when the trainer was seen
-                # handing it to this call (GRPO's loss reads ref_log_probs)
-                if spec.optional and spec.name not in node.consumed:
-                    continue
-                if env.tainted:
-                    report.note_checked("suppressed_by_taint")
-                    continue
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"{role}.{method} expects column {spec.name!r} but the "
-                    f"flow carries {sorted(flow)}",
-                    location=location,
-                    hint=SF_RULES["SF701"][1],
-                )
-                continue
-            report.note_checked("boundary_columns")
-            want = self._bind(spec.tokens, env, bdim)
-            if arr.dims != want:
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"{role}.{method} input {spec.name!r}: flow has "
-                    f"{_render_dims(arr.dims)}, contract wants "
-                    f"{_render_dims(want)}",
-                    location=location,
-                    hint=SF_RULES["SF701"][1],
-                )
-            want_family = _family(spec.dtype)
-            got_family = _family(arr.dtype)
-            if want_family != got_family:
-                if want_family == "int" and got_family == "float":
-                    report.add(
-                        "SF704",
-                        ERROR,
-                        f"{role}.{method} input {spec.name!r} declared "
-                        f"{spec.dtype} arrives as {arr.dtype} — float64 "
-                        "creep upstream",
-                        location=location,
-                        hint=SF_RULES["SF704"][1],
-                    )
-                else:
-                    report.add(
-                        "SF701",
-                        ERROR,
-                        f"{role}.{method} input {spec.name!r}: dtype family "
-                        f"mismatch (contract {spec.dtype}, flow {arr.dtype})",
-                        location=location,
-                        hint=SF_RULES["SF701"][1],
-                    )
-        if contract.returns == "metrics":
-            report.note_checked("metric_calls")
-            return flow
-        out: Dict[str, SymArray] = {}
-        for spec in contract.outputs:
-            if spec.optional and spec.name == "response_mask":
-                if not env.eos:
-                    continue
-                if (
-                    self.mutate == "drop_mask"
-                    and method == "generate_sequences"
-                ):
-                    continue
-            elif spec.optional:
-                continue
-            tokens = spec.tokens
-            if (
-                self.mutate == "widen_values"
-                and role == "critic"
-                and method == "compute_values"
-                and spec.name == "values"
-            ):
-                tokens = ("B", "L")
-            out[spec.name] = SymArray(
-                self._bind(tokens, env, bdim), spec.dtype
-            )
-        self.call_outputs[(role, method)] = dict(out)
-        return out
-
-    def _check_split(
-        self,
-        facts: RoleBinding,
-        fn: Any,
-        bdim: Dim,
-        report: AnalysisReport,
-        location: str,
-    ) -> None:
-        protocol_name = registered_protocol(fn)
-        if protocol_name is None:
-            return
-        requires = get_protocol(protocol_name).requires
-        degree = requires.split_degree(facts.parallel, facts.gen_config)
-        if not degree or degree <= 1:
-            return
-        div = bdim.divisible_by(degree)
-        if div is False:
-            hint = SF_RULES["SF703"][1]
-            if facts.use_serving:
-                hint = (
-                    "serving batches are variable-length: pad the submitted "
-                    "prompt batch up to a multiple of the generation DP "
-                    "degree, or lower micro_dp"
-                )
-            report.add(
-                "SF703",
-                ERROR,
-                f"batch dim {bdim.render()} is not divisible by the "
-                f"{protocol_name} split degree {degree}",
-                location=location,
-                hint=hint,
-            )
-        elif div is None:
-            # symbolic batch (e.g. variable-length serving): divisibility is
-            # deferred to runtime, not refuted — the DF102 generalization
-            report.note_checked("deferred_batch_splits")
-        else:
-            report.note_checked("batch_splits")
-
-    def _controller_step(
-        self,
-        graph: Any,
-        step: Any,
-        outputs: Dict[int, Dict[str, SymArray]],
-        written: Dict[str, SymArray],
-        env: _Env,
-        report: AnalysisReport,
-    ) -> None:
-        """The controller-side advantage step: every column it was seen to
-        read must flow in; the columns it was seen to write flow on."""
-        bdim = env.B * (step.rows // graph.rows)
-        for name, spec in step.writes:
-            column = _parse_spec(name, spec)
-            written[name] = SymArray(
-                self._bind(column.tokens, env, bdim), column.dtype
-            )
-        flowing = set(written).union(*(outputs[dep] for dep in step.deps))
-        for name in step.reads:
-            report.note_checked("advantage_inputs")
-            if name not in flowing:
-                if env.tainted:
-                    report.note_checked("suppressed_by_taint")
-                    continue
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"compute_advantages({graph.name}) consumes {name!r} "
-                    "which never flows out of the preparation stage",
-                    location=f"{graph.name}.preparation",
-                    hint=SF_RULES["SF701"][1],
-                )
-
-    def _post_generate(
-        self,
-        facts: Dict[str, RoleBinding],
-        env: _Env,
-        flow: Dict[str, SymArray],
-        bdim: Dim,
-        report: AnalysisReport,
-    ) -> None:
-        actor = facts.get("actor")
-        pool = actor.pool if actor is not None else "?"
-        if env.prompt_length is not None and env.max_new_tokens is not None:
-            limit = env.max_seq_len
-            if self.mutate == "shrink_ctx":
-                limit = env.prompt_length
-            if limit is not None:
-                report.note_checked("context_budget")
-                total = env.prompt_length + env.max_new_tokens
-                if total > limit:
-                    report.add(
-                        "SF705",
-                        ERROR,
-                        f"prompt_length {env.prompt_length} + max_new_tokens "
-                        f"{env.max_new_tokens} = {total} exceeds "
-                        f"max_seq_len {limit}; generation overruns the "
-                        "position table mid-iteration",
-                        location=f"actor.generate_sequences@{pool}",
-                        hint=SF_RULES["SF705"][1],
-                    )
-        if not env.tainted:
-            report.note_checked("mask_consistency")
-            mask = flow.get("response_mask")
-            if env.eos and mask is None:
-                report.add(
-                    "SF702",
-                    ERROR,
-                    "eos_token_id is set but no response_mask column leaves "
-                    "generate_sequences — losses and advantages would train "
-                    "on post-EOS padding",
-                    location=f"actor.generate_sequences@{pool}",
-                    hint=SF_RULES["SF702"][1],
-                )
-            elif not env.eos and mask is not None:
-                report.add(
-                    "SF702",
-                    ERROR,
-                    "response_mask flows without an eos_token_id — nothing "
-                    "defines where responses end",
-                    location=f"actor.generate_sequences@{pool}",
-                    hint=SF_RULES["SF702"][1],
-                )
-            elif mask is not None and mask.dims != (bdim, env.R):
-                report.add(
-                    "SF702",
-                    ERROR,
-                    f"response_mask has {_render_dims(mask.dims)}, want "
-                    f"({bdim.render()}, {env.R.render()}) — one entry per "
-                    "response token",
-                    location=f"actor.generate_sequences@{pool}",
-                    hint=SF_RULES["SF702"][1],
-                )
-        if actor is not None and actor.use_serving:
-            self._check_serving(actor, env, flow, bdim, report)
-
-    def _check_serving(
-        self,
-        actor: RoleBinding,
-        env: _Env,
-        flow: Dict[str, SymArray],
-        bdim: Dim,
-        report: AnalysisReport,
-    ) -> None:
-        location = f"actor._serve_generate@{actor.pool}"
-        report.note_checked("serving_reassembly")
-        # reassembly pads variable-length responses into a fixed-width int64
-        # matrix; a float pad buffer would promote the whole token matrix
-        pad_dtype = "float64" if self.mutate == "promote_pad" else "int64"
-        if _family(pad_dtype) != "int":
-            report.add(
-                "SF704",
-                ERROR,
-                "serving reassembly pads sequences with a float buffer; "
-                "np.concatenate promotes the int64 token matrix to float64 "
-                "across the serving boundary",
-                location=location,
-                hint=SF_RULES["SF704"][1],
-            )
-        else:
-            report.note_checked("serving_pad_dtype")
-        if (
-            env.prompt_length is not None
-            and env.max_new_tokens is not None
-            and not env.tainted
-        ):
-            report.note_checked("serving_width")
-            width = Dim.const(env.prompt_length + env.max_new_tokens)
-            sequences = flow.get("sequences")
-            if (
-                sequences is not None
-                and len(sequences.dims) == 2
-                and sequences.dims[1] != width
-            ):
-                report.add(
-                    "SF705",
-                    ERROR,
-                    f"serving reassembles to fixed width {width.render()} "
-                    f"but the contract says sequences are "
-                    f"{_render_dims(sequences.dims)}",
-                    location=location,
-                    hint=SF_RULES["SF705"][1],
-                )
-        # response_lengths are astype(int64) by construction; counted so a
-        # regression shows up as a checked-count drop in the report
-        report.note_checked("serving_lengths")
-
-    def _check_staleness(
-        self,
-        facts: Dict[str, RoleBinding],
-        flow: Dict[str, SymArray],
-        bdim: Dim,
-        env: _Env,
-        report: AnalysisReport,
-        staleness: int,
-    ) -> None:
-        report.note_checked("stale_batches", staleness)
-        flow["importance_weights"] = SymArray((bdim, env.R), "float64")
-        contract = self._contract_of(facts, "actor", "update_actor")
-        if contract is None:
-            return  # SF706 already reported at the update_actor call
-        declared = {spec.name for spec in contract.inputs}
-        if "importance_weights" not in declared:
-            report.add(
-                "SF701",
-                ERROR,
-                "stale batches carry a per-token importance_weights column "
-                "but update_actor's contract does not declare it",
-                location="pipeline.update_actor",
-                hint="add '?importance_weights': 'B,R' to the update "
-                "contract so the off-policy correction reaches the loss",
-            )
-        else:
-            report.note_checked("staleness_contract")
 
 
 # ---------------------------------------------------------------------------
@@ -1144,12 +601,12 @@ def seeded_mutants() -> List[Tuple[ShapeFlowChecker, str]]:
 
 
 # ---------------------------------------------------------------------------
-# runtime shape recorder + static/dynamic cross-validation
+# runtime shape recorder + cross-validation
 # ---------------------------------------------------------------------------
 
 
 class ShapeRecorder:
-    """Samples real collected batch shapes during execution.
+    """Samples collected batch shapes, in a real run or in the probe.
 
     Attach as ``controller.shape_recorder``; the worker-group dispatch
     records every collected :class:`DataBatch` (metrics dicts and futures
@@ -1163,18 +620,13 @@ class ShapeRecorder:
         self.samples: Dict[
             Tuple[str, str], List[Dict[str, Tuple[Tuple[int, ...], str]]]
         ] = {}
-        self.counts: Dict[Tuple[str, str], int] = {}
         self.skipped = 0
 
     def record(self, group_name: str, method_name: str, result: Any) -> None:
-        from repro.data.batch import DataBatch
-
         if not isinstance(result, DataBatch):
             self.skipped += 1
             return
-        key = (group_name, method_name)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        bucket = self.samples.setdefault(key, [])
+        bucket = self.samples.setdefault((group_name, method_name), [])
         if len(bucket) >= self.max_samples_per_call:
             return
         bucket.append(
@@ -1188,27 +640,12 @@ class ShapeRecorder:
 def predict_system_outputs(
     system: Any, batch_size: int, prompt_length: int
 ) -> Dict[Tuple[str, str], Dict[str, Tuple[Tuple[int, ...], str]]]:
-    """Static per-call output shapes for a constructed system, fully concrete.
-
-    The keys match :class:`ShapeRecorder` keys (group name == role name),
-    so :func:`cross_validate` can line the two sides up directly.
-    """
+    """Per-call output shapes for a constructed system: the first batch the
+    probe's own :class:`ShapeRecorder` sampled at each call, run over the
+    system's bindings.  Keys match a runtime recorder's (group == role)."""
     checker = ShapeFlowChecker()
-    checker.check_system(
-        system, batch_size=batch_size, prompt_length=prompt_length
-    )
-    predictions: Dict[
-        Tuple[str, str], Dict[str, Tuple[Tuple[int, ...], str]]
-    ] = {}
-    for key, columns in checker.call_outputs.items():
-        concrete: Dict[str, Tuple[Tuple[int, ...], str]] = {}
-        for name, arr in columns.items():
-            shape = tuple(d.const_value() for d in arr.dims)
-            if any(v is None for v in shape):
-                continue  # under-bound dim: nothing concrete to compare
-            concrete[name] = (shape, arr.dtype)
-        predictions[key] = concrete
-    return predictions
+    checker.check_system(system, batch_size=batch_size, prompt_length=prompt_length)
+    return {key: samples[0] for key, samples in checker.recorder.samples.items()}
 
 
 def cross_validate(
@@ -1216,7 +653,7 @@ def cross_validate(
     predictions: Dict[Tuple[str, str], Dict[str, Tuple[Tuple[int, ...], str]]],
     report: Optional[AnalysisReport] = None,
 ) -> AnalysisReport:
-    """Compare recorded runtime shapes against the static inference.
+    """Compare recorded runtime shapes against the probe's.
 
     Only call sites present on *both* sides are compared: calls the
     recorder never saw (e.g. a reward group living under a different
@@ -1229,51 +666,18 @@ def cross_validate(
         if predicted is None:
             report.note_checked("unpredicted_calls")
             continue
-        group, method = key
-        location = f"{group}.{method}[recorded]"
+        location = "{}.{}[recorded]".format(*key)
         for sample in samples:
             report.note_checked("recorded_samples")
-            if set(sample) != set(predicted):
-                report.add(
-                    "SF701",
-                    ERROR,
-                    f"recorded columns {sorted(sample)} differ from the "
-                    f"static prediction {sorted(predicted)}",
-                    location=location,
-                    hint=SF_RULES["SF701"][1],
-                )
-                continue
-            for name, (shape, dtype) in sorted(predicted.items()):
-                got_shape, got_dtype = sample[name]
-                if got_shape != shape:
-                    report.add(
-                        "SF701",
-                        ERROR,
-                        f"column {name!r}: recorded shape {got_shape}, "
-                        f"predicted {shape}",
-                        location=location,
-                        hint=SF_RULES["SF701"][1],
-                    )
-                elif _family(got_dtype) != _family(dtype):
-                    if _family(dtype) == "int" and _family(got_dtype) == "float":
-                        report.add(
-                            "SF704",
-                            ERROR,
-                            f"column {name!r}: predicted {dtype} but "
-                            f"recorded {got_dtype} — float64 creep on the "
-                            "hot path",
-                            location=location,
-                            hint=SF_RULES["SF704"][1],
-                        )
-                    else:
-                        report.add(
-                            "SF701",
-                            ERROR,
-                            f"column {name!r}: recorded dtype {got_dtype}, "
-                            f"predicted {dtype}",
-                            location=location,
-                            hint=SF_RULES["SF701"][1],
-                        )
+            problems = [] if set(sample) == set(predicted) else [(
+                "SF701",
+                f"recorded columns {sorted(sample)} differ from the "
+                f"static prediction {sorted(predicted)}",
+            )]
+            for name, want in sorted(predicted.items()) if not problems else ():
+                problems += _mismatches(f"column {name!r}", sample[name], want, _RECORDED)[:1]
+            for rule, message in problems:
+                report.add(rule, ERROR, message, location, SF_RULES[rule][1])
     for key in sorted(predictions):
         if key not in recorder.samples:
             report.note_checked("unsampled_predictions")
@@ -1284,13 +688,8 @@ __all__ = [
     "SF_RULES",
     "MUTATIONS",
     "ContractError",
-    "Dim",
-    "SymArray",
-    "ColumnSpec",
-    "Contract",
     "parse_contract",
-    "ProbeGroup",
-    "predict_protocol_shapes",
+    "divisible_for_every_b",
     "ShapeFlowChecker",
     "shipped_graph_reports",
     "seeded_mutants",

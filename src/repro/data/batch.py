@@ -26,6 +26,15 @@ def merge_lineage(*metas: Mapping[str, Any]) -> tuple:
     return tuple(sorted(seqs))
 
 
+class IndivisibleBatchError(ValueError):
+    """:meth:`DataBatch.chunk` refused: ``size`` rows do not split into
+    ``n_chunks`` equal parts (the SF703 witness)."""
+
+    def __init__(self, size: int, n_chunks: int) -> None:
+        super().__init__(f"batch size {size} not divisible into {n_chunks} chunks")
+        self.size, self.n_chunks = size, n_chunks
+
+
 class DataBatch:
     """Named arrays sharing a leading batch dimension, plus free-form meta."""
 
@@ -110,9 +119,7 @@ class DataBatch:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         size = self.batch_size
         if size % n_chunks:
-            raise ValueError(
-                f"batch size {size} not divisible into {n_chunks} chunks"
-            )
+            raise IndivisibleBatchError(size, n_chunks)
         per = size // n_chunks
         return [self.slice(i * per, (i + 1) * per) for i in range(n_chunks)]
 

@@ -366,7 +366,7 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 
 def bench_shape_check() -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """The SF7xx symbolic shape pass over every shipped algorithm graph.
+    """The SF7xx shape-flow pass (one probe run) over every shipped graph.
 
     Zero findings on the shipped graphs is pinned as an exact metric — the
     clean-run guarantee the seeded-mutant tests depend on — beside how many

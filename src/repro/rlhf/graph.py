@@ -1,30 +1,37 @@
 """An algorithm's dataflow graph, derived by running its trainer (§4, Figure 6).
 
-:func:`dataflow_of` runs a trainer's own ``step`` against stand-in worker
-groups whose ``@register``-ed methods return zero-filled batches shaped by
-their ``@shape_contract``, lineage stamped as ``RemoteMethod._execute`` stamps
-it.  No model is built; what comes back is the DAG the controller would record
-plus what the run *showed*: each call's Figure-1 stage and columns, and what
-the controller-side advantage step read and wrote.  The builder, the
-iteration-time model and the DF/SF checkers read this one object, so an
-algorithm is written once — in its trainer.
+A :class:`Probe` runs a trainer's own ``step`` against stand-in worker groups
+whose ``@register``-ed methods return zero-filled batches shaped by their
+``@shape_contract``, lineage stamped as ``RemoteMethod._execute`` stamps it.
+No model is built.  :func:`dataflow_of` is its placement-free case: the DAG
+the controller would record plus what the run *showed* — each call's
+Figure-1 stage and columns, what the controller-side advantage step read and
+wrote.  The builder, the iteration-time model and the DF checker read this
+one object, so an algorithm is written once — in its trainer.  Given a
+plan's geometry per role, every call runs through its method's real
+``distribute``/``collect`` instead, each rank answering for its own chunk:
+that run is the SF7xx pass (:mod:`repro.analysis.shapeflow`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.batch import LINEAGE_KEY, DataBatch
+from repro.parallel.topology import GenTopology, ParallelTopology
 from repro.rlhf.trainers import TrainerConfig, trainer_class
 from repro.single_controller.decorator import (
+    Contract,
+    parse_contract,
     registered_protocol,
     registered_shape_contract,
 )
 from repro.single_controller.future import DataFuture
+from repro.single_controller.protocols import get_protocol
 from repro.single_controller.worker_group import RemoteMethod
 
 GENERATION, PREPARATION, TRAINING = "generation", "preparation", "training"
@@ -33,6 +40,7 @@ GENERATION, PREPARATION, TRAINING = "generation", "preparation", "training"
 #: the controller builds names its symbols back (``B`` is always axis 0).
 _SIZES = {"P": 3, "R": 5, "L": 8, "T": 7}
 _ROWS = 8
+_NAMES = {size: symbol for symbol, size in _SIZES.items()}
 
 
 class UncontractedCallError(TypeError):
@@ -98,20 +106,134 @@ class _ReadSpy(DataBatch):
         return super().__getitem__(name)
 
 
-class _ProbeGroup:
-    """Stand-in for one role's ``WorkerGroup``: any attribute is a method."""
+class StandInGroup:
+    """Stand-in for one role's ``WorkerGroup``: any method name dispatches
+    through the probe, as a ``WorkerGroup`` resolves remote methods.  A
+    plan's ``parallel``/``gen_config`` give it the geometry its transfer
+    protocols read — world size, ``ParallelTopology``, ``GenTopology``;
+    without ``parallel`` it is placement-free and answers each call once."""
 
-    def __init__(self, role: str, call: Any) -> None:
-        self._role, self._call = role, call
+    def __init__(self, probe, name, worker_cls, parallel=None, gen_config=None) -> None:
+        self.probe, self.name, self.worker_cls = probe, name, worker_cls
+        self.world_size = parallel.world_size if parallel is not None else 1
+        self.train_topology = ParallelTopology(parallel) if parallel is not None else None
+        self.gen_topology = (
+            GenTopology(self.train_topology, gen_config) if gen_config is not None else None
+        )
+
+    def coords(self, index: int):
+        return self.train_topology.coords(index)
+
+    def global_rank_of(self, index: int) -> int:
+        return index
 
     def __getattr__(self, method: str) -> Any:
-        return functools.partial(self._call, self._role, method)
+        if method.startswith("_"):
+            raise AttributeError(method)
+        return functools.partial(self.probe.dispatch, self.name, method)
 
 
-def _zeros(spec: str, sizes: Dict[str, int]) -> np.ndarray:
-    dims, _, dtype = spec.partition(":")
-    shape = [int(t) if t.isdigit() else sizes[t] for t in dims.split(",")]
-    return np.zeros(shape, dtype=dtype or "float64")
+class Probe:
+    """One ``step`` of a trainer against stand-in groups, recording every
+    call.  ``placement``: role → ``(worker_cls, parallel, gen_config)`` of
+    its :class:`StandInGroup` (other roles are placement-free); ``sizes``
+    binds every contract symbol but ``B`` (the rows a call is handed) and
+    ``G``.  Subclasses check the run in :meth:`contract`, :meth:`execute`
+    and :meth:`advantages`."""
+
+    def __init__(self, trainer_cls, config, sizes, placement=None) -> None:
+        from repro.workers import WORKER_CLASSES  # they import repro.rlhf.losses
+
+        self.trainer_cls, self.config = trainer_cls, config
+        self.sizes = dict(sizes, G=config.group_size)
+        self.groups = {
+            role: StandInGroup(self, role, *(placement or {}).get(role, (cls,)))
+            for role, cls in WORKER_CLASSES.items()
+        }
+        self.nodes: List[DataflowNode] = []
+        self.steps: List[ControllerStep] = []
+
+    def run(self, rows: int, **trainer_kwargs: Any) -> None:
+        """One ``step`` on ``rows`` prompts; ``trainer_kwargs`` are the
+        trainer's own constructor arguments (Safe-RLHF's pretrain set)."""
+        trainer = self.trainer_cls(**self.groups, config=self.config, **trainer_kwargs)
+        real = trainer._advantages
+        trainer._advantages = lambda batch: self.advantages(real, batch)
+        prompts = np.zeros((rows, self.sizes["P"]), dtype=np.int64)
+        trainer.step(DataBatch({"prompts": prompts}))
+
+    def contract(self, role: str, method: str) -> Optional[Contract]:
+        """The call's contract (``None``: the call passes its batch on)."""
+        worker_cls = self.groups[role].worker_cls
+        fn = getattr(worker_cls, method, None)
+        raw = registered_shape_contract(fn) if registered_protocol(fn) else None
+        if raw is None:
+            raise UncontractedCallError(
+                f"{self.trainer_cls.__name__}.step dispatches {role}.{method}, "
+                f"which {worker_cls.__name__} does not @register with a "
+                "@shape_contract"
+            )
+        return parse_contract(raw)
+
+    def dispatch(self, role: str, method: str, batch: DataBatch, **kwargs: Any) -> DataFuture:
+        contract = self.contract(role, method)
+        deps, _nbytes = RemoteMethod._inputs((batch,), kwargs)
+        seq = len(self.nodes)
+        metrics = contract is not None and contract.returns == "metrics"
+        # Figure 1: a call returning metrics is an optimizer/loss step; of
+        # the rest, the sources (fed by the prompt batch alone) generate
+        stage = TRAINING if metrics else PREPARATION if deps else GENERATION
+        made = tuple(s.name for s in contract.outputs if not s.optional) if contract else ()
+        node = DataflowNode(
+            seq, role, method, deps, stage, len(batch), tuple(batch.keys()), made
+        )
+        self.nodes.append(node)
+        if contract is None:
+            result = DataBatch(batch.tensors, meta=batch.meta)
+        else:
+            result = self.execute(node, contract, batch, kwargs)
+        if isinstance(result, DataBatch):
+            result.meta[LINEAGE_KEY] = (seq,)
+        return DataFuture(result, producer=role, method=method, record_seq=seq)
+
+    def execute(self, node: DataflowNode, contract: Contract, batch: DataBatch, kwargs: dict):
+        """The call's collected result: each rank of the role's stand-in
+        answers its own chunk under the method's real protocol."""
+        group = self.groups[node.role]
+        name = registered_protocol(getattr(group.worker_cls, node.method))
+        if group.train_topology is None or name is None:
+            return self.answer(contract, batch)
+        protocol = get_protocol(name)
+        calls = protocol.distribute(group, (batch,), kwargs)
+        return protocol.collect(group, [self.answer(contract, a[0]) for a, _ in calls])
+
+    def answer(self, contract: Contract, batch: DataBatch) -> Any:
+        """One rank's reply to ``batch``: zeros shaped by the contract."""
+        if contract.returns == "metrics":
+            return {}
+        sizes = dict(self.sizes, B=len(batch))
+        made = {
+            spec.name: np.zeros(spec.shape(sizes), dtype=spec.dtype)
+            for spec in contract.outputs
+            if not spec.optional
+        }
+        return DataBatch(made, meta={"prompt_length": self.sizes["P"]})
+
+    def advantages(self, real: Any, batch: DataBatch) -> DataBatch:
+        """The trainer's own advantage step, observed: what it read and wrote."""
+        spy = _ReadSpy(batch)
+        out = real(spy)
+        deps = tuple(batch.meta.get(LINEAGE_KEY, ()))
+        made = {column for seq in deps for column in self.nodes[seq].produced}
+        writes = tuple(
+            (name, ",".join(["B", *(str(_NAMES.get(n, n)) for n in a.shape[1:])])
+             + f":{a.dtype}")
+            for name, a in out.tensors.items()
+            if name not in made
+        )
+        reads = tuple(spy.reads)
+        self.steps.append(ControllerStep(len(self.nodes), deps, len(batch), reads, writes))
+        return out
 
 
 def dataflow_of(algo: Any, config: Any = None, **trainer_kwargs: Any) -> DataflowGraph:
@@ -131,66 +253,10 @@ def dataflow_of(algo: Any, config: Any = None, **trainer_kwargs: Any) -> Dataflo
 
 @functools.lru_cache(maxsize=256)
 def _derive(trainer_cls, config_cls, fields, trainer_kwargs) -> DataflowGraph:
-    from repro.workers import WORKER_CLASSES  # they import repro.rlhf.losses
-
-    config = config_cls(**dict(fields))
-    sizes = dict(_SIZES, G=config.group_size)
-    symbols = {size: symbol for symbol, size in _SIZES.items()}
-    nodes: List[DataflowNode] = []
-    steps: List[ControllerStep] = []
-
-    def call(role: str, method: str, batch: DataBatch, **kwargs: Any) -> DataFuture:
-        fn = getattr(WORKER_CLASSES[role], method, None)
-        contract = registered_shape_contract(fn) if registered_protocol(fn) else None
-        if contract is None:
-            raise UncontractedCallError(
-                f"{trainer_cls.__name__}.step dispatches {role}.{method}, which "
-                f"{WORKER_CLASSES[role].__name__} does not @register with a "
-                "@shape_contract"
-            )
-        made = {
-            name: _zeros(spec, dict(sizes, B=len(batch)))
-            for name, spec in contract["outputs"].items()
-            if not name.startswith("?")
-        }
-        deps, _nbytes = RemoteMethod._inputs((batch,), kwargs)
-        seq = len(nodes)
-        metrics = contract["returns"] == "metrics"
-        # Figure 1: a call returning metrics is an optimizer/loss step; of
-        # the rest, the sources (fed by the prompt batch alone) generate
-        stage = TRAINING if metrics else PREPARATION if deps else GENERATION
-        handed = tuple(batch.keys())
-        nodes.append(
-            DataflowNode(
-                seq, role, method, deps, stage, len(batch), handed, tuple(made)
-            )
-        )
-        meta = {"prompt_length": sizes["P"], LINEAGE_KEY: (seq,)}
-        result = {} if metrics else DataBatch(made, meta=meta)
-        return DataFuture(result, producer=role, method=method, record_seq=seq)
-
-    groups = {role: _ProbeGroup(role, call) for role in WORKER_CLASSES}
-    trainer = trainer_cls(**groups, config=config, **dict(trainer_kwargs))
-    advantages = trainer._advantages
-
-    def observed(batch: DataBatch) -> DataBatch:
-        spy = _ReadSpy(batch)
-        out = advantages(spy)
-        deps = tuple(batch.meta.get(LINEAGE_KEY, ()))
-        made = {column for seq in deps for column in nodes[seq].produced}
-        writes = tuple(
-            (name, ",".join(["B", *(str(symbols.get(n, n)) for n in a.shape[1:])])
-             + f":{a.dtype}")
-            for name, a in out.tensors.items()
-            if name not in made
-        )
-        reads = tuple(spy.reads)
-        steps.append(ControllerStep(len(nodes), deps, len(batch), reads, writes))
-        return out
-
-    trainer._advantages = observed
-    prompts = np.zeros((_ROWS, sizes["P"]), dtype=np.int64)
-    trainer.step(DataBatch({"prompts": prompts}))
-    called = [node.role for node in nodes]
-    roles = tuple(role for role in WORKER_CLASSES if role in called)
-    return DataflowGraph(trainer.algo.value, roles, tuple(nodes), tuple(steps))
+    probe = Probe(trainer_cls, config_cls(**dict(fields)), _SIZES)
+    probe.run(_ROWS, **dict(trainer_kwargs))
+    called = [node.role for node in probe.nodes]
+    roles = tuple(role for role in probe.groups if role in called)
+    return DataflowGraph(
+        trainer_cls.algo.value, roles, tuple(probe.nodes), tuple(probe.steps)
+    )

@@ -67,8 +67,6 @@ class ProtocolRequires:
     #: Which parallel degree batch arguments are chunked into: ``"dp"``,
     #: ``"gen_dp"`` (training DP x micro-DP), or ``"pp_dp"``.
     splits_batch_by: Optional[str] = None
-    #: Caller supplies one input per rank instead of a batch (``all_to_all``).
-    per_rank_args: bool = False
     #: The collect function visits contributing ranks in a deterministic
     #: order.  All shipped protocols do (they walk ranks in group order); a
     #: custom protocol collecting in e.g. completion order must set this
@@ -477,10 +475,5 @@ register_protocol(
     )
 )
 register_protocol(
-    TransferProtocol(
-        "all_to_all",
-        _all_to_all_distribute,
-        _one_to_all_collect,
-        requires=ProtocolRequires(per_rank_args=True),
-    )
+    TransferProtocol("all_to_all", _all_to_all_distribute, _one_to_all_collect)
 )

@@ -29,6 +29,25 @@ from repro.models.tinylm import TinyLMConfig
 from repro.workers.base import ThreeDParallelWorker, real_lengths
 
 
+def reassemble_responses(prompts, completed, max_new_tokens, pad_token_id, masked):
+    """Served completions (``request_id`` = prompt row, ``response``,
+    ``log_probs``) → the sampler's fixed-width ``(sequences, log_probs,
+    mask)``: ``max_new_tokens`` slots per row padded with ``pad_token_id``
+    (0 when None) in the prompts' dtype; ``mask`` is None unless ``masked``.
+    The SF pass runs this same function on stand-in completions."""
+    batch, prompt_len = prompts.shape
+    pad = np.full((batch, max_new_tokens), pad_token_id or 0, dtype=prompts.dtype)
+    sequences = np.concatenate([prompts, pad], axis=1)
+    log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
+    mask = np.zeros((batch, max_new_tokens), dtype=np.float64)
+    for done in completed:
+        i, n = done.request_id, len(done.response)
+        sequences[i, prompt_len : prompt_len + n] = done.response
+        log_probs[i, :n] = done.log_probs
+        mask[i, :n] = 1.0
+    return sequences, log_probs, mask if masked else None
+
+
 class ActorWorker(ThreeDParallelWorker):
     """The policy model undergoing RLHF."""
 
@@ -193,35 +212,20 @@ class ActorWorker(ThreeDParallelWorker):
         for row in prompts:
             server.submit(row, max_new_tokens=max_new_tokens)
         report = server.drain()
-
-        batch, prompt_len = prompts.shape
         pad = (
             self.eos_token_id
             if config.pad_token_id is None
             else config.pad_token_id
         )
-        sequences = np.concatenate(
-            [
-                prompts,
-                np.full(
-                    (batch, max_new_tokens), pad or 0, dtype=prompts.dtype
-                ),
-            ],
-            axis=1,
+        sequences, log_probs, mask = reassemble_responses(
+            prompts, report.completed, max_new_tokens, pad, self.eos_token_id is not None
         )
-        log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
-        mask = np.zeros((batch, max_new_tokens), dtype=np.float64)
-        for done in report.completed:
-            i, n = done.request_id, done.response_length
-            sequences[i, prompt_len : prompt_len + n] = done.response
-            log_probs[i, :n] = done.log_probs
-            mask[i, :n] = 1.0
         return GenerationOutput(
             sequences=sequences,
             response_log_probs=log_probs,
-            prompt_length=prompt_len,
+            prompt_length=prompts.shape[1],
             kv_cache_bytes=report.peak_kv_bytes,
-            response_mask=mask if self.eos_token_id is not None else None,
+            response_mask=mask,
         )
 
     def _gather_generation_results(self) -> None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data.batch import DataBatch
@@ -12,7 +14,11 @@ from repro.single_controller import (
     WorkerGroup,
     register,
 )
-from repro.single_controller.protocols import get_protocol, merge_outputs
+from repro.single_controller.protocols import (
+    TRANSFER_PROTOCOLS,
+    get_protocol,
+    merge_outputs,
+)
 
 
 class EchoWorker(Worker):
@@ -68,6 +74,57 @@ def make_group(parallel, cluster_gpus=8, gen_config=None):
 
 def batch_of(n):
     return DataBatch({"rows": np.arange(n)})
+
+
+#: The shipped protocols that split a batch argument across ranks.
+SPLITTING = ("3d_proto", "3d_all_micro_dp", "pp_as_dp", "dp_proto")
+
+
+class TestCollectRestoresTheBatch:
+    """Every shipped splitting protocol's collect of what its distribute
+    handed out is the batch itself, rows in order — on any topology, for any
+    multiple of the split degree.  Nothing assumes it: the SF pass runs the
+    protocols and would report a collect that did not restore the batch."""
+
+    def test_the_splitting_protocols_are_the_shipped_ones(self):
+        shipped = {
+            name for name, proto in TRANSFER_PROTOCOLS.items()
+            if proto.requires.splits_batch_by is not None
+        }
+        assert set(SPLITTING) <= shipped
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(SPLITTING),
+        pp=st.sampled_from([1, 2]),
+        tp=st.sampled_from([1, 2, 4]),
+        dp=st.sampled_from([1, 2, 3]),
+        gen_pp=st.sampled_from([1, 2]),
+        gen_tp=st.sampled_from([1, 2, 4]),
+        multiple=st.integers(1, 4),
+    )
+    def test_collect_of_distribute_is_the_identity(
+        self, name, pp, tp, dp, gen_pp, gen_tp, multiple
+    ):
+        protocol = get_protocol(name)
+        if protocol.requires.pure_dp:
+            pp = tp = 1
+        par = ParallelConfig(pp=pp, tp=tp, dp=dp)
+        gen = GenParallelConfig.derive(par, min(gen_pp, pp), min(gen_tp, tp))
+        _, group = make_group(par, cluster_gpus=24, gen_config=gen)
+        rows = protocol.requires.split_degree(par, gen) * multiple
+        batch = DataBatch(
+            {
+                "rows": np.arange(rows, dtype=np.int64),
+                "x": np.arange(rows * 2, dtype=np.float64).reshape(rows, 2),
+            }
+        )
+        calls = protocol.distribute(group, (batch,), {})
+        collected = protocol.collect(group, [args[0] for args, _ in calls])
+        assert isinstance(collected, DataBatch)
+        for column in ("rows", "x"):
+            np.testing.assert_array_equal(collected[column], batch[column])
+        assert collected["rows"].dtype == np.int64
 
 
 class TestOneToAll:

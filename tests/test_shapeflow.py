@@ -1,6 +1,12 @@
-"""SF7xx symbolic shape/dtype flow: clean shipped graphs, one-mutant-per-rule
-witnesses, protocol transfer functions vs real dispatches, and the runtime
-shape recorder cross-validated against the static inference."""
+"""SF7xx shape/dtype flow, checked by running each trainer's step through a
+plan's real transfer protocols: clean shipped graphs, one-mutant-per-rule
+witnesses, findings pinned against a golden, the minibatch split, a custom
+protocol, the serving reassembly, and the runtime shape recorder
+cross-validated against the probe's."""
+
+import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,28 +16,40 @@ from repro.analysis import (
     SF_RULES,
     ContractError,
     DataflowChecker,
-    Dim,
-    ProbeGroup,
     ShapeFlowChecker,
     ShapeRecorder,
     parse_contract,
-    predict_protocol_shapes,
     predict_system_outputs,
     shape_cross_validate,
     shape_seeded_mutants,
     shipped_graph_reports,
 )
-from repro.config import GenParallelConfig, ParallelConfig
-from repro.data.batch import DataBatch
-from repro.data.dataset import PromptDataset
+from repro.analysis import shapeflow
+from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.data.batch import DataBatch, IndivisibleBatchError
+from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.rlhf.graph import StandInGroup
+from repro.rlhf.trainers import TrainerConfig
+from repro.runtime import ModelAssignment, PlacementPlan, SystemSpec, build_rlhf_system
+from repro.single_controller import SingleController, Worker, WorkerGroup
 from repro.single_controller.decorator import (
+    register,
     registered_shape_contract,
     shape_contract,
 )
-from repro.single_controller.protocols import TRANSFER_PROTOCOLS, get_protocol
+from repro.single_controller.protocols import (
+    TRANSFER_PROTOCOLS,
+    ProtocolRequires,
+    TransferProtocol,
+    get_protocol,
+    register_protocol,
+)
+from repro.workers import WORKER_CLASSES, ActorWorker
+from repro.workers.actor import reassemble_responses
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "shapeflow_findings.json"
 
 LM_CFG = TinyLMConfig(
     n_layers=2,
@@ -71,45 +89,6 @@ def build_tiny_system(**kwargs):
     return build_rlhf_system(
         AlgoType.PPO, plan, LM_CFG, max_new_tokens=8, lr=5e-3, **kwargs
     )
-
-
-# ---------------------------------------------------------------------------
-# Dim algebra
-# ---------------------------------------------------------------------------
-
-
-class TestDim:
-    def test_constants_fold(self):
-        assert (Dim.const(2) + Dim.const(3)).const_value() == 5
-        assert (Dim.const(2) * 3).const_value() == 6
-        assert Dim.const(0).render() == "0"
-
-    def test_symbolic_algebra(self):
-        B = Dim.sym("B")
-        assert (B + 2).render() == "2+B"
-        assert (B * 4).over(2) == B * 2
-        assert (B * Dim.sym("G")).render() == "B*G"
-
-    def test_subst_and_const_value(self):
-        B = Dim.sym("B")
-        assert (B * 4 + 1).subst({"B": 3}) == 13
-        assert (B * 4).subst({}) is None
-        assert B.const_value() is None
-        # a half-row chunk is not an integer under odd B
-        assert Dim.const(7).over(2).const_value() is None
-
-    def test_divisibility_is_tristate(self):
-        B = Dim.sym("B")
-        assert Dim.const(8).divisible_by(2) is True
-        assert Dim.const(7).divisible_by(2) is False
-        assert B.divisible_by(2) is None  # deferred, not refuted
-        assert (B * 4).divisible_by(2) is True
-
-    def test_immutable_and_hashable(self):
-        B = Dim.sym("B")
-        with pytest.raises(AttributeError):
-            B.terms = ()
-        assert hash(B + 1) == hash(Dim.const(1) + B)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +151,7 @@ class TestContracts:
 
 
 # ---------------------------------------------------------------------------
-# protocol transfer functions vs real split/collect
+# the probe's stand-in groups vs real worker groups
 # ---------------------------------------------------------------------------
 
 # one topology per protocol satisfying its ProtocolRequires
@@ -188,14 +167,20 @@ PROTOCOL_TOPOLOGIES = {
 }
 
 
-def _probe(name):
+class _Idle(Worker):
+    """A worker with nothing to run: only its group's geometry matters."""
+
+
+def _groups(name):
+    """The probe's stand-in and a real WorkerGroup over one topology."""
     par, gen_spec = PROTOCOL_TOPOLOGIES[name]
-    gen = (
-        GenParallelConfig.derive(par, *gen_spec)
-        if gen_spec is not None
-        else None
+    gen = GenParallelConfig.derive(par, *gen_spec) if gen_spec else None
+    controller = SingleController(ClusterSpec(n_machines=1))
+    real = WorkerGroup(
+        _Idle, controller.create_pool(par.world_size), parallel_config=par,
+        gen_config=gen, controller=controller, name="real",
     )
-    return par, gen, ProbeGroup(par, gen)
+    return par, gen, StandInGroup(None, "probe", _Idle, par, gen), real
 
 
 def _payload(batch):
@@ -208,7 +193,21 @@ def _payload(batch):
     )
 
 
+def _same(a, b):
+    if isinstance(a, DataBatch):
+        return isinstance(b, DataBatch) and all(
+            np.array_equal(a[k], b[k]) for k in a.keys()
+        ) and set(a.keys()) == set(b.keys())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
 class TestProtocolTransferFunctions:
+    """The SF pass dispatches through :class:`StandInGroup`: a protocol must
+    hand its ranks, and collect from them, exactly what it would over the
+    real group of the same geometry."""
+
     def test_every_shipped_protocol_has_a_topology(self):
         # other test modules may register scratch protocols; only require
         # that every shipped protocol is covered here
@@ -217,48 +216,30 @@ class TestProtocolTransferFunctions:
 
     @pytest.mark.parametrize("name", sorted(PROTOCOL_TOPOLOGIES))
     def test_prediction_matches_real_dispatch(self, name):
-        par, gen, group = _probe(name)
+        par, gen, stand_in, real = _groups(name)
         proto = get_protocol(name)
         rng = np.random.default_rng(11)
         for _ in range(4):
             degree = proto.requires.split_degree(par, gen) or 1
             batch = degree * int(rng.integers(1, 5))
-            pred = predict_protocol_shapes(
-                name, par, gen_config=gen, batch_size=batch
-            )
             if name == "all_to_all":
-                arg = [_payload(batch) for _ in range(group.world_size)]
+                arg = [_payload(batch) for _ in range(real.world_size)]
             else:
                 arg = _payload(batch)
-            calls = proto.distribute(group, (arg,), {})
-            outputs = [args[0] for args, _kwargs in calls]
-            collected = proto.collect(group, outputs)
-
-            if pred["per_rank_rows"] is not None:
-                assert all(
-                    o.batch_size == pred["per_rank_rows"] for o in outputs
-                )
-            if pred["collect"] == "merge":
-                assert isinstance(collected, DataBatch)
-                assert collected.batch_size == pred["collected_rows"]
-                # the central invariant: collect restores the full batch,
-                # in order — symbolic shapes are protocol-invariant
-                np.testing.assert_array_equal(
-                    collected["x"], _payload(batch)["x"]
-                )
-                assert collected["t"].dtype == np.int64
-            elif pred["collect"] == "list":
-                assert isinstance(collected, list)
-                assert len(collected) == pred["n_collected"]
-            else:  # single
-                assert isinstance(collected, DataBatch)
-                assert collected.batch_size == pred["collected_rows"]
+            seen = [proto.distribute(g, (arg,), {}) for g in (stand_in, real)]
+            assert _same([c[0] for c in seen[0]], [c[0] for c in seen[1]])
+            outputs = [args[0] for args, _kwargs in seen[0]]
+            assert _same(
+                proto.collect(stand_in, outputs), proto.collect(real, outputs)
+            )
 
     def test_indivisible_batch_is_predicted_none(self):
-        par, gen, _group = _probe("dp_proto")
-        pred = predict_protocol_shapes("dp_proto", par, batch_size=7)
-        assert pred["degree"] == 4
-        assert pred["per_rank_rows"] is None
+        # no per-rank rows exist: the real protocol refuses the split, and
+        # that refusal is what SF703 reports
+        _par, _gen, stand_in, _real = _groups("dp_proto")
+        with pytest.raises(IndivisibleBatchError) as refused:
+            get_protocol("dp_proto").distribute(stand_in, (_payload(7),), {})
+        assert (refused.value.size, refused.value.n_chunks) == (7, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +402,198 @@ class TestRuntimeCrossValidation:
         }
         report = shape_cross_validate(recorder, predictions)
         assert {f.rule for f in report.findings} == {"SF704"}
+
+
+# ---------------------------------------------------------------------------
+# findings pinned against the golden
+# ---------------------------------------------------------------------------
+
+
+def _rows(report):
+    return [[f.rule, f.severity, f.location, f.message, f.hint] for f in report.findings]
+
+
+def grid_cases():
+    """The PR 21 grid: algorithm x both shipped placements x batch x eos x
+    serving x updates_per_epoch x recompute_log_probs."""
+    for algo, split, batch, eos, serving, updates, recompute in itertools.product(
+        AlgoType, (False, True), (None, 7, 8), (False, True), (False, True),
+        (1, 2, 3), (False, True),
+    ):
+        key = (
+            f"{algo.value}|{'split' if split else 'colocated'}|b={batch}|eos={eos}"
+            f"|serving={serving}|u={updates}|rec={recompute}"
+        )
+        spec = SystemSpec(algo=algo, disaggregated=split)
+        kwargs = dict(
+            batch_size=batch,
+            prompt_length=spec.prompt_length,
+            max_new_tokens=spec.max_new_tokens,
+            max_seq_len=spec.model_config.max_seq_len,
+            eos_token_id=3 if eos else None,
+            use_serving=serving,
+            trainer_config=TrainerConfig(
+                updates_per_epoch=updates, recompute_log_probs=recompute
+            ),
+        )
+        yield key, algo, spec, kwargs
+
+
+class TestFindingsMatchTheGolden:
+    """(rule, severity, location, message, hint), byte for byte, on the
+    shipped graphs under every mutant and on the grid's broken plans."""
+
+    golden = json.loads(GOLDEN.read_text())
+
+    def test_shipped_graphs_under_every_mutant(self):
+        for mutate in [None, *sorted(SF_MUTATIONS)]:
+            got = {name: _rows(r) for name, r in shipped_graph_reports(mutate=mutate)}
+            assert got == self.golden["shipped"][mutate or "faithful"], mutate
+
+    def test_grid(self):
+        checker = ShapeFlowChecker()
+        seen = set()
+        for key, algo, spec, kwargs in grid_cases():
+            report = checker.check_plan(algo, spec.plan, spec.function_rewards, **kwargs)
+            assert _rows(report) == self.golden["grid"].get(key, []), key
+            seen.add(key)
+        assert len(seen) == 576 and set(self.golden["grid"]) <= seen
+
+
+    @pytest.mark.parametrize(
+        "prompt_length, max_new_tokens, flow, want",
+        [(None, 6, "(B, 6+P)", "(B, 6)"), (4, None, "(B, 4+R)", "(B, R)"),
+         (None, None, "(B, P+R)", "(B, R)")],
+    )
+    def test_unbound_sizes_are_named_back(self, prompt_length, max_new_tokens, flow, want):
+        spec = SystemSpec()
+        report = ShapeFlowChecker(mutate="widen_values").check_plan(
+            AlgoType.PPO, spec.plan, spec.function_rewards,
+            prompt_length=prompt_length, max_new_tokens=max_new_tokens,
+        )
+        assert [f.message for f in report.findings] == [
+            f"critic.update_critic input 'values': flow has {flow}, contract wants {want}"
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the minibatch split: SF703 at the update calls learn() dispatches
+# ---------------------------------------------------------------------------
+
+
+class TestMinibatchSplit:
+    SPEC = SystemSpec(tp=1, dp=4)
+    CONFIG = TrainerConfig(updates_per_epoch=4)
+
+    def test_each_update_call_reports_sf703_once(self):
+        report = ShapeFlowChecker(global_batch_size=8).check_plan(
+            AlgoType.PPO, self.SPEC.plan, function_rewards=("reward",),
+            trainer_config=self.CONFIG,
+        )
+        assert [(f.rule, f.location, f.message) for f in report.findings] == [
+            ("SF703", f"{role}.{method}@main",
+             "batch dim 2 is not divisible by the 3d_proto split degree 4")
+            for role, method in (("critic", "update_critic"), ("actor", "update_actor"))
+        ]
+
+    def test_the_real_step_raises_the_same_error(self):
+        task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
+        system = build_rlhf_system(
+            AlgoType.PPO, self.SPEC.plan, LM_CFG, trainer_config=self.CONFIG,
+            reward_fn=task.reward, max_new_tokens=4,
+        )
+        prompts = PromptDataset(n_prompts=8, prompt_length=4, vocab_size=16, seed=1)
+        with pytest.raises(ValueError, match="batch size 2 not divisible into 4 chunks"):
+            system.trainer.step(prompts.batch(0, 8))
+
+
+# ---------------------------------------------------------------------------
+# a user's transfer protocol is checked by running it
+# ---------------------------------------------------------------------------
+
+
+def _split_by_dp(group, args, kwargs):
+    (batch,) = args
+    chunks = batch.chunk(group.train_topology.config.dp)
+    return [((chunks[group.coords(i).d],), dict(kwargs)) for i in range(group.world_size)]
+
+
+class TestCustomProtocol:
+    NAME = "split_by_dp_rank"
+
+    def check(self, monkeypatch, collect):
+        """SF over a dp=2 PPO plan whose actor generates under a protocol
+        registered here — split by DP rank, collected by ``collect`` — with
+        no edit to the checker."""
+        monkeypatch.setitem(TRANSFER_PROTOCOLS, self.NAME, None)  # undone after
+        register_protocol(TransferProtocol(
+            self.NAME, _split_by_dp, collect,
+            requires=ProtocolRequires(splits_batch_by="dp"),
+        ))
+
+        class SplitGenActor(ActorWorker):
+            @register(protocol=self.NAME)
+            @shape_contract(**registered_shape_contract(ActorWorker.generate_sequences))
+            def generate_sequences(self, batch, **kwargs):
+                return super().generate_sequences(batch, **kwargs)
+
+        monkeypatch.setitem(WORKER_CLASSES, "actor", SplitGenActor)
+        return ShapeFlowChecker(global_batch_size=8).check_plan(
+            AlgoType.PPO, SystemSpec(tp=1, dp=2).plan, function_rewards=("reward",),
+            max_new_tokens=6,
+        )
+
+    def test_dropped_rows_are_sf701_at_the_next_consumer(self, monkeypatch):
+        report = self.check(monkeypatch, lambda group, outputs: outputs[0])
+        first = report.findings[0]
+        assert (first.rule, first.location) == ("SF701", "critic.compute_values@main")
+        assert first.message == (
+            "critic.compute_values input 'sequences': flow has (4, 10), "
+            "contract wants (8, 10)"
+        )
+        assert {f.rule for f in report.findings} == {"SF701"}
+
+    def test_a_restoring_collect_is_clean(self, monkeypatch):
+        report = self.check(monkeypatch, lambda group, outputs: DataBatch.concat(outputs))
+        assert report.findings == []
+        assert report.checked["batch_splits"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the serving checks run the worker's own reassembly
+# ---------------------------------------------------------------------------
+
+
+class _Done:
+    def __init__(self, row, n):
+        self.request_id, self.response = row, np.full(n, 5, dtype=np.int64)
+        self.log_probs = -np.ones(n)
+
+
+class TestServingReassembly:
+    def test_ragged_completions_reassemble_to_fixed_width(self):
+        prompts = np.ones((3, 2), dtype=np.int64)
+        seqs, logp, mask = reassemble_responses(
+            prompts, [_Done(0, 3), _Done(2, 1)], 4, 9, masked=True
+        )
+        assert seqs.dtype == np.int64 and seqs.shape == (3, 6)
+        np.testing.assert_array_equal(seqs[0], [1, 1, 5, 5, 5, 9])
+        np.testing.assert_array_equal(seqs[1], [1, 1, 9, 9, 9, 9])
+        np.testing.assert_array_equal(mask.sum(axis=1), [3, 0, 1])
+        assert logp[2, 0] == -1.0
+        assert reassemble_responses(prompts, [], 4, None, masked=False)[2] is None
+
+    def test_a_wider_reassembly_is_sf705(self, monkeypatch):
+        def wider(prompts, done, max_new_tokens, pad, masked):
+            return reassemble_responses(prompts, done, max_new_tokens + 1, pad, masked)
+
+        monkeypatch.setattr(shapeflow, "reassemble_responses", wider)
+        report = ShapeFlowChecker(global_batch_size=8).check_plan(
+            AlgoType.PPO, tiny_plan(), function_rewards=("reward",),
+            max_new_tokens=6, use_serving=True,
+        )
+        assert [(f.rule, f.location, f.message) for f in report.findings] == [(
+            "SF705", "actor._serve_generate@main",
+            "serving reassembles to fixed width 11 but the contract says "
+            "sequences are (8, 10)",
+        )]

@@ -399,9 +399,13 @@ class TestDerivedGraphIsTheExecutedGraph:
         recompute=st.booleans(),
         group_size=st.sampled_from([2, 4]),
         pretrain=st.booleans(),
+        dp=st.sampled_from([1, 2]),
+        tp=st.sampled_from([1, 2]),
+        disaggregated=st.booleans(),
     )
     def test_under_every_trainer_config(
-        self, algo, ppo_epochs, updates_per_epoch, recompute, group_size, pretrain
+        self, algo, ppo_epochs, updates_per_epoch, recompute, group_size, pretrain,
+        dp, tp, disaggregated,
     ):
         tc = TrainerConfig(
             ppo_epochs=ppo_epochs,
@@ -410,12 +414,21 @@ class TestDerivedGraphIsTheExecutedGraph:
             group_size=group_size,
         )
         kwargs = trainer_kwargs(algo, pretrain)
-        system = build(algo, tc, **kwargs)
+        spec = SystemSpec(algo=algo, tp=tp, dp=dp, disaggregated=disaggregated)
+        system = build_rlhf_system(
+            algo,
+            spec.plan,
+            CFG,
+            trainer_config=tc,
+            reward_fn=TASK.reward if spec.function_rewards else None,
+            max_new_tokens=8,
+            **kwargs,
+        )
         recorder = system.controller.shape_recorder = ShapeRecorder()
         system.trainer.step(dataset().batch(0, 8))
         assert derived(algo, tc, **kwargs) == executed(system)
-        # ... and the shapes the SF pass infers along that graph are the
-        # shapes the run produced (ROADMAP 7(d))
+        # ... and the shapes the SF pass's probe collects over the system's
+        # own placement are the shapes the run collected (ROADMAP 5(d))
         report = shape_cross_validate(
             recorder, predict_system_outputs(system, batch_size=8, prompt_length=4)
         )
