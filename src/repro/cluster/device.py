@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from repro.config import GpuSpec
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LedgerEvent:
     """One memory-ledger operation, kept for the post-run TraceAuditor.
 

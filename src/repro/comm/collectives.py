@@ -6,14 +6,15 @@ per-rank outputs.  Each collective records the per-rank communication volume
 a ring implementation of the same operation would move, so the functional and
 analytical layers agree on traffic accounting.
 
-All functions copy their outputs: ranks never alias each other's buffers,
-matching real device semantics (and making accidental sharing a test failure
-rather than a silent miracle).
+All functions copy their outputs, or write them into per-rank buffers the
+caller hands in (``all_reduce(..., out=)``): ranks never alias each other's
+buffers, matching real device semantics (and making accidental sharing a
+test failure rather than a silent miracle).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,36 +48,57 @@ def all_gather_object(objs: Sequence[Any], group: ProcessGroup) -> List[List[Any
     return [list(objs) for _ in range(group.size)]
 
 
+#: The elementwise combine of each ``all_reduce`` op (a mean sums, then divides).
+_REDUCE_UFUNCS = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
+
+
 def all_reduce(
     tensors: Sequence[np.ndarray],
     group: ProcessGroup,
     op: str = "sum",
+    out: Optional[Sequence[np.ndarray]] = None,
+    buckets: Sequence[int] = (),
 ) -> List[np.ndarray]:
     """All ranks receive the elementwise reduction of all inputs.
 
-    Ring all-reduce moves ``2*(n-1)/n * M`` bytes per rank.
+    Ring all-reduce moves ``2*(n-1)/n * M`` bytes per rank, metered per
+    bucket: ``buckets`` are the element counts of the pieces the inputs lay
+    end to end (a flat gradient buffer's tensors, so one call meters what a
+    call per tensor would); by default the input is one bucket.  ``out``
+    are the ranks' receive buffers, written in place and returned — a rank's
+    own input is one, as in NCCL's in-place mode — and nothing else is
+    allocated; without it every rank receives a fresh array.  Elements are
+    reduced rank after rank, as ``np.stack(tensors).sum(axis=0)`` does.
     """
     _require_group_sized(tensors, group, "all_reduce")
     arrays = [np.asarray(t) for t in tensors]
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ValueError(f"all_reduce: mismatched shapes {shapes}")
-    stacked = np.stack(arrays)
-    if op == "sum":
-        result = stacked.sum(axis=0)
-    elif op == "mean":
-        result = stacked.mean(axis=0)
-    elif op == "max":
-        result = stacked.max(axis=0)
-    elif op == "min":
-        result = stacked.min(axis=0)
-    else:
+    if op not in _REDUCE_UFUNCS:
         raise ValueError(f"unsupported all_reduce op {op!r}")
-    per_rank = (
-        2 * (group.size - 1) * result.nbytes // group.size if group.size > 1 else 0
+    ufunc = _REDUCE_UFUNCS[op]
+    if out is None:
+        result = arrays[0].copy()
+    else:
+        result = out[0]
+        if result is not arrays[0]:
+            result[...] = arrays[0]
+    for a in arrays[1:]:
+        ufunc(result, a, out=result)
+    if op == "mean":
+        result /= group.size
+    itemsize = result.itemsize
+    per_rank = sum(
+        2 * (group.size - 1) * n * itemsize // group.size
+        for n in (buckets or (result.size,))
     )
     group.record_traffic("all_reduce", per_rank)
-    return [result.copy() for _ in range(group.size)]
+    if out is None:
+        return [result] + [result.copy() for _ in range(group.size - 1)]
+    for o in out[1:]:
+        o[...] = result
+    return list(out)
 
 
 def reduce_scatter(

@@ -14,11 +14,15 @@ Maps every TinyLM parameter to a Megatron-style partition spec:
 HybridEngine merges the tiles of a generation shard with it and
 ``gather_full_params`` is it over every ``(pp, tp)`` coordinate.
 ``shard_params``/``gather_full_params`` are exact inverses, which the
-HybridEngine tests rely on for the bit-exact resharding check.
+HybridEngine tests rely on for the bit-exact resharding check.  Extraction
+returns views of the state it slices (a worker copies once, when it stores
+its shard); gathers write into ``out`` arrays when given, so a replica lead
+re-merges into its resident weights without allocating.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,6 +48,7 @@ _TP_AXES: List[Tuple[str, Optional[int]]] = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def param_partition(name: str) -> Optional[int]:
     """TP split axis for parameter ``name`` (None when replicated)."""
     for suffix, axis in _TP_AXES:
@@ -68,6 +73,7 @@ def stage_layers(n_layers: int, pp_size: int, pp_rank: int) -> range:
     return range(pp_rank * per, (pp_rank + 1) * per)
 
 
+@functools.lru_cache(maxsize=None)
 def pp_stage_of(name: str, n_layers: int, pp_size: int) -> int:
     """Pipeline stage that owns parameter ``name``."""
     layer = layer_of(name)
@@ -97,7 +103,7 @@ def shard_params(
     pp_size: int = 1,
     n_layers: Optional[int] = None,
 ) -> Dict[str, np.ndarray]:
-    """Extract rank ``(pp_rank, tp_rank)``'s shard of a full state dict."""
+    """Rank ``(pp_rank, tp_rank)``'s shard of a full state dict, as views."""
     if not 0 <= tp_rank < tp_size:
         raise ValueError(f"tp_rank {tp_rank} out of range for tp={tp_size}")
     if not 0 <= pp_rank < pp_size:
@@ -109,12 +115,11 @@ def shard_params(
         if pp_size > 1 and pp_stage_of(name, n_layers, pp_size) != pp_rank:
             continue
         axis = param_partition(name)
+        arr = np.asarray(arr, dtype=np.float64)
         if axis is None or tp_size == 1:
-            shard[name] = np.asarray(arr, dtype=np.float64).copy()
+            shard[name] = arr
         else:
-            shard[name] = _tp_slice(
-                np.asarray(arr, dtype=np.float64), axis, tp_rank, tp_size
-            ).copy()
+            shard[name] = _tp_slice(arr, axis, tp_rank, tp_size)
     return shard
 
 
@@ -122,15 +127,17 @@ def gather_full_params(
     shards: Mapping[Tuple[int, int], Mapping[str, np.ndarray]],
     tp_size: int,
     pp_size: int = 1,
+    out: Optional[Dict[str, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Reassemble the full state from per-``(pp_rank, tp_rank)`` shards."""
+    """Reassemble the full state from per-``(pp_rank, tp_rank)`` shards
+    (into ``out``'s arrays when given)."""
     expected = {(p, t) for p in range(pp_size) for t in range(tp_size)}
     if set(shards) != expected:
         raise ValueError(
             f"need shards for all (pp, tp) ranks {sorted(expected)}, "
             f"got {sorted(shards)}"
         )
-    return merge_tp_shards([shards[coord] for coord in sorted(expected)])
+    return merge_tp_shards([shards[coord] for coord in sorted(expected)], out)
 
 
 def shard_nbytes(shard: Mapping[str, np.ndarray]) -> int:
@@ -146,7 +153,7 @@ def flat_shard_params(
 
     Uneven tails are zero-padded on the last rank (as FSDP pads flat
     parameters), with the original size recorded by ``gather_flat_shards``
-    through the parameter's true shape.
+    through the parameter's true shape.  Unpadded pieces are views.
     """
     if not 0 <= rank < n_shards:
         raise ValueError(f"rank {rank} out of range for {n_shards} shards")
@@ -159,29 +166,36 @@ def flat_shard_params(
             piece = np.concatenate(
                 [piece, np.zeros(per - piece.size, dtype=np.float64)]
             )
-        shard[name] = piece.copy()
+        shard[name] = piece
     return shard
 
 
 def gather_flat_shards(
     pieces: List[Mapping[str, np.ndarray]],
     shapes: Mapping[str, Tuple[int, ...]],
+    out: Optional[Dict[str, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`flat_shard_params`; ``shapes`` gives true shapes."""
+    """Inverse of :func:`flat_shard_params`; ``shapes`` gives true shapes
+    (the result is written into ``out``'s arrays when given)."""
     if not pieces:
         raise ValueError("no shards to gather")
-    full: Dict[str, np.ndarray] = {}
+    full: Dict[str, np.ndarray] = {} if out is None else out
     for name, shape in shapes.items():
-        flat = np.concatenate(
-            [np.asarray(p[name], dtype=np.float64).reshape(-1) for p in pieces]
-        )
-        size = int(np.prod(shape))
-        full[name] = flat[:size].reshape(shape).copy()
+        if name not in full:
+            full[name] = np.empty(shape, dtype=np.float64)
+        dest = full[name].reshape(-1)  # a view: the arrays are contiguous
+        start = 0
+        for piece in pieces:
+            part = np.asarray(piece[name], dtype=np.float64).reshape(-1)
+            part = part[: dest.size - start]  # the last rank's padding drops
+            dest[start : start + part.size] = part
+            start += part.size
     return full
 
 
 def merge_tp_shards(
     pieces: Sequence[Mapping[str, np.ndarray]],
+    out: Optional[Dict[str, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
     """Merge the shards that tile a wider shard, given in ``(pp, tp)`` order.
 
@@ -190,7 +204,9 @@ def merge_tp_shards(
     Pieces of one PP stage carry the same parameter names — a replicated
     parameter is taken from the first, a partitioned one concatenated on its
     TP axis in the order given; pieces of different stages carry disjoint
-    names.  Anything in between is a shard that lost parameters.
+    names.  Anything in between is a shard that lost parameters.  With
+    ``out`` the merge is written into its arrays (one per name, of the
+    merged shape) and ``out`` is returned.
     """
     if not pieces:
         raise ValueError("no shards to merge")
@@ -204,11 +220,10 @@ def merge_tp_shards(
             stages.append(names)
         for name, arr in piece.items():
             parts.setdefault(name, []).append(np.asarray(arr, dtype=np.float64))
-    merged: Dict[str, np.ndarray] = {}
+    merged: Dict[str, np.ndarray] = {} if out is None else out
     for name, arrs in parts.items():
         axis = param_partition(name)
-        if axis is None or len(arrs) == 1:
-            merged[name] = arrs[0].copy()
-        else:
-            merged[name] = np.concatenate(arrs, axis=axis)
+        if axis is None:
+            arrs, axis = arrs[:1], 0
+        merged[name] = np.concatenate(arrs, axis=axis, out=merged.get(name))
     return merged

@@ -26,7 +26,7 @@ import dataclasses
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Span:
     """One timed unit of work on the simulated clock."""
 

@@ -143,9 +143,11 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One full PPO iteration through the single-controller dispatch path."""
+    from repro.comm import collectives
     from repro.config import ClusterSpec
     from repro.models.autograd import Tensor
     from repro.runtime.builder import SystemSpec
+    from repro.workers.base import ShardedModelWorker
 
     spec = SystemSpec()
     pins = {
@@ -161,16 +163,25 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
 
     # every tape node is one ``Tensor._from_op`` call (looked up on the class
-    # at each call): counted here, in the harness, not in the program
-    nodes = 0
+    # at each call), every gradient sync one ``collectives.all_reduce`` and
+    # every re-merge of a lead's resident weights one ``_merge_full_state``
+    # (both looked up at each call too): counted here, in the harness, not
+    # in the program
+    counts = {"nodes": 0, "all_reduce": 0, "merges": 0}
     from_op = Tensor.__dict__["_from_op"]
+    all_reduce = collectives.all_reduce
+    merge = ShardedModelWorker._merge_full_state
 
-    def counting(cls, *args: Any) -> Any:
-        nonlocal nodes
-        nodes += 1
-        return from_op.__func__(cls, *args)
+    def counted(key: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-    Tensor._from_op = classmethod(counting)
+        return wrapper
+
+    Tensor._from_op = classmethod(counted("nodes", from_op.__func__))
+    collectives.all_reduce = counted("all_reduce", all_reduce)
+    ShardedModelWorker._merge_full_state = counted("merges", merge)
     tracemalloc.start()
     try:
         system.trainer.train(
@@ -182,6 +193,8 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     finally:
         tracemalloc.stop()
         Tensor._from_op = from_op
+        collectives.all_reduce = all_reduce
+        ShardedModelWorker._merge_full_state = merge
     dispatch_calls = int(
         system.controller.metrics.total("repro_dispatch_calls_total")
     )
@@ -193,7 +206,12 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "iterations": _metric("exact", pins["n_iterations"]),
         # the engine's structure: tape nodes built by one iteration's
         # forwards and losses (the fused TinyLM primitives are one each)
-        "autograd_nodes": _metric("exact", nodes),
+        "autograd_nodes": _metric("exact", counts["nodes"]),
+        # the training state's structure: one flat gradient all-reduce per
+        # update, and a lead re-merges its resident weights only when a
+        # shard changed under it (its first call)
+        "grad_allreduce_calls": _metric("exact", counts["all_reduce"]),
+        "full_state_merges": _metric("exact", counts["merges"]),
         "train_peak_bytes": _metric("info", peak_bytes),
         "simulated_seconds": _metric("info", float(system.controller.clock.now)),
     }

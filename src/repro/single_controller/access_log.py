@@ -31,7 +31,7 @@ WRITE = "write"
 CONTROLLER_RANK = -1
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AccessEvent:
     """One read or write of a named shared resource."""
 

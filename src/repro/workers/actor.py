@@ -19,6 +19,7 @@ import dataclasses
 from repro.comm.groups import ring_all_gather_bytes
 from repro.data.batch import DataBatch
 from repro.hybrid_engine.engine import HybridEngine3D
+from repro.models.autograd import Tensor
 from repro.models.sampler import GenerationOutput, generate
 from repro.models.tinylm import TinyLM
 from repro.rlhf import losses as L
@@ -131,7 +132,10 @@ class ActorWorker(ThreeDParallelWorker):
 
         if self._is_gen_replica_lead():
             full = engine.materialize_generation_replica(self)
-            model = self._build_model(full, requires_grad=False)
+            model = TinyLM(
+                self.model_config,
+                params={name: Tensor(arr) for name, arr in full.items()},
+            )
             n_tokens = max_new_tokens or self.max_new_tokens
             if self.use_serving:
                 out = self._serve_generate(

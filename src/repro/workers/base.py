@@ -6,11 +6,15 @@ simulated device's memory ledger.  Compute follows a gather-compute-scatter
 discipline per model replica:
 
 * the replica *lead* rank materialises full weights by an all-gather over the
-  replica's ranks (real arrays, traffic metered),
-* it runs the forward/backward on the replica's batch chunk,
-* for training, gradients are averaged across replicas with a real
-  all-reduce, every lead applies an identical Adam step, and the updated
-  weights are scattered back to the resting shards.
+  replica's ranks (real arrays, traffic metered) into one flat buffer it
+  keeps resident between calls, merging again only after a shard changed,
+* it runs the forward/backward on the replica's batch chunk, gradients
+  accumulating into a second flat buffer,
+* for training, those buffers are averaged across replicas with one real
+  all-reduce, every lead applies an identical in-place Adam step, and the
+  updated weights are scattered back to the resting shards — after which the
+  lead's buffer is the merge of the new shards, so the next call gathers
+  nothing.
 
 Data-parallel semantics (per-replica batches, gradient averaging, identical
 updates) are therefore *real*; tensor/pipeline parallel arithmetic is
@@ -28,12 +32,13 @@ import numpy as np
 from repro.comm import collectives
 from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
 from repro.data.batch import DataBatch
-from repro.models.adam import Adam
-from repro.models.autograd import Tensor
+from repro.models.adam import Adam, FlatParams
+from repro.models.autograd import Tensor, no_grad
 from repro.models.sharding import (
     flat_shard_params,
     gather_flat_shards,
     gather_full_params,
+    pp_stage_of,
     shard_nbytes,
     shard_params,
 )
@@ -84,20 +89,28 @@ class ShardedModelWorker(Worker):
 
         # identical init on every rank (same seed), then keep only our shard —
         # exactly how Megatron ranks materialise their partition
-        full = TinyLM(model_config, seed=seed)
-        self._shapes = {k: v.shape for k, v in full.state_dict().items()}
-        self.shard = self._extract_shard(full.state_dict())
-        self.ctx.device.memory.alloc(f"{tag}/params", shard_nbytes(self.shard))
+        full = TinyLM(model_config, seed=seed).state_dict()
+        self._shapes = {k: v.shape for k, v in full.items()}
+        self.shard = {k: v.copy() for k, v in self._extract_shard(full).items()}
+        #: Bumped by every :meth:`set_shard`, the only writer of ``shard``: a
+        #: lead's resident weights are the merge of its peers' shards at the
+        #: versions it last merged.
+        self.shard_version = 0
+        self._shard_bytes = shard_nbytes(self.shard)
+        self.ctx.device.memory.alloc(f"{tag}/params", self._shard_bytes)
         if self.trainable:
-            nbytes = shard_nbytes(self.shard)
+            nbytes = self._shard_bytes
             self.ctx.device.memory.alloc(f"{tag}/grads", int(nbytes * GRAD_FACTOR))
             self.ctx.device.memory.alloc(f"{tag}/optim", int(nbytes * OPTIM_FACTOR))
 
-        # replica-lead state
+        # replica-lead state: the resident full weights (and gradients), the
+        # model over them, and the peers' shard versions they merge
+        self._resident: Optional[FlatParams] = None
+        self._model: Optional[TinyLM] = None
+        self._merged: Optional[Tuple[int, ...]] = None
         self._optimizer: Optional[Adam] = None
+        self._grads_ready = False
         self._stashed_output: Any = None
-        self._stashed_grads: Optional[Dict[str, np.ndarray]] = None
-        self._stashed_state: Optional[Dict[str, np.ndarray]] = None
         self._stashed_metrics: Optional[Dict[str, float]] = None
         # Seeded by *local* rank: the worker's SPMD identity within its
         # group, not the physical device it happens to occupy — so a job
@@ -107,6 +120,7 @@ class ShardedModelWorker(Worker):
     # -- layout ---------------------------------------------------------------
 
     def _extract_shard(self, state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """This rank's shard of a full state, as views of it."""
         if self.layout == "flat":
             return flat_shard_params(
                 state, self.ctx.local_rank, self.ctx.train_topology.world_size
@@ -123,11 +137,13 @@ class ShardedModelWorker(Worker):
         )
 
     def set_shard(self, shard: Dict[str, np.ndarray]) -> None:
-        """Replace the resting shard (resharding push from the replica lead)."""
+        """Replace the resting shard (resharding push from the replica lead,
+        or a checkpoint): copied once, so no rank's shard aliases another's
+        or a lead's resident weights."""
         self.shard = {k: np.asarray(v).copy() for k, v in shard.items()}
-        self.ctx.device.memory.resize(
-            f"{self.tag}/params", shard_nbytes(self.shard)
-        )
+        self.shard_version += 1
+        self._shard_bytes = shard_nbytes(self.shard)
+        self.ctx.device.memory.resize(f"{self.tag}/params", self._shard_bytes)
 
     # -- replica structure ---------------------------------------------------------
 
@@ -158,6 +174,10 @@ class ShardedModelWorker(Worker):
         assert isinstance(worker, ShardedModelWorker)
         return worker
 
+    def _peers(self) -> List["ShardedModelWorker"]:
+        """The ranks of this rank's replica, in group order."""
+        return [self.ctx.peer(r) for r in self.replica_group.ranks]
+
     def _replica_leads(self) -> List["ShardedModelWorker"]:
         """Lead worker of every replica, in replica order."""
         leads = []
@@ -173,41 +193,68 @@ class ShardedModelWorker(Worker):
     # -- materialisation -----------------------------------------------------------
 
     def materialize_full_state(self) -> Dict[str, np.ndarray]:
-        """All-gather the replica's shards into a full state dict (metered)."""
+        """The replica's full weights, resident on this rank between calls.
+
+        The all-gather of the replica's shards is metered on every call, but
+        the arrays are merged again only when a peer's shard changed since
+        the last merge (its ``shard_version``).  Returns views of the
+        resident buffer, by name.
+        """
         group = self.replica_group
-        peers = [self.ctx.peer(r) for r in group.ranks]
-        shards = [p.shard for p in peers]
-        total = sum(shard_nbytes(s) for s in shards)
-        per_rank = ring_all_gather_bytes(total, group.size)
-        group.record_traffic("all_gather_params", per_rank)
+        peers = self._peers()
+        total = sum(peer._shard_bytes for peer in peers)
+        group.record_traffic(
+            "all_gather_params", ring_all_gather_bytes(total, group.size)
+        )
+        resident = self._lead_state()
+        versions = tuple(peer.shard_version for peer in peers)
+        if versions != self._merged:
+            self._merge_full_state(peers)
+            self._merged = versions
+        return resident.arrays
+
+    def _merge_full_state(self, peers: List["ShardedModelWorker"]) -> None:
+        """Gather ``peers``' shards into the resident weights."""
+        out = self._resident.arrays
         if self.layout == "flat":
-            return gather_flat_shards(shards, self._shapes)
+            gather_flat_shards([peer.shard for peer in peers], self._shapes, out)
+            return
         cfg = self.ctx.train_topology.config
-        by_coord = {}
-        for peer in peers:
-            c = peer.ctx.coords
-            by_coord[(c.p, c.t)] = peer.shard
-        return gather_full_params(by_coord, tp_size=cfg.tp, pp_size=cfg.pp)
-
-    def _build_model(
-        self, state: Dict[str, np.ndarray], requires_grad: bool
-    ) -> TinyLM:
-        params = {
-            name: Tensor(arr.copy(), requires_grad=requires_grad)
-            for name, arr in state.items()
+        by_coord = {
+            (peer.ctx.coords.p, peer.ctx.coords.t): peer.shard for peer in peers
         }
-        return TinyLM(self.model_config, params=params)
+        gather_full_params(by_coord, tp_size=cfg.tp, pp_size=cfg.pp, out=out)
 
-    def _push_state_to_replica(self, state: Dict[str, np.ndarray]) -> None:
-        """Re-shard an updated full state back to the replica's ranks."""
+    def _lead_state(self) -> FlatParams:
+        """The resident weights, laid out in the order a gather produces the
+        parameters (pipeline stage after stage) — the order every optimizer
+        loop and its global-norm sum run in."""
+        if self._resident is None:
+            names = list(self._shapes)
+            if self.layout != "flat":
+                pp = self.ctx.train_topology.config.pp
+                n_layers = self.model_config.n_layers
+                names.sort(key=lambda name: pp_stage_of(name, n_layers, pp))
+            self._resident = FlatParams({name: self._shapes[name] for name in names})
+            self._model = TinyLM(self.model_config, params=self._resident.params)
+        return self._resident
+
+    def _adam(self) -> Adam:
+        if self._optimizer is None:
+            self._optimizer = Adam(
+                self._lead_state(), lr=self.lr, max_grad_norm=self.max_grad_norm
+            )
+        return self._optimizer
+
+    def _push_state_to_replica(self) -> None:
+        """Re-shard the updated resident weights to the ranks this lead
+        owns: its replica's (3D), or only its own — on the flat layout every
+        rank is a lead that took the same step."""
         group = self.replica_group
-        total = sum(int(np.prod(s)) for s in self._shapes.values()) * 8
-        per_rank = total // group.size if group.size > 1 else 0
+        per_rank = self._resident.data.nbytes // group.size if group.size > 1 else 0
         group.record_traffic("scatter_params", per_rank)
-        for rank in group.ranks:
-            peer = self.ctx.peer(rank)
-            assert isinstance(peer, ShardedModelWorker)
-            peer.set_shard(peer._extract_shard(state))
+        for peer in [self] if self.layout == "flat" else self._peers():
+            peer.set_shard(peer._extract_shard(self._resident.arrays))
 
     # -- forward-style compute -------------------------------------------------------
 
@@ -223,8 +270,9 @@ class ShardedModelWorker(Worker):
         result, so whichever rank the transfer protocol collects from has it.
         """
         if self.is_replica_lead:
-            model = self._build_model(self.materialize_full_state(), False)
-            self._stashed_output = compute(model)
+            self.materialize_full_state()
+            with no_grad():
+                self._stashed_output = compute(self._model)
         if self.layout == "flat" or self.ctx.is_collect_rank:
             return self._lead_of_replica()._stashed_output
         return None
@@ -238,22 +286,19 @@ class ShardedModelWorker(Worker):
         """One data-parallel training step across all replicas.
 
         Phase 1 (per replica lead): materialise weights, compute loss on the
-        replica's chunk, backward, stash gradients.  Phase 2 (triggered by the
-        group's last rank, once all leads have gradients): all-reduce
-        gradients across replicas, identical Adam step on every lead, and
-        scatter the updated weights back to resting shards.
+        replica's chunk, backward into the zeroed flat gradient buffer.
+        Phase 2 (triggered by the group's last rank, once all leads have
+        gradients): all-reduce the buffers across replicas, identical Adam
+        step on every lead, and scatter the updated weights back to resting
+        shards.
         """
         if self.is_replica_lead:
-            state = self.materialize_full_state()
-            model = self._build_model(state, requires_grad=True)
-            loss, metrics = loss_fn(model)
+            self.materialize_full_state()
+            self._resident.zero_grad()
+            loss, metrics = loss_fn(self._model)
             loss.backward()
-            self._stashed_grads = {
-                name: p.grad if p.grad is not None else np.zeros_like(p.data)
-                for name, p in model.params.items()
-            }
             self._stashed_metrics = metrics
-            self._stashed_state = state
+            self._grads_ready = True
 
         if self._is_last_worker():
             self._sync_and_update_all_replicas()
@@ -264,7 +309,7 @@ class ShardedModelWorker(Worker):
 
     def _sync_and_update_all_replicas(self) -> None:
         leads = self._replica_leads()
-        if any(lead._stashed_grads is None for lead in leads):
+        if not all(lead._grads_ready for lead in leads):
             raise RuntimeError(
                 f"{self.tag}: gradient sync triggered before all replica "
                 "leads computed gradients"
@@ -286,36 +331,20 @@ class ShardedModelWorker(Worker):
                 ordered=True,
                 note="all_reduce",
             )
-        # average gradients across replicas with a real all-reduce per tensor
-        names = list(leads[0]._stashed_grads)
-        for name in names:
-            reduced = collectives.all_reduce(
-                [lead._stashed_grads[name] for lead in leads],
-                dp_group,
-                op="mean",
-            )
-            for lead, grad in zip(leads, reduced):
-                lead._stashed_grads[name] = grad
+        # average gradients across replicas: one in-place all-reduce of the
+        # flat buffers, metered per tensor
+        grads = [lead._resident.grad for lead in leads]
+        collectives.all_reduce(
+            grads, dp_group, op="mean", out=grads, buckets=leads[0]._resident.sizes
+        )
         for lead in leads:
-            lead._apply_update()
-
-    def _apply_update(self) -> None:
-        """Adam step on this lead's materialised state, then re-shard."""
-        assert self._stashed_grads is not None
-        model = self._build_model(self._stashed_state, requires_grad=True)
-        for name, p in model.params.items():
-            p.grad = self._stashed_grads[name]
-        if self._optimizer is None:
-            self._optimizer = Adam(
-                model.params, lr=self.lr, max_grad_norm=self.max_grad_norm
-            )
-        else:
-            # rebind persistent moments to the fresh Tensor objects
-            self._optimizer.params = model.params
-        self._optimizer.step()
-        self._push_state_to_replica(model.state_dict())
-        self._stashed_grads = None
-        self._stashed_state = None
+            lead._adam().step()
+            lead._push_state_to_replica()
+            lead._grads_ready = False
+        # every shard now holds its part of the identical update: each
+        # lead's resident weights are the merge of its peers' new shards
+        for lead in leads:
+            lead._merged = tuple(peer.shard_version for peer in lead._peers())
 
     # -- checkpointing ------------------------------------------------------------------
 
@@ -324,11 +353,7 @@ class ShardedModelWorker(Worker):
             f"shard::{name}": arr for name, arr in self.shard.items()
         }
         if self._optimizer is not None:
-            state["optim_step"] = self._optimizer.step_count
-            for name, m in self._optimizer._m.items():
-                state[f"adam_m::{name}"] = m
-            for name, v in self._optimizer._v.items():
-                state[f"adam_v::{name}"] = v
+            state.update(self._optimizer.state_for_checkpoint())
         return state
 
     def load_from_checkpoint(self, state: Dict[str, Any]) -> None:
@@ -344,26 +369,7 @@ class ShardedModelWorker(Worker):
             )
         self.set_shard(shard)
         if "optim_step" in state:
-            moments_m = {
-                name[len("adam_m::") :]: np.asarray(arr)
-                for name, arr in state.items()
-                if name.startswith("adam_m::")
-            }
-            moments_v = {
-                name[len("adam_v::") :]: np.asarray(arr)
-                for name, arr in state.items()
-                if name.startswith("adam_v::")
-            }
-            placeholder = {
-                name: Tensor(np.zeros(self._shapes[name]), requires_grad=True)
-                for name in self._shapes
-            }
-            self._optimizer = Adam(
-                placeholder, lr=self.lr, max_grad_norm=self.max_grad_norm
-            )
-            self._optimizer.step_count = int(state["optim_step"])
-            self._optimizer._m = moments_m
-            self._optimizer._v = moments_v
+            self._adam().load_from_checkpoint(state)
 
 
 class ThreeDParallelWorker(ShardedModelWorker):

@@ -570,3 +570,63 @@ def preference_loss_reference(chosen, rejected):
     margin = chosen - rejected
     # -log sigmoid(margin), numerically stable via softplus(-margin)
     return ((-margin).exp() + 1.0).log().mean()
+
+
+# -- the per-tensor optimizer -----------------------------------------------------
+
+
+class AdamReference:
+    """``repro.models.adam.Adam`` as it was: a loop of fresh-temporary ufuncs
+    per tensor over a dict of independent parameter arrays, rebinding each
+    ``p.data``.  The flat in-place optimizer must leave parameters, moments
+    and step count bit-identical to it."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0, max_grad_norm=None):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.max_grad_norm = max_grad_norm
+        self.step_count = 0
+        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def grad_global_norm(self):
+        total = 0.0
+        for p in self.params.values():
+            if p.grad is not None:
+                total += float((p.grad**2).sum())
+        return float(np.sqrt(total))
+
+    def clip_gradients(self):
+        norm = self.grad_global_norm()
+        if self.max_grad_norm is not None and norm > self.max_grad_norm > 0:
+            scale = self.max_grad_norm / (norm + 1e-12)
+            for p in self.params.values():
+                if p.grad is not None:
+                    p.grad = p.grad * scale
+        return norm
+
+    def step(self):
+        self.clip_gradients()
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - self.beta1**t
+        bias2 = 1.0 - self.beta2**t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * p.data
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -179,7 +179,23 @@ ONE_DEFINITION = {
 }
 
 
+#: Recorded at the commit that still all-reduced gradients tensor by tensor
+#: and re-merged every shard on every call: the controller's
+#: ``TrafficMeter.snapshot()`` after ``trainer.train(dataset, 1, 8)`` of each
+#: shipped job, as ``"group|op": bytes`` (the flat sync meters per tensor).
+TRAFFIC = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "traffic_snapshots.json").read_text()
+)
+
+
 class TestSystemSpec:
+    @pytest.mark.parametrize("name", sorted(TRAFFIC))
+    def test_traffic_is_the_recorded_traffic(self, name):
+        system = ONE_DEFINITION[name]()
+        system.trainer.train(SystemSpec().dataset(), 1, 8)
+        snapshot = system.controller.meter.snapshot()
+        assert {f"{g}|{op}": b for (g, op), b in snapshot.items()} == TRAFFIC[name]
+
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_reproduces_every_hand_written_builder(self, name):
         system = ONE_DEFINITION[name]()

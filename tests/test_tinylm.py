@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models.adam import Adam
+from repro.models.adam import Adam, FlatParams
 from repro.models.autograd import Packing, Tensor, no_grad
 from repro.models.sampler import generate
 from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
+from tests.oracles import AdamReference
 
 
 @pytest.fixture
@@ -242,6 +243,68 @@ class TestAdam:
         before = model.params["embed.weight"].data.copy()
         opt.step()  # no gradients anywhere
         np.testing.assert_allclose(model.params["embed.weight"].data, before)
+
+
+class TestFlatAdamIsTheOracle:
+    """The flat in-place ``Adam`` leaves parameters, both moments and the
+    step count bit-identical to the per-tensor loop it replaced
+    (``tests/oracles.py``), over several steps: gradients bound to the flat
+    buffer (accumulated into, as backward does) or handed in as separate
+    arrays, one parameter without a gradient, the global norm above and
+    below ``max_grad_norm``, weight decay, and a checkpoint round trip into
+    a fresh optimizer mid-run."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+            min_size=2,
+            max_size=6,
+        ),
+        grad_scale=st.sampled_from([1e-4, 1e-2, 10.0]),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+        max_grad_norm=st.sampled_from([None, 1.0]),
+        without_grad=st.integers(0, 5),
+        bound=st.booleans(),
+        reload_at=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_steps_match(
+        self, shapes, grad_scale, weight_decay, max_grad_norm, without_grad,
+        bound, reload_at, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        init = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        skipped = f"p{without_grad % len(shapes)}"
+        kwargs = dict(lr=1e-2, weight_decay=weight_decay, max_grad_norm=max_grad_norm)
+        ref = {name: Tensor(arr.copy()) for name, arr in init.items()}
+        oracle = AdamReference(ref, **kwargs)
+        flat = FlatParams({name: arr.shape for name, arr in init.items()})
+        for name, arr in init.items():
+            flat.arrays[name][...] = arr
+        adam = Adam(flat, **kwargs)
+        for step in range(4):
+            flat.zero_grad()
+            for name, shape in flat.shapes.items():
+                grad = rng.normal(size=shape) * grad_scale
+                ref[name].grad = None if name == skipped else grad
+                if name == skipped:
+                    flat.params[name].grad = None
+                elif bound:
+                    flat.params[name].grad += grad
+                else:
+                    flat.params[name].grad = grad.copy()
+            if step == reload_at:
+                saved = {k: np.copy(v) for k, v in adam.state_for_checkpoint().items()}
+                adam = Adam(flat, **kwargs)
+                adam.load_from_checkpoint(saved)
+            oracle.step()
+            adam.step()
+            assert adam.step_count == oracle.step_count
+            for name in init:
+                assert np.array_equal(flat.arrays[name], ref[name].data), name
+                assert np.array_equal(adam._m[name], oracle._m[name]), name
+                assert np.array_equal(adam._v[name], oracle._v[name]), name
 
 
 class TestKVCacheTrimFree:

@@ -1,17 +1,20 @@
 """Tests for the model workers: outputs, DP semantics, training updates."""
 
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.comm import collectives
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data.batch import DataBatch
 from repro.data.dataset import SyntheticPreferenceTask
-from repro.models.sharding import gather_full_params
+from repro.models.adam import Adam
+from repro.models.sharding import gather_flat_shards, gather_full_params
 from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.single_controller import SingleController, WorkerGroup
-from repro.workers.base import ShardedModelWorker
 from repro.workers import (
     ActorWorker,
     CostWorker,
@@ -332,13 +335,13 @@ class TestPaddingIsNeverRead:
 
     def test_update_gradients(self, monkeypatch):
         grads = []
-        apply = ShardedModelWorker._apply_update
+        step = Adam.step
 
-        def spy(worker):
-            grads.append({k: g.copy() for k, g in worker._stashed_grads.items()})
-            apply(worker)
+        def spy(optimizer):
+            grads.append({k: g.copy() for k, g in optimizer.flat.grads.items()})
+            step(optimizer)
 
-        monkeypatch.setattr(ShardedModelWorker, "_apply_update", spy)
+        monkeypatch.setattr(Adam, "step", spy)
         tp2 = ParallelConfig(1, 2, 1)
         for build, update in (
             (actor_group, lambda g, batch: g.update_actor(batch)),
@@ -393,3 +396,190 @@ class TestShardedStorage:
         lead2 = actor2.workers[0]
         assert lead2._optimizer is not None
         assert lead2._optimizer.step_count == 1
+
+
+def assert_resident_is_the_gather(group):
+    """What every action must leave true of a group's replica leads.
+
+    A lead's resident weights are a fresh gather of its peers' shards (read
+    through ``materialize_full_state``, as the next call reads them); no
+    rank's shard shares memory with another rank's or with a lead's buffer
+    (ranks never alias, ``repro.comm.collectives``); and a forward plus a
+    backward run with the resident buffer read-only — nothing writes the
+    weights but ``Adam.step`` and the merge.
+    """
+    leads = [w for w in group.workers if w.is_replica_lead]
+    for lead in leads:
+        peers = lead._peers()
+        if lead.layout == "flat":
+            fresh = gather_flat_shards([p.shard for p in peers], lead._shapes)
+        else:
+            cfg = group.train_topology.config
+            fresh = gather_full_params(
+                {(p.ctx.coords.p, p.ctx.coords.t): p.shard for p in peers},
+                tp_size=cfg.tp,
+                pp_size=cfg.pp,
+            )
+        resident = lead.materialize_full_state()
+        assert resident.keys() == fresh.keys()
+        for name in fresh:
+            assert np.array_equal(resident[name], fresh[name]), name
+    buffers = [lead._resident.data for lead in leads]
+    shards = [(w.ctx.global_rank, a) for w in group.workers for a in w.shard.values()]
+    for i, (rank, a) in enumerate(shards):
+        others = [b for other, b in shards[i + 1 :] if other != rank]
+        assert not any(np.shares_memory(a, b) for b in others + buffers)
+    for lead in leads:
+        flat = lead._resident
+        views = [flat.data, *flat.arrays.values()]
+        for arr in views:
+            arr.flags.writeable = False
+        try:
+            tokens = np.arange(12).reshape(2, 6) % lead.model_config.vocab_size
+            if lead.model_config.output_head == "lm":
+                loss = -lead._model.token_log_probs(tokens).mean()
+            else:
+                loss = lead._model.values(tokens).mean()
+            flat.zero_grad()
+            loss.backward()
+        finally:
+            for arr in views:
+                arr.flags.writeable = True
+
+
+class TestResidentStateIsTheGather:
+    """Random sequences of what a job does to a trained model — updates,
+    forwards, generation transitions, checkpoint save/load, an elastic
+    (``allow_resize``) restore and a direct ``set_shard`` — on 3D layouts:
+    after every action each lead's resident weights are the gather of the
+    shards (``assert_resident_is_the_gather``)."""
+
+    B, P, R = 4, 4, 4
+
+    def build(self, parallel):
+        groups = []
+        for cls, cfg, gen in (
+            (ActorWorker, LM_CFG, GenParallelConfig.derive(parallel, 1, 1)),
+            (CriticWorker, SCALAR_CFG, None),
+        ):
+            controller = SingleController(ClusterSpec(n_machines=2))
+            group = WorkerGroup(
+                cls,
+                controller.create_pool(parallel.world_size),
+                parallel_config=parallel,
+                gen_config=gen,
+                controller=controller,
+                name=cls.__name__.lower(),
+                worker_kwargs={"model_config": cfg, "lr": 1e-2},
+            )
+            groups.append((controller, group))
+        return groups
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        b, p, r = self.B, self.P, self.R
+        return DataBatch(
+            {
+                "sequences": rng.integers(0, 16, size=(b, p + r)),
+                "old_log_probs": rng.normal(-2.0, 0.3, size=(b, r)),
+                "advantages": rng.normal(size=(b, r)),
+                "values": rng.normal(size=(b, r)),
+                "returns": rng.normal(size=(b, r)),
+            },
+            meta={"prompt_length": p},
+        )
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        tp=st.sampled_from([1, 2, 4]),
+        dp=st.sampled_from([1, 2]),
+        pp=st.sampled_from([1, 2]),
+        actions=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "update_actor",
+                        "update_critic",
+                        "compute_log_prob",
+                        "generate",
+                        "checkpoint",
+                        "resize",
+                        "set_shard",
+                    ]
+                ),
+                st.integers(0, 15),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    def test_after_every_action(self, tp, dp, pp, actions):
+        parallel = ParallelConfig(pp, tp, dp)
+        groups = self.build(parallel)
+        (_, actor), (_, critic) = groups
+        with tempfile.TemporaryDirectory() as tmp:
+            for step, (action, pick) in enumerate(actions):
+                batch = self.batch(step)
+                if action == "update_actor":
+                    actor.update_actor(batch).get()
+                elif action == "update_critic":
+                    critic.update_critic(batch).get()
+                elif action == "compute_log_prob":
+                    actor.compute_log_prob(batch).get()
+                elif action == "generate":
+                    actor.generate_sequences(prompts(batch=16, seed=step)).get()
+                elif action == "set_shard":
+                    group = (actor, critic)[pick % 2]
+                    worker = group.workers[pick % len(group.workers)]
+                    worker.set_shard({k: 0.5 * v for k, v in worker.shard.items()})
+                else:
+                    for i, (controller, _) in enumerate(groups):
+                        controller.save_checkpoint(f"{tmp}/{step}-{i}")
+                    if action == "resize":
+                        parallel = ParallelConfig(pp, tp, 3 - parallel.dp)
+                        groups = self.build(parallel)
+                        (_, actor), (_, critic) = groups
+                    for i, (controller, _) in enumerate(groups):
+                        controller.load_checkpoint(
+                            f"{tmp}/{step}-{i}", allow_resize=action == "resize"
+                        )
+                for _, group in groups:
+                    assert_resident_is_the_gather(group)
+
+
+class TestGradientSync:
+    """An update all-reduces the replica leads' flat gradient buffers in one
+    call, and the meter reads what one call per tensor recorded."""
+
+    @pytest.mark.parametrize("dp", [1, 2, 3])
+    def test_all_reduce_bytes_are_the_per_tensor_sum(self, monkeypatch, dp):
+        calls = []
+        all_reduce = collectives.all_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].name)
+            return all_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(collectives, "all_reduce", counting)
+        controller, critic = make_group(
+            CriticWorker, ParallelConfig(1, 2, dp), model_config=SCALAR_CFG
+        )
+        rng = np.random.default_rng(0)
+        critic.update_critic(
+            DataBatch(
+                {
+                    "sequences": rng.integers(0, 16, size=(6, 8)),
+                    "values": rng.normal(size=(6, 4)),
+                    "returns": rng.normal(size=(6, 4)),
+                },
+                meta={"prompt_length": 4},
+            )
+        ).get()
+        sizes = [a.size for a in TinyLM(SCALAR_CFG).state_dict().values()]
+        per_rank = sum(2 * (dp - 1) * 8 * size // dp for size in sizes)
+        assert calls == ["critic/dp_grads"]
+        assert controller.meter.snapshot()[("critic/dp_grads", "all_reduce")] == (
+            per_rank * dp
+        )
+        if dp == 3:  # why the sync meters per tensor: floors of a sum differ
+            assert per_rank != 2 * (dp - 1) * 8 * sum(sizes) // dp

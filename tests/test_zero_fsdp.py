@@ -1,8 +1,10 @@
 """Tests for ZeRO/FSDP memory and communication models, and the flat workers."""
 
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ClusterSpec, ParallelConfig
 from repro.data.batch import DataBatch
@@ -22,7 +24,8 @@ from repro.parallel.zero import (
 )
 from repro.rlhf import losses as L
 from repro.single_controller import SingleController, WorkerGroup, register
-from repro.workers.base import FSDPWorker, ZeROWorker
+from repro.workers.base import FSDPWorker, ShardedModelWorker, ZeROWorker
+from tests.test_workers import assert_resident_is_the_gather
 
 P = 1_000_000
 
@@ -177,3 +180,53 @@ class TestFlatWorkers:
 
         sizes = [shard_nbytes(w.shard) for w in group.workers]
         assert abs(sizes[0] - sizes[1]) < 2000
+
+
+class TestFlatResidentState:
+    """On the flat layouts every rank is a replica lead holding the whole
+    model resident; each writes only its own shard after the shared update."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_set_shard_per_rank_per_update(self, monkeypatch, n):
+        _, group = flat_group(FlatLmWorker, n=n)
+        group.train_nll(token_batch(n=6)).get()
+        writes = []
+        set_shard = ShardedModelWorker.set_shard
+
+        def counting(worker, shard):
+            writes.append(worker.ctx.local_rank)
+            set_shard(worker, shard)
+
+        monkeypatch.setattr(ShardedModelWorker, "set_shard", counting)
+        group.train_nll(token_batch(n=6)).get()
+        assert sorted(writes) == list(range(n))
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(
+        worker_cls=st.sampled_from([FlatLmWorker, ZeroLmWorker]),
+        n=st.integers(1, 3),
+        actions=st.lists(
+            st.tuples(
+                st.sampled_from(["train", "forward", "checkpoint", "set_shard"]),
+                st.integers(0, 5),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    def test_resident_is_the_gather_after_every_action(self, worker_cls, n, actions):
+        controller, group = flat_group(worker_cls, n=n)
+        with tempfile.TemporaryDirectory() as tmp:
+            for step, (action, pick) in enumerate(actions):
+                batch = token_batch(n=6, seed=step)
+                if action == "train":
+                    group.train_nll(batch).get()
+                elif action == "forward":
+                    group.nll(batch).get()
+                elif action == "set_shard":
+                    worker = group.workers[pick % n]
+                    worker.set_shard({k: 0.5 * v for k, v in worker.shard.items()})
+                else:
+                    controller.save_checkpoint(f"{tmp}/{step}")
+                    controller.load_checkpoint(f"{tmp}/{step}")
+                assert_resident_is_the_gather(group)
