@@ -136,11 +136,13 @@ def main(argv=None) -> int:
         )
         from repro.observability import write_chrome_trace
         from repro.runtime.report import system_report_dict
-        from repro.runtime.timeline import build_timeline
+        from repro.runtime.timeline import build_timeline, planned_durations
 
         out = write_chrome_trace(
             args.trace,
-            timeline=build_timeline(ppo_controller),
+            timeline=build_timeline(
+                ppo_controller.trace, planned_durations(ppo_controller)
+            ),
             spans=tracer.spans,
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")

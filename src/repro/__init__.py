@@ -37,6 +37,7 @@ from repro.runtime import (
     RlhfSystem,
     build_rlhf_system,
     build_timeline,
+    planned_durations,
 )
 from repro.single_controller import ResourcePool, SingleController, WorkerGroup
 
@@ -69,5 +70,6 @@ __all__ = [
     "build_timeline",
     "chrome_trace",
     "map_dataflow",
+    "planned_durations",
     "__version__",
 ]

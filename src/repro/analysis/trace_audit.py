@@ -55,10 +55,10 @@ class TraceAuditor:
         injector is attached — straggler-inflated durations legitimately
         diverge from the timeline's duration table.
         """
-        from repro.runtime.timeline import build_timeline
+        from repro.runtime.timeline import build_timeline, planned_durations
 
         controller = system.controller
-        timeline = build_timeline(controller)
+        timeline = build_timeline(controller.trace, planned_durations(controller))
         devices = []
         seen = set()
         for group in system.groups.values():

@@ -374,13 +374,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         pool_fractions_from_trace,
         write_chrome_trace,
     )
-    from repro.runtime.timeline import build_timeline
+    from repro.runtime.timeline import build_timeline, planned_durations
 
     system, _history, report = _train_shipped_job(
         args, *_shipped_job_faults(args)
     )
     controller = system.controller
-    timeline = build_timeline(controller)
+    timeline = build_timeline(controller.trace, planned_durations(controller))
     doc = chrome_trace(timeline=timeline, spans=controller.tracer.spans)
     if args.out:
         # the exporter serializes through the json_safe sanitizer; a raw

@@ -10,11 +10,6 @@ The same latency primitives power the auto-mapping algorithm (§6), the
 baseline system models (§2.4 / Table 1), and every end-to-end figure.
 """
 
-from repro.perf.async_pipeline import (
-    AsyncSchedule,
-    async_schedule,
-    overlap_speedup,
-)
 from repro.perf.bench import compare_records, run_bench
 from repro.perf.memory import MemoryModel, StageMemory
 from repro.perf.compute import inference_latency, training_latency
@@ -41,10 +36,7 @@ from repro.perf.recovery import (
 )
 
 __all__ = [
-    "AsyncSchedule",
     "GenerationEstimate",
-    "async_schedule",
-    "overlap_speedup",
     "GenerationPlan",
     "IterationBreakdown",
     "ModelExecution",

@@ -15,6 +15,7 @@ from repro.config import (
     ParallelConfig,
     RlhfWorkload,
 )
+from repro.perf.pipeline import bubble_multiplier
 
 #: All-reduce ops per transformer layer in a TP forward pass (Megatron: one
 #: after attention, one after the MLP); backward doubles it.
@@ -63,6 +64,12 @@ def _tp_traffic_time(
     return ops * (cluster.link_latency * 2 * (tp - 1) + volume / bw)
 
 
+def _pipeline_bubble(parallel: ParallelConfig, workload: RlhfWorkload) -> float:
+    """Bubble multiplier with ``m`` microbatches per DP rank (at least ``p``)."""
+    microbatches = max(parallel.pp, workload.global_batch_size // max(parallel.dp, 1))
+    return bubble_multiplier(parallel.pp, microbatches)
+
+
 def training_latency(
     spec: ModelSpec,
     cluster: ClusterSpec,
@@ -90,12 +97,7 @@ def training_latency(
     )
     compute = flops / (n_gpus * achievable)
 
-    # pipeline bubble: (p-1)/m extra with m microbatches per DP rank
-    if parallel.pp > 1:
-        microbatches = max(
-            parallel.pp, workload.global_batch_size // max(parallel.dp, 1)
-        )
-        compute *= 1.0 + (parallel.pp - 1) / microbatches
+    compute *= _pipeline_bubble(parallel, workload)
 
     tokens_per_replica = tokens / max(parallel.dp, 1)
     tp_time = _tp_traffic_time(
@@ -149,12 +151,7 @@ def inference_latency(
         * cluster.gpu.flops_efficiency
         * batch_efficiency(tokens / n_gpus)
     )
-    compute = flops / (n_gpus * achievable)
-    if parallel.pp > 1:
-        microbatches = max(
-            parallel.pp, workload.global_batch_size // max(parallel.dp, 1)
-        )
-        compute *= 1.0 + (parallel.pp - 1) / microbatches
+    compute = flops / (n_gpus * achievable) * _pipeline_bubble(parallel, workload)
     tokens_per_replica = tokens / max(parallel.dp, 1)
     tp_time = _tp_traffic_time(
         spec, cluster, parallel.tp, tokens_per_replica, n_passes=1

@@ -1,16 +1,22 @@
 """End-to-end RLHF iteration latency under a placement (the d_cost model, §6).
 
-The iteration is the 3-stage structure of Figure 1 plus the actor's
-train<->generation transition.  Within one stage, colocated models (same
-pool) execute sequentially and models on disjoint pools execute in parallel
-— exactly the ``d_cost`` accounting of Algorithm 1 (sum within a colocated
-set, max across sets, sum over stages).
+The iteration is the DAG one ``step`` of the algorithm dispatches (Figure 1,
+:func:`repro.rlhf.graph.dataflow_of`), replayed by the scheduler every
+timeline goes through (:func:`repro.runtime.timeline.build_timeline`): a
+call starts once the calls it reads have finished and its pool is free, so
+colocated models execute sequentially and models on disjoint pools in
+parallel.  The actor's train->generation transition is its first call; data
+transfer and framework overhead are an additive tail.  When every training
+call waits on every preparation call and those on generation (PPO, GRPO,
+Safe-RLHF), this is exactly the ``d_cost`` accounting of Algorithm 1 (sum
+within a colocated set, max across sets, sum over stages); ReMax's scorers
+on their own pool overlap its second, greedy rollout.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.config import (
     BYTES_BF16,
@@ -27,6 +33,8 @@ from repro.perf.transition import transition_time, weight_sync_time
 from repro.rlhf.core import AlgoType
 from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING, dataflow_of
 from repro.rlhf.trainers import TrainerConfig
+from repro.runtime.timeline import build_timeline
+from repro.single_controller.controller import ExecutionRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +78,9 @@ class GenerationPlan:
 
 @dataclasses.dataclass(frozen=True)
 class IterationBreakdown:
-    """Latency decomposition of one RLHF iteration."""
+    """Latency decomposition of one RLHF iteration: the time its critical
+    path spends in the transition and in each Figure-1 stage, plus the
+    additive data-transfer tail."""
 
     transition: float
     generation: float
@@ -109,15 +119,37 @@ SAFE_RLHF_ACTOR_TRAIN_FACTOR = 1.5
 FRAMEWORK_OVERHEAD_BASE = 3.0
 FRAMEWORK_OVERHEAD_PER_UPDATE = 0.5
 
+#: Trace seq of the actor's train→generation transition, which precedes call 0.
+TRANSITION = -1
 
-def _stage_latency(
-    per_model: Dict[str, Tuple[str, float]],
+
+def call_latency(
+    stage: str,
+    execution: ModelExecution,
+    gen_plan: Optional[GenerationPlan],
+    workload: RlhfWorkload,
+    cluster: ClusterSpec,
+    passes: float = 1.0,
 ) -> float:
-    """Sum latencies within each pool, take the max across pools."""
-    by_pool: Dict[str, float] = {}
-    for _model, (pool, latency) in per_model.items():
-        by_pool[pool] = by_pool.get(pool, 0.0) + latency
-    return max(by_pool.values()) if by_pool else 0.0
+    """Simulated seconds of one call in Figure-1 ``stage`` by the model
+    ``execution`` places (App. C): a rollout of the global batch under
+    ``gen_plan``, ``passes`` training passes over it, or one scoring forward."""
+    cluster = execution.cluster or cluster
+    if stage == GENERATION:
+        return generation_latency(
+            execution.spec, gen_plan.cluster or cluster, gen_plan.tp, gen_plan.pp,
+            gen_plan.n_replicas, workload, use_kv_cache=gen_plan.use_kv_cache,
+            reserved_bytes=gen_plan.reserved_bytes,
+            step_overhead=gen_plan.step_overhead,
+        ).total
+    if stage == TRAINING:
+        return training_latency(
+            execution.spec, cluster, execution.parallel, workload,
+            zero3=execution.zero3, n_passes_over_batch=passes,
+        )
+    return inference_latency(
+        execution.spec, cluster, execution.parallel, workload, zero3=execution.zero3
+    )
 
 
 def estimate_iteration(
@@ -132,7 +164,8 @@ def estimate_iteration(
     ``algo`` is an ``AlgoType`` member or a trainer class; ``executions``
     maps the model roles its dataflow calls (Figure 1) to their placement
     and parallelism; ``gen_plan`` describes the actor's generation
-    configuration and resharding mechanism.
+    configuration and resharding mechanism.  Each stage of the breakdown
+    is the time the iteration's critical path spends in its calls.
     """
     graph = dataflow_of(algo, FIGURE1_DATAFLOW)
     prep_calls, train_calls = graph.calls(PREPARATION), graph.calls(TRAINING)
@@ -163,52 +196,39 @@ def estimate_iteration(
             gen_plan.engine, actor.spec, actor_cluster, train_cfg, gen_cfg
         )
 
-    # -- stage 1: generation --------------------------------------------------------
-    gen_estimate = generation_latency(
-        actor.spec,
-        gen_cluster,
-        gen_tp=gen_plan.tp,
-        gen_pp=gen_plan.pp,
-        n_replicas=gen_plan.n_replicas,
-        workload=workload,
-        use_kv_cache=gen_plan.use_kv_cache,
-        reserved_bytes=gen_plan.reserved_bytes,
-        n_generation_passes=sum(graph.calls(GENERATION).values()),
-        step_overhead=gen_plan.step_overhead,
-    )
-    generation = gen_estimate.total
-
-    # -- stage 2: preparation ---------------------------------------------------------
-    prep: Dict[str, Tuple[str, float]] = {}
-    for role, n_calls in prep_calls.items():
-        execution = executions[role]
-        latency = inference_latency(
-            execution.spec,
-            execution.cluster or cluster,
-            execution.parallel,
-            workload,
-            zero3=execution.zero3,
+    # -- the dataflow graph, replayed ---------------------------------------------------
+    seconds = {TRANSITION: transition}
+    records = [ExecutionRecord(TRANSITION, "actor", "to_generation", actor.pool)]
+    for node in graph.nodes:
+        execution = executions[node.role]
+        safe_actor = node.role == "actor" and graph.name == AlgoType.SAFE_RLHF.value
+        factor = SAFE_RLHF_ACTOR_TRAIN_FACTOR if safe_actor else 1.0
+        passes = workload.ppo_epochs * factor
+        seconds[node.seq] = call_latency(
+            node.stage, execution, gen_plan, workload, cluster, passes
         )
-        prep[role] = (execution.pool, latency * n_calls)
-    preparation = _stage_latency(prep)
+        pool = gen_plan.pool if node.stage == GENERATION else execution.pool
+        deps = node.deps or (TRANSITION,)  # generation waits for the transition
+        records.append(ExecutionRecord(node.seq, node.role, node.method, pool, deps))
+    timeline = build_timeline(records, lambda record: seconds[record.seq])
 
-    # -- stage 3: training ----------------------------------------------------------------
-    train: Dict[str, Tuple[str, float]] = {}
-    for role, n_calls in train_calls.items():
-        execution = executions[role]
-        n_passes = float(workload.ppo_epochs) * n_calls
-        if role == "actor" and graph.name == AlgoType.SAFE_RLHF.value:
-            n_passes *= SAFE_RLHF_ACTOR_TRAIN_FACTOR
-        latency = training_latency(
-            execution.spec,
-            execution.cluster or cluster,
-            execution.parallel,
-            workload,
-            zero3=execution.zero3,
-            n_passes_over_batch=n_passes,
+    # the critical path, walked back from the last call to finish through the
+    # input or pool predecessor each call waited for; it starts at the
+    # transition, and every other call on it is charged to its stage
+    ended, waited_for, last_on = {}, {}, {}
+    for record, event in zip(records, timeline.events):
+        before = [last_on.get(record.pool), *(ended[d] for d in record.deps)]
+        waited_for[event.seq] = next(
+            (e for e in before if e is not None and e.end == event.start), None
         )
-        train[role] = (execution.pool, latency)
-    training = _stage_latency(train)
+        ended[event.seq] = last_on[record.pool] = event
+    path = [max(timeline.events, key=lambda e: e.end)]
+    while waited_for[path[-1].seq] is not None:
+        path.append(waited_for[path[-1].seq])
+    stage_of = {node.seq: node.stage for node in graph.nodes}
+    spent = dict.fromkeys((GENERATION, PREPARATION, TRAINING), 0.0)
+    for event in reversed(path[:-1]):
+        spent[stage_of[event.seq]] += seconds[event.seq]
 
     # -- inter-model data movement ------------------------------------------------------
     # sequences + per-token floats flow between models; tiny next to weights
@@ -225,8 +245,8 @@ def estimate_iteration(
 
     return IterationBreakdown(
         transition=transition,
-        generation=generation,
-        preparation=preparation,
-        training=training,
+        generation=spent[GENERATION],
+        preparation=spent[PREPARATION],
+        training=spent[TRAINING],
         data_transfer=data_transfer,
     )

@@ -29,7 +29,7 @@ def bubble_multiplier(pp: int, n_microbatches: int) -> float:
         raise ValueError(
             f"need pp >= 1 and microbatches >= 1, got {pp}, {n_microbatches}"
         )
-    return (n_microbatches + pp - 1) / n_microbatches
+    return 1.0 + (pp - 1) / n_microbatches
 
 
 @dataclasses.dataclass(frozen=True)

@@ -228,7 +228,7 @@ def overlap_study(
     from repro.analysis.dataflow import DataflowChecker
     from repro.config import ClusterSpec
     from repro.runtime.builder import SystemSpec
-    from repro.runtime.timeline import build_timeline
+    from repro.runtime.timeline import build_timeline, planned_durations
 
     spec = SystemSpec(disaggregated=True)
     config.validate()
@@ -245,6 +245,10 @@ def overlap_study(
             cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4)
         )
 
+    def replay(system):
+        controller = system.controller
+        return build_timeline(controller.trace, planned_durations(controller))
+
     sync = build()
     sync.trainer.train(spec.dataset(), n_iterations, batch_size)
     exact = build()
@@ -256,9 +260,9 @@ def overlap_study(
     driver.train(spec.dataset(), n_iterations, batch_size)
     return OverlapStudy(
         bit_exact=sync.state_equal(exact),
-        sync_makespan=build_timeline(sync.controller).makespan,
+        sync_makespan=replay(sync).makespan,
         system=overlapped,
-        timeline=build_timeline(overlapped.controller),
+        timeline=replay(overlapped),
         report=driver.report(),
     )
 

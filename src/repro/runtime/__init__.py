@@ -8,7 +8,12 @@ from repro.runtime.builder import (
     build_rlhf_system,
     shipped_placements,
 )
-from repro.runtime.timeline import Timeline, TimelineEvent, build_timeline
+from repro.runtime.timeline import (
+    Timeline,
+    TimelineEvent,
+    build_timeline,
+    planned_durations,
+)
 from repro.runtime.report import (
     observability_summary,
     recovery_summary,
@@ -39,6 +44,7 @@ __all__ = [
     "build_rlhf_system",
     "build_timeline",
     "observability_summary",
+    "planned_durations",
     "recovery_summary",
     "restore_system",
     "shipped_placements",

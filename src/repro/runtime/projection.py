@@ -5,33 +5,25 @@ The functional layer runs miniature models, but its controller trace is the
 the analytical simulators predict for a full-scale model under the traced
 placement — bridging the two layers: write and debug a dataflow at toy
 scale, then read off its projected iteration time and per-pool utilisation
-on (simulated) Llama-class models and A100 clusters.
+on (simulated) Llama-class models and A100 clusters.  A call is priced by
+its dataflow stage and role, with the cost model's own
+:func:`repro.perf.iteration.call_latency`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.config import ClusterSpec, ModelSpec, ParallelConfig, RlhfWorkload
-from repro.perf.compute import inference_latency, training_latency
-from repro.perf.generation import generation_latency
+from repro.perf.iteration import (
+    GenerationPlan,
+    ModelExecution,
+    call_latency,
+)
+from repro.rlhf.graph import TRAINING, dataflow_of
 from repro.runtime.builder import RlhfSystem
 from repro.runtime.timeline import Timeline, build_timeline
 from repro.single_controller.controller import ExecutionRecord
-
-#: Which analytical simulator each primitive API maps to (Table 4's
-#: "Computation" column).
-_METHOD_KIND = {
-    "generate_sequences": "generation",
-    "update_actor": "training",
-    "update_critic": "training",
-    "compute_values": "inference",
-    "compute_ref_log_prob": "inference",
-    "compute_reward": "inference",
-    "compute_cost": "inference",
-    "compute_log_prob": "inference",
-    "compute_loss": "inference",
-}
 
 
 def perf_duration_fn(
@@ -48,14 +40,18 @@ def perf_duration_fn(
         system: The functional system whose trace is being projected; its
             worker groups supply each model's pool size and parallel shape
             (scaled to the projection cluster by keeping the MP sizes and
-            widening DP).
+            widening DP), its trainer the stage of each call.
         model_specs: Full-scale architecture per model role.
         gen_tp/gen_pp: Generation parallel sizes for the actor (defaults to
             its training TP).
     """
-    scaled: Dict[str, ParallelConfig] = {}
+    graph = dataflow_of(type(system.trainer), system.trainer.config)
+    stage_of = {(node.role, node.method): node.stage for node in graph.nodes}
+    executions = {}
     total = sum(g.resource_pool.size for g in set(system.groups.values()))
     for role, group in system.groups.items():
+        if role not in model_specs:
+            continue
         cfg = group.train_topology.config
         share = group.resource_pool.size / total
         n_gpus = max(
@@ -64,30 +60,26 @@ def perf_duration_fn(
             // cfg.model_parallel_size
             * cfg.model_parallel_size,
         )
-        scaled[role] = ParallelConfig(
+        parallel = ParallelConfig(
             pp=cfg.pp, tp=cfg.tp, dp=n_gpus // cfg.model_parallel_size
+        )
+        executions[role] = ModelExecution(
+            model_specs[role], group.resource_pool.name, parallel
         )
 
     def duration(record: ExecutionRecord) -> float:
-        role = record.group
-        kind = _METHOD_KIND.get(record.method)
-        if role not in model_specs or kind is None:
+        stage = stage_of.get((record.group, record.method))
+        if record.group not in executions or stage is None:
             return 0.01  # non-NN workers (reward functions etc.)
-        spec = model_specs[role]
-        parallel = scaled[role]
-        if kind == "generation":
-            tp = gen_tp or parallel.tp
-            n_replicas = max(1, parallel.world_size // (tp * gen_pp))
-            return generation_latency(
-                spec, cluster, tp, gen_pp, n_replicas, workload
-            ).total
-        if kind == "training":
+        execution = executions[record.group]
+        tp = gen_tp or execution.parallel.tp
+        n_replicas = max(1, execution.parallel.world_size // (tp * gen_pp))
+        gen_plan = GenerationPlan(tp, gen_pp, n_replicas, execution.pool)
+        latency = call_latency(stage, execution, gen_plan, workload, cluster)
+        if stage == TRAINING:
             # one traced update call covers one minibatch of the epoch
-            n_updates = max(1, workload.ppo_updates_per_epoch)
-            return (
-                training_latency(spec, cluster, parallel, workload) / n_updates
-            )
-        return inference_latency(spec, cluster, parallel, workload)
+            return latency / max(1, workload.ppo_updates_per_epoch)
+        return latency
 
     return duration
 
@@ -102,8 +94,8 @@ def project_timeline(
 ) -> Timeline:
     """Schedule the system's trace with projected full-scale durations."""
     return build_timeline(
-        system.controller,
-        duration_fn=perf_duration_fn(
+        system.controller.trace,
+        perf_duration_fn(
             system, model_specs, workload, cluster, gen_tp=gen_tp, gen_pp=gen_pp
         ),
     )

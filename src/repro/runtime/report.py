@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.observability.collect import collect_system_metrics
 from repro.runtime.builder import RlhfSystem
-from repro.runtime.timeline import build_timeline
+from repro.runtime.timeline import build_timeline, planned_durations
 from repro.serialization import json_safe
 
 
@@ -246,11 +246,11 @@ def system_report(
     if recovery is not None:
         sections.append(recovery_summary(recovery))
     if include_timeline and system.controller.trace:
-        timeline = build_timeline(system.controller)
+        controller = system.controller
+        timeline = build_timeline(controller.trace, planned_durations(controller))
         sections.append(
             ["execution timeline:"]
-            + build_timeline(system.controller)
-            .render_ascii(timeline_width)
+            + timeline.render_ascii(timeline_width)
             .splitlines()[: 3 + len(timeline.pools())]
         )
     return "\n".join("\n".join(section) for section in sections)

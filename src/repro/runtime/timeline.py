@@ -9,6 +9,9 @@ models on disjoint pools overlap, colocated models time-share.
 The result is the per-pool Gantt chart of Figure 3, with the idle-time
 accounting behind the paper's placement observations ("actor and critic ...
 incurring 1/3 of their GPU time being idle, during other RLHF stages").
+It is the one scheduler model: the cost model prices an iteration by
+replaying its algorithm's dataflow graph here
+(:func:`repro.perf.iteration.estimate_iteration`).
 """
 
 from __future__ import annotations
@@ -151,44 +154,55 @@ class Timeline:
         return "\n".join(lines + ["legend:"] + legend)
 
 
-def build_timeline(
-    controller: SingleController,
-    duration_fn: Optional[DurationFn] = None,
-    trace: Optional[Sequence[ExecutionRecord]] = None,
-) -> Timeline:
-    """Schedule the controller's trace under asynchronous dataflow semantics.
+def planned_durations(controller: SingleController) -> DurationFn:
+    """The controller's ``planned_duration`` per record: the durations its
+    dispatch gate and fault injector charge.
 
-    Args:
-        duration_fn: Maps a trace record to simulated seconds; defaults to
-            the controller's ``planned_duration``.  Plugging in the
-            :mod:`repro.perf` latency models gives placement-faithful
-            timelines.
-        trace: Override the trace (e.g. one iteration's slice).
-
-    Methods missing from the default duration table are charged
-    ``FALLBACK_DURATION`` — never silently: a one-time warning names them,
-    and each occurrence increments a per-method metrics counter.
+    A method missing from the default duration table is charged
+    ``FALLBACK_DURATION`` — never silently: a one-time warning names it, and
+    each occurrence increments a per-method metrics counter.
     """
-    records = list(trace if trace is not None else controller.trace)
-    fallback_counts: Dict[str, int] = {}
 
-    def default_duration(record: ExecutionRecord) -> float:
+    def duration(record: ExecutionRecord) -> float:
         if record.method not in DEFAULT_DURATIONS:
-            fallback_counts[record.method] = (
-                fallback_counts.get(record.method, 0) + 1
-            )
+            controller.metrics.counter(
+                "repro_timeline_fallback_total",
+                "Trace records charged FALLBACK_DURATION (no duration model)",
+                method=record.method,
+            ).inc()
+            if record.method not in _FALLBACK_WARNED:
+                _FALLBACK_WARNED.add(record.method)
+                warnings.warn(
+                    f"no duration model for method {record.method!r}; it was "
+                    f"charged the flat FALLBACK_DURATION={FALLBACK_DURATION}s — "
+                    "timings involving it are fabricated, not modelled",
+                    stacklevel=2,
+                )
         return controller.planned_duration(record.method)
 
-    durations = duration_fn or default_duration
+    return duration
+
+
+def build_timeline(
+    trace: Sequence[ExecutionRecord], duration_fn: DurationFn
+) -> Timeline:
+    """Schedule a trace under asynchronous dataflow semantics.
+
+    Records are taken in trace order; each starts when its ``deps`` have
+    finished and its pool is free, and runs ``duration_fn(record)``
+    simulated seconds — :func:`planned_durations` for a controller's own
+    durations, :func:`repro.runtime.projection.perf_duration_fn` for the
+    :mod:`repro.perf` latency models.
+    """
     pool_free: Dict[str, float] = {}
     end_by_seq: Dict[int, float] = {}
     events: List[TimelineEvent] = []
-    for record in records:
+    for record in trace:
         ready = max(
             (end_by_seq.get(d, 0.0) for d in record.deps), default=0.0
         )
         start = max(ready, pool_free.get(record.pool, 0.0))
-        end = start + durations(record)
+        end = start + duration_fn(record)
         pool_free[record.pool] = end
         end_by_seq[record.seq] = end
         events.append(
@@ -200,21 +214,4 @@ def build_timeline(
                 end=end,
             )
         )
-    if fallback_counts:
-        for method, count in sorted(fallback_counts.items()):
-            controller.metrics.counter(
-                "repro_timeline_fallback_total",
-                "Trace records charged FALLBACK_DURATION (no duration model)",
-                method=method,
-            ).inc(count)
-        unseen = sorted(m for m in fallback_counts if m not in _FALLBACK_WARNED)
-        if unseen:
-            _FALLBACK_WARNED.update(unseen)
-            warnings.warn(
-                f"build_timeline has no duration model for method(s) "
-                f"{unseen}; each was charged the flat "
-                f"FALLBACK_DURATION={FALLBACK_DURATION}s — timings involving "
-                "them are fabricated, not modelled",
-                stacklevel=2,
-            )
     return Timeline(events=events)

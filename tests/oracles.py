@@ -9,16 +9,38 @@ generic operators (one tape node each) and the free functions below it are
 the generic array ops.  ``TinyLM``'s former body and the former tape-built
 RLHF losses are written with them; the fused primitives in
 ``repro.models.autograd`` and ``repro.rlhf.losses`` are graded against
-those compositions.
+those compositions.  :func:`estimate_iteration_reference` is the stage-sum
+iteration model the cost model's timeline replay is graded against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import (
+    BYTES_BF16,
+    ClusterSpec,
+    GenParallelConfig,
+    ParallelConfig,
+    RlhfWorkload,
+)
 from repro.models.autograd import Tensor, no_grad
+from repro.perf.compute import inference_latency, training_latency
+from repro.perf.generation import generation_latency
+from repro.perf.iteration import (
+    FIGURE1_DATAFLOW,
+    FRAMEWORK_OVERHEAD_BASE,
+    FRAMEWORK_OVERHEAD_PER_UPDATE,
+    SAFE_RLHF_ACTOR_TRAIN_FACTOR,
+    GenerationPlan,
+    IterationBreakdown,
+    ModelExecution,
+)
+from repro.perf.transition import transition_time, weight_sync_time
+from repro.rlhf.core import AlgoType
+from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING, dataflow_of
 
 
 # -- the op-by-op tape ------------------------------------------------------------
@@ -630,3 +652,134 @@ class AdamReference:
             m_hat = m / bias1
             v_hat = v / bias2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+# -- the stage-sum iteration model ------------------------------------------------
+#
+# ``repro.perf.iteration.estimate_iteration`` replays the dataflow graph on the
+# timeline scheduler.  Before, it summed stages: within a stage, calls on one
+# pool add up and pools run in parallel; the stages then add up.  For a graph
+# whose every training call waits on every preparation call, which waits on
+# generation, the two agree up to summation order.
+
+
+def _stage_latency(
+    per_model: Dict[str, Tuple[str, float]],
+) -> float:
+    """Sum latencies within each pool, take the max across pools."""
+    by_pool: Dict[str, float] = {}
+    for _model, (pool, latency) in per_model.items():
+        by_pool[pool] = by_pool.get(pool, 0.0) + latency
+    return max(by_pool.values()) if by_pool else 0.0
+
+
+def estimate_iteration_reference(
+    algo: AlgoType,
+    executions: Dict[str, ModelExecution],
+    gen_plan: GenerationPlan,
+    workload: RlhfWorkload,
+    cluster: ClusterSpec,
+) -> IterationBreakdown:
+    """``estimate_iteration`` as it was: a sum over Figure 1's stages.
+
+    ``algo`` is an ``AlgoType`` member or a trainer class; ``executions``
+    maps the model roles its dataflow calls (Figure 1) to their placement
+    and parallelism; ``gen_plan`` describes the actor's generation
+    configuration and resharding mechanism.
+    """
+    graph = dataflow_of(algo, FIGURE1_DATAFLOW)
+    prep_calls, train_calls = graph.calls(PREPARATION), graph.calls(TRAINING)
+    missing = [r for r in graph.roles if r not in executions]
+    if missing:
+        raise ValueError(f"{graph.name} needs executions for {missing}")
+    actor = executions["actor"]
+
+    # -- transition --------------------------------------------------------------
+    transition = 0.0
+    actor_cluster = actor.cluster or cluster
+    gen_cluster = gen_plan.cluster or actor_cluster
+    if gen_plan.weight_sync:
+        gen_gpus = gen_plan.n_replicas * gen_plan.tp * gen_plan.pp
+        transition = weight_sync_time(actor.spec, gen_cluster, gen_gpus)
+    elif gen_plan.engine is not None:
+        if actor.zero3:
+            # ZeRO-3 shards parameters over all ranks: the transition gathers
+            # across the whole DP world (the DS-Chat row of Table 2)
+            train_cfg = ParallelConfig(pp=1, tp=1, dp=actor.parallel.world_size)
+            gen_cfg = GenParallelConfig(pp=1, tp=1, micro_dp=1)
+        else:
+            train_cfg = actor.parallel
+            gen_cfg = GenParallelConfig.derive(
+                train_cfg, gen_plan.pp, gen_plan.tp
+            )
+        transition = transition_time(
+            gen_plan.engine, actor.spec, actor_cluster, train_cfg, gen_cfg
+        )
+
+    # -- stage 1: generation --------------------------------------------------------
+    gen_estimate = generation_latency(
+        actor.spec,
+        gen_cluster,
+        gen_tp=gen_plan.tp,
+        gen_pp=gen_plan.pp,
+        n_replicas=gen_plan.n_replicas,
+        workload=workload,
+        use_kv_cache=gen_plan.use_kv_cache,
+        reserved_bytes=gen_plan.reserved_bytes,
+        n_generation_passes=sum(graph.calls(GENERATION).values()),
+        step_overhead=gen_plan.step_overhead,
+    )
+    generation = gen_estimate.total
+
+    # -- stage 2: preparation ---------------------------------------------------------
+    prep: Dict[str, Tuple[str, float]] = {}
+    for role, n_calls in prep_calls.items():
+        execution = executions[role]
+        latency = inference_latency(
+            execution.spec,
+            execution.cluster or cluster,
+            execution.parallel,
+            workload,
+            zero3=execution.zero3,
+        )
+        prep[role] = (execution.pool, latency * n_calls)
+    preparation = _stage_latency(prep)
+
+    # -- stage 3: training ----------------------------------------------------------------
+    train: Dict[str, Tuple[str, float]] = {}
+    for role, n_calls in train_calls.items():
+        execution = executions[role]
+        n_passes = float(workload.ppo_epochs) * n_calls
+        if role == "actor" and graph.name == AlgoType.SAFE_RLHF.value:
+            n_passes *= SAFE_RLHF_ACTOR_TRAIN_FACTOR
+        latency = training_latency(
+            execution.spec,
+            execution.cluster or cluster,
+            execution.parallel,
+            workload,
+            zero3=execution.zero3,
+            n_passes_over_batch=n_passes,
+        )
+        train[role] = (execution.pool, latency)
+    training = _stage_latency(train)
+
+    # -- inter-model data movement ------------------------------------------------------
+    # sequences + per-token floats flow between models; tiny next to weights
+    batch_tokens = workload.tokens_per_iteration
+    edge_bytes = batch_tokens * (8 + 4 * BYTES_BF16)
+    n_edges = len(prep_calls) + len(train_calls)
+    data_transfer = n_edges * edge_bytes / cluster.inter_node_bandwidth
+    data_transfer += (
+        FRAMEWORK_OVERHEAD_BASE
+        + FRAMEWORK_OVERHEAD_PER_UPDATE
+        * workload.ppo_epochs
+        * workload.ppo_updates_per_epoch
+    )
+
+    return IterationBreakdown(
+        transition=transition,
+        generation=generation,
+        preparation=preparation,
+        training=training,
+        data_transfer=data_transfer,
+    )

@@ -4,8 +4,8 @@ Covers the staleness-window semantics (0 = the synchronous loop, W bounds
 the version lag and the buffer), the truncated importance-weight numerics,
 the weight-publication protocol, race-freedom of the overlapped schedule,
 supervised async jobs (``JobRun`` checkpoints, steps and recovers them with
-rollouts in flight), the DF108 soundness checks, and the analytic overlap
-model in ``repro.perf.async_pipeline``.
+rollouts in flight), the DF108 soundness checks, and what a window buys on
+the timeline replay of the shipped job.
 """
 
 import json
@@ -19,12 +19,12 @@ from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
 from repro.faults import FaultInjector, FaultPlan
 from repro.models.tinylm import TinyLMConfig
-from repro.perf.async_pipeline import async_schedule, overlap_speedup
 from repro.pipeline import (
     AsyncPipelineDriver,
     BufferFull,
     ExperienceBuffer,
     PipelineConfig,
+    overlap_study,
 )
 from repro.rlhf.core import AlgoType
 from repro.rlhf.losses import (
@@ -41,7 +41,7 @@ from repro.runtime import (
     train_with_recovery,
 )
 from repro.runtime.builder import required_models
-from repro.runtime.timeline import build_timeline
+from repro.runtime.timeline import build_timeline, planned_durations
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -87,6 +87,10 @@ def build_async(cluster=None):
     system = build_system(cluster=cluster)
     AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
     return system
+
+
+def replay(controller):
+    return build_timeline(controller.trace, planned_durations(controller))
 
 
 def dataset():
@@ -242,18 +246,16 @@ class TestOverlapSpeedup:
     def test_window_one_beats_synchronous_on_modeled_timeline(self):
         sync = build_system()
         sync.trainer.train(dataset(), n_iterations=3, batch_size=4)
-        sync_makespan = build_timeline(sync.controller).makespan
+        sync_tl = replay(sync.controller)
 
         system = build_system()
         AsyncPipelineDriver(
             system.trainer, PipelineConfig(staleness_window=1)
         ).train(dataset(), n_iterations=3, batch_size=4)
-        async_makespan = build_timeline(system.controller).makespan
+        async_tl = replay(system.controller)
 
-        assert async_makespan < sync_makespan
+        assert async_tl.makespan < sync_tl.makespan
         # the actor pool's idle bubble collapses under overlap
-        sync_tl = build_timeline(sync.controller)
-        async_tl = build_timeline(system.controller)
         assert async_tl.idle_fraction("actor") < sync_tl.idle_fraction("actor")
 
 
@@ -575,36 +577,56 @@ class TestDataflowRule108:
             AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
 
 
-class TestAnalyticOverlapModel:
-    def test_window_zero_is_the_synchronous_chain(self):
-        sched = async_schedule([6.0] * 4, 3.0, 3.0, staleness_window=0)
-        assert sched.makespan == pytest.approx(4 * (6.0 + 3.0 + 3.0))
+class TestOverlapOnTheReplay:
+    """What a window buys on the shipped job, read off the one timeline
+    replay of the runs ``overlap_study`` makes (planned durations)."""
 
-    def test_window_one_collapses_the_bubble(self):
-        assert overlap_speedup([6.0] * 4, 3.0, 3.0, 1) > 1.3
-
-    def test_speedup_never_below_one(self):
-        for window in (0, 1, 2, 5):
-            assert overlap_speedup([2.0, 3.0, 2.0], 1.0, 1.0, window) >= 1.0
-
-    def test_larger_window_absorbs_generation_jitter(self):
-        gen = [2.0, 2.0, 10.0, 2.0, 2.0, 2.0, 2.0, 2.0]
-        m = {
-            w: async_schedule(gen, 1.0, 3.0, w).makespan for w in (0, 1, 2, 3)
+    @pytest.fixture(scope="class")
+    def studies(self):
+        return {
+            w: overlap_study(4, 8, PipelineConfig(staleness_window=w))
+            for w in (0, 1, 2)
         }
-        assert m[0] == pytest.approx(56.0)
-        assert m[1] == pytest.approx(40.0)
-        assert m[2] == pytest.approx(38.0)  # W=2 hides the slow rollout
-        assert m[2] < m[1] < m[0]
-        assert m[3] == pytest.approx(m[2])  # diminishing returns
+
+    def test_window_zero_is_the_synchronous_chain(self, studies):
+        assert studies[0].bit_exact
+        assert studies[0].timeline.makespan == studies[0].sync_makespan
+
+    def test_makespans_are_pinned(self, studies):
+        assert [s.sync_makespan for s in studies.values()] == [48.0, 48.0, 48.0]
+        assert [s.timeline.makespan for s in studies.values()] == [48.0, 42.0, 44.0]
+
+    def test_speedup_never_below_one(self, studies):
+        assert all(s.speedup >= 1.0 for s in studies.values())
+
+    def test_wider_window_front_loads_the_actor_pool(self, studies):
+        # the actor generates and trains on one pool: W = 2 puts three
+        # rollouts ahead of the first anchor log-prob both updates wait on
+        def leading_rollouts(study):
+            names = [e.name for e in study.timeline.events_on("actor")]
+            return names.index("actor.compute_log_prob")
+
+        assert [leading_rollouts(studies[w]) for w in (0, 1, 2)] == [1, 2, 3]
+
+    def test_slow_rollout_is_not_absorbed_on_one_actor_pool(self, studies):
+        for study in studies.values():
+            controller = study.system.controller
+            planned = planned_durations(controller)
+            slow = [
+                r.seq for r in controller.trace if r.method == "generate_sequences"
+            ][2]
+            jittered = build_timeline(
+                controller.trace, lambda r: 14.0 if r.seq == slow else planned(r)
+            )
+            assert jittered.makespan == study.timeline.makespan + 8.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            async_schedule([], 1.0, 1.0)
+            overlap_study(0, 8, PipelineConfig(staleness_window=1))
         with pytest.raises(ValueError):
-            async_schedule([1.0], -1.0, 1.0)
+            overlap_study(4, 3, PipelineConfig(staleness_window=1))
         with pytest.raises(ValueError):
-            async_schedule([1.0], 1.0, 1.0, staleness_window=-1)
+            overlap_study(4, 8, PipelineConfig(staleness_window=-1))
 
 
 class TestStreamedScoring:

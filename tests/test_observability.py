@@ -32,6 +32,7 @@ from repro.runtime import (
     PlacementPlan,
     build_rlhf_system,
     build_timeline,
+    planned_durations,
     system_report_dict,
     train_with_recovery,
 )
@@ -236,7 +237,7 @@ class TestFallbackAccounting:
         controller, trace = self._controller_with_unknown_method()
         timeline_mod._FALLBACK_WARNED.discard("mystery_method")
         with pytest.warns(UserWarning, match="no duration model"):
-            build_timeline(controller, trace=trace)
+            build_timeline(trace, planned_durations(controller))
         assert (
             controller.metrics.value(
                 "repro_timeline_fallback_total", method="mystery_method"
@@ -248,7 +249,7 @@ class TestFallbackAccounting:
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
-            build_timeline(controller, trace=trace)
+            build_timeline(trace, planned_durations(controller))
         assert (
             controller.metrics.value(
                 "repro_timeline_fallback_total", method="mystery_method"
@@ -272,7 +273,7 @@ class TestFallbackAccounting:
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
-            build_timeline(controller, trace=trace)
+            build_timeline(trace, planned_durations(controller))
 
 
 # -- null objects: an unobserved component behaves the same and records nothing ------
@@ -600,7 +601,7 @@ class TestRecoveredRunObservability:
         """The acceptance criterion: trace file vs Timeline accounting."""
         system, _, _ = recovered_run
         controller = system.controller
-        timeline = build_timeline(controller)
+        timeline = build_timeline(controller.trace, planned_durations(controller))
         doc = chrome_trace(timeline=timeline, spans=controller.tracer.spans)
         # round-trip through the serialized JSON, as a viewer would read it
         doc = json.loads(json.dumps(doc))

@@ -1,6 +1,10 @@
 """Tests for the analytical performance layer."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     MODEL_SPECS,
@@ -11,7 +15,7 @@ from repro.config import (
 )
 from repro.hybrid_engine.overhead import EngineKind
 from repro.perf.compute import batch_efficiency, inference_latency, training_latency
-from repro.perf.generation import generation_latency
+from repro.perf.generation import GenerationEstimate, generation_latency
 from repro.perf.iteration import (
     GenerationPlan,
     ModelExecution,
@@ -21,6 +25,9 @@ from repro.perf.memory import MemoryModel
 from repro.perf.simu import Stage, simulate_latency
 from repro.perf.transition import transition_time, weight_sync_time
 from repro.rlhf.core import AlgoType
+from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING
+from repro.runtime.builder import required_models
+from tests.oracles import estimate_iteration_reference
 
 SPEC7 = MODEL_SPECS["llama-7b"]
 SPEC70 = MODEL_SPECS["llama-70b"]
@@ -290,3 +297,66 @@ class TestIterationEstimate:
         )
         b = estimate_iteration(AlgoType.PPO, self.executions(), plan, WL, cluster(2))
         assert b.throughput(WL) == 0.0
+
+
+class TestReplayIsTheStageSum:
+    """The replay against the stage-sum model it replaced
+    (``tests/oracles.py``), on drawn placements and per-call latencies.
+
+    Both price calls through the same simulator names, patched to read a
+    drawn table keyed by (role, stage): only the scheduling differs.
+    """
+
+    POOLS = st.sampled_from(["p0", "p1", "p2"])
+    PAR = ParallelConfig(1, 8, 1)
+    SECONDS = st.floats(0.01, 100.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        algo=st.sampled_from(
+            [AlgoType.PPO, AlgoType.GRPO, AlgoType.SAFE_RLHF, AlgoType.REMAX]
+        ),
+        data=st.data(),
+    )
+    def test_replay_against_the_stage_sum(self, algo, data):
+        roles = required_models(algo)
+        pools = {role: data.draw(self.POOLS, label=role) for role in roles}
+        gen_pool = data.draw(self.POOLS, label="generation")
+        table = {
+            (role, stage): data.draw(self.SECONDS, label=f"{role}/{stage}")
+            for role in roles
+            for stage in (GENERATION, PREPARATION, TRAINING)
+        }
+        transition = data.draw(self.SECONDS, label="transition")
+        simulators = {
+            "generation_latency": lambda spec, *a, n_generation_passes=1, **k: (
+                GenerationEstimate(
+                    0.0, table[spec.name, GENERATION] * n_generation_passes, 1, 1
+                )
+            ),
+            "inference_latency": lambda spec, *a, **k: table[spec.name, PREPARATION],
+            "training_latency": lambda spec, *a, n_passes_over_batch=1.0, **k: (
+                table[spec.name, TRAINING] * n_passes_over_batch
+            ),
+            "transition_time": lambda *a: transition,
+        }
+        executions = {
+            role: ModelExecution(
+                dataclasses.replace(SPEC7, name=role), pools[role], self.PAR
+            )
+            for role in roles
+        }
+        plan = GenerationPlan(tp=2, pp=1, n_replicas=4, pool=gen_pool)
+        with mock.patch.multiple("repro.perf.iteration", **simulators), \
+                mock.patch.multiple("tests.oracles", **simulators):
+            replay = estimate_iteration(algo, executions, plan, WL, cluster(2))
+            stage_sum = estimate_iteration_reference(
+                algo, executions, plan, WL, cluster(2)
+            )
+        if algo is not AlgoType.REMAX:
+            assert replay.total == pytest.approx(stage_sum.total, rel=1e-12, abs=0)
+            return
+        # the scorers of the first rollout may overlap the second
+        assert replay.total <= stage_sum.total * (1 + 1e-12)
+        if len({gen_pool, *pools.values()}) == 1:
+            assert replay.total == pytest.approx(stage_sum.total, rel=1e-12, abs=0)

@@ -7,7 +7,12 @@ from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.runtime.timeline import Timeline, TimelineEvent, build_timeline
+from repro.runtime.timeline import (
+    Timeline,
+    TimelineEvent,
+    build_timeline,
+    planned_durations,
+)
 from repro.single_controller.controller import ExecutionRecord
 
 CFG = TinyLMConfig(
@@ -48,6 +53,10 @@ def build_system(split: bool):
     return build_rlhf_system(
         AlgoType.PPO, plan, CFG, reward_fn=TASK.reward, max_new_tokens=5
     )
+
+
+def replay(controller):
+    return build_timeline(controller.trace, planned_durations(controller))
 
 
 def run_iteration(split: bool):
@@ -95,10 +104,7 @@ class TestScheduling:
         ]
 
     def test_diamond_overlaps_independent_branches(self):
-        class Ctl:  # minimal stand-in
-            trace = self.make_records()
-
-        timeline = build_timeline(Ctl(), duration_fn=lambda r: 2.0)
+        timeline = build_timeline(self.make_records(), lambda r: 2.0)
         by_name = {e.name: e for e in timeline.events}
         assert by_name["b.m"].start == by_name["c.m"].start == 2.0
         assert by_name["d.m"].start == 4.0
@@ -109,11 +115,7 @@ class TestScheduling:
             ExecutionRecord(0, "a", "m", "p0", ()),
             ExecutionRecord(1, "b", "m", "p0", ()),
         ]
-
-        class Ctl:
-            trace = records
-
-        timeline = build_timeline(Ctl(), duration_fn=lambda r: 1.0)
+        timeline = build_timeline(records, lambda r: 1.0)
         assert timeline.makespan == 2.0
         assert timeline.idle_fraction("p0") == 0.0
 
@@ -122,15 +124,15 @@ class TestFigure3Semantics:
     def test_split_overlaps_critic_and_actor_work(self):
         """With actor/ref and critic on different pools, the critic's value
         pass overlaps actor-side work, shortening the makespan vs colocate."""
-        colocated = build_timeline(run_iteration(split=False).controller)
-        split = build_timeline(run_iteration(split=True).controller)
+        colocated = replay(run_iteration(split=False).controller)
+        split = replay(run_iteration(split=True).controller)
         assert split.makespan < colocated.makespan
 
     def test_split_placement_has_idle_time(self):
         """Figure 3 / §2.3: separated models idle during stages they don't
         participate in (e.g. critic during generation)."""
         system = run_iteration(split=True)
-        timeline = build_timeline(system.controller)
+        timeline = replay(system.controller)
         gen_event = next(
             e for e in timeline.events if e.name == "actor.generate_sequences"
         )
@@ -140,19 +142,17 @@ class TestFigure3Semantics:
 
     def test_colocated_pool_fully_busy(self):
         system = run_iteration(split=False)
-        timeline = build_timeline(system.controller)
+        timeline = replay(system.controller)
         assert timeline.idle_fraction("main") < 0.35  # only the reward call
 
     def test_render_ascii(self):
         system = run_iteration(split=True)
-        text = build_timeline(system.controller).render_ascii(width=40)
+        text = replay(system.controller).render_ascii(width=40)
         assert "actor_side" in text and "idle=" in text and "legend:" in text
 
     def test_custom_duration_fn(self):
         system = run_iteration(split=False)
-        timeline = build_timeline(
-            system.controller, duration_fn=lambda r: 5.0
-        )
+        timeline = build_timeline(system.controller.trace, lambda r: 5.0)
         assert timeline.makespan == 5.0 * len(system.controller.trace) - 5.0 * sum(
             1 for r in system.controller.trace if r.pool != "main"
         ) or timeline.makespan > 0  # duration plumbed through
@@ -183,7 +183,7 @@ class TestPlannedDuration:
         # fault-free dispatch advanced the clock by exactly the planned total
         assert controller.clock.now == planned
         # and the default replay charges every record the same durations
-        replayed = build_timeline(controller).events
+        replayed = replay(controller).events
         assert sum(e.duration for e in replayed) == planned
         # the injector inflates the same number by the slowest rank
         injector = FaultInjector(FaultPlan())
@@ -193,5 +193,5 @@ class TestPlannedDuration:
         assert injector.call_duration(actor, "update_actor") == 2.5 * 3.0
         controller.planned_duration = lambda method: 10.0
         assert injector.call_duration(actor, "update_actor") == 25.0
-        assert {e.duration for e in build_timeline(controller).events} == {10.0}
+        assert {e.duration for e in replay(controller).events} == {10.0}
 

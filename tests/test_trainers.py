@@ -153,7 +153,7 @@ class TestReMax:
                 return 3.0
             return controller.planned_duration(record.method)
 
-        events = build_timeline(controller, duration_fn=duration).events
+        events = build_timeline(controller.trace, duration).events
         baseline = [e for e in events if e.name == "reward.compute_reward"][-1]
         update = next(e for e in events if e.name == "actor.update_actor")
         assert update.start >= baseline.end
