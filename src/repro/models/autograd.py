@@ -355,27 +355,67 @@ class Rows:
     stream and ``put`` writes one back.  On a ``(batch, seq, ...)`` grid the
     rows are an index of its first axis (a slice reads a view).  In a packed
     stream, stream token ``src[j]`` sits at ``(row, position) = at[j]`` of
-    the block, whose other positions read 0.
+    the block, whose other positions read 0.  The first ``own`` of those
+    tokens are the rows' own; the rest are a prompt prefix another row of
+    the forward computes (``Packing``), read as keys and values only —
+    ``add_shared`` sums their gradient into the tokens read.  Queries, and
+    what the core writes back, are the own tokens, in a block of positions
+    ``offset`` to ``width`` (``take``/``put`` with ``queries=True``).
     """
 
-    __slots__ = ("rows", "width", "src", "at")
+    __slots__ = ("rows", "width", "offset", "keys", "own", "queries", "shared")
 
-    def __init__(self, rows, width: int = 0, src=None, at=None) -> None:
-        self.rows, self.width, self.src, self.at = rows, width, src, at
+    def __init__(self, rows, width=0, src=None, at=None, own=None, offset=0) -> None:
+        self.rows, self.width, self.offset = rows, width, offset
+        self.keys = self.own = self.queries = (src, at)
+        self.shared: Optional[_Fold] = None
+        if own is not None and own < len(src):
+            self.own = (src[:own], (at[0][:own], at[1][:own]))
+            self.queries = (src[:own], (at[0][:own], at[1][:own] - offset))
+            self.shared = _Fold(src[own:], (at[0][own:], at[1][own:]))
 
-    def take(self, stream: np.ndarray) -> np.ndarray:
-        if self.src is None:
+    def take(self, stream: np.ndarray, queries: bool = False) -> np.ndarray:
+        if self.keys[0] is None:
             return stream[self.rows]
-        block = _scratch(len(self.rows), self.width, *stream.shape[1:])
+        src, at = self.queries if queries else self.keys
+        width = self.width - self.offset if queries else self.width
+        block = _scratch(len(self.rows), width, *stream.shape[1:])
         block.fill(0.0)
-        block[self.at] = stream[self.src]
+        block[at] = stream[src]
         return block
 
-    def put(self, stream: np.ndarray, block: np.ndarray) -> None:
-        if self.src is None:
+    def put(self, stream: np.ndarray, block: np.ndarray, queries: bool = True) -> None:
+        if self.keys[0] is None:
             stream[self.rows] = block
         else:
-            stream[self.src] = block[self.at]
+            src, at = self.queries if queries else self.own
+            stream[src] = block[at]
+
+    def add_shared(self, stream: np.ndarray, block: np.ndarray) -> None:
+        """Sum a key block's shared positions into the stream tokens they
+        read (several rows may read one)."""
+        if self.shared is not None:
+            self.shared.into(stream, block)
+
+
+class _Fold:
+    """Positions ``at`` that read tokens ``src`` (``src`` may repeat):
+    ``into`` sums values at ``at`` back into those tokens, in a fixed
+    order, one ``reduceat`` per call."""
+
+    __slots__ = ("src", "at", "starts", "targets")
+
+    def __init__(self, src: np.ndarray, at) -> None:
+        order = np.argsort(src, kind="stable")
+        self.src = src[order]
+        self.starts = np.flatnonzero(
+            np.concatenate(([True], self.src[1:] != self.src[:-1]))
+        )
+        self.targets = self.src[self.starts]
+        self.at = tuple(a[order] for a in at) if isinstance(at, tuple) else at[order]
+
+    def into(self, out: np.ndarray, values: np.ndarray) -> None:
+        out[self.targets] += np.add.reduceat(values[self.at], self.starts)
 
 
 _EVERY_ROW = (Rows(slice(None)),)
@@ -400,35 +440,83 @@ class Packing:
     in the matrix — for layer widths that are multiples of 8, as every
     shipped config's are (docs/PERF.md, "padding-free forwards").  A
     forward of fewer than two real tokens runs dense.
+
+    With ``leaders``, a row whose first ``prefix`` tokens equal those of
+    row ``leaders[i]`` (a GRPO group's prompt) does not compute them: its
+    attention reads the leader's keys and values there, ``unpack`` copies
+    the leader's outputs there, and their gradients sum into the leader's
+    tokens.  A prefix position's result does not depend on the key width it
+    ran at (the rule above), so every position is still the dense
+    forward's bit for bit; gradients agree to rounding.  With
+    ``offset_queries`` such rows' attention core also starts its queries
+    past the prefix; that moves each query row up the score and context
+    GEMMs, which keeps its bits only for head dims ≡ 0 or 4 (mod 8) and at
+    least two queries (one is a GEMV), so the caller says whether it may.
     """
 
-    def __init__(self, shape: Tuple[int, int], lengths: Optional[np.ndarray] = None):
+    def __init__(
+        self,
+        shape: Tuple[int, int],
+        lengths: Optional[np.ndarray] = None,
+        leaders: Optional[np.ndarray] = None,
+        prefix: int = 0,
+        offset_queries: bool = False,
+    ):
         self.shape = shape
-        seq = shape[1]
+        batch, seq = shape
         #: Grid position (``row * seq + position``) of each stream token;
         #: ``None`` when dense.
         self.index: Optional[np.ndarray] = None
         self.groups = _EVERY_ROW
-        if lengths is None:
+        #: The grid positions rows read from their leader's stream tokens;
+        #: ``None`` when no row does.
+        self.shared: Optional[_Fold] = None
+        if lengths is None and leaders is None:
             return
-        lengths = np.minimum(np.asarray(lengths, dtype=np.int64), seq)
+        lengths = np.minimum(
+            np.full(batch, seq, dtype=np.int64)
+            if lengths is None
+            else np.asarray(lengths, dtype=np.int64),
+            seq,
+        )
+        skip = np.zeros(batch, dtype=np.int64)
+        if leaders is not None:
+            follows = leaders != np.arange(batch)
+            reach = np.minimum(np.minimum(lengths, lengths[leaders]), prefix)
+            skip[follows] = reach[follows]
+        own = lengths - skip
         # one token would make every GEMM a matrix-vector product
-        if lengths.sum() < 2 or lengths.min() >= seq:
+        if own.sum() < 2 or (lengths.min() >= seq and not skip.any()):
             return
-        self.index = np.flatnonzero(np.arange(seq) < lengths[:, None])
+        grid = np.arange(seq)
+        self.index = np.flatnonzero(
+            (grid >= skip[:, None]) & (grid < lengths[:, None])
+        )
         self.positions = self.index % seq
-        starts = np.cumsum(lengths) - lengths
+        # row ``r``'s own position ``p`` is stream token ``base[r] + p``
+        base = np.cumsum(own) - own - skip
         widths = np.maximum(-(-lengths // 8) * 8, 16)
         widths[widths > seq - seq % 8] = seq
         widths[lengths == 0] = 0
+        offsets = np.where(offset_queries & (widths - skip >= 2), skip, 0)
         self.groups = []
         for width in np.unique(widths[widths > 0]).tolist():
-            rows = np.flatnonzero(widths == width)
-            n = lengths[rows]
-            pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            src = np.repeat(starts[rows], n) + pos
-            at = (np.repeat(np.arange(len(rows)), n), pos)
-            self.groups.append(Rows(rows, width, src, at))
+            for offset in np.unique(offsets[widths == width]).tolist():
+                rows = np.flatnonzero((widths == width) & (offsets == offset))
+                src, at = _runs(skip[rows], lengths[rows], base[rows])
+                if not skip[rows].any():
+                    self.groups.append(Rows(rows, width, src, at))
+                    continue
+                start = np.zeros(len(rows), dtype=np.int64)
+                shared_src, shared_at = _runs(start, skip[rows], base[leaders[rows]])
+                own_tokens = len(src)
+                src = np.concatenate([src, shared_src])
+                at = tuple(np.concatenate(pair) for pair in zip(at, shared_at))
+                self.groups.append(Rows(rows, width, src, at, own_tokens, offset))
+        if skip.any():
+            start = np.zeros(batch, dtype=np.int64)
+            src, (row, pos) = _runs(start, skip, base[leaders])
+            self.shared = _Fold(src, row * seq + pos)
 
     def pack(self, grid: np.ndarray) -> np.ndarray:
         """The stream of a ``(batch, seq, ...)`` array."""
@@ -436,15 +524,32 @@ class Packing:
             return grid
         return grid.reshape(-1, *grid.shape[2:])[self.index]
 
-    def merge(self, blocks: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
-        """The stream of one ``(rows, width, ...)`` block per group, as a
+    def merge(
+        self, blocks: Sequence[np.ndarray], shape: Tuple[int, ...], keys: bool = False
+    ) -> np.ndarray:
+        """The stream of one query block per group (``keys``: one key block,
+        whose shared prefix positions sum into the tokens they read), as a
         ``shape`` array."""
         if self.index is None:
             return blocks[0].reshape(shape)
         stream = np.empty((len(self.index),) + blocks[0].shape[2:], dtype=np.float64)
         for rows, block in zip(self.groups, blocks):
-            rows.put(stream, block)
+            rows.put(stream, block, queries=not keys)
+        if keys:
+            for rows, block in zip(self.groups, blocks):
+                rows.add_shared(stream, block)
         return stream.reshape(shape)
+
+
+def _runs(
+    start: np.ndarray, stop: np.ndarray, base: np.ndarray
+) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """Positions ``start[i] <= p < stop[i]`` of row ``i``, row after row: the
+    stream token ``base[i] + p`` of each, and its ``(i, p)``."""
+    n = stop - start
+    row = np.repeat(np.arange(len(n)), n)
+    pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
+    return base[row] + pos, (row, pos)
 
 
 def embed(
@@ -488,17 +593,24 @@ def embed(
 
 def unpack(x: Tensor, packing: Packing) -> Tensor:
     """A packed stream ``(n_tokens, ...)`` laid back on its ``(batch, seq,
-    ...)`` grid, 0 at every position it skips; a dense stream is the grid."""
+    ...)`` grid, 0 at every position it skips; a row's shared prefix reads
+    its leader's tokens.  A dense stream is the grid."""
     if packing.index is None:
         return x
     out = np.zeros((math.prod(packing.shape),) + x.shape[1:], dtype=np.float64)
     out[packing.index] = x.data
+    if packing.shared is not None:
+        out[packing.shared.at] = x.data[packing.shared.src]
     out = out.reshape(packing.shape + x.shape[1:])
     if not _tracked(x):
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.reshape(-1, *x.shape[1:])[packing.index], owned=True)
+        flat = g.reshape(-1, *x.shape[1:])
+        grad = flat[packing.index]
+        if packing.shared is not None:
+            packing.shared.into(grad, flat)
+        x._accumulate(grad, owned=True)
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -598,14 +710,16 @@ def attention(
         groups = cache.extend(layer, projs[1], projs[2])
     else:
         groups = [
-            (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset)
+            (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset + rows.offset)
             for rows in layout.groups
         ]
     ctx = _scratch(*xd.shape)
     ctx_heads = ctx.reshape(*xd.shape[:-1], n_heads, hd)
     saved = []
     for rows, k, v, offset in groups:
-        q, k, v = heads(rows.take(projs[0])), heads(k), heads(v)
+        # a row queries only the positions it computes; a shared prefix is
+        # keys and values read from the row that computes it
+        q, k, v = heads(rows.take(projs[0], queries=True)), heads(k), heads(v)
         t = q.shape[2]
         att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(*q.shape[:3], k.shape[2]))
         att *= scale
@@ -639,7 +753,7 @@ def attention(
         dctx = (g2 @ wo.data.T).reshape(xd.shape)
         dprojs = ([], [], [])  # per group, the blocks of dq, dk, dv
         for rows, att, q, k, v in saved:
-            dctx_rows = heads(rows.take(dctx))
+            dctx_rows = heads(rows.take(dctx, queries=True))
             dv = att.swapaxes(-1, -2) @ dctx_rows
             datt = dctx_rows @ v.swapaxes(-1, -2)
             # softmax VJP (masked entries have att == 0), then the score scaling
@@ -651,7 +765,7 @@ def attention(
             _recycle(att, *_gathered(rows, q, k, v, dctx_rows))
         dx = np.zeros(x2.shape, dtype=np.float64)
         for w, blocks in zip((wq, wk, wv), dprojs):
-            d2 = layout.merge(blocks, x2.shape)
+            d2 = layout.merge(blocks, x2.shape, keys=w is not wq)
             if w.requires_grad:
                 w._accumulate(x2.T @ d2, owned=True)
             if x.requires_grad:
@@ -668,7 +782,7 @@ def attention(
 def _gathered(rows: Rows, *blocks: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Those of ``rows.take``'s blocks that are scratch: all of them when it
     gathered, none when it read views of the stream."""
-    return () if rows.src is None else blocks
+    return () if rows.keys[0] is None else blocks
 
 
 def swiglu_mlp(

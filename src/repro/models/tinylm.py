@@ -60,6 +60,19 @@ class TinyLMConfig:
         )
 
 
+def _leaders(token_ids: np.ndarray, prefix: int) -> Optional[np.ndarray]:
+    """Row ``i``'s leader: the first row whose first ``prefix`` ids are row
+    ``i``'s; ``None`` when no two rows share them."""
+    if prefix < 1 or len(token_ids) < 2:
+        return None
+    first: Dict[bytes, int] = {}
+    leaders = [
+        first.setdefault(row.tobytes(), i)
+        for i, row in enumerate(token_ids[:, :prefix])
+    ]
+    return None if len(first) == len(leaders) else np.array(leaders)
+
+
 def _span(index: Sequence[int]) -> Any:
     """``index`` as a slice when it is one ascending run — basic indexing
     reads a view and writes without a gather — else unchanged."""
@@ -122,6 +135,11 @@ class KVStore:
             for offset, rows in by_offset.items()
         ]
         return view
+
+    def copy_prefix(self, source: int, slot: int, length: int) -> None:
+        """Slot ``slot`` takes slot ``source``'s first ``length`` positions."""
+        for buffer in self.keys + self.values:
+            buffer[slot, :length] = buffer[source, :length]
 
     def extend(
         self, layer: int, k: np.ndarray, v: np.ndarray
@@ -245,6 +263,7 @@ class TinyLM:
         cache: Optional[KVStore] = None,
         pos_offset: Union[int, np.ndarray] = 0,
         lengths: Optional[np.ndarray] = None,
+        prefix: int = 0,
     ) -> Tensor:
         """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
 
@@ -254,9 +273,11 @@ class TinyLM:
         built (grad mode on, parameters requiring grad) raises.
         ``lengths``: row ``i`` has ``lengths[i]`` real tokens and only those
         are computed (:class:`~repro.models.autograd.Packing`); the output
-        is 0 at every later position.
+        is 0 at every later position.  ``prefix``: rows whose first
+        ``prefix`` tokens are equal (a GRPO group's prompt) compute them
+        once, in the first such row; the others' outputs there are its.
         """
-        x, packing = self._trunk(token_ids, cache, pos_offset, lengths)
+        x, packing = self._trunk(token_ids, cache, pos_offset, lengths, prefix)
         p = self.params
         if self.config.output_head == "lm":
             return ag.unpack(ag.linear(x, p["lm_head.weight"]), packing)
@@ -274,6 +295,7 @@ class TinyLM:
         cache: Optional[KVStore],
         pos_offset: Union[int, np.ndarray],
         lengths: Optional[np.ndarray],
+        prefix: int = 0,
     ) -> Tuple[Tensor, ag.Packing]:
         """The final-normed hidden stream of a forward, and its packing."""
         cfg, p = self.config, self.params
@@ -286,9 +308,15 @@ class TinyLM:
             raise ValueError(
                 f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}"
             )
-        if lengths is not None and (cache is not None or first):
+        if (lengths is not None or prefix) and (cache is not None or first):
             raise ValueError("lengths packs whole rows: no cache, no pos_offset")
-        packing = ag.Packing(token_ids.shape, lengths)
+        packing = ag.Packing(
+            token_ids.shape,
+            lengths,
+            _leaders(token_ids, prefix),
+            prefix,
+            offset_queries=cfg.head_dim % 4 == 0,
+        )
         x = ag.embed(
             p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset, packing
         )
@@ -322,32 +350,46 @@ class TinyLM:
     # -- LM conveniences -------------------------------------------------------------
 
     def token_log_probs(
-        self, token_ids: np.ndarray, lengths: Optional[np.ndarray] = None
+        self,
+        token_ids: np.ndarray,
+        lengths: Optional[np.ndarray] = None,
+        prefix: int = 0,
     ) -> Tensor:
         """Log-prob of each next token: out ``(batch, seq-1)``.
 
         ``out[:, i] = log p(token[i+1] | token[:i+1])``.  With ``lengths``
         (real tokens per row of ``token_ids``) only the ``lengths - 1``
         predictions of real tokens are computed; the rest of ``out`` is 0.
+        With ``prefix`` (the prompt length), rows that share their first
+        ``prefix`` tokens compute the predictions inside it once; each still
+        predicts its own first token past it.
         """
         if self.config.output_head != "lm":
             raise RuntimeError("token_log_probs requires an LM head")
         token_ids = np.asarray(token_ids, dtype=np.int64)
         x, packing = self._trunk(
-            token_ids[:, :-1], None, 0, None if lengths is None else lengths - 1
+            token_ids[:, :-1],
+            None,
+            0,
+            None if lengths is None else lengths - 1,
+            max(prefix - 1, 0),
         )
         logits = ag.linear(x, self.params["lm_head.weight"])
         logp = ag.log_softmax_gather(logits, packing.pack(token_ids[:, 1:]))
         return ag.unpack(logp, packing)
 
     def values(
-        self, token_ids: np.ndarray, lengths: Optional[np.ndarray] = None
+        self,
+        token_ids: np.ndarray,
+        lengths: Optional[np.ndarray] = None,
+        prefix: int = 0,
     ) -> Tensor:
         """Scalar head output per position ``(batch, seq)``; with ``lengths``,
-        at the real positions only (0 elsewhere)."""
+        at the real positions only (0 elsewhere); ``prefix`` as in
+        :meth:`forward`."""
         if self.config.output_head != "scalar":
             raise RuntimeError("values() requires a scalar head")
-        return self.forward(token_ids, lengths=lengths)
+        return self.forward(token_ids, lengths=lengths, prefix=prefix)
 
     def sequence_reward(self, token_ids: np.ndarray) -> Tensor:
         """Sample-level score: scalar head at the final position ``(batch,)``."""

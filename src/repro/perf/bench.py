@@ -14,8 +14,8 @@ Comparison policy (the part that makes the gate portable):
   must match the baseline bit-for-bit on any platform; none of them depends
   on float arithmetic or the sampled token stream, so they are stable
   across Python/numpy versions — except ``grpo_eos_iteration``'s two token
-  counts, which follow where sampling emitted EOS (a sampler or model
-  change that moves them is a re-baseline, said so).
+  counts and its prefix hits, which follow where sampling emitted EOS (a
+  sampler or model change that moves them is a re-baseline, said so).
 * ``min`` metrics carry their own absolute floor (host-speed-free ratios
   and counts: the modeled async overlap speedup, process-group cache
   hits).  The floor is part of the pinned record.
@@ -273,11 +273,15 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     finally:
         ag.embed = embed
     served = system.controller.metrics.total("repro_serving_tokens_total")
+    hits = system.controller.metrics.total("repro_serving_prefix_hits_total")
 
     metrics = {
+        # each group's prompt enters the scoring and training forwards once
         "forward_tokens": _metric("exact", computed),
         "padded_forward_tokens": _metric("info", padded),
         "response_tokens": _metric("exact", int(served)),
+        # admissions that reused a group-mate's prompt prefill
+        "prefix_hits": _metric("exact", int(hits)),
     }
     return pins, metrics
 

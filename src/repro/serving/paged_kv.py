@@ -20,7 +20,7 @@ scheduler needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.device import SimDevice
 from repro.models.tinylm import TinyLMConfig
@@ -82,6 +82,11 @@ class PagedKVCache:
         # pop() hands out low block ids first — deterministic tables
         self._free: List[int] = list(range(n_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
+        #: Tables holding each block in use: a prompt's full blocks are
+        #: held by every request of that prompt (vLLM's prefix sharing).
+        self._refs: Dict[int, int] = {}
+        #: Prompt key -> the full blocks of that prompt, while held.
+        self._prefixes: Dict[bytes, List[int]] = {}
         self.peak_blocks_in_use = 0
 
     # -- queries ---------------------------------------------------------------------
@@ -110,36 +115,94 @@ class PagedKVCache:
         """The request's current block ids (copy; empty when unknown)."""
         return list(self._tables.get(request_id, ()))
 
-    def can_reserve(self, request_id: int, n_tokens: int) -> bool:
+    def _adopted(
+        self, request_id: int, prefix: Optional[Tuple[bytes, int]]
+    ) -> List[int]:
+        """The shared blocks a request holding nothing yet would start its
+        table with: those of its prompt ``prefix = (key, length)``."""
+        if prefix is None or request_id in self._tables:
+            return []
+        return self._prefixes.get(prefix[0], [])
+
+    def can_reserve(
+        self,
+        request_id: int,
+        n_tokens: int,
+        prefix: Optional[Tuple[bytes, int]] = None,
+    ) -> bool:
         """Whether growing the request's table to ``n_tokens`` would succeed."""
-        held = len(self._tables.get(request_id, ()))
+        held = len(self._tables.get(request_id, ())) or len(
+            self._adopted(request_id, prefix)
+        )
         return self.blocks_needed(n_tokens) - held <= len(self._free)
 
     # -- mutation --------------------------------------------------------------------
 
-    def reserve(self, request_id: int, n_tokens: int) -> None:
+    def reserve(
+        self,
+        request_id: int,
+        n_tokens: int,
+        prefix: Optional[Tuple[bytes, int]] = None,
+    ) -> None:
         """Grow the request's block table to cover ``n_tokens`` positions.
 
         Idempotent for already-covered lengths; raises
         :class:`BlockExhausted` (leaving state untouched) when the free pool
-        cannot supply the extra blocks.
+        cannot supply the extra blocks.  ``prefix = (key, length)``: the
+        request starts with that prompt.  A request holding nothing yet
+        shares the prompt's full blocks with the requests that hold them,
+        or, when none does, offers its own to the next one.
         """
+        adopted = self._adopted(request_id, prefix)
         table = self._tables.setdefault(request_id, [])
-        extra = self.blocks_needed(n_tokens) - len(table)
-        if extra <= 0:
+        extra = self.blocks_needed(n_tokens) - len(table) - len(adopted)
+        if extra <= 0 and not adopted:
             return
         if extra > len(self._free):
             raise BlockExhausted(extra, len(self._free), self.n_blocks)
+        for block in adopted:
+            self._refs[block] += 1
+        table.extend(adopted)
         for _ in range(extra):
-            table.append(self._free.pop())
+            block = self._free.pop()
+            self._refs[block] = 1
+            table.append(block)
+        if prefix is not None and not adopted:
+            full = prefix[1] // self.block_size
+            if full and prefix[0] not in self._prefixes:
+                self._prefixes[prefix[0]] = table[:full]
         self._charge()
 
     def release(self, request_id: int) -> int:
-        """Return all of the request's blocks to the pool; count released."""
-        table = self._tables.pop(request_id, [])
-        self._free.extend(reversed(table))
+        """Drop the request's table; blocks no other table holds go back to
+        the pool.  Returns the count that did."""
+        freed = []
+        for block in reversed(self._tables.pop(request_id, [])):
+            self._refs[block] -= 1
+            if not self._refs[block]:
+                del self._refs[block]
+                freed.append(block)
+        self._free.extend(freed)
+        if freed:
+            # a prompt whose blocks went back to the pool is shared no more
+            for key, blocks in list(self._prefixes.items()):
+                if blocks[0] not in self._refs:
+                    del self._prefixes[key]
         self._charge()
-        return len(table)
+        return len(freed)
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` if tables, counts and the pool disagree:
+        every block is free or held, and counted once per table holding it."""
+        held: Dict[int, int] = {}
+        for table in self._tables.values():
+            assert len(set(table)) == len(table), f"table {table} repeats a block"
+            for block in table:
+                held[block] = held.get(block, 0) + 1
+        assert held == self._refs, f"refs {self._refs} vs tables {held}"
+        assert sorted(list(held) + self._free) == list(range(self.n_blocks))
+        for key, blocks in self._prefixes.items():
+            assert all(block in held for block in blocks), f"prefix {blocks} freed"
 
     def _charge(self) -> None:
         self.peak_blocks_in_use = max(self.peak_blocks_in_use, self.blocks_in_use)

@@ -47,6 +47,13 @@ class Request:
     #: Token positions currently cached (<= seq_len; the newest sampled
     #: token is only cached by the *next* forward).
     kv_len: int = 0
+    #: Last-position logits of the prompt prefill whose K/V this request's
+    #: slot holds (its own, or another request's it reused); ``None`` once a
+    #: recompute replaced them.  A fresh request with the same prompt reuses
+    #: both instead of prefilling.
+    prompt_logits: Optional[np.ndarray] = dataclasses.field(
+        default=None, repr=False
+    )
     #: Scheduler steps spent eligible-but-waiting (drives priority aging).
     wait_steps: int = 0
     n_preemptions: int = 0
@@ -63,6 +70,16 @@ class Request:
     @property
     def seq_len(self) -> int:
         return self.prompt_length + len(self.generated)
+
+    @property
+    def prompt_key(self) -> bytes:
+        """Equal for requests with equal prompts (a GRPO group)."""
+        return self.prompt.tobytes()
+
+    @property
+    def fresh(self) -> bool:
+        """Never admitted: its first prefill is exactly its prompt."""
+        return not self.generated and self.kv_len == 0
 
     def uncached_tokens(self) -> List[int]:
         """Token ids past ``kv_len`` — what the next forward must feed: the

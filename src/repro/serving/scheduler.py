@@ -85,8 +85,10 @@ class ContinuousBatchScheduler:
 
         An admitted request gets a slot of the KV store and blocks reserved
         for its full current context (``prompt + generated``) — what the
-        prefill this step will cache.  Requests not yet arrived are ignored;
-        the rest accrue one waiting step each.
+        prefill this step will cache.  A fresh request shares the full
+        blocks of its prompt with the runners of the same prompt (a GRPO
+        group), as the server shares the prompt's prefill.  Requests not
+        yet arrived are ignored; the rest accrue one waiting step each.
         """
         admitted: List[Request] = []
         while len(self.running) < self.config.max_slots:
@@ -94,9 +96,10 @@ class ContinuousBatchScheduler:
             if not eligible:
                 break
             head = min(eligible, key=self.rank_key)
-            if not self.kv.can_reserve(head.request_id, head.seq_len):
+            prefix = (head.prompt_key, head.prompt_length) if head.fresh else None
+            if not self.kv.can_reserve(head.request_id, head.seq_len, prefix):
                 break  # head-of-line: wait for blocks rather than starve it
-            self.kv.reserve(head.request_id, head.seq_len)
+            self.kv.reserve(head.request_id, head.seq_len, prefix)
             self.waiting.remove(head)
             head.state = RequestState.RUNNING
             head.slot = self._free_slots.pop()
@@ -158,6 +161,7 @@ class ContinuousBatchScheduler:
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` if the block accounting drifted."""
+        self.kv.check_invariants()
         assert self.kv.blocks_in_use <= self.kv.n_blocks
         assert len(self.running) <= self.config.max_slots
         held_slots = sorted(req.slot for req in self.running)

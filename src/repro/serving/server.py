@@ -93,6 +93,10 @@ class ServingReport:
     peak_kv_bytes: int
     slo_ttft: Optional[float] = None
     slo_latency: Optional[float] = None
+    #: Admissions that reused another request's prompt prefill, and the
+    #: prompt tokens they therefore never fed.
+    prefix_hits: int = 0
+    reused_prompt_tokens: int = 0
 
     # -- latency aggregates ----------------------------------------------------------
     #
@@ -167,6 +171,8 @@ class ServingReport:
             f"slot utilisation     : {self.slot_utilisation:.3f}",
             f"preemptions          : {self.n_preemptions} "
             f"({self.recomputed_tokens} tokens recomputed)",
+            f"prompt prefix reuse  : {self.prefix_hits} admissions "
+            f"({self.reused_prompt_tokens} prompt tokens not prefilled)",
             f"peak KV blocks       : {self.peak_kv_blocks}/{self.kv_blocks_total} "
             f"({self.peak_kv_bytes} bytes)",
             f"TTFT mean / p95      : {self._fmt_stat(self.mean_ttft())} / "
@@ -196,6 +202,8 @@ class ServingReport:
             "slot_utilisation": self.slot_utilisation,
             "n_preemptions": self.n_preemptions,
             "recomputed_tokens": self.recomputed_tokens,
+            "prefix_hits": self.prefix_hits,
+            "reused_prompt_tokens": self.reused_prompt_tokens,
             "peak_kv_blocks": self.peak_kv_blocks,
             "kv_blocks_total": self.kv_blocks_total,
             "mean_ttft": self.mean_ttft(),
@@ -257,6 +265,8 @@ class RolloutServer:
         self._forwards = 0
         self._occupied_slot_steps = 0
         self._tokens = 0
+        self._prefix_hits = 0
+        self._reused_prompt_tokens = 0
 
     def _resolve_n_blocks(
         self, model: TinyLM, device: Optional[SimDevice]
@@ -341,9 +351,12 @@ class RolloutServer:
         ranked after the requester — ones the walk has not reached — so
         whatever already joined a cohort keeps its blocks and its slot.
         Then each cohort — the runners feeding the same number of tokens —
-        takes one forward.  Per-request rngs make the emitted tokens
-        independent of cohorting.  Returns the requests that finished this
-        step.
+        takes one forward.  A fresh request whose prompt another runner
+        prefills this step, or holds from its own prompt prefill, takes no
+        part in it: it copies that runner's prompt K/V into its slot and
+        samples from the same logits, so a GRPO group prefills its prompt
+        once.  Per-request rngs make the emitted tokens independent of
+        cohorting and reuse.  Returns the requests that finished this step.
         """
         step_end = self.now + self.config.step_time
         with self.tracer.span(
@@ -352,6 +365,9 @@ class RolloutServer:
             self.scheduler.schedule(self.now)
             preempted_before = self.scheduler.n_preemptions
             cohorts: Dict[int, List[Request]] = {}
+            # request id -> (slot, runner) of the prompt prefill it reuses
+            sources: Dict[int, Tuple[int, Request]] = {}
+            prefilling: Dict[bytes, Request] = {}
             for req in sorted(
                 self.scheduler.running, key=self.scheduler.rank_key
             ):
@@ -360,12 +376,20 @@ class RolloutServer:
                 # a resident runner needs a block for its next token; with
                 # nothing cached (admission, recompute) schedule() reserved
                 # the context
-                if req.kv_len == 0 or self.scheduler.ensure_decode_blocks(req):
-                    cohorts.setdefault(req.seq_len - req.kv_len, []).append(req)
+                if req.kv_len and not self.scheduler.ensure_decode_blocks(req):
+                    continue
+                if req.fresh:
+                    source = prefilling.get(req.prompt_key) or self._prompt_holder(req)
+                    if source is None:
+                        prefilling[req.prompt_key] = req
+                    else:
+                        sources[req.request_id] = (source.slot, source)
+                cohorts.setdefault(req.seq_len - req.kv_len, []).append(req)
             finished_now: List[CompletedRequest] = []
-            produced = 0
+            produced = forwards = 0
             for cohort in cohorts.values():
-                tokens, logps = self._forward_cohort(cohort)
+                tokens, logps, ran = self._forward_cohort(cohort, sources)
+                forwards += ran
                 for req, token, logp in zip(
                     cohort, tokens.tolist(), logps.tolist()
                 ):
@@ -381,9 +405,12 @@ class RolloutServer:
                             self._finish(req, step_end, "length")
                         )
             self._steps += 1
-            self._forwards += len(cohorts)
+            self._forwards += forwards
             self._occupied_slot_steps += produced
             self._tokens += produced
+            reused = sum(source.prompt_length for _, source in sources.values())
+            self._prefix_hits += len(sources)
+            self._reused_prompt_tokens += reused
             self.now = step_end
             if produced:
                 self.metrics.counter(
@@ -393,7 +420,12 @@ class RolloutServer:
                 self.metrics.counter(
                     "repro_serving_forwards_total",
                     "Model forwards run by the rollout server",
-                ).inc(len(cohorts))
+                ).inc(forwards)
+            if sources:
+                self.metrics.counter(
+                    "repro_serving_prefix_hits_total",
+                    "Admissions that reused another request's prompt prefill",
+                ).inc(len(sources))
             # counted here, not in report(): the registry may outlive (and
             # be shared by) many servers
             self.metrics.counter(
@@ -403,34 +435,70 @@ class RolloutServer:
             span.attrs.update(active=produced, finished=len(finished_now))
         return finished_now
 
+    def _prompt_holder(self, req: Request) -> Optional[Request]:
+        """A runner whose slot holds ``req``'s prompt as a prompt prefill
+        computed it, and that prefill's last logits; ``None`` if none does."""
+        for other in self.scheduler.running:
+            if (
+                other.prompt_logits is not None
+                and other.kv_len >= other.prompt_length
+                and other.prompt_key == req.prompt_key
+            ):
+                return other
+        return None
+
     def _forward_cohort(
-        self, cohort: List[Request]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, cohort: List[Request], sources: Dict[int, Tuple[int, Request]]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One forward for requests that feed the same number of tokens.
 
         Rows concatenate without padding — hence the cohort key — and may
         have cached different lengths: the model runs once over the tokens
         each request has not cached yet, writing their K/V into each
-        request's slot of the store behind what it holds.  Returns the
-        sampled token and its log-prob per request, in cohort order.
+        request's slot of the store behind what it holds.  A request in
+        ``sources`` is not fed: it copies its source's prompt K/V and
+        logits.  Returns the sampled token and its log-prob per request, in
+        cohort order, and the number of forwards run (0 or 1).
         """
-        feed = np.array([r.uncached_tokens() for r in cohort])
-        with no_grad():
-            logits = self.model.forward(
-                feed,
-                cache=self.store.rows([r.slot for r in cohort]),
-                pos_offset=np.array([r.kv_len for r in cohort]),
-            )
-        for req in cohort:
-            req.kv_len = req.seq_len
+        computed = [r for r in cohort if r.request_id not in sources]
+        logits: Any = ()
+        if computed:
+            feed = np.array([r.uncached_tokens() for r in computed])
+            with no_grad():
+                out = self.model.forward(
+                    feed,
+                    cache=self.store.rows([r.slot for r in computed]),
+                    pos_offset=np.array([r.kv_len for r in computed]),
+                )
+            logits = out.data[:, -1, :]
+            for req, row in zip(computed, logits):
+                if req.fresh:
+                    req.prompt_logits = row.copy()
+                elif req.kv_len == 0:
+                    # a recompute's prompt K/V is the prefill's sum in
+                    # another order: not reusable bit for bit
+                    req.prompt_logits = None
+                req.kv_len = req.seq_len
+        if len(computed) < len(cohort):
+            rows = iter(logits)
+            merged = []
+            for req in cohort:
+                if req.request_id in sources:
+                    slot, source = sources[req.request_id]
+                    self.store.copy_prefix(slot, req.slot, req.prompt_length)
+                    req.prompt_logits = source.prompt_logits
+                    req.kv_len = req.seq_len
+                    merged.append(req.prompt_logits)
+                else:
+                    merged.append(next(rows))
+            logits = np.array(merged)
         uniforms = (
             None
             if self.config.greedy
             else np.array([r.rng.random() for r in cohort])
         )
-        return decode_step(
-            logits.data[:, -1, :], uniforms, self.config.temperature
-        )
+        tokens, logps = decode_step(logits, uniforms, self.config.temperature)
+        return tokens, logps, int(bool(computed))
 
     def _finish(
         self, req: Request, at_time: float, reason: str
@@ -511,6 +579,8 @@ class RolloutServer:
             peak_kv_bytes=self.kv.peak_bytes_in_use(),
             slo_ttft=self.config.slo_ttft,
             slo_latency=self.config.slo_latency,
+            prefix_hits=self._prefix_hits,
+            reused_prompt_tokens=self._reused_prompt_tokens,
         )
         self.metrics.gauge(
             "repro_serving_slot_utilisation",

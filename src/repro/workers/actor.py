@@ -281,7 +281,7 @@ class ActorWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch)
+                batch["sequences"], real_lengths(batch), prompt_len
             ).data
             return batch.select(["sequences"]).union(
                 DataBatch(
@@ -356,7 +356,7 @@ class ActorWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch)
+                batch["sequences"], real_lengths(batch), prompt_len
             )[:, prompt_len - 1 :]
             old = batch["old_log_probs"]
             advantages = batch["advantages"]

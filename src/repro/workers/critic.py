@@ -51,7 +51,9 @@ class CriticWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            values = model.values(batch["sequences"], real_lengths(batch)).data
+            values = model.values(
+                batch["sequences"], real_lengths(batch), prompt_len
+            ).data
             return batch.select(["sequences"]).union(
                 DataBatch(
                     {"values": values[:, prompt_len - 1 : -1]},
@@ -87,9 +89,9 @@ class CriticWorker(ThreeDParallelWorker):
 
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
-            values = model.values(batch["sequences"], real_lengths(batch))[
-                :, prompt_len - 1 : -1
-            ]
+            values = model.values(
+                batch["sequences"], real_lengths(batch), prompt_len
+            )[:, prompt_len - 1 : -1]
             mask = batch["response_mask"] if "response_mask" in batch else None
             return L.value_loss(
                 values,

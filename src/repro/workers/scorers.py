@@ -32,10 +32,11 @@ def _sequence_scores(
     over ``prompt_length + max(response_length, 1)`` tokens per row and
     scores the last of them.
     """
+    prompt_len = batch.meta["prompt_length"]
     lengths = real_lengths(batch)
     if lengths is not None:
-        lengths = np.maximum(lengths, batch.meta["prompt_length"] + 1)
-    values = model.values(batch["sequences"], lengths).data
+        lengths = np.maximum(lengths, prompt_len + 1)
+    values = model.values(batch["sequences"], lengths, prompt_len).data
     if lengths is None:
         return values[:, -1], values
     return values[np.arange(len(values)), lengths - 1], values
@@ -68,7 +69,7 @@ class ReferenceWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch)
+                batch["sequences"], real_lengths(batch), prompt_len
             ).data
             return batch.select(["sequences"]).union(
                 DataBatch(

@@ -191,8 +191,12 @@ class TestStalenessOneHistoryPinned:
     closed-form RMSNorm/softmax backward), so after the first update every
     float moved in its 13th-16th significant digit (worst 1.0e-14 relative;
     e.g. grpo ``actor/grpo_loss`` -0.016868341068245588 ->
-    -0.016868341068245495).  The comparison stays exact so later drift is
-    still caught."""
+    -0.016868341068245495).  The GRPO rows were re-recorded again when a
+    group's shared prompt became one computation in the packed forwards:
+    iteration 0 is unchanged, later floats moved in their 15th-16th digit
+    (worst 1.7e-14 relative, e.g. that loss -> -0.01686834106824578), as the
+    prompt tokens' weight gradients now sum the group before the GEMM.  The
+    comparison stays exact so later drift is still caught."""
 
     @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
     @pytest.mark.parametrize("algo", list(ALGO_CASES), ids=lambda a: a.value)

@@ -184,15 +184,22 @@ def _draw_logits(data, rng):
 
 def _draw_unpack(data, rng):
     b, t = _ints(data, 1, 3), _ints(data, 2, 5)
-    packing = ag.Packing((b, t), rng.integers(0, t + 1, size=b))
+    # each row reads the first positions of a row at or before it (itself:
+    # nothing shared)
+    leaders = np.array([rng.integers(0, i + 1) for i in range(b)])
+    leaders = leaders[leaders]  # a leader leads itself
+    packing = ag.Packing(
+        (b, t), rng.integers(0, t + 1, size=b), leaders, _ints(data, 0, t)
+    )
     grid = (b, t) if packing.index is None else (len(packing.index),)
     features = data.draw(st.sampled_from([(), (_ints(data, 1, 3),)]))
     return [rng.normal(size=grid + features)], {"packing": packing}
 
 
 def _unpack_reference(x, packing):
-    """Each grid position picks its stream token (any one where it has
-    none), then ``where`` zeroes the positions the stream skips."""
+    """Each grid position picks its stream token — a shared one its leader's
+    (any one where it has none), then ``where`` zeroes the positions the
+    stream skips."""
     if packing.index is None:
         return x
     b, t = packing.shape
@@ -200,6 +207,8 @@ def _unpack_reference(x, packing):
     slot[packing.index] = np.arange(len(packing.index))
     real = np.zeros(b * t, dtype=bool)
     real[packing.index] = True
+    if packing.shared is not None:
+        slot[packing.shared.at], real[packing.shared.at] = packing.shared.src, True
     picked = x[slot.reshape(b, t)]
     real = real.reshape((b, t) + (1,) * (x.ndim - 1))
     return O.where(real, picked, OpTensor(np.zeros(picked.shape)))

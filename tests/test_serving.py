@@ -683,6 +683,34 @@ def serving_runs(draw):
     )
 
 
+@st.composite
+def grouped_runs(draw):
+    """A ``serving_runs`` draw whose requests come in groups sharing one
+    prompt (GRPO's samples per prompt), in submission order or shuffled."""
+    n_prompts, size = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    order = draw(st.permutations(list(range(n_prompts * size))))
+    groups = [i // size for i in order]
+    prompt_lengths = draw(st.lists(st.integers(1, 9), min_size=n_prompts, max_size=n_prompts))
+    budgets = draw(st.lists(st.integers(1, 8), min_size=len(groups), max_size=len(groups)))
+    block_size = draw(st.sampled_from([2, 4]))
+    longest = max(prompt_lengths[g] + b for g, b in zip(groups, budgets))
+    return dict(
+        prompt_lengths=prompt_lengths,
+        groups=groups,
+        budgets=budgets,
+        priorities=draw(st.lists(st.integers(0, 1), min_size=len(groups), max_size=len(groups))),
+        seed=draw(st.integers(0, 2**16)),
+        config=dict(
+            max_slots=draw(st.integers(1, 6)),
+            block_size=block_size,
+            n_blocks=-(-longest // block_size) + draw(st.integers(0, 6)),
+            greedy=draw(st.booleans()),
+            temperature=draw(st.sampled_from([0.7, 1.0])),
+            eos_token_id=draw(st.sampled_from([None, 2])),
+        ),
+    )
+
+
 def serve_checked(run, after_step=lambda server: None):
     """Run a ``serving_runs`` draw to completion — block/slot invariants and
     "one forward per distinct feed length" asserted every step, ``after_step``
@@ -695,6 +723,8 @@ def serve_checked(run, after_step=lambda server: None):
     prompts = [
         rng.integers(0, CFG.vocab_size, size=n) for n in run["prompt_lengths"]
     ]
+    # request i asks for prompt groups[i]: equal prompts, as a GRPO group's
+    prompts = [prompts[g] for g in run.get("groups", range(len(prompts)))]
     for prompt, budget, priority in zip(
         prompts, run["budgets"], run["priorities"]
     ):
@@ -794,6 +824,83 @@ class TestEqualsBatchOneGenerate:
         assert report.n_preemptions > 0
         assert len(report.completed) > run["config"]["max_slots"]  # slots reused
         assert report.n_forwards < 2 * report.n_steps
+
+
+class TestGroupedPromptIsPrefilledOnce:
+    """Requests sharing a prompt (a GRPO group) prefill it once: a fresh
+    admission whose prompt another runner prefills in the same step, or
+    holds from its own prompt prefill, copies that K/V and samples from the
+    same logits, and shares the prompt's full KV blocks.  Output stays the
+    oracle's: ``generate`` on each request alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=grouped_runs())
+    def test_every_request_matches_generate_alone(self, run):
+        serve_checked(run, after_step=poison_unowned_kv)
+
+    def test_group_prefills_once_and_shares_its_blocks(self, model):
+        prompts = np.random.default_rng(2).integers(0, CFG.vocab_size, size=(2, 8))
+        reports = {}
+        for name, rows in (("grouped", np.repeat(prompts, 4, axis=0)),
+                           ("distinct", np.random.default_rng(3).integers(
+                               0, CFG.vocab_size, size=(8, 8)))):
+            server = make_server(model, max_slots=8, block_size=4)
+            submit_all(server, rows, [6] * 8)
+            reports[name] = drain_with_invariants(server)
+        grouped, distinct = reports["grouped"], reports["distinct"]
+        # two prompts, prefilled once each: six admissions reuse one
+        assert (grouped.prefix_hits, grouped.reused_prompt_tokens) == (6, 48)
+        assert (distinct.prefix_hits, distinct.reused_prompt_tokens) == (0, 0)
+        assert grouped.n_steps == distinct.n_steps == 6
+        # a 2-block prompt held once per group: 8 x 2 blocks become 2 x 2
+        assert distinct.peak_kv_blocks - grouped.peak_kv_blocks == 12
+        assert "6 admissions (48 prompt tokens not prefilled)" in "\n".join(
+            grouped.summary_lines()
+        )
+
+    def test_a_late_group_member_reuses_a_resident_prompt(self, model):
+        # one slot frees at a time: members 2 and 3 are admitted while
+        # member 1 decodes, and copy its prompt K/V instead of prefilling
+        prompt = np.arange(6) % CFG.vocab_size
+        metrics = MetricsRegistry()
+        server = RolloutServer(
+            model, ServingConfig(max_slots=2, block_size=4, greedy=True),
+            metrics=metrics,
+        )
+        for budget in (3, 8, 2, 4):
+            server.submit(prompt, max_new_tokens=budget)
+        report = drain_with_invariants(server)
+        assert report.prefix_hits == 3
+        # the one prefill shares step 0 with nothing; every later step is
+        # one decode forward, admissions included
+        assert report.n_forwards == report.n_steps
+        assert metrics.total("repro_serving_prefix_hits_total") == 3
+        alone = generate(model, prompt[None, :], max_new_tokens=8, greedy=True)
+        for done in report.completed:
+            n = done.response_length
+            np.testing.assert_array_equal(done.response, alone.responses[0, :n])
+            assert np.array_equal(done.log_probs, alone.response_log_probs[0, :n])
+
+    def test_a_recomputed_prompt_is_not_reused(self, model):
+        # a preempted runner rebuilds its K/V by one prefill over prompt +
+        # generated: the same sum in another order, so a later request of
+        # its prompt prefills for itself
+        prompt = np.arange(6) % CFG.vocab_size
+        server = make_server(model, max_slots=4, n_blocks=9, block_size=4)
+        submit_all(server, np.repeat(prompt[None, :], 8, axis=0), [10] * 8)
+        recomputed = 0
+        while server.pending:
+            server.step()
+            server.scheduler.check_invariants()
+            for req in server.scheduler.running:
+                if req.kv_len:  # a holder is exactly a never-recomputed runner
+                    assert (req.prompt_logits is None) == (req.recomputed_tokens > 0)
+                    recomputed += req.recomputed_tokens > 0
+        report = server.report()
+        assert report.n_preemptions > 0 and recomputed > 0
+        sequential = generate(model, prompt[None, :], max_new_tokens=10, greedy=True)
+        for done in report.completed:
+            np.testing.assert_array_equal(done.response, sequential.responses[0])
 
 
 def _empty_report():

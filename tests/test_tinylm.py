@@ -425,3 +425,78 @@ class TestPackedForwardIsThePaddedForward:
                 cache=KVStore(config, 2),
                 lengths=np.array([2, 4]),
             )
+        with pytest.raises(ValueError, match="lengths"):
+            model.forward(tokens(config, seq=4), cache=KVStore(config, 2), prefix=2)
+
+
+class TestSharedPromptIsComputedOnce:
+    """Rows that share their first ``prefix`` tokens (a GRPO group's prompt)
+    compute them once: every output is still the dense forward's bit for
+    bit, gradients agree to rounding (the group's prompt gradients are
+    summed before the weight GEMMs), and the stream holds each prompt once."""
+
+    #: head dims 16, 8, 4 (queries start past the prefix) and 2 (they do
+    #: not: a context row would round by its place in the GEMM)
+    MODELS = {
+        (head, n_heads): TinyLM(
+            dataclasses.replace(PACKED, output_head=head, n_heads=n_heads), seed=5
+        )
+        for head in ("lm", "scalar")
+        for n_heads in (1, 2, 4, 8)
+    }
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shared_prefix_is_the_dense_forward(self, data):
+        head = data.draw(st.sampled_from(["lm", "scalar"]))
+        model = self.MODELS[head, data.draw(st.sampled_from([1, 2, 4, 8]))]
+        t = data.draw(st.integers(3, PACKED.max_seq_len))
+        prefix = data.draw(st.integers(1, t - 1))
+        groups, size = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        b = groups * size
+        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
+        ids[:, :prefix] = np.repeat(
+            rng.integers(0, PACKED.vocab_size, size=(groups, prefix)), size, axis=0
+        )
+        ids = ids[rng.permutation(b)]  # group members need not be adjacent
+        ragged = data.draw(st.booleans())
+        lengths = rng.integers(prefix + 1, t + 1, size=b) if ragged else None
+        full = np.full(b, t) if lengths is None else lengths
+        computed = full - 1 if head == "lm" else full
+        width = t - 1 if head == "lm" else t
+        real = np.arange(width) < computed[:, None]
+        probe = rng.normal(size=(b, width)) * real
+
+        def run(lengths, prefix):
+            model.zero_grad()
+            if head == "lm":
+                out = model.token_log_probs(ids, lengths, prefix)
+            else:
+                out = model.values(ids, lengths, prefix)
+            (out * Tensor(probe)).sum().backward()
+            return out.data, {name: p.grad.copy() for name, p in model.params.items()}
+
+        dense, dense_grads = run(None, 0)
+        shared, shared_grads = run(lengths, prefix)
+        assert np.array_equal(shared[real], dense[real])
+        for name, want in dense_grads.items():
+            got = shared_grads[name]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_each_prompt_enters_the_stream_once(self):
+        # two groups of three rows, prompt of 5; the LM trunk shares 4
+        # positions, so each row still predicts its own first response token
+        ids = np.repeat(np.arange(12).reshape(2, 6) % PACKED.vocab_size, 3, axis=0)
+        ids[:, 5] = np.arange(6)
+        lengths = np.array([6, 6, 5, 6, 4, 6])
+        packing = Packing((6, 6), lengths, np.array([0, 0, 0, 3, 3, 3]), 4)
+        assert len(packing.index) == lengths.sum() - 4 * 4
+        # each follower's first 4 positions read its leader's same positions
+        at, read = packing.shared.at, packing.index[packing.shared.src]
+        assert sorted(at.tolist()) == [r * 6 + p for r in (1, 2, 4, 5) for p in range(4)]
+        assert np.array_equal(read % 6, at % 6)
+        assert np.array_equal(read // 6, np.array([0, 0, 0, 3, 3, 3])[at // 6])
+        # no two rows share: the packed forward of the parent, unchanged
+        plain = Packing((6, 6), lengths)
+        assert plain.shared is None and len(plain.index) == lengths.sum()

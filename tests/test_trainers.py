@@ -242,8 +242,8 @@ class TestEosRaggedRuns:
         packed = []
         trunk = TinyLM._trunk
 
-        def spy(model, token_ids, cache, pos_offset, lengths):
-            x, packing = trunk(model, token_ids, cache, pos_offset, lengths)
+        def spy(model, *args):
+            x, packing = trunk(model, *args)
             packed.append(packing.index is not None)
             return x, packing
 

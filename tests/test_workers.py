@@ -11,6 +11,7 @@ from repro.comm import collectives
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data.batch import DataBatch
 from repro.data.dataset import SyntheticPreferenceTask
+from repro.models import autograd as ag
 from repro.models.adam import Adam
 from repro.models.sharding import gather_flat_shards, gather_full_params
 from repro.models.tinylm import TinyLM, TinyLMConfig
@@ -355,6 +356,50 @@ class TestPaddingIsNeverRead:
             first, second = grads[-2:]
             for name in first:
                 assert np.array_equal(first[name], second[name]), name
+
+
+class TestGroupPromptIsComputedOnce:
+    """A GRPO batch repeats each prompt ``group_size`` times: a scoring
+    forward embeds each prompt once and returns the columns a dense
+    forward gives."""
+
+    P, R, G = 6, 5, 4
+
+    def batch(self, masked):
+        rng = np.random.default_rng(1)
+        prompts = np.repeat(rng.integers(0, 16, size=(2, self.P)), self.G, axis=0)
+        sequences = np.concatenate(
+            [prompts, rng.integers(0, 16, size=(2 * self.G, self.R))], axis=1
+        )
+        columns = {"sequences": sequences}
+        if masked:
+            lengths = rng.integers(1, self.R + 1, size=(2 * self.G, 1))
+            columns["response_mask"] = (np.arange(self.R) < lengths).astype(np.float64)
+        return DataBatch(columns, meta={"prompt_length": self.P})
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "eos"])
+    def test_columns_are_the_dense_forwards(self, masked, monkeypatch):
+        batch = self.batch(masked)
+        dense = TinyLM(LM_CFG, seed=0).token_log_probs(batch["sequences"]).data
+        embedded = []
+        embed = ag.embed
+
+        def counting(*args, **kwargs):
+            out = embed(*args, **kwargs)
+            embedded.append(out.size // out.shape[-1])
+            return out
+
+        monkeypatch.setattr(ag, "embed", counting)
+        tp2 = ParallelConfig(1, 2, 1)
+        reference = make_group(ReferenceWorker, tp2, model_config=LM_CFG)[1]
+        got = reference.compute_ref_log_prob(batch).get()["ref_log_probs"]
+        want = dense[:, self.P - 1 :]
+        real = batch["response_mask"] > 0 if masked else np.ones_like(want, bool)
+        assert np.array_equal(got[real], want[real])
+        # the trunk runs positions 0..L-2: 8 rows, 2 prompts of which the
+        # first P-1 positions are shared
+        tokens = (real.sum(axis=1) + self.P - 1).sum() - 6 * (self.P - 1)
+        assert embedded == [tokens]
 
 
 class TestShardedStorage:
