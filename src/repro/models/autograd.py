@@ -25,8 +25,9 @@ graph backpropagates once; a VJP that freshly allocated an array hands it to
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -360,19 +361,25 @@ class Rows:
     the forward computes (``Packing``), read as keys and values only —
     ``add_shared`` sums their gradient into the tokens read.  Queries, and
     what the core writes back, are the own tokens, in a block of positions
-    ``offset`` to ``width`` (``take``/``put`` with ``queries=True``).
+    ``offset`` to ``width`` (``take``/``put`` with ``queries=True``).  They
+    are read from, and written to, the stream of the tokens the call
+    returns: the own tokens, unless ``queries`` (``(src, at)`` into that
+    stream) names fewer (a last layer's, ``Packing.tail``).
     """
 
     __slots__ = ("rows", "width", "offset", "keys", "own", "queries", "shared")
 
-    def __init__(self, rows, width=0, src=None, at=None, own=None, offset=0) -> None:
+    def __init__(
+        self, rows, width=0, src=None, at=None, own=None, offset=0, queries=None
+    ) -> None:
         self.rows, self.width, self.offset = rows, width, offset
-        self.keys = self.own = self.queries = (src, at)
+        self.keys = self.own = (src, at)
         self.shared: Optional[_Fold] = None
         if own is not None and own < len(src):
             self.own = (src[:own], (at[0][:own], at[1][:own]))
-            self.queries = (src[:own], (at[0][:own], at[1][:own] - offset))
             self.shared = _Fold(src[own:], (at[0][own:], at[1][own:]))
+        src, at = self.own if queries is None else queries
+        self.queries = (src, at if src is None else (at[0], at[1] - offset))
 
     def take(self, stream: np.ndarray, queries: bool = False) -> np.ndarray:
         if self.keys[0] is None:
@@ -418,6 +425,14 @@ class _Fold:
         out[self.targets] += np.add.reduceat(values[self.at], self.starts)
 
 
+class _Shared(NamedTuple):
+    """Grid positions ``at`` (``row * seq + position``, in grid order) that
+    read stream tokens ``src``."""
+
+    src: np.ndarray
+    at: np.ndarray
+
+
 _EVERY_ROW = (Rows(slice(None)),)
 
 
@@ -452,6 +467,18 @@ class Packing:
     past the prefix; that moves each query row up the score and context
     GEMMs, which keeps its bits only for head dims ≡ 0 or 4 (mod 8) and at
     least two queries (one is a GEMV), so the caller says whether it may.
+
+    With ``read_from``, the forward returns each row's positions from
+    ``read_from`` on only (a response's), and ``tail`` is the layout of its
+    last layer: keys and values at every token as above, queries and
+    everything after the attention core only at the returned tokens
+    (``reads``).  On a dense grid whose queries may start past 0 that is the
+    view ``[:, read_from:]``; otherwise the stream packs, and each row's
+    queries start at its first returned position where the rule above
+    allows, else at 0 with the positions before it zeros never written
+    back.  Token-wise rows keep their bits at any place in a GEMM, so every
+    returned position is the full forward's bit for bit.  Under two
+    returned tokens (a GEMV) there is no tail: ``tail.read_from`` is 0.
     """
 
     def __init__(
@@ -461,6 +488,7 @@ class Packing:
         leaders: Optional[np.ndarray] = None,
         prefix: int = 0,
         offset_queries: bool = False,
+        read_from: int = 0,
     ):
         self.shape = shape
         batch, seq = shape
@@ -470,8 +498,19 @@ class Packing:
         self.groups = _EVERY_ROW
         #: The grid positions rows read from their leader's stream tokens;
         #: ``None`` when no row does.
-        self.shared: Optional[_Fold] = None
-        if lengths is None and leaders is None:
+        self.shared: Optional[_Shared] = None
+        #: The first position the layout returns, and which tokens of the
+        #: stream those are: ``...`` (all of them), a view of the grid or an
+        #: index of the stream.
+        self.read_from, self.reads = 0, Ellipsis
+        #: The layout of the forward's last layer (see the class docstring).
+        self.tail = self
+        # every row of a dense grid may query from ``read_from``: the tail
+        # is a view of the grid
+        view = read_from > 0 and offset_queries and seq - read_from >= 2
+        if lengths is None and leaders is None and (view or not read_from):
+            if view:
+                self._view_tail(read_from)
             return
         lengths = np.minimum(
             np.full(batch, seq, dtype=np.int64)
@@ -486,7 +525,15 @@ class Packing:
             skip[follows] = reach[follows]
         own = lengths - skip
         # one token would make every GEMM a matrix-vector product
-        if own.sum() < 2 or (lengths.min() >= seq and not skip.any()):
+        if own.sum() < 2:
+            return
+        # each row's first own position at or past ``read_from``
+        first = np.maximum(skip, read_from)
+        returned = np.maximum(lengths - first, 0)
+        narrow = read_from > 0 and returned.sum() >= 2
+        if lengths.min() >= seq and not skip.any() and (view or not narrow):
+            if view:
+                self._view_tail(read_from)
             return
         grid = np.arange(seq)
         self.index = np.flatnonzero(
@@ -498,30 +545,68 @@ class Packing:
         widths = np.maximum(-(-lengths // 8) * 8, 16)
         widths[widths > seq - seq % 8] = seq
         widths[lengths == 0] = 0
-        offsets = np.where(offset_queries & (widths - skip >= 2), skip, 0)
-        self.groups = []
-        for width in np.unique(widths[widths > 0]).tolist():
-            for offset in np.unique(offsets[widths == width]).tolist():
-                rows = np.flatnonzero((widths == width) & (offsets == offset))
-                src, at = _runs(skip[rows], lengths[rows], base[rows])
-                if not skip[rows].any():
-                    self.groups.append(Rows(rows, width, src, at))
-                    continue
-                start = np.zeros(len(rows), dtype=np.int64)
-                shared_src, shared_at = _runs(start, skip[rows], base[leaders[rows]])
-                own_tokens = len(src)
-                src = np.concatenate([src, shared_src])
-                at = tuple(np.concatenate(pair) for pair in zip(at, shared_at))
-                self.groups.append(Rows(rows, width, src, at, own_tokens, offset))
+
+        def grouped(starts, live, returns=None) -> List[Rows]:
+            """Rows by key width and query offset (a row's first query,
+            where ``offset_queries`` allows, else 0); a ``returns`` base
+            numbers the queries in the stream of returned tokens."""
+            offsets = np.where(offset_queries & (widths - starts >= 2), starts, 0)
+            groups = []
+            for width in np.unique(widths[live]).tolist():
+                for offset in np.unique(offsets[live & (widths == width)]).tolist():
+                    rows = np.flatnonzero(
+                        live & (widths == width) & (offsets == offset)
+                    )
+                    src, at = _runs(skip[rows], lengths[rows], base[rows])
+                    own_tokens = len(src)
+                    if skip[rows].any():
+                        start = np.zeros(len(rows), dtype=np.int64)
+                        shared_src, shared_at = _runs(
+                            start, skip[rows], base[leaders[rows]]
+                        )
+                        src = np.concatenate([src, shared_src])
+                        at = tuple(np.concatenate(pair) for pair in zip(at, shared_at))
+                    queries = None
+                    if returns is not None:
+                        queries = _runs(starts[rows], lengths[rows], returns[rows])
+                    groups.append(
+                        Rows(rows, width, src, at, own_tokens, offset, queries)
+                    )
+            return groups
+
+        self.groups = grouped(skip, widths > 0)
         if skip.any():
             start = np.zeros(batch, dtype=np.int64)
             src, (row, pos) = _runs(start, skip, base[leaders])
-            self.shared = _Fold(src, row * seq + pos)
+            self.shared = _Shared(src, row * seq + pos)
+        if not narrow:
+            return
+        # the last layer: row ``r``'s returned position ``p`` is token
+        # ``returns[r] + p`` of the stream it returns
+        self.tail = tail = copy.copy(self)
+        tail.read_from, tail.tail = read_from, tail
+        returns = np.cumsum(returned) - returned - first
+        _, (row, pos) = _runs(first, first + returned, returns)
+        tail.reads = base[row] + pos
+        tail.index, tail.positions = row * seq + pos, pos
+        tail.groups = grouped(first, returned > 0, returns)
+        tail.shared = None
+        if (skip > read_from).any():
+            # a follower's shared positions the tail returns are its
+            # leader's returned tokens
+            src, (row, pos) = _runs(np.minimum(skip, read_from), skip, returns[leaders])
+            tail.shared = _Shared(src, row * seq + pos)
+
+    def _view_tail(self, read_from: int) -> None:
+        self.tail = tail = copy.copy(self)
+        tail.read_from, tail.tail = read_from, tail
+        tail.reads = (slice(None), slice(read_from, None))
+        tail.groups = (Rows(slice(None), offset=read_from),)
 
     def pack(self, grid: np.ndarray) -> np.ndarray:
         """The stream of a ``(batch, seq, ...)`` array."""
         if self.index is None:
-            return grid
+            return grid[self.reads]
         return grid.reshape(-1, *grid.shape[2:])[self.index]
 
     def merge(
@@ -529,10 +614,12 @@ class Packing:
     ) -> np.ndarray:
         """The stream of one query block per group (``keys``: one key block,
         whose shared prefix positions sum into the tokens they read), as a
-        ``shape`` array."""
+        ``shape`` array.  A tail's rows that return nothing wrote no key
+        block: their keys' gradient is 0."""
         if self.index is None:
             return blocks[0].reshape(shape)
-        stream = np.empty((len(self.index),) + blocks[0].shape[2:], dtype=np.float64)
+        new = np.zeros if keys and self.read_from else np.empty
+        stream = new((shape[0],) + blocks[0].shape[2:], dtype=np.float64)
         for rows, block in zip(self.groups, blocks):
             rows.put(stream, block, queries=not keys)
         if keys:
@@ -591,26 +678,69 @@ def embed(
     return Tensor._from_op(out, (tok_table, pos_table), backward)
 
 
-def unpack(x: Tensor, packing: Packing) -> Tensor:
-    """A packed stream ``(n_tokens, ...)`` laid back on its ``(batch, seq,
-    ...)`` grid, 0 at every position it skips; a row's shared prefix reads
-    its leader's tokens.  A dense stream is the grid."""
+_ArrayFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _grid(packing: Packing, start: int) -> Optional[Tuple[_ArrayFn, _ArrayFn]]:
+    """How ``packing``'s stream lies on its grid's positions from ``start``
+    on: ``(lay, pick)`` — the stream's data laid there (0 where it skips, a
+    row's shared prefix its leader's tokens), and a gradient on those
+    positions picked back onto the stream (shared ones summed into the
+    tokens they read).  ``None`` when the stream is that grid."""
+    batch, seq = packing.shape
     if packing.index is None:
+        lead = packing.read_from - start
+        if not lead:
+            return None
+
+        def lay(x: np.ndarray) -> np.ndarray:
+            out = np.zeros((batch, seq - start) + x.shape[2:], dtype=np.float64)
+            out[:, lead:] = x
+            return out
+
+        return lay, lambda g: g[:, lead:]
+
+    def placed(flat: np.ndarray) -> np.ndarray:
+        # ``row * seq + p`` on the grid narrowed to positions from ``start``
+        return flat - (flat // seq + 1) * start if start else flat
+
+    index, shared = placed(packing.index), packing.shared
+    shared_at = None if shared is None else placed(shared.at)
+
+    def lay(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((batch * (seq - start),) + x.shape[1:], dtype=np.float64)
+        out[index] = x
+        if shared is not None:
+            out[shared_at] = x[shared.src]
+        return out.reshape((batch, seq - start) + x.shape[1:])
+
+    def pick(g: np.ndarray) -> np.ndarray:
+        flat = g.reshape(-1, *g.shape[2:])
+        grad = flat[index]
+        if shared is not None:
+            # in grid order, after each token's own position (a leader's row
+            # comes first): the sums of the op-by-op gather's VJP
+            np.add.at(grad, shared.src, flat[shared_at])
+        return grad
+
+    return lay, pick
+
+
+def unpack(x: Tensor, packing: Packing) -> Tensor:
+    """A packed stream ``(n_tokens, ...)`` laid back on its grid's positions
+    from ``packing.read_from`` on, 0 at every position it skips; a row's
+    shared prefix reads its leader's tokens.  A dense stream is the grid."""
+    grid = _grid(packing, packing.read_from)
+    if grid is None:
         return x
-    out = np.zeros((math.prod(packing.shape),) + x.shape[1:], dtype=np.float64)
-    out[packing.index] = x.data
-    if packing.shared is not None:
-        out[packing.shared.at] = x.data[packing.shared.src]
-    out = out.reshape(packing.shape + x.shape[1:])
+    lay, pick = grid
+    out = lay(x.data)
     if not _tracked(x):
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        flat = g.reshape(-1, *x.shape[1:])
-        grad = flat[packing.index]
-        if packing.shared is not None:
-            packing.shared.into(grad, flat)
-        x._accumulate(grad, owned=True)
+        grad = pick(g)
+        x._accumulate(grad, owned=grad.base is None)
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -642,19 +772,29 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     return Tensor._from_op(out, (x, weight), backward)
 
 
-def linear(x: Tensor, weight: Tensor) -> Tensor:
-    """``x @ weight`` for ``(..., in)`` activations and an ``(in, out)`` weight."""
-    out = x.data @ weight.data
+def linear(x: Tensor, weight: Tensor, packing: Optional[Packing] = None) -> Tensor:
+    """``x @ weight`` for ``(..., in)`` activations and an ``(in, out)`` weight.
+
+    With ``packing``, ``x`` is its stream, laid on the whole ``(batch, seq)``
+    grid first: a matrix-vector product (the scalar head) rounds a row by
+    its place in the matrix, and there every row sits where the full
+    forward has it."""
+    grid = None if packing is None else _grid(packing, 0)
+    xd = x.data if grid is None else grid[0](x.data)
+    out = xd @ weight.data
     if not _tracked(x, weight):
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, g.shape[-1])
         if weight.requires_grad:
-            x2 = x.data.reshape(-1, x.data.shape[-1])
+            x2 = xd.reshape(-1, xd.shape[-1])
             weight._accumulate(x2.T @ g2, owned=True)
         if x.requires_grad:
-            x._accumulate((g2 @ weight.data.T).reshape(x.data.shape), owned=True)
+            dx = (g2 @ weight.data.T).reshape(xd.shape)
+            if grid is not None:
+                dx = grid[1](dx)
+            x._accumulate(dx, owned=dx.base is None)
 
     return Tensor._from_op(out, (x, weight), backward)
 
@@ -688,6 +828,12 @@ def attention(
     ``cache.extend(layer, k, v)`` (projections, heads not yet split) and
     hands back everything cached so far per group of rows sharing a
     length, which is then that group's offset.
+
+    A ``packing.tail`` layout returns only its tokens at or past
+    ``read_from`` (its ``reads``): keys and values are projected at every
+    token, queries, the output projection and ``residual`` at the returned
+    ones only; the core's query block still starts where ``Packing``
+    allows, and only returned positions are written back.
     """
     parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
     tracked = _tracked(*parents)
@@ -705,7 +851,11 @@ def attention(
         return block.reshape(len(block), -1, n_heads, hd).transpose(0, 2, 1, 3)
 
     layout = packing or Packing(xd.shape[:2])
-    projs = [np.matmul(xd, w.data, out=_scratch(*xd.shape)) for w in (wq, wk, wv)]
+    xr = xd[layout.reads]  # the tokens this call returns
+    projs = [
+        np.matmul(src, w.data, out=_scratch(*src.shape))
+        for src, w in ((xr, wq), (xd, wk), (xd, wv))
+    ]
     if cache is not None:
         groups = cache.extend(layer, projs[1], projs[2])
     else:
@@ -713,8 +863,8 @@ def attention(
             (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset + rows.offset)
             for rows in layout.groups
         ]
-    ctx = _scratch(*xd.shape)
-    ctx_heads = ctx.reshape(*xd.shape[:-1], n_heads, hd)
+    ctx = _scratch(*xr.shape)
+    ctx_heads = ctx.reshape(*xr.shape[:-1], n_heads, hd)
     saved = []
     for rows, k, v, offset in groups:
         # a row queries only the positions it computes; a shared prefix is
@@ -741,16 +891,16 @@ def attention(
         projs = []
     out = ctx @ wo.data
     if residual is not None:
-        out += residual.data
+        out += residual.data[layout.reads]
     if not tracked:
         _recycle(ctx, *projs)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        g2, x2 = g.reshape(-1, h), xd.reshape(-1, h)
+        g2 = g.reshape(-1, h)
         if wo.requires_grad:
             wo._accumulate(ctx.reshape(-1, h).T @ g2, owned=True)
-        dctx = (g2 @ wo.data.T).reshape(xd.shape)
+        dctx = (g2 @ wo.data.T).reshape(xr.shape)
         dprojs = ([], [], [])  # per group, the blocks of dq, dk, dv
         for rows, att, q, k, v in saved:
             dctx_rows = heads(rows.take(dctx, queries=True))
@@ -763,17 +913,22 @@ def attention(
             for blocks, d in zip(dprojs, (datt @ k, datt.swapaxes(-1, -2) @ q, dv)):
                 blocks.append(d.transpose(0, 2, 1, 3))
             _recycle(att, *_gathered(rows, q, k, v, dctx_rows))
-        dx = np.zeros(x2.shape, dtype=np.float64)
-        for w, blocks in zip((wq, wk, wv), dprojs):
-            d2 = layout.merge(blocks, x2.shape, keys=w is not wq)
+        dx = np.zeros(xd.shape, dtype=np.float64)
+        for w, blocks, src in zip((wq, wk, wv), dprojs, (xr, xd, xd)):
+            src2 = src.reshape(-1, h)
+            d2 = layout.merge(blocks, src2.shape, keys=w is not wq)
             if w.requires_grad:
-                w._accumulate(x2.T @ d2, owned=True)
+                w._accumulate(src2.T @ d2, owned=True)
             if x.requires_grad:
-                dx += d2 @ w.data.T
+                rows = layout.reads if w is wq else Ellipsis
+                dx[rows] += (d2 @ w.data.T).reshape(src.shape)
         if x.requires_grad:
-            x._accumulate(dx.reshape(xd.shape), owned=True)
+            x._accumulate(dx, owned=True)
         _recycle(ctx, *projs)
         if residual is not None and residual.requires_grad:
+            if layout.reads is not Ellipsis:
+                g, full = np.zeros(xd.shape, dtype=np.float64), g
+                g[layout.reads] = full
             residual._accumulate(g, owned=True)
 
     return Tensor._from_op(out, parents, backward)

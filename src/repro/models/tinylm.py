@@ -264,8 +264,10 @@ class TinyLM:
         pos_offset: Union[int, np.ndarray] = 0,
         lengths: Optional[np.ndarray] = None,
         prefix: int = 0,
+        read_from: int = 0,
     ) -> Tensor:
-        """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
+        """Logits ``(batch, seq - read_from, vocab)`` or values ``(batch, seq
+        - read_from)``: the positions from ``read_from`` on.
 
         ``pos_offset`` is the position of each row's first token — one int,
         or a ``(batch,)`` array when rows have cached different lengths.
@@ -276,16 +278,20 @@ class TinyLM:
         is 0 at every later position.  ``prefix``: rows whose first
         ``prefix`` tokens are equal (a GRPO group's prompt) compute them
         once, in the first such row; the others' outputs there are its.
+        The last layer runs its queries, MLP and head only at the positions
+        returned (``Packing.tail``); every one is the full forward's bit for
+        bit.
         """
-        x, packing = self._trunk(token_ids, cache, pos_offset, lengths, prefix)
+        x, tail = self._trunk(
+            token_ids, cache, pos_offset, lengths, prefix, read_from
+        )
         p = self.params
         if self.config.output_head == "lm":
-            return ag.unpack(ag.linear(x, p["lm_head.weight"]), packing)
-        # a matrix-vector product rounds a row by its place in the matrix (the
-        # last rows of a call take another BLAS path): the scalar head runs on
-        # the grid, where every row sits where the dense forward has it
-        values = ag.linear(ag.unpack(x, packing), p["value_head.weight"])
-        return values.reshape(*packing.shape)
+            logits = ag.unpack(ag.linear(x, p["lm_head.weight"]), tail)
+            return _narrowed(logits, tail, read_from)
+        # the scalar head is a matrix-vector product: it runs on the whole grid
+        values = ag.linear(x, p["value_head.weight"], tail)
+        return values[:, read_from:, 0]
 
     __call__ = forward
 
@@ -296,8 +302,10 @@ class TinyLM:
         pos_offset: Union[int, np.ndarray],
         lengths: Optional[np.ndarray],
         prefix: int = 0,
+        read_from: int = 0,
     ) -> Tuple[Tensor, ag.Packing]:
-        """The final-normed hidden stream of a forward, and its packing."""
+        """The final-normed hidden stream of the tokens a forward returns,
+        and their layout (``Packing.tail``)."""
         cfg, p = self.config, self.params
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
@@ -308,14 +316,19 @@ class TinyLM:
             raise ValueError(
                 f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}"
             )
-        if (lengths is not None or prefix) and (cache is not None or first):
-            raise ValueError("lengths packs whole rows: no cache, no pos_offset")
+        packs = lengths is not None or prefix or read_from
+        if packs and (cache is not None or first):
+            raise ValueError(
+                "lengths, prefix and read_from pack whole rows: no cache, "
+                "no pos_offset"
+            )
         packing = ag.Packing(
             token_ids.shape,
             lengths,
             _leaders(token_ids, prefix),
             prefix,
             offset_queries=cfg.head_dim % 4 == 0,
+            read_from=read_from,
         )
         x = ag.embed(
             p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset, packing
@@ -324,6 +337,8 @@ class TinyLM:
             cache = cache.at(pos_offset)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}"
+            if layer == cfg.n_layers - 1:
+                packing = packing.tail
             normed = ag.rms_norm(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
             x = ag.attention(
                 normed,
@@ -354,11 +369,14 @@ class TinyLM:
         token_ids: np.ndarray,
         lengths: Optional[np.ndarray] = None,
         prefix: int = 0,
+        read_from: int = 0,
     ) -> Tensor:
-        """Log-prob of each next token: out ``(batch, seq-1)``.
+        """Log-prob of each next token from prediction ``read_from`` on: out
+        ``(batch, seq - 1 - read_from)``.
 
-        ``out[:, i] = log p(token[i+1] | token[:i+1])``.  With ``lengths``
-        (real tokens per row of ``token_ids``) only the ``lengths - 1``
+        ``out[:, i] = log p(token[r+i+1] | token[:r+i+1])``, ``r =
+        read_from`` (a response's log-probs: ``r = prompt_len - 1``).  With
+        ``lengths`` (real tokens per row of ``token_ids``) only the ``lengths - 1``
         predictions of real tokens are computed; the rest of ``out`` is 0.
         With ``prefix`` (the prompt length), rows that share their first
         ``prefix`` tokens compute the predictions inside it once; each still
@@ -373,25 +391,37 @@ class TinyLM:
             0,
             None if lengths is None else lengths - 1,
             max(prefix - 1, 0),
+            read_from,
         )
         logits = ag.linear(x, self.params["lm_head.weight"])
         logp = ag.log_softmax_gather(logits, packing.pack(token_ids[:, 1:]))
-        return ag.unpack(logp, packing)
+        return _narrowed(ag.unpack(logp, packing), packing, read_from)
 
     def values(
         self,
         token_ids: np.ndarray,
         lengths: Optional[np.ndarray] = None,
         prefix: int = 0,
+        read_from: int = 0,
     ) -> Tensor:
-        """Scalar head output per position ``(batch, seq)``; with ``lengths``,
-        at the real positions only (0 elsewhere); ``prefix`` as in
-        :meth:`forward`."""
+        """Scalar head output per position from ``read_from`` on ``(batch,
+        seq - read_from)``; with ``lengths``, at the real positions only (0
+        elsewhere); ``prefix`` as in :meth:`forward`."""
         if self.config.output_head != "scalar":
             raise RuntimeError("values() requires a scalar head")
-        return self.forward(token_ids, lengths=lengths, prefix=prefix)
+        return self.forward(
+            token_ids, lengths=lengths, prefix=prefix, read_from=read_from
+        )
 
     def sequence_reward(self, token_ids: np.ndarray) -> Tensor:
-        """Sample-level score: scalar head at the final position ``(batch,)``."""
-        values = self.values(token_ids)
+        """Sample-level score: scalar head at the final position ``(batch,)``
+        (the last two positions are computed: one query would be a GEMV)."""
+        last_two = max(np.shape(token_ids)[1] - 2, 0)
+        values = self.values(token_ids, read_from=last_two)
         return values[:, -1]
+
+
+def _narrowed(out: Tensor, tail: ag.Packing, read_from: int) -> Tensor:
+    """``out``'s positions from ``read_from`` on: all of it when the forward
+    computed those only, else (under two tokens would remain) the slice."""
+    return out if tail.read_from == read_from else out[:, read_from:]

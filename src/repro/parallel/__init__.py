@@ -22,13 +22,6 @@ from repro.parallel.topology import (
 from repro.parallel.sharding import ShardRange, WeightShard, shard_overlap_fraction
 from repro.parallel.zero import ZeroConfig, ZeroStage, zero_memory_per_rank
 from repro.parallel.fsdp import FsdpConfig, fsdp_memory_per_rank
-from repro.parallel.tp_compute import (
-    column_parallel_linear,
-    parallel_mlp,
-    row_parallel_linear,
-    vocab_parallel_log_softmax,
-    vocab_parallel_logits,
-)
 
 __all__ = [
     "FsdpConfig",
@@ -41,11 +34,6 @@ __all__ = [
     "WeightShard",
     "ZeroConfig",
     "ZeroStage",
-    "column_parallel_linear",
-    "parallel_mlp",
-    "row_parallel_linear",
-    "vocab_parallel_log_softmax",
-    "vocab_parallel_logits",
     "fsdp_memory_per_rank",
     "shard_overlap_fraction",
     "zero_memory_per_rank",

@@ -281,13 +281,10 @@ class ActorWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len
+                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
             ).data
             return batch.select(["sequences"]).union(
-                DataBatch(
-                    {"log_probs": logp[:, prompt_len - 1 :]},
-                    meta=batch.meta,
-                )
+                DataBatch({"log_probs": logp}, meta=batch.meta)
             )
 
         return self.replica_forward(compute)
@@ -356,8 +353,8 @@ class ActorWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len
-            )[:, prompt_len - 1 :]
+                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
+            )
             old = batch["old_log_probs"]
             advantages = batch["advantages"]
             mask = batch["response_mask"] if "response_mask" in batch else None

@@ -52,13 +52,10 @@ class CriticWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             values = model.values(
-                batch["sequences"], real_lengths(batch), prompt_len
+                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
             ).data
             return batch.select(["sequences"]).union(
-                DataBatch(
-                    {"values": values[:, prompt_len - 1 : -1]},
-                    meta=batch.meta,
-                )
+                DataBatch({"values": values[:, :-1]}, meta=batch.meta)
             )
 
         return self.replica_forward(compute)
@@ -90,8 +87,8 @@ class CriticWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             values = model.values(
-                batch["sequences"], real_lengths(batch), prompt_len
-            )[:, prompt_len - 1 : -1]
+                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
+            )[:, :-1]
             mask = batch["response_mask"] if "response_mask" in batch else None
             return L.value_loss(
                 values,

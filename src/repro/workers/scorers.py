@@ -24,7 +24,7 @@ def _sequence_scores(
     model: TinyLM, batch: DataBatch
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Scalar-head score of each sequence at its last *real* token, and the
-    head's output at every position it computed.
+    head's output at every position from ``prompt_length - 1`` on.
 
     Without a ``response_mask`` the score is the final position's (the
     historical behaviour); with one (EOS sampling), scoring the padded final
@@ -36,10 +36,10 @@ def _sequence_scores(
     lengths = real_lengths(batch)
     if lengths is not None:
         lengths = np.maximum(lengths, prompt_len + 1)
-    values = model.values(batch["sequences"], lengths, prompt_len).data
+    values = model.values(batch["sequences"], lengths, prompt_len, prompt_len - 1).data
     if lengths is None:
         return values[:, -1], values
-    return values[np.arange(len(values)), lengths - 1], values
+    return values[np.arange(len(values)), lengths - prompt_len], values
 
 
 class ReferenceWorker(ThreeDParallelWorker):
@@ -69,13 +69,10 @@ class ReferenceWorker(ThreeDParallelWorker):
         def compute(model: TinyLM):
             prompt_len = batch.meta["prompt_length"]
             logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len
+                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
             ).data
             return batch.select(["sequences"]).union(
-                DataBatch(
-                    {"ref_log_probs": logp[:, prompt_len - 1 :]},
-                    meta=batch.meta,
-                )
+                DataBatch({"ref_log_probs": logp}, meta=batch.meta)
             )
 
         return self.replica_forward(compute)
@@ -189,14 +186,10 @@ class CostWorker(RewardWorker):
         """Per-sample cost plus token-level cost values (for cost GAE)."""
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
             costs, values = _sequence_scores(model, batch)
             return batch.select(["sequences"]).union(
                 DataBatch(
-                    {
-                        "costs": costs,
-                        "cost_values": values[:, prompt_len - 1 : -1],
-                    },
+                    {"costs": costs, "cost_values": values[:, :-1]},
                     meta=batch.meta,
                 )
             )

@@ -195,7 +195,12 @@ class TestStalenessOneHistoryPinned:
     group's shared prompt became one computation in the packed forwards:
     iteration 0 is unchanged, later floats moved in their 15th-16th digit
     (worst 1.7e-14 relative, e.g. that loss -> -0.01686834106824578), as the
-    prompt tokens' weight gradients now sum the group before the GEMM.  The
+    prompt tokens' weight gradients now sum the group before the GEMM.  All
+    four were re-recorded when the scoring and training forwards ran their
+    last layer at the response positions only: iteration 0 is unchanged,
+    later floats moved in their 15th-16th digit (worst 1.75e-14 relative,
+    ppo ``actor/policy_loss`` 0.1776821968493029 -> 0.17768219684929978),
+    as that layer's weight-gradient GEMMs reduce over fewer token rows.  The
     comparison stays exact so later drift is still caught."""
 
     @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])

@@ -182,35 +182,63 @@ def _draw_logits(data, rng):
     }
 
 
-def _draw_unpack(data, rng):
+def _draw_packing(data, rng):
+    """A forward's layout — ragged rows, shared prefixes, a tail from
+    ``read_from`` — as the last layer returns it, and its stream's shape."""
     b, t = _ints(data, 1, 3), _ints(data, 2, 5)
     # each row reads the first positions of a row at or before it (itself:
     # nothing shared)
     leaders = np.array([rng.integers(0, i + 1) for i in range(b)])
     leaders = leaders[leaders]  # a leader leads itself
+    lengths = rng.integers(0, t + 1, size=b) if data.draw(st.booleans()) else None
     packing = ag.Packing(
-        (b, t), rng.integers(0, t + 1, size=b), leaders, _ints(data, 0, t)
-    )
-    grid = (b, t) if packing.index is None else (len(packing.index),)
+        (b, t),
+        lengths,
+        leaders,
+        _ints(data, 0, t),
+        offset_queries=data.draw(st.booleans()),
+        read_from=_ints(data, 0, t - 1),
+    ).tail
+    if packing.index is None:
+        return packing, (b, t - packing.read_from)
+    return packing, (len(packing.index),)
+
+
+def _draw_unpack(data, rng):
+    packing, grid = _draw_packing(data, rng)
     features = data.draw(st.sampled_from([(), (_ints(data, 1, 3),)]))
     return [rng.normal(size=grid + features)], {"packing": packing}
 
 
-def _unpack_reference(x, packing):
-    """Each grid position picks its stream token — a shared one its leader's
-    (any one where it has none), then ``where`` zeroes the positions the
-    stream skips."""
-    if packing.index is None:
+def _draw_linear(data, rng):
+    packing, grid = None, (_ints(data, 1, 3), _ints(data, 1, 4))
+    if data.draw(st.booleans()):  # a stream laid on the whole grid first
+        packing, grid = _draw_packing(data, rng)
+    x = rng.normal(size=grid + (4,))
+    return [x, rng.normal(size=(4, _ints(data, 1, 5)))], {"packing": packing}
+
+
+def _unpack_reference(x, packing, start=None):
+    """Each grid position from ``start`` (default: the first the stream
+    returns) picks its stream token — a shared one its leader's (any one
+    where it has none), then ``where`` zeroes the positions the stream
+    skips."""
+    start = packing.read_from if start is None else start
+    if packing.index is None and start == packing.read_from:
         return x
     b, t = packing.shape
+    index = packing.index
+    if index is None:  # a dense tail: positions from ``read_from``, row-major
+        index = np.flatnonzero(np.arange(b * t) % t >= packing.read_from)
+        x = x.reshape(-1, *x.shape[2:])
     slot = np.zeros(b * t, dtype=np.int64)
-    slot[packing.index] = np.arange(len(packing.index))
+    slot[index] = np.arange(len(index))
     real = np.zeros(b * t, dtype=bool)
-    real[packing.index] = True
+    real[index] = True
     if packing.shared is not None:
         slot[packing.shared.at], real[packing.shared.at] = packing.shared.src, True
-    picked = x[slot.reshape(b, t)]
-    real = real.reshape((b, t) + (1,) * (x.ndim - 1))
+    picked = x[slot.reshape(b, t)[:, start:]]
+    real = real.reshape((b, t) + (1,) * (x.ndim - 1))[:, start:]
     return O.where(real, picked, OpTensor(np.zeros(picked.shape)))
 
 
@@ -282,13 +310,11 @@ REGISTRY = {
     "embed": Primitive(_draw_embed, ag.embed, O.embed_reference),
     "rms_norm": Primitive(_draw_rms_norm, ag.rms_norm, O.rms_norm_reference),
     "linear": Primitive(
-        lambda data, rng: (
-            [rng.normal(size=(_ints(data, 1, 3), _ints(data, 1, 4), 4)),
-             rng.normal(size=(4, _ints(data, 1, 5)))],
-            {},
-        ),
+        _draw_linear,
         ag.linear,
-        lambda x, w: x @ w,
+        lambda x, w, packing=None: (
+            x if packing is None else _unpack_reference(x, packing, 0)
+        ) @ w,
     ),
     "attention": Primitive(
         _draw_attention,

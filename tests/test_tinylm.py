@@ -1,11 +1,13 @@
 """Tests for the TinyLM transformer: forward, KV cache, heads, training."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.models import autograd as ag
 from repro.models.adam import Adam, FlatParams
 from repro.models.autograd import Packing, Tensor, no_grad
 from repro.models.sampler import generate
@@ -500,3 +502,93 @@ class TestSharedPromptIsComputedOnce:
         # no two rows share: the packed forward of the parent, unchanged
         plain = Packing((6, 6), lengths)
         assert plain.shared is None and len(plain.index) == lengths.sum()
+
+
+class TestOnlyReadPositionsAreComputed:
+    """``read_from`` returns the positions from it on, and the last layer
+    computes only those: its queries, output projection, MLP, final norm
+    and head (keys and values still at every position).  Outputs are the
+    full forward's bit for bit, and so are the gradients, except the last
+    layer's weight gradients, whose GEMMs reduce over fewer token rows."""
+
+    MODELS = TestSharedPromptIsComputedOnce.MODELS
+    #: the parameters whose gradients may round differently
+    LAST = (f"layers.{PACKED.n_layers - 1}.", "final_norm.", "lm_head.", "value_head.")
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_tail_is_the_full_forward(self, data):
+        head = data.draw(st.sampled_from(["lm", "scalar"]))
+        model = self.MODELS[head, data.draw(st.sampled_from([1, 2, 4, 8]))]
+        prompt = data.draw(st.integers(1, 20))
+        t = prompt + data.draw(st.integers(1, PACKED.max_seq_len - prompt))
+        b = data.draw(st.integers(1, 6))
+        rows = data.draw(st.sampled_from(["dense", "eos", "grpo"]))
+        grad = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
+        lengths, prefix, leaders = None, 0, np.arange(b)
+        if rows == "grpo":
+            size = data.draw(st.integers(1, b))
+            leaders = np.arange(b) // size * size
+            ids[:, :prompt] = ids[leaders, :prompt]
+            prefix = prompt
+        if rows == "eos" or rows == "grpo" and data.draw(st.booleans()):
+            lengths = rng.integers(prompt + 1, t + 1, size=b)
+        read_from = prompt - 1
+        lm = head == "lm"
+        # an LM row of n tokens predicts n - 1 of them, from its first
+        computed = (np.full(b, t) if lengths is None else lengths) - lm
+        shared = np.minimum(np.minimum(computed, computed[leaders]), prefix - lm)
+        own_from = np.where(leaders == np.arange(b), 0, shared)
+        returned = np.maximum(computed - np.maximum(own_from, read_from), 0).sum()
+        width = t - lm
+        real = np.arange(width)[read_from:] < computed[:, None]
+        probe = rng.normal(size=real.shape) * real
+
+        def run(start):
+            model.zero_grad()
+            mlp_tokens = []
+            swiglu_mlp = ag.swiglu_mlp
+
+            def spy(x, *args, **kwargs):
+                mlp_tokens.append(x.data.size // x.shape[-1])
+                return swiglu_mlp(x, *args, **kwargs)
+
+            forward = model.token_log_probs if lm else model.values
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ag, "swiglu_mlp", spy)
+                with contextlib.nullcontext() if grad else no_grad():
+                    out = forward(ids, lengths, prefix, start)
+            if grad:
+                weights = probe if start else np.pad(probe, ((0, 0), (read_from, 0)))
+                (out * Tensor(weights)).sum().backward()
+            grads = {
+                n: p.grad.copy() for n, p in model.params.items() if p.grad is not None
+            }
+            return out.data, grads, mlp_tokens[-1]
+
+        full, full_grads, _ = run(0)
+        tail, tail_grads, last_mlp = run(read_from)
+        assert np.array_equal(tail, full[:, read_from:])
+        if returned >= 2:  # one token would be a GEMV: the full forward runs
+            assert last_mlp == returned
+        assert tail_grads.keys() == full_grads.keys()
+        for name, want in full_grads.items():
+            got = tail_grads[name]
+            if name.startswith(self.LAST):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+            else:
+                assert np.array_equal(got, want), name
+
+    def test_dense_tail_is_a_view_of_the_grid(self):
+        packing = Packing((3, 10), read_from=4, offset_queries=True)
+        assert packing.index is None and packing.tail.index is None
+        assert packing.tail.reads == (slice(None), slice(4, None))
+        # a head dim whose queries cannot start past 0: the stream packs
+        narrow = Packing((3, 10), read_from=4).tail
+        assert narrow.index.tolist() == [
+            r * 10 + p for r in range(3) for p in range(4, 10)
+        ]
+        # under two returned tokens: no tail
+        assert Packing((1, 10), read_from=9, offset_queries=True).tail.read_from == 0
