@@ -27,7 +27,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+import weakref
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -314,35 +315,60 @@ class Tensor:
 #: element count asked for, and every shape gets a view of one: the token
 #: counts of ragged batches, new with every batch, reuse the last batch's
 #: buffers instead of adding sizes.  Only arrays that never leave a primitive
-#: go through here, and the table keeps at most ``_RECYCLE_MAX_BYTES``; past
-#: that a buffer given back is freed.
+#: go through here, and the table keeps at most ``_RECYCLE_MAX_BYTES``, less
+#: the scratch of graphs kept past the call that built them
+#: (:func:`hold_scratch`); past that a buffer given back is freed.
 _FREE: Dict[int, List[np.ndarray]] = {}
 _RECYCLE_MIN_SIZE = 1 << 13  # float64 elements: 64 KiB
 _RECYCLE_MAX_BYTES = 16 << 20
+#: Bytes of flat buffers :func:`_scratch` lent and :func:`_recycle` has not
+#: taken back.  A graph dropped without a backward never gives its buffers
+#: back, so only differences of it mean anything.
+_LENT = 0
+#: Scratch bytes held by kept graphs, by the object keeping each; an entry
+#: leaves with its owner.
+_HELD: "weakref.WeakKeyDictionary[Any, int]" = weakref.WeakKeyDictionary()
 
 
 def _scratch(*shape: int) -> np.ndarray:
     """An uninitialised float64 array; from ``_RECYCLE_MIN_SIZE`` elements, a
     view of a flat buffer, recycled when one of its size is held."""
+    # the pool's books are interpreter-global by design, as its free lists
+    global _LENT  # repro-lint: ignore[RL305]
     n = math.prod(shape)
     if n < _RECYCLE_MIN_SIZE:  # exact: rounded up, they tripled faults
         return np.empty(shape, dtype=np.float64)
     size = 1 << (n - 1).bit_length()
     free = _FREE.get(size)
     flat = free.pop() if free else np.empty(size, dtype=np.float64)
+    _LENT += flat.nbytes
     return flat[:n].reshape(shape)
 
 
 def _recycle(*arrays: np.ndarray) -> None:
     """Take :func:`_scratch` arrays (or views of them) back once nothing
     will read them again."""
+    global _LENT  # repro-lint: ignore[RL305]
     for a in arrays:
         flat = a.base
         if flat is None or flat.size < _RECYCLE_MIN_SIZE:
             continue
-        held = 8 * sum(size * len(free) for size, free in _FREE.items())
+        _LENT -= flat.nbytes
+        held = sum(_HELD.values()) if _HELD else 0
+        held += 8 * sum(size * len(free) for size, free in _FREE.items())
         if held + flat.nbytes <= _RECYCLE_MAX_BYTES:
             _FREE.setdefault(flat.size, []).append(flat)
+
+
+def hold_scratch(owner: Any, forward: Callable[[], Tensor]) -> Tensor:
+    """Run ``forward``, whose graph ``owner`` keeps past the call that built
+    it, and charge the scratch buffers that graph saved against
+    ``_RECYCLE_MAX_BYTES`` for as long as ``owner`` lives: the free lists
+    then do not refill on top of a graph that will give its buffers back."""
+    lent = _LENT
+    out = forward()
+    _HELD[owner] = _LENT - lent
+    return out
 
 
 def _tracked(*tensors: Tensor) -> bool:

@@ -57,6 +57,9 @@ class RlhfTrainerBase:
     #: Fewest responses per prompt the advantage can be normalised over;
     #: above 1 the trainer samples groups and checks ``group_size`` (DF107).
     min_group_size = 1
+    #: The role :meth:`_update` trains first.  When one update consumes the
+    #: whole batch, its scoring call keeps the forward's graph for it.
+    trains_first = "actor"
 
     def __init__(
         self,
@@ -134,6 +137,13 @@ class RlhfTrainerBase:
         scores = self.reward.compute_reward(gen)
         return gen.union(ref.get()).union(scores.get())
 
+    def _keep_graph(self, role: str) -> bool:
+        """Whether ``role``'s scoring call keeps its graph: ``role`` trains
+        first and once per batch, so that update runs on the call's rows at
+        the call's weights."""
+        cfg = self.config
+        return role == self.trains_first and cfg.ppo_epochs * cfg.updates_per_epoch == 1
+
     def _experience(self, gen: DataBatch) -> DataBatch:
         """Stage-2 columns every algorithm shares.
 
@@ -145,7 +155,10 @@ class RlhfTrainerBase:
         """
         scored = gen if "scores" in gen else self.score(gen)
         if self.config.recompute_log_probs:
-            return scored.union(self.actor.compute_log_prob(gen).get())
+            log_probs = self.actor.compute_log_prob(
+                gen, keep_graph=self._keep_graph("actor")
+            )
+            return scored.union(log_probs.get())
         return scored.union(
             DataBatch({"log_probs": gen["old_log_probs"]}, meta=gen.meta)
         )
@@ -278,9 +291,11 @@ class PPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.PPO
     off_policy_correctable = True
+    trains_first = "critic"
 
     def prepare(self, gen: DataBatch) -> DataBatch:
-        return super().prepare(gen, self.critic.compute_values(gen))
+        values = self.critic.compute_values(gen, keep_graph=self._keep_graph("critic"))
+        return super().prepare(gen, values)
 
     def _update(self, mini: DataBatch) -> Dict[str, Dict[str, Any]]:
         return {
@@ -319,6 +334,7 @@ class SafeRLHFTrainer(RlhfTrainerBase):
     """Safe-RLHF [19]: PPO plus a cost model, Lagrangian dual, pretrain loss."""
 
     algo = AlgoType.SAFE_RLHF
+    trains_first = "critic"
 
     def __init__(self, *args, pretrain_dataset=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -345,7 +361,7 @@ class SafeRLHFTrainer(RlhfTrainerBase):
         return DataBatch({"tokens": pretrain["prompts"]})
 
     def prepare(self, gen: DataBatch) -> DataBatch:
-        values = self.critic.compute_values(gen)
+        values = self.critic.compute_values(gen, keep_graph=self._keep_graph("critic"))
         costs = self.cost.compute_cost(gen)
         return super().prepare(gen, values, costs)
 

@@ -27,7 +27,7 @@ from repro.serving import RolloutServer, ServingConfig
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import WorkerContext
 from repro.models.tinylm import TinyLMConfig
-from repro.workers.base import ThreeDParallelWorker, real_lengths
+from repro.workers.base import ThreeDParallelWorker
 
 
 def reassemble_responses(prompts, completed, max_new_tokens, pad_token_id, masked):
@@ -275,19 +275,20 @@ class ActorWorker(ThreeDParallelWorker):
         inputs={"sequences": "B,L:int64", "?response_mask": "B,R"},
         outputs={"sequences": "B,L:int64", "log_probs": "B,R"},
     )
-    def compute_log_prob(self, batch: DataBatch) -> Optional[DataBatch]:
-        """Recompute response log-probs under the current policy (Table 4)."""
+    def compute_log_prob(
+        self, batch: DataBatch, keep_graph: bool = False
+    ) -> Optional[DataBatch]:
+        """Recompute response log-probs under the current policy (Table 4).
+        ``keep_graph``: the next ``update_actor`` on these rows trains on
+        this forward."""
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-            ).data
+            logp = self.response_forward(model.token_log_probs, batch, keep_graph)
             return batch.select(["sequences"]).union(
-                DataBatch({"log_probs": logp}, meta=batch.meta)
+                DataBatch({"log_probs": logp.data}, meta=batch.meta)
             )
 
-        return self.replica_forward(compute)
+        return self.replica_forward(compute, keep_graph)
 
     @register(protocol="3d_proto")
     @shape_contract(inputs={"tokens": "B,T:int64"}, returns="metrics")
@@ -351,10 +352,7 @@ class ActorWorker(ThreeDParallelWorker):
         """
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-            )
+            logp = self.response_forward(model.token_log_probs, batch)
             old = batch["old_log_probs"]
             advantages = batch["advantages"]
             mask = batch["response_mask"] if "response_mask" in batch else None
@@ -400,4 +398,4 @@ class ActorWorker(ThreeDParallelWorker):
                 raise ValueError(f"unknown actor loss {loss_func!r}")
             return loss, metrics
 
-        return self.replica_train_step(compute)
+        return self.replica_train_step(compute, batch)

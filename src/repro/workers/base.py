@@ -14,7 +14,13 @@ discipline per model replica:
   all-reduce, every lead applies an identical in-place Adam step, and the
   updated weights are scattered back to the resting shards — after which the
   lead's buffer is the merge of the new shards, so the next call gathers
-  nothing.
+  nothing,
+* a scoring call asked to (``keep_graph``: the model trains next, once per
+  batch) runs its forward with a graph the lead keeps, and the update that
+  follows on the same rows at the same weights backpropagates through it
+  instead of running that forward again.  Any other forward or update on
+  the lead, or a shard changing, drops it first: a lead holds at most one,
+  and only across calls that build none.
 
 Data-parallel semantics (per-replica batches, gradient averaging, identical
 updates) are therefore *real*; tensor/pipeline parallel arithmetic is
@@ -25,6 +31,8 @@ simulated at the storage/communication level, with its latency modelled by
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +41,7 @@ from repro.comm import collectives
 from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
 from repro.data.batch import DataBatch
 from repro.models.adam import Adam, FlatParams
-from repro.models.autograd import Tensor, no_grad
+from repro.models.autograd import Tensor, hold_scratch, no_grad
 from repro.models.sharding import (
     flat_shard_params,
     gather_flat_shards,
@@ -60,6 +68,28 @@ def real_lengths(batch: DataBatch) -> Optional[np.ndarray]:
         return None
     mask = batch["response_mask"]
     return batch.meta["prompt_length"] + mask.sum(axis=1).astype(np.int64)
+
+
+def _rows_key(batch: DataBatch) -> Tuple[Any, ...]:
+    """All a response forward reads of ``batch``: at equal weights, equal
+    keys compute equal outputs."""
+    sequences, lengths = batch["sequences"], real_lengths(batch)
+    return (
+        sequences.shape,
+        sequences.tobytes(),
+        None if lengths is None else lengths.tobytes(),
+        batch.meta["prompt_length"],
+    )
+
+
+class _KeptGraph:
+    """A scoring forward's output, graph attached, that a replica lead keeps
+    for its next update: that update's forward on the rows ``key`` names at
+    the shard versions ``versions``."""
+
+    def __init__(self, key: Tuple[Any, ...], versions: Tuple[int, ...]) -> None:
+        self.key, self.versions = key, versions
+        self.output: Optional[Tensor] = None
 
 
 class ShardedModelWorker(Worker):
@@ -110,6 +140,7 @@ class ShardedModelWorker(Worker):
         self._merged: Optional[Tuple[int, ...]] = None
         self._optimizer: Optional[Adam] = None
         self._grads_ready = False
+        self._kept: Optional[_KeptGraph] = None
         self._stashed_output: Any = None
         self._stashed_metrics: Optional[Dict[str, float]] = None
         # Seeded by *local* rank: the worker's SPMD identity within its
@@ -140,6 +171,7 @@ class ShardedModelWorker(Worker):
         """Replace the resting shard (resharding push from the replica lead,
         or a checkpoint): copied once, so no rank's shard aliases another's
         or a lead's resident weights."""
+        self._drop_kept_graph()
         self.shard = {k: np.asarray(v).copy() for k, v in shard.items()}
         self.shard_version += 1
         self._shard_bytes = shard_nbytes(self.shard)
@@ -207,11 +239,14 @@ class ShardedModelWorker(Worker):
             "all_gather_params", ring_all_gather_bytes(total, group.size)
         )
         resident = self._lead_state()
-        versions = tuple(peer.shard_version for peer in peers)
+        versions = self._shard_versions()
         if versions != self._merged:
             self._merge_full_state(peers)
             self._merged = versions
         return resident.arrays
+
+    def _shard_versions(self) -> Tuple[int, ...]:
+        return tuple(peer.shard_version for peer in self._peers())
 
     def _merge_full_state(self, peers: List["ShardedModelWorker"]) -> None:
         """Gather ``peers``' shards into the resident weights."""
@@ -261,38 +296,97 @@ class ShardedModelWorker(Worker):
     def replica_forward(
         self,
         compute: Callable[[TinyLM], Any],
+        keep_graph: bool = False,
     ) -> Any:
         """Run ``compute`` once per replica; return the result on collect ranks.
 
         Every rank of a replica receives the same (DP-distributed) inputs; the
-        replica lead materialises the full model and computes.  Collect ranks
-        (which execute after the lead, by rank ordering) fetch the stashed
-        result, so whichever rank the transfer protocol collects from has it.
+        replica lead drops a kept graph, materialises the full model and
+        computes: without a graph, unless ``keep_graph`` (``compute`` then
+        keeps its :meth:`response_forward`).  Collect ranks (which execute
+        after the lead, by rank ordering) fetch the stashed result, so
+        whichever rank the transfer protocol collects from has it.
         """
         if self.is_replica_lead:
+            self._drop_kept_graph()
             self.materialize_full_state()
-            with no_grad():
+            with contextlib.nullcontext() if keep_graph else no_grad():
                 self._stashed_output = compute(self._model)
         if self.layout == "flat" or self.ctx.is_collect_rank:
             return self._lead_of_replica()._stashed_output
         return None
+
+    def response_forward(
+        self,
+        head: Callable[..., Tensor],
+        batch: DataBatch,
+        keep: bool = False,
+    ) -> Tensor:
+        """``head`` — the resident model's ``values`` or ``token_log_probs``
+        — at the response positions of ``batch``'s rows.
+
+        In an update, the output a scoring call kept when
+        :meth:`replica_train_step` found it built on these rows at these
+        weights; else the forward, run now.  ``keep`` (a scoring call under
+        ``keep_graph``): that output, graph attached, is kept for the update.
+        """
+        kept, self._kept = self._kept, None
+        if kept is not None:
+            self._count_kept_graph("used")
+            return kept.output
+        prompt_len = batch.meta["prompt_length"]
+        forward = functools.partial(
+            head, batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
+        )
+        if not keep:
+            return forward()
+        kept = _KeptGraph(_rows_key(batch), self._merged)
+        kept.output = hold_scratch(kept, forward)
+        self._kept = kept
+        return kept.output
+
+    def _drop_kept_graph(self, rows: Optional[DataBatch] = None) -> None:
+        """Drop the kept graph unless it was built on ``rows`` at the shard
+        versions the replica holds now."""
+        kept = self._kept
+        if kept is None or (
+            rows is not None
+            and kept.versions == self._shard_versions()
+            and kept.key == _rows_key(rows)
+        ):
+            return
+        self._kept = None
+        self._count_kept_graph("dropped")
+
+    def _count_kept_graph(self, outcome: str) -> None:
+        self.ctx.group.metrics.counter(
+            "repro_kept_graph_total",
+            "Scoring-forward graphs kept for an update: used by it, or dropped",
+            role=self.tag,
+            outcome=outcome,
+        ).inc()
 
     # -- training compute ---------------------------------------------------------------
 
     def replica_train_step(
         self,
         loss_fn: Callable[[TinyLM], Tuple[Tensor, Dict[str, float]]],
+        rows: Optional[DataBatch] = None,
     ) -> Optional[Dict[str, float]]:
         """One data-parallel training step across all replicas.
 
-        Phase 1 (per replica lead): materialise weights, compute loss on the
-        replica's chunk, backward into the zeroed flat gradient buffer.
+        Phase 1 (per replica lead): drop a kept graph not built on ``rows``
+        (the batch whose :meth:`response_forward` ``loss_fn`` takes) at the
+        current weights, materialise weights, compute loss on the replica's
+        chunk — through the kept graph when there is one — and backward into
+        the zeroed flat gradient buffer.
         Phase 2 (triggered by the group's last rank, once all leads have
         gradients): all-reduce the buffers across replicas, identical Adam
         step on every lead, and scatter the updated weights back to resting
         shards.
         """
         if self.is_replica_lead:
+            self._drop_kept_graph(rows)
             self.materialize_full_state()
             self._resident.zero_grad()
             loss, metrics = loss_fn(self._model)

@@ -9,7 +9,7 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.rlhf import losses as L
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import WorkerContext
-from repro.workers.base import ThreeDParallelWorker, real_lengths
+from repro.workers.base import ThreeDParallelWorker
 
 
 class CriticWorker(ThreeDParallelWorker):
@@ -42,23 +42,23 @@ class CriticWorker(ThreeDParallelWorker):
         inputs={"sequences": "B,L:int64", "?response_mask": "B,R"},
         outputs={"sequences": "B,L:int64", "values": "B,R"},
     )
-    def compute_values(self, batch: DataBatch) -> Optional[DataBatch]:
+    def compute_values(
+        self, batch: DataBatch, keep_graph: bool = False
+    ) -> Optional[DataBatch]:
         """Values of each response position, ``(batch, response_len)``.
 
         The value at response step ``t`` is the scalar head's output on the
-        prefix ending just before token ``t`` is emitted.
+        prefix ending just before token ``t`` is emitted.  ``keep_graph``:
+        the next ``update_critic`` on these rows trains on this forward.
         """
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
-            values = model.values(
-                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-            ).data
+            values = self.response_forward(model.values, batch, keep_graph).data
             return batch.select(["sequences"]).union(
                 DataBatch({"values": values[:, :-1]}, meta=batch.meta)
             )
 
-        return self.replica_forward(compute)
+        return self.replica_forward(compute, keep_graph)
 
     @register(protocol="3d_proto")
     @shape_contract(
@@ -85,10 +85,7 @@ class CriticWorker(ThreeDParallelWorker):
             raise ValueError(f"unknown critic loss {loss_func!r}")
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
-            values = model.values(
-                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-            )[:, :-1]
+            values = self.response_forward(model.values, batch)[:, :-1]
             mask = batch["response_mask"] if "response_mask" in batch else None
             return L.value_loss(
                 values,
@@ -98,4 +95,4 @@ class CriticWorker(ThreeDParallelWorker):
                 response_mask=mask,
             )
 
-        return self.replica_train_step(compute)
+        return self.replica_train_step(compute, batch)

@@ -67,10 +67,7 @@ class ReferenceWorker(ThreeDParallelWorker):
         """Reference log-probs of the response tokens (Table 4)."""
 
         def compute(model: TinyLM):
-            prompt_len = batch.meta["prompt_length"]
-            logp = model.token_log_probs(
-                batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-            ).data
+            logp = self.response_forward(model.token_log_probs, batch).data
             return batch.select(["sequences"]).union(
                 DataBatch({"ref_log_probs": logp}, meta=batch.meta)
             )

@@ -428,7 +428,7 @@ def test_vjp_matches_oracle_and_central_differences(name, data):
 # -- the registry is the public surface, and the public surface is used ------------
 
 #: callable public names that build no tape node
-NOT_PRIMITIVES = {"no_grad", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"}
+NOT_PRIMITIVES = {"no_grad", "hold_scratch", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"}
 #: ``Tensor``'s operators are called by syntax, so no search finds their
 #: callers; each is listed with one
 OPERATOR_CALLERS = {
