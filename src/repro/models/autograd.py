@@ -350,8 +350,8 @@ def _recycle(*arrays: np.ndarray) -> None:
     will read them again."""
     global _LENT  # repro-lint: ignore[RL305]
     for a in arrays:
-        flat = a.base
-        if flat is None or flat.size < _RECYCLE_MIN_SIZE:
+        flat = a.base  # a lent buffer is flat; a view of anything else is not
+        if flat is None or flat.ndim > 1 or flat.size < _RECYCLE_MIN_SIZE:
             continue
         _LENT -= flat.nbytes
         held = sum(_HELD.values()) if _HELD else 0
@@ -848,12 +848,11 @@ def attention(
     width, hidden)`` block.  Keys start at position 0; query ``i`` of a
     group sits at position ``offset + i`` and attends to keys at or before
     it.  Without ``cache`` the groups are ``packing``'s (one group of every
-    row when dense), at offset ``pos_offset``.  ``cache`` (a ``KVStore``
-    bound to this forward's per-row cached lengths by ``KVStore.at``;
-    inference only) takes this call's K/V in place through
-    ``cache.extend(layer, k, v)`` (projections, heads not yet split) and
-    hands back everything cached so far per group of rows sharing a
-    length, which is then that group's offset.
+    row when dense), at offset ``pos_offset``.  With ``cache`` (a
+    ``KVStore`` bound by ``KVStore.at``; inference only) ``x`` is the 2-D
+    stream of a forward's new tokens, ``cache.extend(layer, k, v)`` caches
+    their K/V and hands back every row's at one width, and one group of
+    every row runs under ``cache.mask``.
 
     A ``packing.tail`` layout returns only its tokens at or past
     ``read_from`` (its ``reads``): keys and values are projected at every
@@ -882,24 +881,29 @@ def attention(
         np.matmul(src, w.data, out=_scratch(*src.shape))
         for src, w in ((xr, wq), (xd, wk), (xd, wv))
     ]
+    queries, grid, n = projs[0], xr.shape[:-1], len(xr)
     if cache is not None:
-        groups = cache.extend(layer, projs[1], projs[2])
+        grid, n = cache.grid, math.prod(cache.grid)
+        queries = queries[:n].reshape(*grid, h)
+        groups = [(_EVERY_ROW[0], *cache.extend(layer, projs[1], projs[2]), None)]
     else:
         groups = [
             (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset + rows.offset)
             for rows in layout.groups
         ]
     ctx = _scratch(*xr.shape)
-    ctx_heads = ctx.reshape(*xr.shape[:-1], n_heads, hd)
+    ctx_heads = ctx[:n].reshape(*grid, n_heads, hd)
     saved = []
     for rows, k, v, offset in groups:
         # a row queries only the positions it computes; a shared prefix is
         # keys and values read from the row that computes it
-        q, k, v = heads(rows.take(projs[0], queries=True)), heads(k), heads(v)
+        q, k, v = heads(rows.take(queries, queries=True)), heads(k), heads(v)
         t = q.shape[2]
         att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(*q.shape[:3], k.shape[2]))
         att *= scale
-        if t > 1:  # a lone query is the newest position: nothing to mask
+        if cache is not None:
+            att += cache.mask
+        elif t > 1:  # a lone query is the newest position: nothing to mask
             masked = np.arange(k.shape[2])[None, :] > offset + np.arange(t)[:, None]
             att += np.where(masked, -1e9, 0.0)
         att -= att.max(axis=-1, keepdims=True)
@@ -912,6 +916,9 @@ def attention(
             _recycle(per_head)
         else:
             _recycle(per_head, att, *_gathered(rows, q, k, v))
+    if cache is not None:  # the stream's tiling tokens repeat its first
+        ctx[n:] = ctx[: len(ctx) - n]
+        _recycle(groups[0][1])  # keys and values share one buffer
     if layout.index is not None:
         _recycle(*projs)  # the core read, and backward reads, the blocks
         projs = []

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.config import ModelSpec
 from repro.models import autograd as ag
-from repro.models.autograd import Tensor
+from repro.models.autograd import Tensor, _scratch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,18 +46,6 @@ class TinyLMConfig:
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
 
-    @classmethod
-    def from_spec(cls, spec: ModelSpec, output_head: str = "lm") -> "TinyLMConfig":
-        return cls(
-            n_layers=spec.n_layers,
-            hidden_size=spec.hidden_size,
-            n_heads=spec.n_heads,
-            ffn_hidden_size=spec.ffn_hidden_size,
-            vocab_size=spec.vocab_size,
-            max_seq_len=spec.max_seq_len,
-            output_head=output_head,
-        )
-
 
 def _leaders(token_ids: np.ndarray, prefix: int) -> Optional[np.ndarray]:
     """Row ``i``'s leader: the first row whose first ``prefix`` ids are row
@@ -73,40 +60,47 @@ def _leaders(token_ids: np.ndarray, prefix: int) -> Optional[np.ndarray]:
     return None if len(first) == len(leaders) else np.array(leaders)
 
 
-def _span(index: Sequence[int]) -> Any:
-    """``index`` as a slice when it is one ascending run — basic indexing
-    reads a view and writes without a gather — else unchanged."""
-    first, n = int(index[0]), len(index)
-    run = list(index) == list(range(first, first + n))
-    return slice(first, first + n) if run else index
+#: Widest canonical key width: past it numpy's pairwise sum splits a row.
+MAX_KEY_WIDTH = 128
+#: Rows of a BLAS micro-tile, which a cached forward's stream fills whole.
+TILE_ROWS = 4
+
+
+def key_width(length: int) -> int:
+    """The key width of rows ending by ``length``: a multiple of 8, >= 16."""
+    return max(16, -(-length // 8) * 8)
 
 
 class KVStore:
     """Slot-resident keys/values for incremental generation.
 
-    Per layer one preallocated ``(n_slots, capacity, hidden)`` K and V
-    buffer, written in place: a forward's new rows land at each row's
-    cached length and attention reads ``[:length]`` views, so nothing is
-    ever copied to grow and a freed slot needs no clearing — positions at
-    or past a row's length are never read.  Rows are kept as the K/V
-    projections produce them (heads side by side, split by a view): a
-    head's ``(length, head_dim)`` matrix then has the row stride it has in
-    a plain forward, which is what keeps BLAS on the same path bit for bit.
-    How long each slot's prefix is stays with the caller (``pos_offset`` of
-    the forward that extends it); whether it may exist is the block
-    manager's business (:class:`repro.serving.PagedKVCache`).
+    Per layer one preallocated ``(n_slots, key_width(capacity), hidden)`` K
+    and V buffer, written in place at each row's cached length, heads side
+    by side (the row stride keys have in a plain forward).  How long each
+    slot's prefix is stays with the caller (``pos_offset``); whether it may
+    exist is the block manager's business (:class:`repro.serving.PagedKVCache`).
+    One attention core serves every row of a forward (:meth:`at`) at the
+    :func:`key_width` of its longest row, and a position at or past a row's
+    length reads as an exact zero whatever the buffer holds, so a freed slot
+    needs no clearing.  A row's bits depend neither on that width (up to
+    :data:`MAX_KEY_WIDTH`) nor on the rows beside it: the new tokens run as
+    one 2-D stream of whole :data:`TILE_ROWS` tiles (a lone row would be a
+    GEMV, a part-filled tile rounds some output widths by another path).
     """
 
     def __init__(
         self, config: TinyLMConfig, n_slots: int, capacity: Optional[int] = None
     ) -> None:
-        shape = (n_slots, capacity or config.max_seq_len, config.hidden_size)
-        self.keys = [np.empty(shape, dtype=np.float64) for _ in range(config.n_layers)]
-        self.values = [np.empty(shape, dtype=np.float64) for _ in range(config.n_layers)]
+        self.capacity = capacity or config.max_seq_len
+        width = key_width(self.capacity)
+        if width > MAX_KEY_WIDTH:
+            raise ValueError(f"KV capacity {self.capacity} needs key width {width}")
+        shape = (2 * config.n_layers, n_slots, width, config.hidden_size)
+        self._buffers = np.zeros(shape, dtype=np.float64)  # per layer K, then V
+        self._flat = self._buffers.reshape(shape[0], -1, shape[3])
+        self.keys, self.values = list(self._buffers[::2]), list(self._buffers[1::2])
         #: Slot of each forward row; ``None``: row ``i`` lives in slot ``i``.
         self.slots: Optional[np.ndarray] = None
-        #: ``(rows, slots, offset)`` per group of the forward :meth:`at` bound.
-        self.groups: Optional[List[Tuple[ag.Rows, Any, int]]] = None
 
     def rows(self, slots: Sequence[int]) -> "KVStore":
         """The same buffers for forwards whose row ``i`` is ``slots[i]``."""
@@ -114,50 +108,47 @@ class KVStore:
         view.slots = np.asarray(slots, dtype=np.intp)
         return view
 
-    def at(self, offsets: Union[int, np.ndarray]) -> "KVStore":
-        """The same buffers bound to one forward whose row ``i`` has cached
-        ``offsets[i]`` positions (an int: every row the same): rows are
-        grouped by cached length once, for every layer's :meth:`extend`."""
+    def at(self, token_ids: np.ndarray, pos_offset: Union[int, np.ndarray]) -> "KVStore":
+        """Bound to a forward of ``token_ids`` ``(rows, t)`` behind ``pos_offset``
+        cached positions per row: ``stream`` picks the new tokens, the first
+        repeated to whole tiles, and ``mask`` is the core's causal mask."""
+        rows, t = token_ids.shape
+        offsets = np.zeros(rows, dtype=np.int64) + pos_offset
+        end = int(offsets.max()) + t
+        if end > self.capacity:
+            raise ValueError(f"position {end} is past KV capacity {self.capacity}")
         view = copy.copy(self)
-        if not isinstance(offsets, np.ndarray):
-            slots = slice(None) if self.slots is None else self.slots
-            view.groups = [(ag.Rows(slice(None)), slots, offsets)]
-            return view
-        by_offset: Dict[int, List[int]] = {}
-        for row, offset in enumerate(offsets.tolist()):
-            by_offset.setdefault(offset, []).append(row)
-        view.groups = [
-            (
-                ag.Rows(_span(rows)),
-                _span(rows if self.slots is None else self.slots[rows]),
-                offset,
-            )
-            for offset, rows in by_offset.items()
-        ]
+        slots = np.arange(rows) if self.slots is None else self.slots
+        base = slots * self._buffers.shape[2]
+        keys, queries = np.arange(key_width(end)), offsets[:, None] + np.arange(t)
+        masked = keys > queries[:, :, None]  # past each query: past the end for the last
+        view.writes, view.reads = (base[:, None] + queries).ravel(), base[:, None] + keys
+        # what lies past each row's end reads as zeros, in every layer
+        self._flat[:, view.reads[masked[:, -1]]] = 0.0
+        # rows whose slots are one run read views of the store
+        run = self.slots is None or (slots == slots[0] + np.arange(rows)).all()
+        view.run = (slice(slots[0], slots[0] + rows), slice(len(keys))) if run else None
+        view.grid, view.mask = (rows, t), np.where(masked[:, None], -1e9, 0.0)
+        view.stream = np.arange(-(-rows * t // TILE_ROWS) * TILE_ROWS) % (rows * t)
         return view
 
     def copy_prefix(self, source: int, slot: int, length: int) -> None:
         """Slot ``slot`` takes slot ``source``'s first ``length`` positions."""
-        for buffer in self.keys + self.values:
-            buffer[slot, :length] = buffer[source, :length]
+        self._buffers[:, slot, :length] = self._buffers[:, source, :length]
 
-    def extend(
-        self, layer: int, k: np.ndarray, v: np.ndarray
-    ) -> List[Tuple[ag.Rows, np.ndarray, np.ndarray, int]]:
-        """Cache the projections ``k``/``v`` ``(batch, t, hidden)`` behind
-        what each row of the bound forward holds.  Returns ``(rows, keys,
-        values, offset)`` per group of rows sharing a cached length:
-        ``keys``/``values`` are those rows' ``offset + t`` positions.
-        """
-        t = k.shape[1]
-        keys, values = self.keys[layer], self.values[layer]
-        out = []
-        for rows, slots, offset in self.groups:
-            end = offset + t
-            keys[slots, offset:end] = k[rows.rows]
-            values[slots, offset:end] = v[rows.rows]
-            out.append((rows, keys[slots, :end], values[slots, :end], offset))
-        return out
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Cache the new tokens' projections ``k``/``v`` (the bound forward's
+        stream) behind what each row holds; return every row's keys and
+        values, ``(2, rows, width, hidden)``: a view of the store when the
+        rows' slots are one run, else gathered scratch."""
+        layers = slice(2 * layer, 2 * layer + 2)
+        for flat, new in zip(self._flat[layers], (k, v)):
+            flat[self.writes] = new[: len(self.writes)]
+        if self.run is not None:
+            return self._buffers[(layers, *self.run)]
+        out = _scratch(2, *self.reads.shape, self._flat.shape[2])
+        # every index is in range: ``clip`` fills ``out`` unbuffered
+        return np.take(self._flat[layers], self.reads, axis=1, out=out, mode="clip")
 
 
 class TinyLM:
@@ -218,9 +209,6 @@ class TinyLM:
         for p in self.params.values():
             p.zero_grad()
 
-    def named_parameters(self) -> Dict[str, Tensor]:
-        return self.params
-
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -272,7 +260,9 @@ class TinyLM:
         ``pos_offset`` is the position of each row's first token — one int,
         or a ``(batch,)`` array when rows have cached different lengths.
         ``cache`` is inference-only: passing one while a graph would be
-        built (grad mode on, parameters requiring grad) raises.
+        built (grad mode on, parameters requiring grad) raises.  A cached
+        forward runs its new tokens as one 2-D stream and its attention as
+        one core over every row (:class:`KVStore`).
         ``lengths``: row ``i`` has ``lengths[i]`` real tokens and only those
         are computed (:class:`~repro.models.autograd.Packing`); the output
         is 0 at every later position.  ``prefix``: rows whose first
@@ -285,13 +275,13 @@ class TinyLM:
         x, tail = self._trunk(
             token_ids, cache, pos_offset, lengths, prefix, read_from
         )
-        p = self.params
-        if self.config.output_head == "lm":
-            logits = ag.unpack(ag.linear(x, p["lm_head.weight"]), tail)
-            return _narrowed(logits, tail, read_from)
+        lm = self.config.output_head == "lm"
+        head = self.params["lm_head.weight" if lm else "value_head.weight"]
         # the scalar head is a matrix-vector product: it runs on the whole grid
-        values = ag.linear(x, p["value_head.weight"], tail)
-        return values[:, read_from:, 0]
+        out = ag.unpack(ag.linear(x, head), tail) if lm else ag.linear(x, head, tail)
+        if cache is not None:  # the stream's own tokens back on their grid
+            out = Tensor(out.data[: np.size(token_ids)].reshape(*np.shape(token_ids), -1))
+        return _narrowed(out, tail, read_from) if lm else out[:, read_from:, 0]
 
     __call__ = forward
 
@@ -333,8 +323,9 @@ class TinyLM:
         x = ag.embed(
             p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset, packing
         )
-        if cache is not None:
-            cache = cache.at(pos_offset)
+        if cache is not None:  # inference only: no graph to keep
+            cache = cache.at(token_ids, pos_offset)
+            x = Tensor(x.data.reshape(-1, cfg.hidden_size)[cache.stream])
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}"
             if layer == cfg.n_layers - 1:

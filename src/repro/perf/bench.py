@@ -99,6 +99,7 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Continuous-batching drain through ``RolloutServer``."""
+    from repro.models.autograd import Rows
     from repro.serving import RolloutServer, ServingConfig
 
     pins = {
@@ -130,13 +131,29 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
     for prompt, budget in zip(prompts, budgets):
         server.submit(prompt, max_new_tokens=int(budget))
-    report = server.drain()
+    # every attention core writes its context back through one ``Rows.put``
+    # (looked up on the class at each call): counted here, in the harness
+    cores = 0
+    put = Rows.put
+
+    def counted_put(*args: Any, **kwargs: Any) -> None:
+        nonlocal cores
+        cores += 1
+        put(*args, **kwargs)
+
+    Rows.put = counted_put
+    try:
+        report = server.drain()
+    finally:
+        Rows.put = put
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
         "forwards": _metric("exact", report.n_forwards),
         "total_tokens": _metric("exact", report.total_tokens),
         "n_preemptions": _metric("exact", report.n_preemptions),
+        # one core per decode forward and layer, whatever each row cached
+        "attention_cores": _metric("exact", cores),
     }
     return pins, metrics
 

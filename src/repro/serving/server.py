@@ -13,12 +13,12 @@ decodes share a forward whatever their KV lengths, and admissions or
 post-preemption recomputes take one per distinct context length.  Keys and
 values live in one slot-resident :class:`repro.models.tinylm.KVStore`,
 written in place; a request holds a slot of it, and the forward carries each
-row's cached length so that only the attention core runs per KV length.
-Because numpy's row-independent kernels make a sequence's forward identical
-whether it shares a batch or not, and every request samples from its own
-rng, serving output is bit-exact with :func:`repro.models.sampler.generate`
-run on each request alone — the property the actor's serving-backed path
-relies on (and tests assert).
+row's cached length: one attention core serves every row, at one canonical
+key width.  Because a sequence's cached forward is the same bits at any such
+width and beside any rows, and every request samples from its own rng,
+serving output is bit-exact with :func:`repro.models.sampler.generate` run
+on each request alone — the property the actor's serving-backed path relies
+on (and tests assert).
 
 Latency accounting: the simulated clock advances ``step_time`` per decode
 step; TTFT/TPOT/latency and SLO attainment are computed per request from
@@ -74,6 +74,14 @@ class ServingConfig:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.n_blocks is not None and self.n_blocks < 1:
             raise ValueError(f"n_blocks must be None or >= 1, got {self.n_blocks}")
+        # else the first step prefills and only then fails to sample
+        if self.temperature <= 0 and not self.greedy:
+            raise ValueError(
+                f"temperature must be > 0 unless greedy, got {self.temperature}"
+            )
+        # else the simulated clock stands still or runs backwards
+        if self.step_time <= 0:
+            raise ValueError(f"step_time must be > 0, got {self.step_time}")
 
 
 @dataclasses.dataclass
@@ -460,8 +468,12 @@ class RolloutServer:
         logits.  Returns the sampled token and its log-prob per request, in
         cohort order, and the number of forwards run (0 or 1).
         """
-        computed = [r for r in cohort if r.request_id not in sources]
-        logits: Any = ()
+        # in slot order: rows whose slots are one run read the store through
+        # views, and a row's bits do not depend on its place in the forward
+        computed = sorted(
+            (r for r in cohort if r.request_id not in sources), key=lambda r: r.slot
+        )
+        logits: Dict[int, np.ndarray] = {}
         if computed:
             feed = np.array([r.uncached_tokens() for r in computed])
             with no_grad():
@@ -470,8 +482,7 @@ class RolloutServer:
                     cache=self.store.rows([r.slot for r in computed]),
                     pos_offset=np.array([r.kv_len for r in computed]),
                 )
-            logits = out.data[:, -1, :]
-            for req, row in zip(computed, logits):
+            for req, row in zip(computed, out.data[:, -1, :]):
                 if req.fresh:
                     req.prompt_logits = row.copy()
                 elif req.kv_len == 0:
@@ -479,25 +490,23 @@ class RolloutServer:
                     # another order: not reusable bit for bit
                     req.prompt_logits = None
                 req.kv_len = req.seq_len
-        if len(computed) < len(cohort):
-            rows = iter(logits)
-            merged = []
-            for req in cohort:
-                if req.request_id in sources:
-                    slot, source = sources[req.request_id]
-                    self.store.copy_prefix(slot, req.slot, req.prompt_length)
-                    req.prompt_logits = source.prompt_logits
-                    req.kv_len = req.seq_len
-                    merged.append(req.prompt_logits)
-                else:
-                    merged.append(next(rows))
-            logits = np.array(merged)
+                logits[req.request_id] = row
+        for req in cohort:
+            if req.request_id in sources:
+                slot, source = sources[req.request_id]
+                self.store.copy_prefix(slot, req.slot, req.prompt_length)
+                req.prompt_logits = logits[req.request_id] = source.prompt_logits
+                req.kv_len = req.seq_len
         uniforms = (
             None
             if self.config.greedy
             else np.array([r.rng.random() for r in cohort])
         )
-        tokens, logps = decode_step(logits, uniforms, self.config.temperature)
+        tokens, logps = decode_step(
+            np.array([logits[r.request_id] for r in cohort]),
+            uniforms,
+            self.config.temperature,
+        )
         return tokens, logps, int(bool(computed))
 
     def _finish(

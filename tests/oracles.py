@@ -441,34 +441,49 @@ def rms_norm_reference(x, weight, eps):
     return x * ((variance + eps) ** -0.5) * weight
 
 
-def attention_reference(x, wq, wk, wv, wo, n_heads, cache=None, layer=0, pos_offset=0):
-    """``ag.attention`` without ``residual``, op by op; ``cache`` is a
-    :class:`ConcatKVCache`, whose K/V are re-wrapped as constants."""
-    b, t, h = x.shape
+def attention_reference(
+    x, wq, wk, wv, wo, n_heads, cache=None, layer=0, pos_offset=0, grid=None
+):
+    """``ag.attention`` without ``residual``, op by op.  With ``cache`` (a
+    :class:`ConcatKVCache`), ``x`` is the padded 2-D stream of a ``grid``
+    ``(b, t)`` of new tokens, and the cached K/V, re-wrapped as constants,
+    are zero-padded to the canonical key width: a multiple of 8, at least
+    16."""
+    b, t = x.shape[:2] if cache is None else grid
+    h = x.shape[-1]
     hd = h // n_heads
 
     def split_heads(proj):
-        return proj.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        return proj[: b * t].reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
 
     q = split_heads(x @ wq)
     k = split_heads(x @ wk)
     v = split_heads(x @ wv)
 
     if cache is not None:
-        k_data, v_data = cache.append(layer, k.data, v.data)
-        k = OpTensor(k_data)
-        v = OpTensor(v_data)
-    kv_len = k.shape[2]
+        kv = cache.append(layer, k.data, v.data)
+        kv_len = kv[0].shape[2]
+        # heads side by side, as the projection lays them: a compact
+        # (b, head, position, head_dim) layout rounds att @ v differently
+        zeros = np.zeros((b, max(16, -(-kv_len // 8) * 8) - kv_len, h))
+        k, v = (
+            OpTensor(np.concatenate([a.transpose(0, 2, 1, 3).reshape(b, kv_len, h), zeros], 1))
+            .reshape(b, -1, n_heads, hd)
+            .transpose(0, 2, 1, 3)
+            for a in kv
+        )
 
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
     # causal mask: query position (pos_offset + i) attends to kv <= it
     q_pos = pos_offset + np.arange(t)[:, None]
-    kv_pos = np.arange(kv_len)[None, :]
+    kv_pos = np.arange(k.shape[2])[None, :]
     mask = kv_pos > q_pos  # True = masked out
     scores = scores + Tensor(np.where(mask, -1e9, 0.0))
     attn = softmax(scores, axis=-1)
     out = attn @ v  # (b, nh, t, hd)
     out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
+    if cache is not None:  # the padded stream again
+        out = out.reshape(b * t, h)[np.arange(x.shape[0]) % (b * t)]
     return out @ wo
 
 
@@ -485,27 +500,31 @@ def tinylm_forward_reference(model, token_ids, cache=None, pos_offset=0):
     layers).  The fused primitives in ``repro.models.autograd`` must
     reproduce its forward values bit for bit and its gradients to rounding.
     With a ``cache`` it re-wraps the cached K/V as constants, so it is a
-    forward oracle only there.
+    forward oracle only there; the new tokens then run as one 2-D stream,
+    padded to whole 4-row tiles by repeating its first tokens (a lone token
+    on four rows: a one-row product is a GEMV, a part-filled tile another
+    BLAS path).
     """
     cfg, p = model.config, model.params
     token_ids = np.asarray(token_ids, dtype=np.int64)
     x = embed_reference(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
+    b, t, h = x.shape
+    if cache is not None:
+        x = x.reshape(b * t, h)[np.arange(-(-b * t // 4) * 4) % (b * t)]
     for layer in range(cfg.n_layers):
         pre = f"layers.{layer}"
         normed = rms_norm_reference(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
         weights = [p[f"{pre}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
         x = x + attention_reference(
-            normed, *weights, cfg.n_heads, cache, layer, pos_offset
+            normed, *weights, cfg.n_heads, cache, layer, pos_offset, (b, t)
         )
         normed = rms_norm_reference(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
         weights = [p[f"{pre}.mlp.{w}"] for w in ("w_gate", "w_up", "w_down")]
         x = x + mlp_reference(normed, *weights)
     x = rms_norm_reference(x, p["final_norm.weight"], cfg.rms_eps)
     if cfg.output_head == "lm":
-        return x @ p["lm_head.weight"]
-    values = x @ p["value_head.weight"]
-    b, t, _one = values.shape
-    return values.reshape(b, t)
+        return (x @ p["lm_head.weight"])[: b * t].reshape(b, t, -1)
+    return (x @ p["value_head.weight"])[: b * t].reshape(b, t)
 
 
 def token_log_probs_reference(model, token_ids):

@@ -200,7 +200,12 @@ class TestStalenessOneHistoryPinned:
     last layer at the response positions only: iteration 0 is unchanged,
     later floats moved in their 15th-16th digit (worst 1.75e-14 relative,
     ppo ``actor/policy_loss`` 0.1776821968493029 -> 0.17768219684929978),
-    as that layer's weight-gradient GEMMs reduce over fewer token rows.  The
+    as that layer's weight-gradient GEMMs reduce over fewer token rows.  All
+    four were re-recorded again when a cached forward became one 2-D stream
+    with one attention core at a canonical key width: generation log-probs
+    (the PPO ratio's ``old_log_probs``) moved in their last bits, so every
+    float moved by rounding (worst 3.5e-14 relative, grpo-batch iteration 2
+    ``actor/grpo_loss`` -0.01686834106824582 -> -0.016868341068245238).  The
     comparison stays exact so later drift is still caught."""
 
     @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])

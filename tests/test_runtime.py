@@ -160,6 +160,9 @@ class TestBuilder:
 #: Recorded at the commit that still had the hand-written builders (named by
 #: the keys): state digest after ``trainer.train(dataset, 2, 8)`` and the two
 #: ``score_mean``s.  "Same system" means the one definition reproduces each.
+#: The digests were re-recorded when cached forwards moved to one attention
+#: core at a canonical key width (generation log-probs moved by rounding);
+#: the ``score_mean``s, which follow the sampled tokens, did not move.
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "shipped_systems.json").read_text()
 )

@@ -266,13 +266,28 @@ class TestScheduling:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_slots", 0), ("block_size", 0), ("n_blocks", 0), ("n_blocks", -1)],
+        [
+            ("max_slots", 0),
+            ("block_size", 0),
+            ("n_blocks", 0),
+            ("n_blocks", -1),
+            ("step_time", 0.0),
+            ("step_time", -1.0),
+        ],
     )
     def test_config_rejects_what_no_server_could_run(self, field, value):
         # block_size=0 used to be a ZeroDivisionError deep in the server and
         # max_slots=0 surfaced as "n_blocks must be >= 1"
         with pytest.raises(ValueError, match=field):
             ServingConfig(**{field: value})
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.5])
+    def test_config_rejects_a_temperature_it_cannot_sample_at(self, temperature):
+        # it used to pass, and the first step prefilled, then raised in
+        # decode_step: the request stayed RUNNING, K/V cached, nothing emitted
+        with pytest.raises(ValueError, match="temperature"):
+            ServingConfig(temperature=temperature)
+        ServingConfig(temperature=temperature, greedy=True)  # never samples
 
 
 class TestBlockBudget:

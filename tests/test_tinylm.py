@@ -11,7 +11,7 @@ from repro.models import autograd as ag
 from repro.models.adam import Adam, FlatParams
 from repro.models.autograd import Packing, Tensor, no_grad
 from repro.models.sampler import generate
-from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
+from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig, key_width
 from tests.oracles import AdamReference
 
 
@@ -90,7 +90,7 @@ class TestKVCache:
         # grows in place: preallocated once, each forward writes behind the last
         cache = KVStore(config, n_slots=2, capacity=6)
         buffers = [id(a) for a in cache.keys + cache.values]
-        shape = (2, 6, config.hidden_size)
+        shape = (2, key_width(6), config.hidden_size)  # read at width 16
         assert all(a.shape == shape for a in cache.keys + cache.values)
         ids = tokens(config, seq=5)
         with no_grad():
@@ -343,6 +343,82 @@ class TestKVCacheTrimFree:
             reused = model.forward(ids, cache=used).data
             fresh = model.forward(ids, cache=KVStore(config, n_slots=2)).data
         assert np.array_equal(reused, fresh)
+
+
+#: The shipped layer widths (``bench/`` and ``repro bench`` models) at head
+#: dims 4, 8 and 16, long enough for every canonical key width.
+CANONICAL_PROBES = [
+    TinyLMConfig(n_layers=2, hidden_size=16, n_heads=4, ffn_hidden_size=32,
+                 vocab_size=16, max_seq_len=128),
+    TinyLMConfig(n_layers=2, hidden_size=32, n_heads=4, ffn_hidden_size=48,
+                 vocab_size=32, max_seq_len=128),
+    TinyLMConfig(n_layers=1, hidden_size=64, n_heads=4, ffn_hidden_size=128,
+                 vocab_size=64, max_seq_len=128),
+]
+
+
+class TestOneCoreAtACanonicalWidth:
+    """The rule ``KVStore``'s one attention core rests on: a row's cached
+    forward is bit-identical at every key width in {16, 24, ..., 128} at or
+    above its own, and beside any rows — alone, on two rows, in a crowd."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(range(len(CANONICAL_PROBES))),
+        st.integers(1, 127),  # the row's cached length
+        st.integers(1, 4),  # its new tokens
+        st.lists(st.integers(1, 120), min_size=1, max_size=5),  # rows beside it
+        st.integers(0, 2**16),
+    )
+    def test_a_row_is_the_same_at_every_width_and_in_every_batch(
+        self, which, cached, t, beside, seed
+    ):
+        cfg = CANONICAL_PROBES[which]
+        cached = min(cached, cfg.max_seq_len - t)
+        model = TinyLM(cfg, seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        row = rng.integers(0, cfg.vocab_size, size=cached + t)
+        others = [rng.integers(0, cfg.vocab_size, size=n + 1) for n in beside]
+        filler = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len)
+        store = KVStore(cfg, n_slots=2 + len(others))
+        for buffer in store.keys + store.values:
+            buffer[...] = np.nan  # no position past a row's length is read
+        with no_grad():
+            # slot 0 the row, 1 a filler that sets the width, 2.. the others
+            for slot, ids in enumerate([row[:cached], filler[:-1]] + [o[:-1] for o in others]):
+                model.forward(ids[None], cache=store.rows([slot]))
+
+            def decode(slots, offsets, feeds):
+                out = model.forward(
+                    np.stack(feeds), cache=store.rows(slots), pos_offset=np.array(offsets)
+                )
+                return out.data[0]
+
+            new = row[cached:]
+            alone = decode([0], [cached], [new])
+            assert np.array_equal(alone, decode([0, 0], [cached] * 2, [new, new]))
+            for width in range(key_width(cached + t), cfg.max_seq_len + 1, 8):
+                beside_filler = decode([0, 1], [cached, width - t], [new, filler[:t]])
+                assert np.array_equal(alone, beside_filler), width
+            crowd = decode(
+                [0] + list(range(2, 2 + len(others))),
+                [cached] + [len(o) - 1 for o in others],
+                [new] + [np.resize(o[-1:], t) for o in others],
+            )
+            assert np.array_equal(alone, crowd)
+
+    def test_a_width_past_the_rule_is_rejected(self):
+        # past 128 numpy's pairwise sum splits a row at a point that moves
+        # with the width: a length-100 softmax row zero-padded to 128 and to
+        # 136 sums differently
+        rows = np.random.default_rng(0).random((50, 100))
+        pad = lambda width: np.pad(rows, ((0, 0), (0, width - 100))).sum(axis=1)
+        assert not np.array_equal(pad(128), pad(136))
+        assert np.array_equal(pad(104), pad(128))
+        ok = dataclasses.replace(CANONICAL_PROBES[0], max_seq_len=128)
+        assert KVStore(ok, n_slots=1).keys[0].shape[1] == 128
+        with pytest.raises(ValueError, match="key width 136"):
+            KVStore(dataclasses.replace(ok, max_seq_len=129), n_slots=1)
 
 
 #: Every layer width a multiple of 8, as in every shipped config: BLAS
