@@ -8,7 +8,7 @@ reduction uses ``do_sample=False`` for the baseline pass, Figure 6).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,21 +144,40 @@ class GenerationOutput:
         return self.response_mask.sum(axis=1).astype(np.int64)
 
 
+@dataclasses.dataclass
+class MicroBatch:
+    """One generation replica's share of a decode round: its ``(batch,
+    seq)`` prompts and its own rng."""
+
+    prompts: np.ndarray
+    rng: np.random.Generator
+
+
 def generate(
     model: TinyLM,
-    prompts: np.ndarray,
+    prompts: Union[np.ndarray, Sequence[MicroBatch]],
     max_new_tokens: int,
     temperature: float = 1.0,
     greedy: bool = False,
     rng: Optional[np.random.Generator] = None,
     eos_token_id: Optional[int] = None,
     pad_token_id: Optional[int] = None,
-) -> GenerationOutput:
+) -> Union[GenerationOutput, List[GenerationOutput]]:
     """Auto-regressively extend ``prompts`` by up to ``max_new_tokens`` tokens.
 
     Uses a real KV cache: the prompt is prefilled once, then each step feeds
     only the newly sampled token — the prefill/decode split whose memory-bound
     decode phase motivates the paper's smaller generation TP sizes (§2.3).
+
+    ``prompts`` is one ``(batch, seq)`` array, sampled from ``rng``, or a
+    generation round's micro-batches — a list of :class:`MicroBatch` of one
+    prompt length, each with its own rng (``rng`` must be ``None``) —
+    decoded together through one :class:`KVStore`: one forward per step
+    whatever the number of micro-batches (Figure 7 step ②).  A round
+    returns one :class:`GenerationOutput` per micro-batch, each bit for bit
+    what decoding that micro-batch alone returns — a cached forward's row
+    does not depend on the rows beside it — with its own ``kv_cache_bytes``
+    and its own rng consumption.
 
     With ``eos_token_id`` set, a sequence that emits EOS stops producing real
     tokens: subsequent positions are filled with ``pad_token_id`` (defaults
@@ -167,16 +186,34 @@ def generate(
     max_new_tokens)`` so DP micro-batches concatenate.  The rng is consumed
     lock-step for finished rows too, keeping each row's sample stream
     independent of the other rows' termination (and the no-EOS behaviour
-    bit-identical to before).  Once every row has terminated the decode loop
-    exits early — the lock-step analogue of continuous batching's slot
-    refill, and the sequential baseline the serving engine is checked
-    against.
+    bit-identical to before).  Once every row of a micro-batch has
+    terminated it exits: it draws nothing more and its rows leave the
+    forward.  The lock-step analogue of continuous batching's slot refill,
+    and the sequential baseline the serving engine is checked against.
     """
     if model.config.output_head != "lm":
         raise RuntimeError("generation requires an LM head")
-    prompts = np.asarray(prompts, dtype=np.int64)
-    if prompts.ndim != 2:
-        raise ValueError(f"prompts must be (batch, seq), got {prompts.shape}")
+    single = not (
+        isinstance(prompts, (list, tuple))
+        and all(isinstance(block, MicroBatch) for block in prompts)
+    )
+    if single:
+        blocks = [MicroBatch(prompts, np.random.default_rng(0) if rng is None else rng)]
+    elif rng is not None:
+        raise ValueError("a round's micro-batches carry their own rngs")
+    else:
+        blocks = list(prompts)
+    if not blocks:
+        raise ValueError("a round needs at least one micro-batch")
+    arrays = [np.asarray(block.prompts, dtype=np.int64) for block in blocks]
+    for array in arrays:
+        if array.ndim != 2:
+            raise ValueError(f"prompts must be (batch, seq), got {array.shape}")
+    if len({array.shape[1] for array in arrays}) > 1:
+        raise ValueError(
+            "a round's micro-batches share one prompt length, got "
+            f"{[array.shape[1] for array in arrays]}"
+        )
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     if eos_token_id is not None and not (
@@ -186,11 +223,13 @@ def generate(
             f"eos_token_id {eos_token_id} outside vocab "
             f"[0, {model.config.vocab_size})"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
-
+    prompts = np.concatenate(arrays)
     batch, prompt_len = prompts.shape
     n_layers, hidden = model.config.n_layers, model.config.hidden_size
+    # micro-batch ``b`` holds rows ``bounds[b]:bounds[b + 1]``; row ``i`` is ``owner[i]``'s
+    sizes = [len(array) for array in arrays]
+    bounds = np.cumsum([0] + sizes)
+    owner = np.repeat(np.arange(len(blocks)), sizes)
     # the last sampled token is never fed back, so never cached
     cache = KVStore(model.config, batch, prompt_len + max_new_tokens - 1)
     pad = eos_token_id if pad_token_id is None else pad_token_id
@@ -203,32 +242,54 @@ def generate(
     log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
     mask = np.zeros((batch, max_new_tokens), dtype=np.float64)
     alive = np.ones(batch, dtype=bool)
+    # micro-batches still decoding, and the step of each one's last forward
+    live = list(range(len(blocks)))
+    last_step = [max_new_tokens - 1] * len(blocks)
+    rows = np.arange(batch)
 
     with no_grad():
-        feed, pos_offset = prompts, 0
+        feed, pos_offset, store = prompts, 0, cache
         for step in range(max_new_tokens):
-            logits = model.forward(feed, cache=cache, pos_offset=pos_offset)
+            logits = model.forward(feed, cache=store, pos_offset=pos_offset)
             next_tokens, step_logp = decode_step(
                 logits.data[:, -1, :],
-                None if greedy else rng.random(batch),
+                None
+                if greedy
+                else np.concatenate(
+                    [blocks[b].rng.random(sizes[b]) for b in live]
+                ),
                 temperature,
             )
             if eos_token_id is not None:
-                next_tokens = np.where(alive, next_tokens, pad)
-                step_logp = np.where(alive, step_logp, 0.0)
-                mask[:, step] = alive
-                alive = alive & (next_tokens != eos_token_id)
-            log_probs[:, step] = step_logp
-            sequences[:, prompt_len + step] = next_tokens
-            if not alive.any():
-                break  # every row terminated: the rest stays padding
+                running = alive[rows]
+                next_tokens = np.where(running, next_tokens, pad)
+                step_logp = np.where(running, step_logp, 0.0)
+                mask[rows, step] = running
+                alive[rows] = running & (next_tokens != eos_token_id)
+            log_probs[rows, step] = step_logp
+            sequences[rows, prompt_len + step] = next_tokens
+            done = [b for b in live if not alive[bounds[b] : bounds[b + 1]].any()]
+            if done:  # every row of these terminated: the rest stays padding
+                for b in done:
+                    last_step[b] = step
+                live = [b for b in live if b not in done]
+                if not live:
+                    break
+                kept = np.isin(owner[rows], live)
+                rows, next_tokens = rows[kept], next_tokens[kept]
+                store = cache.rows(rows)
             feed, pos_offset = next_tokens[:, None], prompt_len + step
 
-    return GenerationOutput(
-        sequences=sequences,
-        response_log_probs=log_probs,
-        prompt_length=prompt_len,
-        # float64 K and V per layer of what the last forward (``step``) cached
-        kv_cache_bytes=2 * n_layers * batch * hidden * (prompt_len + step) * 8,
-        response_mask=mask if eos_token_id is not None else None,
-    )
+    outputs = [
+        GenerationOutput(
+            sequences=sequences[lo:hi],
+            response_log_probs=log_probs[lo:hi],
+            prompt_length=prompt_len,
+            # float64 K and V per layer of what its last forward cached
+            kv_cache_bytes=2 * n_layers * (hi - lo) * hidden
+            * (prompt_len + last) * 8,
+            response_mask=mask[lo:hi] if eos_token_id is not None else None,
+        )
+        for lo, hi, last in zip(bounds[:-1], bounds[1:], last_step)
+    ]
+    return outputs[0] if single else outputs

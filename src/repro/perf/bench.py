@@ -163,7 +163,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     from repro.comm import collectives
     from repro.config import ClusterSpec
     from repro.models.autograd import Tensor
-    from repro.models.tinylm import TinyLM
+    from repro.models.tinylm import KVStore, TinyLM
     from repro.runtime.builder import SystemSpec
     from repro.workers.base import ShardedModelWorker
 
@@ -183,13 +183,21 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     # every tape node is one ``Tensor._from_op`` call (looked up on the class
     # at each call), every gradient sync one ``collectives.all_reduce`` and
     # every re-merge of a lead's resident weights one ``_merge_full_state``
-    # (both looked up at each call too), and a forward's ``_trunk`` returns
+    # (both looked up at each call too), every cached forward binds its
+    # ``KVStore`` once (``KVStore.at``), and a forward's ``_trunk`` returns
     # the final-normed stream of the tokens its last layer's MLP ran on:
     # counted here, in the harness, not in the program
-    counts = {"nodes": 0, "all_reduce": 0, "merges": 0, "last_layer_tokens": 0}
+    counts = {
+        "nodes": 0,
+        "all_reduce": 0,
+        "merges": 0,
+        "decode_forwards": 0,
+        "last_layer_tokens": 0,
+    }
     from_op = Tensor.__dict__["_from_op"]
     all_reduce = collectives.all_reduce
     merge = ShardedModelWorker._merge_full_state
+    bind = KVStore.at
     trunk = TinyLM._trunk
 
     def last_layer(*args: Any, **kwargs: Any) -> Any:
@@ -207,6 +215,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     Tensor._from_op = classmethod(counted("nodes", from_op.__func__))
     collectives.all_reduce = counted("all_reduce", all_reduce)
     ShardedModelWorker._merge_full_state = counted("merges", merge)
+    KVStore.at = counted("decode_forwards", bind)
     TinyLM._trunk = last_layer
     tracemalloc.start()
     try:
@@ -221,6 +230,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         Tensor._from_op = from_op
         collectives.all_reduce = all_reduce
         ShardedModelWorker._merge_full_state = merge
+        KVStore.at = bind
         TinyLM._trunk = trunk
     dispatch_calls = int(
         system.controller.metrics.total("repro_dispatch_calls_total")
@@ -239,6 +249,9 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # shard changed under it (its first call)
         "grad_allreduce_calls": _metric("exact", counts["all_reduce"]),
         "full_state_merges": _metric("exact", counts["merges"]),
+        # the rollout's structure: a generation round decodes every
+        # replica's micro-batch in one loop, one cached forward per step
+        "decode_forwards": _metric("exact", counts["decode_forwards"]),
         # the forwards' structure: the scoring and training forwards run
         # their last layer at the response positions only
         "last_layer_tokens": _metric("exact", counts["last_layer_tokens"]),

@@ -1,9 +1,10 @@
 """``ActorWorker``: generation, log-prob, and policy-update primitives (Table 4).
 
-``generate_sequences`` runs the full 3D-HybridEngine workflow of Figure 7:
-transition to the generation layout (step ①), per-replica KV-cached decoding
-of its micro-batch (step ②), the result all-gather within micro-DP groups
-(step ③), and the transition back to the training layout (step ④).
+``generate_sequences`` runs the full 3D-HybridEngine workflow of Figure 7,
+each step group-wide: transition to the generation layout (step ①), one
+KV-cached decode of every replica's micro-batch (step ②), the result
+all-gather within micro-DP groups (step ③), and the transition back to the
+training layout (step ④).
 ``update_actor`` implements the PPO / Safe-RLHF / GRPO policy losses on top
 of the shared data-parallel training machinery.
 """
@@ -20,7 +21,7 @@ from repro.comm.groups import ring_all_gather_bytes
 from repro.data.batch import DataBatch
 from repro.hybrid_engine.engine import HybridEngine3D
 from repro.models.autograd import Tensor
-from repro.models.sampler import GenerationOutput, generate
+from repro.models.sampler import GenerationOutput, MicroBatch, generate
 from repro.models.tinylm import TinyLM
 from repro.rlhf import losses as L
 from repro.serving import RolloutServer, ServingConfig
@@ -47,6 +48,16 @@ def reassemble_responses(prompts, completed, max_new_tokens, pad_token_id, maske
         log_probs[i, :n] = done.log_probs
         mask[i, :n] = 1.0
     return sequences, log_probs, mask if masked else None
+
+
+def _same_bits(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
+    """Whether two full weight sets are equal bit for bit."""
+    return a.keys() == b.keys() and all(
+        a[name].dtype == b[name].dtype
+        and a[name].shape == b[name].shape
+        and a[name].tobytes() == b[name].tobytes()
+        for name in a
+    )
 
 
 class ActorWorker(ThreeDParallelWorker):
@@ -124,23 +135,40 @@ class ActorWorker(ThreeDParallelWorker):
 
         Returns prompt+response sequences plus the sampling log-probs (the
         behaviour policy's ``old_log_probs`` for PPO).
+
+        Every step of Figure 7 is group-wide.  Rank 0 enters the generation
+        layout (①).  Each replica lead materializes its replica, builds its
+        rng from ``(seed, local_rank, gen_calls)`` and hands its micro-batch
+        to the round; the last rank decodes the round (②) — one
+        :func:`generate` over every micro-batch whose replica weights are
+        bit-identical, each micro-batch getting exactly what it would alone
+        — then all-gathers the results (③) and returns to training (④).  A
+        lead's returned batch is filled by then: nothing reads it before
+        the last rank has run.  Through the serving engine each lead
+        serves its own micro-batch instead.
         """
         engine = self._engine()
+        group = self.ctx.group
         if self.ctx.local_rank == 0:
+            # a dispatch that failed part-way leaves nothing behind
+            group.generation_round = []
+            if engine.in_generation:
+                self._release_kv_caches()
+                engine.to_training()
             engine.to_generation()  # Figure 7 step 1 (group-wide)
         self._gen_calls += 1
+        n_tokens = max_new_tokens or self.max_new_tokens
 
         if self._is_gen_replica_lead():
             full = engine.materialize_generation_replica(self)
-            model = TinyLM(
-                self.model_config,
-                params={name: Tensor(arr) for name, arr in full.items()},
+            prompts = batch["prompts"]
+            self._stashed_output = DataBatch(
+                {"prompts": prompts}, meta={"prompt_length": prompts.shape[1]}
             )
-            n_tokens = max_new_tokens or self.max_new_tokens
             if self.use_serving:
-                out = self._serve_generate(
-                    model, batch["prompts"], n_tokens, do_sample
-                )
+                self._take_generation(self._serve_generate(
+                    self._replica_model(full), prompts, n_tokens, do_sample
+                ))
             else:
                 # local_rank, not global_rank: sampling must not depend on
                 # which physical devices host the pool, or recovery
@@ -149,35 +177,53 @@ class ActorWorker(ThreeDParallelWorker):
                 rng = np.random.default_rng(
                     (self.seed, self.ctx.local_rank, self._gen_calls)
                 )
-                out = generate(
-                    model,
-                    batch["prompts"],
-                    max_new_tokens=n_tokens,
-                    temperature=self.temperature,
-                    greedy=not do_sample,
-                    rng=rng,
-                    eos_token_id=self.eos_token_id,
-                )
-            self.ctx.device.memory.alloc(
-                f"{self.tag}/kv_cache", out.kv_cache_bytes
-            )
-            columns = {
-                "prompts": batch["prompts"],
-                "sequences": out.sequences,
-                "old_log_probs": out.response_log_probs,
-            }
-            if out.response_mask is not None:
-                columns["response_mask"] = out.response_mask
-            self._stashed_output = DataBatch(
-                columns, meta={"prompt_length": out.prompt_length}
-            )
+                group.generation_round.append((self, full, MicroBatch(prompts, rng)))
         result = self._stashed_output if self._is_gen_replica_lead() else None
 
-        if self.ctx.local_rank == len(self.ctx.group.workers) - 1:
+        if self.ctx.local_rank == len(group.workers) - 1:
+            self._decode_round(  # Figure 7 step 2 (group-wide)
+                max_new_tokens=n_tokens,
+                temperature=self.temperature,
+                greedy=not do_sample,
+                eos_token_id=self.eos_token_id,
+            )
             self._gather_generation_results()  # Figure 7 step 3
             self._release_kv_caches()
             engine.to_training()  # Figure 7 step 4
         return result
+
+    def _take_generation(self, out: GenerationOutput) -> None:
+        """A lead's own generation: its ``kv_cache`` charge and its columns."""
+        self.ctx.device.memory.alloc(f"{self.tag}/kv_cache", out.kv_cache_bytes)
+        self._stashed_output["sequences"] = out.sequences
+        self._stashed_output["old_log_probs"] = out.response_log_probs
+        if out.response_mask is not None:
+            self._stashed_output["response_mask"] = out.response_mask
+
+    def _decode_round(self, **settings) -> None:
+        """Step ②: decode the leads' micro-batches, one :func:`generate` per
+        set of leads whose replica weights compare bit-identical (every
+        shipped placement gives one)."""
+        pending, self.ctx.group.generation_round = self.ctx.group.generation_round, []
+        sets = []
+        for lead, full, micro in pending:
+            for weights, members in sets:
+                if _same_bits(weights, full):
+                    members.append((lead, micro))
+                    break
+            else:
+                sets.append((full, [(lead, micro)]))
+        for full, members in sets:
+            micros = [micro for _lead, micro in members]
+            outs = generate(self._replica_model(full), micros, **settings)
+            for (lead, _micro), out in zip(members, outs):
+                lead._take_generation(out)
+
+    def _replica_model(self, full: Dict[str, np.ndarray]) -> TinyLM:
+        return TinyLM(
+            self.model_config,
+            params={name: Tensor(arr) for name, arr in full.items()},
+        )
 
     def _serve_generate(
         self,

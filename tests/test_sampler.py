@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.sampler import (
     GenerationOutput,
+    MicroBatch,
     generate,
     sample_tokens,
     sample_tokens_batch,
@@ -289,6 +290,44 @@ class TestVectorizedBitExactness:
             np.testing.assert_array_equal(out.response_mask, mask)
             exited_early += int(out.response_lengths.max() < 19)
         assert exited_early  # the property was exercised
+
+
+class TestARoundOfMicroBatches:
+    """Micro-batches decoded together: each gets what it gets alone."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_micro_batch_is_its_own_loop(self, model, seed):
+        draw = np.random.default_rng(seed)
+        sizes = draw.integers(1, 5, size=draw.integers(2, 5))
+        prompts = [draw.integers(0, 13, size=(n, 3)) for n in sizes]
+        # EOS (or not) and greedy (or not): micro-batches exit at their own steps
+        kwargs = dict(
+            eos_token_id=None if seed % 3 == 0 else int(draw.integers(0, 13)),
+            greedy=seed % 4 == 1,
+            temperature=(0.7, 1.0, 1.6)[seed % 3],
+        )
+        rngs = [np.random.default_rng((seed, i)) for i in range(len(sizes))]
+        outs = generate(model, [MicroBatch(p, r) for p, r in zip(prompts, rngs)], 9, **kwargs)
+        for i, (p, out) in enumerate(zip(prompts, outs)):
+            alone_rng = np.random.default_rng((seed, i))
+            alone = generate(model, p, 9, rng=alone_rng, **kwargs)
+            assert np.array_equal(out.sequences, alone.sequences)
+            assert np.array_equal(out.response_log_probs, alone.response_log_probs)
+            if alone.response_mask is not None:
+                assert np.array_equal(out.response_mask, alone.response_mask)
+            assert out.kv_cache_bytes == alone.kv_cache_bytes
+            assert rngs[i].bit_generator.state == alone_rng.bit_generator.state
+
+    def test_rejects_what_no_round_could_decode(self, model):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="own rngs"):
+            generate(model, [MicroBatch(np.zeros((1, 2), int), rng)], 2, rng=rng)
+        with pytest.raises(ValueError, match="one prompt length"):
+            generate(
+                model,
+                [MicroBatch(np.zeros((1, 2), int), rng), MicroBatch(np.zeros((1, 3), int), rng)],
+                2,
+            )
 
 
 class TestSampleTokensBatch:
