@@ -487,10 +487,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.priority_levels < 1:
         raise UsageError("--priority-levels must be >= 1")
     rng = np.random.default_rng(args.seed)
-    cfg = dataclasses.replace(
-        TINY_LM, max_seq_len=args.prompt_length + args.max_response
-    )
     try:  # everything up to the drain is set-up: its ValueErrors are usage
+        cfg = dataclasses.replace(
+            TINY_LM, max_seq_len=args.prompt_length + args.max_response
+        )
         lengths = sample_response_lengths(
             args.requests, args.mean_response, args.max_response, rng
         )

@@ -6,8 +6,9 @@ node with a hand-written VJP, the way the engines it stands in for
 (Megatron-LM, vLLM) are fused kernels.  The transformer LM is the fused
 primitives at the end of this module — embedding, RMSNorm, causal
 attention, SwiGLU MLP, head matmul, log-softmax-gather, and the ``unpack``
-that lays a packed stream of ragged rows' real tokens back on its grid
-(``Packing``) — and each RLHF loss is one more (``repro.rlhf.losses``).
+that lays a forward's stream of tokens back on its grid (``Stream``, the one
+layout of every forward) — and each RLHF loss is one more
+(``repro.rlhf.losses``).
 ``Tensor`` holds parameters and gradients and runs ``backward()``; its few
 operators (``+``, ``*``, unary ``-``, ``sum``/``mean``, ``reshape``,
 indexing) are what the callers glue primitives with.  The op-by-op algebra
@@ -28,7 +29,7 @@ import contextlib
 import copy
 import math
 import weakref
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -300,8 +301,8 @@ class Tensor:
 # The pieces of a transformer block, one tape node each.  Forward arithmetic is
 # the op-by-op composition's, ufunc for ufunc (``tests/oracles.py`` keeps that
 # composition as the oracle), but computed in place.  A row's result must not
-# depend on the batch it rides in: dense projections stay 3-D matmuls, and a
-# packed stream's 2-D GEMMs compute each row as they do (``Packing``).
+# depend on the batch it rides in: token-wise layers run over a 2-D stream of
+# whole BLAS tiles, attention over blocks of whole tiles (``Stream``).
 # Without a graph (``no_grad``, or no input requiring grad) nothing is saved
 # and no closure is built.  A VJP reads only what it closed over, overwrites
 # those arrays and the gradient it is given as scratch, takes weight
@@ -349,15 +350,18 @@ def _recycle(*arrays: np.ndarray) -> None:
     """Take :func:`_scratch` arrays (or views of them) back once nothing
     will read them again."""
     global _LENT  # repro-lint: ignore[RL305]
+    held = None
     for a in arrays:
         flat = a.base  # a lent buffer is flat; a view of anything else is not
         if flat is None or flat.ndim > 1 or flat.size < _RECYCLE_MIN_SIZE:
             continue
         _LENT -= flat.nbytes
-        held = sum(_HELD.values()) if _HELD else 0
-        held += 8 * sum(size * len(free) for size, free in _FREE.items())
+        if held is None:
+            held = sum(_HELD.values()) if _HELD else 0
+            held += 8 * sum(size * len(free) for size, free in _FREE.items())
         if held + flat.nbytes <= _RECYCLE_MAX_BYTES:
             _FREE.setdefault(flat.size, []).append(flat)
+            held += flat.nbytes
 
 
 def hold_scratch(owner: Any, forward: Callable[[], Tensor]) -> Tensor:
@@ -375,136 +379,98 @@ def _tracked(*tensors: Tensor) -> bool:
     return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
 
 
-class Rows:
-    """Rows of one forward whose attention core runs together.
+#: Rows of a BLAS micro-tile: a GEMM row keeps its bits wherever it sits in a
+#: matrix of whole tiles, not in a lone row or a part-filled tile
+#: (docs/PERF.md, "One forward layout").
+TILE_ROWS = 4
+#: Widest key width: past it numpy's pairwise sum splits a softmax row at a
+#: point that moves with the width.
+MAX_KEY_WIDTH = 128
 
-    ``take`` reads their ``(rows, width, ...)`` block out of the forward's
-    stream and ``put`` writes one back.  On a ``(batch, seq, ...)`` grid the
-    rows are an index of its first axis (a slice reads a view).  In a packed
-    stream, stream token ``src[j]`` sits at ``(row, position) = at[j]`` of
-    the block, whose other positions read 0.  The first ``own`` of those
-    tokens are the rows' own; the rest are a prompt prefix another row of
-    the forward computes (``Packing``), read as keys and values only —
-    ``add_shared`` sums their gradient into the tokens read.  Queries, and
-    what the core writes back, are the own tokens, in a block of positions
-    ``offset`` to ``width`` (``take``/``put`` with ``queries=True``).  They
-    are read from, and written to, the stream of the tokens the call
-    returns: the own tokens, unless ``queries`` (``(src, at)`` into that
-    stream) names fewer (a last layer's, ``Packing.tail``).
-    """
 
-    __slots__ = ("rows", "width", "offset", "keys", "own", "queries", "shared")
+def key_width(length: int) -> int:
+    """The key width of rows ending by ``length``: a multiple of 8, >= 16."""
+    return max(16, -(-length // 8) * 8)
 
-    def __init__(
-        self, rows, width=0, src=None, at=None, own=None, offset=0, queries=None
-    ) -> None:
-        self.rows, self.width, self.offset = rows, width, offset
-        self.keys = self.own = (src, at)
-        self.shared: Optional[_Fold] = None
-        if own is not None and own < len(src):
-            self.own = (src[:own], (at[0][:own], at[1][:own]))
-            self.shared = _Fold(src[own:], (at[0][own:], at[1][own:]))
-        src, at = self.own if queries is None else queries
-        self.queries = (src, at if src is None else (at[0], at[1] - offset))
 
-    def take(self, stream: np.ndarray, queries: bool = False) -> np.ndarray:
-        if self.keys[0] is None:
-            return stream[self.rows]
-        src, at = self.queries if queries else self.keys
-        width = self.width - self.offset if queries else self.width
-        block = _scratch(len(self.rows), width, *stream.shape[1:])
-        block.fill(0.0)
-        block[at] = stream[src]
-        return block
+def _tiled(n: int) -> int:
+    return -(-n // TILE_ROWS) * TILE_ROWS
 
-    def put(self, stream: np.ndarray, block: np.ndarray, queries: bool = True) -> None:
-        if self.keys[0] is None:
-            stream[self.rows] = block
-        else:
-            src, at = self.queries if queries else self.own
-            stream[src] = block[at]
 
-    def add_shared(self, stream: np.ndarray, block: np.ndarray) -> None:
-        """Sum a key block's shared positions into the stream tokens they
-        read (several rows may read one)."""
-        if self.shared is not None:
-            self.shared.into(stream, block)
+def _spans(start: np.ndarray, stop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` of positions ``start[i] <= p < stop[i]``, row after row."""
+    n = np.maximum(stop - start, 0)
+    row = np.repeat(np.arange(len(n)), n)
+    return row, np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
+
+
+def _put(block: np.ndarray, at: np.ndarray, run: Optional[int], values: np.ndarray) -> None:
+    """``values`` into a block's flat positions ``at`` (``run``: each row's first ``run``)."""
+    if run is None:
+        block.reshape(-1, *block.shape[2:])[at] = values
+    else:
+        block[:, :run] = values.reshape(len(block), run, *block.shape[2:])
+
+
+def _take(block: np.ndarray, at: np.ndarray, run: Optional[int]) -> np.ndarray:
+    """The values at the positions ``at`` of a block, as :func:`_put` writes."""
+    if run is None:
+        return block.reshape(-1, *block.shape[2:])[at]
+    return block[:, :run].reshape(-1, *block.shape[2:])
 
 
 class _Fold:
-    """Positions ``at`` that read tokens ``src`` (``src`` may repeat):
-    ``into`` sums values at ``at`` back into those tokens, in a fixed
-    order, one ``reduceat`` per call."""
+    """Positions ``at`` of a block (as :func:`_put` takes them) that read
+    the tokens ``src`` of a stream, which may repeat: :meth:`folded` sums a
+    gradient at ``at`` back into those tokens in a fixed order — one
+    ``reduceat`` when a token is read more than once."""
 
-    __slots__ = ("src", "at", "starts", "targets")
+    __slots__ = ("src", "at", "run", "_sorted")
 
-    def __init__(self, src: np.ndarray, at) -> None:
-        order = np.argsort(src, kind="stable")
-        self.src = src[order]
-        self.starts = np.flatnonzero(
-            np.concatenate(([True], self.src[1:] != self.src[:-1]))
-        )
-        self.targets = self.src[self.starts]
-        self.at = tuple(a[order] for a in at) if isinstance(at, tuple) else at[order]
+    def __init__(self, src: np.ndarray, at: np.ndarray, run: Optional[int] = None) -> None:
+        self.src, self.at, self.run = src, at, run
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def into(self, out: np.ndarray, values: np.ndarray) -> None:
-        out[self.targets] += np.add.reduceat(values[self.at], self.starts)
-
-
-class _Shared(NamedTuple):
-    """Grid positions ``at`` (``row * seq + position``, in grid order) that
-    read stream tokens ``src``."""
-
-    src: np.ndarray
-    at: np.ndarray
-
-
-_EVERY_ROW = (Rows(slice(None)),)
+    def folded(self, values: np.ndarray) -> Tuple[Union[slice, np.ndarray], np.ndarray]:
+        """The tokens read, and each one's ``values`` at ``at`` summed."""
+        if self.run is not None:  # every token once, in order
+            return slice(0, len(self.src)), _take(values, self.at, self.run)
+        if self._sorted is None:  # once, at the first backward
+            order = np.argsort(self.src, kind="stable")
+            src = self.src[order]
+            self._sorted = src, self.at[order], np.flatnonzero(np.diff(src, prepend=-1))
+        src, at, starts = self._sorted
+        picked = _take(values, at, None)
+        if len(starts) == len(src):  # each token once
+            return src, picked
+        return src[starts], np.add.reduceat(picked, starts)
 
 
-class Packing:
-    """Which positions of a ``(batch, seq)`` grid one forward computes.
+class Stream:
+    """The layout of one forward over a ``(rows, seq)`` grid of tokens.
 
-    Without ``lengths``, or when every row is full, the forward is dense:
-    its stream is the grid itself, ``(batch, seq, ...)``, and attention
-    runs once over all rows, on views.  Otherwise row ``i`` computes its
-    first ``lengths[i]`` positions only.  The token-wise layers run once
-    over the packed stream of those tokens, row after row
-    (``(n_tokens, ...)``), and attention runs once per group of rows that
-    share a key width: the length rounded up to a multiple of 8 and at
-    least 16, or ``seq`` once that would pass ``seq - seq % 8``.  At such a
-    width a row's softmax sum and ``att @ v`` associate as they do over the
-    whole grid (numpy's pairwise sum and the BLAS k-loop unroll by 8, and
-    the masked keys are exact zeros; at width 8 BLAS takes another path for
-    some head dims), so every computed position is bit-identical to the
-    dense forward's wherever BLAS computes a GEMM row the same at any place
-    in the matrix — for layer widths that are multiples of 8, as every
-    shipped config's are (docs/PERF.md, "padding-free forwards").  A
-    forward of fewer than two real tokens runs dense.
+    Its tokens run as one 2-D stream, row after row, padded to whole
+    :data:`TILE_ROWS` tiles by repeating its first tokens (``index``: each
+    one's grid position ``row * seq + p``; the first ``n`` are real).  Row
+    ``i`` computes positions ``skip[i]`` to ``lengths[i]``; below
+    ``skip[i]`` (a GRPO group's prompt) it reads its leader's keys and
+    values.  Each layer runs **one** attention core over every row: keys
+    and values in a ``(rows, width, hidden)`` block at the :func:`key_width`
+    of the longest row, zero past each row's end; queries in a ``(rows,
+    height, hidden)`` block whose row ``i`` starts at its first own (in the
+    last layer, returned) position, ``height`` the most queries a row has in
+    whole tiles; ``mask`` hides the keys past each query.  So a row's bits
+    depend neither on ``width`` (up to :data:`MAX_KEY_WIDTH`) nor on the
+    rows beside it.
 
-    With ``leaders``, a row whose first ``prefix`` tokens equal those of
-    row ``leaders[i]`` (a GRPO group's prompt) does not compute them: its
-    attention reads the leader's keys and values there, ``unpack`` copies
-    the leader's outputs there, and their gradients sum into the leader's
-    tokens.  A prefix position's result does not depend on the key width it
-    ran at (the rule above), so every position is still the dense
-    forward's bit for bit; gradients agree to rounding.  With
-    ``offset_queries`` such rows' attention core also starts its queries
-    past the prefix; that moves each query row up the score and context
-    GEMMs, which keeps its bits only for head dims ≡ 0 or 4 (mod 8) and at
-    least two queries (one is a GEMV), so the caller says whether it may.
-
-    With ``read_from``, the forward returns each row's positions from
-    ``read_from`` on only (a response's), and ``tail`` is the layout of its
-    last layer: keys and values at every token as above, queries and
-    everything after the attention core only at the returned tokens
-    (``reads``).  On a dense grid whose queries may start past 0 that is the
-    view ``[:, read_from:]``; otherwise the stream packs, and each row's
-    queries start at its first returned position where the rule above
-    allows, else at 0 with the positions before it zeros never written
-    back.  Token-wise rows keep their bits at any place in a GEMM, so every
-    returned position is the full forward's bit for bit.  Under two
-    returned tokens (a GEMV) there is no tail: ``tail.read_from`` is 0.
+    ``tail`` is the last layer: keys and values at every token, the rest at
+    the tokens the forward returns — each row's from ``read_from`` on
+    (``reads``, an index of the stream) — which ``out`` lays on the
+    ``shape`` grid (:func:`unpack`), a follower's prompt positions reading
+    its leader's.  With ``cached`` (each row's cached positions,
+    :meth:`KVStore.at <repro.models.tinylm.KVStore.at>`) the grid is a
+    cached forward's new tokens, queried at ``cached[i] + j`` in a block of
+    height ``seq``, and keys and values come from the store.
     """
 
     def __init__(
@@ -512,261 +478,123 @@ class Packing:
         shape: Tuple[int, int],
         lengths: Optional[np.ndarray] = None,
         leaders: Optional[np.ndarray] = None,
-        prefix: int = 0,
-        offset_queries: bool = False,
+        shared: int = 0,
         read_from: int = 0,
-    ):
-        self.shape = shape
+        cached: Optional[np.ndarray] = None,
+    ) -> None:
         batch, seq = shape
-        #: Grid position (``row * seq + position``) of each stream token;
-        #: ``None`` when dense.
-        self.index: Optional[np.ndarray] = None
-        self.groups = _EVERY_ROW
-        #: The grid positions rows read from their leader's stream tokens;
-        #: ``None`` when no row does.
-        self.shared: Optional[_Shared] = None
-        #: The first position the layout returns, and which tokens of the
-        #: stream those are: ``...`` (all of them), a view of the grid or an
-        #: index of the stream.
-        self.read_from, self.reads = 0, Ellipsis
-        #: The layout of the forward's last layer (see the class docstring).
-        self.tail = self
-        # every row of a dense grid may query from ``read_from``: the tail
-        # is a view of the grid
-        view = read_from > 0 and offset_queries and seq - read_from >= 2
-        if lengths is None and leaders is None and (view or not read_from):
-            if view:
-                self._view_tail(read_from)
-            return
-        lengths = np.minimum(
-            np.full(batch, seq, dtype=np.int64)
-            if lengths is None
-            else np.asarray(lengths, dtype=np.int64),
-            seq,
-        )
+        lengths = np.zeros(batch, dtype=np.int64) + np.minimum(
+            seq if lengths is None else np.asarray(lengths, dtype=np.int64), seq)
         skip = np.zeros(batch, dtype=np.int64)
         if leaders is not None:
             follows = leaders != np.arange(batch)
-            reach = np.minimum(np.minimum(lengths, lengths[leaders]), prefix)
-            skip[follows] = reach[follows]
+            skip[follows] = np.minimum(np.minimum(lengths, lengths[leaders]), shared)[follows]
+        row, pos = _spans(skip, lengths)
         own = lengths - skip
-        # one token would make every GEMM a matrix-vector product
-        if own.sum() < 2:
-            return
-        # each row's first own position at or past ``read_from``
-        first = np.maximum(skip, read_from)
-        returned = np.maximum(lengths - first, 0)
-        narrow = read_from > 0 and returned.sum() >= 2
-        if lengths.min() >= seq and not skip.any() and (view or not narrow):
-            if view:
-                self._view_tail(read_from)
-            return
-        grid = np.arange(seq)
-        self.index = np.flatnonzero(
-            (grid >= skip[:, None]) & (grid < lengths[:, None])
-        )
-        self.positions = self.index % seq
-        # row ``r``'s own position ``p`` is stream token ``base[r] + p``
+        # row ``i``'s own position ``p`` is stream token ``base[i] + p``
         base = np.cumsum(own) - own - skip
-        widths = np.maximum(-(-lengths // 8) * 8, 16)
-        widths[widths > seq - seq % 8] = seq
-        widths[lengths == 0] = 0
-
-        def grouped(starts, live, returns=None) -> List[Rows]:
-            """Rows by key width and query offset (a row's first query,
-            where ``offset_queries`` allows, else 0); a ``returns`` base
-            numbers the queries in the stream of returned tokens."""
-            offsets = np.where(offset_queries & (widths - starts >= 2), starts, 0)
-            groups = []
-            for width in np.unique(widths[live]).tolist():
-                for offset in np.unique(offsets[live & (widths == width)]).tolist():
-                    rows = np.flatnonzero(
-                        live & (widths == width) & (offsets == offset)
-                    )
-                    src, at = _runs(skip[rows], lengths[rows], base[rows])
-                    own_tokens = len(src)
-                    if skip[rows].any():
-                        start = np.zeros(len(rows), dtype=np.int64)
-                        shared_src, shared_at = _runs(
-                            start, skip[rows], base[leaders[rows]]
-                        )
-                        src = np.concatenate([src, shared_src])
-                        at = tuple(np.concatenate(pair) for pair in zip(at, shared_at))
-                    queries = None
-                    if returns is not None:
-                        queries = _runs(starts[rows], lengths[rows], returns[rows])
-                    groups.append(
-                        Rows(rows, width, src, at, own_tokens, offset, queries)
-                    )
-            return groups
-
-        self.groups = grouped(skip, widths > 0)
-        if skip.any():
-            start = np.zeros(batch, dtype=np.int64)
-            src, (row, pos) = _runs(start, skip, base[leaders])
-            self.shared = _Shared(src, row * seq + pos)
-        if not narrow:
-            return
-        # the last layer: row ``r``'s returned position ``p`` is token
-        # ``returns[r] + p`` of the stream it returns
-        self.tail = tail = copy.copy(self)
-        tail.read_from, tail.tail = read_from, tail
-        returns = np.cumsum(returned) - returned - first
-        _, (row, pos) = _runs(first, first + returned, returns)
-        tail.reads = base[row] + pos
-        tail.index, tail.positions = row * seq + pos, pos
-        tail.groups = grouped(first, returned > 0, returns)
-        tail.shared = None
+        offset = np.zeros(batch, dtype=np.int64) if cached is None else cached
+        self.rows, self.width = batch, key_width(int((lengths + offset).max()))
+        self.reads: Optional[np.ndarray] = None  # every token
+        self.keys: Optional[_Fold] = None  # the cache's, when cached
+        if cached is None:
+            src, at = np.arange(len(row)), row * self.width + pos
+            if skip.any():  # followers read their leader's prompt keys
+                lead_row, lead_pos = _spans(np.zeros(batch, dtype=np.int64), skip)
+                src = np.concatenate([src, base[leaders[lead_row]] + lead_pos])
+                at = np.concatenate([at, lead_row * self.width + lead_pos])
+            uniform = not skip.any() and (lengths == lengths[0]).all()
+            self.keys = _Fold(src, at, int(lengths[0]) if uniform else None)
+        self._queries(seq, row, pos, skip, offset, seq if cached is not None else None)
+        self.tail = self
+        first = np.maximum(skip, read_from)
+        if read_from:
+            self.tail = tail = copy.copy(self)
+            row, pos = _spans(first, lengths)
+            tail.reads = (base[row] + pos)[self._pad(len(row))]
+            tail._queries(seq, row, pos, first, offset)
+        # the output: the returned tokens, a follower's prompt its leader's
+        out_seq = seq - read_from
+        src, at = np.arange(len(row)), row * out_seq + pos - read_from
         if (skip > read_from).any():
-            # a follower's shared positions the tail returns are its
-            # leader's returned tokens
-            src, (row, pos) = _runs(np.minimum(skip, read_from), skip, returns[leaders])
-            tail.shared = _Shared(src, row * seq + pos)
+            returned = np.maximum(lengths - first, 0)
+            ret_base = np.cumsum(returned) - returned - first
+            lead_row, lead_pos = _spans(np.full(batch, read_from), np.maximum(skip, read_from))
+            src = np.concatenate([src, ret_base[leaders[lead_row]] + lead_pos])
+            at = np.concatenate([at, lead_row * out_seq + lead_pos - read_from])
+        self.tail.shape = (batch, out_seq)
+        self.tail.out = _Fold(src, at)
 
-    def _view_tail(self, read_from: int) -> None:
-        self.tail = tail = copy.copy(self)
-        tail.read_from, tail.tail = read_from, tail
-        tail.reads = (slice(None), slice(read_from, None))
-        tail.groups = (Rows(slice(None), offset=read_from),)
+    @staticmethod
+    def _pad(n: int) -> np.ndarray:  # ``n`` tokens in whole tiles: the first repeat
+        return np.arange(_tiled(n)) % max(n, 1)
 
-    def pack(self, grid: np.ndarray) -> np.ndarray:
-        """The stream of a ``(batch, seq, ...)`` array."""
-        if self.index is None:
-            return grid[self.reads]
-        return grid.reshape(-1, *grid.shape[2:])[self.index]
-
-    def merge(
-        self, blocks: Sequence[np.ndarray], shape: Tuple[int, ...], keys: bool = False
-    ) -> np.ndarray:
-        """The stream of one query block per group (``keys``: one key block,
-        whose shared prefix positions sum into the tokens they read), as a
-        ``shape`` array.  A tail's rows that return nothing wrote no key
-        block: their keys' gradient is 0."""
-        if self.index is None:
-            return blocks[0].reshape(shape)
-        new = np.zeros if keys and self.read_from else np.empty
-        stream = new((shape[0],) + blocks[0].shape[2:], dtype=np.float64)
-        for rows, block in zip(self.groups, blocks):
-            rows.put(stream, block, queries=not keys)
-        if keys:
-            for rows, block in zip(self.groups, blocks):
-                rows.add_shared(stream, block)
-        return stream.reshape(shape)
-
-
-def _runs(
-    start: np.ndarray, stop: np.ndarray, base: np.ndarray
-) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """Positions ``start[i] <= p < stop[i]`` of row ``i``, row after row: the
-    stream token ``base[i] + p`` of each, and its ``(i, p)``."""
-    n = stop - start
-    row = np.repeat(np.arange(len(n)), n)
-    pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
-    return base[row] + pos, (row, pos)
+    def _queries(self, seq, row, pos, start, offset, height=None) -> None:
+        """Query tokens ``(row, pos)`` in stream order, row ``i``'s block
+        from position ``start[i]`` on, at key position ``offset[i] + pos``."""
+        pad = self._pad(len(row))
+        self.n, self.index = len(row), (row * seq + pos)[pad]
+        counts = np.bincount(row, minlength=len(start))
+        if height is None:
+            height = _tiled(int(counts.max(initial=0)))
+        #: block slot (``row * height + j``) of each real query token, and
+        #: of each stream token; ``run``: every row has ``run`` queries
+        self.slots = row * height + pos - start[row]
+        self.gather = self.slots[pad]
+        self.run = int(counts[0]) if len(counts) and (counts == counts[0]).all() else None
+        queries = (start + offset)[:, None] + np.arange(height)
+        if (queries[0] == queries).all():  # every row's block starts alike
+            queries = queries[:1]
+        #: ``(rows or 1, 1, height, width)``: -1e9 at the keys past each query
+        self.mask = np.where(np.arange(self.width) > queries[:, None, :, None], -1e9, 0.0)
 
 
 def embed(
     tok_table: Tensor,
     pos_table: Tensor,
     token_ids: np.ndarray,
-    pos_offset: Union[int, np.ndarray] = 0,
-    packing: Optional[Packing] = None,
+    positions: np.ndarray,
 ) -> Tensor:
-    """Token plus learned-position embedding of ``(batch, seq)`` int64 ids;
-    row ``i`` starts at position ``pos_offset`` (``pos_offset[i]`` of an
-    array).  A ragged ``packing`` embeds its stream, from position 0."""
-    t = token_ids.shape[1]
-    if packing is not None and packing.index is not None:
-        rows = packing.positions
-        token_ids = packing.pack(token_ids)
-    elif isinstance(pos_offset, np.ndarray):
-        rows = pos_offset[:, None] + np.arange(t)
-    else:
-        rows = slice(pos_offset, pos_offset + t)
+    """Token plus learned-position embedding of int64 ids at ``positions``
+    (an int array of their shape)."""
     out = tok_table.data[token_ids]
-    out += pos_table.data[rows]
+    out += pos_table.data[positions]
     if not _tracked(tok_table, pos_table):
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        if tok_table.requires_grad:
-            full = np.zeros_like(tok_table.data)
-            np.add.at(full, token_ids, g)
-            tok_table._accumulate(full, owned=True)
-        if pos_table.requires_grad:
-            full = np.zeros_like(pos_table.data)
-            if isinstance(rows, slice):
-                full[rows] = g.sum(axis=0)
-            else:
-                np.add.at(full, rows, g)
-            pos_table._accumulate(full, owned=True)
+        g = g.reshape(-1, g.shape[-1])
+        for table, index in ((tok_table, token_ids), (pos_table, positions)):
+            if table.requires_grad:
+                # each row's sum in token order, as ``np.add.at`` adds
+                order = np.argsort(index, axis=None, kind="stable")
+                index = index.reshape(-1)[order]
+                starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+                full = np.zeros_like(table.data)
+                if len(index):
+                    full[index[starts]] = np.add.reduceat(g[order], starts)
+                table._accumulate(full, owned=True)
 
     return Tensor._from_op(out, (tok_table, pos_table), backward)
 
 
-_ArrayFn = Callable[[np.ndarray], np.ndarray]
-
-
-def _grid(packing: Packing, start: int) -> Optional[Tuple[_ArrayFn, _ArrayFn]]:
-    """How ``packing``'s stream lies on its grid's positions from ``start``
-    on: ``(lay, pick)`` — the stream's data laid there (0 where it skips, a
-    row's shared prefix its leader's tokens), and a gradient on those
-    positions picked back onto the stream (shared ones summed into the
-    tokens they read).  ``None`` when the stream is that grid."""
-    batch, seq = packing.shape
-    if packing.index is None:
-        lead = packing.read_from - start
-        if not lead:
-            return None
-
-        def lay(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((batch, seq - start) + x.shape[2:], dtype=np.float64)
-            out[:, lead:] = x
-            return out
-
-        return lay, lambda g: g[:, lead:]
-
-    def placed(flat: np.ndarray) -> np.ndarray:
-        # ``row * seq + p`` on the grid narrowed to positions from ``start``
-        return flat - (flat // seq + 1) * start if start else flat
-
-    index, shared = placed(packing.index), packing.shared
-    shared_at = None if shared is None else placed(shared.at)
-
-    def lay(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((batch * (seq - start),) + x.shape[1:], dtype=np.float64)
-        out[index] = x
-        if shared is not None:
-            out[shared_at] = x[shared.src]
-        return out.reshape((batch, seq - start) + x.shape[1:])
-
-    def pick(g: np.ndarray) -> np.ndarray:
-        flat = g.reshape(-1, *g.shape[2:])
-        grad = flat[index]
-        if shared is not None:
-            # in grid order, after each token's own position (a leader's row
-            # comes first): the sums of the op-by-op gather's VJP
-            np.add.at(grad, shared.src, flat[shared_at])
-        return grad
-
-    return lay, pick
-
-
-def unpack(x: Tensor, packing: Packing) -> Tensor:
-    """A packed stream ``(n_tokens, ...)`` laid back on its grid's positions
-    from ``packing.read_from`` on, 0 at every position it skips; a row's
-    shared prefix reads its leader's tokens.  A dense stream is the grid."""
-    grid = _grid(packing, packing.read_from)
-    if grid is None:
-        return x
-    lay, pick = grid
-    out = lay(x.data)
+def unpack(x: Tensor, stream: Stream) -> Tensor:
+    """A forward's returned tokens ``(n, ...)`` on its ``stream.shape`` grid,
+    0 where it returns none; a follower's shared positions read its leader's."""
+    fold, shape = stream.out, stream.shape + x.shape[1:]
+    if len(fold.src) == stream.n == math.prod(stream.shape):  # each position, in order
+        out = x.data[: stream.n].reshape(shape)
+    else:
+        out = np.zeros(shape, dtype=np.float64)
+        out.reshape(-1, *x.shape[1:])[fold.at] = x.data[fold.src]
     if not _tracked(x):
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        grad = pick(g)
-        x._accumulate(grad, owned=grad.base is None)
+        grad = np.zeros(x.shape, dtype=np.float64)
+        tokens, summed = fold.folded(g)
+        grad[tokens] = summed
+        x._accumulate(grad, owned=True)
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -798,15 +626,9 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     return Tensor._from_op(out, (x, weight), backward)
 
 
-def linear(x: Tensor, weight: Tensor, packing: Optional[Packing] = None) -> Tensor:
-    """``x @ weight`` for ``(..., in)`` activations and an ``(in, out)`` weight.
-
-    With ``packing``, ``x`` is its stream, laid on the whole ``(batch, seq)``
-    grid first: a matrix-vector product (the scalar head) rounds a row by
-    its place in the matrix, and there every row sits where the full
-    forward has it."""
-    grid = None if packing is None else _grid(packing, 0)
-    xd = x.data if grid is None else grid[0](x.data)
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """``x @ weight`` for ``(..., in)`` activations and an ``(in, out)`` weight."""
+    xd = x.data
     out = xd @ weight.data
     if not _tracked(x, weight):
         return Tensor._from_op(out, (), None)
@@ -814,13 +636,9 @@ def linear(x: Tensor, weight: Tensor, packing: Optional[Packing] = None) -> Tens
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, g.shape[-1])
         if weight.requires_grad:
-            x2 = xd.reshape(-1, xd.shape[-1])
-            weight._accumulate(x2.T @ g2, owned=True)
+            weight._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2, owned=True)
         if x.requires_grad:
-            dx = (g2 @ weight.data.T).reshape(xd.shape)
-            if grid is not None:
-                dx = grid[1](dx)
-            x._accumulate(dx, owned=dx.base is None)
+            x._accumulate((g2 @ weight.data.T).reshape(xd.shape), owned=True)
 
     return Tensor._from_op(out, (x, weight), backward)
 
@@ -832,34 +650,16 @@ def attention(
     wv: Tensor,
     wo: Tensor,
     n_heads: int,
+    stream: Stream,
+    residual: Optional[Tensor] = None,
     cache=None,
     layer: int = 0,
-    pos_offset: int = 0,
-    residual: Optional[Tensor] = None,
-    packing: Optional[Packing] = None,
 ) -> Tensor:
-    """Causal multi-head self-attention of ``x``: a ``(batch, seq, hidden)``
-    grid, or the packed ``(n_tokens, hidden)`` stream of a ragged ``packing``.
-
-    Projections, masked softmax, context and output projection, plus
-    ``residual`` when given.  Everything per token runs once over the
-    stream; scores, softmax and context run once per group of rows, which
-    reads its queries, keys and values out of the stream as a ``(rows,
-    width, hidden)`` block.  Keys start at position 0; query ``i`` of a
-    group sits at position ``offset + i`` and attends to keys at or before
-    it.  Without ``cache`` the groups are ``packing``'s (one group of every
-    row when dense), at offset ``pos_offset``.  With ``cache`` (a
-    ``KVStore`` bound by ``KVStore.at``; inference only) ``x`` is the 2-D
-    stream of a forward's new tokens, ``cache.extend(layer, k, v)`` caches
-    their K/V and hands back every row's at one width, and one group of
-    every row runs under ``cache.mask``.
-
-    A ``packing.tail`` layout returns only its tokens at or past
-    ``read_from`` (its ``reads``): keys and values are projected at every
-    token, queries, the output projection and ``residual`` at the returned
-    ones only; the core's query block still starts where ``Packing``
-    allows, and only returned positions are written back.
-    """
+    """Causal multi-head self-attention of the 2-D stream ``x`` laid out by
+    ``stream`` (one masked softmax and context over every row), plus
+    ``residual``; keys and values at every token, the rest at the tokens the
+    layer returns.  With ``cache`` (inference only), its ``extend`` caches
+    the new tokens' keys and values and hands back every row's."""
     parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
     tracked = _tracked(*parents)
     if tracked and cache is not None:
@@ -871,106 +671,109 @@ def attention(
     h = xd.shape[-1]
     hd = h // n_heads
     scale = 1.0 / np.sqrt(hd)
+    rows, height, width = stream.rows, stream.mask.shape[2], stream.width
+    reads = slice(None) if stream.reads is None else stream.reads
+    slots, n = stream.slots, len(stream.slots)  # n: the real query tokens
+    full = stream.run == height  # every slot a query, in stream order: views
 
     def heads(block: np.ndarray) -> np.ndarray:
         return block.reshape(len(block), -1, n_heads, hd).transpose(0, 2, 1, 3)
 
-    layout = packing or Packing(xd.shape[:2])
-    xr = xd[layout.reads]  # the tokens this call returns
-    projs = [
-        np.matmul(src, w.data, out=_scratch(*src.shape))
-        for src, w in ((xr, wq), (xd, wk), (xd, wv))
-    ]
-    queries, grid, n = projs[0], xr.shape[:-1], len(xr)
+    def projected(src: np.ndarray, w: Tensor) -> np.ndarray:
+        return np.matmul(src, w.data, out=_scratch(*src.shape))
+
+    def blocked(flat: np.ndarray, tiling: bool = False) -> np.ndarray:
+        """The query block of the stream ``flat``; ``tiling``: a tiling
+        token's row sums into its first token's slot."""
+        if full and (len(flat) == n or not tiling):
+            return flat[:n].reshape(rows, height, h)
+        block = _scratch(rows, height, h)
+        block[:, stream.run or 0 :] = 0.0
+        _put(block, slots, stream.run, flat[:n])
+        if tiling:
+            np.add.at(block.reshape(-1, h), stream.gather[n:], flat[n:])
+        _recycle(flat)
+        return block
+
+    xr = xd[reads]
+    q = heads(blocked(projected(xr, wq)))
     if cache is not None:
-        grid, n = cache.grid, math.prod(cache.grid)
-        queries = queries[:n].reshape(*grid, h)
-        groups = [(_EVERY_ROW[0], *cache.extend(layer, projs[1], projs[2]), None)]
+        new = [projected(xd, w) for w in (wk, wv)]
+        kv = cache.extend(layer, *new)
+        _recycle(*new)
     else:
-        groups = [
-            (rows, rows.take(projs[1]), rows.take(projs[2]), pos_offset + rows.offset)
-            for rows in layout.groups
-        ]
-    ctx = _scratch(*xr.shape)
-    ctx_heads = ctx[:n].reshape(*grid, n_heads, hd)
-    saved = []
-    for rows, k, v, offset in groups:
-        # a row queries only the positions it computes; a shared prefix is
-        # keys and values read from the row that computes it
-        q, k, v = heads(rows.take(queries, queries=True)), heads(k), heads(v)
-        t = q.shape[2]
-        att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(*q.shape[:3], k.shape[2]))
-        att *= scale
-        if cache is not None:
-            att += cache.mask
-        elif t > 1:  # a lone query is the newest position: nothing to mask
-            masked = np.arange(k.shape[2])[None, :] > offset + np.arange(t)[:, None]
-            att += np.where(masked, -1e9, 0.0)
-        att -= att.max(axis=-1, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=-1, keepdims=True)
-        per_head = np.matmul(att, v, out=_scratch(*q.shape))
-        rows.put(ctx_heads, per_head.transpose(0, 2, 1, 3))
-        if tracked:
-            saved.append((rows, att, q, k, v))
-            _recycle(per_head)
-        else:
-            _recycle(per_head, att, *_gathered(rows, q, k, v))
-    if cache is not None:  # the stream's tiling tokens repeat its first
-        ctx[n:] = ctx[: len(ctx) - n]
-        _recycle(groups[0][1])  # keys and values share one buffer
-    if layout.index is not None:
-        _recycle(*projs)  # the core read, and backward reads, the blocks
-        projs = []
+        keys = stream.keys
+        kv = _scratch(2, rows, width, h)
+        kv[:, :, keys.run or 0 :] = 0.0
+        for block, w in zip(kv, (wk, wv)):
+            proj = projected(xd, w)
+            _put(block, keys.at, keys.run, proj[: len(keys.src)] if keys.run else proj[keys.src])
+            _recycle(proj)
+    k, v = heads(kv[0]), heads(kv[1])
+    att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(rows, n_heads, height, width))
+    att *= scale
+    att += stream.mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    # each head's context in its columns of the block: BLAS writes a GEMM
+    # at any output row stride alike
+    ctx_block = _scratch(rows, height, h)
+    np.matmul(att, v, out=heads(ctx_block))
+    # a tiling token repeats its first: its context is that token's
+    ctx = ctx_block.reshape(-1, h)
+    if not full or len(xr) > n:
+        ctx = _scratch(*xr.shape)
+        ctx[:n] = _take(ctx_block, slots, stream.run)
+        ctx[n:] = ctx_block.reshape(-1, h)[stream.gather[n:]]
+        _recycle(ctx_block)
     out = ctx @ wo.data
     if residual is not None:
-        out += residual.data[layout.reads]
+        out += residual.data[reads]
     if not tracked:
-        _recycle(ctx, *projs)
+        _recycle(ctx, att, kv, q)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
-        g2 = g.reshape(-1, h)
         if wo.requires_grad:
-            wo._accumulate(ctx.reshape(-1, h).T @ g2, owned=True)
-        dctx = (g2 @ wo.data.T).reshape(xr.shape)
-        dprojs = ([], [], [])  # per group, the blocks of dq, dk, dv
-        for rows, att, q, k, v in saved:
-            dctx_rows = heads(rows.take(dctx, queries=True))
-            dv = att.swapaxes(-1, -2) @ dctx_rows
-            datt = dctx_rows @ v.swapaxes(-1, -2)
-            # softmax VJP (masked entries have att == 0), then the score scaling
-            datt -= np.einsum("...k,...k->...", datt, att)[..., None]
-            datt *= att
-            datt *= scale
-            for blocks, d in zip(dprojs, (datt @ k, datt.swapaxes(-1, -2) @ q, dv)):
-                blocks.append(d.transpose(0, 2, 1, 3))
-            _recycle(att, *_gathered(rows, q, k, v, dctx_rows))
+            wo._accumulate(ctx.T @ g, owned=True)
+        dctx = heads(blocked(g @ wo.data.T, tiling=True))
+        # each head's gradient in its columns of a ``(rows, depth, hidden)`` block
+        dq, dk, dv = (_scratch(rows, depth, h) for depth in (height, width, width))
+        np.matmul(att.swapaxes(-1, -2), dctx, out=heads(dv))
+        datt = np.matmul(dctx, v.swapaxes(-1, -2), out=_scratch(*att.shape))
+        # softmax VJP (masked entries have att == 0), then the score scaling
+        datt -= np.einsum("...k,...k->...", datt, att)[..., None]
+        datt *= att
+        datt *= scale
+        np.matmul(datt, k, out=heads(dq))
+        np.matmul(datt.swapaxes(-1, -2), q, out=heads(dk))
+        _recycle(att, kv, q, dctx)
+        at_queries = slice(0, n) if stream.reads is None else stream.reads[:n]
+        terms = [(wq, xr[:n], _take(dq, slots, stream.run), at_queries)]
+        for w, d in ((wk, dk), (wv, dv)):
+            # a key position's gradient sums into the stream token it read
+            tokens, d = stream.keys.folded(d)
+            terms.append((w, xd[tokens], d, tokens))
+        _recycle(datt, dq, dk, dv)
         dx = np.zeros(xd.shape, dtype=np.float64)
-        for w, blocks, src in zip((wq, wk, wv), dprojs, (xr, xd, xd)):
-            src2 = src.reshape(-1, h)
-            d2 = layout.merge(blocks, src2.shape, keys=w is not wq)
+        for w, src, d, at in terms:
             if w.requires_grad:
-                w._accumulate(src2.T @ d2, owned=True)
+                w._accumulate(src.T @ d, owned=True)
             if x.requires_grad:
-                rows = layout.reads if w is wq else Ellipsis
-                dx[rows] += (d2 @ w.data.T).reshape(src.shape)
+                dx[at] += d @ w.data.T
         if x.requires_grad:
             x._accumulate(dx, owned=True)
-        _recycle(ctx, *projs)
+        _recycle(ctx)
         if residual is not None and residual.requires_grad:
-            if layout.reads is not Ellipsis:
-                g, full = np.zeros(xd.shape, dtype=np.float64), g
-                g[layout.reads] = full
+            if stream.reads is not None:
+                g, returned = np.zeros(xd.shape, dtype=np.float64), g
+                g[at_queries] = returned[:n]
+                if len(returned) > n:  # the tiling tokens
+                    np.add.at(g, stream.reads[n:], returned[n:])
             residual._accumulate(g, owned=True)
 
     return Tensor._from_op(out, parents, backward)
-
-
-def _gathered(rows: Rows, *blocks: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Those of ``rows.take``'s blocks that are scratch: all of them when it
-    gathered, none when it read views of the stream."""
-    return () if rows.keys[0] is None else blocks
 
 
 def swiglu_mlp(
@@ -989,25 +792,33 @@ def swiglu_mlp(
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    act = np.multiply(z, sig, out=_scratch(*wide))
-    act *= up
+
+    def activation() -> np.ndarray:  # the same bits at every call
+        act = np.multiply(z, sig, out=_scratch(*wide))
+        act *= up
+        return act
+
+    act = activation()
     out = act @ w_down.data
+    _recycle(act)  # a backward computes it again
     if residual is not None:
         out += residual.data
     parents = (x, w_gate, w_up, w_down) + (() if residual is None else (residual,))
     if not _tracked(*parents):
-        _recycle(z, up, sig, act)
+        _recycle(z, up, sig)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
         h, f = xd.shape[-1], z.shape[-1]
         g2, x2 = g.reshape(-1, h), xd.reshape(-1, h)
-        z2, sig2, up2, act2 = (a.reshape(-1, f) for a in (z, sig, up, act))
         if w_down.requires_grad:
-            w_down._accumulate(act2.T @ g2, owned=True)
+            act = activation()
+            w_down._accumulate(act.reshape(-1, f).T @ g2, owned=True)
+            _recycle(act)
+        z2, sig2, up2 = (a.reshape(-1, f) for a in (z, sig, up))
         dz = g2 @ w_down.data.T  # d(act) for now
-        np.multiply(z2, sig2, out=act2)
-        act2 *= dz  # d(up) = d(act) * silu(z)
+        dup = np.multiply(z2, sig2, out=_scratch(*z2.shape))
+        dup *= dz  # d(up) = d(act) * silu(z)
         # d silu(z) = sig * (1 + z * (1 - sig)), built over the saved z
         z2 *= 1.0 - sig2
         z2 += 1.0
@@ -1015,14 +826,14 @@ def swiglu_mlp(
         dz *= up2
         dz *= z2
         if w_up.requires_grad:
-            w_up._accumulate(x2.T @ act2, owned=True)
+            w_up._accumulate(x2.T @ dup, owned=True)
         if w_gate.requires_grad:
             w_gate._accumulate(x2.T @ dz, owned=True)
         if x.requires_grad:
-            dx = act2 @ w_up.data.T
+            dx = dup @ w_up.data.T
             dx += dz @ w_gate.data.T
             x._accumulate(dx.reshape(xd.shape), owned=True)
-        _recycle(z, up, sig, act)
+        _recycle(z, up, sig, dup)
         if residual is not None and residual.requires_grad:
             residual._accumulate(g, owned=True)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.models import autograd as ag
-from repro.models.autograd import Tensor, _scratch
+from repro.models.autograd import MAX_KEY_WIDTH, Tensor, _scratch, key_width
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,10 +41,27 @@ class TinyLMConfig:
             )
         if self.output_head not in ("lm", "scalar"):
             raise ValueError(f"unknown output head {self.output_head!r}")
+        # every forward runs its attention at a canonical key width
+        width = key_width(self.max_seq_len)
+        if width > MAX_KEY_WIDTH:
+            raise ValueError(
+                f"max_seq_len {self.max_seq_len} needs key width {width}, past "
+                f"{MAX_KEY_WIDTH}"
+            )
 
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
+
+
+class Layout(NamedTuple):
+    """What a scoring or training forward computes: row ``i``'s first
+    ``lengths[i]`` tokens (all when ``None``), a prompt rows share (a GRPO
+    group's) once, in the first of them; and what it returns: each row's
+    positions from ``prompt_length - 1`` on, 0 past its real tokens."""
+
+    lengths: Optional[np.ndarray] = None
+    prompt_length: int = 0
 
 
 def _leaders(token_ids: np.ndarray, prefix: int) -> Optional[np.ndarray]:
@@ -60,15 +77,23 @@ def _leaders(token_ids: np.ndarray, prefix: int) -> Optional[np.ndarray]:
     return None if len(first) == len(leaders) else np.array(leaders)
 
 
-#: Widest canonical key width: past it numpy's pairwise sum splits a row.
-MAX_KEY_WIDTH = 128
-#: Rows of a BLAS micro-tile, which a cached forward's stream fills whole.
-TILE_ROWS = 4
+#: Recent small layouts: the forwards of one batch, or of one shape, repeat theirs.
+_STREAMS: Dict[Tuple[Any, ...], ag.Stream] = {}
 
 
-def key_width(length: int) -> int:
-    """The key width of rows ending by ``length``: a multiple of 8, >= 16."""
-    return max(16, -(-length // 8) * 8)
+def _stream(token_ids: np.ndarray, lengths: Optional[np.ndarray], shared: int, read_from: int) -> ag.Stream:
+    leaders = _leaders(token_ids, shared)
+    key = (token_ids.shape, shared, read_from) + tuple(
+        None if a is None else a.tobytes() for a in (lengths, leaders)
+    )
+    if key not in _STREAMS:
+        stream = ag.Stream(token_ids.shape, lengths, leaders, shared, read_from)
+        if stream.mask.size + stream.tail.mask.size > 1 << 15:
+            return stream
+        if len(_STREAMS) >= 16:
+            del _STREAMS[next(iter(_STREAMS))]
+        _STREAMS[key] = stream
+    return _STREAMS[key]
 
 
 class KVStore:
@@ -79,23 +104,17 @@ class KVStore:
     by side (the row stride keys have in a plain forward).  How long each
     slot's prefix is stays with the caller (``pos_offset``); whether it may
     exist is the block manager's business (:class:`repro.serving.PagedKVCache`).
-    One attention core serves every row of a forward (:meth:`at`) at the
-    :func:`key_width` of its longest row, and a position at or past a row's
-    length reads as an exact zero whatever the buffer holds, so a freed slot
-    needs no clearing.  A row's bits depend neither on that width (up to
-    :data:`MAX_KEY_WIDTH`) nor on the rows beside it: the new tokens run as
-    one 2-D stream of whole :data:`TILE_ROWS` tiles (a lone row would be a
-    GEMV, a part-filled tile rounds some output widths by another path).
+    A forward's new tokens are laid out as any forward's
+    (:class:`~repro.models.autograd.Stream`), and a position at or past a
+    row's length reads as an exact zero whatever the buffer holds, so a
+    freed slot needs no clearing.
     """
 
     def __init__(
         self, config: TinyLMConfig, n_slots: int, capacity: Optional[int] = None
     ) -> None:
         self.capacity = capacity or config.max_seq_len
-        width = key_width(self.capacity)
-        if width > MAX_KEY_WIDTH:
-            raise ValueError(f"KV capacity {self.capacity} needs key width {width}")
-        shape = (2 * config.n_layers, n_slots, width, config.hidden_size)
+        shape = (2 * config.n_layers, n_slots, key_width(self.capacity), config.hidden_size)
         self._buffers = np.zeros(shape, dtype=np.float64)  # per layer K, then V
         self._flat = self._buffers.reshape(shape[0], -1, shape[3])
         self.keys, self.values = list(self._buffers[::2]), list(self._buffers[1::2])
@@ -110,26 +129,24 @@ class KVStore:
 
     def at(self, token_ids: np.ndarray, pos_offset: Union[int, np.ndarray]) -> "KVStore":
         """Bound to a forward of ``token_ids`` ``(rows, t)`` behind ``pos_offset``
-        cached positions per row: ``stream`` picks the new tokens, the first
-        repeated to whole tiles, and ``mask`` is the core's causal mask."""
+        cached positions per row: ``stream`` is its layout."""
         rows, t = token_ids.shape
         offsets = np.zeros(rows, dtype=np.int64) + pos_offset
         end = int(offsets.max()) + t
         if end > self.capacity:
             raise ValueError(f"position {end} is past KV capacity {self.capacity}")
         view = copy.copy(self)
+        view.stream = ag.Stream((rows, t), cached=offsets)
         slots = np.arange(rows) if self.slots is None else self.slots
         base = slots * self._buffers.shape[2]
-        keys, queries = np.arange(key_width(end)), offsets[:, None] + np.arange(t)
-        masked = keys > queries[:, :, None]  # past each query: past the end for the last
-        view.writes, view.reads = (base[:, None] + queries).ravel(), base[:, None] + keys
+        keys, ends = np.arange(view.stream.width), offsets + t
+        view.writes = (base[:, None] + offsets[:, None] + np.arange(t)).ravel()
+        view.reads = base[:, None] + keys
         # what lies past each row's end reads as zeros, in every layer
-        self._flat[:, view.reads[masked[:, -1]]] = 0.0
+        self._flat[:, view.reads[keys >= ends[:, None]]] = 0.0
         # rows whose slots are one run read views of the store
         run = self.slots is None or (slots == slots[0] + np.arange(rows)).all()
         view.run = (slice(slots[0], slots[0] + rows), slice(len(keys))) if run else None
-        view.grid, view.mask = (rows, t), np.where(masked[:, None], -1e9, 0.0)
-        view.stream = np.arange(-(-rows * t // TILE_ROWS) * TILE_ROWS) % (rows * t)
         return view
 
     def copy_prefix(self, source: int, slot: int, length: int) -> None:
@@ -250,38 +267,24 @@ class TinyLM:
         token_ids: np.ndarray,
         cache: Optional[KVStore] = None,
         pos_offset: Union[int, np.ndarray] = 0,
-        lengths: Optional[np.ndarray] = None,
-        prefix: int = 0,
-        read_from: int = 0,
+        layout: Optional[Layout] = None,
     ) -> Tensor:
-        """Logits ``(batch, seq - read_from, vocab)`` or values ``(batch, seq
-        - read_from)``: the positions from ``read_from`` on.
+        """Logits ``(batch, seq - r, vocab)`` or values ``(batch, seq - r)``
+        of each row's positions from ``r = layout.prompt_length - 1`` on
+        (from 0 without a ``layout``).
 
         ``pos_offset`` is the position of each row's first token — one int,
         or a ``(batch,)`` array when rows have cached different lengths.
         ``cache`` is inference-only: passing one while a graph would be
-        built (grad mode on, parameters requiring grad) raises.  A cached
-        forward runs its new tokens as one 2-D stream and its attention as
-        one core over every row (:class:`KVStore`).
-        ``lengths``: row ``i`` has ``lengths[i]`` real tokens and only those
-        are computed (:class:`~repro.models.autograd.Packing`); the output
-        is 0 at every later position.  ``prefix``: rows whose first
-        ``prefix`` tokens are equal (a GRPO group's prompt) compute them
-        once, in the first such row; the others' outputs there are its.
-        The last layer runs its queries, MLP and head only at the positions
-        returned (``Packing.tail``); every one is the full forward's bit for
-        bit.
+        built raises.  Every forward has one layout
+        (:class:`~repro.models.autograd.Stream`), so a row's outputs are the
+        row alone, bit for bit, whatever rows share the forward.
         """
-        x, tail = self._trunk(
-            token_ids, cache, pos_offset, lengths, prefix, read_from
-        )
+        x, tail = self._trunk(token_ids, cache, pos_offset, layout)
         lm = self.config.output_head == "lm"
         head = self.params["lm_head.weight" if lm else "value_head.weight"]
-        # the scalar head is a matrix-vector product: it runs on the whole grid
-        out = ag.unpack(ag.linear(x, head), tail) if lm else ag.linear(x, head, tail)
-        if cache is not None:  # the stream's own tokens back on their grid
-            out = Tensor(out.data[: np.size(token_ids)].reshape(*np.shape(token_ids), -1))
-        return _narrowed(out, tail, read_from) if lm else out[:, read_from:, 0]
+        out = ag.unpack(ag.linear(x, head), tail)
+        return out if lm else out[:, :, 0]
 
     __call__ = forward
 
@@ -290,46 +293,39 @@ class TinyLM:
         token_ids: np.ndarray,
         cache: Optional[KVStore],
         pos_offset: Union[int, np.ndarray],
-        lengths: Optional[np.ndarray],
-        prefix: int = 0,
-        read_from: int = 0,
-    ) -> Tuple[Tensor, ag.Packing]:
+        layout: Optional[Layout],
+        shift: int = 0,
+    ) -> Tuple[Tensor, ag.Stream]:
         """The final-normed hidden stream of the tokens a forward returns,
-        and their layout (``Packing.tail``)."""
+        and their layout (``Stream.tail``).  ``shift``: the rows are a
+        ``layout``'s less their last token (the LM trunk of log-probs)."""
         cfg, p = self.config, self.params
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be (batch, seq), got {token_ids.shape}")
-        first = pos_offset.max() if isinstance(pos_offset, np.ndarray) else pos_offset
-        length = first + token_ids.shape[1]
+        offsets = np.zeros(len(token_ids), dtype=np.int64) + pos_offset
+        length = int(offsets.max(initial=0)) + token_ids.shape[1]
         if length > cfg.max_seq_len:
             raise ValueError(
                 f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}"
             )
-        packs = lengths is not None or prefix or read_from
-        if packs and (cache is not None or first):
-            raise ValueError(
-                "lengths, prefix and read_from pack whole rows: no cache, "
-                "no pos_offset"
-            )
-        packing = ag.Packing(
-            token_ids.shape,
-            lengths,
-            _leaders(token_ids, prefix),
-            prefix,
-            offset_queries=cfg.head_dim % 4 == 0,
-            read_from=read_from,
-        )
-        x = ag.embed(
-            p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset, packing
-        )
-        if cache is not None:  # inference only: no graph to keep
+        if cache is not None:
+            if layout is not None:
+                raise ValueError("a layout lays out whole rows: no cache")
             cache = cache.at(token_ids, pos_offset)
-            x = Tensor(x.data.reshape(-1, cfg.hidden_size)[cache.stream])
+            stream = cache.stream
+        else:
+            lengths, prompt = layout or Layout()
+            if lengths is not None:
+                lengths = np.asarray(lengths, dtype=np.int64) - shift
+            stream = _stream(token_ids, lengths, max(prompt - shift, 0), max(prompt - 1, 0))
+        row, position = np.divmod(stream.index, token_ids.shape[1])
+        ids = token_ids.ravel()[stream.index]
+        x = ag.embed(p["embed.weight"], p["pos_embed.weight"], ids, position + offsets[row])
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}"
             if layer == cfg.n_layers - 1:
-                packing = packing.tail
+                stream = stream.tail
             normed = ag.rms_norm(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
             x = ag.attention(
                 normed,
@@ -338,10 +334,10 @@ class TinyLM:
                 p[f"{pre}.attn.wv"],
                 p[f"{pre}.attn.wo"],
                 cfg.n_heads,
+                stream,
+                residual=x,
                 cache=cache,
                 layer=layer,
-                residual=x,
-                packing=packing,
             )
             normed = ag.rms_norm(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
             x = ag.swiglu_mlp(
@@ -351,68 +347,35 @@ class TinyLM:
                 p[f"{pre}.mlp.w_down"],
                 residual=x,
             )
-        return ag.rms_norm(x, p["final_norm.weight"], cfg.rms_eps), packing
+        return ag.rms_norm(x, p["final_norm.weight"], cfg.rms_eps), stream
 
     # -- LM conveniences -------------------------------------------------------------
 
     def token_log_probs(
-        self,
-        token_ids: np.ndarray,
-        lengths: Optional[np.ndarray] = None,
-        prefix: int = 0,
-        read_from: int = 0,
+        self, token_ids: np.ndarray, layout: Optional[Layout] = None
     ) -> Tensor:
-        """Log-prob of each next token from prediction ``read_from`` on: out
-        ``(batch, seq - 1 - read_from)``.
-
-        ``out[:, i] = log p(token[r+i+1] | token[:r+i+1])``, ``r =
-        read_from`` (a response's log-probs: ``r = prompt_len - 1``).  With
-        ``lengths`` (real tokens per row of ``token_ids``) only the ``lengths - 1``
-        predictions of real tokens are computed; the rest of ``out`` is 0.
-        With ``prefix`` (the prompt length), rows that share their first
-        ``prefix`` tokens compute the predictions inside it once; each still
-        predicts its own first token past it.
-        """
+        """``out[:, i] = log p(token[r+i+1] | token[:r+i+1])``, ``(batch, seq
+        - 1 - r)``, ``r = layout.prompt_length - 1`` (0 without a
+        ``layout``): a response's log-probs.  Only real tokens' predictions
+        are computed (the rest read 0); rows that share their prompt compute
+        the predictions inside it once, each its own first past it."""
         if self.config.output_head != "lm":
             raise RuntimeError("token_log_probs requires an LM head")
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        x, packing = self._trunk(
-            token_ids[:, :-1],
-            None,
-            0,
-            None if lengths is None else lengths - 1,
-            max(prefix - 1, 0),
-            read_from,
-        )
+        x, tail = self._trunk(token_ids[:, :-1], None, 0, layout, shift=1)
         logits = ag.linear(x, self.params["lm_head.weight"])
-        logp = ag.log_softmax_gather(logits, packing.pack(token_ids[:, 1:]))
-        return _narrowed(ag.unpack(logp, packing), packing, read_from)
+        logp = ag.log_softmax_gather(logits, token_ids[:, 1:].ravel()[tail.index])
+        return ag.unpack(logp, tail)
 
-    def values(
-        self,
-        token_ids: np.ndarray,
-        lengths: Optional[np.ndarray] = None,
-        prefix: int = 0,
-        read_from: int = 0,
-    ) -> Tensor:
-        """Scalar head output per position from ``read_from`` on ``(batch,
-        seq - read_from)``; with ``lengths``, at the real positions only (0
-        elsewhere); ``prefix`` as in :meth:`forward`."""
+    def values(self, token_ids: np.ndarray, layout: Optional[Layout] = None) -> Tensor:
+        """Scalar head output per position ``(batch, seq - r)``, ``layout``
+        as in :meth:`forward`."""
         if self.config.output_head != "scalar":
             raise RuntimeError("values() requires a scalar head")
-        return self.forward(
-            token_ids, lengths=lengths, prefix=prefix, read_from=read_from
-        )
+        return self.forward(token_ids, layout=layout)
 
     def sequence_reward(self, token_ids: np.ndarray) -> Tensor:
-        """Sample-level score: scalar head at the final position ``(batch,)``
-        (the last two positions are computed: one query would be a GEMV)."""
-        last_two = max(np.shape(token_ids)[1] - 2, 0)
-        values = self.values(token_ids, read_from=last_two)
-        return values[:, -1]
-
-
-def _narrowed(out: Tensor, tail: ag.Packing, read_from: int) -> Tensor:
-    """``out``'s positions from ``read_from`` on: all of it when the forward
-    computed those only, else (under two tokens would remain) the slice."""
-    return out if tail.read_from == read_from else out[:, read_from:]
+        """Sample-level score: the scalar head at each row's final position
+        ``(batch,)``, the only one the last layer computes."""
+        seq = np.shape(token_ids)[1]
+        return self.values(token_ids, Layout(prompt_length=seq))[:, 0]

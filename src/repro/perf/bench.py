@@ -33,8 +33,9 @@ of work does.
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,9 +98,28 @@ def bench_sequential_generate() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, {"tokens": _metric("exact", out.response_log_probs.size)}
 
 
+@contextlib.contextmanager
+def _counted_cores() -> Iterator[List[int]]:
+    """Count attention cores while the block runs: each ``ag.attention`` call
+    (looked up on the module at each call) runs one, counted here, in the
+    harness."""
+    from repro.models import autograd as ag
+
+    cores, attention = [0], ag.attention
+
+    def counted(*args: Any, **kwargs: Any) -> Any:
+        cores[0] += 1
+        return attention(*args, **kwargs)
+
+    ag.attention = counted
+    try:
+        yield cores
+    finally:
+        ag.attention = attention
+
+
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Continuous-batching drain through ``RolloutServer``."""
-    from repro.models.autograd import Rows
     from repro.serving import RolloutServer, ServingConfig
 
     pins = {
@@ -131,21 +151,8 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
     for prompt, budget in zip(prompts, budgets):
         server.submit(prompt, max_new_tokens=int(budget))
-    # every attention core writes its context back through one ``Rows.put``
-    # (looked up on the class at each call): counted here, in the harness
-    cores = 0
-    put = Rows.put
-
-    def counted_put(*args: Any, **kwargs: Any) -> None:
-        nonlocal cores
-        cores += 1
-        put(*args, **kwargs)
-
-    Rows.put = counted_put
-    try:
+    with _counted_cores() as cores:
         report = server.drain()
-    finally:
-        Rows.put = put
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
@@ -153,7 +160,7 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "total_tokens": _metric("exact", report.total_tokens),
         "n_preemptions": _metric("exact", report.n_preemptions),
         # one core per decode forward and layer, whatever each row cached
-        "attention_cores": _metric("exact", cores),
+        "attention_cores": _metric("exact", cores[0]),
     }
     return pins, metrics
 
@@ -268,6 +275,7 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     from repro.config import ClusterSpec
     from repro.data import SyntheticPreferenceTask
     from repro.models import autograd as ag
+    from repro.models.tinylm import TinyLM
     from repro.rlhf.core import AlgoType
     from repro.rlhf.trainers import TrainerConfig
     from repro.runtime.builder import SystemSpec, build_rlhf_system
@@ -298,23 +306,28 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         use_serving=pins["serving"],
     )
 
-    # positions entering TinyLM forwards: the grid each ``embed`` is handed,
-    # and the tokens it embeds (counted here, in the harness)
+    # positions entering TinyLM forwards: the grid each forward is handed,
+    # and the tokens its stream embeds (counted here, in the harness)
     padded = computed = 0
-    embed = ag.embed
+    embed, trunk = ag.embed, TinyLM._trunk
 
-    def counting(*args: Any, **kwargs: Any) -> Any:
-        nonlocal padded, computed
+    def embedding(*args: Any, **kwargs: Any) -> Any:
+        nonlocal computed
         out = embed(*args, **kwargs)
-        padded += args[2].size
         computed += out.size // out.shape[-1]
         return out
 
-    ag.embed = counting
+    def gridded(model: TinyLM, token_ids: Any, *args: Any, **kwargs: Any) -> Any:
+        nonlocal padded
+        padded += np.size(token_ids)
+        return trunk(model, token_ids, *args, **kwargs)
+
+    ag.embed, TinyLM._trunk = embedding, gridded
     try:
-        system.trainer.train(spec.dataset(), 1, pins["batch_size"])
+        with _counted_cores() as cores:
+            system.trainer.train(spec.dataset(), 1, pins["batch_size"])
     finally:
-        ag.embed = embed
+        ag.embed, TinyLM._trunk = embed, trunk
     served = system.controller.metrics.total("repro_serving_tokens_total")
     hits = system.controller.metrics.total("repro_serving_prefix_hits_total")
 
@@ -322,6 +335,8 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # each group's prompt enters the scoring and training forwards once
         "forward_tokens": _metric("exact", computed),
         "padded_forward_tokens": _metric("info", padded),
+        # one attention core per layer of every forward, ragged rows or not
+        "attention_cores": _metric("exact", cores[0]),
         "response_tokens": _metric("exact", int(served)),
         # admissions that reused a group-mate's prompt prefill
         "prefix_hits": _metric("exact", int(hits)),

@@ -50,7 +50,7 @@ from repro.models.sharding import (
     shard_nbytes,
     shard_params,
 )
-from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.models.tinylm import Layout, TinyLM, TinyLMConfig
 from repro.single_controller.worker import Worker, WorkerContext
 
 #: Extra training-state bytes per parameter byte: gradient (1x) plus
@@ -334,10 +334,8 @@ class ShardedModelWorker(Worker):
         if kept is not None:
             self._count_kept_graph("used")
             return kept.output
-        prompt_len = batch.meta["prompt_length"]
-        forward = functools.partial(
-            head, batch["sequences"], real_lengths(batch), prompt_len, prompt_len - 1
-        )
+        layout = Layout(real_lengths(batch), batch.meta["prompt_length"])
+        forward = functools.partial(head, batch["sequences"], layout)
         if not keep:
             return forward()
         kept = _KeptGraph(_rows_key(batch), self._merged)

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.data.batch import DataBatch
-from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.models.tinylm import Layout, TinyLM, TinyLMConfig
 from repro.rlhf import losses as L
 from repro.single_controller.decorator import register, shape_contract
 from repro.single_controller.worker import Worker, WorkerContext
@@ -36,7 +36,7 @@ def _sequence_scores(
     lengths = real_lengths(batch)
     if lengths is not None:
         lengths = np.maximum(lengths, prompt_len + 1)
-    values = model.values(batch["sequences"], lengths, prompt_len, prompt_len - 1).data
+    values = model.values(batch["sequences"], Layout(lengths, prompt_len)).data
     if lengths is None:
         return values[:, -1], values
     return values[np.arange(len(values)), lengths - prompt_len], values

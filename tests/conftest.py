@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-from repro.models.tinylm import TinyLMConfig
+# One BLAS thread, set before numpy loads, as bench/run.py runs: with more,
+# OpenBLAS splits a large GEMM's rows between its threads at rows / threads
+# on some kernels (Haswell), not at whole tiles, and a row's bits then depend
+# on the matrix it sits in (docs/PERF.md, "One forward layout").
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_key, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig  # noqa: E402
+from repro.models.tinylm import TinyLMConfig  # noqa: E402
 
 
 @pytest.fixture

@@ -431,8 +431,7 @@ def generate_reference(
 # -- the op-by-op TinyLM ---------------------------------------------------------
 
 
-def embed_reference(tok_table, pos_table, token_ids, pos_offset=0):
-    positions = np.asarray(pos_offset)[..., None] + np.arange(token_ids.shape[1])
+def embed_reference(tok_table, pos_table, token_ids, positions):
     return embedding(tok_table, token_ids) + embedding(pos_table, positions)
 
 
@@ -441,49 +440,53 @@ def rms_norm_reference(x, weight, eps):
     return x * ((variance + eps) ** -0.5) * weight
 
 
-def attention_reference(
-    x, wq, wk, wv, wo, n_heads, cache=None, layer=0, pos_offset=0, grid=None
-):
-    """``ag.attention`` without ``residual``, op by op.  With ``cache`` (a
-    :class:`ConcatKVCache`), ``x`` is the padded 2-D stream of a ``grid``
-    ``(b, t)`` of new tokens, and the cached K/V, re-wrapped as constants,
-    are zero-padded to the canonical key width: a multiple of 8, at least
-    16."""
-    b, t = x.shape[:2] if cache is None else grid
+def attention_reference(x, wq, wk, wv, wo, n_heads, grid, cache=None, layer=0, pos_offset=0):
+    """``ag.attention`` of a TinyLM forward of whole rows, without
+    ``residual``, op by op.  ``x`` is the 2-D stream of a ``grid`` ``(b, t)``
+    of tokens, padded to whole 4-row tiles by repeating its first tokens.
+    Each row's queries run as one block: of ``t`` rows with a ``cache`` (a
+    :class:`ConcatKVCache`, its K/V re-wrapped as constants), else of ``t``
+    rounded up to whole tiles, zero rows after; keys and values are
+    zero-padded to the canonical key width, a multiple of 8, at least 16.
+    Queries sit at ``pos_offset + i`` with a cache, else at ``i``."""
+    b, t = grid
     h = x.shape[-1]
     hd = h // n_heads
 
-    def split_heads(proj):
-        return proj[: b * t].reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+    def padded(rows, depth):
+        """``(b, n, h)`` rows, zero rows appended up to ``depth``."""
+        if depth == rows.shape[1]:
+            return rows
+        return concatenate([rows, OpTensor(np.zeros((b, depth - rows.shape[1], h)))], 1)
 
-    q = split_heads(x @ wq)
-    k = split_heads(x @ wk)
-    v = split_heads(x @ wv)
+    def split_heads(rows):
+        return rows.reshape(b, -1, n_heads, hd).transpose(0, 2, 1, 3)
 
+    def block(proj):
+        return proj[: b * t].reshape(b, t, h)
+
+    height = t if cache is not None else -(-t // 4) * 4
+    q = split_heads(padded(block(x @ wq), height))
+    kv = [block(x @ wk), block(x @ wv)]
     if cache is not None:
-        kv = cache.append(layer, k.data, v.data)
-        kv_len = kv[0].shape[2]
         # heads side by side, as the projection lays them: a compact
         # (b, head, position, head_dim) layout rounds att @ v differently
-        zeros = np.zeros((b, max(16, -(-kv_len // 8) * 8) - kv_len, h))
-        k, v = (
-            OpTensor(np.concatenate([a.transpose(0, 2, 1, 3).reshape(b, kv_len, h), zeros], 1))
-            .reshape(b, -1, n_heads, hd)
-            .transpose(0, 2, 1, 3)
-            for a in kv
-        )
+        kv = [
+            OpTensor(a.transpose(0, 2, 1, 3).reshape(b, -1, h))
+            for a in cache.append(layer, *(split_heads(a).data for a in kv))
+        ]
+    width = max(16, -(-kv[0].shape[1] // 8) * 8)
+    k, v = (split_heads(padded(a, width)) for a in kv)
 
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
-    # causal mask: query position (pos_offset + i) attends to kv <= it
-    q_pos = pos_offset + np.arange(t)[:, None]
-    kv_pos = np.arange(k.shape[2])[None, :]
-    mask = kv_pos > q_pos  # True = masked out
+    # causal mask: query position (offset + i) attends to kv <= it
+    q_pos = (pos_offset if cache is not None else 0) + np.arange(height)[:, None]
+    mask = np.arange(width)[None, :] > q_pos  # True = masked out
     scores = scores + Tensor(np.where(mask, -1e9, 0.0))
     attn = softmax(scores, axis=-1)
-    out = attn @ v  # (b, nh, t, hd)
-    out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
-    if cache is not None:  # the padded stream again
-        out = out.reshape(b * t, h)[np.arange(x.shape[0]) % (b * t)]
+    out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, height, h)[:, :t]
+    # the padded stream again
+    out = out.reshape(b * t, h)[np.arange(x.shape[0]) % (b * t)]
     return out @ wo
 
 
@@ -494,29 +497,31 @@ def mlp_reference(x, w_gate, w_up, w_down):
 
 
 def tinylm_forward_reference(model, token_ids, cache=None, pos_offset=0):
-    """``TinyLM.forward`` as the op-by-op tape composition it used to be.
+    """``TinyLM.forward`` of whole rows as the op-by-op tape composition it
+    used to be.
 
     One generic tape op per arithmetic step (~170 tape nodes for four
     layers).  The fused primitives in ``repro.models.autograd`` must
     reproduce its forward values bit for bit and its gradients to rounding.
-    With a ``cache`` it re-wraps the cached K/V as constants, so it is a
-    forward oracle only there; the new tokens then run as one 2-D stream,
-    padded to whole 4-row tiles by repeating its first tokens (a lone token
-    on four rows: a one-row product is a GEMV, a part-filled tile another
-    BLAS path).
+    The tokens run as one 2-D stream, padded to whole 4-row tiles by
+    repeating its first tokens (a one-row product is a GEMV, a part-filled
+    tile another BLAS path), and each row's attention as blocks of whole
+    tiles (:func:`attention_reference`).  With a ``cache`` it re-wraps the
+    cached K/V as constants, so it is a forward oracle only there.
     """
     cfg, p = model.config, model.params
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    x = embed_reference(p["embed.weight"], p["pos_embed.weight"], token_ids, pos_offset)
-    b, t, h = x.shape
-    if cache is not None:
-        x = x.reshape(b * t, h)[np.arange(-(-b * t // 4) * 4) % (b * t)]
+    b, t = token_ids.shape
+    positions = np.broadcast_to(np.asarray(pos_offset)[..., None] + np.arange(t), (b, t))
+    x = embed_reference(p["embed.weight"], p["pos_embed.weight"], token_ids, positions)
+    h = x.shape[-1]
+    x = x.reshape(b * t, h)[np.arange(-(-b * t // 4) * 4) % (b * t)]
     for layer in range(cfg.n_layers):
         pre = f"layers.{layer}"
         normed = rms_norm_reference(x, p[f"{pre}.attn_norm.weight"], cfg.rms_eps)
         weights = [p[f"{pre}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")]
         x = x + attention_reference(
-            normed, *weights, cfg.n_heads, cache, layer, pos_offset, (b, t)
+            normed, *weights, cfg.n_heads, (b, t), cache, layer, pos_offset
         )
         normed = rms_norm_reference(x, p[f"{pre}.mlp_norm.weight"], cfg.rms_eps)
         weights = [p[f"{pre}.mlp.{w}"] for w in ("w_gate", "w_up", "w_down")]

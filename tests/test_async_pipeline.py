@@ -205,7 +205,12 @@ class TestStalenessOneHistoryPinned:
     with one attention core at a canonical key width: generation log-probs
     (the PPO ratio's ``old_log_probs``) moved in their last bits, so every
     float moved by rounding (worst 3.5e-14 relative, grpo-batch iteration 2
-    ``actor/grpo_loss`` -0.01686834106824582 -> -0.016868341068245238).  The
+    ``actor/grpo_loss`` -0.01686834106824582 -> -0.016868341068245238).  All
+    four were re-recorded again when every scoring and training forward
+    moved to the cached path's tiled stream and one attention core: every
+    float moved by rounding, iteration 0's rounding-level zeros included
+    (by ≤ 4.2e-17), the rest by ≤ 1.2e-14 relative (ppo iteration 1
+    ``actor/policy_loss`` 0.10825860743791456 -> 0.1082586074379133).  The
     comparison stays exact so later drift is still caught."""
 
     @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])

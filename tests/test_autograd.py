@@ -142,30 +142,31 @@ def _draw_safe(data, rng):
 def _draw_embed(data, rng):
     b, t, vocab, h = (_ints(data, 1, n) for n in (3, 4, 6, 4))
     per_row = data.draw(st.booleans())
-    offset = rng.integers(0, 3, size=b) if per_row else int(rng.integers(0, 3))
+    offset = rng.integers(0, 3, size=(b, 1)) if per_row else int(rng.integers(0, 3))
     ids = rng.integers(0, vocab, size=(b, t))  # repeated ids: rows sum
     tables = [rng.normal(size=(vocab, h)), rng.normal(size=(t + 3, h))]
-    return tables, {"token_ids": ids, "pos_offset": offset}
+    return tables, {"token_ids": ids, "positions": np.broadcast_to(offset + np.arange(t), (b, t))}
 
 
-def _draw_block(data, rng, n_weights, wide=False):
+def _draw_mlp(data, rng):
     b, t, h = _ints(data, 1, 3), _ints(data, 1, 4), _ints(data, 1, 3)
-    heads = {}
-    if not wide:  # attention: hidden = heads * head_dim
-        heads = {"n_heads": _ints(data, 1, 2)}
-        h *= heads["n_heads"]
     f = h + _ints(data, 0, 3)
-    shapes = [(h, h)] * n_weights if not wide else [(h, f), (h, f), (f, h)]
     arrays = [rng.normal(size=(b, t, h))]
-    arrays += [rng.normal(scale=0.5, size=s) for s in shapes]
+    arrays += [rng.normal(scale=0.5, size=s) for s in [(h, f), (h, f), (f, h)]]
     if data.draw(st.booleans()):
         arrays.append(rng.normal(size=(b, t, h)))  # the residual
-    return arrays, heads
+    return arrays, {}
 
 
 def _draw_attention(data, rng):
-    arrays, consts = _draw_block(data, rng, 4)
-    return arrays, dict(consts, pos_offset=_ints(data, 0, 3))
+    stream, n = _draw_stream(data, rng, last_layer=data.draw(st.booleans()))
+    heads = _ints(data, 1, 2)
+    h = heads * _ints(data, 1, 3)
+    arrays = [rng.normal(size=(n, h))]
+    arrays += [rng.normal(scale=0.5, size=(h, h)) for _ in range(4)]
+    if data.draw(st.booleans()):
+        arrays.append(rng.normal(size=(n, h)))  # the residual
+    return arrays, {"n_heads": heads, "stream": stream}
 
 
 def _draw_rms_norm(data, rng):
@@ -182,64 +183,77 @@ def _draw_logits(data, rng):
     }
 
 
-def _draw_packing(data, rng):
-    """A forward's layout — ragged rows, shared prefixes, a tail from
-    ``read_from`` — as the last layer returns it, and its stream's shape."""
-    b, t = _ints(data, 1, 3), _ints(data, 2, 5)
+def _draw_stream(data, rng, last_layer=True):
+    """A forward's layout — ragged rows, shared prefixes, a last layer from
+    ``read_from`` on — as its first layers run it or as its last layer does
+    (``last_layer``), and the length of its first layers' stream, which a
+    last layer reads keys and values from."""
+    b, t = _ints(data, 1, 3), _ints(data, 1, 5)
     # each row reads the first positions of a row at or before it (itself:
     # nothing shared)
     leaders = np.array([rng.integers(0, i + 1) for i in range(b)])
     leaders = leaders[leaders]  # a leader leads itself
-    lengths = rng.integers(0, t + 1, size=b) if data.draw(st.booleans()) else None
-    packing = ag.Packing(
-        (b, t),
-        lengths,
-        leaders,
-        _ints(data, 0, t),
-        offset_queries=data.draw(st.booleans()),
-        read_from=_ints(data, 0, t - 1),
-    ).tail
-    if packing.index is None:
-        return packing, (b, t - packing.read_from)
-    return packing, (len(packing.index),)
+    lengths = rng.integers(1, t + 1, size=b) if data.draw(st.booleans()) else None
+    longest = t if lengths is None else lengths.max()
+    stream = ag.Stream(
+        (b, t), lengths, leaders, _ints(data, 0, t), read_from=_ints(data, 0, longest - 1)
+    )
+    return (stream.tail if last_layer else stream), len(stream.index)
 
 
 def _draw_unpack(data, rng):
-    packing, grid = _draw_packing(data, rng)
+    stream, _ = _draw_stream(data, rng)
     features = data.draw(st.sampled_from([(), (_ints(data, 1, 3),)]))
-    return [rng.normal(size=grid + features)], {"packing": packing}
+    return [rng.normal(size=(len(stream.index),) + features)], {"stream": stream}
 
 
 def _draw_linear(data, rng):
-    packing, grid = None, (_ints(data, 1, 3), _ints(data, 1, 4))
-    if data.draw(st.booleans()):  # a stream laid on the whole grid first
-        packing, grid = _draw_packing(data, rng)
-    x = rng.normal(size=grid + (4,))
-    return [x, rng.normal(size=(4, _ints(data, 1, 5)))], {"packing": packing}
+    grid = data.draw(st.sampled_from([(_ints(data, 1, 6),), (_ints(data, 1, 3), _ints(data, 1, 4))]))
+    return [rng.normal(size=grid + (4,)), rng.normal(size=(4, _ints(data, 1, 5)))], {}
 
 
-def _unpack_reference(x, packing, start=None):
-    """Each grid position from ``start`` (default: the first the stream
-    returns) picks its stream token — a shared one its leader's (any one
-    where it has none), then ``where`` zeroes the positions the stream
-    skips."""
-    start = packing.read_from if start is None else start
-    if packing.index is None and start == packing.read_from:
-        return x
-    b, t = packing.shape
-    index = packing.index
-    if index is None:  # a dense tail: positions from ``read_from``, row-major
-        index = np.flatnonzero(np.arange(b * t) % t >= packing.read_from)
-        x = x.reshape(-1, *x.shape[2:])
-    slot = np.zeros(b * t, dtype=np.int64)
-    slot[index] = np.arange(len(index))
-    real = np.zeros(b * t, dtype=bool)
-    real[index] = True
-    if packing.shared is not None:
-        slot[packing.shared.at], real[packing.shared.at] = packing.shared.src, True
-    picked = x[slot.reshape(b, t)[:, start:]]
-    real = real.reshape((b, t) + (1,) * (x.ndim - 1))[:, start:]
-    return O.where(real, picked, OpTensor(np.zeros(picked.shape)))
+def _gathered(flat, src, at, shape):
+    """A ``(rows, depth, ...)`` ``shape`` block whose positions ``at`` (flat
+    over its first two axes) read the rows ``src`` of ``flat`` and are 0
+    elsewhere: an index then a ``where``."""
+    slot = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    real = np.zeros(shape[0] * shape[1], dtype=bool)
+    slot[at], real[at] = src, True
+    picked = flat[slot]
+    real = real.reshape((-1,) + (1,) * (flat.ndim - 1))
+    return O.where(real, picked, OpTensor(np.zeros(picked.shape))).reshape(*shape)
+
+
+def _unpack_reference(x, stream):
+    """Each grid position picks its stream token — a follower's shared one
+    its leader's — then ``where`` zeroes the positions the stream does not
+    return."""
+    out = stream.out
+    return _gathered(x, out.src, out.at, stream.shape + x.shape[1:])
+
+
+def _attention_reference(x, wq, wk, wv, wo, residual, n_heads, stream):
+    """``ag.attention`` op by op: blocks gathered from the stream, one
+    masked softmax and context over every row, the context gathered back
+    onto the stream."""
+    rows, height, width = stream.rows, stream.mask.shape[2], stream.width
+    h = x.shape[-1]
+    hd = h // n_heads
+    xr = x if stream.reads is None else x[stream.reads]
+
+    def split_heads(flat, src, at, depth):
+        block = _gathered(flat, src, at, (rows, depth, h))
+        return block.reshape(rows, depth, n_heads, hd).transpose(0, 2, 1, 3)
+
+    q = split_heads(xr @ wq, np.arange(len(stream.slots)), stream.slots, height)
+    k, v = (split_heads(x @ w, stream.keys.src, stream.keys.at, width) for w in (wk, wv))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
+    scores = scores + Tensor(stream.mask)
+    ctx = (O.softmax(scores) @ v).transpose(0, 2, 1, 3).reshape(rows * height, h)
+    out = ctx[stream.gather] @ wo
+    if residual is None:
+        return out
+    return out + (residual if stream.reads is None else residual[stream.reads])
 
 
 def _draw_matrix(data, rng):
@@ -285,15 +299,8 @@ def _residual(fused):
     return call
 
 
-def _attention(x, wq, wk, wv, wo, residual, n_heads, pos_offset):
-    return ag.attention(
-        x, wq, wk, wv, wo, n_heads, pos_offset=pos_offset, residual=residual
-    )
-
-
-def _attention_reference(x, wq, wk, wv, wo, residual, n_heads, pos_offset):
-    out = O.attention_reference(x, wq, wk, wv, wo, n_heads, pos_offset=pos_offset)
-    return out if residual is None else out + residual
+def _attention(x, wq, wk, wv, wo, residual, n_heads, stream):
+    return ag.attention(x, wq, wk, wv, wo, n_heads, stream, residual=residual)
 
 
 def _mlp_reference(x, w_gate, w_up, w_down, residual):
@@ -309,20 +316,14 @@ REGISTRY = {
     # -- repro.models.autograd ---------------------------------------------------
     "embed": Primitive(_draw_embed, ag.embed, O.embed_reference),
     "rms_norm": Primitive(_draw_rms_norm, ag.rms_norm, O.rms_norm_reference),
-    "linear": Primitive(
-        _draw_linear,
-        ag.linear,
-        lambda x, w, packing=None: (
-            x if packing is None else _unpack_reference(x, packing, 0)
-        ) @ w,
-    ),
+    "linear": Primitive(_draw_linear, ag.linear, lambda x, w: x @ w),
     "attention": Primitive(
         _draw_attention,
         lambda *a, **kw: _residual(_attention)(*a, n_weights=4, **kw),
         lambda *a, **kw: _residual(_attention_reference)(*a, n_weights=4, **kw),
     ),
     "swiglu_mlp": Primitive(
-        lambda data, rng: _draw_block(data, rng, 3, wide=True),
+        _draw_mlp,
         lambda *a: _residual(ag.swiglu_mlp)(*a, n_weights=3),
         lambda *a: _residual(_mlp_reference)(*a, n_weights=3),
     ),
@@ -428,7 +429,9 @@ def test_vjp_matches_oracle_and_central_differences(name, data):
 # -- the registry is the public surface, and the public surface is used ------------
 
 #: callable public names that build no tape node
-NOT_PRIMITIVES = {"no_grad", "hold_scratch", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"}
+NOT_PRIMITIVES = {
+    "no_grad", "hold_scratch", "key_width", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"
+}
 #: ``Tensor``'s operators are called by syntax, so no search finds their
 #: callers; each is listed with one
 OPERATOR_CALLERS = {

@@ -115,6 +115,8 @@ class TestUsageErrors:
                 "bad request shape",
             ),
             (["serve", "--priority-levels", "0"], "--priority-levels"),
+            # a model no forward could lay out: past the widest key width
+            (["serve", "--prompt-length", "100", "--max-response", "40"], "key width 144"),
             # exit 1 "unrecoverable failure" from trace/metrics, 2 from faults
             (["trace", "--kill-device", "99"], "--kill-device 99 out of range"),
             (["metrics", "--kill-device", "99"], "--kill-device 99 out of range"),

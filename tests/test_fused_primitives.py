@@ -209,9 +209,12 @@ class TestPrimitiveGradients:
     def test_embed(self):
         ids = np.array([[1, 4, 1], [0, 1, 3]])  # token 1 repeats: rows sum
         tables = [self.normal(5, 4), self.normal(6, 4)]
-        check_primitive("embed", tables, {"token_ids": ids, "pos_offset": 2})
-        offsets = {"token_ids": ids, "pos_offset": np.array([0, 3])}
-        check_primitive("embed", tables, offsets)
+        positions = np.broadcast_to(2 + np.arange(3), ids.shape)
+        check_primitive("embed", tables, {"token_ids": ids, "positions": positions})
+        # rows at their own offsets, a stream's tiling tokens repeating its first
+        stream = {"token_ids": ids.ravel()[[0, 1, 2, 3, 4, 5, 0, 1]],
+                  "positions": np.array([0, 1, 2, 3, 4, 5, 0, 1])}
+        check_primitive("embed", tables, stream)
 
     def test_rms_norm(self):
         arrays = [self.normal(2, 3, 6), self.normal(6)]
@@ -222,26 +225,29 @@ class TestPrimitiveGradients:
         check_primitive("linear", [self.normal(2, 3, 4), self.normal(4, 1)], {})
 
     @pytest.mark.parametrize(
-        "batch, seq, n_heads, pos_offset",
-        # causal rows (row i sees i + 1 keys), nothing masked, T=1 decode shape
+        "batch, seq, n_heads, shared",
+        # causal rows (position i sees i + 1 keys), a follower that reads
+        # every key from its leader (it queries nothing), a one-token row
         [(2, 4, 2, 0), (1, 3, 1, 0), (2, 3, 2, 5), (3, 1, 2, 0)],
     )
-    def test_attention(self, batch, seq, n_heads, pos_offset):
+    def test_attention(self, batch, seq, n_heads, shared):
         h = 4 * n_heads
-        arrays = [self.normal(batch, seq, h)]
+        stream = ag.Stream((batch, seq), leaders=np.zeros(batch, dtype=int), shared=shared)
+        n = len(stream.index)  # whole tiles: the first tokens repeat
+        arrays = [self.normal(n, h)]
         arrays += [self.normal(h, h, scale=0.5) for _ in range(4)]
-        arrays += [self.normal(batch, seq, h)]  # the residual
-        consts = {"n_heads": n_heads, "pos_offset": pos_offset}
-        check_primitive("attention", arrays, consts)
+        arrays += [self.normal(n, h)]  # the residual
+        check_primitive("attention", arrays, {"n_heads": n_heads, "stream": stream})
 
     def test_attention_masked_keys_get_no_gradient(self):
         h, n_heads = 8, 2
-        x = Tensor(self.normal(1, 3, h), requires_grad=True)
+        stream = ag.Stream((1, 3))
+        x = Tensor(self.normal(4, h), requires_grad=True)  # 3 tokens, 1 tiling
         weights = [Tensor(self.normal(h, h), requires_grad=True) for _ in range(4)]
-        out = ag.attention(x, *weights, n_heads)
-        out[:, 0].sum().backward()  # row 0 attends to key 0 only
-        assert np.abs(x.grad[:, 0]).max() > 0
-        assert not x.grad[:, 1:].any()
+        out = ag.attention(x, *weights, n_heads, stream)
+        out[0].sum().backward()  # position 0 attends to key 0 only
+        assert np.abs(x.grad[0]).max() > 0
+        assert not x.grad[1:].any()
 
     def test_swiglu_mlp(self):
         arrays = [self.normal(2, 3, 4), self.normal(4, 6), self.normal(4, 6)]

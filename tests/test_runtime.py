@@ -162,7 +162,10 @@ class TestBuilder:
 #: ``score_mean``s.  "Same system" means the one definition reproduces each.
 #: The digests were re-recorded when cached forwards moved to one attention
 #: core at a canonical key width (generation log-probs moved by rounding);
-#: the ``score_mean``s, which follow the sampled tokens, did not move.
+#: the ``score_mean``s, which follow the sampled tokens, did not move.  All
+#: seven were re-recorded when scoring and training forwards moved to the
+#: same tiled stream (weights within 8.4e-14 of each array's largest entry);
+#: one ``score_mean``, a reward model's, moved by rounding (1e-16).
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "shipped_systems.json").read_text()
 )

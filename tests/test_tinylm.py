@@ -1,17 +1,16 @@
 """Tests for the TinyLM transformer: forward, KV cache, heads, training."""
 
-import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.models import autograd as ag
 from repro.models.adam import Adam, FlatParams
-from repro.models.autograd import Packing, Tensor, no_grad
+from repro.models.autograd import Tensor, no_grad
 from repro.models.sampler import generate
-from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig, key_width
+from repro.models.tinylm import KVStore, Layout, TinyLM, TinyLMConfig, key_width
 from tests.oracles import AdamReference
 
 
@@ -346,7 +345,8 @@ class TestKVCacheTrimFree:
 
 
 #: The shipped layer widths (``bench/`` and ``repro bench`` models) at head
-#: dims 4, 8 and 16, long enough for every canonical key width.
+#: dims 4, 8 and 16, long enough for every canonical key width, and a model
+#: of head dim 2 whose MLP and vocabulary widths are not multiples of 8.
 CANONICAL_PROBES = [
     TinyLMConfig(n_layers=2, hidden_size=16, n_heads=4, ffn_hidden_size=32,
                  vocab_size=16, max_seq_len=128),
@@ -354,58 +354,144 @@ CANONICAL_PROBES = [
                  vocab_size=32, max_seq_len=128),
     TinyLMConfig(n_layers=1, hidden_size=64, n_heads=4, ffn_hidden_size=128,
                  vocab_size=64, max_seq_len=128),
+    TinyLMConfig(n_layers=2, hidden_size=16, n_heads=8, ffn_hidden_size=27,
+                 vocab_size=11, max_seq_len=128),
+]
+PROBE_MODELS = {
+    (which, head): TinyLM(dataclasses.replace(cfg, output_head=head), seed=which)
+    for which, cfg in enumerate(CANONICAL_PROBES)
+    for head in ("lm", "scalar")
+}
+LAYOUT_KINDS = ("dense", "ragged", "grpo", "tail", "cached")
+
+
+def _decoded_alone(model, length, beside, seed):
+    """The cached layout: a row's new tokens decoded beside other rows —
+    a filler that sets every key width from its own up to 128, a crowd of
+    rows of other cached lengths — are the row decoded alone."""
+    cfg = model.config
+    t = 1 + seed % 4  # its new tokens
+    cached = min(length, cfg.max_seq_len - t)
+    rng = np.random.default_rng(seed)
+    row = rng.integers(0, cfg.vocab_size, size=cached + t)
+    others = [rng.integers(0, cfg.vocab_size, size=min(n, cfg.max_seq_len - t) + 1) for n in beside]
+    filler = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len)
+    store = KVStore(cfg, n_slots=2 + len(others))
+    for buffer in store.keys + store.values:
+        buffer[...] = np.nan  # no position past a row's length is read
+    with no_grad():
+        # slot 0 the row, 1 a filler that sets the width, 2.. the others
+        for slot, ids in enumerate([row[:cached], filler[:-1]] + [o[:-1] for o in others]):
+            model.forward(ids[None], cache=store.rows([slot]))
+
+        def decode(slots, offsets, feeds):
+            out = model.forward(
+                np.stack(feeds), cache=store.rows(slots), pos_offset=np.array(offsets)
+            )
+            return out.data[0]
+
+        new = row[cached:]
+        alone = decode([0], [cached], [new])
+        assert np.array_equal(alone, decode([0, 0], [cached] * 2, [new, new]))
+        for width in range(key_width(cached + t), cfg.max_seq_len + 1, 8):
+            beside_filler = decode([0, 1], [cached, width - t], [new, filler[:t]])
+            assert np.array_equal(alone, beside_filler), width
+        crowd = decode(
+            [0] + list(range(2, 2 + len(others))),
+            [cached] + [len(o) - 1 for o in others],
+            [new] + [np.resize(o[-1:], t) for o in others],
+        )
+        assert np.array_equal(alone, crowd)
+
+
+def a_row_is_the_row_alone(which, head, kind, length, beside, prompt, seed):
+    """The one forward layout's property: in any layout — ``kind`` of
+    :data:`LAYOUT_KINDS`, beside rows of lengths ``beside``, a GRPO group
+    sharing a prompt or a tail from it on — each row's outputs are the plain
+    forward of that row alone, bit for bit, 0 past its real tokens, and the
+    layout's parameter gradients are the sum of the rows' alone, to
+    rounding (weight GEMMs reduce over other token rows).  Returns the
+    layout's row lengths, prompt length and output."""
+    model = PROBE_MODELS[which, head]
+    if kind == "cached":
+        return _decoded_alone(model, length, beside, seed)
+    cfg, lm = model.config, head == "lm"
+    rng = np.random.default_rng(seed)
+    lengths = np.array([length] + beside if kind != "dense" else [length] * (1 + len(beside)))
+    lengths = np.maximum(lengths, 1 + lm)[rng.permutation(len(lengths))]
+    b, t = len(lengths), int(lengths.max())
+    ids = rng.integers(0, cfg.vocab_size, size=(b, t))
+    prompt = min(prompt, t) if kind in ("grpo", "tail") else 0  # rows hold their prompt
+    if kind == "grpo":  # rows of a group share its first row's prompt
+        group = rng.integers(0, 2, size=b)
+        ids[:, :prompt] = ids[np.argmax(group[:, None] == group, axis=0)][:, :prompt]
+    layout = None if kind == "dense" else Layout(lengths, prompt)
+    forward = model.token_log_probs if lm else model.values
+    read_from = max(prompt - 1, 0)
+    returns = np.maximum(lengths - lm - read_from, 0)
+    real = np.arange(t - lm - read_from) < returns[:, None]
+    probe = rng.normal(size=real.shape) * real
+    model.zero_grad()
+    out = forward(ids, layout)
+    (out * Tensor(probe)).sum().backward()
+    grads = {name: p.grad.copy() for name, p in model.params.items()}
+    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    assert not out.data[~real].any()
+    for i, n in enumerate(lengths):
+        model.zero_grad()
+        alone = forward(ids[i : i + 1, :n])
+        assert np.array_equal(out.data[i, : returns[i]], alone.data[0, read_from:]), i
+        weights = np.zeros(alone.shape)
+        weights[0, read_from:] = probe[i, : returns[i]]
+        (alone * Tensor(weights)).sum().backward()
+        for name, p in model.params.items():
+            if p.grad is not None:
+                summed[name] += p.grad
+    for name, want in summed.items():
+        scale = np.abs(want).max()
+        assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+    return lengths, prompt, out
+
+
+#: tiny streams: a row of one to three tokens alone, beside others and in a
+#: group (an LM row of two tokens predicts one)
+TINY = [
+    dict(which=which, head=head, kind=kind, length=length, beside=beside, prompt=1, seed=0)
+    for which in (0, 3)
+    for head in ("lm", "scalar")
+    for kind, beside in (("dense", []), ("ragged", [1, 3]), ("grpo", [2, 3]), ("tail", [3]))
+    for length in (1, 2, 3)
 ]
 
 
+def _tiny(test):
+    for case in TINY:
+        test = example(**case)(test)
+    return test
+
+
 class TestOneCoreAtACanonicalWidth:
-    """The rule ``KVStore``'s one attention core rests on: a row's cached
-    forward is bit-identical at every key width in {16, 24, ..., 128} at or
-    above its own, and beside any rows — alone, on two rows, in a crowd."""
+    """Every forward's one layout (``repro.models.autograd.Stream``): its
+    tokens one 2-D stream of whole tiles, one attention core over every row
+    at the canonical key width of its longest — so a row is the same at
+    every width up to 128 and in every batch, on every BLAS kernel CI runs
+    (docs/PERF.md, "One forward layout")."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
-        st.sampled_from(range(len(CANONICAL_PROBES))),
-        st.integers(1, 127),  # the row's cached length
-        st.integers(1, 4),  # its new tokens
-        st.lists(st.integers(1, 120), min_size=1, max_size=5),  # rows beside it
-        st.integers(0, 2**16),
+        which=st.sampled_from(range(len(CANONICAL_PROBES))),
+        head=st.sampled_from(["lm", "scalar"]),
+        kind=st.sampled_from(LAYOUT_KINDS),
+        length=st.integers(1, 127),  # the row's tokens (cached, when cached)
+        beside=st.lists(st.integers(1, 120), max_size=5),  # rows beside it
+        prompt=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
     )
+    @_tiny
     def test_a_row_is_the_same_at_every_width_and_in_every_batch(
-        self, which, cached, t, beside, seed
+        self, which, head, kind, length, beside, prompt, seed
     ):
-        cfg = CANONICAL_PROBES[which]
-        cached = min(cached, cfg.max_seq_len - t)
-        model = TinyLM(cfg, seed=seed % 7)
-        rng = np.random.default_rng(seed)
-        row = rng.integers(0, cfg.vocab_size, size=cached + t)
-        others = [rng.integers(0, cfg.vocab_size, size=n + 1) for n in beside]
-        filler = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len)
-        store = KVStore(cfg, n_slots=2 + len(others))
-        for buffer in store.keys + store.values:
-            buffer[...] = np.nan  # no position past a row's length is read
-        with no_grad():
-            # slot 0 the row, 1 a filler that sets the width, 2.. the others
-            for slot, ids in enumerate([row[:cached], filler[:-1]] + [o[:-1] for o in others]):
-                model.forward(ids[None], cache=store.rows([slot]))
-
-            def decode(slots, offsets, feeds):
-                out = model.forward(
-                    np.stack(feeds), cache=store.rows(slots), pos_offset=np.array(offsets)
-                )
-                return out.data[0]
-
-            new = row[cached:]
-            alone = decode([0], [cached], [new])
-            assert np.array_equal(alone, decode([0, 0], [cached] * 2, [new, new]))
-            for width in range(key_width(cached + t), cfg.max_seq_len + 1, 8):
-                beside_filler = decode([0, 1], [cached, width - t], [new, filler[:t]])
-                assert np.array_equal(alone, beside_filler), width
-            crowd = decode(
-                [0] + list(range(2, 2 + len(others))),
-                [cached] + [len(o) - 1 for o in others],
-                [new] + [np.resize(o[-1:], t) for o in others],
-            )
-            assert np.array_equal(alone, crowd)
+        a_row_is_the_row_alone(which, head, kind, length, beside, prompt, seed)
 
     def test_a_width_past_the_rule_is_rejected(self):
         # past 128 numpy's pairwise sum splits a row at a point that moves
@@ -421,250 +507,92 @@ class TestOneCoreAtACanonicalWidth:
             KVStore(dataclasses.replace(ok, max_seq_len=129), n_slots=1)
 
 
-#: Every layer width a multiple of 8, as in every shipped config: BLAS
-#: treats the last 1-3 columns of a narrower output by a path that depends
-#: on a row's place in the matrix (docs/PERF.md, "padding-free forwards").
-PACKED = TinyLMConfig(
-    n_layers=2,
-    hidden_size=16,
-    n_heads=2,
-    ffn_hidden_size=24,
-    vocab_size=16,
-    max_seq_len=40,
+#: each layout family: the one property's draws with the family fixed
+_DRAWS = dict(
+    which=st.sampled_from(range(len(CANONICAL_PROBES))),
+    head=st.sampled_from(["lm", "scalar"]),
+    beside=st.lists(st.integers(1, 48), max_size=5),
+    prompt=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
 )
-PACKED_MODELS = {
-    head: TinyLM(dataclasses.replace(PACKED, output_head=head), seed=5)
-    for head in ("lm", "scalar")
-}
 
 
 class TestPackedForwardIsThePaddedForward:
-    """With ``lengths`` TinyLM computes each row's real tokens only; on them
-    it is the dense forward bit for bit, its gradients agree to rounding
-    (weight GEMMs reduce over fewer rows), and full rows change nothing."""
-
-    @staticmethod
-    def run(head, ids, lengths, probe):
-        """Forward output and parameter gradients of ``<output, probe>``:
-        log-probs of ``ids`` for the LM head, values for the scalar one."""
-        model = PACKED_MODELS[head]
-        model.zero_grad()
-        if head == "lm":
-            out = model.token_log_probs(ids, lengths)
-        else:
-            out = model.values(ids, lengths)
-        (out * Tensor(probe)).sum().backward()
-        return out.data, {name: p.grad.copy() for name, p in model.params.items()}
+    """EOS-ragged rows compute their real tokens only, each the row alone."""
 
     @pytest.mark.parametrize("residue", range(8))
-    @settings(derandomize=True, max_examples=8, deadline=None)
-    @given(data=st.data())
-    def test_packed_is_padded(self, residue, data):
-        head = data.draw(st.sampled_from(["lm", "scalar"]))
-        t = 8 * data.draw(st.integers(0 if residue >= 2 else 1, 4)) + residue
-        b = data.draw(st.integers(1, 6))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
-        lengths = rng.integers(1, t + 1, size=b)
-        # an LM row of n tokens predicts n - 1 of them
-        computed = lengths - 1 if head == "lm" else lengths
-        width = t - 1 if head == "lm" else t
-        real = np.arange(width) < computed[:, None]
-        probe = rng.normal(size=(b, width)) * real
-
-        dense, dense_grads = self.run(head, ids, None, probe)
-        packed, packed_grads = self.run(head, ids, lengths, probe)
-        assert np.array_equal(packed[real], dense[real])
-        if Packing((b, width), computed).index is not None:
-            assert not packed[~real].any()  # never computed: 0
-        for name, want in dense_grads.items():
-            got = packed_grads[name]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-
-        full, full_grads = self.run(head, ids, np.full(b, t), probe)
-        assert np.array_equal(full, dense)
-        for name, want in dense_grads.items():
-            assert np.array_equal(full_grads[name], want), name
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(tiles=st.integers(0, 5), **_DRAWS)
+    def test_packed_is_padded(self, residue, tiles, which, head, beside, prompt, seed):
+        length = 8 * tiles + residue
+        a_row_is_the_row_alone(which, head, "ragged", length, beside, prompt, seed)
 
     def test_only_real_tokens_enter_the_forward(self):
         lengths = np.array([3, 9, 17, 40])
-        packing = Packing((4, 40), lengths)
-        assert len(packing.index) == lengths.sum()
-        # keys at a width of 16, 24 or 40 (past 40 - 40 % 8 = 40: 40 itself)
-        widths = {tuple(rows.rows): rows.width for rows in packing.groups}
-        assert widths == {(0, 1): 16, (2,): 24, (3,): 40}
-        assert Packing((4, 40), np.full(4, 40)).index is None
-        assert Packing((4, 40)).index is None
+        stream = ag.Stream((4, 40), lengths)
+        assert stream.n == lengths.sum() == 69
+        assert len(stream.index) == 72  # whole tiles: the first 3 repeat
+        assert np.array_equal(stream.index[69:], stream.index[:3])
+        # one core over every row: keys at 40, queries in blocks of 40 from
+        # position 0 in every row, under one mask
+        assert stream.width == 40 and stream.mask.shape == (1, 1, 40, 40)
 
     def test_lengths_pack_whole_rows_only(self, model, config):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError, match="layout"):
             model.forward(
                 tokens(config, seq=4),
                 cache=KVStore(config, 2),
-                lengths=np.array([2, 4]),
+                layout=Layout(np.array([2, 4])),
             )
-        with pytest.raises(ValueError, match="lengths"):
-            model.forward(tokens(config, seq=4), cache=KVStore(config, 2), prefix=2)
 
 
 class TestSharedPromptIsComputedOnce:
-    """Rows that share their first ``prefix`` tokens (a GRPO group's prompt)
-    compute them once: every output is still the dense forward's bit for
-    bit, gradients agree to rounding (the group's prompt gradients are
-    summed before the weight GEMMs), and the stream holds each prompt once."""
+    """Rows that share their prompt (a GRPO group) compute it once, in the
+    first such row; each row is still the row alone."""
 
-    #: head dims 16, 8, 4 (queries start past the prefix) and 2 (they do
-    #: not: a context row would round by its place in the GEMM)
-    MODELS = {
-        (head, n_heads): TinyLM(
-            dataclasses.replace(PACKED, output_head=head, n_heads=n_heads), seed=5
-        )
-        for head in ("lm", "scalar")
-        for n_heads in (1, 2, 4, 8)
-    }
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_shared_prefix_is_the_dense_forward(self, data):
-        head = data.draw(st.sampled_from(["lm", "scalar"]))
-        model = self.MODELS[head, data.draw(st.sampled_from([1, 2, 4, 8]))]
-        t = data.draw(st.integers(3, PACKED.max_seq_len))
-        prefix = data.draw(st.integers(1, t - 1))
-        groups, size = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        b = groups * size
-        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
-        ids[:, :prefix] = np.repeat(
-            rng.integers(0, PACKED.vocab_size, size=(groups, prefix)), size, axis=0
-        )
-        ids = ids[rng.permutation(b)]  # group members need not be adjacent
-        ragged = data.draw(st.booleans())
-        lengths = rng.integers(prefix + 1, t + 1, size=b) if ragged else None
-        full = np.full(b, t) if lengths is None else lengths
-        computed = full - 1 if head == "lm" else full
-        width = t - 1 if head == "lm" else t
-        real = np.arange(width) < computed[:, None]
-        probe = rng.normal(size=(b, width)) * real
-
-        def run(lengths, prefix):
-            model.zero_grad()
-            if head == "lm":
-                out = model.token_log_probs(ids, lengths, prefix)
-            else:
-                out = model.values(ids, lengths, prefix)
-            (out * Tensor(probe)).sum().backward()
-            return out.data, {name: p.grad.copy() for name, p in model.params.items()}
-
-        dense, dense_grads = run(None, 0)
-        shared, shared_grads = run(lengths, prefix)
-        assert np.array_equal(shared[real], dense[real])
-        for name, want in dense_grads.items():
-            got = shared_grads[name]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(length=st.integers(2, 48), **_DRAWS)
+    def test_shared_prefix_is_the_dense_forward(self, length, which, head, beside, prompt, seed):
+        a_row_is_the_row_alone(which, head, "grpo", length, beside, prompt, seed)
 
     def test_each_prompt_enters_the_stream_once(self):
         # two groups of three rows, prompt of 5; the LM trunk shares 4
         # positions, so each row still predicts its own first response token
-        ids = np.repeat(np.arange(12).reshape(2, 6) % PACKED.vocab_size, 3, axis=0)
+        ids = np.repeat(np.arange(12).reshape(2, 6), 3, axis=0)
         ids[:, 5] = np.arange(6)
-        lengths = np.array([6, 6, 5, 6, 4, 6])
-        packing = Packing((6, 6), lengths, np.array([0, 0, 0, 3, 3, 3]), 4)
-        assert len(packing.index) == lengths.sum() - 4 * 4
-        # each follower's first 4 positions read its leader's same positions
-        at, read = packing.shared.at, packing.index[packing.shared.src]
-        assert sorted(at.tolist()) == [r * 6 + p for r in (1, 2, 4, 5) for p in range(4)]
-        assert np.array_equal(read % 6, at % 6)
-        assert np.array_equal(read // 6, np.array([0, 0, 0, 3, 3, 3])[at // 6])
-        # no two rows share: the packed forward of the parent, unchanged
-        plain = Packing((6, 6), lengths)
-        assert plain.shared is None and len(plain.index) == lengths.sum()
+        leaders = np.array([0, 0, 0, 3, 3, 3])
+        stream = ag.Stream((6, 6), np.array([6, 6, 5, 6, 4, 6]), leaders, 4)
+        assert stream.n == 33 - 4 * 4
+        # each follower's first 4 key positions read its leader's tokens
+        row, pos = np.divmod(stream.keys.at, stream.width)
+        read = stream.index[stream.keys.src]
+        assert np.array_equal(read % 6, pos)
+        assert np.array_equal(read // 6, np.where(pos < 4, leaders[row], row))
+        # no two rows share: every row computes every token
+        assert ag.Stream((6, 6), np.array([6, 6, 5, 6, 4, 6])).n == 33
 
 
 class TestOnlyReadPositionsAreComputed:
-    """``read_from`` returns the positions from it on, and the last layer
-    computes only those: its queries, output projection, MLP, final norm
-    and head (keys and values still at every position).  Outputs are the
-    full forward's bit for bit, and so are the gradients, except the last
-    layer's weight gradients, whose GEMMs reduce over fewer token rows."""
+    """A tail from ``prompt_length - 1`` on: the last layer's queries, MLP
+    and head run at the returned positions only; each is the row alone."""
 
-    MODELS = TestSharedPromptIsComputedOnce.MODELS
-    #: the parameters whose gradients may round differently
-    LAST = (f"layers.{PACKED.n_layers - 1}.", "final_norm.", "lm_head.", "value_head.")
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(length=st.integers(2, 48), **_DRAWS)
+    def test_tail_is_the_full_forward(self, length, which, head, beside, prompt, seed):
+        mlp_tokens = []
+        swiglu_mlp = ag.swiglu_mlp
 
-    @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_tail_is_the_full_forward(self, data):
-        head = data.draw(st.sampled_from(["lm", "scalar"]))
-        model = self.MODELS[head, data.draw(st.sampled_from([1, 2, 4, 8]))]
-        prompt = data.draw(st.integers(1, 20))
-        t = prompt + data.draw(st.integers(1, PACKED.max_seq_len - prompt))
-        b = data.draw(st.integers(1, 6))
-        rows = data.draw(st.sampled_from(["dense", "eos", "grpo"]))
-        grad = data.draw(st.booleans())
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        ids = rng.integers(0, PACKED.vocab_size, size=(b, t))
-        lengths, prefix, leaders = None, 0, np.arange(b)
-        if rows == "grpo":
-            size = data.draw(st.integers(1, b))
-            leaders = np.arange(b) // size * size
-            ids[:, :prompt] = ids[leaders, :prompt]
-            prefix = prompt
-        if rows == "eos" or rows == "grpo" and data.draw(st.booleans()):
-            lengths = rng.integers(prompt + 1, t + 1, size=b)
-        read_from = prompt - 1
+        def spy(x, *args, **kwargs):
+            mlp_tokens.append(len(x.data))
+            return swiglu_mlp(x, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ag, "swiglu_mlp", spy)
+            lengths, prompt, out = a_row_is_the_row_alone(
+                which, head, "tail", length, beside, prompt, seed
+            )
         lm = head == "lm"
-        # an LM row of n tokens predicts n - 1 of them, from its first
-        computed = (np.full(b, t) if lengths is None else lengths) - lm
-        shared = np.minimum(np.minimum(computed, computed[leaders]), prefix - lm)
-        own_from = np.where(leaders == np.arange(b), 0, shared)
-        returned = np.maximum(computed - np.maximum(own_from, read_from), 0).sum()
-        width = t - lm
-        real = np.arange(width)[read_from:] < computed[:, None]
-        probe = rng.normal(size=real.shape) * real
-
-        def run(start):
-            model.zero_grad()
-            mlp_tokens = []
-            swiglu_mlp = ag.swiglu_mlp
-
-            def spy(x, *args, **kwargs):
-                mlp_tokens.append(x.data.size // x.shape[-1])
-                return swiglu_mlp(x, *args, **kwargs)
-
-            forward = model.token_log_probs if lm else model.values
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ag, "swiglu_mlp", spy)
-                with contextlib.nullcontext() if grad else no_grad():
-                    out = forward(ids, lengths, prefix, start)
-            if grad:
-                weights = probe if start else np.pad(probe, ((0, 0), (read_from, 0)))
-                (out * Tensor(weights)).sum().backward()
-            grads = {
-                n: p.grad.copy() for n, p in model.params.items() if p.grad is not None
-            }
-            return out.data, grads, mlp_tokens[-1]
-
-        full, full_grads, _ = run(0)
-        tail, tail_grads, last_mlp = run(read_from)
-        assert np.array_equal(tail, full[:, read_from:])
-        if returned >= 2:  # one token would be a GEMV: the full forward runs
-            assert last_mlp == returned
-        assert tail_grads.keys() == full_grads.keys()
-        for name, want in full_grads.items():
-            got = tail_grads[name]
-            if name.startswith(self.LAST):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-            else:
-                assert np.array_equal(got, want), name
-
-    def test_dense_tail_is_a_view_of_the_grid(self):
-        packing = Packing((3, 10), read_from=4, offset_queries=True)
-        assert packing.index is None and packing.tail.index is None
-        assert packing.tail.reads == (slice(None), slice(4, None))
-        # a head dim whose queries cannot start past 0: the stream packs
-        narrow = Packing((3, 10), read_from=4).tail
-        assert narrow.index.tolist() == [
-            r * 10 + p for r in range(3) for p in range(4, 10)
-        ]
-        # under two returned tokens: no tail
-        assert Packing((1, 10), read_from=9, offset_queries=True).tail.read_from == 0
+        returned = np.maximum(lengths - lm - max(prompt - 1, 0), 0).sum()
+        # the layout's last layer, before the rows alone
+        n_layers = CANONICAL_PROBES[which].n_layers
+        assert mlp_tokens[n_layers - 1] == -(-returned // 4) * 4

@@ -235,17 +235,19 @@ class TestGRPO:
 
 class TestEosRaggedRuns:
     """Trainer-level runs over EOS-ragged batches: every scoring and
-    training forward packs each row's real tokens."""
+    training forward lays out each row's real tokens."""
 
     @staticmethod
     def run_twice(monkeypatch, algo, **kwargs):
         packed = []
         trunk = TinyLM._trunk
 
-        def spy(model, *args):
-            x, packing = trunk(model, *args)
-            packed.append(packing.index is not None)
-            return x, packing
+        def spy(model, token_ids, cache, pos_offset, layout, shift=0):
+            # a forward laid out rows whose real tokens end before its grid's
+            lengths = None if layout is None else layout.lengths
+            seq = np.shape(token_ids)[1] + shift
+            packed.append(lengths is not None and bool((lengths < seq).any()))
+            return trunk(model, token_ids, cache, pos_offset, layout, shift)
 
         monkeypatch.setattr(TinyLM, "_trunk", spy)
         runs = []
@@ -256,7 +258,7 @@ class TestEosRaggedRuns:
         assert runs[0] == runs[1]
         values = [v for v in runs[0][0][0].values() if isinstance(v, float)]
         assert values and np.isfinite(values).all()
-        assert any(packed)  # EOS left ragged rows, and a forward packed them
+        assert any(packed)  # EOS left ragged rows, and a forward laid them out
 
     def test_grpo_through_the_server(self, monkeypatch):
         self.run_twice(
