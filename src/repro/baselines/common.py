@@ -7,6 +7,7 @@ from typing import Dict
 
 from repro.config import ClusterSpec, ModelSpec, ParallelConfig, RlhfWorkload
 from repro.mapping.auto_parallel import ModelRole, auto_parallel
+from repro.mapping.device_mapping import InfeasibleScenario
 from repro.perf.iteration import IterationBreakdown
 
 
@@ -25,10 +26,6 @@ class SystemEstimate:
 
     def throughput(self, workload: RlhfWorkload) -> float:
         return self.breakdown.throughput(workload)
-
-
-class InfeasibleScenario(RuntimeError):
-    """The scenario cannot run on this system (OOM at every configuration)."""
 
 
 def choose_3d_parallel(

@@ -43,7 +43,7 @@ from repro.config import (
     RlhfWorkload,
 )
 from repro.hybrid_engine.overhead import EngineKind, transition_overhead
-from repro.mapping import map_dataflow
+from repro.mapping import ClusterZone, map_dataflow
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time
 from repro.rlhf.core import AlgoType
@@ -107,6 +107,12 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _cluster(args: argparse.Namespace) -> ClusterSpec:
+    if args.machines < 1:
+        raise UsageError(f"--machines must be >= 1, got {args.machines}")
+    return ClusterSpec(n_machines=args.machines)
+
+
 def _workload(args: argparse.Namespace) -> RlhfWorkload:
     return RlhfWorkload(
         prompt_length=args.prompt_length,
@@ -124,7 +130,7 @@ def _specs(args: argparse.Namespace):
 
 def cmd_throughput(args: argparse.Namespace) -> int:
     algo, specs = _specs(args)
-    cluster = ClusterSpec(n_machines=args.machines)
+    cluster = _cluster(args)
     wl = _workload(args)
     print(
         f"{algo.value} / {args.model} on {cluster.n_gpus} GPUs "
@@ -152,11 +158,19 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     return 0
 
 
+def _map(algo, specs, cluster, wl):
+    """``map_dataflow``; a search that finds no feasible mapping fails the run."""
+    try:
+        return map_dataflow(algo, specs, cluster, wl)
+    except InfeasibleScenario as exc:
+        raise RunFailed(str(exc)) from None
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     algo, specs = _specs(args)
-    cluster = ClusterSpec(n_machines=args.machines)
+    cluster = _cluster(args)
     wl = _workload(args)
-    result = map_dataflow(algo, specs, cluster, wl)
+    result = _map(algo, specs, cluster, wl)
     print(f"best mapping for {algo.value} / {args.model} on {cluster.n_gpus} GPUs:")
     print(f"  {result.describe()}")
     for model, choice in result.strategies.items():
@@ -178,7 +192,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_transition(args: argparse.Namespace) -> int:
     spec = MODEL_SPECS[args.model]
-    cluster = ClusterSpec(n_machines=args.machines)
+    cluster = _cluster(args)
     train = ParallelConfig(pp=args.pp, tp=args.tp, dp=args.dp)
     gen = GenParallelConfig.derive(train, args.gen_pp, args.gen_tp)
     print(
@@ -212,7 +226,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
 
 def cmd_sweep_gen(args: argparse.Namespace) -> int:
     spec = MODEL_SPECS[args.model]
-    cluster = ClusterSpec(n_machines=args.machines)
+    cluster = _cluster(args)
     wl = _workload(args)
     train = ParallelConfig(pp=args.pp, tp=args.tp, dp=args.dp)
     print(
@@ -248,28 +262,26 @@ def cmd_sweep_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_map_hetero(args: argparse.Namespace) -> int:
-    from repro.mapping.heterogeneous import (
-        ClusterZone,
-        map_dataflow_heterogeneous,
-    )
-
     algo, specs = _specs(args)
     wl = _workload(args)
-    zone_args = args.zones or ["a100:A100-80GB:1", "h100:H100-80GB:1"]
     zones = []
-    for entry in zone_args:
+    for entry in args.zones or ["a100:A100-80GB:1", "h100:H100-80GB:1"]:
         try:
             name, gpu_name, machines = entry.split(":")
-            gpu = GPU_SPECS[gpu_name]
+            zone = ClusterZone(
+                name, ClusterSpec(n_machines=int(machines), gpu=GPU_SPECS[gpu_name])
+            )
         except (ValueError, KeyError):
             raise UsageError(
                 f"bad --zone {entry!r}; expected NAME:GPU:MACHINES with GPU "
                 f"in {sorted(GPU_SPECS)}"
             ) from None
-        zones.append(
-            ClusterZone(name, ClusterSpec(n_machines=int(machines), gpu=gpu))
-        )
-    result = map_dataflow_heterogeneous(algo, specs, zones, wl)
+        if zone.n_gpus < 1:
+            raise UsageError(f"bad --zone {entry!r}; MACHINES must be >= 1")
+        if any(z.name == name for z in zones):
+            raise UsageError(f"bad --zone {entry!r}; zone {name!r} is named twice")
+        zones.append(zone)
+    result = _map(algo, specs, zones, wl)
     total = sum(z.n_gpus for z in zones)
     print(
         f"best heterogeneous mapping for {algo.value} / {args.model} over "

@@ -5,7 +5,8 @@ partitions of the dataflow's models), find the minimum feasible GPU
 allocation of each colocated set, enumerate allocations, pick each model's
 parallelism with Algorithm 2 (:func:`auto_parallel`), and score candidates
 with the ``d_cost`` iteration model — returning the mapping with minimal
-estimated RLHF iteration latency.
+estimated RLHF iteration latency, on one homogeneous cluster or over
+``ClusterZone`` s of different devices.
 """
 
 from repro.mapping.placement_enum import (
@@ -14,19 +15,18 @@ from repro.mapping.placement_enum import (
     set_partitions,
 )
 from repro.mapping.auto_parallel import ModelRole, StrategyChoice, auto_parallel
-from repro.mapping.device_mapping import MappingResult, map_dataflow
-from repro.mapping.heterogeneous import (
+from repro.mapping.device_mapping import (
     ClusterZone,
-    HeterogeneousMapping,
-    map_dataflow_heterogeneous,
+    InfeasibleScenario,
+    MappingResult,
+    map_dataflow,
 )
 
 __all__ = [
     "ClusterZone",
-    "HeterogeneousMapping",
+    "InfeasibleScenario",
     "MappingResult",
     "ModelRole",
-    "map_dataflow_heterogeneous",
     "StrategyChoice",
     "allowed_allocations",
     "auto_parallel",

@@ -1,4 +1,4 @@
-"""Algorithm 2: per-model parallelism search with cached ``simu`` estimates.
+"""Algorithm 2: per-model parallelism search, cached, priced by ``simu``.
 
 For a model allocated ``A`` GPUs, enumerate tensor-parallel sizes up to one
 machine (``U``) and pipeline sizes up to the machine count, derive the DP
@@ -6,17 +6,21 @@ size, reject configurations that do not fit in memory, and keep the strategy
 with minimal estimated latency for the model's workload (training for
 actor/critic, inference for reference/reward, with the actor's generation
 strategy searched separately over divisors of its model-parallel size).
+Every estimate is :func:`repro.perf.iteration.call_latency`, the stage
+dispatch Algorithm 1's ``d_cost`` replay prices its calls with.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Optional, Tuple
 
 from repro.config import ClusterSpec, ModelSpec, ParallelConfig, RlhfWorkload
+from repro.perf.iteration import GenerationPlan, ModelExecution, call_latency
 from repro.perf.memory import MemoryModel
-from repro.perf.simu import Stage, simulate_latency
+from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING
 
 
 class ModelRole(str, enum.Enum):
@@ -38,11 +42,9 @@ class StrategyChoice:
     gen_latency: Optional[float] = None
 
 
-_CACHE: Dict[Tuple, StrategyChoice] = {}
-
-
 def clear_cache() -> None:
-    _CACHE.clear()
+    """Forget every cached strategy (a cold search, as Figure 16 times it)."""
+    auto_parallel.cache_clear()
 
 
 def _fits_memory(
@@ -78,15 +80,16 @@ def search_generation_strategy(
                 continue
             if mp % (gen_tp * gen_pp):
                 continue
-            latency = simulate_latency(
-                Stage.GENERATION,
-                spec,
-                cluster,
-                train,
-                workload,
-                gen_tp=gen_tp,
-                gen_pp=gen_pp,
+            plan = GenerationPlan(
+                tp=gen_tp,
+                pp=gen_pp,
+                n_replicas=train.world_size // (gen_tp * gen_pp),
+                pool="actor",
                 reserved_bytes=reserved_bytes,
+            )
+            latency = call_latency(
+                GENERATION, ModelExecution(spec, "actor", train), plan,
+                workload, cluster,
             )
             if best is None or latency < best[2]:
                 best = (gen_tp, gen_pp, latency)
@@ -94,6 +97,7 @@ def search_generation_strategy(
     return best
 
 
+@functools.cache
 def auto_parallel(
     spec: ModelSpec,
     cluster: ClusterSpec,
@@ -105,22 +109,10 @@ def auto_parallel(
     reserved_bytes: float = 0.0,
 ) -> Optional[StrategyChoice]:
     """Best parallel strategy for ``spec`` on ``n_gpus`` GPUs, or None if no
-    configuration fits in memory (the caller then grows the allocation)."""
-    key = (
-        spec.name,
-        cluster.n_gpus,
-        cluster.gpus_per_machine,
-        n_gpus,
-        role,
-        min_tp,
-        min_pp,
-        round(reserved_bytes),
-        workload.global_batch_size,
-        workload.seq_length,
-    )
-    if key in _CACHE:
-        return _CACHE[key]
+    configuration fits in memory (the caller then grows the allocation).
 
+    Cached on the whole input — the frozen specs and workload included — so a
+    zone of one device never reuses a strategy searched on another."""
     machine = cluster.gpus_per_machine
     best: Optional[StrategyChoice] = None
     tp = min_tp
@@ -130,13 +122,10 @@ def auto_parallel(
             if n_gpus % (tp * pp) == 0:
                 parallel = ParallelConfig(pp=pp, tp=tp, dp=n_gpus // (tp * pp))
                 if _fits_memory(spec, cluster, parallel, workload, role):
-                    stage = (
-                        Stage.INFERENCE
-                        if role is ModelRole.SCORER
-                        else Stage.TRAINING
-                    )
-                    latency = simulate_latency(
-                        stage, spec, cluster, parallel, workload
+                    stage = PREPARATION if role is ModelRole.SCORER else TRAINING
+                    latency = call_latency(
+                        stage, ModelExecution(spec, role.value, parallel), None,
+                        workload, cluster,
                     )
                     choice = StrategyChoice(parallel=parallel, latency=latency)
                     if role is ModelRole.ACTOR:
@@ -154,6 +143,4 @@ def auto_parallel(
                         best = choice
             pp *= 2
         tp *= 2
-    if best is not None:
-        _CACHE[key] = best
     return best

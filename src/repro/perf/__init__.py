@@ -15,11 +15,11 @@ from repro.perf.memory import MemoryModel, StageMemory
 from repro.perf.compute import inference_latency, training_latency
 from repro.perf.generation import GenerationEstimate, generation_latency
 from repro.perf.transition import transition_time
-from repro.perf.simu import Stage, simulate_latency
 from repro.perf.iteration import (
     GenerationPlan,
     IterationBreakdown,
     ModelExecution,
+    call_latency,
     estimate_iteration,
 )
 from repro.perf.pipeline import (
@@ -42,11 +42,11 @@ __all__ = [
     "ModelExecution",
     "bubble_fraction",
     "bubble_multiplier",
+    "call_latency",
     "compare_records",
     "run_bench",
     "gpipe_schedule",
     "MemoryModel",
-    "Stage",
     "StageMemory",
     "estimate_iteration",
     "expected_goodput",
@@ -56,7 +56,6 @@ __all__ = [
     "mean_time_to_recover",
     "measured_interval_study",
     "optimal_checkpoint_interval",
-    "simulate_latency",
     "training_latency",
     "transition_time",
 ]

@@ -28,6 +28,13 @@ class TestCommands:
         assert "HybridFlow" in out
         assert "speedup vs" in out
 
+    def test_throughput_reports_infeasible_systems(self, capsys):
+        """HybridFlow's search raises the baselines' ``InfeasibleScenario``,
+        so a scenario no system fits prints a row per system, not a traceback."""
+        assert main(["throughput", "--model", "llama-70b", "--machines", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4 and all(" OOM " in row for row in rows)
+
     def test_map(self, capsys):
         assert main(["map", "--model", "llama-7b", "--machines", "1"]) == 0
         out = capsys.readouterr().out
@@ -133,6 +140,14 @@ class TestUsageErrors:
             (["fleet", "--kill-rack", "0", "--machines-per-rack", "0"],
              "--machines-per-rack"),
             (["fleet", "--jobs", "0"], "--jobs"),
+            # tracebacks from int(), ClusterZone and map_dataflow
+            (["map", "--machines", "0"], "--machines must be >= 1"),
+            (["throughput", "--machines", "-1"], "--machines must be >= 1"),
+            (["map-hetero", "--zone", "a:A100-80GB:x"], "bad --zone 'a:A100-80GB:x'"),
+            (["map-hetero", "--zone", "a:A100-80GB:0"], "MACHINES must be >= 1"),
+            (["map-hetero", "--zone", "a:A100-80GB:-2"], "MACHINES must be >= 1"),
+            (["map-hetero", "--zone", "a:A100-80GB:1", "--zone", "a:H100-80GB:1"],
+             "zone 'a' is named twice"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
     )
@@ -141,6 +156,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--model", "llama-70b", "--machines", "1"],
+            ["map-hetero", "--model", "llama-70b"],
+        ],
+        ids=" ".join,
+    )
+    def test_no_feasible_mapping_is_exit_1_with_one_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("no feasible mapping for")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_a_run_that_fails_is_exit_1_not_usage(self, capsys):
         # one machine, and it dies: a real failure, detected mid-run

@@ -6,7 +6,6 @@ import pytest
 from repro.config import (
     ClusterSpec,
     GenParallelConfig,
-    ParallelConfig,
     RlhfWorkload,
     MODEL_SPECS,
 )
@@ -87,18 +86,6 @@ class TestTimelinePaths:
 
 
 class TestSimulatorValidation:
-    def test_unknown_generation_args_default_to_training(self):
-        from repro.perf.simu import Stage, simulate_latency
-
-        latency = simulate_latency(
-            Stage.GENERATION,
-            MODEL_SPECS["llama-7b"],
-            ClusterSpec(n_machines=1),
-            ParallelConfig(1, 8, 1),
-            RlhfWorkload(),
-        )
-        assert latency > 0
-
     def test_memory_model_validation(self):
         from repro.cluster.device import DeviceMemory, SimDevice
         from repro.config import GpuSpec

@@ -19,10 +19,10 @@ from repro.perf.generation import GenerationEstimate, generation_latency
 from repro.perf.iteration import (
     GenerationPlan,
     ModelExecution,
+    call_latency,
     estimate_iteration,
 )
 from repro.perf.memory import MemoryModel
-from repro.perf.simu import Stage, simulate_latency
 from repro.perf.transition import transition_time, weight_sync_time
 from repro.rlhf.core import AlgoType
 from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING
@@ -229,13 +229,24 @@ class TestTransitionModel:
 
 class TestSimulateLatency:
     def test_dispatch_per_stage(self):
+        """``call_latency`` is the one stage dispatch (the paper's ``simu``):
+        Algorithm 2 searches with it and the iteration replay prices with it."""
         c = cluster(1)
         p = ParallelConfig(1, 8, 1)
-        t = simulate_latency(Stage.TRAINING, SPEC7, c, p, WL)
-        i = simulate_latency(Stage.INFERENCE, SPEC7, c, p, WL)
-        g = simulate_latency(Stage.GENERATION, SPEC7, c, p, WL, gen_tp=2, gen_pp=1)
+        execution = ModelExecution(SPEC7, "actor", p)
+        plan = GenerationPlan(tp=2, pp=1, n_replicas=4, pool="actor")
+        t = call_latency(TRAINING, execution, None, WL, c)
+        i = call_latency(PREPARATION, execution, None, WL, c)
+        g = call_latency(GENERATION, execution, plan, WL, c)
         assert t > i > 0
         assert g > 0
+        assert t == training_latency(SPEC7, c, p, WL)
+        assert i == inference_latency(SPEC7, c, p, WL)
+        assert g == generation_latency(SPEC7, c, 2, 1, 4, WL).total
+        # a model's own cluster overrides the job's, as a zone's does
+        v100 = dataclasses.replace(c, gpu=dataclasses.replace(c.gpu, peak_flops=125e12))
+        on_v100 = dataclasses.replace(execution, cluster=v100)
+        assert call_latency(TRAINING, on_v100, None, WL, c) == training_latency(SPEC7, v100, p, WL)
 
 
 class TestIterationEstimate:
