@@ -3,7 +3,7 @@
 Each subcommand parses its flags, calls the function that does the work —
 the analytic models of ``repro.perf``/``repro.mapping``, or a
 self-verifying flow beside its subsystem (``runtime.train_with_recovery``,
-``pipeline.overlap_study``, ``perf.continuous_batching.cross_check_engine``,
+``pipeline.overlap_study``, ``serving.RolloutServer``,
 ``fleet.FleetScheduler``, ``analysis``) — and prints what came back.
 ``python -m repro.cli --help`` lists the subcommands; ``<subcommand>
 --help`` its flags.  Bad arguments exit 2 with a message on stderr before
@@ -489,15 +489,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.models.tinylm import TinyLM
-    from repro.perf.continuous_batching import (
-        cross_check_engine,
-        sample_response_lengths,
-    )
     from repro.runtime import TINY_LM
-    from repro.serving import RolloutServer, ServingConfig
+    from repro.serving import (
+        RolloutServer,
+        ServingConfig,
+        sample_response_lengths,
+        static_wave_steps,
+    )
 
     if args.priority_levels < 1:
         raise UsageError("--priority-levels must be >= 1")
+    if args.arrival_rate < 0:
+        raise UsageError("--arrival-rate must be >= 0 (0 = all at once)")
     rng = np.random.default_rng(args.seed)
     try:  # everything up to the drain is set-up: its ValueErrors are usage
         cfg = dataclasses.replace(
@@ -545,20 +548,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for line in report.summary_lines():
         print(f"  {line}")
 
-    check = cross_check_engine(report, args.slots)
+    static_steps = static_wave_steps(
+        [r.response_length for r in report.completed], args.slots
+    )
     print(
-        f"  static wave batching : {check.static_steps} steps for the same "
-        f"responses ({check.static_steps / max(report.n_steps, 1):.2f}x the "
+        f"  static wave batching : {static_steps} steps for the same "
+        f"responses ({static_steps / max(report.n_steps, 1):.2f}x the "
         f"engine's {report.n_steps})"
     )
-    if check.matched:
-        print(
-            f"  analytic cross-check : engine {report.n_steps} steps / "
-            f"{report.slot_utilisation:.3f} util vs model {check.n_steps} / "
-            f"{check.slot_utilisation:.3f} [{'ok' if check.ok else 'MISMATCH'}]"
-        )
-        if not check.ok:
-            raise RunFailed("engine disagrees with repro.perf.continuous_batching")
     return 0
 
 
@@ -1099,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TOKEN",
         help=(
             "sample with this EOS token id (default: greedy decode to each "
-            "request's target length, enabling the analytic cross-check)"
+            "request's target length)"
         ),
     )
     p.add_argument(

@@ -1,10 +1,11 @@
 """Rollout serving: paged KV blocks + continuous batching over TinyLM (§2.3).
 
-The functional counterpart of :mod:`repro.perf.continuous_batching` — an
-engine that actually decodes requests with iteration-level scheduling,
+An engine that actually decodes requests with iteration-level scheduling,
 paged KV-cache block management charged to simulated device memory, priority
 queues with aging, preempt-and-recompute under block pressure, and
-per-request TTFT/TPOT/latency/SLO accounting.
+per-request TTFT/TPOT/latency/SLO accounting.  Over the :class:`LengthPlan`
+stand-in model it drains planned response lengths: the Orca schedule the
+§8.1 continuous-batching ablation prices.
 """
 
 from repro.serving.paged_kv import (
@@ -14,12 +15,21 @@ from repro.serving.paged_kv import (
 )
 from repro.serving.request import CompletedRequest, Request, RequestState
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
-from repro.serving.server import RolloutServer, ServingConfig, ServingReport
+from repro.serving.server import (
+    LengthPlan,
+    RolloutServer,
+    ServingConfig,
+    ServingReport,
+    sample_response_lengths,
+    serve_length_plan,
+    static_wave_steps,
+)
 
 __all__ = [
     "BlockExhausted",
     "CompletedRequest",
     "ContinuousBatchScheduler",
+    "LengthPlan",
     "PagedKVCache",
     "Request",
     "RequestState",
@@ -28,4 +38,7 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "kv_bytes_per_token",
+    "sample_response_lengths",
+    "serve_length_plan",
+    "static_wave_steps",
 ]

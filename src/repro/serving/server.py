@@ -3,10 +3,10 @@
 The serving engine the generation stage of §2.3 assumes, made functional:
 requests arrive (possibly bursty, possibly prioritised), the scheduler
 refills decode slots every step, the paged block manager charges simulated
-device memory, and each occupied slot emits exactly one token per step —
-the same step accounting as the analytical model in
-:mod:`repro.perf.continuous_batching`, so the two can be cross-checked on
-matched workloads.
+device memory, and each occupied slot emits exactly one token per step.
+Run over :class:`LengthPlan`, a stand-in model whose responses are planned
+lengths, a drain *is* the Orca schedule of those lengths: the §8.1
+continuous-batching ablation reads it there.
 
 Every step runs one ``model.forward`` per *feed length*: all one-token
 decodes share a forward whatever their KV lengths, and admissions or
@@ -28,12 +28,13 @@ arrival/first-token/finish stamps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+import types
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.device import SimDevice
-from repro.models.autograd import no_grad
+from repro.models.autograd import Tensor, no_grad
 from repro.models.sampler import decode_step
 from repro.models.tinylm import KVStore, TinyLM
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
@@ -82,6 +83,11 @@ class ServingConfig:
         # else the simulated clock stands still or runs backwards
         if self.step_time <= 0:
             raise ValueError(f"step_time must be > 0, got {self.step_time}")
+        # else no request could ever meet the SLO
+        for name in ("slo_ttft", "slo_latency"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be None or > 0, got {value}")
 
 
 @dataclasses.dataclass
@@ -164,8 +170,9 @@ class ServingReport:
         return reasons
 
     @staticmethod
-    def _fmt_stat(value: Optional[float]) -> str:
-        return "n/a" if value is None else f"{value:.4f}"
+    def _fmt_seconds(*values: Optional[float]) -> str:
+        text = " / ".join("n/a" if v is None else f"{v:.4f}" for v in values)
+        return text if None in values else f"{text} s"
 
     def summary_lines(self) -> List[str]:
         reasons = ", ".join(
@@ -183,11 +190,11 @@ class ServingReport:
             f"({self.reused_prompt_tokens} prompt tokens not prefilled)",
             f"peak KV blocks       : {self.peak_kv_blocks}/{self.kv_blocks_total} "
             f"({self.peak_kv_bytes} bytes)",
-            f"TTFT mean / p95      : {self._fmt_stat(self.mean_ttft())} / "
-            f"{self._fmt_stat(self.p95_ttft())} s",
-            f"TPOT mean            : {self._fmt_stat(self.mean_tpot())} s",
-            f"latency mean / p95   : {self._fmt_stat(self.mean_latency())} / "
-            f"{self._fmt_stat(self.p95_latency())} s",
+            f"TTFT mean / p95      : "
+            f"{self._fmt_seconds(self.mean_ttft(), self.p95_ttft())}",
+            f"TPOT mean            : {self._fmt_seconds(self.mean_tpot())}",
+            f"latency mean / p95   : "
+            f"{self._fmt_seconds(self.mean_latency(), self.p95_latency())}",
         ]
         attainment = self.slo_attainment()
         if attainment is not None:
@@ -352,12 +359,11 @@ class RolloutServer:
         """One engine iteration: refill slots, emit one token per slot.
 
         Every occupied slot emits exactly one token (admitted requests
-        prefill and sample their first token in the same step), matching the
-        step accounting of ``repro.perf.continuous_batching
-        .serve_continuous``.  Runners are walked in rank order to reserve
-        the block their next token needs; a reservation evicts only runners
-        ranked after the requester — ones the walk has not reached — so
-        whatever already joined a cohort keeps its blocks and its slot.
+        prefill and sample their first token in the same step): Orca's step
+        accounting.  Runners are walked in rank order to reserve the block
+        their next token needs; a reservation evicts only runners ranked
+        after the requester — ones the walk has not reached — so whatever
+        already joined a cohort keeps its blocks and its slot.
         Then each cohort — the runners feeding the same number of tokens —
         takes one forward.  A fresh request whose prompt another runner
         prefills this step, or holds from its own prompt prefill, takes no
@@ -600,3 +606,77 @@ class RolloutServer:
             "Peak KV blocks in use",
         ).set_max(report.peak_kv_blocks)
         return report
+
+
+# -- planned response lengths ----------------------------------------------------------
+
+
+def sample_response_lengths(
+    n_requests: int,
+    mean_length: int,
+    max_length: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Geometric-ish response lengths clipped to ``max_length`` (real RLHF
+    generation lengths are highly skewed)."""
+    if n_requests < 1 or mean_length < 1 or max_length < mean_length:
+        raise ValueError(
+            f"bad request shape: n={n_requests}, mean={mean_length}, "
+            f"max={max_length}"
+        )
+    lengths = rng.geometric(1.0 / mean_length, size=n_requests)
+    return np.clip(lengths, 1, max_length).astype(np.int64)
+
+
+def static_wave_steps(lengths: Sequence[int], capacity: int) -> int:
+    """Decode steps of static wave batching: each wave of ``capacity``
+    requests, in order, runs until its longest member finishes."""
+    return int(sum(max(lengths[i : i + capacity]) for i in range(0, len(lengths), capacity)))
+
+
+class LengthPlan:
+    """Stand-in model: fed token ``x`` it predicts ``x - 1``, and EOS is 0.
+
+    Served greedily with ``eos_token_id=0``, a request prompted ``[L]``
+    emits exactly ``L`` tokens, so draining planned response lengths runs
+    the engine's own schedule of them, at any length (a TinyLM caps
+    ``max_seq_len`` at ``MAX_KEY_WIDTH``).  It writes no keys or values:
+    nothing reads them.
+    """
+
+    def __init__(self, max_length: int) -> None:
+        # what the engine reads of a model config, at one layer of width 1
+        self.config = types.SimpleNamespace(
+            output_head="lm",
+            vocab_size=max_length + 1,
+            max_seq_len=max_length + 1,
+            n_layers=1,
+            hidden_size=1,
+            n_heads=1,
+            head_dim=1,
+        )
+
+    def forward(self, token_ids: np.ndarray, cache=None, pos_offset=0) -> Tensor:
+        """Last-position logits ``(rows, 1, vocab)``, one-hot at ``x - 1``."""
+        last = np.asarray(token_ids, dtype=np.int64)[:, -1]
+        logits = np.zeros((len(last), 1, self.config.vocab_size), dtype=np.float64)
+        logits[np.arange(len(last)), 0, last - 1] = 1.0
+        return Tensor(logits)
+
+
+def serve_length_plan(lengths: Sequence[int], max_slots: int) -> ServingReport:
+    """Drain requests of planned response ``lengths``, all queued at t=0 in
+    that order, through ``max_slots`` slots of a :class:`LengthPlan` server.
+
+    One step is one simulated second, so a request ran steps
+    ``first_token_time - 1`` up to ``first_token_time - 1 +
+    response_length``.
+    """
+    longest = int(max(lengths))
+    server = RolloutServer(
+        LengthPlan(longest),
+        ServingConfig(max_slots=max_slots, eos_token_id=0, greedy=True, step_time=1.0),
+    )
+    for length in lengths:
+        server.submit(np.array([length]), max_new_tokens=longest)
+    return server.drain()

@@ -10,12 +10,13 @@ the generic array ops.  ``TinyLM``'s former body and the former tape-built
 RLHF losses are written with them; the fused primitives in
 ``repro.models.autograd`` and ``repro.rlhf.losses`` are graded against
 those compositions.  :func:`estimate_iteration_reference` is the stage-sum
-iteration model the cost model's timeline replay is graded against.
+iteration model the cost model's timeline replay is graded against, and
+:func:`orca_trace_reference` the Orca schedule the rollout server's drain is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -807,3 +808,29 @@ def estimate_iteration_reference(
         training=training,
         data_transfer=data_transfer,
     )
+
+
+# -- the Orca schedule ---------------------------------------------------------------
+
+
+def orca_trace_reference(lengths: Sequence[int], capacity: int) -> List[Tuple[int, float]]:
+    """Per-step ``(n_active, mean_progress)`` of Orca's iteration-level
+    schedule of response ``lengths`` on ``capacity`` slots, all queued at
+    once: before each step free slots take queued requests in order, every
+    occupied slot emits one token, and a request leaves the step it emits
+    its last.  The analytic twin the rollout server was once checked against
+    (``tests/golden/orca_schedules.json`` holds its priced schedules)."""
+    remaining: List[int] = [int(x) for x in lengths]
+    active: List[int] = []
+    progress: List[int] = []
+    trace: List[Tuple[int, float]] = []
+    while remaining or active:
+        while remaining and len(active) < capacity:
+            active.append(remaining.pop(0))
+            progress.append(0)
+        trace.append((len(active), sum(progress) / len(progress)))
+        progress = [p + 1 for p in progress]
+        keep = [i for i, (length, p) in enumerate(zip(active, progress)) if p < length]
+        active = [active[i] for i in keep]
+        progress = [progress[i] for i in keep]
+    return trace

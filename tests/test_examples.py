@@ -3,8 +3,8 @@
 Each ``main()`` runs in-process with its default arguments; the example's
 own ``assert``s are the checks.  The lines pinned here are the numbers a
 *shared* flow produced (``SystemSpec``, ``overlap_study``,
-``cross_check_engine``), as printed before those flows replaced the
-examples' private copies.
+``RolloutServer``), as printed before those flows replaced the examples'
+private copies.
 """
 
 import importlib.util
@@ -29,7 +29,6 @@ PINNED = {
     ],
     "rollout_serving": [
         "  decode steps         : 42",
-        "  analytic model       : 42 steps, 0.869 utilisation",
         "  static wave batching : 81 steps (1.93x the engine)",
     ],
     "fleet_scheduling": [],

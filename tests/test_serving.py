@@ -2,13 +2,17 @@
 
 Covers the paged block manager's budget accounting, the scheduler's
 priority/aging/preemption policies, the engine's bit-exactness against the
-sequential sampler, and the cross-check against the analytic schedule in
-``repro.perf.continuous_batching``.
+sequential sampler, and its schedule of planned response lengths against the
+Orca reference in ``tests/oracles.py`` and the recorded
+``tests/golden/orca_schedules.json``.
 """
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.device import SimDevice
@@ -16,11 +20,6 @@ from repro.config import GpuSpec
 from repro.models.sampler import generate
 from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.observability.metrics import MetricsRegistry
-from repro.perf.continuous_batching import (
-    continuous_schedule_stats,
-    cross_check_engine,
-    static_schedule_stats,
-)
 from repro.serving import (
     BlockExhausted,
     PagedKVCache,
@@ -28,7 +27,13 @@ from repro.serving import (
     ServingConfig,
     ServingReport,
     kv_bytes_per_token,
+    sample_response_lengths,
+    serve_length_plan,
+    static_wave_steps,
 )
+from tests.oracles import orca_trace_reference
+
+ORCA_GOLDEN = pathlib.Path(__file__).parent / "golden" / "orca_schedules.json"
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -273,11 +278,16 @@ class TestScheduling:
             ("n_blocks", -1),
             ("step_time", 0.0),
             ("step_time", -1.0),
+            ("slo_ttft", 0.0),
+            ("slo_ttft", -1.0),
+            ("slo_latency", 0.0),
+            ("slo_latency", -1.0),
         ],
     )
     def test_config_rejects_what_no_server_could_run(self, field, value):
-        # block_size=0 used to be a ZeroDivisionError deep in the server and
-        # max_slots=0 surfaced as "n_blocks must be >= 1"
+        # block_size=0 used to be a ZeroDivisionError deep in the server,
+        # max_slots=0 surfaced as "n_blocks must be >= 1", and a non-positive
+        # SLO ran and reported 0% attainment
         with pytest.raises(ValueError, match=field):
             ServingConfig(**{field: value})
 
@@ -400,29 +410,88 @@ class TestBitExactness:
             )
 
 
+def engine_trace(report):
+    """Per-step ``(n_active, mean_progress)`` of a drained length plan, read
+    off each request's stamps (one step per simulated second)."""
+    active = [0] * report.n_steps
+    progress = [0] * report.n_steps
+    for r in report.completed:
+        start = int(r.first_token_time) - 1
+        for p in range(r.response_length):
+            active[start + p] += 1
+            progress[start + p] += p
+    return [(n, done / n) for n, done in zip(active, progress)]
+
+
 class TestAnalyticCrossCheck:
+    """The engine against the Orca schedule of ``tests/oracles.py`` and the
+    schedules the analytic twin it replaced recorded."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 64), min_size=1, max_size=24),
+        capacity=st.integers(1, 8),
+    )
+    # the paper's control, equal lengths: both disciplines coincide
+    @example(lengths=[32] * 16, capacity=8)
+    # one long straggler holds a whole static wave
+    @example(lengths=[4] * 15 + [256], capacity=8)
+    @example(lengths=[3, 7, 1, 12, 5], capacity=2)
+    @example(lengths=[4, 4], capacity=1)
+    @example(lengths=[9, 5, 4, 11, 3, 5, 8, 9, 8, 10], capacity=4)
+    @example(
+        lengths=[22, 33, 1, 1, 18, 52, 22, 24, 89, 128, 104, 1, 72, 3, 34, 27,
+                 100, 12, 10, 48, 2, 5, 33, 25, 55, 14, 15, 59, 55, 11, 7, 39],
+        capacity=16,
+    )
+    def test_drain_is_the_orca_reference(self, lengths, capacity):
+        report = serve_length_plan(lengths, capacity)
+        assert report.n_preemptions == 0
+        assert report.finish_reasons() == {"eos": len(lengths)}
+        assert [r.response_length for r in report.completed] == lengths
+        reference = orca_trace_reference(lengths, capacity)
+        assert engine_trace(report) == reference
+        assert report.n_steps == len(reference)
+        occupied = sum(n for n, _ in reference)
+        assert report.slot_utilisation == occupied / (len(reference) * capacity)
+        assert report.total_tokens == sum(lengths) == occupied
+        static = static_wave_steps(lengths, capacity)
+        assert max(lengths) <= report.n_steps <= static
+        if capacity == 1:
+            assert report.n_steps == sum(lengths)
+        if len(set(lengths)) == 1:
+            waves = -(-len(lengths) // capacity)
+            assert report.n_steps == static == waves * lengths[0]
+
     def test_step_accounting_matches_analytic_model(self, model):
-        # Matched workload: all requests at t=0, fixed lengths, no
-        # preemption.  The engine must replay the Orca schedule exactly.
+        # Matched workload on a TinyLM: all requests at t=0, fixed budgets,
+        # no preemption.  The engine must replay the Orca schedule exactly.
         rng = np.random.default_rng(8)
-        lengths = rng.integers(2, 12, size=10)
+        lengths = [int(n) for n in rng.integers(2, 12, size=10)]
         prompts = rng.integers(0, CFG.vocab_size, size=(10, 4))
-        server = make_server(model, max_slots=4)
+        server = make_server(model, max_slots=4, step_time=1.0)
         submit_all(server, prompts, lengths)
         report = server.drain()
-        n_steps, util = continuous_schedule_stats(lengths, 4)
-        assert report.n_steps == n_steps
-        assert report.slot_utilisation == pytest.approx(util, abs=1e-12)
-        assert report.total_tokens == int(lengths.sum())
-        # the flow `repro serve` and the serving example print
-        check = cross_check_engine(report, 4)
-        assert check.matched and check.ok
-        assert (check.n_steps, check.static_steps) == (
-            n_steps,
-            static_schedule_stats(lengths, 4)[0],
-        )
+        assert report.finish_reasons() == {"length": len(lengths)}
+        reference = orca_trace_reference(lengths, 4)
+        assert engine_trace(report) == reference
+        occupied = sum(n for n, _ in reference)
+        assert report.slot_utilisation == occupied / (len(reference) * 4)
+        assert report.total_tokens == sum(lengths)
         # a different slot count is a different schedule: the check must bite
-        assert not cross_check_engine(report, 3).ok
+        assert engine_trace(report) != orca_trace_reference(lengths, 3)
+
+    def test_drain_replays_the_recorded_schedules(self):
+        golden = json.loads(ORCA_GOLDEN.read_text())
+        for entry in [*golden["ablation"].values(), *golden["grid"]]:
+            lengths, capacity = entry["lengths"], entry["capacity"]
+            report = serve_length_plan(lengths, capacity)
+            recorded = entry["continuous"]
+            assert (report.n_steps, report.slot_utilisation) == (
+                recorded["n_steps"],
+                recorded["slot_utilisation"],
+            )
+            assert static_wave_steps(lengths, capacity) == entry["static"]["n_steps"]
 
     def test_fewer_steps_than_static_batching(self, model):
         # With EOS sampling, response lengths vary and continuous batching
@@ -437,16 +506,29 @@ class TestAnalyticCrossCheck:
         assert "eos" in report.finish_reasons()
         realised = [r.response_length for r in report.completed]
         assert len(set(realised)) > 1  # the workload is actually variable
-        assert report.n_steps < static_schedule_stats(realised, 4)[0]
-        # and the measured utilisation matches the analytic schedule
-        n_steps, util = continuous_schedule_stats(realised, 4)
-        assert report.n_steps == n_steps
-        assert report.slot_utilisation == pytest.approx(util, rel=0.05)
+        assert report.n_steps < static_wave_steps(realised, 4)
+        # and a TinyLM's drain is the Orca schedule of what it realised
+        reference = orca_trace_reference(realised, 4)
+        assert report.n_steps == len(reference)
+        occupied = sum(n for n, _ in reference)
+        assert report.slot_utilisation == occupied / (len(reference) * 4)
 
     def test_static_wave_steps(self):
         # each wave of 2 runs as long as its longest member: 9 + 7 + 5
-        n_steps, _ = static_schedule_stats([3, 9, 2, 7, 5, 1], 2)
-        assert n_steps == 21
+        assert static_wave_steps([3, 9, 2, 7, 5, 1], 2) == 21
+
+
+class TestSampleResponseLengths:
+    def test_lengths_within_bounds(self):
+        lengths = sample_response_lengths(100, 64, 256, np.random.default_rng(0))
+        assert lengths.min() >= 1 and lengths.max() <= 256
+
+    def test_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample_response_lengths(0, 64, 256, rng)
+        with pytest.raises(ValueError):
+            sample_response_lengths(10, 64, 32, rng)
 
 
 class TestLatencyAndSlo:
@@ -948,3 +1030,7 @@ class TestEmptyReportAggregates:
         text = "\n".join(_empty_report().summary_lines())
         assert "n/a" in text
         assert "0.0000" not in text.split("TTFT")[1].splitlines()[0]
+        # a missing aggregate has no unit
+        assert "n/a s" not in text
+        assert "TPOT mean            : n/a" in text.splitlines()
+        assert "TTFT mean / p95      : n/a / n/a" in text.splitlines()
