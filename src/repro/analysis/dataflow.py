@@ -20,9 +20,9 @@ Rules:
 ``DF106``  plan assigns a model role the algorithm's dataflow never calls
 ``DF107``  group sampling misconfigured (``group_size`` below the
            trainer's ``min_group_size``: 2 for GRPO)
-``DF108``  async pipeline staleness misconfigured (stale batches without
-           importance weighting, window exceeding buffer capacity, clip or
-           algorithm the off-policy correction cannot support)
+``DF108``  async pipeline misconfigured (an algorithm the off-policy
+           correction cannot support, no generation plan to publish into,
+           a serving-backed actor, a degenerate importance-weight anchor)
 ========  ====================================================================
 """
 
@@ -235,11 +235,11 @@ class DataflowChecker:
 
         The bounded-staleness loop (:mod:`repro.pipeline`) is sound only
         under specific conditions; each violation is a ``DF108`` finding.
+        The config's own values (window, ``iw_clip``) are checked when it
+        is built; these are the rules that read more than the config.
         ``staleness_window=0`` is the synchronous loop; a positive window
         additionally rejects:
 
-        * importance weighting disabled — stale batches would be trained as
-          if on-policy, silently biasing the PPO/GRPO surrogate;
         * a trainer whose loss is not ``off_policy_correctable``;
         * ``recompute_log_probs=False`` (warning) — the anchor collapses
           onto the behaviour policy and every importance weight is 1;
@@ -247,56 +247,14 @@ class DataflowChecker:
           continuous-batching engine owns its own weight lifetime and
           cannot participate in the pipeline's flip-buffer protocol.
 
-        At any window: a buffer that cannot hold ``window + 1`` in-flight
-        batches (the rollout engine would dead-end on
-        :class:`~repro.pipeline.buffer.BufferFull`); ``iw_clip < 1`` (it
-        scales even on-policy tokens); an ``actor`` group without a
-        generation topology (the
-        :class:`~repro.hybrid_engine.publication.WeightPublisher` has no
-        plan to stage weights into).
+        At any window: an ``actor`` group without a generation topology
+        (the :class:`~repro.hybrid_engine.publication.WeightPublisher` has
+        no plan to stage weights into).
         """
         report = AnalysisReport("dataflow")
         report.note_checked("pipeline_configs")
         window = pipeline_config.staleness_window
         location = "pipeline"
-        if window < 0:
-            report.add(
-                "DF108",
-                ERROR,
-                f"staleness_window must be >= 0, got {window}",
-                location=location,
-                hint="0 = synchronous loop, 1 = one-step-off overlap",
-            )
-            return report
-        if window > 0 and not pipeline_config.importance_weighting:
-            report.add(
-                "DF108",
-                ERROR,
-                f"staleness_window={window} with importance weighting "
-                "disabled: stale batches would be trained as if on-policy",
-                location=location,
-                hint="enable importance_weighting or set staleness_window=0",
-            )
-        capacity = pipeline_config.resolved_capacity
-        if window + 1 > capacity:
-            report.add(
-                "DF108",
-                ERROR,
-                f"staleness_window={window} needs {window + 1} in-flight "
-                f"batches but the experience buffer holds {capacity}",
-                location=location,
-                hint="raise buffer_capacity to at least staleness_window + 1",
-            )
-        if pipeline_config.iw_clip < 1.0:
-            report.add(
-                "DF108",
-                ERROR,
-                f"iw_clip={pipeline_config.iw_clip} < 1 would down-scale "
-                "on-policy tokens; truncation must keep ratio 1 intact",
-                location=location,
-                hint="set iw_clip >= 1 (V-trace uses 1.0; 2.0 is a safe "
-                "default)",
-            )
         if window > 0 and algo is not None:
             from repro.rlhf.trainers import trainer_class
 

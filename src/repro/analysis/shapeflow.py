@@ -500,9 +500,9 @@ class ShapeFlowChecker:
     ) -> AnalysisReport:
         """Shape-check the async one-step-off loop's version-tagged buffers.
 
-        Stale batches (``staleness_window > 0`` with importance weighting)
-        carry a per-token ``importance_weights`` column; the actor's update
-        contract must declare it or training would crash (or worse, drop
+        Stale batches (``staleness_window > 0``) carry a per-token
+        ``importance_weights`` column; the actor's update contract must
+        declare it or training would crash (or worse, drop
         the off-policy correction) at the first overlapped step — SF701.
         """
         from repro.runtime.builder import SystemSpec
@@ -511,9 +511,6 @@ class ShapeFlowChecker:
         algo = SystemSpec.algo if algo is None else algo
         if plan is None:
             plan = SystemSpec(algo=algo).plan
-        window = pipeline_config.staleness_window
-        weighted = getattr(pipeline_config, "importance_weighting", True)
-        staleness = window if (window > 0 and weighted) else 0
         return self.check_plan(
             algo,
             plan,
@@ -522,7 +519,7 @@ class ShapeFlowChecker:
             max_seq_len=32,
             trainer_config=trainer_config,
             report=report,
-            _staleness=staleness,
+            _staleness=pipeline_config.staleness_window,
         )
 
     def check_shipped(self, batch: int = 8) -> AnalysisReport:

@@ -17,8 +17,7 @@ Examples::
     python -m repro.cli sweep-gen --model llama-13b
     python -m repro.cli map-hetero --zone a100:A100-80GB:1 --zone h100:H100-80GB:1
     python -m repro.cli faults --kill-machine 0 --at-step 30 --iterations 6
-    python -m repro.cli trace --out run.json --kill-device 1 --at-step 30
-    python -m repro.cli metrics --out metrics.prom
+    python -m repro.cli faults --kill-device 1 --trace run.json --metrics run.prom
     python -m repro.cli serve --requests 16 --slots 4 --blocks 12
     python -m repro.cli fleet --jobs 3 --kill-machine 0 --kill-machine 2
     python -m repro.cli pipeline --staleness 1 --iterations 3 --trace async.json
@@ -303,8 +302,18 @@ def _shipped_job_faults(args: argparse.Namespace):
     faults ``args`` schedule against it, validated."""
     from repro.faults import FaultInjector, FaultPlan
 
-    if args.iterations < 1:
-        raise UsageError(f"--iterations must be >= 1, got {args.iterations}")
+    for flag, value, least in (
+        ("--iterations", args.iterations, 1),
+        ("--machines", args.machines, 1),
+        ("--gpus-per-machine", args.gpus_per_machine, 1),
+        ("--ckpt-every", args.ckpt_every, 1),
+        ("--at-step", args.at_step, 0),
+        ("--transients", args.transients, 0),
+    ):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if args.mtbf <= 0:
+        raise UsageError(f"--mtbf must be > 0, got {args.mtbf}")
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
@@ -345,7 +354,7 @@ def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector):
                 injector=injector,
                 retry_policy=RetryPolicy(seed=args.seed),
             )
-        except (RuntimeError, ValueError) as exc:  # worker lost, exhausted, bad args
+        except (RuntimeError, ValueError) as exc:  # worker lost, cluster exhausted
             raise RunFailed(f"unrecoverable failure: {exc}") from exc
 
 
@@ -358,7 +367,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
         f"({args.iterations} iterations, checkpoint every {args.ckpt_every}, "
         f"{len(injector.plan)} scheduled fault(s))"
     )
-    _system, history, report = _train_shipped_job(args, spec, injector)
+    system, history, report = _train_shipped_job(args, spec, injector)
+    if injector.pending_events:
+        unfired = ", ".join(
+            f"{event.kind.value} at step {event.at_step}"
+            for event in injector.pending_events
+        )
+        raise RunFailed(
+            f"scheduled fault(s) never fired: {unfired}; the run's last "
+            f"dispatch was seq {system.controller.next_seq - 1} (lower "
+            "--at-step or raise --iterations)"
+        )
     print("  rewards:", [round(h["score_mean"], 3) for h in history])
     for line in report.summary_lines():
         print(line)
@@ -367,6 +386,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
         f"{injector.stats.transients_injected} transient(s), "
         f"{injector.stats.retries_observed} retry(ies)"
     )
+    if args.trace:
+        _export_checked_trace(system.controller, args.trace)
+    if args.metrics:
+        from repro.observability import collect_system_metrics, write_prometheus
+
+        registry = collect_system_metrics(system.controller)
+        out = write_prometheus(args.metrics, registry)
+        print(f"  metrics: wrote {len(registry)} series to {out}")
 
     interval, interval_iters, curve = measured_interval_study(report, args.mtbf)
     print(f"\nanalytic model (MTBF {args.mtbf:.0f}s):")
@@ -380,7 +407,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def _export_checked_trace(controller, path: str) -> None:
+    """Write the run's Chrome trace to ``path``, then read the per-pool
+    busy/idle fractions back out of it and hold them to the ``Timeline``."""
     from repro.observability import (
         chrome_trace,
         pool_fractions_from_trace,
@@ -388,33 +417,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.runtime.timeline import build_timeline, planned_durations
 
-    system, _history, report = _train_shipped_job(
-        args, *_shipped_job_faults(args)
-    )
-    controller = system.controller
     timeline = build_timeline(controller.trace, planned_durations(controller))
-    doc = chrome_trace(timeline=timeline, spans=controller.tracer.spans)
-    if args.out:
-        # the exporter serializes through the json_safe sanitizer; a raw
-        # json.dumps here could leak numpy scalars into the trace file
-        out = write_chrome_trace(
-            args.out, timeline=timeline, spans=controller.tracer.spans
-        )
-        print(f"wrote {len(doc['traceEvents'])} trace events to {out}")
-    print(
-        f"{len(controller.tracer.spans)} spans "
-        f"({', '.join(f'{k}={v}' for k, v in controller.tracer.counts_by_category().items())})"
+    spans = controller.tracer.spans
+    doc = chrome_trace(timeline=timeline, spans=spans)
+    out = write_chrome_trace(path, timeline=timeline, spans=spans)
+    categories = ", ".join(
+        f"{k}={v}" for k, v in controller.tracer.counts_by_category().items()
     )
-    if report.n_failures:
-        print(
-            f"run recovered from {report.n_failures} failure(s); trace spans "
-            "the faulted run, the recovery phases, and the resumed run"
-        )
-
-    # verify the exported file against the in-memory Timeline accounting
+    print(
+        f"  trace: wrote {len(doc['traceEvents'])} events to {out} "
+        f"({len(spans)} spans: {categories})"
+    )
     fractions = pool_fractions_from_trace(doc)
     ok = True
-    print("per-pool busy/idle (exported trace vs Timeline):")
+    print("  per-pool busy/idle (exported trace vs Timeline):")
     for pool in timeline.pools():
         expected_busy = timeline.busy_time(pool)
         expected_idle = timeline.idle_fraction(pool)
@@ -425,60 +441,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         ok = ok and match
         print(
-            f"  {pool:8s} busy {got['busy']:8.2f}s vs {expected_busy:8.2f}s, "
+            f"    {pool:8s} busy {got['busy']:8.2f}s vs {expected_busy:8.2f}s, "
             f"idle {got['idle_fraction'] * 100:5.1f}% vs "
             f"{expected_idle * 100:5.1f}% "
             f"[{'ok' if match else 'MISMATCH'}]"
         )
     if not ok:
         raise RunFailed("trace does not match timeline accounting")
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability import collect_system_metrics, write_prometheus
-
-    system, _history, _report = _train_shipped_job(
-        args, *_shipped_job_faults(args)
-    )
-    registry = collect_system_metrics(system.controller)
-    if args.out:
-        out = write_prometheus(args.out, registry)
-        print(f"wrote {len(registry)} series to {out}", file=sys.stderr)
-    else:
-        print(registry.render_prometheus(), end="")
-    return 0
-
-
-def _observability_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--machines", type=int, default=2, help="simulated machines")
-    p.add_argument(
-        "--gpus-per-machine",
-        type=int,
-        default=4,
-        help="GPUs per simulated machine (spare capacity hosts re-placement)",
-    )
-    p.add_argument("--iterations", type=int, default=3, help="PPO iterations")
-    p.add_argument(
-        "--ckpt-every", type=int, default=1, help="checkpoint interval"
-    )
-    p.add_argument(
-        "--kill-device",
-        type=int,
-        default=None,
-        metavar="RANK",
-        help="kill one GPU at --at-step (exercise the recovery path)",
-    )
-    p.add_argument(
-        "--at-step",
-        type=int,
-        default=30,
-        help="trace sequence number at which the kill arms",
-    )
-    p.add_argument("--seed", type=int, default=0, help="retry-backoff jitter seed")
-    p.add_argument("--out", default=None, help="output file path")
-    # the faults these two subcommands do not offer (see `repro faults`)
-    p.set_defaults(kill_machine=None, transients=0)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1048,21 +1017,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=3600.0,
         help="assumed mean time between failures for the analytic model (s)",
     )
+    p.add_argument(
+        "--trace",
+        default=None,
+        metavar="OUT",
+        help=(
+            "write the run's Chrome trace and check its per-pool busy/idle "
+            "against the Timeline accounting"
+        ),
+    )
+    p.add_argument(
+        "--metrics",
+        default=None,
+        metavar="OUT",
+        help="write the run's metrics as Prometheus text",
+    )
     p.set_defaults(fn=cmd_faults)
-
-    p = sub.add_parser(
-        "trace",
-        help="export a Chrome trace_event JSON of the tiny functional run",
-    )
-    _observability_args(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "metrics",
-        help="dump the tiny functional run's metrics as Prometheus text",
-    )
-    _observability_args(p)
-    p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser(
         "serve",

@@ -190,7 +190,7 @@ def pool_fractions_from_trace(
     """Per-pool busy time and idle fraction recomputed from an exported trace.
 
     Reads only the serialized document (as a viewer would), so tests and the
-    ``repro trace`` CLI can verify the exporter against the in-memory
+    ``repro faults --trace`` CLI can verify the exporter against the in-memory
     :class:`~repro.runtime.timeline.Timeline` accounting.
     """
     thread_names: Dict[int, str] = {}

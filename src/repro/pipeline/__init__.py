@@ -6,7 +6,7 @@ DistFlow / MindSpeed-RL relaxation of HybridFlow's synchronous dataflow,
 built so that every existing correctness gate (DF1xx dataflow checks, TA2xx
 trace audit, RC5xx race detection) still passes on the overlapped schedule.
 
-* :class:`PipelineConfig` — staleness window, importance weighting, buffer.
+* :class:`PipelineConfig` — staleness window, importance-weight clip, streamed scoring.
 * :class:`ExperienceBuffer` — bounded in-flight experience, version-tagged.
 * :class:`AsyncPipelineDriver` — attaches to a trainer and overlaps its one
   loop; ``staleness_window=0`` is the synchronous loop itself.

@@ -70,7 +70,6 @@ class AsyncPipelineDriver:
     ) -> None:
         self.trainer = trainer
         self.config = config or PipelineConfig()
-        self.config.validate()
         # one source of truth for soundness constraints (supported
         # algorithms included): the same DF108 findings `repro check` raises
         # statically reject the config here
@@ -84,7 +83,7 @@ class AsyncPipelineDriver:
                 "pipeline config rejected by DF108: "
                 + "; ".join(f.message for f in report.errors)
             )
-        self.buffer = ExperienceBuffer(self.config.resolved_capacity)
+        self.buffer = ExperienceBuffer(self.config.staleness_window + 1)
         self.publisher = publisher or WeightPublisher(trainer.actor)
         self.max_staleness_seen = 0
         trainer.pipeline = self
@@ -146,7 +145,7 @@ class AsyncPipelineDriver:
         staleness = iteration - entry.version
         self.max_staleness_seen = max(self.max_staleness_seen, staleness)
         batch = trainer.prepare(entry.batch)
-        if staleness > 0 and self.config.importance_weighting:
+        if staleness > 0:
             mask = batch["response_mask"] if "response_mask" in batch else None
             weights = truncated_importance_weights(
                 batch["log_probs"],
@@ -180,7 +179,6 @@ class AsyncPipelineDriver:
             "iterations": len(self.trainer.history),
             "staleness_window": self.config.staleness_window,
             "max_staleness_seen": self.max_staleness_seen,
-            "importance_weighting": self.config.importance_weighting,
             "stream_scoring": self.config.stream_scoring,
             "buffer_capacity": self.buffer.capacity,
             "buffer_peak_occupancy": self.buffer.peak_occupancy,
@@ -222,8 +220,8 @@ def overlap_study(
     land on the same checkpoint state bit for bit; the driver with
     ``config``'s window.  The overlap is read off the modeled timeline
     (simulated seconds, deterministic on every host).  Raises ``ValueError``
-    before anything runs when the runs could not (bad window, no
-    iterations, a batch the placement cannot split).
+    before anything runs when the runs could not (no iterations, a batch
+    the placement cannot split); a bad window fails at ``PipelineConfig``.
     """
     from repro.analysis.dataflow import DataflowChecker
     from repro.config import ClusterSpec
@@ -231,7 +229,6 @@ def overlap_study(
     from repro.runtime.timeline import build_timeline, planned_durations
 
     spec = SystemSpec(disaggregated=True)
-    config.validate()
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
     unsplittable = DataflowChecker(global_batch_size=batch_size).check_plan(

@@ -14,7 +14,7 @@ from repro.serving.paged_kv import (
     kv_bytes_per_token,
 )
 from repro.serving.request import CompletedRequest, Request, RequestState
-from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
+from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.server import (
     LengthPlan,
     RolloutServer,
@@ -34,7 +34,6 @@ __all__ = [
     "Request",
     "RequestState",
     "RolloutServer",
-    "SchedulerConfig",
     "ServingConfig",
     "ServingReport",
     "kv_bytes_per_token",

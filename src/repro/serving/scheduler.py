@@ -28,33 +28,23 @@ exactly the failure mode the aging term exists to rule out.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import Request, RequestState
 
-
-@dataclasses.dataclass(frozen=True)
-class SchedulerConfig:
-    """Knobs of the continuous-batching policy."""
-
-    #: Decode slots per step (the engine's max batch size).
-    max_slots: int = 8
-    #: Priority gained per eligible-but-waiting step; > 0 => starvation-free.
-    aging: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.max_slots < 1:
-            raise ValueError(f"max_slots must be >= 1, got {self.max_slots}")
-        if self.aging < 0:
-            raise ValueError(f"aging must be >= 0, got {self.aging}")
+if TYPE_CHECKING:
+    from repro.serving.server import ServingConfig
 
 
 class ContinuousBatchScheduler:
-    """Slot refill, priority ranking, and block-pressure preemption."""
+    """Slot refill, priority ranking, and block-pressure preemption.
 
-    def __init__(self, config: SchedulerConfig, kv: PagedKVCache) -> None:
+    Reads two fields of the server's :class:`ServingConfig`: ``max_slots``
+    (decode slots per step) and ``aging`` (priority gained per waiting step).
+    """
+
+    def __init__(self, config: ServingConfig, kv: PagedKVCache) -> None:
         self.config = config
         self.kv = kv
         self.waiting: List[Request] = []

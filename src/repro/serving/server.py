@@ -41,13 +41,14 @@ from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.spans import NULL_TRACER, SpanTracer
 from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import CompletedRequest, Request, RequestState
-from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
+from repro.serving.scheduler import ContinuousBatchScheduler
 
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
     """Engine-level serving parameters."""
 
+    #: Decode slots per step (the engine's max batch size).
     max_slots: int = 8
     block_size: int = 16
     #: Total KV blocks; ``None`` derives from device free memory (capped at
@@ -62,6 +63,7 @@ class ServingConfig:
     #: SLO thresholds (simulated seconds); ``None`` disables that term.
     slo_ttft: Optional[float] = None
     slo_latency: Optional[float] = None
+    #: Priority gained per eligible-but-waiting step; > 0 => starvation-free.
     aging: float = 0.05
     #: Seed material for per-request rngs (int or tuple; request id appended).
     seed: Union[int, Tuple[int, ...]] = 0
@@ -88,6 +90,9 @@ class ServingConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be None or > 0, got {value}")
+        # else waiting would lower a request's rank: starvation
+        if self.aging < 0:
+            raise ValueError(f"aging must be >= 0, got {self.aging}")
 
 
 @dataclasses.dataclass
@@ -263,12 +268,7 @@ class RolloutServer:
             device=device,
         )
         self.store = KVStore(model.config, self.config.max_slots)
-        self.scheduler = ContinuousBatchScheduler(
-            SchedulerConfig(
-                max_slots=self.config.max_slots, aging=self.config.aging
-            ),
-            self.kv,
-        )
+        self.scheduler = ContinuousBatchScheduler(self.config, self.kv)
         seed = self.config.seed
         self._seed: Tuple[int, ...] = (
             (seed,) if isinstance(seed, int) else tuple(seed)

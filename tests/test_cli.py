@@ -129,13 +129,18 @@ class TestUsageErrors:
             (["serve", "--slo-latency", "-1"], "slo_latency"),
             # a model no forward could lay out: past the widest key width
             (["serve", "--prompt-length", "100", "--max-response", "40"], "key width 144"),
-            # exit 1 "unrecoverable failure" from trace/metrics, 2 from faults
-            (["trace", "--kill-device", "99"], "--kill-device 99 out of range"),
-            (["metrics", "--kill-device", "99"], "--kill-device 99 out of range"),
             (["faults", "--kill-device", "99"], "--kill-device 99 out of range"),
             (["faults", "--kill-machine", "2"], "--kill-machine 2 out of range"),
             # exit 0 having verified nothing
             (["faults", "--iterations", "0"], "--iterations"),
+            # tracebacks from FaultEvent, one after the whole run
+            (["faults", "--at-step", "-5", "--kill-device", "1"], "--at-step must be >= 0"),
+            (["faults", "--transients", "-1"], "--transients must be >= 0"),
+            (["faults", "--mtbf", "0"], "--mtbf must be > 0"),
+            # exit 1 as "unrecoverable failure"
+            (["faults", "--machines", "0"], "--machines must be >= 1"),
+            (["faults", "--gpus-per-machine", "0"], "--gpus-per-machine must be >= 1"),
+            (["faults", "--ckpt-every", "0"], "--ckpt-every must be >= 1"),
             (["pipeline", "--iterations", "0"], "n_iterations"),
             # a traceback from DataBatch.chunk
             (["pipeline", "--batch", "3"], "not divisible"),
@@ -160,6 +165,7 @@ class TestUsageErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -234,6 +240,87 @@ class TestFaults:
             "0.9972", "0.9950", "0.9906", "0.9820", "0.9651", "0.9331",
         ]
         assert analytic_model(["--kill-machine", "0", "--machines", "2"]) == clean
+
+    def test_a_fault_that_never_fires_fails_the_run(self, capsys):
+        # 3 iterations are dispatches 0..20: a kill armed at the default
+        # --at-step 30 used to print "0 device(s) killed" and exit 0
+        assert main(["faults", "--iterations", "3", "--kill-device", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "never fired: device_loss at step 30" in err
+        assert "last dispatch was seq 20" in err
+
+    def test_trace_and_metrics_of_a_recovered_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+        import re
+
+        import repro.cli
+        from repro.observability import pool_fractions_from_trace
+        from repro.runtime.timeline import build_timeline, planned_durations
+
+        # keep the system the run ends with, to hold the trace to its Timeline
+        kept, train = {}, repro.cli._train_shipped_job
+
+        def keeping(*args):
+            kept["system"], history, report = train(*args)
+            return kept["system"], history, report
+
+        monkeypatch.setattr(repro.cli, "_train_shipped_job", keeping)
+        trace, prom = tmp_path / "run.json", tmp_path / "run.prom"
+        assert main(
+            ["faults", "--iterations", "2", "--kill-device", "1",
+             "--at-step", "5", "--trace", str(trace), "--metrics", str(prom)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "recovery: 1 failure(s)" in out
+        assert "MISMATCH" not in out
+
+        controller = kept["system"].controller
+        timeline = build_timeline(controller.trace, planned_durations(controller))
+        fractions = pool_fractions_from_trace(json.loads(trace.read_text()))
+        assert sorted(fractions) == sorted(timeline.pools())
+        for pool in timeline.pools():
+            assert fractions[pool]["busy"] == pytest.approx(
+                timeline.busy_time(pool), abs=1e-6
+            )
+            assert fractions[pool]["idle_fraction"] == pytest.approx(
+                timeline.idle_fraction(pool), abs=1e-6
+            )
+
+        typed, families = {}, set()
+        sample = re.compile(r"([a-z_]+)(\{[^}]*\})? (\S+)")
+        for line in prom.read_text().splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split(" ")
+                typed[name] = kind
+            elif not line.startswith("# HELP "):
+                name, _labels, value = sample.fullmatch(line).groups()
+                float(value)
+                families.add(name)
+        assert typed["repro_dispatch_calls_total"] == "counter"
+        assert "repro_dispatch_calls_total" in families
+        assert all(
+            any(name == f or name.startswith(f + "_") for f in typed)
+            for name in families
+        )
+
+    def test_trace_that_disagrees_with_the_timeline_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.observability
+
+        monkeypatch.setattr(
+            repro.observability,
+            "pool_fractions_from_trace",
+            lambda doc: {"main": {"busy": 0.0, "idle_fraction": 1.0}},
+        )
+        assert main(
+            ["faults", "--iterations", "2", "--trace", str(tmp_path / "t.json")]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "trace does not match timeline accounting" in captured.err
+        assert "MISMATCH" in captured.out
 
 
 class TestServe:

@@ -282,6 +282,7 @@ class TestScheduling:
             ("slo_ttft", -1.0),
             ("slo_latency", 0.0),
             ("slo_latency", -1.0),
+            ("aging", -1.0),
         ],
     )
     def test_config_rejects_what_no_server_could_run(self, field, value):
