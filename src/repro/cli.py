@@ -299,8 +299,10 @@ def cmd_map_hetero(args: argparse.Namespace) -> int:
 
 def _shipped_job_faults(args: argparse.Namespace):
     """``(cluster spec, injector)``: where the shipped job runs and the
-    faults ``args`` schedule against it, validated."""
+    faults ``args`` schedule against it, validated — the job's placement
+    fits the cluster before anything runs."""
     from repro.faults import FaultInjector, FaultPlan
+    from repro.runtime import SystemSpec
 
     for flag, value, least in (
         ("--iterations", args.iterations, 1),
@@ -317,6 +319,14 @@ def _shipped_job_faults(args: argparse.Namespace):
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
+    placement = SystemSpec().plan
+    if placement.total_gpus > spec.n_gpus:
+        placed = ", ".join(f"{pool} {n}" for pool, n in placement.pools.items())
+        raise UsageError(
+            f"the shipped job places {placement.total_gpus} GPUs ({placed}) but "
+            f"--machines {args.machines} x --gpus-per-machine "
+            f"{args.gpus_per_machine} give {spec.n_gpus}"
+        )
     plan = FaultPlan()
     if args.kill_machine is not None:
         _require_index(

@@ -383,6 +383,9 @@ def _tracked(*tensors: Tensor) -> bool:
 #: matrix of whole tiles, not in a lone row or a part-filled tile
 #: (docs/PERF.md, "One forward layout").
 TILE_ROWS = 4
+#: Query slots of one step of a causal staircase: whole tiles, so a row's
+#: bits do not depend on the block it sits in (:class:`Stream`).
+QUERY_BLOCK = 4 * TILE_ROWS
 #: Widest key width: past it numpy's pairwise sum splits a softmax row at a
 #: point that moves with the width.
 MAX_KEY_WIDTH = 128
@@ -457,11 +460,17 @@ class Stream:
     values.  Each layer runs **one** attention core over every row: keys
     and values in a ``(rows, width, hidden)`` block at the :func:`key_width`
     of the longest row, zero past each row's end; queries in a ``(rows,
-    height, hidden)`` block whose row ``i`` starts at its first own (in the
+    height, hidden)`` block whose row starts at the row's first own (in the
     last layer, returned) position, ``height`` the most queries a row has in
-    whole tiles; ``mask`` hides the keys past each query.  So a row's bits
-    depend neither on ``width`` (up to :data:`MAX_KEY_WIDTH`) nor on the
-    rows beside it.
+    whole tiles.  Core rows run in descending query count (stable), so a
+    query block taller than :data:`QUERY_BLOCK` is a causal staircase:
+    ``blocks`` holds, per :data:`QUERY_BLOCK` slots ``lo:hi`` of it (or
+    more, where a cut would save nothing), the ``r`` core rows with queries
+    there (a prefix) and the key width ``w`` the last of those queries
+    reads, with the ``(r or 1, 1, hi - lo, w)`` mask of -1e9 at the keys
+    past each query; a shorter block is one such entry over every row at
+    ``width``.  So a row's bits depend neither on
+    ``width`` (up to :data:`MAX_KEY_WIDTH`) nor on the rows beside it.
 
     ``tail`` is the last layer: keys and values at every token, the rest at
     the tokens the forward returns — each row's from ``read_from`` on
@@ -469,8 +478,8 @@ class Stream:
     ``shape`` grid (:func:`unpack`), a follower's prompt positions reading
     its leader's.  With ``cached`` (each row's cached positions,
     :meth:`KVStore.at <repro.models.tinylm.KVStore.at>`) the grid is a
-    cached forward's new tokens, queried at ``cached[i] + j`` in a block of
-    height ``seq``, and keys and values come from the store.
+    cached forward's new tokens, queried at ``cached[i] + j`` in one block
+    of height ``seq``, and keys and values come from the store.
     """
 
     def __init__(
@@ -496,23 +505,24 @@ class Stream:
         offset = np.zeros(batch, dtype=np.int64) if cached is None else cached
         self.rows, self.width = batch, key_width(int((lengths + offset).max()))
         self.reads: Optional[np.ndarray] = None  # every token
-        self.keys: Optional[_Fold] = None  # the cache's, when cached
+        keys = None  # the cache's, when cached
         if cached is None:
-            src, at = np.arange(len(row)), row * self.width + pos
+            # the stream token each key position ``(row, pos)`` reads
+            keys = np.arange(len(row)), row, pos
             if skip.any():  # followers read their leader's prompt keys
                 lead_row, lead_pos = _spans(np.zeros(batch, dtype=np.int64), skip)
-                src = np.concatenate([src, base[leaders[lead_row]] + lead_pos])
-                at = np.concatenate([at, lead_row * self.width + lead_pos])
-            uniform = not skip.any() and (lengths == lengths[0]).all()
-            self.keys = _Fold(src, at, int(lengths[0]) if uniform else None)
-        self._queries(seq, row, pos, skip, offset, seq if cached is not None else None)
+                keys = tuple(np.concatenate(pair) for pair in zip(
+                    keys, (base[leaders[lead_row]] + lead_pos, lead_row, lead_pos)))
+            if not skip.any() and (lengths == lengths[0]).all():
+                keys += (int(lengths[0]),)
+        self._queries(seq, row, pos, skip, offset, keys, seq if cached is not None else None)
         self.tail = self
         first = np.maximum(skip, read_from)
         if read_from:
             self.tail = tail = copy.copy(self)
             row, pos = _spans(first, lengths)
             tail.reads = (base[row] + pos)[self._pad(len(row))]
-            tail._queries(seq, row, pos, first, offset)
+            tail._queries(seq, row, pos, first, offset, keys)
         # the output: the returned tokens, a follower's prompt its leader's
         out_seq = seq - read_from
         src, at = np.arange(len(row)), row * out_seq + pos - read_from
@@ -529,24 +539,48 @@ class Stream:
     def _pad(n: int) -> np.ndarray:  # ``n`` tokens in whole tiles: the first repeat
         return np.arange(_tiled(n)) % max(n, 1)
 
-    def _queries(self, seq, row, pos, start, offset, height=None) -> None:
+    def _queries(self, seq, row, pos, start, offset, keys, height=None) -> None:
         """Query tokens ``(row, pos)`` in stream order, row ``i``'s block
-        from position ``start[i]`` on, at key position ``offset[i] + pos``."""
+        from position ``start[i]`` on, at key position ``offset[i] + pos``;
+        ``keys``: ``(src, row, pos[, run])`` of each key position, or
+        ``None`` (the cache's).  ``height`` (a cached forward's): one block."""
         pad = self._pad(len(row))
         self.n, self.index = len(row), (row * seq + pos)[pad]
         counts = np.bincount(row, minlength=len(start))
-        if height is None:
-            height = _tiled(int(counts.max(initial=0)))
-        #: block slot (``row * height + j``) of each real query token, and
+        tiled = _tiled(int(counts.max(initial=0)))
+        staircase = height is None and tiled > QUERY_BLOCK
+        self.height = height = tiled if height is None else height
+        # core row of each row: most queries first, so the rows with
+        # queries in a block are a prefix
+        order = np.argsort(-counts, kind="stable") if staircase else np.arange(len(start))
+        core = np.argsort(order)
+        #: block slot (``core * height + j``) of each real query token, and
         #: of each stream token; ``run``: every row has ``run`` queries
-        self.slots = row * height + pos - start[row]
+        self.slots = core[row] * height + pos - start[row]
         self.gather = self.slots[pad]
         self.run = int(counts[0]) if len(counts) and (counts == counts[0]).all() else None
-        queries = (start + offset)[:, None] + np.arange(height)
-        if (queries[0] == queries).all():  # every row's block starts alike
-            queries = queries[:1]
-        #: ``(rows or 1, 1, height, width)``: -1e9 at the keys past each query
-        self.mask = np.where(np.arange(self.width) > queries[:, None, :, None], -1e9, 0.0)
+        self.keys: Optional[_Fold] = None
+        if keys is not None:
+            src, key_row, key_pos, *run = keys
+            self.keys = _Fold(src, core[key_row] * self.width + key_pos, *run)
+        first = (start + offset)[order]
+        last = first + counts[order]  # the end of the keys a core row's queries read
+        #: each core row's first query position (one, when all start alike)
+        self.first = first[:1] if (first == first[0]).all() else first
+        steps: List[Tuple[int, int, int, int]] = []
+        for lo in range(0, height, QUERY_BLOCK) if staircase else (0,):
+            hi, r, w = height, self.rows, self.width  # one block: the square
+            if staircase:
+                hi, r = min(lo + QUERY_BLOCK, height), int((counts > lo).sum())
+                w = key_width(int(np.minimum(last[:r], first[:r] + hi).max()))
+            if steps and steps[-1][0] == r and steps[-1][3] == w:  # a cut that saves nothing
+                lo = steps.pop()[1]
+            steps.append((r, lo, hi, w))
+        self.blocks: List[Tuple[int, int, int, int, np.ndarray]] = []
+        for r, lo, hi, w in steps:
+            queries = self.first[:r, None] + np.arange(lo, hi)
+            mask = np.where(np.arange(w) > queries[:, None, :, None], -1e9, 0.0)
+            self.blocks.append((r, lo, hi, w, mask))
 
 
 def embed(
@@ -656,9 +690,10 @@ def attention(
     layer: int = 0,
 ) -> Tensor:
     """Causal multi-head self-attention of the 2-D stream ``x`` laid out by
-    ``stream`` (one masked softmax and context over every row), plus
-    ``residual``; keys and values at every token, the rest at the tokens the
-    layer returns.  With ``cache`` (inference only), its ``extend`` caches
+    ``stream`` (one core over every row: a masked softmax and context per
+    block of ``stream.blocks``, over views of the query and key blocks),
+    plus ``residual``; keys and values at every token, the rest at the
+    tokens the layer returns.  With ``cache`` (inference only), its ``extend`` caches
     the new tokens' keys and values and hands back every row's."""
     parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
     tracked = _tracked(*parents)
@@ -671,7 +706,7 @@ def attention(
     h = xd.shape[-1]
     hd = h // n_heads
     scale = 1.0 / np.sqrt(hd)
-    rows, height, width = stream.rows, stream.mask.shape[2], stream.width
+    rows, height, width = stream.rows, stream.height, stream.width
     reads = slice(None) if stream.reads is None else stream.reads
     slots, n = stream.slots, len(stream.slots)  # n: the real query tokens
     full = stream.run == height  # every slot a query, in stream order: views
@@ -710,16 +745,33 @@ def attention(
             _put(block, keys.at, keys.run, proj[: len(keys.src)] if keys.run else proj[keys.src])
             _recycle(proj)
     k, v = heads(kv[0]), heads(kv[1])
-    att = np.matmul(q, k.swapaxes(-1, -2), out=_scratch(rows, n_heads, height, width))
-    att *= scale
-    att += stream.mask
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
     # each head's context in its columns of the block: BLAS writes a GEMM
     # at any output row stride alike
     ctx_block = _scratch(rows, height, h)
-    np.matmul(att, v, out=heads(ctx_block))
+    # what a backward reads: every block's probabilities in one square,
+    # exact zeros at the entries no block computes
+    att = _scratch(rows, n_heads, height, width) if tracked and len(stream.blocks) > 1 else None
+    for r, lo, hi, depth, mask in stream.blocks:
+        # contiguous, so each elementwise pass below is one loop
+        a = np.matmul(
+            q[:r, :, lo:hi], k[:r, :, :depth].swapaxes(-1, -2),
+            out=_scratch(r, n_heads, hi - lo, depth),
+        )
+        a *= scale
+        a += mask
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        np.matmul(a, v[:r, :, :depth], out=heads(ctx_block)[:r, :, lo:hi])
+        if not tracked:
+            _recycle(a)
+        elif att is None:  # one block: the square itself
+            att = a
+        else:
+            att[r:, :, lo:hi] = 0.0
+            att[:r, :, lo:hi, depth:] = 0.0
+            att[:r, :, lo:hi, :depth] = a
+            _recycle(a)
     # a tiling token repeats its first: its context is that token's
     ctx = ctx_block.reshape(-1, h)
     if not full or len(xr) > n:
@@ -731,7 +783,7 @@ def attention(
     if residual is not None:
         out += residual.data[reads]
     if not tracked:
-        _recycle(ctx, att, kv, q)
+        _recycle(ctx, kv, q)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:

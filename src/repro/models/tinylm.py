@@ -88,7 +88,7 @@ def _stream(token_ids: np.ndarray, lengths: Optional[np.ndarray], shared: int, r
     )
     if key not in _STREAMS:
         stream = ag.Stream(token_ids.shape, lengths, leaders, shared, read_from)
-        if stream.mask.size + stream.tail.mask.size > 1 << 15:
+        if sum(mask.size for s in (stream, stream.tail) for *_, mask in s.blocks) > 1 << 15:
             return stream
         if len(_STREAMS) >= 16:
             del _STREAMS[next(iter(_STREAMS))]
@@ -106,8 +106,12 @@ class KVStore:
     exist is the block manager's business (:class:`repro.serving.PagedKVCache`).
     A forward's new tokens are laid out as any forward's
     (:class:`~repro.models.autograd.Stream`), and a position at or past a
-    row's length reads as an exact zero whatever the buffer holds, so a
-    freed slot needs no clearing.
+    row's length reads as an exact zero whatever the buffer holds — binding
+    a forward clears them, one slice per row, or one for rows that share a
+    slot run and an end — so a freed slot needs no clearing.  Rows whose
+    slots are one run read their keys and values as views of the store;
+    any other rows are gathered (the rollout server keeps its runners in
+    slots ``0..n-1`` so that they are not).
     """
 
     def __init__(
@@ -137,16 +141,21 @@ class KVStore:
             raise ValueError(f"position {end} is past KV capacity {self.capacity}")
         view = copy.copy(self)
         view.stream = ag.Stream((rows, t), cached=offsets)
+        width, ends = view.stream.width, offsets + t
         slots = np.arange(rows) if self.slots is None else self.slots
-        base = slots * self._buffers.shape[2]
-        keys, ends = np.arange(view.stream.width), offsets + t
-        view.writes = (base[:, None] + offsets[:, None] + np.arange(t)).ravel()
-        view.reads = base[:, None] + keys
-        # what lies past each row's end reads as zeros, in every layer
-        self._flat[:, view.reads[keys >= ends[:, None]]] = 0.0
+        first = int(slots[0])
         # rows whose slots are one run read views of the store
-        run = self.slots is None or (slots == slots[0] + np.arange(rows)).all()
-        view.run = (slice(slots[0], slots[0] + rows), slice(len(keys))) if run else None
+        run = self.slots is None or (slots == first + np.arange(rows)).all()
+        base = slots * self._buffers.shape[2]
+        view.writes = (base[:, None] + offsets[:, None] + np.arange(t)).ravel()
+        # what lies past each row's end reads as zeros, in every layer
+        if run and (ends == ends[0]).all():
+            self._buffers[:, first : first + rows, ends[0] : width] = 0.0
+        else:
+            for slot, stop in zip(slots.tolist(), ends.tolist()):
+                self._buffers[:, slot, stop:width] = 0.0
+        view.run = (slice(first, first + rows), slice(width)) if run else None
+        view.reads = None if run else base[:, None] + np.arange(width)
         return view
 
     def copy_prefix(self, source: int, slot: int, length: int) -> None:

@@ -120,6 +120,7 @@ def _counted_cores() -> Iterator[List[int]]:
 
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Continuous-batching drain through ``RolloutServer``."""
+    from repro.models.tinylm import KVStore
     from repro.serving import RolloutServer, ServingConfig
 
     pins = {
@@ -151,8 +152,21 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
     for prompt, budget in zip(prompts, budgets):
         server.submit(prompt, max_new_tokens=int(budget))
-    with _counted_cores() as cores:
-        report = server.drain()
+    # forwards bound to the store whose rows it gathers (counted here, in
+    # the harness): none when every cohort's slots are one run
+    gathers, at = [0], KVStore.at
+
+    def bound(store: KVStore, *args: Any, **kwargs: Any) -> KVStore:
+        view = at(store, *args, **kwargs)
+        gathers[0] += view.run is None
+        return view
+
+    KVStore.at = bound
+    try:
+        with _counted_cores() as cores:
+            report = server.drain()
+    finally:
+        KVStore.at = at
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
@@ -161,6 +175,8 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "n_preemptions": _metric("exact", report.n_preemptions),
         # one core per decode forward and layer, whatever each row cached
         "attention_cores": _metric("exact", cores[0]),
+        # held slots are 0..n-1: each cohort binds the store as views
+        "kv_gathers": _metric("exact", gathers[0]),
     }
     return pins, metrics
 

@@ -101,6 +101,19 @@ class ContinuousBatchScheduler:
                 req.wait_steps += 1
         return admitted
 
+    def compact(self) -> List[Tuple[Request, int]]:
+        """Move the runners into slots ``0..n-1`` (``n`` runners): each one
+        in a slot at or past ``n`` takes the lowest hole.  Admission then
+        hands out ``n``, ``n + 1``, ... in order.  Returns each moved runner
+        with the slot it left; its cached K/V is the caller's to move."""
+        n = len(self.running)
+        holes = sorted(slot for slot in self._free_slots if slot < n)
+        moved = sorted(((r, r.slot) for r in self.running if r.slot >= n), key=lambda m: m[1])
+        for (req, _), hole in zip(moved, holes):
+            req.slot = hole
+        self._free_slots = list(range(self.config.max_slots - 1, n - 1, -1))
+        return moved
+
     # -- block pressure --------------------------------------------------------------
 
     def ensure_decode_blocks(self, req: Request) -> bool:

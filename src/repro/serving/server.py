@@ -360,12 +360,16 @@ class RolloutServer:
 
         Every occupied slot emits exactly one token (admitted requests
         prefill and sample their first token in the same step): Orca's step
-        accounting.  Runners are walked in rank order to reserve the block
-        their next token needs; a reservation evicts only runners ranked
-        after the requester — ones the walk has not reached — so whatever
-        already joined a cohort keeps its blocks and its slot.
-        Then each cohort — the runners feeding the same number of tokens —
-        takes one forward.  A fresh request whose prompt another runner
+        accounting.  First the runners move into the low slots (each one
+        past them takes the lowest hole, its cached K/V with it) and
+        admission hands out the next ones, so the held slots are ``0..n-1``
+        and a cohort of resident decoders, or of admissions, is one run of
+        slots that binds the store as views.  Runners are walked in rank
+        order to reserve the block their next token needs; a reservation
+        evicts only runners ranked after the requester — ones the walk has
+        not reached — so whatever already joined a cohort keeps its blocks
+        and its slot.  Then each cohort — the runners feeding the same
+        number of tokens — takes one forward.  A fresh request whose prompt another runner
         prefills this step, or holds from its own prompt prefill, takes no
         part in it: it copies that runner's prompt K/V into its slot and
         samples from the same logits, so a GRPO group prefills its prompt
@@ -376,6 +380,8 @@ class RolloutServer:
         with self.tracer.span(
             f"serving.step[{self._steps}]", category="serving"
         ) as span:
+            for req, left in self.scheduler.compact():
+                self.store.copy_prefix(left, req.slot, req.kv_len)
             self.scheduler.schedule(self.now)
             preempted_before = self.scheduler.n_preemptions
             cohorts: Dict[int, List[Request]] = {}

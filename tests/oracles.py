@@ -27,6 +27,7 @@ from repro.config import (
     ParallelConfig,
     RlhfWorkload,
 )
+from repro.models import autograd as ag
 from repro.models.autograd import Tensor, no_grad
 from repro.perf.compute import inference_latency, training_latency
 from repro.perf.generation import generation_latency
@@ -489,6 +490,137 @@ def attention_reference(x, wq, wk, wv, wo, n_heads, grid, cache=None, layer=0, p
     # the padded stream again
     out = out.reshape(b * t, h)[np.arange(x.shape[0]) % (b * t)]
     return out @ wo
+
+
+def square_mask(stream):
+    """``(rows or 1, 1, height, width)``: -1e9 at the keys past each query
+    slot of ``stream``'s whole query block, every row at every key."""
+    queries = stream.first[:, None] + np.arange(stream.height)
+    return np.where(np.arange(stream.width) > queries[:, None, :, None], -1e9, 0.0)
+
+
+def attention_square_reference(
+    x, wq, wk, wv, wo, n_heads, stream, residual=None, cache=None, layer=0
+):
+    """``ag.attention`` as one square: every core row's whole query block
+    scores every key at the stream's ``width`` under :func:`square_mask`,
+    one softmax and context over it — the core before the causal staircase,
+    line for line.  The staircase must match it bit for bit: output, every
+    weight gradient and the input's (``tests/test_attention_staircase.py``)."""
+    parents = (x, wq, wk, wv, wo) + (() if residual is None else (residual,))
+    tracked = ag._tracked(*parents)
+    if tracked and cache is not None:
+        raise RuntimeError(
+            "a KV cache is inference-only: cached keys/values carry no "
+            "gradient to wk/wv; run the forward under no_grad()"
+        )
+    xd = x.data
+    h = xd.shape[-1]
+    hd = h // n_heads
+    scale = 1.0 / np.sqrt(hd)
+    rows, height, width = stream.rows, stream.height, stream.width
+    reads = slice(None) if stream.reads is None else stream.reads
+    slots, n = stream.slots, len(stream.slots)  # n: the real query tokens
+    full = stream.run == height  # every slot a query, in stream order: views
+
+    def heads(block):
+        return block.reshape(len(block), -1, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def projected(src, w):
+        return np.matmul(src, w.data, out=ag._scratch(*src.shape))
+
+    def blocked(flat, tiling=False):
+        """The query block of the stream ``flat``; ``tiling``: a tiling
+        token's row sums into its first token's slot."""
+        if full and (len(flat) == n or not tiling):
+            return flat[:n].reshape(rows, height, h)
+        block = ag._scratch(rows, height, h)
+        block[:, stream.run or 0 :] = 0.0
+        ag._put(block, slots, stream.run, flat[:n])
+        if tiling:
+            np.add.at(block.reshape(-1, h), stream.gather[n:], flat[n:])
+        ag._recycle(flat)
+        return block
+
+    xr = xd[reads]
+    q = heads(blocked(projected(xr, wq)))
+    if cache is not None:
+        new = [projected(xd, w) for w in (wk, wv)]
+        kv = cache.extend(layer, *new)
+        ag._recycle(*new)
+    else:
+        keys = stream.keys
+        kv = ag._scratch(2, rows, width, h)
+        kv[:, :, keys.run or 0 :] = 0.0
+        for block, w in zip(kv, (wk, wv)):
+            proj = projected(xd, w)
+            ag._put(block, keys.at, keys.run, proj[: len(keys.src)] if keys.run else proj[keys.src])
+            ag._recycle(proj)
+    k, v = heads(kv[0]), heads(kv[1])
+    att = np.matmul(q, k.swapaxes(-1, -2), out=ag._scratch(rows, n_heads, height, width))
+    att *= scale
+    att += square_mask(stream)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    # each head's context in its columns of the block: BLAS writes a GEMM
+    # at any output row stride alike
+    ctx_block = ag._scratch(rows, height, h)
+    np.matmul(att, v, out=heads(ctx_block))
+    # a tiling token repeats its first: its context is that token's
+    ctx = ctx_block.reshape(-1, h)
+    if not full or len(xr) > n:
+        ctx = ag._scratch(*xr.shape)
+        ctx[:n] = ag._take(ctx_block, slots, stream.run)
+        ctx[n:] = ctx_block.reshape(-1, h)[stream.gather[n:]]
+        ag._recycle(ctx_block)
+    out = ctx @ wo.data
+    if residual is not None:
+        out += residual.data[reads]
+    if not tracked:
+        ag._recycle(ctx, att, kv, q)
+        return Tensor._from_op(out, (), None)
+
+    def backward(g):
+        if wo.requires_grad:
+            wo._accumulate(ctx.T @ g, owned=True)
+        dctx = heads(blocked(g @ wo.data.T, tiling=True))
+        # each head's gradient in its columns of a ``(rows, depth, hidden)`` block
+        dq, dk, dv = (ag._scratch(rows, depth, h) for depth in (height, width, width))
+        np.matmul(att.swapaxes(-1, -2), dctx, out=heads(dv))
+        datt = np.matmul(dctx, v.swapaxes(-1, -2), out=ag._scratch(*att.shape))
+        # softmax VJP (masked entries have att == 0), then the score scaling
+        datt -= np.einsum("...k,...k->...", datt, att)[..., None]
+        datt *= att
+        datt *= scale
+        np.matmul(datt, k, out=heads(dq))
+        np.matmul(datt.swapaxes(-1, -2), q, out=heads(dk))
+        ag._recycle(att, kv, q, dctx)
+        at_queries = slice(0, n) if stream.reads is None else stream.reads[:n]
+        terms = [(wq, xr[:n], ag._take(dq, slots, stream.run), at_queries)]
+        for w, d in ((wk, dk), (wv, dv)):
+            # a key position's gradient sums into the stream token it read
+            tokens, d = stream.keys.folded(d)
+            terms.append((w, xd[tokens], d, tokens))
+        ag._recycle(datt, dq, dk, dv)
+        dx = np.zeros(xd.shape, dtype=np.float64)
+        for w, src, d, at in terms:
+            if w.requires_grad:
+                w._accumulate(src.T @ d, owned=True)
+            if x.requires_grad:
+                dx[at] += d @ w.data.T
+        if x.requires_grad:
+            x._accumulate(dx, owned=True)
+        ag._recycle(ctx)
+        if residual is not None and residual.requires_grad:
+            if stream.reads is not None:
+                g, returned = np.zeros(xd.shape, dtype=np.float64), g
+                g[at_queries] = returned[:n]
+                if len(returned) > n:  # the tiling tokens
+                    np.add.at(g, stream.reads[n:], returned[n:])
+            residual._accumulate(g, owned=True)
+
+    return Tensor._from_op(out, parents, backward)
 
 
 def mlp_reference(x, w_gate, w_up, w_down):

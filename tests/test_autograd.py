@@ -236,7 +236,7 @@ def _attention_reference(x, wq, wk, wv, wo, residual, n_heads, stream):
     """``ag.attention`` op by op: blocks gathered from the stream, one
     masked softmax and context over every row, the context gathered back
     onto the stream."""
-    rows, height, width = stream.rows, stream.mask.shape[2], stream.width
+    rows, height, width = stream.rows, stream.height, stream.width
     h = x.shape[-1]
     hd = h // n_heads
     xr = x if stream.reads is None else x[stream.reads]
@@ -248,7 +248,7 @@ def _attention_reference(x, wq, wk, wv, wo, residual, n_heads, stream):
     q = split_heads(xr @ wq, np.arange(len(stream.slots)), stream.slots, height)
     k, v = (split_heads(x @ w, stream.keys.src, stream.keys.at, width) for w in (wk, wv))
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
-    scores = scores + Tensor(stream.mask)
+    scores = scores + Tensor(O.square_mask(stream))
     ctx = (O.softmax(scores) @ v).transpose(0, 2, 1, 3).reshape(rows * height, h)
     out = ctx[stream.gather] @ wo
     if residual is None:

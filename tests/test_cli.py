@@ -141,6 +141,8 @@ class TestUsageErrors:
             (["faults", "--machines", "0"], "--machines must be >= 1"),
             (["faults", "--gpus-per-machine", "0"], "--gpus-per-machine must be >= 1"),
             (["faults", "--ckpt-every", "0"], "--ckpt-every must be >= 1"),
+            # exit 1 as "cluster exhausted" after the job started
+            (["faults", "--gpus-per-machine", "1"], "places 3 GPUs (main 2, r 1)"),
             (["pipeline", "--iterations", "0"], "n_iterations"),
             # a traceback from DataBatch.chunk
             (["pipeline", "--batch", "3"], "not divisible"),

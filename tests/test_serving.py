@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster.device import SimDevice
 from repro.config import GpuSpec
 from repro.models.sampler import generate
-from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.models.tinylm import KVStore, TinyLM, TinyLMConfig
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import (
     BlockExhausted,
@@ -922,6 +922,57 @@ class TestEqualsBatchOneGenerate:
         assert report.n_preemptions > 0
         assert len(report.completed) > run["config"]["max_slots"]  # slots reused
         assert report.n_forwards < 2 * report.n_steps
+
+
+class TestHeldSlotsAreTheLowest:
+    """Each step first moves its runners into slots ``0..n-1`` (their
+    cached K/V with them) and admits into the next ones, so after
+    ``schedule()`` the held slots are ``range(len(running))``, and a cohort
+    of decoders, or of admissions, binds the store as views."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=st.one_of(serving_runs(), grouped_runs()))
+    def test_held_slots_are_range_of_runners(self, run):
+        seed = run["seed"]
+        server = RolloutServer(TinyLM(CFG, seed=4), ServingConfig(seed=seed, **run["config"]))
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(0, CFG.vocab_size, size=n) for n in run["prompt_lengths"]]
+        for g, budget in zip(run.get("groups", range(len(prompts))), run["budgets"]):
+            server.submit(prompts[g], max_new_tokens=budget)
+        schedule = server.scheduler.schedule
+
+        def checked(now):
+            admitted = schedule(now)
+            held = sorted(req.slot for req in server.scheduler.running)
+            assert held == list(range(len(held)))
+            return admitted
+
+        server.scheduler.schedule = checked
+        drain_with_invariants(server)
+
+    def test_a_drain_without_preemption_gathers_nothing(self, model):
+        # budgets differ, so runners finish at different steps and leave
+        # holes; admissions and decoders each bind one run of slots
+        server = make_server(model, max_slots=4, n_blocks=64)
+        prompts = np.random.default_rng(5).integers(0, CFG.vocab_size, size=(10, 4))
+        budgets = [3, 9, 5, 2, 7, 4, 8, 6, 3, 5]
+        submit_all(server, prompts, budgets)
+        at, binds = KVStore.at, []
+
+        def bound(store, *args, **kwargs):
+            view = at(store, *args, **kwargs)
+            binds.append(view.run is not None)
+            return view
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KVStore, "at", bound)
+            report = drain_with_invariants(server)
+        assert report.n_preemptions == 0 and len(binds) == report.n_forwards
+        assert all(binds)
+        for done in report.completed:  # moved runners decode as if never moved
+            alone = generate(model, prompts[done.request_id][None],
+                             max_new_tokens=budgets[done.request_id], greedy=True)
+            np.testing.assert_array_equal(done.response, alone.responses[0])
 
 
 class TestGroupedPromptIsPrefilledOnce:

@@ -534,8 +534,15 @@ class TestPackedForwardIsThePaddedForward:
         assert len(stream.index) == 72  # whole tiles: the first 3 repeat
         assert np.array_equal(stream.index[69:], stream.index[:3])
         # one core over every row: keys at 40, queries in blocks of 40 from
-        # position 0 in every row, under one mask
-        assert stream.width == 40 and stream.mask.shape == (1, 1, 40, 40)
+        # position 0 in every row, run as a causal staircase — the longest
+        # row first, each block of 16 slots over the rows with queries there
+        # at the width its last query reads, under one mask per block
+        assert stream.width == stream.height == 40
+        assert [(r, lo, hi, w) for r, lo, hi, w, _ in stream.blocks] == [
+            (4, 0, 16, 16), (2, 16, 32, 32), (1, 32, 40, 40)]
+        assert [mask.shape for *_, mask in stream.blocks] == [
+            (1, 1, 16, 16), (1, 1, 16, 32), (1, 1, 8, 40)]
+        assert np.array_equal(stream.slots[:3], 3 * 40 + np.arange(3))  # row 0 is core row 3
 
     def test_lengths_pack_whole_rows_only(self, model, config):
         with pytest.raises(ValueError, match="layout"):
