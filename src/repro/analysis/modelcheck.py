@@ -58,6 +58,7 @@ from repro.analysis.protocols import (
     replay_schedule,
 )
 from repro.analysis.report import ERROR, AnalysisReport
+from repro.config import bounded, check_bounds
 
 #: rule -> (title, fix hint attached to every finding of that rule)
 MC_RULES: Dict[str, Tuple[str, str]] = {
@@ -154,31 +155,29 @@ class _Frame:
         self.done: List[Any] = []
 
 
+@dataclasses.dataclass(eq=False)
 class ModelChecker:
     """Bounded stateless explorer with sleep-set partial-order reduction.
 
     ``max_depth`` bounds schedule length, ``max_states`` bounds distinct
     states per model (exceeding either sets ``truncated`` instead of
-    failing).  ``reduce=False`` disables the sleep-set pruning (useful to
-    validate the reduction itself); ``shrink=False`` keeps the first DFS
-    witness instead of breadth-first minimising it.
+    failing; each must be >= 1, or nothing is explored).  ``reduce=False``
+    disables the sleep-set pruning (useful to validate the reduction
+    itself); ``shrink=False`` keeps the first DFS witness instead of
+    breadth-first minimising it.
 
     A violating state is a frontier: its rules are recorded (first
     witness per rule, later minimised) and it is not expanded further, so
     one seeded fault reports exactly one rule instead of a cascade.
     """
 
-    def __init__(
-        self,
-        max_depth: int = 400,
-        max_states: int = 60_000,
-        reduce: bool = True,
-        shrink: bool = True,
-    ) -> None:
-        self.max_depth = max_depth
-        self.max_states = max_states
-        self.reduce = reduce
-        self.shrink = shrink
+    max_depth: int = bounded(400, ge=1)
+    max_states: int = bounded(60_000, ge=1)
+    reduce: bool = True
+    shrink: bool = True
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     # -- single-model exploration ------------------------------------------------------
 

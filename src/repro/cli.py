@@ -1,13 +1,20 @@
 """Command-line interface: argument parsing, dispatch and printing.
 
-Each subcommand parses its flags, calls the function that does the work —
-the analytic models of ``repro.perf``/``repro.mapping``, or a
-self-verifying flow beside its subsystem (``runtime.train_with_recovery``,
-``pipeline.overlap_study``, ``serving.RolloutServer``,
-``fleet.FleetScheduler``, ``analysis``) — and prints what came back.
-``python -m repro.cli --help`` lists the subcommands; ``<subcommand>
---help`` its flags.  Bad arguments exit 2 with a message on stderr before
-anything runs; a run that fails or fails its own check exits 1.
+Each subcommand parses its flags, builds the configs it runs, calls the
+function that does the work — the analytic models of
+``repro.perf``/``repro.mapping``, or a self-verifying flow beside its
+subsystem (``runtime.train_with_recovery``, ``pipeline.overlap_study``,
+``serving.RolloutServer``, ``fleet.FleetScheduler``, ``analysis``) — and
+prints what came back.  ``python -m repro.cli --help`` lists the
+subcommands; ``<subcommand> --help`` its flags.
+
+A bound is declared once, on the setting it bounds: a flag that feeds a
+config field takes the bound in that field's metadata (``_arg``'s
+``bound=(Config, "field")``), a flag no config holds declares its own.
+``main`` holds every flag to its bound, then runs the subcommand's set-up,
+which builds its configs; a value out of bound, or a ``ValueError`` from
+that set-up, exits 2 with one line on stderr naming the flag, before
+anything runs or prints.  A run that fails or fails its own check exits 1.
 
 Examples::
 
@@ -28,25 +35,35 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.analysis.modelcheck import ModelChecker
 from repro.baselines import ALL_SYSTEMS
 from repro.baselines.common import InfeasibleScenario
 from repro.config import (
     GPU_SPECS,
     MODEL_SPECS,
+    BoundError,
     ClusterSpec,
     GenParallelConfig,
     ParallelConfig,
     RlhfWorkload,
+    check_bound,
+    field_bounds,
 )
+from repro.faults.plan import FaultEvent
+from repro.faults.policy import RetryPolicy
+from repro.fleet.job import JobSpec
 from repro.hybrid_engine.overhead import EngineKind, transition_overhead
 from repro.mapping import ClusterZone, map_dataflow
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time
+from repro.pipeline.config import PipelineConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime.builder import required_models
+from repro.serving.server import ServingConfig
 
 
 class UsageError(Exception):
@@ -60,6 +77,16 @@ class RunFailed(Exception):
 def _require_index(flag: str, value: int, n: int, unit: str) -> None:
     if not 0 <= value < n:
         raise UsageError(f"{flag} {value} out of range for {n} {unit}")
+
+
+def _require_fits(args: argparse.Namespace, cluster: ClusterSpec, gpus: int, what: str) -> None:
+    """``what`` takes ``gpus`` GPUs: more than the cluster has is a usage
+    error, found before anything runs."""
+    if gpus > cluster.n_gpus:
+        raise UsageError(
+            f"{what} but --machines {args.machines} x --gpus-per-machine "
+            f"{args.gpus_per_machine} give {cluster.n_gpus}"
+        )
 
 
 def _write_json(path: str, doc: Any, context: str):
@@ -76,61 +103,72 @@ def _write_json(path: str, doc: Any, context: str):
     return out
 
 
+def _arg(parser: argparse.ArgumentParser, flag: str, bound=None, **kwargs) -> None:
+    """``add_argument`` with the flag's bound, which ``main`` checks before the
+    subcommand runs: ``(Config, "field")`` takes the bound that field
+    declares, a dict (``{"ge": 0}``) is the bound of a flag no config holds."""
+    action = parser.add_argument(flag, **kwargs)
+    action.setting = None
+    if isinstance(bound, tuple):
+        config, action.setting = bound
+        bound = field_bounds(config)[action.setting][0]
+    action.bound = bound
+
+
+#: Flags several subcommands take, declared once; a subcommand may give its
+#: own default and help.
+_SHARED: Dict[str, Dict[str, Any]] = {
+    "--machines": dict(type=int, bound=(ClusterSpec, "n_machines"), help="simulated machines"),
+    "--gpus-per-machine": dict(type=int, default=4, bound=(ClusterSpec, "gpus_per_machine"),
+                               help="GPUs per simulated machine"),
+    "--iterations": dict(type=int, bound=(JobSpec, "n_iterations"), help="PPO iterations"),
+    "--ckpt-every": dict(type=int, default=1, bound=(JobSpec, "checkpoint_every"),
+                         help="checkpoint interval in iterations"),
+    "--batch": dict(type=int, bound=(RlhfWorkload, "global_batch_size"),
+                    help="global prompt batch size"),
+    "--seed": dict(type=int, default=0, bound=(RetryPolicy, "seed")),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, flag: str, **own: Any) -> None:
+    _arg(parser, flag, **{**_SHARED[flag], **own})
+
+
 def _common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
-        default="llama-7b",
-        choices=sorted(MODEL_SPECS),
-        help="Llama-class model size for every role",
-    )
-    parser.add_argument(
-        "--machines",
-        type=int,
-        default=2,
-        help="number of 8-GPU machines in the simulated cluster",
-    )
-    parser.add_argument(
-        "--algo",
-        default="ppo",
-        choices=[a.value for a in AlgoType],
-        help="RLHF algorithm (dataflow variant)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=1024, help="global prompt batch size"
-    )
-    parser.add_argument(
-        "--prompt-length", type=int, default=1024, help="prompt tokens"
-    )
-    parser.add_argument(
-        "--response-length", type=int, default=1024, help="response tokens"
-    )
+    parser.add_argument("--model", default="llama-7b", choices=sorted(MODEL_SPECS),
+                        help="Llama-class model size for every role")
+    _shared(parser, "--machines", default=2,
+            help="number of 8-GPU machines in the simulated cluster")
+    parser.add_argument("--algo", default="ppo", choices=[a.value for a in AlgoType],
+                        help="RLHF algorithm (dataflow variant)")
+    _shared(parser, "--batch", default=1024)
+    _arg(parser, "--prompt-length", type=int, default=1024,
+         bound=(RlhfWorkload, "prompt_length"), help="prompt tokens")
+    _arg(parser, "--response-length", type=int, default=1024,
+         bound=(RlhfWorkload, "response_length"), help="response tokens")
 
 
-def _cluster(args: argparse.Namespace) -> ClusterSpec:
-    if args.machines < 1:
-        raise UsageError(f"--machines must be >= 1, got {args.machines}")
-    return ClusterSpec(n_machines=args.machines)
+def _parallel_args(parser: argparse.ArgumentParser) -> None:
+    """The training ``p-t-d`` of ``transition`` and ``sweep-gen``."""
+    for flag, default in (("--pp", 1), ("--tp", 8), ("--dp", 2)):
+        _arg(parser, flag, type=int, default=default, bound=(ParallelConfig, flag[2:]))
 
 
-def _workload(args: argparse.Namespace) -> RlhfWorkload:
-    return RlhfWorkload(
+def _analytic(args: argparse.Namespace):
+    """Set-up of the analytic subcommands: ``(algo, model specs by role,
+    cluster, workload)``."""
+    algo = AlgoType(args.algo)
+    specs = {role: MODEL_SPECS[args.model] for role in required_models(algo)}
+    workload = RlhfWorkload(
         prompt_length=args.prompt_length,
         response_length=args.response_length,
         global_batch_size=args.batch,
     )
+    return algo, specs, ClusterSpec(n_machines=args.machines), workload
 
 
-def _specs(args: argparse.Namespace):
-    algo = AlgoType(args.algo)
-    return algo, {
-        role: MODEL_SPECS[args.model] for role in required_models(algo)
-    }
-
-
-def cmd_throughput(args: argparse.Namespace) -> int:
-    algo, specs = _specs(args)
-    cluster = _cluster(args)
-    wl = _workload(args)
+def cmd_throughput(args: argparse.Namespace, built) -> int:
+    algo, specs, cluster, wl = built
     print(
         f"{algo.value} / {args.model} on {cluster.n_gpus} GPUs "
         f"(batch {wl.global_batch_size}, {wl.prompt_length}/{wl.response_length} tokens)"
@@ -165,10 +203,8 @@ def _map(algo, specs, cluster, wl):
         raise RunFailed(str(exc)) from None
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    algo, specs = _specs(args)
-    cluster = _cluster(args)
-    wl = _workload(args)
+def cmd_map(args: argparse.Namespace, built) -> int:
+    algo, specs, cluster, wl = built
     result = _map(algo, specs, cluster, wl)
     print(f"best mapping for {algo.value} / {args.model} on {cluster.n_gpus} GPUs:")
     print(f"  {result.describe()}")
@@ -189,11 +225,15 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_transition(args: argparse.Namespace) -> int:
-    spec = MODEL_SPECS[args.model]
-    cluster = _cluster(args)
+def _transition(args: argparse.Namespace):
     train = ParallelConfig(pp=args.pp, tp=args.tp, dp=args.dp)
     gen = GenParallelConfig.derive(train, args.gen_pp, args.gen_tp)
+    return ClusterSpec(n_machines=args.machines), train, gen
+
+
+def cmd_transition(args: argparse.Namespace, built) -> int:
+    spec = MODEL_SPECS[args.model]
+    cluster, train, gen = built
     print(
         f"{args.model}: training {train} -> generation "
         f"{args.gen_pp}-{args.gen_tp} (micro-DP {gen.micro_dp})"
@@ -223,18 +263,19 @@ def cmd_transition(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep_gen(args: argparse.Namespace) -> int:
+def cmd_sweep_gen(args: argparse.Namespace, built) -> int:
     spec = MODEL_SPECS[args.model]
-    cluster = _cluster(args)
-    wl = _workload(args)
+    _, _, cluster, wl = built
     train = ParallelConfig(pp=args.pp, tp=args.tp, dp=args.dp)
     print(
         f"{args.model} generation sweep on {cluster.n_gpus} GPUs "
         f"(training {train}, reserved {args.reserved_gb} GB/GPU)"
     )
     best: Optional[tuple] = None
-    tg = 1
-    while tg <= train.tp:
+    # the powers of two up to t that divide the training MP size (§5.1)
+    for tg in (2**i for i in range(train.tp.bit_length())):
+        if train.model_parallel_size % tg:
+            continue
         gen = GenParallelConfig.derive(train, 1, tg)
         est = generation_latency(
             spec,
@@ -254,32 +295,36 @@ def cmd_sweep_gen(args: argparse.Namespace) -> int:
         )
         if best is None or total < best[1]:
             best = (tg, total)
-        tg *= 2
     assert best is not None
     print(f"  -> best generation TP size: t_g={best[0]}")
     return 0
 
 
-def cmd_map_hetero(args: argparse.Namespace) -> int:
-    algo, specs = _specs(args)
-    wl = _workload(args)
-    zones = []
+def _zones(args: argparse.Namespace) -> List[ClusterZone]:
+    zones: List[ClusterZone] = []
     for entry in args.zones or ["a100:A100-80GB:1", "h100:H100-80GB:1"]:
         try:
             name, gpu_name, machines = entry.split(":")
             zone = ClusterZone(
                 name, ClusterSpec(n_machines=int(machines), gpu=GPU_SPECS[gpu_name])
             )
+        except BoundError as exc:
+            raise UsageError(
+                f"bad --zone {entry!r}; MACHINES {exc.requirement}, got {exc.value}"
+            ) from None
         except (ValueError, KeyError):
             raise UsageError(
                 f"bad --zone {entry!r}; expected NAME:GPU:MACHINES with GPU "
                 f"in {sorted(GPU_SPECS)}"
             ) from None
-        if zone.n_gpus < 1:
-            raise UsageError(f"bad --zone {entry!r}; MACHINES must be >= 1")
         if any(z.name == name for z in zones):
             raise UsageError(f"bad --zone {entry!r}; zone {name!r} is named twice")
         zones.append(zone)
+    return zones
+
+
+def cmd_map_hetero(args: argparse.Namespace, built) -> int:
+    algo, specs, _, wl, zones = built
     result = _map(algo, specs, zones, wl)
     total = sum(z.n_gpus for z in zones)
     print(
@@ -298,35 +343,23 @@ def cmd_map_hetero(args: argparse.Namespace) -> int:
 
 
 def _shipped_job_faults(args: argparse.Namespace):
-    """``(cluster spec, injector)``: where the shipped job runs and the
-    faults ``args`` schedule against it, validated — the job's placement
-    fits the cluster before anything runs."""
+    """``(cluster spec, injector, retry policy)``: where the shipped job runs,
+    the faults ``args`` schedule against it, and how it retries — the job's
+    placement fits the cluster before anything runs."""
     from repro.faults import FaultInjector, FaultPlan
     from repro.runtime import SystemSpec
 
-    for flag, value, least in (
-        ("--iterations", args.iterations, 1),
-        ("--machines", args.machines, 1),
-        ("--gpus-per-machine", args.gpus_per_machine, 1),
-        ("--ckpt-every", args.ckpt_every, 1),
-        ("--at-step", args.at_step, 0),
-        ("--transients", args.transients, 0),
-    ):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
-    if args.mtbf <= 0:
-        raise UsageError(f"--mtbf must be > 0, got {args.mtbf}")
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
     placement = SystemSpec().plan
-    if placement.total_gpus > spec.n_gpus:
-        placed = ", ".join(f"{pool} {n}" for pool, n in placement.pools.items())
-        raise UsageError(
-            f"the shipped job places {placement.total_gpus} GPUs ({placed}) but "
-            f"--machines {args.machines} x --gpus-per-machine "
-            f"{args.gpus_per_machine} give {spec.n_gpus}"
-        )
+    placed = ", ".join(f"{pool} {n}" for pool, n in placement.pools.items())
+    _require_fits(
+        args,
+        spec,
+        placement.total_gpus,
+        f"the shipped job places {placement.total_gpus} GPUs ({placed})",
+    )
     plan = FaultPlan()
     if args.kill_machine is not None:
         _require_index(
@@ -338,17 +371,16 @@ def _shipped_job_faults(args: argparse.Namespace):
         plan.kill_device(args.kill_device, at_step=args.at_step)
     if args.transients:
         plan.transient(at_step=args.at_step, count=args.transients)
-    return spec, FaultInjector(plan)
+    return spec, FaultInjector(plan), RetryPolicy(seed=args.seed)
 
 
-def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector):
+def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector, retry_policy):
     """The shipped PPO job under automatic recovery (§9), batch 8.
 
     Returns ``train_with_recovery``'s ``(system, history, report)``.
     """
     import tempfile
 
-    from repro.faults import RetryPolicy
     from repro.runtime import SystemSpec, train_with_recovery
 
     job = SystemSpec()
@@ -362,22 +394,22 @@ def _train_shipped_job(args: argparse.Namespace, cluster_spec, injector):
                 checkpoint_dir=ckpt_dir,
                 checkpoint_every=args.ckpt_every,
                 injector=injector,
-                retry_policy=RetryPolicy(seed=args.seed),
+                retry_policy=retry_policy,
             )
         except (RuntimeError, ValueError) as exc:  # worker lost, cluster exhausted
             raise RunFailed(f"unrecoverable failure: {exc}") from exc
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
+def cmd_faults(args: argparse.Namespace, built) -> int:
     from repro.perf import measured_interval_study
 
-    spec, injector = _shipped_job_faults(args)
+    spec, injector, _ = built
     print(
         f"fault-injected PPO on {spec.n_gpus} simulated GPUs "
         f"({args.iterations} iterations, checkpoint every {args.ckpt_every}, "
         f"{len(injector.plan)} scheduled fault(s))"
     )
-    system, history, report = _train_shipped_job(args, spec, injector)
+    system, history, report = _train_shipped_job(args, *built)
     if injector.pending_events:
         unfired = ", ".join(
             f"{event.kind.value} at step {event.at_step}"
@@ -460,7 +492,8 @@ def _export_checked_trace(controller, path: str) -> None:
         raise RunFailed("trace does not match timeline accounting")
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve(args: argparse.Namespace):
+    """The engine with every request submitted."""
     # Functional-path imports stay local so the analytic subcommands keep
     # their fast import time.
     import dataclasses
@@ -469,55 +502,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.models.tinylm import TinyLM
     from repro.runtime import TINY_LM
-    from repro.serving import (
-        RolloutServer,
-        ServingConfig,
-        sample_response_lengths,
-        static_wave_steps,
-    )
+    from repro.serving import RolloutServer, sample_response_lengths
 
-    if args.priority_levels < 1:
-        raise UsageError("--priority-levels must be >= 1")
-    if args.arrival_rate < 0:
-        raise UsageError("--arrival-rate must be >= 0 (0 = all at once)")
     rng = np.random.default_rng(args.seed)
-    try:  # everything up to the drain is set-up: its ValueErrors are usage
-        cfg = dataclasses.replace(
-            TINY_LM, max_seq_len=args.prompt_length + args.max_response
-        )
-        lengths = sample_response_lengths(
-            args.requests, args.mean_response, args.max_response, rng
-        )
-        serving = ServingConfig(
-            max_slots=args.slots,
-            block_size=args.block_size,
-            n_blocks=args.blocks,
-            eos_token_id=args.eos,
-            greedy=args.eos is None,
-            slo_ttft=args.slo_ttft,
-            slo_latency=args.slo_latency,
-            seed=args.seed,
-        )
-        server = RolloutServer(TinyLM(cfg, seed=args.seed), serving)
-        arrival = 0.0
-        for i in range(args.requests):
-            if args.arrival_rate > 0:
-                arrival += (
-                    float(rng.exponential(1.0 / args.arrival_rate))
-                    * serving.step_time
-                )
-            server.submit(
-                rng.integers(0, cfg.vocab_size, size=args.prompt_length),
-                # with EOS the response length is sampled by the model itself;
-                # without, each request greedily runs to its target length
-                max_new_tokens=(
-                    args.max_response if args.eos is not None else int(lengths[i])
-                ),
-                priority=int(rng.integers(0, args.priority_levels)),
-                arrival_time=arrival if args.arrival_rate > 0 else 0.0,
+    cfg = dataclasses.replace(
+        TINY_LM, max_seq_len=args.prompt_length + args.max_response
+    )
+    lengths = sample_response_lengths(
+        args.requests, args.mean_response, args.max_response, rng
+    )
+    serving = ServingConfig(
+        max_slots=args.slots,
+        block_size=args.block_size,
+        n_blocks=args.blocks,
+        eos_token_id=args.eos,
+        greedy=args.eos is None,
+        slo_ttft=args.slo_ttft,
+        slo_latency=args.slo_latency,
+        seed=args.seed,
+    )
+    server = RolloutServer(TinyLM(cfg, seed=args.seed), serving)
+    arrival = 0.0
+    for i in range(args.requests):
+        if args.arrival_rate > 0:
+            arrival += (
+                float(rng.exponential(1.0 / args.arrival_rate)) * serving.step_time
             )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        server.submit(
+            rng.integers(0, cfg.vocab_size, size=args.prompt_length),
+            # with EOS the response length is sampled by the model itself;
+            # without, each request greedily runs to its target length
+            max_new_tokens=(
+                args.max_response if args.eos is not None else int(lengths[i])
+            ),
+            priority=int(rng.integers(0, args.priority_levels)),
+            arrival_time=arrival if args.arrival_rate > 0 else 0.0,
+        )
+    return server
+
+
+def cmd_serve(args: argparse.Namespace, server) -> int:
+    from repro.serving import static_wave_steps
+
     report = server.drain()
     print(
         f"continuous-batching rollout serving: {args.requests} requests on "
@@ -538,18 +564,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Multi-tenant fleet run: N jobs, one shared cluster, injected kills."""
-    import tempfile
-
+def _fleet(args: argparse.Namespace):
+    """``(cluster spec, jobs, fault plan)``: every job's narrowest gang fits
+    the cluster, and every kill lands on it."""
     from repro.faults import FaultPlan
-    from repro.fleet import FleetScheduler, JobSpec
-    from repro.observability import collect_fleet_metrics
 
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.machines_per_rack < 1:
-        raise UsageError("--machines-per-rack must be >= 1")
     spec = ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
@@ -568,8 +587,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
         for i in range(args.jobs)
     ]
-    demand = " + ".join(str(j.gpus_at(j.preferred_dp)) for j in jobs)
-
+    for job in jobs:
+        _require_fits(
+            args,
+            spec,
+            job.min_gpus,
+            f"{job.name} needs {job.min_gpus} GPUs at its narrowest "
+            f"(dp={job.candidate_dps()[-1]})",
+        )
     plan = FaultPlan()
     for machine in args.kill_machines or ():
         _require_index("--kill-machine", machine, spec.n_machines, "machine(s)")
@@ -586,7 +611,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             at_step=args.at_tick,
             machines_per_rack=args.machines_per_rack,
         )
+    return spec, jobs, plan
 
+
+def cmd_fleet(args: argparse.Namespace, built) -> int:
+    """Multi-tenant fleet run: N jobs, one shared cluster, injected kills."""
+    import tempfile
+
+    from repro.fleet import FleetScheduler
+    from repro.observability import collect_fleet_metrics
+
+    spec, jobs, plan = built
+    demand = " + ".join(str(j.gpus_at(j.preferred_dp)) for j in jobs)
     print(
         f"fleet: {args.jobs} tenant job(s) (GPU demand {demand}) on "
         f"{spec.n_gpus} shared GPUs, {len(plan)} scheduled kill(s) at "
@@ -705,7 +741,7 @@ def _sharding_reports():
     return reports
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, checker: ModelChecker) -> int:
     """``repro check``: lint + dataflow + trace + sharding + races
     (+ models, + shapes)."""
     import json
@@ -718,7 +754,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     from repro.serialization import json_safe
 
-    as_json = args.json or args.format == "json"
+    as_json = args.format == "json"
     out = sys.stderr if as_json else sys.stdout
     skip = set(args.skip or ())
     combined = AnalysisReport("repro check")
@@ -752,11 +788,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.models:
         import dataclasses
 
-        from repro.analysis import ModelChecker
-
-        checker = ModelChecker(
-            max_depth=args.mc_depth, max_states=args.mc_states
-        )
         combined.merge(checker.check_shipped())
         if args.mc_report:
             doc = {
@@ -785,7 +816,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def _pipeline(args: argparse.Namespace) -> PipelineConfig:
+    from repro.pipeline.driver import check_overlap_study
+
+    check_overlap_study(args.iterations, args.batch)
+    return PipelineConfig(staleness_window=args.staleness, stream_scoring=args.stream)
+
+
+def cmd_pipeline(args: argparse.Namespace, config: PipelineConfig) -> int:
     """The ``repro pipeline`` gate: one-step-off overlap with proofs attached.
 
     :func:`repro.pipeline.overlap_study` runs the staleness=0 self-check —
@@ -795,18 +833,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     trace auditor and the vector-clock race detector; any RC5xx finding
     fails the command.
     """
-    from repro.pipeline import PipelineConfig, overlap_study
+    from repro.pipeline import overlap_study
 
-    try:
-        study = overlap_study(
-            args.iterations,
-            args.batch,
-            PipelineConfig(
-                staleness_window=args.staleness, stream_scoring=args.stream
-            ),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad pipeline config: {exc}") from None
+    study = overlap_study(args.iterations, args.batch, config)
     if not study.bit_exact:
         raise RunFailed(
             "staleness=0 self-check FAILED: async driver diverged from the "
@@ -859,7 +888,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace, _) -> int:
     """Perf trajectory gate: run pinned workloads, compare vs the baseline."""
     import json
     import pathlib
@@ -924,39 +953,34 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.perf.bench import WORKLOADS
 
     parser = argparse.ArgumentParser(
-        prog="repro.cli",
-        description="HybridFlow reproduction: analytical tools",
+        prog="repro.cli", description="HybridFlow reproduction: analytical tools"
     )
+    parser.set_defaults(setup=lambda args: None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("throughput", help="compare systems on one scenario")
     _common_args(p)
-    p.set_defaults(fn=cmd_throughput)
+    p.set_defaults(setup=_analytic, fn=cmd_throughput)
 
     p = sub.add_parser("map", help="run the auto device-mapping algorithm")
     _common_args(p)
-    p.set_defaults(fn=cmd_map)
+    p.set_defaults(setup=_analytic, fn=cmd_map)
 
     p = sub.add_parser("transition", help="Table 2 overheads + transition time")
     _common_args(p)
-    p.add_argument("--pp", type=int, default=1)
-    p.add_argument("--tp", type=int, default=8)
-    p.add_argument("--dp", type=int, default=2)
-    p.add_argument("--gen-tp", type=int, default=2)
-    p.add_argument("--gen-pp", type=int, default=1)
-    p.set_defaults(fn=cmd_transition)
+    _parallel_args(p)
+    _arg(p, "--gen-tp", type=int, default=2, bound=(GenParallelConfig, "tp"))
+    _arg(p, "--gen-pp", type=int, default=1, bound=(GenParallelConfig, "pp"))
+    p.set_defaults(setup=_transition, fn=cmd_transition)
 
     p = sub.add_parser("sweep-gen", help="Figure 15 generation-TP sweep")
     _common_args(p)
-    p.add_argument("--pp", type=int, default=1)
-    p.add_argument("--tp", type=int, default=8)
-    p.add_argument("--dp", type=int, default=2)
-    p.add_argument("--reserved-gb", type=float, default=17.0)
-    p.set_defaults(fn=cmd_sweep_gen)
+    _parallel_args(p)
+    _arg(p, "--reserved-gb", type=float, default=17.0, bound={"ge": 0})
+    p.set_defaults(setup=_analytic, fn=cmd_sweep_gen)
 
     p = sub.add_parser(
-        "map-hetero",
-        help="device mapping over heterogeneous zones (the §6 extension)",
+        "map-hetero", help="device mapping over heterogeneous zones (the §6 extension)"
     )
     _common_args(p)
     p.add_argument(
@@ -969,101 +993,58 @@ def build_parser() -> argparse.ArgumentParser:
             f"(GPUs: {', '.join(sorted(GPU_SPECS))})"
         ),
     )
-    p.set_defaults(fn=cmd_map_hetero)
+    p.set_defaults(setup=lambda args: (*_analytic(args), _zones(args)), fn=cmd_map_hetero)
 
     p = sub.add_parser(
-        "faults",
-        help="fault-injected functional run with automatic recovery (§9)",
+        "faults", help="fault-injected functional run with automatic recovery (§9)"
     )
-    p.add_argument(
-        "--machines", type=int, default=2, help="simulated machines"
-    )
-    p.add_argument(
+    _shared(p, "--machines", default=2)
+    _shared(
+        p,
         "--gpus-per-machine",
-        type=int,
-        default=4,
         help="GPUs per simulated machine (spare capacity hosts re-placement)",
     )
-    p.add_argument("--iterations", type=int, default=6, help="PPO iterations")
+    _shared(p, "--iterations", default=6)
+    _shared(p, "--ckpt-every")
     p.add_argument(
-        "--ckpt-every",
-        type=int,
-        default=1,
-        help="checkpoint interval in iterations",
+        "--kill-machine", type=int, metavar="M", help="kill machine M (all its GPUs) at --at-step"
     )
-    p.add_argument(
-        "--kill-machine",
-        type=int,
-        default=None,
-        metavar="M",
-        help="kill machine M (all its GPUs) at --at-step",
-    )
-    p.add_argument(
-        "--kill-device",
-        type=int,
-        default=None,
-        metavar="RANK",
-        help="kill one GPU at --at-step",
-    )
-    p.add_argument(
-        "--transients",
-        type=int,
-        default=0,
-        metavar="N",
-        help="inject N consecutive transient RPC failures at --at-step",
-    )
-    p.add_argument(
-        "--at-step",
-        type=int,
-        default=30,
-        help="trace sequence number at which scheduled faults arm",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="retry-backoff jitter seed"
-    )
-    p.add_argument(
-        "--mtbf",
-        type=float,
-        default=3600.0,
-        help="assumed mean time between failures for the analytic model (s)",
-    )
+    p.add_argument("--kill-device", type=int, metavar="RANK", help="kill one GPU at --at-step")
+    _arg(p, "--transients", type=int, default=0, metavar="N", bound={"ge": 0},
+         help="inject N consecutive transient RPC failures at --at-step")
+    _arg(p, "--at-step", type=int, default=30, bound=(FaultEvent, "at_step"),
+         help="trace sequence number at which scheduled faults arm")
+    _shared(p, "--seed", help="retry-backoff jitter seed")
+    _arg(p, "--mtbf", type=float, default=3600.0, bound={"gt": 0},
+         help="assumed mean time between failures for the analytic model (s)")
     p.add_argument(
         "--trace",
-        default=None,
         metavar="OUT",
         help=(
             "write the run's Chrome trace and check its per-pool busy/idle "
             "against the Timeline accounting"
         ),
     )
-    p.add_argument(
-        "--metrics",
-        default=None,
-        metavar="OUT",
-        help="write the run's metrics as Prometheus text",
-    )
-    p.set_defaults(fn=cmd_faults)
+    p.add_argument("--metrics", metavar="OUT", help="write the run's metrics as Prometheus text")
+    p.set_defaults(setup=_shipped_job_faults, fn=cmd_faults)
 
-    p = sub.add_parser(
-        "serve",
-        help="functional continuous-batching rollout serving demo",
-    )
+    p = sub.add_parser("serve", help="functional continuous-batching rollout serving demo")
+    # the request shape is bounded where it is used: --requests,
+    # --mean-response and --max-response by sample_response_lengths,
+    # --prompt-length by RolloutServer.submit
     p.add_argument("--requests", type=int, default=16, help="request count")
     p.add_argument("--prompt-length", type=int, default=4, help="prompt tokens")
-    p.add_argument(
-        "--mean-response", type=int, default=8, help="mean response length"
-    )
-    p.add_argument(
-        "--max-response", type=int, default=24, help="response length cap"
-    )
-    p.add_argument("--slots", type=int, default=4, help="decode slots")
-    p.add_argument(
-        "--block-size", type=int, default=8, help="tokens per KV block"
-    )
-    p.add_argument(
+    p.add_argument("--mean-response", type=int, default=8, help="mean response length")
+    p.add_argument("--max-response", type=int, default=24, help="response length cap")
+    _arg(p, "--slots", type=int, default=4, bound=(ServingConfig, "max_slots"),
+         help="decode slots")
+    _arg(p, "--block-size", type=int, default=8, bound=(ServingConfig, "block_size"),
+         help="tokens per KV block")
+    _arg(
+        p,
         "--blocks",
         type=int,
-        default=None,
+        bound=(ServingConfig, "n_blocks"),
         help=(
             "total KV blocks (default: enough for --slots full-length "
             "sequences; small values force preempt-and-recompute)"
@@ -1072,36 +1053,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eos",
         type=int,
-        default=None,
         metavar="TOKEN",
         help=(
             "sample with this EOS token id (default: greedy decode to each "
             "request's target length)"
         ),
     )
-    p.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=0.0,
-        help="mean Poisson arrivals per decode step (0 = all at once)",
-    )
-    p.add_argument(
-        "--priority-levels",
-        type=int,
-        default=1,
-        help="draw request priorities uniformly from [0, N)",
-    )
-    p.add_argument(
-        "--slo-ttft", type=float, default=None, help="TTFT SLO (sim seconds)"
-    )
-    p.add_argument(
-        "--slo-latency",
-        type=float,
-        default=None,
-        help="end-to-end latency SLO (sim seconds)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="workload + model seed")
-    p.set_defaults(fn=cmd_serve)
+    _arg(p, "--arrival-rate", type=float, default=0.0, bound={"ge": 0},
+         help="mean Poisson arrivals per decode step (0 = all at once)")
+    _arg(p, "--priority-levels", type=int, default=1, bound={"ge": 1},
+         help="draw request priorities uniformly from [0, N)")
+    _arg(p, "--slo-ttft", type=float, bound=(ServingConfig, "slo_ttft"),
+         help="TTFT SLO (sim seconds)")
+    _arg(p, "--slo-latency", type=float, bound=(ServingConfig, "slo_latency"),
+         help="end-to-end latency SLO (sim seconds)")
+    _shared(p, "--seed", help="workload + model seed")
+    p.set_defaults(setup=_serve, fn=cmd_serve)
 
     p = sub.add_parser(
         "fleet",
@@ -1110,59 +1077,28 @@ def build_parser() -> argparse.ArgumentParser:
             "one shared cluster under injected machine/rack kills"
         ),
     )
-    p.add_argument("--jobs", type=int, default=3, help="tenant job count")
-    p.add_argument(
-        "--machines", type=int, default=3, help="simulated machines"
-    )
-    p.add_argument(
-        "--gpus-per-machine",
-        type=int,
-        default=4,
-        help="GPUs per simulated machine",
-    )
-    p.add_argument(
-        "--iterations", type=int, default=4, help="PPO iterations per job"
-    )
-    p.add_argument(
-        "--ckpt-every",
-        type=int,
-        default=1,
-        help="checkpoint interval in iterations",
-    )
+    _arg(p, "--jobs", type=int, default=3, bound={"ge": 1}, help="tenant job count")
+    _shared(p, "--machines", default=3)
+    _shared(p, "--gpus-per-machine")
+    _shared(p, "--iterations", default=4, help="PPO iterations per job")
+    _shared(p, "--ckpt-every")
     p.add_argument(
         "--kill-machine",
         action="append",
         dest="kill_machines",
         type=int,
         metavar="M",
-        help=(
-            "kill machine M at --at-tick; repeat for a correlated "
-            "multi-machine failure"
-        ),
+        help="kill machine M at --at-tick; repeat for a correlated multi-machine failure",
     )
     p.add_argument(
-        "--kill-rack",
-        type=int,
-        default=None,
-        metavar="R",
-        help="kill every machine in rack R at --at-tick",
+        "--kill-rack", type=int, metavar="R", help="kill every machine in rack R at --at-tick"
     )
+    _arg(p, "--machines-per-rack", type=int, default=2,
+         bound=(FaultEvent, "machines_per_rack"), help="rack width for --kill-rack")
+    _arg(p, "--at-tick", type=int, default=2, bound=(FaultEvent, "at_step"),
+         help="scheduler tick at which the kills land")
     p.add_argument(
-        "--machines-per-rack",
-        type=int,
-        default=2,
-        help="rack width for --kill-rack",
-    )
-    p.add_argument(
-        "--at-tick",
-        type=int,
-        default=2,
-        help="scheduler tick at which the kills land",
-    )
-    p.add_argument(
-        "--no-preemption",
-        action="store_true",
-        help="disable checkpoint-and-evict preemption",
+        "--no-preemption", action="store_true", help="disable checkpoint-and-evict preemption"
     )
     p.add_argument(
         "--no-checks",
@@ -1171,11 +1107,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bench-out",
-        default=None,
         metavar="FILE",
         help="write a JSON benchmark record (goodput, MTTR, fairness)",
     )
-    p.set_defaults(fn=cmd_fleet)
+    p.set_defaults(setup=_fleet, fn=cmd_fleet)
 
     p = sub.add_parser(
         "check",
@@ -1188,16 +1123,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
+        "paths", nargs="*", default=["src"], help="files or directories to lint (default: src)"
     )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures (CI mode)",
-    )
+    p.add_argument("--strict", action="store_true", help="treat warnings as failures (CI mode)")
     p.add_argument(
         "--skip",
         action="append",
@@ -1205,12 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PASS",
         help="skip one of the passes; repeatable",
     )
-    p.add_argument(
-        "--batch",
-        type=int,
-        default=8,
-        help="global batch size assumed for the tiny example plan",
-    )
+    _shared(p, "--batch", default=8, help="global batch size assumed for the tiny example plan")
     p.add_argument(
         "--trace-file",
         default="tests/golden/chrome_trace.json",
@@ -1233,25 +1156,14 @@ def build_parser() -> argparse.ArgumentParser:
             "async pipeline, train→gen transition)"
         ),
     )
-    p.add_argument(
-        "--mc-depth",
-        type=int,
-        default=400,
-        help="model checker: maximum schedule length explored",
-    )
-    p.add_argument(
-        "--mc-states",
-        type=int,
-        default=60_000,
-        help="model checker: distinct-state budget per model",
-    )
+    _arg(p, "--mc-depth", type=int, default=400, bound=(ModelChecker, "max_depth"),
+         help="model checker: maximum schedule length explored")
+    _arg(p, "--mc-states", type=int, default=60_000, bound=(ModelChecker, "max_states"),
+         help="model checker: distinct-state budget per model")
     p.add_argument(
         "--mc-report",
         metavar="PATH",
-        help=(
-            "write the model-check coverage/counterexample report "
-            "(JSON) to PATH"
-        ),
+        help="write the model-check coverage/counterexample report (JSON) to PATH",
     )
     p.add_argument(
         "--format",
@@ -1262,12 +1174,10 @@ def build_parser() -> argparse.ArgumentParser:
             "and the human summary on stderr"
         ),
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json",
+    p.set_defaults(
+        setup=lambda args: ModelChecker(max_depth=args.mc_depth, max_states=args.mc_states),
+        fn=cmd_check,
     )
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
         "bench",
@@ -1292,11 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_perf.json",
         help="committed baseline record (default: BENCH_perf.json)",
     )
-    p.add_argument(
-        "--out",
-        default=None,
-        help="also write this run's record to a file",
-    )
+    p.add_argument("--out", help="also write this run's record to a file")
     p.add_argument(
         "--workload",
         action="append",
@@ -1305,7 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--current",
-        default=None,
         help=(
             "compare-only: gate an existing record file against the "
             "baseline without running workloads"
@@ -1329,18 +1234,10 @@ def build_parser() -> argparse.ArgumentParser:
             "race-detector gate"
         ),
     )
-    p.add_argument(
-        "--staleness",
-        type=int,
-        default=1,
-        help="staleness window W (0 = synchronous; default 1)",
-    )
-    p.add_argument(
-        "--iterations", type=int, default=3, help="PPO iterations to run"
-    )
-    p.add_argument(
-        "--batch", type=int, default=4, help="prompts per iteration"
-    )
+    _arg(p, "--staleness", type=int, default=1, bound=(PipelineConfig, "staleness_window"),
+         help="staleness window W (0 = synchronous; default 1)")
+    _shared(p, "--iterations", default=3, help="PPO iterations to run")
+    _shared(p, "--batch", default=4, help="prompts per iteration")
     p.add_argument(
         "--stream",
         action="store_true",
@@ -1348,21 +1245,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace",
-        default=None,
         metavar="PATH",
         help=(
             "write a Chrome trace of the overlapped run and gate it through "
             "the trace auditor + vector-clock race detector"
         ),
     )
-    p.set_defaults(fn=cmd_pipeline)
+    p.set_defaults(setup=_pipeline, fn=cmd_pipeline)
     return parser
 
 
+def subcommands(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of :func:`build_parser`'s parser, by name."""
+    return next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+
+def check_flags(command: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Hold each bounded flag of ``command`` to its bound."""
+    for action in command._actions:
+        bound = getattr(action, "bound", None)
+        value = None if bound is None else getattr(args, action.dest)
+        if value is None:
+            continue
+        try:
+            check_bound(action.dest, value, bound)
+        except BoundError as exc:
+            setting = f" ({action.setting})" if action.setting else ""
+            raise UsageError(
+                f"{action.option_strings[0]} {exc.requirement}, got {value}{setting}"
+            ) from None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        check_flags(subcommands(parser)[args.command], args)
+        try:
+            built = args.setup(args)
+        except ValueError as exc:  # the settings, together, build nothing
+            raise UsageError(f"{shlex.join(argv)}: {exc}") from None
+        return args.fn(args, built)
     except (UsageError, RunFailed) as exc:
         print(exc, file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

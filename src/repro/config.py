@@ -12,11 +12,65 @@ All sizes are expressed in base units: bytes, FLOPs, seconds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, Tuple
+import operator
+from typing import Any, Dict, Mapping, Tuple
 
 GiB = 1024**3
 GB = 10**9
+
+
+class BoundError(ValueError):
+    """A setting outside its declared bound; ``field`` names the setting and
+    ``requirement`` says what it must be (``"must be >= 1"``)."""
+
+    def __init__(
+        self, field: str, value: Any, requirement: str, optional: bool = False
+    ) -> None:
+        self.field, self.value, self.requirement = field, value, requirement
+        if optional:
+            requirement = requirement.replace("must be ", "must be None or ", 1)
+        super().__init__(f"{field} {requirement}, got {value}")
+
+
+_LIMITS = {"ge": (">=", operator.ge), "gt": (">", operator.gt)}
+
+
+def check_bound(name: str, value: Any, bound: Mapping[str, Any], optional: bool = False) -> None:
+    """Raise :class:`BoundError` unless ``value`` (each element, for a
+    tuple) meets ``bound``: ``{"ge": k}`` and/or ``{"gt": k}``."""
+    for key, limit in bound.items():
+        symbol, holds = _LIMITS[key]
+        for v in value if isinstance(value, tuple) else (value,):
+            if not holds(v, limit):
+                raise BoundError(name, value, f"must be {symbol} {limit}", optional)
+
+
+def bounded(default: Any = dataclasses.MISSING, **bound: Any) -> Any:
+    """A dataclass field whose value must meet ``bound`` (``ge=k``, ``gt=k``);
+    the class's ``__post_init__`` enforces it with :func:`check_bounds`.  A
+    field defaulting to ``None`` may also be ``None``."""
+    return dataclasses.field(default=default, metadata=bound)
+
+
+@functools.lru_cache(maxsize=None)
+def field_bounds(cls: type) -> Dict[str, Tuple[Mapping[str, Any], bool]]:
+    """``{field: (bound, optional)}`` over the bounded fields of ``cls``."""
+    return {
+        f.name: (f.metadata, f.default is None)
+        for f in dataclasses.fields(cls)
+        if f.metadata.keys() & _LIMITS.keys()
+    }
+
+
+def check_bounds(config: Any) -> None:
+    """Hold every bounded field of the dataclass ``config`` to its bound."""
+    for name, (bound, optional) in field_bounds(type(config)).items():
+        value = getattr(config, name)
+        if not (optional and value is None):
+            check_bound(name, value, bound, optional)
+
 
 #: Bytes per element for the precisions the paper uses (§8.1: BF16 parameters,
 #: FP32 gradients and optimizer states).
@@ -184,15 +238,18 @@ GPU_SPECS: Dict[str, GpuSpec] = {
 class ClusterSpec:
     """A homogeneous GPU cluster (paper testbed: 16 machines x 8 A100)."""
 
-    n_machines: int = 16
-    gpus_per_machine: int = 8
+    n_machines: int = bounded(16, ge=1)
+    gpus_per_machine: int = bounded(8, ge=1)
     gpu: GpuSpec = dataclasses.field(default_factory=GpuSpec)
     #: Intra-machine (NVLink) bandwidth per GPU pair direction, bytes/s.
-    intra_node_bandwidth: float = 600 * GB
+    intra_node_bandwidth: float = bounded(600 * GB, gt=0)
     #: Inter-machine (InfiniBand) bandwidth per machine, bytes/s (200 Gbps).
-    inter_node_bandwidth: float = 25 * GB
+    inter_node_bandwidth: float = bounded(25 * GB, gt=0)
     #: Per-collective launch latency (seconds).
-    link_latency: float = 10e-6
+    link_latency: float = bounded(10e-6, ge=0)
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     @property
     def n_gpus(self) -> int:
@@ -242,15 +299,12 @@ class ParallelConfig:
     replicas; world size is ``pp * tp * dp``.
     """
 
-    pp: int = 1
-    tp: int = 1
-    dp: int = 1
+    pp: int = bounded(1, ge=1)
+    tp: int = bounded(1, ge=1)
+    dp: int = bounded(1, ge=1)
 
     def __post_init__(self) -> None:
-        for field_name in ("pp", "tp", "dp"):
-            value = getattr(self, field_name)
-            if value < 1:
-                raise ValueError(f"{field_name} must be >= 1, got {value}")
+        check_bounds(self)
 
     @property
     def world_size(self) -> int:
@@ -277,15 +331,12 @@ class GenParallelConfig:
     the effective generation DP size ``d_g * d``.
     """
 
-    pp: int = 1
-    tp: int = 1
-    micro_dp: int = 1
+    pp: int = bounded(1, ge=1)
+    tp: int = bounded(1, ge=1)
+    micro_dp: int = bounded(1, ge=1)
 
     def __post_init__(self) -> None:
-        for field_name in ("pp", "tp", "micro_dp"):
-            value = getattr(self, field_name)
-            if value < 1:
-                raise ValueError(f"{field_name} must be >= 1, got {value}")
+        check_bounds(self)
 
     @property
     def model_parallel_size(self) -> int:
@@ -324,12 +375,15 @@ class RlhfWorkload:
         n_generations_per_prompt: Responses sampled per prompt (GRPO uses >1).
     """
 
-    prompt_length: int = 1024
-    response_length: int = 1024
-    global_batch_size: int = 1024
-    ppo_epochs: int = 1
-    ppo_updates_per_epoch: int = 8
-    n_generations_per_prompt: int = 1
+    prompt_length: int = bounded(1024, ge=1)
+    response_length: int = bounded(1024, ge=1)
+    global_batch_size: int = bounded(1024, ge=1)
+    ppo_epochs: int = bounded(1, ge=1)
+    ppo_updates_per_epoch: int = bounded(8, ge=1)
+    n_generations_per_prompt: int = bounded(1, ge=1)
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     @property
     def seq_length(self) -> int:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import ClusterSpec
+from repro.config import ClusterSpec, bounded, check_bounds
 
 
 class FaultKind(str, enum.Enum):
@@ -52,30 +52,24 @@ class FaultEvent:
     """
 
     kind: FaultKind
-    at_step: int
+    at_step: int = bounded(ge=0)
     rank: Optional[int] = None
     machine: Optional[int] = None
     rack: Optional[int] = None
-    machines_per_rack: int = 2
+    machines_per_rack: int = bounded(2, ge=1)
     group: Optional[str] = None
     pool: Optional[str] = None
-    count: int = 1
+    count: int = bounded(1, ge=1)
     slow_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.at_step < 0:
-            raise ValueError(f"at_step must be >= 0, got {self.at_step}")
+        check_bounds(self)
         if self.kind is FaultKind.DEVICE_LOSS and self.rank is None:
             raise ValueError("DEVICE_LOSS needs a target rank")
         if self.kind is FaultKind.MACHINE_LOSS and self.machine is None:
             raise ValueError("MACHINE_LOSS needs a target machine")
-        if self.kind is FaultKind.RACK_LOSS:
-            if self.rack is None:
-                raise ValueError("RACK_LOSS needs a target rack")
-            if self.machines_per_rack < 1:
-                raise ValueError(
-                    f"machines_per_rack must be >= 1, got {self.machines_per_rack}"
-                )
+        if self.kind is FaultKind.RACK_LOSS and self.rack is None:
+            raise ValueError("RACK_LOSS needs a target rack")
         if self.kind is FaultKind.STRAGGLER:
             if self.rank is None:
                 raise ValueError("STRAGGLER needs a target rank")
@@ -83,8 +77,6 @@ class FaultEvent:
                 raise ValueError(
                     f"a straggler must be slower than 1.0x, got {self.slow_factor}"
                 )
-        if self.kind is FaultKind.TRANSIENT_RPC and self.count < 1:
-            raise ValueError(f"TRANSIENT_RPC count must be >= 1, got {self.count}")
 
 
 @dataclasses.dataclass

@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.config import bounded, check_bounds
 from repro.faults.errors import RetryBudgetExhausted
 
 
@@ -70,26 +71,16 @@ class RetryPolicy:
         seed: Seed of the jitter stream.
     """
 
-    max_retries: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
+    max_retries: int = bounded(3, ge=0)
+    backoff_base: float = bounded(0.05, ge=0)
+    backoff_factor: float = bounded(2.0, ge=1.0)
     jitter: float = 0.0
-    timeout: Optional[float] = None
-    deadline: Optional[float] = None
-    seed: int = 0
+    timeout: Optional[float] = bounded(None, gt=0)
+    deadline: Optional[float] = bounded(None, gt=0)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff must be non-negative and non-shrinking, got "
-                f"base={self.backoff_base} factor={self.backoff_factor}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        check_bounds(self)
         self._rng = np.random.default_rng(self.seed)
 
     def backoff_delay(self, attempt: int, spent: Optional[float] = None) -> float:

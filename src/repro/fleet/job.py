@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.config import ClusterSpec
+from repro.config import ClusterSpec, bounded, check_bounds
 from repro.data.dataset import PromptDataset
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
@@ -49,9 +49,9 @@ class JobSpec:
 
     name: str
     priority: int = 0
-    n_iterations: int = 4
+    n_iterations: int = bounded(4, ge=1)
     batch_size: int = 8
-    checkpoint_every: int = 1
+    checkpoint_every: int = bounded(1, ge=1)
     tp: int = SystemSpec.tp
     preferred_dp: int = 1
     min_dp: int = 1
@@ -70,12 +70,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a job needs a non-empty name")
-        if self.n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
+        check_bounds(self)
         if self.min_dp < 1 or self.preferred_dp < self.min_dp:
             raise ValueError(
                 f"need 1 <= min_dp <= preferred_dp, got "

@@ -118,9 +118,29 @@ def _counted_cores() -> Iterator[List[int]]:
         ag.attention = attention
 
 
+@contextlib.contextmanager
+def _counted_gathers() -> Iterator[List[int]]:
+    """Count forwards that bind the KV store by gathering its rows while the
+    block runs (none when every cohort's slots are one run), counted here, in
+    the harness."""
+    from repro.models.tinylm import KVStore
+
+    gathers, at = [0], KVStore.at
+
+    def bound(store: KVStore, *args: Any, **kwargs: Any) -> KVStore:
+        view = at(store, *args, **kwargs)
+        gathers[0] += view.run is None
+        return view
+
+    KVStore.at = bound
+    try:
+        yield gathers
+    finally:
+        KVStore.at = at
+
+
 def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Continuous-batching drain through ``RolloutServer``."""
-    from repro.models.tinylm import KVStore
     from repro.serving import RolloutServer, ServingConfig
 
     pins = {
@@ -152,21 +172,8 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     )
     for prompt, budget in zip(prompts, budgets):
         server.submit(prompt, max_new_tokens=int(budget))
-    # forwards bound to the store whose rows it gathers (counted here, in
-    # the harness): none when every cohort's slots are one run
-    gathers, at = [0], KVStore.at
-
-    def bound(store: KVStore, *args: Any, **kwargs: Any) -> KVStore:
-        view = at(store, *args, **kwargs)
-        gathers[0] += view.run is None
-        return view
-
-    KVStore.at = bound
-    try:
-        with _counted_cores() as cores:
-            report = server.drain()
-    finally:
-        KVStore.at = at
+    with _counted_gathers() as gathers, _counted_cores() as cores:
+        report = server.drain()
 
     metrics = {
         "n_steps": _metric("exact", report.n_steps),
@@ -340,7 +347,7 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
     ag.embed, TinyLM._trunk = embedding, gridded
     try:
-        with _counted_cores() as cores:
+        with _counted_gathers() as gathers, _counted_cores() as cores:
             system.trainer.train(spec.dataset(), 1, pins["batch_size"])
     finally:
         ag.embed, TinyLM._trunk = embed, trunk
@@ -356,6 +363,9 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "response_tokens": _metric("exact", int(served)),
         # admissions that reused a group-mate's prompt prefill
         "prefix_hits": _metric("exact", int(hits)),
+        # the prefilling admissions hold one run of slots, the reusers
+        # after them: every forward binds the store as views
+        "kv_gathers": _metric("exact", gathers[0]),
     }
     return pins, metrics
 

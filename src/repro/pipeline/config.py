@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.config import bounded, check_bounds
+
 
 @dataclasses.dataclass(frozen=True)
 class PipelineConfig:
@@ -31,18 +33,12 @@ class PipelineConfig:
             schedule.
     """
 
-    staleness_window: int = 1
-    iw_clip: float = 2.0
+    staleness_window: int = bounded(1, ge=0)
+    iw_clip: float = bounded(2.0, ge=1.0)
     stream_scoring: bool = False
 
     def __post_init__(self) -> None:
-        if self.staleness_window < 0:
-            raise ValueError(
-                f"staleness_window must be >= 0, got {self.staleness_window}"
-            )
-        # else truncation would down-scale even on-policy tokens
-        if self.iw_clip < 1.0:
-            raise ValueError(f"iw_clip must be >= 1.0, got {self.iw_clip}")
+        check_bounds(self)
 
 
 __all__ = ["PipelineConfig"]

@@ -211,22 +211,11 @@ class OverlapStudy:
         return self.sync_makespan / max(self.timeline.makespan, 1e-9)
 
 
-def overlap_study(
-    n_iterations: int, batch_size: int, config: PipelineConfig
-) -> OverlapStudy:
-    """Three runs of the shipped PPO job on the disaggregated placement.
-
-    The synchronous trainer; the driver with an *empty* window, which must
-    land on the same checkpoint state bit for bit; the driver with
-    ``config``'s window.  The overlap is read off the modeled timeline
-    (simulated seconds, deterministic on every host).  Raises ``ValueError``
-    before anything runs when the runs could not (no iterations, a batch
-    the placement cannot split); a bad window fails at ``PipelineConfig``.
-    """
+def check_overlap_study(n_iterations: int, batch_size: int) -> None:
+    """Raise ``ValueError`` when :func:`overlap_study` could not run: no
+    iterations, or a batch the placement cannot split."""
     from repro.analysis.dataflow import DataflowChecker
-    from repro.config import ClusterSpec
     from repro.runtime.builder import SystemSpec
-    from repro.runtime.timeline import build_timeline, planned_durations
 
     spec = SystemSpec(disaggregated=True)
     if n_iterations < 1:
@@ -236,6 +225,26 @@ def overlap_study(
     ).errors
     if unsplittable:
         raise ValueError("; ".join(f.message for f in unsplittable))
+
+
+def overlap_study(
+    n_iterations: int, batch_size: int, config: PipelineConfig
+) -> OverlapStudy:
+    """Three runs of the shipped PPO job on the disaggregated placement.
+
+    The synchronous trainer; the driver with an *empty* window, which must
+    land on the same checkpoint state bit for bit; the driver with
+    ``config``'s window.  The overlap is read off the modeled timeline
+    (simulated seconds, deterministic on every host).  Raises ``ValueError``
+    before anything runs when :func:`check_overlap_study` does; a bad window
+    fails at ``PipelineConfig``.
+    """
+    from repro.config import ClusterSpec
+    from repro.runtime.builder import SystemSpec
+    from repro.runtime.timeline import build_timeline, planned_durations
+
+    check_overlap_study(n_iterations, batch_size)
+    spec = SystemSpec(disaggregated=True)
 
     def build():
         return spec.build(
@@ -264,4 +273,4 @@ def overlap_study(
     )
 
 
-__all__ = ["AsyncPipelineDriver", "OverlapStudy", "overlap_study"]
+__all__ = ["AsyncPipelineDriver", "OverlapStudy", "check_overlap_study", "overlap_study"]

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster.device import SimDevice
+from repro.config import bounded, check_bounds
 from repro.models.autograd import Tensor, no_grad
 from repro.models.sampler import decode_step
 from repro.models.tinylm import KVStore, TinyLM
@@ -49,50 +50,37 @@ class ServingConfig:
     """Engine-level serving parameters."""
 
     #: Decode slots per step (the engine's max batch size).
-    max_slots: int = 8
-    block_size: int = 16
+    max_slots: int = bounded(8, ge=1)
+    block_size: int = bounded(16, ge=1)
     #: Total KV blocks; ``None`` derives from device free memory (capped at
     #: what ``max_slots`` full-length sequences could ever use).
-    n_blocks: Optional[int] = None
+    n_blocks: Optional[int] = bounded(None, ge=1)
     eos_token_id: Optional[int] = None
     pad_token_id: Optional[int] = None
     temperature: float = 1.0
     greedy: bool = False
-    #: Simulated wall-clock seconds per decode step.
-    step_time: float = 0.01
-    #: SLO thresholds (simulated seconds); ``None`` disables that term.
-    slo_ttft: Optional[float] = None
-    slo_latency: Optional[float] = None
-    #: Priority gained per eligible-but-waiting step; > 0 => starvation-free.
-    aging: float = 0.05
+    #: Simulated wall-clock seconds per decode step; at 0 the simulated
+    #: clock would stand still.
+    step_time: float = bounded(0.01, gt=0)
+    #: SLO thresholds (simulated seconds); ``None`` disables that term, and
+    #: at 0 no request could meet it.
+    slo_ttft: Optional[float] = bounded(None, gt=0)
+    slo_latency: Optional[float] = bounded(None, gt=0)
+    #: Priority gained per eligible-but-waiting step; > 0 => starvation-free
+    #: (below 0 waiting would lower a request's rank).
+    aging: float = bounded(0.05, ge=0)
     #: Seed material for per-request rngs (int or tuple; request id appended).
-    seed: Union[int, Tuple[int, ...]] = 0
+    seed: Union[int, Tuple[int, ...]] = bounded(0, ge=0)
     #: Fraction of device free memory the KV pool may claim when deriving.
     memory_fraction: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.max_slots < 1:
-            raise ValueError(f"max_slots must be >= 1, got {self.max_slots}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.n_blocks is not None and self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be None or >= 1, got {self.n_blocks}")
+        check_bounds(self)
         # else the first step prefills and only then fails to sample
         if self.temperature <= 0 and not self.greedy:
             raise ValueError(
                 f"temperature must be > 0 unless greedy, got {self.temperature}"
             )
-        # else the simulated clock stands still or runs backwards
-        if self.step_time <= 0:
-            raise ValueError(f"step_time must be > 0, got {self.step_time}")
-        # else no request could ever meet the SLO
-        for name in ("slo_ttft", "slo_latency"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be None or > 0, got {value}")
-        # else waiting would lower a request's rank: starvation
-        if self.aging < 0:
-            raise ValueError(f"aging must be >= 0, got {self.aging}")
 
 
 @dataclasses.dataclass
@@ -362,9 +350,10 @@ class RolloutServer:
         prefill and sample their first token in the same step): Orca's step
         accounting.  First the runners move into the low slots (each one
         past them takes the lowest hole, its cached K/V with it) and
-        admission hands out the next ones, so the held slots are ``0..n-1``
-        and a cohort of resident decoders, or of admissions, is one run of
-        slots that binds the store as views.  Runners are walked in rank
+        admission hands out the next ones (those that prefill first, those
+        reusing a group-mate's prefill after them), so the held slots are
+        ``0..n-1`` and a cohort of resident decoders, or of prefilling
+        admissions, is one run of slots that binds the store as views.  Runners are walked in rank
         order to reserve the block their next token needs; a reservation
         evicts only runners ranked after the requester — ones the walk has
         not reached — so whatever already joined a cohort keeps its blocks
@@ -385,8 +374,8 @@ class RolloutServer:
             self.scheduler.schedule(self.now)
             preempted_before = self.scheduler.n_preemptions
             cohorts: Dict[int, List[Request]] = {}
-            # request id -> (slot, runner) of the prompt prefill it reuses
-            sources: Dict[int, Tuple[int, Request]] = {}
+            # request id -> the runner whose prompt prefill it reuses
+            reuses: Dict[int, Request] = {}
             prefilling: Dict[bytes, Request] = {}
             for req in sorted(
                 self.scheduler.running, key=self.scheduler.rank_key
@@ -403,8 +392,22 @@ class RolloutServer:
                     if source is None:
                         prefilling[req.prompt_key] = req
                     else:
-                        sources[req.request_id] = (source.slot, source)
+                        reuses[req.request_id] = source
                 cohorts.setdefault(req.seq_len - req.kv_len, []).append(req)
+            # the fresh requests that prefill take the lowest of the fresh
+            # slots (by prompt length: by cohort) and the reusers the rest,
+            # so a cohort's prefills are one run of slots: a relabelling, as
+            # no fresh request holds K/V yet
+            fresh = [r for cohort in cohorts.values() for r in cohort if r.fresh]
+            for req, slot in zip(
+                sorted(
+                    fresh, key=lambda r: (r.request_id in reuses, r.prompt_length, r.slot)
+                ),
+                sorted(r.slot for r in fresh),
+            ):
+                req.slot = slot
+            # request id -> (slot, runner) of the prompt prefill it reuses
+            sources = {rid: (src.slot, src) for rid, src in reuses.items()}
             finished_now: List[CompletedRequest] = []
             produced = forwards = 0
             for cohort in cohorts.values():

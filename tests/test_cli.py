@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, subcommands
 
 
 class TestParser:
@@ -160,6 +162,32 @@ class TestUsageErrors:
             (["map-hetero", "--zone", "a:A100-80GB:-2"], "MACHINES must be >= 1"),
             (["map-hetero", "--zone", "a:A100-80GB:1", "--zone", "a:H100-80GB:1"],
              "zone 'a' is named twice"),
+            # tracebacks
+            (["transition", "--tp", "0"], "--tp must be >= 1, got 0"),
+            (["sweep-gen", "--tp", "0"], "--tp must be >= 1, got 0"),
+            (["transition", "--gen-tp", "3"],
+             "--gen-tp 3: generation MP size 3 must divide training MP size 8"),
+            (["throughput", "--batch", "0"], "--batch must be >= 1, got 0"),
+            (["fleet", "--iterations", "0"], "--iterations must be >= 1, got 0"),
+            (["fleet", "--ckpt-every", "0"], "--ckpt-every must be >= 1, got 0"),
+            (["fleet", "--kill-machine", "0", "--at-tick", "-1"],
+             "--at-tick must be >= 0, got -1"),
+            (["serve", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            # exit 1, reported as a run failure
+            (["fleet", "--machines", "0"], "--machines must be >= 1, got 0"),
+            (["fleet", "--machines", "1", "--gpus-per-machine", "2"],
+             "job0 needs 3 GPUs at its narrowest (dp=1) but --machines 1 x "
+             "--gpus-per-machine 2 give 2"),
+            (["faults", "--seed", "-1", "--iterations", "1"],
+             "--seed must be >= 0, got -1"),
+            # exit 0 with a nonsense result, or having checked nothing
+            (["map", "--prompt-length", "0"], "--prompt-length must be >= 1, got 0"),
+            (["throughput", "--response-length", "0"],
+             "--response-length must be >= 1, got 0"),
+            (["sweep-gen", "--reserved-gb", "-5"], "--reserved-gb must be >= 0, got -5.0"),
+            (["check", "--batch", "0"], "--batch must be >= 1, got 0"),
+            (["check", "--models", "--mc-states", "0"], "--mc-states must be >= 1, got 0"),
+            (["check", "--models", "--mc-depth", "0"], "--mc-depth must be >= 1, got 0"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
     )
@@ -192,6 +220,12 @@ class TestUsageErrors:
         ) == 1
         assert "unrecoverable failure" in capsys.readouterr().err
 
+    def test_a_training_tp_no_power_of_two_divides_sweeps_what_does(self, capsys):
+        # t_g=2 does not divide a training MP size of 3: a traceback once
+        assert main(["sweep-gen", "--tp", "3", "--model", "llama-13b"]) == 0
+        out = capsys.readouterr().out
+        assert "t_g=1:" in out and "t_g=2:" not in out
+
     def test_the_partial_last_rack_can_be_killed(self, capsys):
         # the CLI's own defaults (3 machines, racks of 2) have a rack 1
         assert main(
@@ -199,6 +233,62 @@ class TestUsageErrors:
              "--no-checks"]
         ) == 0
         assert "4 device(s) killed" in capsys.readouterr().out
+
+
+#: (subcommand, flag, type, bound) for every flag with a bound: its own, or
+#: the one the config field it feeds declares.
+BOUNDED = [
+    (name, action.option_strings[0], action.type, action.bound)
+    for name, command in subcommands(build_parser()).items()
+    for action in command._actions
+    if getattr(action, "bound", None)
+]
+
+
+def _outside(kind, bound):
+    """``(the nearest value outside bound, a strategy for any outside)``."""
+    ((key, limit),) = bound.items()
+    if kind is int:
+        edge = limit - 1 if key == "ge" else limit
+        return edge, st.integers(max_value=edge)
+    values = st.floats(
+        max_value=limit, exclude_max=key == "ge", allow_nan=False, allow_infinity=False
+    )
+    return (limit - 1e-9 if key == "ge" else limit), values
+
+
+class TestEveryBound:
+    """For every subcommand and every bounded setting it exposes, a value
+    outside the bound exits 2 with one stderr line naming the flag, and runs
+    and prints nothing."""
+
+    def test_the_bounds_are_read_from_the_parser(self):
+        flags = {(name, flag) for name, flag, _, _ in BOUNDED}
+        assert len(flags) >= 50
+        assert ("serve", "--slots") in flags and ("fleet", "--at-tick") in flags
+        assert all(kind in (int, float) for _, _, kind, _ in BOUNDED)
+
+    @pytest.mark.parametrize(
+        "name, flag, kind, bound", BOUNDED, ids=[f"{n} {f}" for n, f, _, _ in BOUNDED]
+    )
+    @settings(
+        derandomize=True,
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_value_outside_exits_2_naming_the_flag(
+        self, name, flag, kind, bound, data, capsys
+    ):
+        edge, values = _outside(kind, bound)
+        for value in (edge, data.draw(values)):
+            # `=`: argparse reads a bare "-1e-09" as an option, not a value
+            assert main([name, f"{flag}={value}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"{flag} must be ")
 
 
 class TestFaults:
@@ -422,15 +512,12 @@ class TestCheckCommand:
         # human summary moved to stderr
         assert "repro check passed" in captured.err
 
-    def test_json_flag_is_an_alias(self, capsys):
-        import json as json_mod
-
-        assert main(
-            ["check", "--json", "--skip", "lint", "--skip", "dataflow",
-             "--skip", "trace", "--skip", "races"]
-        ) == 0
-        doc = json_mod.loads(capsys.readouterr().out)
-        assert doc["name"] == "repro check"
+    def test_json_is_spelled_format_json(self, capsys):
+        # `--json` was an alias of `--format json`: one flag per setting
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--json", "--skip", "lint"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
     def test_models_pass_explores_protocols_and_writes_report(
         self, capsys, tmp_path

@@ -162,3 +162,62 @@ class TestWorkload:
     def test_grpo_multiplies_tokens(self):
         wl = RlhfWorkload(n_generations_per_prompt=4)
         assert wl.tokens_per_iteration == 4 * 1024 * 2048
+
+
+class TestFieldBounds:
+    """Each bounded config field rejects the nearest value outside its bound
+    with a ``BoundError`` naming the field; the bounds are read from the
+    fields' metadata."""
+
+    @staticmethod
+    def _configs():
+        from repro.analysis.modelcheck import ModelChecker
+        from repro.faults.plan import FaultEvent, FaultKind
+        from repro.faults.policy import RetryPolicy
+        from repro.fleet.job import JobSpec
+        from repro.pipeline.config import PipelineConfig
+        from repro.serving.server import ServingConfig
+
+        return [
+            (ClusterSpec, {}),
+            (ParallelConfig, {}),
+            (GenParallelConfig, {}),
+            (RlhfWorkload, {}),
+            (ServingConfig, {}),
+            (PipelineConfig, {}),
+            (FaultEvent, {"kind": FaultKind.TRANSIENT_RPC, "at_step": 0}),
+            (RetryPolicy, {}),
+            (JobSpec, {"name": "j"}),
+            (ModelChecker, {}),
+        ]
+
+    def test_every_bound_holds(self):
+        from repro.config import BoundError, field_bounds
+
+        checked = 0
+        for cls, required in self._configs():
+            cls(**required)
+            for name, (bound, _optional) in field_bounds(cls).items():
+                ((key, limit),) = bound.items()
+                outside = limit if key == "gt" else limit - 1
+                with pytest.raises(BoundError, match=f"^{name} must be") as exc:
+                    cls(**{**required, name: outside})
+                assert exc.value.field == name and exc.value.value == outside
+                checked += 1
+        assert checked >= 30
+
+    def test_an_optional_bound_admits_none_and_says_so(self):
+        from repro.config import BoundError
+        from repro.serving.server import ServingConfig
+
+        assert ServingConfig(n_blocks=None).n_blocks is None
+        with pytest.raises(BoundError, match="n_blocks must be None or >= 1, got 0"):
+            ServingConfig(n_blocks=0)
+
+    def test_a_tuple_seed_is_held_elementwise(self):
+        from repro.config import BoundError
+        from repro.serving.server import ServingConfig
+
+        ServingConfig(seed=(0, 3))
+        with pytest.raises(BoundError, match="seed must be >= 0"):
+            ServingConfig(seed=(0, -1))

@@ -939,16 +939,56 @@ class TestHeldSlotsAreTheLowest:
         prompts = [rng.integers(0, CFG.vocab_size, size=n) for n in run["prompt_lengths"]]
         for g, budget in zip(run.get("groups", range(len(prompts))), run["budgets"]):
             server.submit(prompts[g], max_new_tokens=budget)
-        schedule = server.scheduler.schedule
+        schedule, forward = server.scheduler.schedule, server._forward_cohort
+        recomputing = []
 
         def checked(now):
             admitted = schedule(now)
             held = sorted(req.slot for req in server.scheduler.running)
             assert held == list(range(len(held)))
+            recomputing[:] = [req for req in admitted if not req.fresh]
             return admitted
 
+        def prefills_first(cohort, sources):
+            # a cohort's admissions that prefill sit below the ones reusing
+            # a group-mate's prefill, and (no recompute admitted between
+            # them) hold one run of slots
+            fresh = sorted(req.slot for req in cohort if req.fresh)
+            prefills = sorted(
+                req.slot for req in cohort if req.fresh and req.request_id not in sources
+            )
+            assert prefills == fresh[: len(prefills)]
+            if prefills and not recomputing:
+                assert prefills == list(range(prefills[0], prefills[0] + len(prefills)))
+            return forward(cohort, sources)
+
         server.scheduler.schedule = checked
+        server._forward_cohort = prefills_first
         drain_with_invariants(server)
+
+    def test_two_groups_admitted_together_bind_views_only(self, model):
+        # two GRPO groups in one step: the second group's leader used to sit
+        # past the first group's reusers, and the prefill gathered its rows
+        server = make_server(model, max_slots=8, n_blocks=64)
+        prompts = np.random.default_rng(6).integers(0, CFG.vocab_size, size=(2, 4))
+        rows = np.repeat(prompts, 4, axis=0)
+        submit_all(server, rows, [5, 3, 6, 4, 2, 5, 3, 4])
+        at, binds = KVStore.at, []
+
+        def bound(store, *args, **kwargs):
+            view = at(store, *args, **kwargs)
+            binds.append(view.run is not None)
+            return view
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KVStore, "at", bound)
+            report = drain_with_invariants(server)
+        assert report.prefix_hits == 6 and report.n_preemptions == 0
+        assert binds and all(binds)
+        for done in report.completed:
+            alone = generate(model, rows[done.request_id][None],
+                             max_new_tokens=done.response_length, greedy=True)
+            np.testing.assert_array_equal(done.response, alone.responses[0])
 
     def test_a_drain_without_preemption_gathers_nothing(self, model):
         # budgets differ, so runners finish at different steps and leave
