@@ -19,10 +19,12 @@ Seven passes behind one report type:
   trace plus the shared-state access log; flags conflicting accesses with
   no ordering edge, including the nondeterministic ``merge_outputs`` hazard.
 * :class:`ModelChecker` — bounded stateless model checking with sleep-set
-  partial-order reduction over explicit state-machine models of the
-  shipped concurrent protocols (async pipeline, drain hand-off, fleet
-  gang scheduling); violations carry minimal counterexample schedules
-  replayable through the RaceDetector / TraceAuditor.
+  partial-order reduction over the shipped concurrent components
+  themselves — the async pipeline's loop, buffer and publisher, the
+  serving drain, the fleet gang scheduler — each driven at small scope by
+  a harness in :mod:`repro.analysis.protocols` with stand-ins for the
+  numerics; violations carry minimal counterexample schedules replayable
+  on the real objects through the RaceDetector / TraceAuditor.
 * :class:`ShapeFlowChecker` — shape/dtype flow by a probe run: each
   trainer's own ``step`` once per plan, every call through its method's
   real transfer protocol over stand-in groups of the plan's geometry,

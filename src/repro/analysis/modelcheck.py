@@ -1,43 +1,49 @@
-"""MC6xx — bounded model checking of the shipped concurrent protocols.
+"""MC6xx — bounded model checking of the shipped concurrent components.
 
 The RC5xx race detector and TA2xx trace auditor are *dynamic*: they audit
-the one schedule an execution happened to take.  The protocols those
-schedules come from — the one-step-off async pipeline, the serving drain
-hand-off, the fleet gang scheduler — are concurrent, and their bugs live
-in the schedules that did *not* run.  This pass explores all of them, at
-small scope: each protocol is modelled as an explicit state machine
-(:mod:`repro.analysis.protocols`) and a stateless depth-first checker
-enumerates every interleaving up to a depth/state budget, pruning
-provably-equivalent orders with sleep-set partial-order reduction.
+the one schedule an execution happened to take.  The components those
+schedules come from — the one-step-off async pipeline, the serving drain,
+the fleet gang scheduler — make choices (run ahead or train, when requests
+arrive, when a device dies, which job steps first), and their bugs live in
+the schedules that did *not* run.  This pass explores all of them, at small
+scope, on the real objects: each component is driven by a harness
+(:mod:`repro.analysis.protocols`) that builds it with stand-ins for the
+numerics and offers the moves its own code allows, and a stateless
+depth-first checker enumerates every schedule up to a depth/state budget,
+pruning provably-equivalent orders with sleep-set partial-order reduction.
 
 Checked invariants (the MC6xx catalog, see :data:`MC_RULES`):
 
 ============  =======================================================
-``MC601``     deadlock freedom — no reachable non-quiescent state
-              without an enabled action
+``MC601``     no reachable non-quiescent state where the component
+              cannot move: nothing enabled, or the move raises
 ``MC602``     livelock freedom — no schedule returns to an earlier
               state without making progress
 ``MC603``     the staleness bound ``W`` is never exceeded
-``MC604``     no experience batch is lost, overwritten, or
-              double-consumed
-``MC605``     a weight buffer is never written while readable
+``MC604``     no experience batch is lost, overwritten, or left
+              buffered
 ``MC606``     every published weight version is consumable — an
               acquire never returns a version older than the staged one
-``MC607``     gangs never overlap — a device belongs to at most one
-              admitted gang
+``MC607``     no device, decode slot or KV block is held twice — a
+              device belongs to at most one running gang
 ``MC608``     preemption never loses work — a preempted job resumes at
               its preemption point
 ``MC609``     streaming hand-off — ``on_finish`` fires exactly once per
-              request, after completion, in completion order
+              request, with its whole response, in completion order
 ============  =======================================================
+
+``MC605`` (a weight buffer written while readable) is retired: the
+:class:`~repro.hybrid_engine.WeightPublisher` holds version numbers, not
+buffers — each version is its own resource — so there is nothing a publish
+could tear.
 
 A violation is reported as a ``Finding`` carrying a *minimal*
 counterexample schedule (breadth-first shortened after the DFS finds a
 witness).  Counterexamples are replayable:
-:func:`~repro.analysis.protocols.core.replay_schedule` turns one into
-trace records + access events + a synthetic ledger device, which
-:func:`cross_validate` feeds to the existing
-:class:`~repro.analysis.races.RaceDetector` and
+:func:`~repro.analysis.protocols.core.replay_schedule` re-runs one on the
+real objects and turns the footprints the calls left into trace records,
+access events and a contract ledger, which :func:`cross_validate` feeds to
+the existing :class:`~repro.analysis.races.RaceDetector` and
 :class:`~repro.analysis.trace_audit.TraceAuditor` — a dropped guard found
 by the checker shows up again as RC501 / TA205 in the dynamic passes.
 """
@@ -48,24 +54,16 @@ import dataclasses
 from collections import deque
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.analysis.protocols import (
-    AsyncPipelineModel,
-    DrainHandoffModel,
-    FleetGangModel,
-    JobSpec,
-    ProtocolModel,
-    independent,
-    replay_schedule,
-)
+from repro.analysis.protocols.core import Harness, independent, replay_schedule
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.config import bounded, check_bounds
 
 #: rule -> (title, fix hint attached to every finding of that rule)
 MC_RULES: Dict[str, Tuple[str, str]] = {
     "MC601": (
-        "protocol deadlock",
+        "component stuck",
         "replay the schedule with replay_schedule() and inspect which "
-        "guard starves the blocked thread",
+        "guard starves the component, or which call raised",
     ),
     "MC602": (
         "protocol livelock",
@@ -74,27 +72,23 @@ MC_RULES: Dict[str, Tuple[str, str]] = {
     ),
     "MC603": (
         "staleness bound exceeded",
-        "gate rollout.begin on the newest *published* version, not the "
-        "trainer's step counter",
+        "publish every new policy version: the run-ahead bound counts "
+        "from the trainer's step, so a lost publication lets batches go "
+        "stale",
     ),
     "MC604": (
         "experience batch lost or double-handled",
-        "keep the BufferFull occupancy guard ahead of every put and pop "
-        "each index exactly once",
-    ),
-    "MC605": (
-        "weight buffer written while readable",
-        "publish into the inactive buffer only; flip active/staged "
-        "atomically at a generate-call boundary",
+        "keep the run-ahead bound inside the buffer's capacity and pop "
+        "each iteration exactly once",
     ),
     "MC606": (
         "published weight version lost",
-        "acquire must flip to the staged buffer before decoding starts",
+        "acquire must flip to the staged version before decoding starts",
     ),
     "MC607": (
-        "overlapping gang admission",
-        "grant a gang only devices that are alive AND free; admission "
-        "must be atomic per gang",
+        "resource held twice",
+        "grant a gang only devices that are alive AND free; return every "
+        "slot and KV block a request held",
     ),
     "MC608": (
         "preempted work lost",
@@ -103,8 +97,8 @@ MC_RULES: Dict[str, Tuple[str, str]] = {
     ),
     "MC609": (
         "streaming hand-off violated",
-        "invoke on_finish only for the head of the completion queue, "
-        "after its final decode step",
+        "hand each step's finishers to on_finish in completion order, "
+        "once each, after their final decode step",
     ),
 }
 
@@ -181,7 +175,7 @@ class ModelChecker:
 
     # -- single-model exploration ------------------------------------------------------
 
-    def check_model(self, model: ProtocolModel) -> ModelCheckResult:
+    def check_model(self, model: Harness) -> ModelCheckResult:
         result = ModelCheckResult(model=model.name)
         found: Dict[str, Counterexample] = {}
 
@@ -301,14 +295,14 @@ class ModelChecker:
         return result
 
     @staticmethod
-    def _deadlock_message(model: ProtocolModel, state: Any) -> str:
+    def _deadlock_message(model: Harness, state: Any) -> str:
         return (
-            "deadlock: no action is enabled but the protocol has not "
-            "quiesced — threads are mutually blocked"
+            "stuck: no move is enabled but the component has not "
+            "finished — its guards starve every thread"
         )
 
     def _shrink(
-        self, model: ProtocolModel, rule: str, bound: int
+        self, model: Harness, rule: str, bound: int
     ) -> Optional[Counterexample]:
         """Breadth-first search for the shortest schedule exhibiting
         ``rule``, bounded by the DFS witness length (no reduction — BFS
@@ -360,7 +354,7 @@ class ModelChecker:
 
     def check_all(
         self,
-        models: Iterable[ProtocolModel],
+        models: Iterable[Harness],
         report: Optional[AnalysisReport] = None,
     ) -> AnalysisReport:
         """Check every model, folding violations into an AnalysisReport.
@@ -398,105 +392,94 @@ class ModelChecker:
         return self.check_all(shipped_models(), report=report)
 
 
-def shipped_models() -> Tuple[ProtocolModel, ...]:
-    """The intact protocol suite `repro check --models` gates on.
+def shipped_models() -> Tuple[Harness, ...]:
+    """The intact suite `repro check --models` gates on.
 
-    Configurations are chosen so the union explores a six-figure
-    transition count and five-figure distinct-state count within the CI
-    budget: the pipeline at several staleness windows (W=0 is the
-    synchronous PPO degenerate case, W>=2 exercises deep run-ahead), the
-    drain hand-off with slot contention, and fleet scenarios covering
-    preemption, faults mid-gang, and capacity-starved give-up.
+    The pipeline at staleness windows 0-4 (W=0 is the synchronous loop,
+    W>=2 deep run-ahead); the server under slot and KV-block pressure, with
+    prompt groups, priorities, preemption and recompute; fleets covering
+    preemption, faults mid-gang, elastic widths, checkpoint rollback, the
+    failure limit and give-up.  The union explores over ten thousand
+    distinct states within the CI budget.
     """
+    from repro.analysis.protocols.fleet_harness import FleetHarness, job
+    from repro.analysis.protocols.pipeline_harness import PipelineHarness
+    from repro.analysis.protocols.serving_harness import ServingHarness
+
     return (
-        AsyncPipelineModel(n_iterations=4, window=0),
-        AsyncPipelineModel(n_iterations=5, window=1),
-        AsyncPipelineModel(n_iterations=6, window=2),
-        AsyncPipelineModel(n_iterations=10, window=3, capacity=4),
-        AsyncPipelineModel(n_iterations=12, window=4, capacity=4),
-        DrainHandoffModel(targets=(2, 1, 2), slots=2),
-        DrainHandoffModel(targets=(1, 2, 1, 2), slots=3),
-        FleetGangModel(
-            jobs=(
-                JobSpec("a", 3, 2, 2, arrival=1),
-                JobSpec("b", 2, 2, 2),
-                JobSpec("c", 1, 1, 3),
-                JobSpec("d", 1, 2, 2),
+        PipelineHarness(n_iterations=4, window=0),
+        PipelineHarness(n_iterations=5, window=1),
+        PipelineHarness(n_iterations=6, window=2),
+        PipelineHarness(n_iterations=10, window=3),
+        PipelineHarness(n_iterations=12, window=4),
+        ServingHarness(
+            (((2,), 0), ((2,), 0), ((1,), 1), ((3,), 0), ((2,), 2)), slots=2, blocks=4
+        ),
+        ServingHarness(
+            (((3,), 0), ((3,), 0), ((1, 2), 2), ((3,), 0), ((2,), 1), ((1, 3), 0)),
+            slots=3,
+            blocks=6,
+        ),
+        FleetHarness(
+            (
+                job("a", 3, (1, 2), 2, arrival=1),
+                job("b", 2, (1, 2), 2, checkpoint_every=2),
+                job("c", 1, (1, 1), 3),
+                job("d", 1, (1, 2), 2),
             ),
-            capacity=5,
+            gpus=6,
             kills=(4,),
         ),
-        FleetGangModel(
-            jobs=(JobSpec("a", 1, 2, 2), JobSpec("b", 1, 2, 1)),
-            capacity=2,
-        ),
-        FleetGangModel(
-            jobs=(JobSpec("a", 1, 3, 1), JobSpec("b", 2, 1, 2)),
-            capacity=3,
+        FleetHarness((job("a", 1, (2, 2), 2), job("b", 1, (2, 2), 1)), gpus=4),
+        FleetHarness(
+            (job("a", 1, (1, 3), 2, checkpoint_every=2), job("b", 2, (2, 2), 2)),
+            gpus=4,
             kills=(0, 2),
+            max_failures=1,
+        ),
+        FleetHarness(
+            (
+                job("a", 2, (1, 3), 3, checkpoint_every=2),
+                job("b", 1, (1, 2), 2),
+                job("c", 3, (1, 1), 1, arrival=1),
+            ),
+            gpus=5,
+            kills=(1, 3),
         ),
     )
 
 
-def seeded_mutants() -> Tuple[Tuple[ProtocolModel, str], ...]:
-    """(mutated model, expected MC rule) pairs for the mutation smoke.
+def seeded_mutants() -> Tuple[Tuple[Harness, str], ...]:
+    """(harness with one real function replaced, expected MC rule) pairs for
+    the mutation smoke; each harness module's ``mutants()`` has the rest.
 
-    Each model has exactly ONE guard flipped; the checker must report
-    exactly that rule, and the minimised counterexample must replay into
-    an RC501 race or TA205 ledger violation (see :func:`cross_validate`).
+    Each mutant patches exactly ONE function of the real component for the
+    whole exploration; the checker must report exactly that rule, and the
+    minimised counterexample replays through :func:`cross_validate`.
     """
+    from repro.analysis.protocols import fleet_harness, pipeline_harness, serving_harness
+
+    pipeline, serving, fleet = (
+        pipeline_harness.mutants(), serving_harness.mutants(), fleet_harness.mutants()
+    )
     return (
-        (
-            AsyncPipelineModel(
-                n_iterations=4,
-                window=1,
-                capacity=3,
-                mutate="drop_staleness_guard",
-            ),
-            "MC603",
-        ),
-        (
-            AsyncPipelineModel(
-                n_iterations=3,
-                window=2,
-                capacity=2,
-                mutate="skip_slot_guard",
-            ),
-            "MC604",
-        ),
-        (
-            AsyncPipelineModel(
-                n_iterations=4, window=1, mutate="publish_into_active"
-            ),
-            "MC605",
-        ),
-        (
-            DrainHandoffModel(
-                targets=(2, 1), slots=2, mutate="skip_done_guard"
-            ),
-            "MC609",
-        ),
-        (
-            FleetGangModel(
-                jobs=(JobSpec("a", 1, 2, 1), JobSpec("b", 1, 2, 1)),
-                capacity=3,
-                mutate="drop_gang_guard",
-            ),
-            "MC607",
-        ),
+        (pipeline["MC603"], "MC603"),
+        (pipeline["MC604"], "MC604"),
+        (serving["MC609"], "MC609"),
+        (fleet["MC607"], "MC607"),
     )
 
 
 def cross_validate(
-    model: ProtocolModel, schedule: Iterable[str]
+    model: Harness, schedule: Iterable[str]
 ) -> AnalysisReport:
     """Replay a (counterexample) schedule through the dynamic validators.
 
-    The schedule is re-executed on the model; the emitted trace records
-    and access events go to :class:`~repro.analysis.races.RaceDetector`,
-    the synthetic ledger device to
+    The schedule is re-executed on the harness's real objects; the records
+    and access events its calls left go to
+    :class:`~repro.analysis.races.RaceDetector`, the contract ledger to
     :class:`~repro.analysis.trace_audit.TraceAuditor`.  An intact
-    protocol's schedules replay clean; a mutant's counterexample is
+    component's schedules replay clean; a mutant's counterexample is
     flagged by RC501 (unordered conflicting accesses) and/or TA205
     (ledger contract violated).
     """

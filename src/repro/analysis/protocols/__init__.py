@@ -1,46 +1,28 @@
-"""Explicit state-machine models of the shipped concurrent protocols.
+"""Harnesses that drive the shipped concurrent components for MC6xx.
 
-These are the inputs to the MC6xx bounded model checker
-(:mod:`repro.analysis.modelcheck`).  Each model captures just the
-synchronization skeleton of a real component and is kept honest by
-conformance tests replaying real-implementation traces through
-:meth:`~repro.analysis.protocols.core.ProtocolModel.run_schedule`.
+The MC6xx bounded model checker (:mod:`repro.analysis.modelcheck`) explores
+a harness: the real component at small scope, stand-ins in place of the
+numerics.  One module per component — ``pipeline_harness``,
+``serving_harness``, ``fleet_harness`` — each importing its component, so
+only the checker loads them; this package exports the shared core.
 """
 
 from repro.analysis.protocols.core import (
     Action,
-    ProtocolModel,
+    Harness,
+    Mutant,
     ReplayDevice,
+    Step,
     independent,
     replay_schedule,
-)
-from repro.analysis.protocols.fleet_model import (
-    FleetGangModel,
-    FleetState,
-    JobSpec,
-    JobState,
-)
-from repro.analysis.protocols.pipeline_model import (
-    AsyncPipelineModel,
-    PipelineState,
-)
-from repro.analysis.protocols.serving_model import (
-    DrainHandoffModel,
-    ServingState,
 )
 
 __all__ = [
     "Action",
-    "AsyncPipelineModel",
-    "DrainHandoffModel",
-    "FleetGangModel",
-    "FleetState",
-    "JobSpec",
-    "JobState",
-    "PipelineState",
-    "ProtocolModel",
+    "Harness",
+    "Mutant",
     "ReplayDevice",
-    "ServingState",
+    "Step",
     "independent",
     "replay_schedule",
 ]

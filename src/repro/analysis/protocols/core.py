@@ -1,51 +1,55 @@
-"""Explicit state-machine models of the shipped concurrent protocols.
+"""Harnesses: the shipped concurrent components, driven one move at a time.
 
 The RC5xx race detector audits the one schedule that happened to run; the
 MC6xx model checker (:mod:`repro.analysis.modelcheck`) explores *every*
-small-scope interleaving of these models instead.  A model is deliberately
-tiny — just the synchronization skeleton of the real component — but it is
-kept honest two ways:
+small-scope schedule instead.  What it explores is the real component —
+the pipeline's trainer loop, experience buffer and weight publisher, the
+rollout server, the fleet scheduler — built at a small configuration with
+stand-ins where the numerics would be (a :class:`Harness` subclass per
+component).  A harness state is a fingerprint of those objects plus the
+objects themselves, and an action is one move the component's own code
+allows from there; nothing about the component is restated.
 
-* conformance tests replay real-implementation traces through the model
-  (every op the real code performs must be an enabled model action), and
-* counterexample schedules replay *out* of the model into the existing
-  validators (:func:`replay_schedule` emits trace records, access events,
-  and a synthetic ledger device for RaceDetector / TraceAuditor).
+Each :class:`Action` carries the footprint its real call left:
 
-Each :class:`Action` therefore carries two kinds of footprint:
+* ``reads`` / ``writes`` — *data* resources, from the access log, device
+  ledgers and results the call wrote.  They become access events on replay,
+  and a mutant that breaks a guard turns into a vector-clock race on them.
+* ``ctrl_reads`` / ``ctrl_writes`` — *control* state: the fingerprint
+  components the call changed, and those its guard reads.  Control state is
+  excluded from the replayed access log, but the checker's partial-order
+  reduction may only commute actions whose full footprints are disjoint.
 
-* ``reads`` / ``writes`` — *data* resources (buffers, slots, device state).
-  These become access-log events on replay; a mutant that drops a guard
-  turns into a vector-clock race on exactly these resources.
-* ``ctrl_reads`` / ``ctrl_writes`` — *control* state the action's guard or
-  effect touches (pointers, counters, statuses).  Control state is what the
-  real protocol reads under its own synchronization (an atomic pointer
-  flip, the controller's sequential context), so it is excluded from the
-  replayed access log — but it MUST be declared, because the checker's
-  partial-order reduction may only commute actions whose full footprints
-  are disjoint.  Undeclared control state would let the reduction prune a
-  schedule that actually behaves differently.
+``syncs`` / ``releases`` are the happens-before edges the call observed (a
+read of what another thread wrote, a device handed from one gang to the
+next).  ``allocs`` / ``frees`` charge a replay ledger whose per-tag
+capacities are the component's *contract* (at most ``W + 1`` batches in
+flight, staleness at most ``W``, one gang per device, one hand-off per
+request).  A counterexample replayed through :func:`replay_schedule` feeds
+RaceDetector (RC501) and TraceAuditor (TA205) the same way a recorded run
+does.
 
-``syncs`` / ``releases`` are named tokens modelling the happens-before
-edges the real protocol leaves in the trace (future/lineage deps, the
-publisher hand-off, device free/claim).  On replay, an action's record
-depends on the record that last released each token it syncs on.
-
-``allocs`` / ``frees`` charge a synthetic memory ledger whose per-tag
-capacities are the protocol's *contract* (at most ``W + 1`` in-flight
-rollouts, one batch per buffer slot, one gang per device).  A mutant that
-silently exceeds the contract — or frees what was never allocated — shows
-up as a ``TA205`` negative balance when the counterexample is replayed
-through :class:`~repro.analysis.trace_audit.TraceAuditor`.
+Actions are computed when a state is first expanded: each candidate runs on
+a copy of the objects, so its footprint, its violations and the state it
+leads to are what the real call did.  The copies live only while the
+search may still move from them (the current DFS path); any other state is
+rebuilt by replaying its schedule prefix from a fresh build — stateless
+search, as CHESS does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+import contextlib
+import dataclasses
+import io
+import pickle
+from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+
+Violations = Tuple[Tuple[str, str], ...]
 
 
 class Action(NamedTuple):
-    """One enabled transition of a protocol model."""
+    """One enabled transition of a harness, with its real call's footprint."""
 
     name: str
     thread: str
@@ -84,53 +88,239 @@ def independent(a: Action, b: Action) -> bool:
     return True
 
 
-class ProtocolModel:
-    """Base class: a finite, deterministic-per-action state machine.
+@dataclasses.dataclass
+class Step:
+    """What one real call did, as its harness observed it: the footprint
+    fields of :class:`Action` but ``ctrl_writes`` (the fingerprint
+    components that changed), and the invariants it broke."""
 
-    States are hashable values (nested tuples / NamedTuples).  ``apply``
-    is pure — it returns a new state and never mutates.  A state records
-    protocol-invariant violations in its ``viol`` field (a tuple of
-    ``(rule, message)`` pairs); the checker treats a violating state as a
-    frontier and reports each rule once with its schedule.
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
+    ctrl_reads: Tuple[str, ...] = ()
+    syncs: Tuple[str, ...] = ()
+    releases: Tuple[str, ...] = ()
+    allocs: Tuple[Tuple[str, int], ...] = ()
+    frees: Tuple[Tuple[str, int], ...] = ()
+    viol: Violations = ()
+
+
+def _net(allocs, frees):
+    """A call's ledger charges netted per tag: a call is atomic, so only
+    its net effect on a contract is observable (a device passed from a
+    victim to a waiter in one admission round holds one gang throughout)."""
+    net: Dict[str, int] = {}
+    for tag, n in allocs:
+        net[tag] = net.get(tag, 0) + n
+    for tag, n in frees:
+        net[tag] = net.get(tag, 0) - n
+    return (
+        tuple((tag, n) for tag, n in net.items() if n > 0),
+        tuple((tag, -n) for tag, n in net.items() if n < 0),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class Mutant:
+    """One real function of a component, replaced while a harness drives it.
+
+    ``replacement`` is the function with one guard dropped; ``applied()``
+    installs it on ``owner`` and puts back whatever was there before.
+    """
+
+    owner: type
+    attribute: str
+    replacement: Callable[..., Any]
+
+    @property
+    def name(self) -> str:
+        return f"{self.owner.__name__}.{self.attribute}"
+
+    @contextlib.contextmanager
+    def applied(self):
+        original = self.owner.__dict__[self.attribute]
+        setattr(self.owner, self.attribute, self.replacement)
+        try:
+            yield
+        finally:
+            setattr(self.owner, self.attribute, original)
+
+
+def _shared(index: int) -> Any:
+    """The object at ``index`` of a copy's shared list: a name the pickle
+    refers to, which :class:`_SharingUnpickler` resolves per copy."""
+    raise LookupError(f"shared object {index} outside a harness copy")
+
+
+class _SharingPickler(pickle.Pickler):
+    """Pickles a reference, not a copy, of each object in ``ids`` (consulted
+    for class instances only: builtin containers and atoms never are)."""
+
+    def __init__(self, file: io.BytesIO, ids: Dict[int, int]) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.ids = ids
+
+    def reducer_override(self, obj: Any) -> Any:
+        index = self.ids.get(id(obj))
+        return NotImplemented if index is None else (_shared, (index,))
+
+
+class _SharingUnpickler(pickle.Unpickler):
+    def __init__(self, data: bytes, shared: List[Any]) -> None:
+        super().__init__(io.BytesIO(data))
+        self.shared = shared
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == (__name__, "_shared"):
+            return self.shared.__getitem__
+        return super().find_class(module, name)
+
+
+class _Node:
+    """A harness state: its fingerprint (and violations) is its identity;
+    while the search may move from it, it also holds the real objects and
+    the children its candidates led to."""
+
+    __slots__ = ("key", "path", "viol", "terminal", "final", "world", "children")
+
+    def __init__(self, key, path, viol, terminal, final, world) -> None:
+        self.key = key
+        self.path = path
+        self.viol = viol
+        self.terminal = terminal
+        self.final = final
+        self.world = world
+        self.children: Dict[str, Tuple[Any, Violations, Dict[str, Hashable]]] = {}
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Node) and self.key == other.key
+
+    def release(self) -> None:
+        self.world = None
+        self.children = {}
+
+
+class Harness:
+    """A real component at small scope, explored by the model checker.
+
+    A subclass builds the component (:meth:`build`), names the moves its
+    own code allows (:meth:`candidates`), makes one (:meth:`perform`) and
+    fingerprints the objects (:meth:`fingerprint`).  ``mutant`` replaces
+    one real function for the whole exploration.  States are
+    :class:`_Node` values; ``apply`` never mutates the objects of the state
+    it starts from.
     """
 
     #: Short stable name; counterexample locations are ``model:<name>``.
-    name = "protocol"
+    name = "harness"
+
+    def __init__(self, mutant: Optional[Mutant] = None) -> None:
+        self.mutant = mutant
+        self._enabled: Dict[Hashable, List[Action]] = {}
+        self._path: List[_Node] = []
+
+    def _named(self, spec: str) -> str:
+        suffix = f"!{self.mutant.name}" if self.mutant else ""
+        return f"{spec}{suffix}"
+
+    # -- what a component harness provides ---------------------------------------------
+
+    def build(self) -> Any:
+        """Fresh real objects at the harness's configuration."""
+        raise NotImplementedError
+
+    def shared(self, world: Any) -> Iterable[Any]:
+        """Objects a copy of ``world`` may share: immutable, or never read."""
+        return ()
+
+    def candidates(self, world: Any) -> List[Tuple[str, str]]:
+        """``(action, thread)`` pairs the component's own guards allow."""
+        raise NotImplementedError
+
+    def perform(self, world: Any, action: str) -> Optional[Step]:
+        """Make ``action`` on ``world``; ``None`` when the call made no move."""
+        raise NotImplementedError
+
+    def fingerprint(self, world: Any) -> Dict[str, Hashable]:
+        """The state that decides what the component does next, by component."""
+        raise NotImplementedError
+
+    def terminal(self, world: Any) -> bool:
+        """True when the component has run to a legitimate quiescent end."""
+        raise NotImplementedError
+
+    def leftovers(self, world: Any) -> Violations:
+        """Violations only a finished run exhibits (lost work, leaks)."""
+        return ()
 
     def tag_capacity(self, tag: str) -> Optional[int]:
         """Contract capacity of a replay-ledger tag (None = unbounded)."""
         return None
 
-    def initial_state(self) -> Any:
-        raise NotImplementedError
+    # -- the interface the checker explores --------------------------------------------
 
-    def enabled(self, state: Any) -> List[Action]:
-        """All actions the protocol allows from ``state``, in a fixed order."""
-        raise NotImplementedError
+    def initial_state(self) -> _Node:
+        self._path = []
+        with self._patched():
+            world = self.build()
+        return self._node(world, (), (), self.fingerprint(world))
 
-    def apply(self, state: Any, action: Action) -> Any:
-        raise NotImplementedError
+    def enabled(self, state: _Node) -> List[Action]:
+        """All moves from ``state``, each run once on a copy of its objects
+        (the last on the objects themselves: the state gives them up)."""
+        actions = self._enabled.get(state.key)
+        if actions is not None:
+            return actions
+        world = self._enter(state)
+        actions = []
+        with self._patched():
+            candidates = self.candidates(world)
+            before = self.fingerprint(world)
+            for i, (name, thread) in enumerate(candidates):
+                child = world if i == len(candidates) - 1 else self._copy(world)
+                step = self.perform(child, name)
+                if step is None:
+                    continue
+                after = self.fingerprint(child)
+                changed = tuple(k for k in after if before.get(k) != after[k])
+                actions.append(
+                    Action(
+                        name, thread, step.reads, step.writes, step.ctrl_reads,
+                        changed, step.syncs, step.releases, *_net(step.allocs, step.frees),
+                    )
+                )
+                state.children[name] = (child, step.viol, after)
+        if candidates:
+            state.world = None
+        self._enabled[state.key] = actions
+        return actions
 
-    def is_terminal(self, state: Any) -> bool:
-        """True when the protocol has run to a legitimate quiescent end."""
-        raise NotImplementedError
+    def apply(self, state: _Node, action: Action) -> _Node:
+        child = state.children.pop(action.name, None)
+        if child is None:
+            world = self._copy(self._enter(state))
+            with self._patched():
+                step = self.perform(world, action.name)
+            child = (world, step.viol, self.fingerprint(world))
+        world, viol, fp = child
+        return self._node(world, state.path + (action.name,), viol, fp)
 
-    def state_violations(self, state: Any) -> Tuple[Tuple[str, str], ...]:
-        return tuple(getattr(state, "viol", ()))
+    def is_terminal(self, state: _Node) -> bool:
+        return state.terminal
 
-    def final_violations(self, state: Any) -> Tuple[Tuple[str, str], ...]:
-        """Violations only a finished run exhibits (lost work, leaks)."""
-        return ()
+    def state_violations(self, state: _Node) -> Violations:
+        return state.viol
 
-    # -- shared helpers ----------------------------------------------------------------
+    def final_violations(self, state: _Node) -> Violations:
+        return state.final
 
-    def run_schedule(self, schedule: List[str]) -> Any:
+    def run_schedule(self, schedule: List[str]) -> _Node:
         """Re-execute a schedule of action names; returns the final state.
 
-        Raises ``ValueError`` if any step names an action the model does
-        not enable at that point — the conformance guarantee that a
-        counterexample (or a real-implementation trace mapped to action
-        names) is an actual behaviour of the model.
+        Raises ``ValueError`` if any step names an action the component
+        does not allow at that point.
         """
         state = self.initial_state()
         for i, name in enumerate(schedule):
@@ -144,11 +334,53 @@ class ProtocolModel:
             state = self.apply(state, action)
         return state
 
-    def action_named(self, state: Any, name: str) -> Optional[Action]:
+    def action_named(self, state: _Node, name: str) -> Optional[Action]:
         for action in self.enabled(state):
             if action.name == name:
                 return action
         return None
+
+    # -- snapshots -----------------------------------------------------------------------
+
+    def _patched(self):
+        return self.mutant.applied() if self.mutant else contextlib.nullcontext()
+
+    def _copy(self, world: Any) -> Any:
+        """A deep copy of ``world`` through pickle (several times faster
+        than ``copy.deepcopy``) that keeps :meth:`shared` objects shared."""
+        shared = list(self.shared(world))
+        buf = io.BytesIO()
+        _SharingPickler(buf, {id(obj): i for i, obj in enumerate(shared)}).dump(world)
+        return _SharingUnpickler(buf.getvalue(), shared).load()
+
+    def _node(
+        self, world: Any, path: Tuple[str, ...], viol: Violations,
+        fp: Dict[str, Hashable],
+    ) -> _Node:
+        terminal = self.terminal(world)
+        return _Node(
+            (tuple(fp.items()), viol), path, viol, terminal,
+            self.leftovers(world) if terminal else (), world,
+        )
+
+    def _enter(self, state: _Node) -> Any:
+        """``state``'s objects, making it the top of the search path.
+
+        A DFS moves from the newest state on its path, so states off the
+        path are done and give their objects up; a state that gave them up
+        is rebuilt by replaying its schedule prefix.
+        """
+        path = self._path
+        while path and path[-1].path != state.path[: len(path[-1].path)]:
+            path.pop().release()
+        if not path or path[-1] is not state:
+            path.append(state)
+        if state.world is None:
+            with self._patched():
+                state.world = self.build()
+                for name in state.path:
+                    self.perform(state.world, name)
+        return state.world
 
 
 class _LedgerEvent(NamedTuple):
@@ -163,7 +395,7 @@ class _ReplayMemory:
 
     ``balance`` after each event is the most negative of (remaining
     per-tag contract headroom, the tag's outstanding allocation) — so
-    both over-subscription (allocating past the protocol's contract) and
+    both over-subscription (allocating past the component's contract) and
     a free-without-alloc surface as ``TA205``.
     """
 
@@ -194,9 +426,9 @@ class _ReplayMemory:
 
 
 class ReplayDevice:
-    """Synthetic device carrying the replayed protocol ledger."""
+    """Synthetic device carrying the replayed contract ledger."""
 
-    def __init__(self, model: "ProtocolModel") -> None:
+    def __init__(self, model: Harness) -> None:
         self.global_rank = 0
         self.model_name = model.name
         self.busy_time = 0.0
@@ -219,21 +451,22 @@ class _ReplayRecord:
         self.deps = deps
 
 
-def replay_schedule(model: ProtocolModel, schedule: List[str]):
+def replay_schedule(model: Harness, schedule: List[str]):
     """Re-execute ``schedule`` and emit validator-shaped artifacts.
 
     Returns ``(records, events, device)``:
 
     * ``records`` — one ExecutionRecord-shaped entry per action; ``pool``
       is the action's thread, ``deps`` are the records that last released
-      each token the action syncs on (the protocol's happens-before edges).
-    * ``events`` — one :class:`AccessEvent` per declared *data* access.
+      each token the action syncs on (the happens-before edges its real
+      call observed).
+    * ``events`` — one :class:`AccessEvent` per *data* access the call made.
     * ``device`` — a :class:`ReplayDevice` whose ledger was charged by the
-      actions' ``allocs`` / ``frees`` against the model's contract.
+      actions' ``allocs`` / ``frees`` against the component's contract.
 
     Feeding these to :class:`~repro.analysis.races.RaceDetector` /
     :class:`~repro.analysis.trace_audit.TraceAuditor` cross-validates a
-    counterexample with the shipped dynamic analyses: an intact protocol's
+    counterexample with the shipped dynamic analyses: an intact component's
     schedules replay clean, a dropped guard shows up as RC501 / TA205.
     """
     from repro.single_controller.access_log import READ, WRITE, AccessEvent
@@ -263,28 +496,18 @@ def replay_schedule(model: ProtocolModel, schedule: List[str]):
         records.append(
             _ReplayRecord(seq, action.thread, model.name, action.name, deps)
         )
-        for resource in action.reads:
-            events.append(
-                AccessEvent(
-                    kind=READ,
-                    resource=f"{model.name}/{resource}",
-                    rank=0,
-                    seq=seq,
-                    after_seq=seq,
-                    note=action.name,
+        for kind, resources in ((READ, action.reads), (WRITE, action.writes)):
+            for resource in resources:
+                events.append(
+                    AccessEvent(
+                        kind=kind,
+                        resource=f"{model.name}/{resource}",
+                        rank=0,
+                        seq=seq,
+                        after_seq=seq,
+                        note=action.name,
+                    )
                 )
-            )
-        for resource in action.writes:
-            events.append(
-                AccessEvent(
-                    kind=WRITE,
-                    resource=f"{model.name}/{resource}",
-                    rank=0,
-                    seq=seq,
-                    after_seq=seq,
-                    note=action.name,
-                )
-            )
         for tag, n in action.allocs:
             device.memory.alloc(tag, n)
         for tag, n in action.frees:
@@ -297,8 +520,10 @@ def replay_schedule(model: ProtocolModel, schedule: List[str]):
 
 __all__ = [
     "Action",
-    "ProtocolModel",
+    "Harness",
+    "Mutant",
     "ReplayDevice",
+    "Step",
     "independent",
     "replay_schedule",
 ]

@@ -66,6 +66,17 @@ from repro.runtime.builder import required_models
 from repro.serving.server import ServingConfig
 
 
+class _Parser(argparse.ArgumentParser):
+    """A flag value argparse cannot read is one stderr line naming the flag,
+    as an out-of-bound value is; any other parse error keeps the usage."""
+
+    def error(self, message: str):
+        flag, _, reason = message.partition(": ")
+        if flag.startswith("argument ") and reason.startswith("invalid ") and " value: " in reason:
+            self.exit(2, f"{flag[len('argument '):]}: {reason}\n")
+        super().error(message)
+
+
 class UsageError(Exception):
     """Arguments no run could honour: ``main`` exits 2."""
 
@@ -952,7 +963,7 @@ def cmd_bench(args: argparse.Namespace, _) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from repro.perf.bench import WORKLOADS
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro.cli", description="HybridFlow reproduction: analytical tools"
     )
     parser.set_defaults(setup=lambda args: None)
@@ -1118,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
             "repro check gate: RepoLint over the tree, DataflowChecker over "
             "the shipped example plans, ShardingVerifier over the shipped "
             "topologies, TraceAuditor + RaceDetector over the golden trace, "
-            "(with --models) the MC6xx protocol model checker, and (with "
+            "(with --models) the MC6xx model checker, and (with "
             "--shapes) the SF7xx symbolic shape/dtype flow pass"
         ),
     )
@@ -1143,8 +1154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--models",
         action="store_true",
         help=(
-            "also run the MC6xx bounded model checker over the shipped "
-            "protocol models (async pipeline, drain hand-off, fleet gangs)"
+            "also run the MC6xx bounded model checker over the real async "
+            "pipeline, serving drain and fleet scheduler"
         ),
     )
     p.add_argument(

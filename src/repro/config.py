@@ -350,6 +350,7 @@ class GenParallelConfig:
         divide the training model-parallel size, which the 3D-HybridEngine
         requires (§5.1).
         """
+        cls(pp=gen_pp, tp=gen_tp)  # the bounds first: a size of 0 divides nothing
         mp_train = train.model_parallel_size
         mp_gen = gen_pp * gen_tp
         if mp_gen > mp_train or mp_train % mp_gen:

@@ -127,6 +127,10 @@ class FleetScheduler:
         max_ticks: Hard stop against livelock.
     """
 
+    #: What runs one tenant: a supervised :class:`~repro.runtime.JobRun`
+    #: plus the scheduler's bookkeeping.
+    runtime = _JobRuntime
+
     def __init__(
         self,
         cluster_spec: ClusterSpec,
@@ -166,7 +170,7 @@ class FleetScheduler:
         )
         root = pathlib.Path(checkpoint_root)
         self.jobs = [
-            _JobRuntime(spec, root / spec.name, self.cluster, cost_model, retry_policy)
+            self.runtime(spec, root / spec.name, self.cluster, cost_model, retry_policy)
             for spec in jobs
         ]
         self.ticks_run = 0
@@ -239,14 +243,18 @@ class FleetScheduler:
             job=victim.spec.name,
         ).inc()
 
+    @staticmethod
+    def _may_preempt(victim: _JobRuntime, waiter: _JobRuntime) -> bool:
+        """Only a strictly lower-priority job is ever evicted for a waiter."""
+        return victim.spec.priority < waiter.spec.priority
+
     def _preempt_for(self, waiter: _JobRuntime, tick: int) -> bool:
         """Evict strictly lower-priority victims until ``waiter`` fits."""
         need = waiter.spec.min_gpus
         victims = [
             j
             for j in self.jobs
-            if j.state == JobState.RUNNING
-            and j.spec.priority < waiter.spec.priority
+            if j.state == JobState.RUNNING and self._may_preempt(j, waiter)
         ]
         if self._free_gpus() + sum(v.gpus_held for v in victims) < need:
             return False
@@ -260,11 +268,7 @@ class FleetScheduler:
         return self._free_gpus() >= need
 
     def _admit(self, tick: int) -> bool:
-        eligible = [
-            j
-            for j in self.jobs
-            if j.state == JobState.PENDING and j.spec.arrival_tick <= tick
-        ]
+        eligible = self._waiting(tick)
         eligible.sort(
             key=lambda j: (
                 -j.effective_priority(self.aging),
@@ -371,6 +375,33 @@ class FleetScheduler:
             if j.state in (JobState.PENDING, JobState.RUNNING)
         ]
 
+    def _waiting(self, tick: int) -> List[_JobRuntime]:
+        return [
+            j
+            for j in self.jobs
+            if j.state == JobState.PENDING and j.spec.arrival_tick <= tick
+        ]
+
+    def _give_up(self, tick: int, progressed: bool) -> None:
+        """Fail the waiters of ``tick`` when nothing ran or was admitted and
+        no arrival or fault can change that: they can never fit (e.g. demand
+        exceeds the alive cluster at ``min_dp``) — fail them rather than spin."""
+        future_arrivals = any(
+            j.spec.arrival_tick > tick
+            for j in self.jobs
+            if j.state == JobState.PENDING
+        )
+        faults_pending = self.driver is not None and self.driver.pending_events
+        if progressed or future_arrivals or faults_pending:
+            return
+        for job in self._waiting(tick):
+            job.state = JobState.FAILED
+            job.detail = (
+                f"unschedulable: needs {job.spec.min_gpus} GPU(s) at "
+                f"dp={job.spec.candidate_dps()[-1]}, cluster has "
+                f"{self._free_gpus()} allocatable"
+            )
+
     def run(self) -> FleetReport:
         tick = 0
         while self._unfinished() and tick < self.max_ticks:
@@ -393,30 +424,9 @@ class FleetScheduler:
             if deltas:
                 self.clock.advance(max(deltas))
                 progressed = True
-            waiting = [
-                j
-                for j in self.jobs
-                if j.state == JobState.PENDING and j.spec.arrival_tick <= tick
-            ]
-            for job in waiting:
+            for job in self._waiting(tick):
                 job.wait_ticks += 1
-            future_arrivals = any(
-                j.spec.arrival_tick > tick
-                for j in self.jobs
-                if j.state == JobState.PENDING
-            )
-            faults_pending = self.driver is not None and self.driver.pending_events
-            if not progressed and not future_arrivals and not faults_pending:
-                # nothing ran, nothing was admitted, nothing will change:
-                # the waiters can never fit (e.g. demand exceeds the alive
-                # cluster at min_dp) — fail them rather than spin.
-                for job in waiting:
-                    job.state = JobState.FAILED
-                    job.detail = (
-                        f"unschedulable: needs {job.spec.min_gpus} GPU(s) at "
-                        f"dp={job.spec.candidate_dps()[-1]}, cluster has "
-                        f"{self._free_gpus()} allocatable"
-                    )
+            self._give_up(tick, progressed)
             tick += 1
         for job in self._unfinished():
             if not job.detail:

@@ -12,7 +12,7 @@ paper's Figure 6 shows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -241,6 +241,48 @@ class RlhfTrainerBase:
         """One synchronous RLHF iteration."""
         return self.run_iteration(lambda: self.step(prompts))
 
+    def run_ahead(self, target: int) -> int:
+        """The run-ahead bound: the last iteration whose batch may be
+        generated before iteration ``len(history)`` trains — ``W`` ahead
+        under an attached :attr:`pipeline`, never past ``target - 1``."""
+        window = self.pipeline.config.staleness_window if self.pipeline else 0
+        return min(len(self.history) + window, target - 1)
+
+    def moves(self, target: int) -> Tuple[str, ...]:
+        """What the loop toward iteration ``target`` may do next.
+
+        ``"step"`` when nothing is buffered and :meth:`run_ahead` allows no
+        look-ahead (every iteration at ``W = 0``); otherwise ``"rollout"``
+        while the bound allows one more batch and ``"learn"`` once the next
+        iteration's batch is buffered.  :meth:`train` takes the first; the
+        MC6xx model checker explores every order.
+        """
+        done = len(self.history)
+        if done >= target:
+            return ()
+        buffer = self.pipeline.buffer if self.pipeline else ()
+        ahead = self.run_ahead(target)
+        if not buffer and ahead == done:
+            return ("step",)
+        rollout = ("rollout",) if done + len(buffer) <= ahead else ()
+        learn = ("learn",) if done in buffer.indices() else ()
+        return rollout + learn
+
+    def advance(self, move: str, batches: Iterator[DataBatch]) -> None:
+        """Make one of :meth:`moves`, drawing its prompts from ``batches``."""
+        pipeline = self.pipeline
+        if move == "rollout":
+            pipeline.rollout(next(batches))
+            return
+        if move == "step":
+            self.run_step(next(batches))
+        else:
+            self.run_iteration(pipeline.learn)
+        if pipeline is not None and pipeline.config.staleness_window:
+            # a new policy version: staged for the rollout engine without
+            # blocking its decode loop
+            pipeline.publisher.publish(len(self.history))
+
     def train(
         self,
         dataset: PromptDataset,
@@ -253,16 +295,13 @@ class RlhfTrainerBase:
 
         One prompt cursor, batch ``len(history) + len(buffer)`` next, so a
         restored trainer resumes the stream, rollouts in flight included
-        (§9's dataloader IDs).  Rollouts run ahead to iteration
-        ``min(len(history) + W, target - 1)``; ``target``, the job's final
-        iteration count (default: this call's), makes a job stepped one
-        iteration at a time run the schedule of one call.  An iteration with
-        nothing buffered that may not look ahead — every one at ``W = 0`` —
-        is exactly :meth:`run_step`.
+        (§9's dataloader IDs).  Rollouts run ahead to :meth:`run_ahead`;
+        ``target``, the job's final iteration count (default: this call's),
+        makes a job stepped one iteration at a time run the schedule of one
+        call.  An iteration with nothing buffered that may not look ahead —
+        every one at ``W = 0`` — is exactly :meth:`run_step`.
         """
-        pipeline = self.pipeline
-        window = pipeline.config.staleness_window if pipeline else 0
-        buffer = pipeline.buffer if pipeline else ()
+        buffer = self.pipeline.buffer if self.pipeline else ()
         stop = len(self.history) + n_iterations
         target = stop if target is None else target
         if target < stop:
@@ -271,18 +310,7 @@ class RlhfTrainerBase:
             batch_size, epochs=10**6, skip=len(self.history) + len(buffer)
         )
         while len(self.history) < stop:
-            done = len(self.history)
-            ahead = min(done + window, target - 1)
-            if not buffer and ahead == done:
-                self.run_step(next(batches))
-            else:
-                while done + len(buffer) <= ahead:
-                    pipeline.rollout(next(batches))
-                self.run_iteration(pipeline.learn)
-            if window:
-                # a new policy version: staged for the rollout engine
-                # without blocking its decode loop
-                pipeline.publisher.publish(len(self.history))
+            self.advance(self.moves(target)[0], batches)
         return self.history
 
 

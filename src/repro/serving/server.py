@@ -578,11 +578,18 @@ class RolloutServer:
                     f"serving did not drain within {max_steps} steps "
                     f"({self.pending} requests pending)"
                 )
-            finished = self.step()
-            if on_finish is not None:
-                for done in finished:
-                    on_finish(done)
+            self._hand_off(self.step(), on_finish)
         return self.report()
+
+    @staticmethod
+    def _hand_off(
+        finished: List[CompletedRequest],
+        on_finish: Optional[Callable[[CompletedRequest], None]],
+    ) -> None:
+        """Stream a step's finishers to ``on_finish``, in completion order."""
+        if on_finish is not None:
+            for done in finished:
+                on_finish(done)
 
     # -- reporting -------------------------------------------------------------------
 

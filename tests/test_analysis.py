@@ -865,11 +865,11 @@ class TestEndToEnd:
 
     def test_model_check_embeds_in_system_report(self, tiny_system):
         from repro.analysis.modelcheck import ModelChecker
-        from repro.analysis.protocols import AsyncPipelineModel
+        from repro.analysis.protocols.pipeline_harness import PipelineHarness
         from repro.runtime.report import system_report_dict
 
         checker = ModelChecker()
-        checker.check_all([AsyncPipelineModel(n_iterations=3, window=1)])
+        checker.check_all([PipelineHarness(n_iterations=3, window=1)])
         doc = system_report_dict(
             tiny_system, model_check=checker.last_results
         )

@@ -31,7 +31,7 @@ from repro.rlhf.losses import (
     ppo_policy_loss,
     truncated_importance_weights,
 )
-from repro.rlhf.trainers import TrainerConfig
+from repro.rlhf.trainers import RlhfTrainerBase, TrainerConfig
 from repro.runtime import (
     JobRun,
     ModelAssignment,
@@ -393,11 +393,26 @@ class TestRecoveryMidOverlap:
         # trained after the restore must match the uninterrupted run
         assert histories_equal(oracle.trainer.history[1:], trainer.history[1:])
 
-    def test_stepped_job_is_one_call(self, oracle, tmp_path):
+    def test_stepped_job_is_one_call(self, oracle, tmp_path, monkeypatch):
+        moves = {"one call": [], "stepped": []}
+        advance = RlhfTrainerBase.advance
+
+        def recorded(trainer, move, batches):
+            moves[key].append(move)
+            return advance(trainer, move, batches)
+
+        monkeypatch.setattr(RlhfTrainerBase, "advance", recorded)
+        key = "one call"
+        build_async().trainer.train(dataset(), self.N, 4)
+        key = "stepped"
         run = JobRun(build_async, dataset(), 4, str(tmp_path / "ckpt"))
         run.start()
         while run.iteration < self.N:
             run.step(self.N)
+        # the loop's moves, not only where they end: rollouts run ahead of
+        # each learn exactly as in one call
+        assert moves["stepped"] == moves["one call"]
+        assert moves["one call"][:3] == ["rollout", "rollout", "learn"]
         assert histories_equal(oracle.trainer.history, run.history)
         assert oracle.state_equal(run.system)
         pipeline = run.system.trainer.pipeline

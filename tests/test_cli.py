@@ -291,6 +291,20 @@ class TestEveryBound:
             assert captured.err.startswith(f"{flag} must be ")
 
 
+    @pytest.mark.parametrize(
+        "name, flag, kind, bound", BOUNDED, ids=[f"{n} {f}" for n, f, _, _ in BOUNDED]
+    )
+    def test_an_unreadable_value_exits_2_naming_the_flag(
+        self, name, flag, kind, bound, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([name, flag, "x"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag}: invalid {kind.__name__} value: 'x'\n"
+
+
 class TestFaults:
     def test_device_kill_recovers(self, capsys):
         assert main(

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.config import (
     MODEL_SPECS,
+    BoundError,
     ClusterSpec,
     GenParallelConfig,
     ParallelConfig,
@@ -131,6 +132,12 @@ class TestGenParallelConfig:
         train = ParallelConfig(pp=1, tp=6, dp=2)
         with pytest.raises(ValueError, match="must divide"):
             GenParallelConfig.derive(train, gen_pp=1, gen_tp=4)
+
+    @pytest.mark.parametrize("gen_pp,gen_tp,field", [(1, 0, "tp"), (0, 1, "pp")])
+    def test_derive_names_an_out_of_bound_size(self, gen_pp, gen_tp, field):
+        # the bound is checked before the sizes divide anything
+        with pytest.raises(BoundError, match=f"^{field} must be >= 1, got 0"):
+            GenParallelConfig.derive(ParallelConfig(1, 8, 2), gen_pp, gen_tp)
 
     def test_derive_rejects_larger_than_training(self):
         train = ParallelConfig(pp=1, tp=2, dp=2)
