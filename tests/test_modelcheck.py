@@ -1,12 +1,14 @@
 """MC6xx bounded model checker: exploration, reduction, the shipped suite of
-harnesses over the real components, the golden of the findings, and the
-seeded mutation smoke.
+harnesses over the real components, their conformance to real runs, the
+golden of the findings, and the seeded mutation smoke.
 
 The checker (:mod:`repro.analysis.modelcheck`) explores every small-scope
 schedule of the real pipeline, server and fleet scheduler, each driven by a
-harness in :mod:`repro.analysis.protocols`.  Three properties keep the
+harness in :mod:`repro.analysis.protocols`.  Four properties keep the
 arrangement honest and are each tested here:
 
+* the moves of a real pipeline job and of a real ``drain`` are each a
+  clean harness schedule that ends in the state the real run ends in;
 * the intact shipped suite explores a five-figure state count with zero
   counterexamples (the CI gate), and its terminal schedules replay clean
   through the dynamic validators;
@@ -24,7 +26,9 @@ Regenerate the golden's ``"now"`` entries with
 import json
 import pathlib
 import random
+import types
 
+import numpy as np
 import pytest
 
 from repro.analysis.modelcheck import (
@@ -39,6 +43,13 @@ from repro.analysis.protocols import Action, Mutant, independent, replay_schedul
 from repro.analysis.protocols import fleet_harness, pipeline_harness, serving_harness
 from repro.analysis.protocols.pipeline_harness import PipelineHarness
 from repro.analysis.protocols.serving_harness import ServingHarness
+from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.data import PromptDataset
+from repro.models.tinylm import TinyLMConfig
+from repro.pipeline import AsyncPipelineDriver, PipelineConfig
+from repro.rlhf.core import AlgoType
+from repro.rlhf.trainers import RlhfTrainerBase, TrainerConfig
+from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "mc_findings.json"
 
@@ -248,6 +259,110 @@ class TestShippedSuite:
                 assert report.findings == [], (
                     model.name + "\n" + "\n".join(report.summary_lines())
                 )
+
+
+# ---------------------------------------------------------------------------
+# Conformance: a real run is a harness schedule, ending where the run ends
+# ---------------------------------------------------------------------------
+
+CFG = TinyLMConfig(
+    n_layers=2,
+    hidden_size=32,
+    n_heads=4,
+    ffn_hidden_size=48,
+    vocab_size=16,
+    max_seq_len=32,
+)
+
+
+def build_pipeline_system():
+    """A W=1 PPO job on real numerics: actor at TP=2, the rest on one GPU."""
+    actor_par = ParallelConfig(pp=1, tp=2, dp=1)
+    scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
+    plan = PlacementPlan(
+        pools={"actor": 2, "scorer": 1},
+        assignments={
+            "actor": ModelAssignment(
+                "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
+            ),
+            "critic": ModelAssignment("scorer", scorer_par),
+            "reference": ModelAssignment("scorer", scorer_par),
+            "reward": ModelAssignment("scorer", scorer_par),
+        },
+    )
+    system = build_rlhf_system(
+        AlgoType.PPO,
+        plan,
+        CFG,
+        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
+        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
+        max_new_tokens=6,
+        lr=5e-3,
+        seed=7,
+    )
+    AsyncPipelineDriver(system.trainer, PipelineConfig(staleness_window=1))
+    return system
+
+
+class TestRealImplementationConformance:
+    """The harnesses stand in for what does not decide the protocol (the
+    stages' numerics, the model's logits).  A real run's moves are a
+    terminal, violation-free harness schedule that leaves the harness's
+    objects in the state the run left the real ones."""
+
+    def test_async_pipeline_driver_trace_is_a_model_behaviour(self, monkeypatch):
+        moves = []
+        advance = RlhfTrainerBase.advance
+
+        def recorded(trainer, move, batches):
+            moves.append(move)
+            return advance(trainer, move, batches)
+
+        monkeypatch.setattr(RlhfTrainerBase, "advance", recorded)
+        system = build_pipeline_system()
+        dataset = PromptDataset(n_prompts=64, prompt_length=4, vocab_size=16, seed=1)
+        system.trainer.train(dataset, 3, 4)
+        monkeypatch.undo()  # the harness's own moves go unrecorded
+        assert moves[:3] == ["rollout", "rollout", "learn"]
+
+        model = PipelineHarness(n_iterations=3, window=1)
+        final = model.run_schedule(moves)  # raises if a move is not allowed
+        assert model.is_terminal(final)
+        assert model.state_violations(final) == ()
+        assert model.final_violations(final) == ()
+        job = types.SimpleNamespace(trainer=system.trainer, driver=system.trainer.pipeline)
+        assert model.fingerprint(job) == model.fingerprint(final.world)
+        report = cross_validate(model, moves)
+        assert report.findings == [], "\n".join(report.summary_lines())
+
+    def test_serving_drain_trace_is_a_model_behaviour(self):
+        # four requests, one of them prioritised, on two slots and six
+        # one-token KV blocks: more requests than slots, so slots are reused
+        requests = (((3,), 0), ((1,), 0), ((2,), 1), ((2,), 0))
+        model = ServingHarness(requests, slots=2, blocks=6)
+        server = model.build().server
+        for prompt, priority in requests:
+            server.submit(np.array(prompt), max_new_tokens=prompt[-1], priority=priority)
+        streamed = []
+        n_steps = server.drain(on_finish=streamed.append).n_steps
+
+        schedule = [f"submit[{i}]" for i in range(len(requests))]
+        schedule += [f"step[{i}]" for i in range(n_steps)]
+        final = model.run_schedule(schedule)  # raises if a move is not allowed
+        assert model.is_terminal(final)
+        assert model.state_violations(final) == ()
+        assert model.final_violations(final) == ()
+        # drain(on_finish=...) hands off what the harness's step-and-hand-off
+        # does, in the same order, and leaves the server in the same state
+        assert [c.request_id for c in streamed] == [
+            c.request_id for c in final.world.delivered
+        ]
+        drained = types.SimpleNamespace(
+            server=server, submitted=len(requests), delivered=streamed
+        )
+        assert model.fingerprint(drained) == model.fingerprint(final.world)
+        report = cross_validate(model, schedule)
+        assert report.findings == [], "\n".join(report.summary_lines())
 
 
 # ---------------------------------------------------------------------------
