@@ -3,8 +3,8 @@
 Seven passes behind one report type:
 
 * :class:`DataflowChecker` — pre-execution: protocol/topology compatibility,
-  batch divisibility, serving config, projected memory vs capacity, per-
-  algorithm plan structure (PPO / ReMax / GRPO / Safe-RLHF).
+  serving config, projected memory vs capacity, per-algorithm plan
+  structure (PPO / ReMax / GRPO / Safe-RLHF).
 * :class:`TraceAuditor` — post-execution: happens-before over spans,
   timeline overlap, memory-ledger leaks / double frees / negative balances,
   busy-accounting consistency.
@@ -28,9 +28,13 @@ Seven passes behind one report type:
 * :class:`ShapeFlowChecker` — shape/dtype flow by a probe run: each
   trainer's own ``step`` once per plan, every call through its method's
   real transfer protocol over stand-in groups of the plan's geometry,
-  checked against the ``@shape_contract`` specs at the call, plus the
-  worker's own serving reassembly and async-pipeline staleness; a
-  :class:`ShapeRecorder` cross-validates the probe against real runs.
+  checked against the ``@shape_contract`` specs at the call (batch
+  divisibility is its SF703), plus the worker's own serving reassembly and
+  async-pipeline staleness; a :class:`ShapeRecorder` cross-validates the
+  probe against real runs.
+
+:func:`seeded_mutants` lists one witness per MC6xx and SF7xx rule, each a
+:class:`Mutant` of one real function (:mod:`repro.analysis.mutants`).
 
 All findings carry a rule id (``DF1xx`` / ``TA2xx`` / ``RL3xx`` / ``SH4xx``
 / ``RC5xx`` / ``MC6xx`` / ``SF7xx``), severity, location, and fix hint;
@@ -44,14 +48,13 @@ from repro.analysis.modelcheck import (
     ModelChecker,
     ModelCheckResult,
     cross_validate,
-    seeded_mutants,
     shipped_models,
 )
+from repro.analysis.mutants import Mutant, seeded_mutants, witness_reports
 from repro.analysis.races import RaceDetector
 from repro.analysis.report import ERROR, WARNING, AnalysisReport, Finding
 from repro.analysis.repolint import ALL_RULES, RepoLint
 from repro.analysis.shapeflow import (
-    MUTATIONS as SF_MUTATIONS,
     SF_RULES,
     ContractError,
     ShapeFlowChecker,
@@ -61,7 +64,6 @@ from repro.analysis.shapeflow import (
     shipped_graph_reports,
 )
 from repro.analysis.shapeflow import cross_validate as shape_cross_validate
-from repro.analysis.shapeflow import seeded_mutants as shape_seeded_mutants
 from repro.analysis.sharding import (
     ShardingVerifier,
     sweep_cells,
@@ -86,10 +88,10 @@ __all__ = [
     "MC_RULES",
     "ModelCheckResult",
     "ModelChecker",
+    "Mutant",
     "PERSISTENT_SUFFIXES",
     "RaceDetector",
     "RepoLint",
-    "SF_MUTATIONS",
     "SF_RULES",
     "ShapeFlowChecker",
     "ShapeRecorder",
@@ -102,7 +104,6 @@ __all__ = [
     "registered_methods",
     "seeded_mutants",
     "shape_cross_validate",
-    "shape_seeded_mutants",
     "shipped_graph_reports",
     "shipped_models",
     "sweep_cells",
@@ -110,4 +111,5 @@ __all__ = [
     "sweep_overlap_fraction",
     "sweep_union_fraction",
     "system_audit",
+    "witness_reports",
 ]

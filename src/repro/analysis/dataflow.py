@@ -1,19 +1,20 @@
 """Static pre-execution checks of a composed RLHF dataflow (§4.1, Table 3).
 
 A misconfigured dataflow — a ``@register``-ed method whose transfer protocol
-cannot run on its group's topology, a global batch the DP split does not
-divide, a placement whose projected memory exceeds device capacity — fails
-today deep inside an iteration, at dispatch time.  The
+cannot run on its group's topology, a placement whose projected memory
+exceeds device capacity — fails today deep inside an iteration, at dispatch
+time.  The
 :class:`DataflowChecker` reports the same problems *before* any dispatch, as
 findings against the declarative :class:`~repro.single_controller.protocols.
 ProtocolRequires` descriptors the runtime dispatch gate itself enforces, so
-the static check and the runtime behaviour can never drift.
+the static check and the runtime behaviour can never drift.  A batch a
+split does not divide is the SF pass's ``SF703``, found by running the
+protocols (:mod:`repro.analysis.shapeflow`).
 
 Rules:
 
 ========  ====================================================================
 ``DF101``  protocol requirements vs the group's parallelism topology
-``DF102``  global batch size not divisible by a protocol's split degree
 ``DF103``  serving / eos / pad configuration inconsistencies
 ``DF104``  placement's projected persistent memory exceeds device capacity
 ``DF105``  placement plan structure (missing roles, missing gen config)
@@ -63,9 +64,8 @@ class RoleBinding:
     pool: str
     parallel: Any
     gen_config: Any = None
-    #: Serving-backed actors take variable-length batches; their batch
-    #: divisibility is left to the SF pass's SF703 (run through the real
-    #: protocols) instead of the static DF102 (a false positive there).
+    #: Serving-backed actors take variable-length batches: SF703 hints to
+    #: pad the submitted prompt batch up.
     use_serving: bool = False
 
 
@@ -110,8 +110,6 @@ class DataflowChecker:
     """Pre-execution validation of a built system or a placement plan.
 
     Args:
-        global_batch_size: When given, every batch-splitting protocol's
-            degree must divide it (``DF102``).
         model_specs: Role -> :class:`~repro.config.ModelSpec` for the memory
             projection (``DF104``); roles without a spec (tiny functional
             models, function rewards) skip the memory check.
@@ -122,12 +120,10 @@ class DataflowChecker:
 
     def __init__(
         self,
-        global_batch_size: Optional[int] = None,
         model_specs: Optional[Dict[str, ModelSpec]] = None,
         workload: Optional[RlhfWorkload] = None,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
-        self.global_batch_size = global_batch_size
         self.model_specs = model_specs or {}
         self.workload = workload or RlhfWorkload()
         self.cluster_spec = cluster_spec
@@ -165,9 +161,8 @@ class DataflowChecker:
                 ``reward_fn`` / ``cost_fn`` path), which registers
                 ``one_to_one`` methods instead of ``3d_proto``.
             group_size: GRPO responses sampled per prompt
-                (``TrainerConfig.group_size``); its learning stage trains on
-                ``global_batch_size * group_size`` sequences.  ``None``
-                inherits the trainer's default.
+                (``TrainerConfig.group_size``).  ``None`` inherits the
+                trainer's default.
         """
         # imported here: the checker stays importable without the rlhf stack
         from repro.rlhf.graph import dataflow_of
@@ -213,9 +208,6 @@ class DataflowChecker:
         if trainer.min_group_size > 1:
             if group_size is None:
                 group_size = TrainerConfig().group_size
-            # the learning stage trains on batch * group_size sequences; the
-            # split-degree divisibility below already transfers (d | b ⇒
-            # d | b·g), so the only extra constraint is the group itself
             report.note_checked("grpo_group_size")
             problem = trainer.group_size_problem(group_size)
             if problem is not None:
@@ -326,7 +318,6 @@ class DataflowChecker:
         # aggregate identical problems across a role's methods into one
         # finding each, so a 4-method worker yields one precise diagnosis
         by_problem: Dict[Tuple[str, str, str, str], List[str]] = {}
-        by_split: Dict[Tuple[str, int], List[str]] = {}
         for method, protocol_name in registered_methods(shape.worker_cls):
             protocol = get_protocol(protocol_name)
             report.note_checked("methods")
@@ -337,11 +328,6 @@ class DataflowChecker:
             ):
                 key = (protocol_name, kind, severity, message)
                 by_problem.setdefault(key, []).append(method)
-            degree = protocol.requires.split_degree(
-                shape.parallel, shape.gen_config
-            )
-            if degree is not None and degree > 0:
-                by_split.setdefault((protocol_name, degree), []).append(method)
         for (protocol_name, _kind, severity, message), methods in sorted(
             by_problem.items()
         ):
@@ -356,29 +342,6 @@ class DataflowChecker:
                     "group (Table 3)"
                 ),
             )
-        if self.global_batch_size is not None:
-            for (protocol_name, degree), methods in sorted(by_split.items()):
-                if shape.use_serving:
-                    # serving-backed actors submit variable-length batches;
-                    # a static global batch is not required — divisibility
-                    # moves to the SF pass (rule SF703, with a pad-up fix
-                    # hint) instead of a false DF102 here
-                    report.note_checked("deferred_batch_splits")
-                    continue
-                report.note_checked("batch_splits")
-                if self.global_batch_size % degree:
-                    report.add(
-                        "DF102",
-                        ERROR,
-                        f"global batch {self.global_batch_size} is not "
-                        f"divisible by the {protocol_name} split degree "
-                        f"{degree} [{shape.role}: {', '.join(methods)}]",
-                        location=f"{shape.role}@{shape.pool} {shape.parallel}",
-                        hint=(
-                            "make the batch a multiple of every DP degree "
-                            "it is chunked into"
-                        ),
-                    )
 
     def _check_serving(
         self, role: str, worker: Any, report: AnalysisReport

@@ -449,27 +449,6 @@ def shipped_models() -> Tuple[Harness, ...]:
     )
 
 
-def seeded_mutants() -> Tuple[Tuple[Harness, str], ...]:
-    """(harness with one real function replaced, expected MC rule) pairs for
-    the mutation smoke; each harness module's ``mutants()`` has the rest.
-
-    Each mutant patches exactly ONE function of the real component for the
-    whole exploration; the checker must report exactly that rule, and the
-    minimised counterexample replays through :func:`cross_validate`.
-    """
-    from repro.analysis.protocols import fleet_harness, pipeline_harness, serving_harness
-
-    pipeline, serving, fleet = (
-        pipeline_harness.mutants(), serving_harness.mutants(), fleet_harness.mutants()
-    )
-    return (
-        (pipeline["MC603"], "MC603"),
-        (pipeline["MC604"], "MC604"),
-        (serving["MC609"], "MC609"),
-        (fleet["MC607"], "MC607"),
-    )
-
-
 def cross_validate(
     model: Harness, schedule: Iterable[str]
 ) -> AnalysisReport:
@@ -501,6 +480,5 @@ __all__ = [
     "ModelChecker",
     "ModelCheckResult",
     "cross_validate",
-    "seeded_mutants",
     "shipped_models",
 ]

@@ -40,10 +40,13 @@ search, as CHESS does.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import pickle
-from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+
+from repro.analysis.mutants import Mutant
 
 Violations = Tuple[Tuple[str, str], ...]
 
@@ -117,32 +120,6 @@ def _net(allocs, frees):
         tuple((tag, n) for tag, n in net.items() if n > 0),
         tuple((tag, -n) for tag, n in net.items() if n < 0),
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class Mutant:
-    """One real function of a component, replaced while a harness drives it.
-
-    ``replacement`` is the function with one guard dropped; ``applied()``
-    installs it on ``owner`` and puts back whatever was there before.
-    """
-
-    owner: type
-    attribute: str
-    replacement: Callable[..., Any]
-
-    @property
-    def name(self) -> str:
-        return f"{self.owner.__name__}.{self.attribute}"
-
-    @contextlib.contextmanager
-    def applied(self):
-        original = self.owner.__dict__[self.attribute]
-        setattr(self.owner, self.attribute, self.replacement)
-        try:
-            yield
-        finally:
-            setattr(self.owner, self.attribute, original)
 
 
 def _shared(index: int) -> Any:
@@ -224,6 +201,13 @@ class Harness:
     def _named(self, spec: str) -> str:
         suffix = f"!{self.mutant.name}" if self.mutant else ""
         return f"{spec}{suffix}"
+
+    def intact(self) -> "Harness":
+        """This harness with its mutant taken out: the shipped component."""
+        twin = copy.copy(self)
+        Harness.__init__(twin)
+        twin.name = self.name.split("!")[0]
+        return twin
 
     # -- what a component harness provides ---------------------------------------------
 

@@ -11,9 +11,10 @@ against its contract (SF701/SF704); the real ``DataBatch.chunk`` refusing a
 split at the call that made it, minibatches included (SF703); eos vs
 ``response_mask``, the context budget, the worker's own serving reassembly
 and the async pipeline's ``importance_weights`` (SF702/SF705/SF701);
-missing or unsound contracts (SF706).  With the batch unbound the probe
-runs at a sentinel ``B`` and :func:`divisible_for_every_b` is the one
-symbolic fact left; unbound ``B``/``P``/``R``/``T`` are named back.
+missing or unsound contracts (SF706).  SF703 is the one batch-divisibility
+rule of ``repro check``.  With the batch unbound the probe runs at a
+sentinel ``B`` and :func:`divisible_for_every_b` is the one symbolic fact
+left; unbound ``B``/``P``/``R``/``T`` are named back.
 
 =======  ==================================================================
 SF701    shape mismatch at a role boundary
@@ -26,8 +27,8 @@ SF706    missing or unsound shape contract
 
 The probe samples what it collects with the :class:`ShapeRecorder` a real
 run feeds: :func:`predict_system_outputs` is the probe over a built system's
-bindings, and :func:`cross_validate` compares the two.  ``seeded_mutants()``
-returns one checker per rule with a single flipped guard.
+bindings, and :func:`cross_validate` compares the two.  :func:`mutants`
+replaces one real function per rule for the mutation smoke.
 """
 
 from __future__ import annotations
@@ -40,18 +41,21 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.dataflow import bind_roles
+from repro.analysis.mutants import Mutant
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.data.batch import DataBatch, IndivisibleBatchError
-from repro.rlhf.graph import _ROWS, _SIZES, GENERATION, TRAINING, Probe, dataflow_of
+from repro.rlhf.graph import _ROWS, _SIZES, GENERATION, TRAINING, Probe, _ReadSpy
 from repro.single_controller.decorator import (
     ContractError,
     parse_contract,
-    parse_spec,
+    register,
     registered_protocol,
     registered_shape_contract,
+    shape_contract,
 )
 from repro.single_controller.protocols import get_protocol
-from repro.workers import WORKER_CLASSES
+from repro.workers import ActorWorker, CriticWorker
+from repro.workers import actor as actor_worker
 from repro.workers.actor import reassemble_responses
 
 SF_RULES: Dict[str, Tuple[str, str]] = {
@@ -85,16 +89,6 @@ SF_RULES: Dict[str, Tuple[str, str]] = {
         "decorate the worker method with @shape_contract(inputs=..., "
         "outputs=...) so the SF pass can verify the boundary",
     ),
-}
-
-#: One flipped contract/guard per rule (the PR-9 seeded-mutant idiom).
-MUTATIONS: Dict[str, str] = {
-    "widen_values": "SF701",
-    "drop_mask": "SF702",
-    "skew_batch": "SF703",
-    "promote_pad": "SF704",
-    "shrink_ctx": "SF705",
-    "forget_contract": "SF706",
 }
 
 #: How one column's mismatch reads at a call and in :func:`cross_validate`.
@@ -140,7 +134,7 @@ class _PlanProbe(Probe):
     SF7xx as it goes; ``p``/``r`` are the bound prompt/response lengths
     (``None``: run at the sentinel size, named back)."""
 
-    def __init__(self, checker, trainer_cls, config, bindings, report, batch,
+    def __init__(self, trainer_cls, config, bindings, report, batch,
                  p, r, max_seq_len, eos, staleness) -> None:
         sizes = dict(_SIZES, P=p or _SIZES["P"], R=r or _SIZES["R"])
         sizes["L"] = sizes["P"] + sizes["R"]
@@ -149,17 +143,10 @@ class _PlanProbe(Probe):
         }
         # a copy: learn() runs unsplit once its minibatch split is reported
         super().__init__(trainer_cls, dataclasses.replace(config), sizes, placement)
-        self.mutate, self.bindings, self.report = checker.mutate, bindings, report
+        self.bindings, self.report = bindings, report
         self.batch, self.p, self.r, self.max_seq_len = batch, p, r, max_seq_len
         self.eos, self.staleness, self.name = eos, staleness, trainer_cls.algo.value
-        self.reassemble = reassemble_responses
-        if self.mutate == "promote_pad":  # a float buffer promotes the tokens
-            self.reassemble = lambda q, *a: reassemble_responses(q.astype(np.float64), *a)
         self.recorder = ShapeRecorder()
-        # what the advantage step reads and writes, as the placement-free
-        # run of the same trainer saw it
-        one_round = dataclasses.replace(config, ppo_epochs=1, updates_per_epoch=1)
-        self.reference = dataflow_of(trainer_cls, one_round).controller
         # unbound symbols are named back (L reads "6+P" when only R is bound)
         given = [(sizes["P"], "P", p), (sizes["R"], "R", r)]
         self.names = {_SIZES["T"]: "T", **{size: str(v or sym) for size, sym, v in given}}
@@ -167,7 +154,15 @@ class _PlanProbe(Probe):
         self.names[sizes["L"]] = "+".join(bound + [sym for _, sym, v in given if not v])
         self.scale: Dict[int, Fraction] = {}
         self.trained: set = set()
-        self.quiet = self.blind = self.tainted = self.found = self.generated = False
+        self.quiet = self.tainted = self.found = self.generated = False
+
+    def prompt_rows(self) -> int:
+        """Prompts the step runs on: the bound batch, else the sentinel ``B``."""
+        return _ROWS if self.batch is None else self.batch
+
+    def context_budget(self) -> Optional[int]:
+        """Positions one sequence may fill: the model's ``max_seq_len``."""
+        return self.max_seq_len
 
     def note(self, what: str, n: int = 1) -> None:
         if not self.quiet:
@@ -202,7 +197,7 @@ class _PlanProbe(Probe):
         future = super().dispatch(role, method, batch, **kwargs)
         if self.nodes[-1].stage == TRAINING:
             self.trained.add((role, method))
-        self.quiet = self.blind = False
+        self.quiet = False
         return future
 
     def contract(self, role: str, method: str) -> Any:
@@ -211,8 +206,6 @@ class _PlanProbe(Probe):
             self.note("skipped_roles")
             return None  # the call hands its batch on
         raw = registered_shape_contract(getattr(binding.worker_cls, method, None))
-        if self.mutate == "forget_contract" and (role, method) == ("actor", "generate_sequences"):
-            raw = None
         try:
             contract = parse_contract(raw)
         except ContractError as exc:
@@ -221,22 +214,14 @@ class _PlanProbe(Probe):
             if raw is None:
                 problem = f"{owner} has no @shape_contract; the {role} boundary cannot be verified"
             self.add("SF706", problem, f"{role}.{method}@{binding.pool}")
-            # the call runs on, unchecked, as the placement-free graph ran it
-            self.tainted = self.blind = True
-            fn = getattr(WORKER_CLASSES[role], method)
-            contract = parse_contract(registered_shape_contract(fn))
+            self.tainted = True
+            return None  # the call hands its batch on, unchecked
         outputs = []
         for spec in contract.outputs:
             if spec.optional:  # of the optional outputs only the eos mask flows
-                if spec.name != "response_mask" or not self.eos or (
-                    self.mutate == "drop_mask" and method == "generate_sequences"
-                ):
+                if spec.name != "response_mask" or not self.eos:
                     continue
                 spec = dataclasses.replace(spec, optional=False)
-            if self.mutate == "widen_values" and (role, method, spec.name) == (
-                "critic", "compute_values", "values"
-            ):
-                spec = dataclasses.replace(spec, tokens=("B", "L"))
             outputs.append(spec)
         return dataclasses.replace(contract, outputs=tuple(outputs))
 
@@ -254,7 +239,7 @@ class _PlanProbe(Probe):
         # a collect that did not restore its batch scales every consumer
         scale = next((self.scale[d] for d in node.deps if self.scale.get(d, 1) != 1), 1)
         protocol = registered_protocol(getattr(binding.worker_cls, node.method))
-        if not self.blind and protocol is not None:
+        if protocol is not None:
             self.note("contracts")
             requires = get_protocol(protocol).requires
             degree = requires.split_degree(binding.parallel, binding.gen_config)
@@ -299,30 +284,25 @@ class _PlanProbe(Probe):
                          f"carries {sorted(batch.keys())}", where)
 
     def advantages(self, real: Any, batch: DataBatch) -> DataBatch:
-        """The trainer's own advantage step: every column it reads must flow
-        in; when it cannot run, the columns it writes are stood in.  Then
-        the minibatch split ``learn()`` makes next, tried on its output."""
-        step = self.reference[min(len(self.steps), len(self.reference) - 1)]
-        self.steps.append(step)
-        for name in step.reads:
-            self.note("advantage_inputs")
-            if name not in batch and self.tainted:
-                self.note("suppressed_by_taint")
-            elif name not in batch:
-                self.add("SF701", f"compute_advantages({self.name}) consumes {name!r} "
-                         "which never flows out of the preparation stage",
-                         f"{self.name}.preparation")
+        """The trainer's own advantage step on what flowed in.  A column it
+        reads that never flowed out is SF701; when it cannot run, what
+        follows is checked only for the columns that did flow (taint).
+        Then the minibatch split ``learn()`` makes next, tried on its output."""
+        spy = _ReadSpy(batch)
         try:
-            out = real(batch)
-        except (KeyError, ValueError):  # reported above, or at the producer
-            out = batch.copy()
-            for name, spec in step.writes:
-                col = parse_spec(name, spec)
-                out[name] = np.zeros(col.shape(dict(self.sizes, B=len(batch))), dtype=col.dtype)
+            out = real(spy)
+        except (KeyError, ValueError) as exc:
+            # a column shaped wrong is reported where the next contract reads it
+            if isinstance(exc, KeyError) and not self.tainted:
+                self.add("SF701", f"compute_advantages({self.name}) consumes "
+                         f"{spy.reads[-1]!r} which never flows out of the preparation "
+                         "stage", f"{self.name}.preparation")
+            self.tainted, out = True, batch.copy()
+        self.note("advantage_inputs", len(spy.reads))
         if self.staleness:  # the async pipeline's off-policy correction
             out["importance_weights"] = np.zeros((len(out), self.sizes["R"]))
         updates = self.config.updates_per_epoch
-        if updates > 1 and len(self.steps) == 1:
+        if updates > 1:
             try:
                 refused = not out.chunk(updates)  # the split learn() makes next
             except IndivisibleBatchError:
@@ -337,7 +317,7 @@ class _PlanProbe(Probe):
         ``response_mask``, and the worker's own serving reassembly run on
         ragged stand-in completions."""
         where, p, r = f"{node.role}.{node.method}@{binding.pool}", self.p, self.r
-        limit = p if self.mutate == "shrink_ctx" else self.max_seq_len
+        limit = self.context_budget()
         if p is not None and r is not None and limit is not None:
             self.note("context_budget")
             if p + r > limit:
@@ -365,7 +345,7 @@ class _PlanProbe(Probe):
         done = [SimpleNamespace(request_id=i, response=np.zeros(i % (r + 1), dtype=np.int64),
                                 log_probs=np.zeros(i % (r + 1))) for i in range(rows)]
         prompts = np.zeros((rows, self.sizes["P"]), dtype=np.int64)
-        sequences = self.reassemble(prompts, done, r, 0, self.eos)[0]
+        sequences = actor_worker.reassemble_responses(prompts, done, r, 0, self.eos)[0]
         if _family(sequences.dtype) != "int":
             self.add("SF704", "serving reassembly pads sequences with a float buffer; "
                      "np.concatenate promotes the int64 token matrix to float64 "
@@ -384,27 +364,11 @@ class ShapeFlowChecker:
 
     Entry points mirror the other analysis passes: :meth:`check_plan`
     (pre-build, from a placement plan), :meth:`check_system` (a constructed
-    :class:`RlhfSystem`), :meth:`check_pipeline` (the async one-step-off
-    loop), and :meth:`check_shipped` over every shipped example graph.
-
-    Args:
-        global_batch_size: Default concrete batch for divisibility checks;
-            ``None`` leaves ``B`` unbound and *defers* divisibility.
-        mutate: One of :data:`MUTATIONS` — flips exactly one guard so the
-            named rule fires (seeded mutation smoke); ``None`` = faithful.
+    :class:`RlhfSystem`) and :meth:`check_shipped` over every shipped
+    example graph.  Each takes the batch it runs at.
     """
 
-    def __init__(
-        self,
-        global_batch_size: Optional[int] = None,
-        mutate: Optional[str] = None,
-    ) -> None:
-        if mutate is not None and mutate not in MUTATIONS:
-            raise ValueError(
-                f"unknown mutation {mutate!r}; pick one of {sorted(MUTATIONS)}"
-            )
-        self.global_batch_size = global_batch_size
-        self.mutate = mutate
+    def __init__(self) -> None:
         #: The last run's collected batches, as a real run's recorder has them.
         self.recorder = ShapeRecorder()
 
@@ -423,7 +387,6 @@ class ShapeFlowChecker:
         eos_token_id: Optional[int] = None,
         use_serving: bool = False,
         trainer_config: Any = None,
-        report: Optional[AnalysisReport] = None,
         _staleness: int = 0,
     ) -> AnalysisReport:
         """Run one algorithm's step over a placement plan, pre-build.
@@ -434,27 +397,21 @@ class ShapeFlowChecker:
                 groups then stand for the plan — see :meth:`check_system`).
             function_rewards: Roles served by the non-NN
                 :class:`RewardFunctionWorker` (``one_to_one`` methods).
-            batch_size: Concrete global batch; ``None`` (and no checker
-                default) leaves ``B`` unbound — divisibility then *defers*
-                instead of failing, the serving-batch generalization DF102
-                hands over to this pass.
+            batch_size: Concrete global batch; ``None`` leaves ``B``
+                unbound — divisibility then *defers* instead of failing.
         """
         from repro.rlhf.trainers import TrainerConfig, trainer_class
 
-        report = report if report is not None else AnalysisReport("shapeflow")
+        report = AnalysisReport("shapeflow")
         report.note_checked("graphs")
-        if batch_size is None:
-            batch_size = self.global_batch_size
-        if self.mutate == "skew_batch" and batch_size is not None:
-            batch_size += 1
         probe = _PlanProbe(
-            self, trainer_class(algo), trainer_config or TrainerConfig(),
+            trainer_class(algo), trainer_config or TrainerConfig(),
             bind_roles(plan, function_rewards, use_serving), report, batch_size,
             prompt_length, max_new_tokens, max_seq_len, eos_token_id is not None,
             _staleness,
         )
         try:
-            probe.run(batch_size if batch_size is not None else _ROWS)
+            probe.run(probe.prompt_rows())
         except (KeyError, ValueError, IndexError) as exc:
             # the trainer's own code failed on what it was handed; after a
             # finding (or a missing contract) that is its consequence
@@ -487,41 +444,6 @@ class ShapeFlowChecker:
             trainer_config=system.trainer.config,
         )
 
-    def check_pipeline(
-        self,
-        pipeline_config: Any,
-        trainer_config: Any = None,
-        algo: Any = None,
-        plan: Any = None,
-        function_rewards: Sequence[str] = ("reward",),
-        *,
-        batch_size: Optional[int] = None,
-        report: Optional[AnalysisReport] = None,
-    ) -> AnalysisReport:
-        """Shape-check the async one-step-off loop's version-tagged buffers.
-
-        Stale batches (``staleness_window > 0``) carry a per-token
-        ``importance_weights`` column; the actor's update contract must
-        declare it or training would crash (or worse, drop
-        the off-policy correction) at the first overlapped step — SF701.
-        """
-        from repro.runtime.builder import SystemSpec
-
-        report = report if report is not None else AnalysisReport("shapeflow")
-        algo = SystemSpec.algo if algo is None else algo
-        if plan is None:
-            plan = SystemSpec(algo=algo).plan
-        return self.check_plan(
-            algo,
-            plan,
-            function_rewards,
-            batch_size=batch_size,
-            max_seq_len=32,
-            trainer_config=trainer_config,
-            report=report,
-            _staleness=pipeline_config.staleness_window,
-        )
-
     def check_shipped(self, batch: int = 8) -> AnalysisReport:
         """Run the pass over every shipped example graph, merged."""
         merged = AnalysisReport("shapeflow")
@@ -536,70 +458,83 @@ class ShapeFlowChecker:
 
 
 def shipped_graph_reports(
-    batch: int = 8,
-    mutate: Optional[str] = None,
-    checker: Optional[ShapeFlowChecker] = None,
+    batch: int = 8, checker: Optional[ShapeFlowChecker] = None
 ) -> List[Tuple[str, AnalysisReport]]:
     """The SF pass over every shipped example graph, one report per graph.
 
     Covers every shipped algorithm (PPO, GRPO, ReMax, Safe-RLHF), the
-    serving-backed actor, and the async one-step-off pipeline.
+    serving-backed actor, and the async one-step-off pipeline, whose stale
+    batches carry a per-token ``importance_weights`` column the actor's
+    update contract must declare (SF701).
     """
-    from repro.pipeline import PipelineConfig
     from repro.rlhf.core import AlgoType
     from repro.runtime.builder import SystemSpec
 
-    chk = checker if checker is not None else ShapeFlowChecker(mutate=mutate)
+    chk = checker if checker is not None else ShapeFlowChecker()
     out: List[Tuple[str, AnalysisReport]] = []
-    for name, algo, serving in (
+    for name, algo, extra in (
         ("tiny-ppo", AlgoType.PPO, {}),
         ("grpo", AlgoType.GRPO, {}),
         ("remax", AlgoType.REMAX, {}),
         ("safe-rlhf", AlgoType.SAFE_RLHF, {}),
         ("serving-ppo", AlgoType.PPO, dict(eos_token_id=3, use_serving=True)),
+        ("async-pipeline", AlgoType.PPO, dict(max_new_tokens=8, _staleness=1)),
     ):
         spec = SystemSpec(algo=algo)
-        report = chk.check_plan(
-            algo,
-            spec.plan,
-            function_rewards=spec.function_rewards,
-            batch_size=batch,
-            prompt_length=spec.prompt_length,
-            max_new_tokens=spec.max_new_tokens,
-            max_seq_len=spec.model_config.max_seq_len,
-            **serving,
-        )
-        out.append((f"shapeflow[{name}]", report))
-    out.append(
-        (
-            "shapeflow[async-pipeline]",
-            chk.check_pipeline(
-                PipelineConfig(staleness_window=1),
-                None,
-                AlgoType.PPO,
-                batch_size=batch,
-            ),
-        )
-    )
+        shape = dict(prompt_length=spec.prompt_length, max_new_tokens=spec.max_new_tokens,
+                     max_seq_len=spec.model_config.max_seq_len)
+        out.append((f"shapeflow[{name}]", chk.check_plan(
+            algo, spec.plan, spec.function_rewards, batch_size=batch, **{**shape, **extra}
+        )))
     return out
 
 
-def seeded_mutants() -> List[Tuple[ShapeFlowChecker, str]]:
-    """(checker-with-one-flipped-guard, expected rule) pairs, one per rule.
+def _recontracted(worker_cls: type, method: str, outputs: Optional[dict]) -> Mutant:
+    """``worker_cls.method`` under its own protocol, declaring ``outputs``
+    in place of its contract's (``None``: no contract at all)."""
+    real = getattr(worker_cls, method)
 
-    Each mutant's :meth:`ShapeFlowChecker.check_shipped` run must produce
-    findings of *exactly* the expected rule — nothing else fires, and the
-    unmutated checker stays clean (the PR-9 mutation-smoke contract).
-    """
-    return [
-        (ShapeFlowChecker(mutate=name), rule)
-        for name, rule in sorted(MUTATIONS.items())
-    ]
+    def mutated(self, *args: Any, **kwargs: Any) -> Any:
+        return real(self, *args, **kwargs)
+
+    if outputs is not None:
+        shape_contract(**dict(registered_shape_contract(real), outputs=outputs))(mutated)
+    return Mutant(worker_cls, method, register(registered_protocol(real))(mutated))
+
+
+def _reassemble_in_floats(prompts: np.ndarray, *args: Any) -> Any:
+    """``reassemble_responses`` (the shipped one, imported unpatched)
+    padding into a float buffer."""
+    return reassemble_responses(prompts.astype(np.float64), *args)
+
+
+def mutants() -> Dict[str, Mutant]:
+    """Rule -> the one real function whose replacement makes it fire over
+    the shipped graphs (:func:`repro.analysis.seeded_mutants`)."""
+    values = registered_shape_contract(CriticWorker.compute_values)["outputs"]
+    generated = registered_shape_contract(ActorWorker.generate_sequences)["outputs"]
+    return {
+        "SF701": _recontracted(CriticWorker, "compute_values", dict(values, values="B,L")),
+        "SF702": _recontracted(
+            ActorWorker, "generate_sequences",
+            {name: spec for name, spec in generated.items() if name != "?response_mask"},
+        ),
+        "SF703": Mutant(
+            _PlanProbe, "prompt_rows", lambda self: self.batch + 1 if self.batch else _ROWS
+        ),
+        "SF704": Mutant(actor_worker, "reassemble_responses", _reassemble_in_floats),
+        "SF705": Mutant(_PlanProbe, "context_budget", lambda self: self.p),
+        "SF706": _recontracted(ActorWorker, "generate_sequences", None),
+    }
 
 
 # ---------------------------------------------------------------------------
 # runtime shape recorder + cross-validation
 # ---------------------------------------------------------------------------
+
+
+#: Batches :class:`ShapeRecorder` keeps per call site.
+_SAMPLES_PER_CALL = 8
 
 
 class ShapeRecorder:
@@ -611,8 +546,7 @@ class ShapeRecorder:
     long training run stays O(1) in memory.
     """
 
-    def __init__(self, max_samples_per_call: int = 8) -> None:
-        self.max_samples_per_call = max_samples_per_call
+    def __init__(self) -> None:
         #: (group, method) -> list of {column: (shape, dtype)} samples
         self.samples: Dict[
             Tuple[str, str], List[Dict[str, Tuple[Tuple[int, ...], str]]]
@@ -624,7 +558,7 @@ class ShapeRecorder:
             self.skipped += 1
             return
         bucket = self.samples.setdefault((group_name, method_name), [])
-        if len(bucket) >= self.max_samples_per_call:
+        if len(bucket) >= _SAMPLES_PER_CALL:
             return
         bucket.append(
             {
@@ -683,13 +617,12 @@ def cross_validate(
 
 __all__ = [
     "SF_RULES",
-    "MUTATIONS",
     "ContractError",
     "parse_contract",
     "divisible_for_every_b",
     "ShapeFlowChecker",
     "shipped_graph_reports",
-    "seeded_mutants",
+    "mutants",
     "ShapeRecorder",
     "predict_system_outputs",
     "cross_validate",

@@ -28,7 +28,7 @@ Examples::
     python -m repro.cli serve --requests 16 --slots 4 --blocks 12
     python -m repro.cli fleet --jobs 3 --kill-machine 0 --kill-machine 2
     python -m repro.cli pipeline --staleness 1 --iterations 3 --trace async.json
-    python -m repro.cli check --strict --models --shapes
+    python -m repro.cli check --strict --models
     python -m repro.cli bench --check
 """
 
@@ -665,7 +665,7 @@ def cmd_fleet(args: argparse.Namespace, built) -> int:
     return 0
 
 
-def _example_plan_reports(batch: int):
+def _example_plan_reports():
     """DataflowChecker reports for the configurations the repo ships.
 
     Two plans are checked: the tiny functional PPO placement every
@@ -683,19 +683,19 @@ def _example_plan_reports(batch: int):
     tiny = SystemSpec()
     plans = shipped_placements()
     full = DataflowChecker(
-        global_batch_size=1024,
         model_specs={
             role: MODEL_SPECS["llama-7b"] for role in required_models(AlgoType.PPO)
         },
         workload=RlhfWorkload(),
         cluster_spec=ClusterSpec(n_machines=2),
     )
+    plain = DataflowChecker()
     return [
-        DataflowChecker(global_batch_size=batch).check_plan(
+        plain.check_plan(
             tiny.algo, plans["tiny-ppo"], function_rewards=tiny.function_rewards
         ),
         full.check_plan(AlgoType.PPO, plans["llama-7b-colocate"]),
-        DataflowChecker(global_batch_size=batch).check_pipeline(
+        plain.check_pipeline(
             PipelineConfig(staleness_window=1), TrainerConfig(), AlgoType.PPO
         ),
     ]
@@ -753,8 +753,8 @@ def _sharding_reports():
 
 
 def cmd_check(args: argparse.Namespace, checker: ModelChecker) -> int:
-    """``repro check``: lint + dataflow + trace + sharding + races
-    (+ models, + shapes)."""
+    """``repro check``: lint + dataflow + sharding + trace + races + shapes
+    (+ models)."""
     import json
 
     from repro.analysis import (
@@ -773,7 +773,7 @@ def cmd_check(args: argparse.Namespace, checker: ModelChecker) -> int:
         lint = RepoLint().lint_paths(args.paths)
         combined.merge(lint)
     if "dataflow" not in skip:
-        for report in _example_plan_reports(args.batch):
+        for report in _example_plan_reports():
             combined.merge(report)
     if "sharding" not in skip:
         for report in _sharding_reports():
@@ -791,7 +791,7 @@ def cmd_check(args: argparse.Namespace, checker: ModelChecker) -> int:
         combined.merge(TraceAuditor().audit_chrome_trace(trace_doc))
     if "races" not in skip and trace_doc is not None:
         combined.merge(RaceDetector().detect_chrome_trace(trace_doc))
-    if args.shapes:
+    if "shapes" not in skip:
         from repro.analysis import shipped_graph_reports
 
         for _name, report in shipped_graph_reports(batch=args.batch):
@@ -1129,8 +1129,8 @@ def build_parser() -> argparse.ArgumentParser:
             "repro check gate: RepoLint over the tree, DataflowChecker over "
             "the shipped example plans, ShardingVerifier over the shipped "
             "topologies, TraceAuditor + RaceDetector over the golden trace, "
-            "(with --models) the MC6xx model checker, and (with "
-            "--shapes) the SF7xx symbolic shape/dtype flow pass"
+            "the SF7xx shape/dtype flow pass over the shipped graphs, and "
+            "(with --models) the MC6xx model checker"
         ),
     )
     p.add_argument(
@@ -1140,11 +1140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip",
         action="append",
-        choices=("lint", "dataflow", "sharding", "trace", "races"),
+        choices=("lint", "dataflow", "sharding", "trace", "races", "shapes"),
         metavar="PASS",
         help="skip one of the passes; repeatable",
     )
-    _shared(p, "--batch", default=8, help="global batch size assumed for the tiny example plan")
+    _shared(p, "--batch", default=8, help="global batch the shapes pass runs the shipped graphs at")
     p.add_argument(
         "--trace-file",
         default="tests/golden/chrome_trace.json",
@@ -1156,15 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also run the MC6xx bounded model checker over the real async "
             "pipeline, serving drain and fleet scheduler"
-        ),
-    )
-    p.add_argument(
-        "--shapes",
-        action="store_true",
-        help=(
-            "also run the SF7xx symbolic shape/dtype flow pass over the "
-            "shipped algorithm graphs (PPO, GRPO, serving-backed PPO, "
-            "async pipeline, train→gen transition)"
         ),
     )
     _arg(p, "--mc-depth", type=int, default=400, bound=(ModelChecker, "max_depth"),

@@ -213,15 +213,17 @@ class OverlapStudy:
 
 def check_overlap_study(n_iterations: int, batch_size: int) -> None:
     """Raise ``ValueError`` when :func:`overlap_study` could not run: no
-    iterations, or a batch the placement cannot split."""
-    from repro.analysis.dataflow import DataflowChecker
+    iterations, or a batch the placement cannot split (SF703)."""
+    from repro.analysis.shapeflow import ShapeFlowChecker
     from repro.runtime.builder import SystemSpec
 
     spec = SystemSpec(disaggregated=True)
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    unsplittable = DataflowChecker(global_batch_size=batch_size).check_plan(
-        spec.algo, spec.plan, function_rewards=spec.function_rewards
+    unsplittable = ShapeFlowChecker().check_plan(
+        spec.algo, spec.plan, spec.function_rewards, batch_size=batch_size,
+        prompt_length=spec.prompt_length, max_new_tokens=spec.max_new_tokens,
+        max_seq_len=spec.model_config.max_seq_len,
     ).errors
     if unsplittable:
         raise ValueError("; ".join(f.message for f in unsplittable))

@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.config import bounded, check_bounds
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
 from repro.rlhf.core import AlgoType, compute_advantages
@@ -29,8 +30,8 @@ class TrainerConfig:
     kl_coef: float = 0.05
     gamma: float = 1.0
     lam: float = 0.95
-    ppo_epochs: int = 1
-    updates_per_epoch: int = 1
+    ppo_epochs: int = bounded(1, ge=1)
+    updates_per_epoch: int = bounded(1, ge=1)
     recompute_log_probs: bool = True
     whiten_advantages: bool = True
     seed: int = 0
@@ -39,7 +40,10 @@ class TrainerConfig:
     lagrange_lr: float = 0.5
     ptx_coef: float = 0.1
     # GRPO
-    group_size: int = 4
+    group_size: int = bounded(4, ge=1)
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
 
 class RlhfTrainerBase:

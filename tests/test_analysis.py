@@ -92,10 +92,10 @@ class TestAnalysisReport:
 
     def test_summary_lines_include_findings(self):
         report = AnalysisReport("t")
-        report.add("DF102", ERROR, "not divisible", "actor", hint="pad it")
+        report.add("SF703", ERROR, "not divisible", "actor", hint="pad it")
         lines = report.summary_lines()
         assert "1 error(s)" in lines[0]
-        assert "DF102" in lines[1] and "pad it" in lines[1]
+        assert "SF703" in lines[1] and "pad it" in lines[1]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ class TestAnalysisReport:
 
 class TestDataflowChecker:
     def test_clean_tiny_plan_has_zero_findings(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.PPO, tiny_plan(), function_rewards=("reward",)
         )
         assert report.findings == []
@@ -113,7 +113,7 @@ class TestDataflowChecker:
 
     def test_protocol_topology_mismatch_is_one_df101(self):
         # a function reward (one_to_one methods) on a 2-rank group
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.PPO,
             tiny_plan(
                 reward_parallel=ParallelConfig(1, 1, 2), reward_pool_size=2
@@ -125,29 +125,6 @@ class TestDataflowChecker:
         assert finding.rule == "DF101"
         assert "single-rank" in finding.message
         assert "reward" in finding.location
-
-    def test_non_divisible_batch_is_one_df102(self):
-        # gen_dp = dp * micro_dp = 2 * 2 = 4; batch 6 splits fine over the
-        # dp=2 protocols but not over the generation micro-DP fan-out
-        par = ParallelConfig(pp=1, tp=2, dp=2)
-        plan = PlacementPlan(
-            pools={"main": 4, "r": 1},
-            assignments={
-                "actor": ModelAssignment(
-                    "main", par, GenParallelConfig.derive(par, 1, 1)
-                ),
-                "critic": ModelAssignment("main", par),
-                "reference": ModelAssignment("main", par),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
-        )
-        report = DataflowChecker(global_batch_size=6).check_plan(
-            AlgoType.PPO, plan, function_rewards=("reward",)
-        )
-        df102 = report.by_rule("DF102")
-        assert len(df102) == 1
-        assert "not divisible" in df102[0].message
-        assert "actor" in df102[0].location
 
     def test_over_capacity_placement_is_one_df104(self):
         par = ParallelConfig(pp=1, tp=8, dp=1)
@@ -163,7 +140,6 @@ class TestDataflowChecker:
             },
         )
         checker = DataflowChecker(
-            global_batch_size=64,
             model_specs={
                 role: MODEL_SPECS["llama-70b"]
                 for role in ("actor", "critic", "reference", "reward")
@@ -179,7 +155,6 @@ class TestDataflowChecker:
 
     def test_fitting_placement_has_no_df104(self):
         report = DataflowChecker(
-            global_batch_size=1024,
             model_specs={"actor": MODEL_SPECS["llama-7b"]},
             cluster_spec=ClusterSpec(n_machines=2),
         ).check_plan(
@@ -213,7 +188,7 @@ class TestDataflowChecker:
     def test_family_counts_wildcards_the_rule(self):
         report = AnalysisReport("t")
         report.add("DF101", ERROR, "m", "loc")
-        report.add("DF102", ERROR, "m", "loc")
+        report.add("DF103", ERROR, "m", "loc")
         report.add("RC501", ERROR, "m", "loc")
         assert report.family_counts() == {"DF1xx": 2, "RC5xx": 1}
 
@@ -255,7 +230,7 @@ class TestDataflowVariants:
     """check_plan across the Figure 1 dataflow variants (DF105/DF106/DF107)."""
 
     def test_remax_clean_plan(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.REMAX,
             variant_plan(("actor", "reference", "reward")),
             function_rewards=("reward",),
@@ -263,7 +238,7 @@ class TestDataflowVariants:
         assert report.findings == []
 
     def test_remax_missing_reference_is_df105(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.REMAX,
             variant_plan(("actor", "reward")),
             function_rewards=("reward",),
@@ -272,7 +247,7 @@ class TestDataflowVariants:
         assert len(df105) == 1 and "reference" in df105[0].message
 
     def test_remax_with_critic_is_df106_warning(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.REMAX,
             variant_plan(("actor", "critic", "reference", "reward")),
             function_rewards=("reward",),
@@ -284,7 +259,7 @@ class TestDataflowVariants:
         assert report.ok() and not report.ok(strict=True)
 
     def test_grpo_group_size_one_is_df107(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.GRPO,
             variant_plan(("actor", "reference", "reward")),
             function_rewards=("reward",),
@@ -300,7 +275,7 @@ class TestDataflowVariants:
         class TripletTrainer(GRPOTrainer):
             min_group_size = 3
 
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             TripletTrainer,
             variant_plan(("actor", "reference", "reward")),
             function_rewards=("reward",),
@@ -312,7 +287,7 @@ class TestDataflowVariants:
 
     def test_grpo_default_group_size_is_clean(self):
         # group_size=None inherits TrainerConfig's default (4)
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.GRPO,
             variant_plan(("actor", "reference", "reward")),
             function_rewards=("reward",),
@@ -321,7 +296,7 @@ class TestDataflowVariants:
         assert report.checked["grpo_group_size"] == 1
 
     def test_safe_rlhf_missing_cost_is_df105(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.SAFE_RLHF,
             variant_plan(("actor", "critic", "reference", "reward")),
             function_rewards=("reward",),
@@ -330,7 +305,7 @@ class TestDataflowVariants:
         assert len(df105) == 1 and "cost" in df105[0].message
 
     def test_safe_rlhf_clean_plan(self):
-        report = DataflowChecker(global_batch_size=8).check_plan(
+        report = DataflowChecker().check_plan(
             AlgoType.SAFE_RLHF,
             variant_plan(("actor", "critic", "reference", "reward", "cost")),
             function_rewards=("reward", "cost"),
@@ -845,7 +820,7 @@ def tiny_system():
 
 class TestEndToEnd:
     def test_clean_system_passes_dataflow_check(self, tiny_system):
-        report = DataflowChecker(global_batch_size=8).check_system(tiny_system)
+        report = DataflowChecker().check_system(tiny_system)
         assert report.findings == [], "\n".join(report.summary_lines())
 
     def test_clean_run_passes_trace_audit(self, tiny_system):

@@ -618,6 +618,18 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "repro check FAILED [RL3xx=1]" in err
 
+    def test_an_indivisible_batch_is_reported_by_the_shapes_pass_alone(self, capsys):
+        # the dataflow pass runs too: batch divisibility is SF703's, once
+        # per call that splits, and no DF1xx repeats it
+        argv = ["check", "--batch", "3"]
+        for name in ("lint", "sharding", "trace", "races"):
+            argv += ["--skip", name]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "SF703" in captured.out and "DF1" not in captured.out
+        assert "repro check FAILED [SF7xx=" in captured.err
+        assert "DF1xx" not in captured.err
+
 
 class TestBenchCommand:
     """`repro bench` — perf-trajectory record, check gate, fleet compare."""

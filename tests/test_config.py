@@ -183,6 +183,7 @@ class TestFieldBounds:
         from repro.faults.policy import RetryPolicy
         from repro.fleet.job import JobSpec
         from repro.pipeline.config import PipelineConfig
+        from repro.rlhf.trainers import TrainerConfig
         from repro.serving.server import ServingConfig
 
         return [
@@ -196,6 +197,7 @@ class TestFieldBounds:
             (RetryPolicy, {}),
             (JobSpec, {"name": "j"}),
             (ModelChecker, {}),
+            (TrainerConfig, {}),
         ]
 
     def test_every_bound_holds(self):

@@ -1,6 +1,7 @@
 """MC6xx bounded model checker: exploration, reduction, the shipped suite of
 harnesses over the real components, their conformance to real runs, the
-golden of the findings, and the seeded mutation smoke.
+golden of the findings, and the seeded mutation smoke of both the MC6xx and
+the SF7xx families.
 
 The checker (:mod:`repro.analysis.modelcheck`) explores every small-scope
 schedule of the real pipeline, server and fleet scheduler, each driven by a
@@ -12,8 +13,9 @@ arrangement honest and are each tested here:
 * the intact shipped suite explores a five-figure state count with zero
   counterexamples (the CI gate), and its terminal schedules replay clean
   through the dynamic validators;
-* each mutant — one real function replaced — yields exactly its expected
-  MC rule, and the minimised counterexample replays into an RC501 race or
+* each seeded mutant — one real function replaced — yields exactly its
+  expected MC or SF rule while the same run intact is clean, and an MC
+  mutant's minimised counterexample replays into an RC501 race or TA203/
   TA205 ledger violation (or is named below, with the reason it cannot);
 * ``tests/golden/mc_findings.json`` holds what the restatement models the
   harnesses replaced found; every rule they witnessed is witnessed again,
@@ -31,15 +33,15 @@ import types
 import numpy as np
 import pytest
 
+from repro.analysis import SF_RULES, Mutant, seeded_mutants, witness_reports
 from repro.analysis.modelcheck import (
     MC_RULES,
     Counterexample,
     ModelChecker,
     cross_validate,
-    seeded_mutants,
     shipped_models,
 )
-from repro.analysis.protocols import Action, Mutant, independent, replay_schedule
+from repro.analysis.protocols import Action, independent, replay_schedule
 from repro.analysis.protocols import fleet_harness, pipeline_harness, serving_harness
 from repro.analysis.protocols.pipeline_harness import PipelineHarness
 from repro.analysis.protocols.serving_harness import ServingHarness
@@ -53,16 +55,16 @@ from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "mc_findings.json"
 
-#: (harness factory, expected rule) beyond the shipped seeded_mutants(), so
-#: every MC6xx rule has a mutant witness.
-EXTRA_MUTANTS = (
-    (lambda: pipeline_harness.mutants()["MC606"], "MC606"),
-    (lambda: fleet_harness.mutants()["MC601"], "MC601"),
-    (lambda: fleet_harness.mutants()["MC602"], "MC602"),
-    (lambda: fleet_harness.mutants()["MC608"], "MC608"),
-)
+#: Every seeded witness (harness or Mutant) with its rule.
+SEEDED = seeded_mutants()
+#: The MC6xx ones: harnesses exploring a component with one function replaced.
+MC_SEEDED = [(model, rule) for model, rule in SEEDED if rule in MC_RULES]
 
-#: Seeded mutants whose counterexample cannot replay into RC501/TA205.
+#: Rules a schedule's last state cannot witness: a stuck state (nothing is
+#: enabled) and a livelock (a cycle of states) are properties of the search.
+NOT_A_STATE = ("MC601", "MC602")
+
+#: Seeded mutants whose counterexample cannot replay into RC501/TA203/TA205.
 NOT_REPLAYED = {
     "MC609": "the drain hands a step's finishers to on_finish inside the "
     "engine's own step, on one thread, each once: reversing them leaves no "
@@ -382,7 +384,7 @@ def current_findings(shipped_results):
         for r in shipped_results
     }
     mutants = {}
-    for model, rule in list(seeded_mutants()) + [(make(), rule) for make, rule in EXTRA_MUTANTS]:
+    for model, rule in MC_SEEDED:
         result = ModelChecker().check_model(model)
         ce = result.by_rule()[rule]
         mutants[rule] = {
@@ -446,25 +448,20 @@ class TestGolden:
 
 class TestMutationSmoke:
     @pytest.mark.parametrize(
-        "model,expected",
-        [pytest.param(m, r, id=f"{r}:{m.name}") for m, r in seeded_mutants()],
+        "witness,expected",
+        [pytest.param(w, r, id=f"{r}:{w.name}") for w, r in SEEDED],
     )
-    def test_seeded_mutant_reports_exactly_its_rule(self, model, expected):
-        result = ModelChecker().check_model(model)
-        assert rules_of(result) == [expected], rules_of(result)
-
-    @pytest.mark.parametrize(
-        "make,expected",
-        [pytest.param(m, r, id=r) for m, r in EXTRA_MUTANTS],
-    )
-    def test_extra_mutants_cover_the_remaining_rules(self, make, expected):
-        result = ModelChecker().check_model(make())
-        assert rules_of(result) == [expected], rules_of(result)
+    def test_seeded_mutant_reports_exactly_its_rule(self, witness, expected):
+        intact, seeded = witness_reports(witness)
+        assert intact.findings == [], "\n".join(intact.summary_lines())
+        assert {f.rule for f in seeded.findings} == {expected}, seeded.summary_lines()
 
     def test_every_mc_rule_has_a_mutant_witness(self):
-        covered = {rule for _, rule in seeded_mutants()}
-        covered |= {rule for _, rule in EXTRA_MUTANTS}
-        assert covered == set(MC_RULES)
+        assert {rule for _, rule in MC_SEEDED} == set(MC_RULES)
+
+    def test_every_sf_rule_has_a_mutant_witness(self):
+        assert {rule for _, rule in SEEDED if rule in SF_RULES} == set(SF_RULES)
+        assert len(SEEDED) == len(MC_RULES) + len(SF_RULES)
 
     def test_the_drain_is_held_to_the_schedulers_own_accounting(self):
         # a finished request that keeps its decode slot: the server's own
@@ -483,16 +480,21 @@ class TestMutationSmoke:
         assert ce.rule == "MC607" and "slot" in ce.message
 
     def test_a_mutant_patches_one_real_function_and_puts_it_back(self):
-        for model, _ in list(seeded_mutants()) + [(make(), r) for make, r in EXTRA_MUTANTS]:
-            mutant = model.mutant
+        for witness, _ in SEEDED:
+            mutant = witness if isinstance(witness, Mutant) else witness.mutant
             original = mutant.owner.__dict__[mutant.attribute]
-            ModelChecker().check_model(model)
+            assert callable(original)  # a real function of the shipped code
+            if mutant is witness:
+                with mutant.applied():
+                    assert getattr(mutant.owner, mutant.attribute) is mutant.replacement
+            else:
+                ModelChecker().check_model(witness)
+                assert witness.name.endswith(f"!{mutant.name}")
             assert mutant.owner.__dict__[mutant.attribute] is original
-            assert model.name.endswith(f"!{mutant.name}")
 
     @pytest.mark.parametrize(
         "model,expected",
-        [pytest.param(m, r, id=f"{r}:{m.name}") for m, r in seeded_mutants()],
+        [pytest.param(m, r, id=f"{r}:{m.name}") for m, r in MC_SEEDED if r not in NOT_A_STATE],
     )
     def test_counterexample_replays_into_dynamic_findings(
         self, model, expected
@@ -509,10 +511,11 @@ class TestMutationSmoke:
         assert expected in witnessed
         report = cross_validate(model, ce.schedule)
         flagged = {f.rule for f in report.findings}
-        assert bool(flagged & {"RC501", "TA205"}) != (expected in NOT_REPLAYED), flagged
+        replayed = flagged & {"RC501", "TA203", "TA205"}
+        assert bool(replayed) != (expected in NOT_REPLAYED), flagged
 
     def test_replay_emits_records_events_and_ledger(self):
-        model, expected = seeded_mutants()[0]
+        model, expected = pipeline_harness.mutants()["MC603"], "MC603"
         ce = ModelChecker().check_model(model).by_rule()[expected]
         records, access_events, device = replay_schedule(
             model, list(ce.schedule)

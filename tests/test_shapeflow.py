@@ -1,8 +1,9 @@
 """SF7xx shape/dtype flow, checked by running each trainer's step through a
-plan's real transfer protocols: clean shipped graphs, one-mutant-per-rule
-witnesses, findings pinned against a golden, the minibatch split, a custom
-protocol, the serving reassembly, and the runtime shape recorder
-cross-validated against the probe's."""
+plan's real transfer protocols: clean shipped graphs, findings pinned
+against a golden (under every seeded mutant too), batch divisibility, the
+minibatch split, a custom protocol, the serving reassembly, and the runtime
+shape recorder cross-validated against the probe's.  The one-mutant-per-rule
+smoke is ``tests/test_modelcheck.py::TestMutationSmoke``."""
 
 import itertools
 import json
@@ -12,16 +13,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    SF_MUTATIONS,
-    SF_RULES,
     ContractError,
-    DataflowChecker,
     ShapeFlowChecker,
     ShapeRecorder,
     parse_contract,
     predict_system_outputs,
+    seeded_mutants,
     shape_cross_validate,
-    shape_seeded_mutants,
     shipped_graph_reports,
 )
 from repro.analysis import shapeflow
@@ -47,6 +45,7 @@ from repro.single_controller.protocols import (
     register_protocol,
 )
 from repro.workers import WORKER_CLASSES, ActorWorker
+from repro.workers import actor as actor_worker
 from repro.workers.actor import reassemble_responses
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "shapeflow_findings.json"
@@ -263,20 +262,6 @@ class TestShippedGraphs:
             assert report.findings == [], f"{name}: {report.findings}"
             assert sum(report.checked.values()) > 0, name
 
-    def test_each_mutant_witnesses_exactly_its_rule(self):
-        mutants = shape_seeded_mutants()
-        assert sorted(SF_MUTATIONS.values()) == sorted(
-            rule for _checker, rule in mutants
-        )
-        assert set(SF_MUTATIONS.values()) == set(SF_RULES)
-        for checker, expected in mutants:
-            report = checker.check_shipped()
-            rules = set(f.rule for f in report.findings)
-            assert rules == {expected}, (
-                f"mutant {checker.mutate!r} produced {sorted(rules)}, "
-                f"expected exactly {{{expected}}}"
-            )
-
 
 # ---------------------------------------------------------------------------
 # crafted misconfigurations
@@ -285,10 +270,11 @@ class TestShippedGraphs:
 
 class TestCraftedMisconfigurations:
     def test_indivisible_batch_is_sf703(self):
-        report = ShapeFlowChecker(global_batch_size=7).check_plan(
+        report = ShapeFlowChecker().check_plan(
             AlgoType.PPO,
             tiny_plan(),
             function_rewards=("reward",),
+            batch_size=7,
             prompt_length=4,
             max_new_tokens=6,
             max_seq_len=32,
@@ -296,10 +282,11 @@ class TestCraftedMisconfigurations:
         assert {f.rule for f in report.findings} == {"SF703"}
 
     def test_context_overflow_is_sf705(self):
-        report = ShapeFlowChecker(global_batch_size=8).check_plan(
+        report = ShapeFlowChecker().check_plan(
             AlgoType.PPO,
             tiny_plan(),
             function_rewards=("reward",),
+            batch_size=8,
             prompt_length=20,
             max_new_tokens=20,
             max_seq_len=32,
@@ -320,27 +307,56 @@ class TestCraftedMisconfigurations:
 
 
 # ---------------------------------------------------------------------------
-# DF102 deferral for serving-backed actors (dataflow satellite)
+# batch divisibility: SF703 at the call whose split refuses the batch
 # ---------------------------------------------------------------------------
 
 
-class TestServingDeferral:
-    def test_serving_actor_defers_df102_to_sf703(self):
-        system = build_tiny_system(use_serving=True)
-        report = DataflowChecker(global_batch_size=7).check_system(system)
-        assert report.by_rule("DF102") == []
-        assert report.checked.get("deferred_batch_splits", 0) > 0
-        # the symbolic pass picks the divisibility violation up instead,
-        # with the serving-specific pad-up hint
-        sf = ShapeFlowChecker(global_batch_size=7).check_system(system)
-        sf703 = sf.by_rule("SF703")
-        assert sf703, [f.rule for f in sf.findings]
-        assert any("pad" in f.hint for f in sf703)
+class TestBatchDivisibility:
+    def test_sf703_names_every_split_the_batch_does_not_divide(self):
+        # gen_dp = dp * micro_dp = 2 * 2 = 4; batch 6 splits fine over the
+        # dp=2 protocols but not over the generation micro-DP fan-out
+        par = ParallelConfig(pp=1, tp=2, dp=2)
+        plan = PlacementPlan(
+            pools={"main": 4, "r": 1},
+            assignments={
+                "actor": ModelAssignment(
+                    "main", par, GenParallelConfig.derive(par, 1, 1)
+                ),
+                "critic": ModelAssignment("main", par),
+                "reference": ModelAssignment("main", par),
+                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
+            },
+        )
+        degrees = {"3d_all_micro_dp": 4, "3d_proto": 2}
+        for batch in (2, 3, 6, 7, 8):
+            report = ShapeFlowChecker().check_plan(
+                AlgoType.PPO, plan, function_rewards=("reward",), batch_size=batch
+            )
+            splits = {
+                (f.message.split()[-4], int(f.message.split()[-1]))
+                for f in report.by_rule("SF703")
+            }
+            assert {f.rule for f in report.findings} <= {"SF703"}, batch
+            assert splits == {(p, d) for p, d in degrees.items() if batch % d}, batch
+        report = ShapeFlowChecker().check_plan(
+            AlgoType.PPO, plan, function_rewards=("reward",), batch_size=6
+        )
+        assert [(f.location, f.message) for f in report.findings] == [(
+            "actor.generate_sequences@main",
+            "batch dim 6 is not divisible by the 3d_all_micro_dp split degree 4",
+        )]
 
-    def test_plain_actor_still_gets_df102(self):
+    def test_serving_actor_gets_sf703_with_the_pad_up_hint(self):
+        system = build_tiny_system(use_serving=True)
+        sf703 = ShapeFlowChecker().check_system(system, batch_size=7).by_rule("SF703")
+        assert sf703
+        assert all("pad the submitted prompt batch up" in f.hint for f in sf703)
+
+    def test_plain_actor_gets_sf703_without_the_pad_up_hint(self):
         system = build_tiny_system(use_serving=False)
-        report = DataflowChecker(global_batch_size=7).check_system(system)
-        assert [f.rule for f in report.by_rule("DF102")] == ["DF102"]
+        sf703 = ShapeFlowChecker().check_system(system, batch_size=7).by_rule("SF703")
+        assert [f.location for f in sf703] == ["actor.generate_sequences@main"]
+        assert "pad the submitted" not in sf703[0].hint
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +461,18 @@ class TestFindingsMatchTheGolden:
 
     golden = json.loads(GOLDEN.read_text())
 
+    #: Each SF witness under the name the golden recorded it with.
+    RECORDED = {"SF701": "widen_values", "SF702": "drop_mask", "SF703": "skew_batch",
+                "SF704": "promote_pad", "SF705": "shrink_ctx", "SF706": "forget_contract"}
+
     def test_shipped_graphs_under_every_mutant(self):
-        for mutate in [None, *sorted(SF_MUTATIONS)]:
-            got = {name: _rows(r) for name, r in shipped_graph_reports(mutate=mutate)}
-            assert got == self.golden["shipped"][mutate or "faithful"], mutate
+        got = {name: _rows(r) for name, r in shipped_graph_reports()}
+        assert got == self.golden["shipped"]["faithful"]
+        for mutant, rule in seeded_mutants():
+            if rule in self.RECORDED:
+                with mutant.applied():
+                    got = {name: _rows(r) for name, r in shipped_graph_reports()}
+                assert got == self.golden["shipped"][self.RECORDED[rule]], rule
 
     def test_grid(self):
         checker = ShapeFlowChecker()
@@ -467,10 +491,11 @@ class TestFindingsMatchTheGolden:
     )
     def test_unbound_sizes_are_named_back(self, prompt_length, max_new_tokens, flow, want):
         spec = SystemSpec()
-        report = ShapeFlowChecker(mutate="widen_values").check_plan(
-            AlgoType.PPO, spec.plan, spec.function_rewards,
-            prompt_length=prompt_length, max_new_tokens=max_new_tokens,
-        )
+        with shapeflow.mutants()["SF701"].applied():  # critic values (B, L)
+            report = ShapeFlowChecker().check_plan(
+                AlgoType.PPO, spec.plan, spec.function_rewards,
+                prompt_length=prompt_length, max_new_tokens=max_new_tokens,
+            )
         assert [f.message for f in report.findings] == [
             f"critic.update_critic input 'values': flow has {flow}, contract wants {want}"
         ]
@@ -486,9 +511,9 @@ class TestMinibatchSplit:
     CONFIG = TrainerConfig(updates_per_epoch=4)
 
     def test_each_update_call_reports_sf703_once(self):
-        report = ShapeFlowChecker(global_batch_size=8).check_plan(
+        report = ShapeFlowChecker().check_plan(
             AlgoType.PPO, self.SPEC.plan, function_rewards=("reward",),
-            trainer_config=self.CONFIG,
+            batch_size=8, trainer_config=self.CONFIG,
         )
         assert [(f.rule, f.location, f.message) for f in report.findings] == [
             ("SF703", f"{role}.{method}@main",
@@ -538,9 +563,9 @@ class TestCustomProtocol:
                 return super().generate_sequences(batch, **kwargs)
 
         monkeypatch.setitem(WORKER_CLASSES, "actor", SplitGenActor)
-        return ShapeFlowChecker(global_batch_size=8).check_plan(
+        return ShapeFlowChecker().check_plan(
             AlgoType.PPO, SystemSpec(tp=1, dp=2).plan, function_rewards=("reward",),
-            max_new_tokens=6,
+            batch_size=8, max_new_tokens=6,
         )
 
     def test_dropped_rows_are_sf701_at_the_next_consumer(self, monkeypatch):
@@ -587,10 +612,10 @@ class TestServingReassembly:
         def wider(prompts, done, max_new_tokens, pad, masked):
             return reassemble_responses(prompts, done, max_new_tokens + 1, pad, masked)
 
-        monkeypatch.setattr(shapeflow, "reassemble_responses", wider)
-        report = ShapeFlowChecker(global_batch_size=8).check_plan(
+        monkeypatch.setattr(actor_worker, "reassemble_responses", wider)
+        report = ShapeFlowChecker().check_plan(
             AlgoType.PPO, tiny_plan(), function_rewards=("reward",),
-            max_new_tokens=6, use_serving=True,
+            batch_size=8, max_new_tokens=6, use_serving=True,
         )
         assert [(f.rule, f.location, f.message) for f in report.findings] == [(
             "SF705", "actor._serve_generate@main",

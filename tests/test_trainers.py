@@ -538,12 +538,13 @@ class TestFifthAlgorithm:
         ]
 
     def test_passes_the_static_checkers(self):
-        df = DataflowChecker(global_batch_size=8)
-        sf = ShapeFlowChecker(global_batch_size=8)
-        for checker in (df, sf):
-            report = checker.check_plan(
-                ReinforceTrainer, self.plan(), function_rewards=("reward",)
-            )
+        df = DataflowChecker()
+        for report in (
+            df.check_plan(ReinforceTrainer, self.plan(), function_rewards=("reward",)),
+            ShapeFlowChecker().check_plan(
+                ReinforceTrainer, self.plan(), function_rewards=("reward",), batch_size=8
+            ),
+        ):
             assert report.findings == [], report.findings
         idle = df.check_plan(
             ReinforceTrainer, self.plan("critic"), function_rewards=("reward",)
