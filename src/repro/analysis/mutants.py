@@ -71,12 +71,9 @@ def witness_reports(witness: Any) -> Tuple[AnalysisReport, AnalysisReport]:
     if isinstance(witness, Mutant):
         from repro.analysis.shapeflow import ShapeFlowChecker
 
-        checker = ShapeFlowChecker()
-        # intact first: the shipped plans read the memoised dataflow_of,
-        # which must be derived from the unpatched workers
-        intact = checker.check_shipped()
         with witness.applied():
-            return intact, checker.check_shipped()
+            seeded = ShapeFlowChecker().check_shipped()
+        return ShapeFlowChecker().check_shipped(), seeded
     from repro.analysis.modelcheck import ModelChecker
 
     return (

@@ -44,7 +44,7 @@ from repro.analysis.dataflow import bind_roles
 from repro.analysis.mutants import Mutant
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.data.batch import DataBatch, IndivisibleBatchError
-from repro.rlhf.graph import _ROWS, _SIZES, GENERATION, TRAINING, Probe, _ReadSpy
+from repro.rlhf.graph import _ROWS, _SIZES, GENERATION, TRAINING, Probe
 from repro.single_controller.decorator import (
     ContractError,
     parse_contract,
@@ -154,7 +154,7 @@ class _PlanProbe(Probe):
         self.names[sizes["L"]] = "+".join(bound + [sym for _, sym, v in given if not v])
         self.scale: Dict[int, Fraction] = {}
         self.trained: set = set()
-        self.quiet = self.tainted = self.found = self.generated = False
+        self.quiet = self.found = self.generated = False
 
     def prompt_rows(self) -> int:
         """Prompts the step runs on: the bound batch, else the sentinel ``B``."""
@@ -205,25 +205,19 @@ class _PlanProbe(Probe):
         if binding is None:
             self.note("skipped_roles")
             return None  # the call hands its batch on
-        raw = registered_shape_contract(getattr(binding.worker_cls, method, None))
-        try:
-            contract = parse_contract(raw)
-        except ContractError as exc:
-            owner = f"{binding.worker_cls.__name__}.{method}"
-            problem = f"unsound contract on {owner}: {exc}"
-            if raw is None:
-                problem = f"{owner} has no @shape_contract; the {role} boundary cannot be verified"
+        contract = super().contract(role, method)
+        if contract is None:  # handed on, unchecked
+            owner, unsound = f"{binding.worker_cls.__name__}.{method}", self.unchecked[-1][2]
+            problem = (f"unsound contract on {owner}: {unsound}" if unsound else
+                       f"{owner} has no @shape_contract; the {role} boundary cannot be verified")
             self.add("SF706", problem, f"{role}.{method}@{binding.pool}")
-            self.tainted = True
-            return None  # the call hands its batch on, unchecked
-        outputs = []
-        for spec in contract.outputs:
-            if spec.optional:  # of the optional outputs only the eos mask flows
-                if spec.name != "response_mask" or not self.eos:
-                    continue
-                spec = dataclasses.replace(spec, optional=False)
-            outputs.append(spec)
-        return dataclasses.replace(contract, outputs=tuple(outputs))
+            return None
+        # of the optional outputs (which the probe does not make) only the eos mask flows
+        mask = "response_mask" if self.eos else None
+        return dataclasses.replace(contract, outputs=tuple(
+            dataclasses.replace(spec, optional=False) if spec.name == mask else spec
+            for spec in contract.outputs
+        ))
 
     def execute(self, node: Any, contract: Any, batch: DataBatch, kwargs: dict) -> Any:
         binding = self.bindings[node.role]
@@ -239,18 +233,17 @@ class _PlanProbe(Probe):
         # a collect that did not restore its batch scales every consumer
         scale = next((self.scale[d] for d in node.deps if self.scale.get(d, 1) != 1), 1)
         protocol = registered_protocol(getattr(binding.worker_cls, node.method))
-        if protocol is not None:
-            self.note("contracts")
-            requires = get_protocol(protocol).requires
-            degree = requires.split_degree(binding.parallel, binding.gen_config)
-            degree = refused.n_chunks if refused else degree or 1
-            if degree > 1:
-                self.split(len(batch), degree, refused, f"batch dim {len(batch)} is not "
-                           f"divisible by the {protocol} split degree {degree}", where,
-                           "serving batches are variable-length: pad the submitted "
-                           "prompt batch up to a multiple of the generation DP degree, "
-                           "or lower micro_dp" if binding.use_serving else "")
-            self._check_inputs(node, contract, batch, len(batch) * scale, where)
+        self.note("contracts")
+        requires = get_protocol(protocol).requires
+        degree = requires.split_degree(binding.parallel, binding.gen_config)
+        degree = refused.n_chunks if refused else degree or 1
+        if degree > 1:
+            self.split(len(batch), degree, refused, f"batch dim {len(batch)} is not "
+                       f"divisible by the {protocol} split degree {degree}", where,
+                       "serving batches are variable-length: pad the submitted "
+                       "prompt batch up to a multiple of the generation DP degree, "
+                       "or lower micro_dp" if binding.use_serving else "")
+        self._check_inputs(node, contract, batch, len(batch) * scale, where)
         if isinstance(result, DataBatch) and result.tensors:
             self.scale[node.seq] = Fraction(len(batch), len(result))
             self.recorder.record(node.role, node.method, result)
@@ -288,17 +281,16 @@ class _PlanProbe(Probe):
         reads that never flowed out is SF701; when it cannot run, what
         follows is checked only for the columns that did flow (taint).
         Then the minibatch split ``learn()`` makes next, tried on its output."""
-        spy = _ReadSpy(batch)
-        try:
-            out = real(spy)
-        except (KeyError, ValueError) as exc:
-            # a column shaped wrong is reported where the next contract reads it
-            if isinstance(exc, KeyError) and not self.tainted:
-                self.add("SF701", f"compute_advantages({self.name}) consumes "
-                         f"{spy.reads[-1]!r} which never flows out of the preparation "
-                         "stage", f"{self.name}.preparation")
-            self.tainted, out = True, batch.copy()
-        self.note("advantage_inputs", len(spy.reads))
+        tainted = self.tainted
+        out = super().advantages(real, batch)
+        reads = self.steps[-1].reads
+        # the step stops at the first column it reads that never flowed out;
+        # a column shaped wrong is reported where the next contract reads it
+        if not tainted and reads and reads[-1] not in batch:
+            self.add("SF701", f"compute_advantages({self.name}) consumes {reads[-1]!r} "
+                     "which never flows out of the preparation stage",
+                     f"{self.name}.preparation")
+        self.note("advantage_inputs", len(reads))
         if self.staleness:  # the async pipeline's off-policy correction
             out["importance_weights"] = np.zeros((len(out), self.sizes["R"]))
         updates = self.config.updates_per_epoch

@@ -36,6 +36,7 @@ from repro.mapping.placement_enum import (
     set_partitions,
 )
 from repro.perf.iteration import (
+    FIGURE1_DATAFLOW,
     GenerationPlan,
     IterationBreakdown,
     ModelExecution,
@@ -43,6 +44,7 @@ from repro.perf.iteration import (
 )
 from repro.perf.memory import MemoryModel, OPTIMIZER_BYTES, GRAD_BYTES
 from repro.rlhf.core import AlgoType
+from repro.rlhf.graph import DataflowGraph, dataflow_of
 
 _ROLE_OF = {
     "actor": ModelRole.ACTOR,
@@ -170,7 +172,7 @@ def _candidates(
 
 
 def _score_candidate(
-    algo: AlgoType,
+    graph: DataflowGraph,
     placement: List[List[str]],
     assignment: Tuple[int, ...],
     allocation: Tuple[int, ...],
@@ -223,7 +225,7 @@ def _score_candidate(
                 )
     assert gen_plan is not None
     breakdown = estimate_iteration(
-        algo, executions, gen_plan, workload, zones[0].spec
+        graph, executions, gen_plan, workload, zones[0].spec
     )
     return strategies, breakdown
 
@@ -261,6 +263,7 @@ def map_dataflow(
     if "actor" not in specs:
         raise ValueError("the dataflow needs an actor model")
 
+    graph = dataflow_of(algo, FIGURE1_DATAFLOW)  # one derivation prices every candidate
     best: Optional[MappingResult] = None
     candidate_placements = (
         placements if placements is not None else set_partitions(list(specs))
@@ -271,7 +274,7 @@ def map_dataflow(
             candidates, max_allocations_per_placement
         ):
             scored = _score_candidate(
-                algo, placement, assignment, allocation, specs, zones, workload
+                graph, placement, assignment, allocation, specs, zones, workload
             )
             if scored is None:
                 continue

@@ -31,7 +31,7 @@ from repro.perf.compute import inference_latency, training_latency
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time, weight_sync_time
 from repro.rlhf.core import AlgoType
-from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING, dataflow_of
+from repro.rlhf.graph import GENERATION, PREPARATION, TRAINING, DataflowGraph, dataflow_of
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime.timeline import build_timeline
 from repro.single_controller.controller import ExecutionRecord
@@ -161,13 +161,15 @@ def estimate_iteration(
 ) -> IterationBreakdown:
     """Latency of one RLHF iteration under a full system configuration.
 
-    ``algo`` is an ``AlgoType`` member or a trainer class; ``executions``
-    maps the model roles its dataflow calls (Figure 1) to their placement
-    and parallelism; ``gen_plan`` describes the actor's generation
-    configuration and resharding mechanism.  Each stage of the breakdown
-    is the time the iteration's critical path spends in its calls.
+    ``algo`` is an ``AlgoType`` member, a trainer class, or the graph
+    ``dataflow_of(algo, FIGURE1_DATAFLOW)`` derived (Algorithm 1 prices
+    every candidate on one); ``executions`` maps the model roles its
+    dataflow calls (Figure 1) to their placement and parallelism;
+    ``gen_plan`` describes the actor's generation configuration and
+    resharding mechanism.  Each stage of the breakdown is the time the
+    iteration's critical path spends in its calls.
     """
-    graph = dataflow_of(algo, FIGURE1_DATAFLOW)
+    graph = algo if isinstance(algo, DataflowGraph) else dataflow_of(algo, FIGURE1_DATAFLOW)
     prep_calls, train_calls = graph.calls(PREPARATION), graph.calls(TRAINING)
     missing = [r for r in graph.roles if r not in executions]
     if missing:

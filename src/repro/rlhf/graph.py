@@ -26,6 +26,7 @@ from repro.parallel.topology import GenTopology, ParallelTopology
 from repro.rlhf.trainers import TrainerConfig, trainer_class
 from repro.single_controller.decorator import (
     Contract,
+    ContractError,
     parse_contract,
     registered_protocol,
     registered_shape_contract,
@@ -44,8 +45,8 @@ _NAMES = {size: symbol for symbol, size in _SIZES.items()}
 
 
 class UncontractedCallError(TypeError):
-    """A trainer dispatched a method that is not ``@register``-ed with a
-    ``@shape_contract``: nothing can stand in for (or verify) it."""
+    """A trainer's step failed after a call that is not ``@register``-ed
+    with a sound ``@shape_contract``, which the probe could only hand on."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,8 +139,10 @@ class Probe:
     call.  ``placement``: role → ``(worker_cls, parallel, gen_config)`` of
     its :class:`StandInGroup` (other roles are placement-free); ``sizes``
     binds every contract symbol but ``B`` (the rows a call is handed) and
-    ``G``.  Subclasses check the run in :meth:`contract`, :meth:`execute`
-    and :meth:`advantages`."""
+    ``G``.  A call with no sound contract, and an advantage step that cannot
+    run on contract-shaped columns, hand their batch on and taint the run.
+    Subclasses check it in :meth:`contract`, :meth:`execute` and
+    :meth:`advantages`."""
 
     def __init__(self, trainer_cls, config, sizes, placement=None) -> None:
         from repro.workers import WORKER_CLASSES  # they import repro.rlhf.losses
@@ -152,6 +155,9 @@ class Probe:
         }
         self.nodes: List[DataflowNode] = []
         self.steps: List[ControllerStep] = []
+        #: ``(role, method, error)`` per call handed on (``None``: no contract)
+        self.unchecked: List[Tuple[str, str, Optional[ContractError]]] = []
+        self.tainted = False
 
     def run(self, rows: int, **trainer_kwargs: Any) -> None:
         """One ``step`` on ``rows`` prompts; ``trainer_kwargs`` are the
@@ -164,16 +170,14 @@ class Probe:
 
     def contract(self, role: str, method: str) -> Optional[Contract]:
         """The call's contract (``None``: the call passes its batch on)."""
-        worker_cls = self.groups[role].worker_cls
-        fn = getattr(worker_cls, method, None)
+        fn = getattr(self.groups[role].worker_cls, method, None)
         raw = registered_shape_contract(fn) if registered_protocol(fn) else None
-        if raw is None:
-            raise UncontractedCallError(
-                f"{self.trainer_cls.__name__}.step dispatches {role}.{method}, "
-                f"which {worker_cls.__name__} does not @register with a "
-                "@shape_contract"
-            )
-        return parse_contract(raw)
+        try:
+            return parse_contract(raw)
+        except ContractError as exc:
+            self.unchecked.append((role, method, None if raw is None else exc))
+            self.tainted = True
+            return None
 
     def dispatch(self, role: str, method: str, batch: DataBatch, **kwargs: Any) -> DataFuture:
         contract = self.contract(role, method)
@@ -184,9 +188,7 @@ class Probe:
         # the rest, the sources (fed by the prompt batch alone) generate
         stage = TRAINING if metrics else PREPARATION if deps else GENERATION
         made = tuple(s.name for s in contract.outputs if not s.optional) if contract else ()
-        node = DataflowNode(
-            seq, role, method, deps, stage, len(batch), tuple(batch.keys()), made
-        )
+        node = DataflowNode(seq, role, method, deps, stage, len(batch), tuple(batch.keys()), made)
         self.nodes.append(node)
         if contract is None:
             result = DataBatch(batch.tensors, meta=batch.meta)
@@ -201,7 +203,7 @@ class Probe:
         answers its own chunk under the method's real protocol."""
         group = self.groups[node.role]
         name = registered_protocol(getattr(group.worker_cls, node.method))
-        if group.train_topology is None or name is None:
+        if group.train_topology is None:
             return self.answer(contract, batch)
         protocol = get_protocol(name)
         calls = protocol.distribute(group, (batch,), kwargs)
@@ -220,9 +222,13 @@ class Probe:
         return DataBatch(made, meta={"prompt_length": self.sizes["P"]})
 
     def advantages(self, real: Any, batch: DataBatch) -> DataBatch:
-        """The trainer's own advantage step, observed: what it read and wrote."""
+        """The trainer's own advantage step, observed: what it read and wrote.
+        A step that cannot run on what flowed in hands its batch on."""
         spy = _ReadSpy(batch)
-        out = real(spy)
+        try:
+            out = real(spy)
+        except (KeyError, ValueError):
+            self.tainted, out = True, batch.copy()
         deps = tuple(batch.meta.get(LINEAGE_KEY, ()))
         made = {column for seq in deps for column in self.nodes[seq].produced}
         writes = tuple(
@@ -241,22 +247,24 @@ def dataflow_of(algo: Any, config: Any = None, **trainer_kwargs: Any) -> Dataflo
 
     ``algo`` is an :class:`AlgoType` member or a trainer class;
     ``trainer_kwargs`` are that trainer's own constructor arguments
-    (Safe-RLHF's ``pretrain_dataset``).  Raises
-    :class:`UncontractedCallError` naming a call no contract covers.
-    Memoised: equal arguments return the same object.
+    (Safe-RLHF's ``pretrain_dataset``).  A fresh :class:`Probe` per call
+    (about a millisecond) reads the worker classes as they are; if its step
+    fails after a call it handed on for want of a sound contract,
+    :class:`UncontractedCallError` names that call.
     """
-    config = config or TrainerConfig()
-    fields = tuple(vars(config).items())
-    kwargs = tuple(sorted(trainer_kwargs.items()))
-    return _derive(trainer_class(algo), type(config), fields, kwargs)
-
-
-@functools.lru_cache(maxsize=256)
-def _derive(trainer_cls, config_cls, fields, trainer_kwargs) -> DataflowGraph:
-    probe = Probe(trainer_cls, config_cls(**dict(fields)), _SIZES)
-    probe.run(_ROWS, **dict(trainer_kwargs))
+    trainer_cls = trainer_class(algo)
+    probe = Probe(trainer_cls, config or TrainerConfig(), _SIZES)
+    try:
+        probe.run(_ROWS, **trainer_kwargs)
+    except (KeyError, ValueError, IndexError) as exc:
+        if not probe.unchecked:
+            raise
+        role, method, _ = probe.unchecked[0]
+        owner = probe.groups[role].worker_cls.__name__
+        raise UncontractedCallError(
+            f"{trainer_cls.__name__}.step dispatches {role}.{method}, "
+            f"which {owner} does not @register with a @shape_contract"
+        ) from exc
     called = [node.role for node in probe.nodes]
     roles = tuple(role for role in probe.groups if role in called)
-    return DataflowGraph(
-        trainer_cls.algo.value, roles, tuple(probe.nodes), tuple(probe.steps)
-    )
+    return DataflowGraph(trainer_cls.algo.value, roles, tuple(probe.nodes), tuple(probe.steps))

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig, bounded, check_bounds
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.parallel.topology import GenGroupingMode
@@ -229,17 +229,20 @@ class SystemSpec:
 
     algo: AlgoType = AlgoType.PPO
     model_config: TinyLMConfig = TINY_LM
-    tp: int = 2
-    dp: int = 1
+    tp: int = bounded(2, ge=1)
+    dp: int = bounded(1, ge=1)
     disaggregated: bool = False
     seed: int = 7
-    lr: float = 5e-3
+    lr: float = bounded(5e-3, gt=0)
     kl_coef: float = 0.01
-    max_new_tokens: int = 6
+    max_new_tokens: int = bounded(6, ge=1)
     target_token: int = 7
     dataset_seed: int = 1
-    n_prompts: int = 128
-    prompt_length: int = 4
+    n_prompts: int = bounded(128, ge=1)
+    prompt_length: int = bounded(4, ge=1)
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     @property
     def function_rewards(self) -> Tuple[str, ...]:
@@ -292,9 +295,10 @@ class SystemSpec:
 
 
 def shipped_placements() -> Dict[str, PlacementPlan]:
-    """The two placements ``repro check`` proves (DF, SH and SF read these):
-    the tiny job (1-2-1 → generation 1-1) and the llama-7b colocated
-    placement of §8's evaluation clusters (1-8-2 → generation 1-2)."""
+    """The two placements ``repro check`` proves (DF and SH read both; SF
+    runs ``SystemSpec(algo).plan`` per shipped graph): the tiny job (1-2-1
+    → generation 1-1) and the llama-7b colocated placement of §8's
+    evaluation clusters (1-8-2 → generation 1-2)."""
     full = ParallelConfig(pp=1, tp=8, dp=2)
     return {
         "tiny-ppo": SystemSpec().plan,

@@ -111,6 +111,32 @@ class TestDataflowChecker:
         assert report.findings == []
         assert report.checked["methods"] > 0  # it actually looked
 
+    @pytest.mark.parametrize("rule", ["SF701", "SF706"])
+    def test_a_contract_at_odds_with_the_step_leaves_the_plan_checkable(self, rule):
+        # a worker whose contract the advantage step cannot run on (SF701) or
+        # that declares none (SF706): the plan and its DF findings are the
+        # intact run's, in a fresh interpreter with the witness applied first
+        import subprocess
+        import sys
+
+        code = (
+            "from repro.analysis import DataflowChecker\n"
+            "from repro.analysis.shapeflow import mutants\n"
+            "from repro.runtime import SystemSpec, shipped_placements\n"
+            "def run():\n"
+            "    spec = SystemSpec()\n"
+            "    plan = shipped_placements()['tiny-ppo']\n"
+            "    report = DataflowChecker().check_plan(spec.algo, plan, spec.function_rewards)\n"
+            "    return spec.plan, report.findings, report.checked\n"
+            f"with mutants()[{rule!r}].applied():\n"
+            "    seeded = run()\n"
+            "print(seeded == run())\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert run.stdout.strip() == "True", run.stderr
+
     def test_protocol_topology_mismatch_is_one_df101(self):
         # a function reward (one_to_one methods) on a 2-rank group
         report = DataflowChecker().check_plan(

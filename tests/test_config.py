@@ -184,6 +184,7 @@ class TestFieldBounds:
         from repro.fleet.job import JobSpec
         from repro.pipeline.config import PipelineConfig
         from repro.rlhf.trainers import TrainerConfig
+        from repro.runtime import SystemSpec
         from repro.serving.server import ServingConfig
 
         return [
@@ -198,6 +199,7 @@ class TestFieldBounds:
             (JobSpec, {"name": "j"}),
             (ModelChecker, {}),
             (TrainerConfig, {}),
+            (SystemSpec, {}),
         ]
 
     def test_every_bound_holds(self):

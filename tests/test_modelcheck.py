@@ -456,6 +456,25 @@ class TestMutationSmoke:
         assert intact.findings == [], "\n".join(intact.summary_lines())
         assert {f.rule for f in seeded.findings} == {expected}, seeded.summary_lines()
 
+    @pytest.mark.parametrize("rule", ["SF701", "SF706"])
+    def test_an_sf_witness_reports_its_rule_in_a_fresh_interpreter(self, rule):
+        # seeded first, with nothing derived before it: the pass may lean on
+        # no graph left over from an unpatched run
+        import subprocess
+        import sys
+
+        code = (
+            "from repro.analysis import ShapeFlowChecker\n"
+            "from repro.analysis.shapeflow import mutants\n"
+            f"with mutants()[{rule!r}].applied():\n"
+            "    report = ShapeFlowChecker().check_shipped()\n"
+            "print(sorted({f.rule for f in report.findings}))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert run.stdout.strip() == f"['{rule}']", run.stderr
+
     def test_every_mc_rule_has_a_mutant_witness(self):
         assert {rule for _, rule in MC_SEEDED} == set(MC_RULES)
 

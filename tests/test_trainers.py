@@ -477,11 +477,32 @@ class TestDerivedGraphIsTheExecutedGraph:
         )
         assert step.deps == (0, 2, 3, 4, 5) and step.before == 6
 
-    def test_memoised_per_trainer_and_config(self):
-        graph = dataflow_of(AlgoType.PPO, TrainerConfig(ppo_epochs=2))
-        assert dataflow_of(AlgoType.PPO, TrainerConfig(ppo_epochs=2)) is graph
-        assert dataflow_of(AlgoType.PPO) is dataflow_of("ppo", TrainerConfig())
-        assert dataflow_of(AlgoType.PPO) is not graph
+    def test_each_call_sees_the_workers_as_they_are(self, monkeypatch):
+        from repro.single_controller.decorator import (
+            register,
+            registered_protocol,
+            registered_shape_contract,
+            shape_contract,
+        )
+        from repro.workers import ReferenceWorker
+
+        real = ReferenceWorker.compute_ref_log_prob
+        raw = registered_shape_contract(real)
+
+        @register(registered_protocol(real))
+        @shape_contract(**dict(raw, outputs={**raw["outputs"], "ref_entropy": "B,R"}))
+        def widened(self, *args, **kwargs):
+            return real(self, *args, **kwargs)
+
+        def made():
+            graph = dataflow_of("ppo")
+            return next(n.produced for n in graph.nodes if n.method == real.__name__)
+
+        intact = made()
+        monkeypatch.setattr(ReferenceWorker, "compute_ref_log_prob", widened)
+        assert made() == intact + ("ref_entropy",)
+        monkeypatch.undo()
+        assert made() == intact
 
     def test_uncontracted_call_is_a_typed_error(self):
         class Peeking(RlhfTrainerBase):
