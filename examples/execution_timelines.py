@@ -18,7 +18,7 @@ from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
 from repro.rlhf import AlgoType
 from repro.runtime import TINY_LM, PlacementPlan, build_rlhf_system
-from repro.runtime.timeline import build_timeline, planned_durations
+from repro.runtime.timeline import build_timeline
 
 PAR = ParallelConfig(1, 2, 1)
 RFN = (ParallelConfig(1, 1, 1), ["reward"])  # the reward function's one GPU
@@ -53,7 +53,7 @@ def main() -> None:
         )
         system.trainer.train(prompts, 1, 8)
         timeline = build_timeline(
-            system.controller.trace, planned_durations(system.controller)
+            system.controller.trace, system.controller.planned_duration
         )
         print(f"\n=== placement: {kind} (one PPO iteration) ===")
         print(timeline.render_ascii(width=60))

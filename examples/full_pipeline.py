@@ -136,12 +136,12 @@ def main(argv=None) -> int:
         )
         from repro.observability import write_chrome_trace
         from repro.runtime.report import system_report_dict
-        from repro.runtime.timeline import build_timeline, planned_durations
+        from repro.runtime.timeline import build_timeline
 
         out = write_chrome_trace(
             args.trace,
             timeline=build_timeline(
-                ppo_controller.trace, planned_durations(ppo_controller)
+                ppo_controller.trace, ppo_controller.planned_duration
             ),
             spans=tracer.spans,
         )

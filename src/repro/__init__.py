@@ -37,7 +37,6 @@ from repro.runtime import (
     RlhfSystem,
     build_rlhf_system,
     build_timeline,
-    planned_durations,
 )
 from repro.single_controller import ResourcePool, SingleController, WorkerGroup
 
@@ -70,6 +69,5 @@ __all__ = [
     "build_timeline",
     "chrome_trace",
     "map_dataflow",
-    "planned_durations",
     "__version__",
 ]

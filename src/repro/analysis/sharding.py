@@ -26,9 +26,9 @@ Rules:
   disagrees with the interval sweep.
 * ``SH404`` — a collective group family is not a true partition of the
   pool's ranks.
-* ``SH405`` — a ZeRO/FSDP config is inconsistent with the device-mapping
-  memory projection (wrong DP degree, state that cannot fit, or a drifted
-  FSDP↔ZeRO mapping).
+* ``SH405`` — a ZeRO config (an FSDP one through ``FsdpConfig.as_zero``) is
+  inconsistent with the device-mapping memory projection (wrong DP degree
+  or state that cannot fit).
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.comm.groups import ProcessGroup, partition_problems
-from repro.parallel.fsdp import (
-    FsdpConfig,
-    fsdp_grad_sync_volume,
-    fsdp_memory_per_rank,
-    fsdp_param_gather_volume,
-)
 from repro.parallel.sharding import (
     ShardRange,
     WeightShard,
@@ -404,7 +398,8 @@ class ShardingVerifier:
         report: Optional[AnalysisReport] = None,
         location: str = "zero",
     ) -> AnalysisReport:
-        """SH405 over a ZeRO config against the memory projection."""
+        """SH405 over a ZeRO config against the memory projection (an FSDP
+        config is checked as its ``as_zero()``)."""
         if report is None:
             report = AnalysisReport("sharding")
         report.note_checked("zero_configs")
@@ -453,51 +448,6 @@ class ShardingVerifier:
                 "projected footprint must fit the device (Appendix C)",
             )
         return report
-
-    def verify_fsdp(
-        self,
-        config: FsdpConfig,
-        n_params: int,
-        world_size: int,
-        capacity_bytes: Optional[int] = None,
-        report: Optional[AnalysisReport] = None,
-        location: str = "fsdp",
-    ) -> AnalysisReport:
-        """SH405 over an FSDP config; its ZeRO mapping must not drift."""
-        if report is None:
-            report = AnalysisReport("sharding")
-        zero = config.as_zero()
-        drift = []
-        if fsdp_memory_per_rank(n_params, config) != zero_memory_per_rank(
-            n_params, zero
-        ):
-            drift.append("memory")
-        if fsdp_param_gather_volume(n_params, config) != zero_param_gather_volume(
-            n_params, zero
-        ):
-            drift.append("param gather volume")
-        if fsdp_grad_sync_volume(n_params, config) != zero_grad_sync_volume(
-            n_params, zero
-        ):
-            drift.append("grad sync volume")
-        if drift:
-            report.add(
-                "SH405",
-                ERROR,
-                f"FSDP strategy {config.strategy!r} drifted from its ZeRO "
-                f"equivalent (stage {int(zero.stage)}) on: " + ", ".join(drift),
-                location=location,
-                hint="FsdpConfig.as_zero must stay memory- and "
-                "traffic-equivalent to the mapped ZeRO stage",
-            )
-        return self.verify_zero(
-            zero,
-            n_params,
-            world_size,
-            capacity_bytes=capacity_bytes,
-            report=report,
-            location=location,
-        )
 
 
 def _dedupe(groups) -> List[ProcessGroup]:

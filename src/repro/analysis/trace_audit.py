@@ -53,12 +53,12 @@ class TraceAuditor:
 
         The busy-accounting cross-check (``TA206``) is skipped when a fault
         injector is attached — straggler-inflated durations legitimately
-        diverge from the timeline's duration table.
+        diverge from the controller's planned durations.
         """
-        from repro.runtime.timeline import build_timeline, planned_durations
+        from repro.runtime.timeline import build_timeline
 
         controller = system.controller
-        timeline = build_timeline(controller.trace, planned_durations(controller))
+        timeline = build_timeline(controller.trace, controller.planned_duration)
         devices = []
         seen = set()
         for group in system.groups.values():
@@ -281,7 +281,7 @@ class TraceAuditor:
 
         The dispatch path occupies every device of a pool for the planned
         duration of each call; the timeline replays the same trace with the
-        same duration table, so the two accountings agree on a clean run.
+        same duration model, so the two accountings agree on a clean run.
         """
         expected = {pool: timeline.busy_time(pool) for pool in timeline.pools()}
         for device in devices:
@@ -299,7 +299,7 @@ class TraceAuditor:
                     f"{pool!r} (delta {delta:.3f}s)",
                     location=f"device {device.global_rank}",
                     hint=(
-                        "occupy() charges and the replay's duration table "
+                        "occupy() charges and the replay's durations "
                         "must come from the same model"
                     ),
                 )

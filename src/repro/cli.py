@@ -468,9 +468,9 @@ def _export_checked_trace(controller, path: str) -> None:
         pool_fractions_from_trace,
         write_chrome_trace,
     )
-    from repro.runtime.timeline import build_timeline, planned_durations
+    from repro.runtime.timeline import build_timeline
 
-    timeline = build_timeline(controller.trace, planned_durations(controller))
+    timeline = build_timeline(controller.trace, controller.planned_duration)
     spans = controller.tracer.spans
     doc = chrome_trace(timeline=timeline, spans=spans)
     out = write_chrome_trace(path, timeline=timeline, spans=spans)
@@ -740,8 +740,8 @@ def _sharding_reports():
         capacity_bytes=cluster.gpu.memory_bytes,
         location="zero[llama-7b]",
     )
-    verifier.verify_fsdp(
-        FsdpConfig(dp=cluster.n_gpus, strategy="full"),
+    verifier.verify_zero(
+        FsdpConfig(dp=cluster.n_gpus, strategy="full").as_zero(),
         spec.n_params(),
         cluster.n_gpus,
         capacity_bytes=cluster.gpu.memory_bytes,

@@ -117,9 +117,10 @@ class FaultInjector:
 
     # -- durations / stragglers --------------------------------------------------------
 
-    def call_duration(self, group, method: str) -> float:
-        """Simulated duration of one call, inflated by the pool's slowest rank."""
-        base = self.controller.planned_duration(method)
+    def call_duration(self, group, record) -> float:
+        """Simulated duration of the call ``record`` on ``group``: the
+        controller's planned duration, inflated by the pool's slowest rank."""
+        base = self.controller.planned_duration(record)
         factor = max(
             (self.straggle.get(r, 1.0) for r in group.resource_pool.global_ranks),
             default=1.0,

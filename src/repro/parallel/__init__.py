@@ -21,7 +21,7 @@ from repro.parallel.topology import (
 )
 from repro.parallel.sharding import ShardRange, WeightShard, shard_overlap_fraction
 from repro.parallel.zero import ZeroConfig, ZeroStage, zero_memory_per_rank
-from repro.parallel.fsdp import FsdpConfig, fsdp_memory_per_rank
+from repro.parallel.fsdp import FsdpConfig
 
 __all__ = [
     "FsdpConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "WeightShard",
     "ZeroConfig",
     "ZeroStage",
-    "fsdp_memory_per_rank",
     "shard_overlap_fraction",
     "zero_memory_per_rank",
 ]

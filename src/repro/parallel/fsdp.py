@@ -3,20 +3,16 @@
 HybridFlow's ``FSDPWorker`` base class supports fully-sharded data parallel
 training.  FSDP's FULL_SHARD mode is memory-equivalent to ZeRO-3: parameters,
 gradients and optimizer states are all sharded over the DP group and
-parameters are all-gathered per layer for compute.
+parameters are all-gathered per layer for compute.  Its memory and traffic
+are those of the ZeRO stage :meth:`FsdpConfig.as_zero` maps it to: call the
+``repro.parallel.zero`` functions on ``config.as_zero()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.parallel.zero import (
-    ZeroConfig,
-    ZeroStage,
-    zero_grad_sync_volume,
-    zero_memory_per_rank,
-    zero_param_gather_volume,
-)
+from repro.parallel.zero import ZeroConfig, ZeroStage
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,17 +38,3 @@ class FsdpConfig:
         }[self.strategy]
         return ZeroConfig(stage=stage, dp=self.dp)
 
-
-def fsdp_memory_per_rank(n_params: int, config: FsdpConfig) -> int:
-    """Training-state bytes per rank under FSDP."""
-    return zero_memory_per_rank(n_params, config.as_zero())
-
-
-def fsdp_param_gather_volume(n_params: int, config: FsdpConfig) -> int:
-    """Per-rank all-gather bytes to materialise parameters for one pass."""
-    return zero_param_gather_volume(n_params, config.as_zero())
-
-
-def fsdp_grad_sync_volume(n_params: int, config: FsdpConfig) -> int:
-    """Per-rank gradient synchronisation bytes per training step."""
-    return zero_grad_sync_volume(n_params, config.as_zero())

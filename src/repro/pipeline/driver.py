@@ -243,7 +243,7 @@ def overlap_study(
     """
     from repro.config import ClusterSpec
     from repro.runtime.builder import SystemSpec
-    from repro.runtime.timeline import build_timeline, planned_durations
+    from repro.runtime.timeline import build_timeline
 
     check_overlap_study(n_iterations, batch_size)
     spec = SystemSpec(disaggregated=True)
@@ -255,7 +255,7 @@ def overlap_study(
 
     def replay(system):
         controller = system.controller
-        return build_timeline(controller.trace, planned_durations(controller))
+        return build_timeline(controller.trace, controller.planned_duration)
 
     sync = build()
     sync.trainer.train(spec.dataset(), n_iterations, batch_size)

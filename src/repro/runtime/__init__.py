@@ -12,7 +12,6 @@ from repro.runtime.timeline import (
     Timeline,
     TimelineEvent,
     build_timeline,
-    planned_durations,
 )
 from repro.runtime.report import (
     observability_summary,
@@ -44,7 +43,6 @@ __all__ = [
     "build_rlhf_system",
     "build_timeline",
     "observability_summary",
-    "planned_durations",
     "recovery_summary",
     "restore_system",
     "shipped_placements",

@@ -8,6 +8,13 @@ scale, then read off its projected iteration time and per-pool utilisation
 on (simulated) Llama-class models and A100 clusters.  A call is priced by
 its dataflow stage and role, with the cost model's own
 :func:`repro.perf.iteration.call_latency`.
+
+The model :func:`perf_duration_fn` returns is a drop-in for the
+controller's one duration model: assign it to
+``system.controller.planned_duration`` and dispatch, the fault injector and
+every replay (``build_timeline(controller.trace,
+controller.planned_duration)``) are re-timed together; or replay a finished
+trace under it directly with ``build_timeline(trace, model)``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from repro.perf.iteration import (
 )
 from repro.rlhf.graph import TRAINING, dataflow_of
 from repro.runtime.builder import RlhfSystem
-from repro.runtime.timeline import Timeline, build_timeline
 from repro.single_controller.controller import ExecutionRecord
 
 
@@ -34,7 +40,7 @@ def perf_duration_fn(
     gen_tp: Optional[int] = None,
     gen_pp: int = 1,
 ):
-    """A timeline duration function backed by the perf simulators.
+    """A duration model backed by the perf simulators.
 
     Args:
         system: The functional system whose trace is being projected; its
@@ -82,20 +88,3 @@ def perf_duration_fn(
         return latency
 
     return duration
-
-
-def project_timeline(
-    system: RlhfSystem,
-    model_specs: Mapping[str, ModelSpec],
-    workload: RlhfWorkload,
-    cluster: ClusterSpec,
-    gen_tp: Optional[int] = None,
-    gen_pp: int = 1,
-) -> Timeline:
-    """Schedule the system's trace with projected full-scale durations."""
-    return build_timeline(
-        system.controller.trace,
-        perf_duration_fn(
-            system, model_specs, workload, cluster, gen_tp=gen_tp, gen_pp=gen_pp
-        ),
-    )

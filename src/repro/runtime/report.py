@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.observability.collect import collect_system_metrics
 from repro.runtime.builder import RlhfSystem
-from repro.runtime.timeline import build_timeline, planned_durations
+from repro.runtime.timeline import build_timeline
 from repro.serialization import json_safe
 
 
@@ -247,7 +247,7 @@ def system_report(
         sections.append(recovery_summary(recovery))
     if include_timeline and system.controller.trace:
         controller = system.controller
-        timeline = build_timeline(controller.trace, planned_durations(controller))
+        timeline = build_timeline(controller.trace, controller.planned_duration)
         sections.append(
             ["execution timeline:"]
             + timeline.render_ascii(timeline_width)

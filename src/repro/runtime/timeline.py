@@ -11,26 +11,18 @@ accounting behind the paper's placement observations ("actor and critic ...
 incurring 1/3 of their GPU time being idle, during other RLHF stages").
 It is the one scheduler model: the cost model prices an iteration by
 replaying its algorithm's dataflow graph here
-(:func:`repro.perf.iteration.estimate_iteration`).
+(:func:`repro.perf.iteration.estimate_iteration`).  It holds no durations
+of its own: a controller's trace replays under that controller's one
+duration model, ``build_timeline(controller.trace,
+controller.planned_duration)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.single_controller.controller import (
-    DEFAULT_DURATIONS,
-    FALLBACK_DURATION,
-    ExecutionRecord,
-    SingleController,
-)
-
-#: Methods already warned about falling back to ``FALLBACK_DURATION`` — the
-#: warning fires once per method per process so perf numbers are never
-#: silently fabricated, without spamming every rebuild.
-_FALLBACK_WARNED: set = set()
+from repro.single_controller.controller import ExecutionRecord
 
 DurationFn = Callable[[ExecutionRecord], float]
 
@@ -154,35 +146,6 @@ class Timeline:
         return "\n".join(lines + ["legend:"] + legend)
 
 
-def planned_durations(controller: SingleController) -> DurationFn:
-    """The controller's ``planned_duration`` per record: the durations its
-    dispatch gate and fault injector charge.
-
-    A method missing from the default duration table is charged
-    ``FALLBACK_DURATION`` — never silently: a one-time warning names it, and
-    each occurrence increments a per-method metrics counter.
-    """
-
-    def duration(record: ExecutionRecord) -> float:
-        if record.method not in DEFAULT_DURATIONS:
-            controller.metrics.counter(
-                "repro_timeline_fallback_total",
-                "Trace records charged FALLBACK_DURATION (no duration model)",
-                method=record.method,
-            ).inc()
-            if record.method not in _FALLBACK_WARNED:
-                _FALLBACK_WARNED.add(record.method)
-                warnings.warn(
-                    f"no duration model for method {record.method!r}; it was "
-                    f"charged the flat FALLBACK_DURATION={FALLBACK_DURATION}s — "
-                    "timings involving it are fabricated, not modelled",
-                    stacklevel=2,
-                )
-        return controller.planned_duration(record.method)
-
-    return duration
-
-
 def build_timeline(
     trace: Sequence[ExecutionRecord], duration_fn: DurationFn
 ) -> Timeline:
@@ -190,9 +153,9 @@ def build_timeline(
 
     Records are taken in trace order; each starts when its ``deps`` have
     finished and its pool is free, and runs ``duration_fn(record)``
-    simulated seconds — :func:`planned_durations` for a controller's own
-    durations, :func:`repro.runtime.projection.perf_duration_fn` for the
-    :mod:`repro.perf` latency models.
+    simulated seconds — a controller's ``planned_duration`` (its table
+    default, or :func:`repro.runtime.projection.perf_duration_fn`'s
+    :mod:`repro.perf` latency models once installed there).
     """
     pool_free: Dict[str, float] = {}
     end_by_seq: Dict[int, float] = {}

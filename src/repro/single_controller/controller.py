@@ -27,7 +27,8 @@ import dataclasses
 import json
 import pathlib
 import shutil
-from typing import Any, Dict, List, Optional
+import warnings
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from repro.observability.spans import SpanTracer
 from repro.serialization import json_safe
 from repro.single_controller.access_log import CONTROLLER_RANK, READ, WRITE, AccessLog
 from repro.single_controller.resource_pool import ResourcePool
-from repro.single_controller.worker_group import WorkerGroup
+
+if TYPE_CHECKING:
+    from repro.single_controller.worker_group import WorkerGroup
 
 
 class CheckpointError(ValueError):
@@ -67,9 +70,9 @@ class ExecutionRecord:
     deps: tuple = ()
 
 
-#: Simulated seconds per call kind — a crude stand-in for a latency model.
-#: Generation dominates an RLHF iteration (§2.3), updates cost
-#: forward+backward, scoring one forward.
+#: Simulated seconds per call kind — the default duration model, a crude
+#: stand-in for a latency model.  Generation dominates an RLHF iteration
+#: (§2.3), updates cost forward+backward, scoring one forward.
 DEFAULT_DURATIONS = {
     "generate_sequences": 6.0,
     "update_actor": 3.0,
@@ -82,6 +85,11 @@ DEFAULT_DURATIONS = {
     "compute_loss": 1.0,
 }
 FALLBACK_DURATION = 1.0
+
+#: Methods already warned about falling back to ``FALLBACK_DURATION`` — the
+#: warning fires once per method per process so perf numbers are never
+#: silently fabricated, without spamming every rebuild.
+_FALLBACK_WARNED: set = set()
 
 
 def _json_safe(value: Any, where: str) -> Any:
@@ -186,13 +194,36 @@ class SingleController:
         injector.bind(self)
         self.fault_injector = injector
 
-    def planned_duration(self, method: str) -> float:
-        """Simulated seconds one call of ``method`` is planned to take.
+    def planned_duration(self, record: ExecutionRecord) -> float:
+        """Simulated seconds the call ``record`` is planned to take.
 
-        The one duration source of the dispatch gate, the fault injector
-        and the default timeline replay.
+        The one duration model: the dispatch gate, the fault injector and
+        every timeline replay (``build_timeline(trace,
+        controller.planned_duration)``) read it.  This default prices a
+        call by its method in ``DEFAULT_DURATIONS``; assigning another
+        callable of the record to the instance attribute (e.g.
+        :func:`repro.runtime.projection.perf_duration_fn`) re-times all
+        three together.  A method missing from the table is charged
+        ``FALLBACK_DURATION`` — never silently: a one-time warning names it,
+        and each charge increments a per-method metrics counter.
         """
-        return DEFAULT_DURATIONS.get(method, FALLBACK_DURATION)
+        duration = DEFAULT_DURATIONS.get(record.method)
+        if duration is not None:
+            return duration
+        self.metrics.counter(
+            "repro_timeline_fallback_total",
+            "Trace records charged FALLBACK_DURATION (no duration model)",
+            method=record.method,
+        ).inc()
+        if record.method not in _FALLBACK_WARNED:
+            _FALLBACK_WARNED.add(record.method)
+            warnings.warn(
+                f"no duration model for method {record.method!r}; it was "
+                f"charged the flat FALLBACK_DURATION={FALLBACK_DURATION}s — "
+                "timings involving it are fabricated, not modelled",
+                stacklevel=2,
+            )
+        return FALLBACK_DURATION
 
     # -- observability -----------------------------------------------------------------
 
@@ -217,21 +248,10 @@ class SingleController:
         """Sequence number the next remote call will record."""
         return self._seq
 
-    def record_execution(
-        self, group: WorkerGroup, method: str, deps: tuple = ()
-    ) -> int:
-        seq = self._seq
-        self.trace.append(
-            ExecutionRecord(
-                seq=seq,
-                group=group.name,
-                method=method,
-                pool=group.resource_pool.name,
-                deps=tuple(deps),
-            )
-        )
+    def record_execution(self, record: ExecutionRecord) -> None:
+        """Append the record of a call that ran (its ``seq`` is ``next_seq``)."""
+        self.trace.append(record)
         self._seq += 1
-        return seq
 
     def trace_methods(self) -> List[str]:
         """The execution pattern as ``"group.method"`` strings, in order."""

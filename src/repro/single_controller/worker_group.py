@@ -27,6 +27,7 @@ from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.spans import NULL_TRACER, SpanTracer
 from repro.parallel.topology import GenGroupingMode, GenTopology, ParallelTopology
 from repro.single_controller.access_log import READ, WRITE
+from repro.single_controller.controller import ExecutionRecord
 from repro.single_controller.decorator import (
     registered_blocking,
     registered_protocol,
@@ -69,32 +70,34 @@ class RemoteMethod:
         """The call's dataflow edges and input payload bytes.
 
         Edges are the trace records whose outputs feed this call.  They
-        flow two ways: through unresolved :class:`DataFuture` handles, and
-        through the lineage metadata stamped on every :class:`DataBatch` a
-        remote call returned (which survives ``get()``, ``union`` and
-        ``concat``).  The payload is the bytes of every batch argument.
+        flow two ways: through :class:`DataFuture` handles, and through the
+        lineage metadata stamped on every :class:`DataBatch` a remote call
+        returned (which survives ``get()``, ``union`` and ``concat``).  A
+        deferred future is resolved here, so its producer runs and takes its
+        trace seq before this call builds its record.  The payload is the
+        bytes of every batch argument.
         """
         deps = set()
         nbytes = 0
         for value in list(args) + list(kwargs.values()):
             if isinstance(value, DataFuture):
-                if value.record_seq is not None:
-                    deps.add(value.record_seq)
-                if value.resolved:
-                    value = value.get()
+                future, value = value, value.get()
+                if future.record_seq is not None:
+                    deps.add(future.record_seq)
             if isinstance(value, DataBatch):
                 deps.update(value.meta.get(LINEAGE_KEY, ()))
                 nbytes += value.nbytes()
         return tuple(sorted(deps)), nbytes
 
-    def _dispatch_gate(self) -> float:
+    def _dispatch_gate(self, record: Optional[ExecutionRecord]) -> float:
         """Failure detection + retry/backoff/timeout before the call runs (§9).
 
-        Returns the call's *planned duration* in simulated seconds; the
-        dispatch path advances the clock (and occupies the pool's devices)
-        by that much after the workers execute.  Without a fault injector
-        the duration is the controller's ``planned_duration``, so the
-        controller clock tracks simulated work even in fault-free runs.
+        Returns the *planned duration* of the call ``record`` in simulated
+        seconds; the dispatch path advances the clock (and occupies the
+        pool's devices) by that much after the workers execute.  Without a
+        fault injector the duration is the controller's
+        ``planned_duration(record)``, so the controller clock tracks
+        simulated work even in fault-free runs.
 
         With a :class:`~repro.faults.FaultInjector` attached to the
         controller, every remote call first passes this gate:
@@ -116,15 +119,15 @@ class RemoteMethod:
         metrics registry, and each backoff wait is traced as a ``retry``
         span.
         """
+        if record is None:
+            return 0.0
         group = self.group
         controller = group.controller
-        if controller is None:
-            return 0.0
         injector = controller.fault_injector
         if injector is None:
-            return controller.planned_duration(self.method_name)
+            return controller.planned_duration(record)
         try:
-            return self._retry_until_admitted(controller, injector)
+            return self._retry_until_admitted(controller, injector, record)
         except RetryBudgetExhausted:
             raise  # counted as a budget exhaustion, not as a detected loss
         except WorkerLostError:
@@ -136,7 +139,9 @@ class RemoteMethod:
             ).inc()
             raise
 
-    def _retry_until_admitted(self, controller, injector) -> float:
+    def _retry_until_admitted(
+        self, controller, injector, record: ExecutionRecord
+    ) -> float:
         group = self.group
         labels = dict(group=group.name, method=self.method_name)
         policy = controller.retry_policy
@@ -146,8 +151,8 @@ class RemoteMethod:
         call_started = clock.now
         while True:
             try:
-                injector.pre_call(group, self.method_name, controller.next_seq)
-                duration = injector.call_duration(group, self.method_name)
+                injector.pre_call(group, self.method_name, record.seq)
+                duration = injector.call_duration(group, record)
                 if policy.timeout is not None and duration > policy.timeout:
                     clock.advance(policy.timeout)
                     metrics.counter(
@@ -173,7 +178,7 @@ class RemoteMethod:
                         group=group.name,
                         pool=group.resource_pool.name,
                         dead_ranks=exc.ranks,
-                        step=controller.next_seq,
+                        step=record.seq,
                         cause="retries exhausted",
                     ) from exc
                 injector.note_retry()
@@ -203,7 +208,7 @@ class RemoteMethod:
                         group=group.name,
                         method=self.method_name,
                         pool=group.resource_pool.name,
-                        step=controller.next_seq,
+                        step=record.seq,
                         deadline=policy.deadline,
                         spent=spent,
                         attempts=attempt,
@@ -224,6 +229,11 @@ class RemoteMethod:
         tracer, metrics = group.tracer, group.metrics
         pool = group.resource_pool
         deps, payload_bytes = self._inputs(args, kwargs)
+        record = None
+        if controller is not None:
+            record = ExecutionRecord(
+                controller.next_seq, group.name, self.method_name, pool.name, deps
+            )
         prev_seq = getattr(controller, "current_seq", None)
         try:
             with tracer.span(
@@ -236,12 +246,11 @@ class RemoteMethod:
                 protocol=self.protocol_name,
                 deps=list(deps),
             ) as span:
-                duration = self._dispatch_gate()
+                duration = self._dispatch_gate(record)
                 # every shared-state access below happens *inside* this
-                # dispatch: stamp it with the seq record_execution will
-                # assign afterwards
-                if controller is not None:
-                    controller.current_seq = controller.next_seq
+                # dispatch: stamp it with the seq of its record
+                if record is not None:
+                    controller.current_seq = record.seq
                 with tracer.span(
                     "distribute", category="protocol", pool=pool.name,
                     protocol=self.protocol_name,
@@ -264,14 +273,13 @@ class RemoteMethod:
                     # inference
                     recorder.record(group.name, self.method_name, result)
                 seq = None
-                if controller is not None:
+                if record is not None:
                     if duration > 0.0:
                         controller.clock.advance(duration)
                         for device in pool.devices:
                             device.occupy(duration)
-                    seq = controller.record_execution(
-                        group, self.method_name, deps
-                    )
+                    controller.record_execution(record)
+                    seq = record.seq
                     if isinstance(result, DataBatch):
                         result.meta[LINEAGE_KEY] = (seq,)
                 tracer.register_seq(seq, span)

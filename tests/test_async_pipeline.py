@@ -41,7 +41,7 @@ from repro.runtime import (
     train_with_recovery,
 )
 from repro.runtime.builder import required_models
-from repro.runtime.timeline import build_timeline, planned_durations
+from repro.runtime.timeline import build_timeline
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -90,7 +90,7 @@ def build_async(cluster=None):
 
 
 def replay(controller):
-    return build_timeline(controller.trace, planned_durations(controller))
+    return build_timeline(controller.trace, controller.planned_duration)
 
 
 def dataset():
@@ -626,7 +626,7 @@ class TestOverlapOnTheReplay:
     def test_slow_rollout_is_not_absorbed_on_one_actor_pool(self, studies):
         for study in studies.values():
             controller = study.system.controller
-            planned = planned_durations(controller)
+            planned = controller.planned_duration
             slow = [
                 r.seq for r in controller.trace if r.method == "generate_sequences"
             ][2]

@@ -363,7 +363,7 @@ class TestFaults:
 
         import repro.cli
         from repro.observability import pool_fractions_from_trace
-        from repro.runtime.timeline import build_timeline, planned_durations
+        from repro.runtime.timeline import build_timeline
 
         # keep the system the run ends with, to hold the trace to its Timeline
         kept, train = {}, repro.cli._train_shipped_job
@@ -383,7 +383,7 @@ class TestFaults:
         assert "MISMATCH" not in out
 
         controller = kept["system"].controller
-        timeline = build_timeline(controller.trace, planned_durations(controller))
+        timeline = build_timeline(controller.trace, controller.planned_duration)
         fractions = pool_fractions_from_trace(json.loads(trace.read_text()))
         assert sorted(fractions) == sorted(timeline.pools())
         for pool in timeline.pools():

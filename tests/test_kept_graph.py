@@ -294,9 +294,9 @@ class TestKeptGraphLifetime:
         lost = []
         real_gate = RemoteMethod._dispatch_gate
 
-        def gate(self):
+        def gate(self, record):
             try:
-                return real_gate(self)
+                return real_gate(self, record)
             except WorkerLostError:
                 lost.append((self.method_name, self.group.workers[0]._kept is not None))
                 raise

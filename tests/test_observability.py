@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-import repro.runtime.timeline as timeline_mod
+import repro.single_controller.controller as controller_mod
 from repro.config import (
     ClusterSpec,
     GenParallelConfig,
@@ -32,12 +32,13 @@ from repro.runtime import (
     PlacementPlan,
     build_rlhf_system,
     build_timeline,
-    planned_durations,
     system_report_dict,
     train_with_recovery,
 )
 from repro.runtime.report import metrics_summary, observability_summary
 from repro.runtime.timeline import Timeline, TimelineEvent
+from repro.single_controller import SingleController, Worker, WorkerGroup, register
+from repro.single_controller.controller import FALLBACK_DURATION, ExecutionRecord
 
 GOLDEN = "tests/golden/chrome_trace.json"
 
@@ -219,13 +220,16 @@ class TestLegendMarkers:
         assert out.count("  p/") == 5
 
 
+class _UnlistedWorker(Worker):
+    """A worker whose one method has no entry in ``DEFAULT_DURATIONS``."""
+
+    @register(protocol="one_to_all")
+    def mystery_method(self):
+        return self.ctx.local_rank
+
+
 class TestFallbackAccounting:
     def _controller_with_unknown_method(self):
-        from repro.single_controller.controller import (
-            ExecutionRecord,
-            SingleController,
-        )
-
         controller = SingleController(ClusterSpec(n_machines=1))
         trace = [
             ExecutionRecord(seq=0, group="g", method="mystery_method", pool="p"),
@@ -235,9 +239,9 @@ class TestFallbackAccounting:
 
     def test_fallback_warns_once_and_counts(self):
         controller, trace = self._controller_with_unknown_method()
-        timeline_mod._FALLBACK_WARNED.discard("mystery_method")
+        controller_mod._FALLBACK_WARNED.discard("mystery_method")
         with pytest.warns(UserWarning, match="no duration model"):
-            build_timeline(trace, planned_durations(controller))
+            build_timeline(trace, controller.planned_duration)
         assert (
             controller.metrics.value(
                 "repro_timeline_fallback_total", method="mystery_method"
@@ -249,7 +253,7 @@ class TestFallbackAccounting:
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
-            build_timeline(trace, planned_durations(controller))
+            build_timeline(trace, controller.planned_duration)
         assert (
             controller.metrics.value(
                 "repro_timeline_fallback_total", method="mystery_method"
@@ -258,11 +262,6 @@ class TestFallbackAccounting:
         )
 
     def test_known_methods_do_not_warn(self):
-        from repro.single_controller.controller import (
-            ExecutionRecord,
-            SingleController,
-        )
-
         controller = SingleController(ClusterSpec(n_machines=1))
         trace = [
             ExecutionRecord(
@@ -273,7 +272,25 @@ class TestFallbackAccounting:
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
-            build_timeline(trace, planned_durations(controller))
+            build_timeline(trace, controller.planned_duration)
+
+    def test_dispatch_charges_the_fallback_out_loud_without_a_replay(self):
+        # a run that never replays its trace still reports the flat charge:
+        # the dispatch gate asks the same default model the replay does
+        controller = SingleController(ClusterSpec(n_machines=1))
+        group = WorkerGroup(
+            _UnlistedWorker, controller.create_pool(2), controller=controller
+        )
+        controller_mod._FALLBACK_WARNED.discard("mystery_method")
+        with pytest.warns(UserWarning, match="no duration model"):
+            group.mystery_method()
+        assert (
+            controller.metrics.value(
+                "repro_timeline_fallback_total", method="mystery_method"
+            )
+            == 1
+        )
+        assert controller.clock.now == FALLBACK_DURATION
 
 
 # -- null objects: an unobserved component behaves the same and records nothing ------
@@ -601,7 +618,7 @@ class TestRecoveredRunObservability:
         """The acceptance criterion: trace file vs Timeline accounting."""
         system, _, _ = recovered_run
         controller = system.controller
-        timeline = build_timeline(controller.trace, planned_durations(controller))
+        timeline = build_timeline(controller.trace, controller.planned_duration)
         doc = chrome_trace(timeline=timeline, spans=controller.tracer.spans)
         # round-trip through the serialized JSON, as a viewer would read it
         doc = json.loads(json.dumps(doc))

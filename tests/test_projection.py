@@ -12,8 +12,14 @@ from repro.config import (
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.runtime.projection import perf_duration_fn, project_timeline
+from repro.runtime import (
+    ModelAssignment,
+    PlacementPlan,
+    SystemSpec,
+    build_rlhf_system,
+    build_timeline,
+)
+from repro.runtime.projection import perf_duration_fn
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -61,10 +67,16 @@ WL = RlhfWorkload()
 CLUSTER = ClusterSpec(n_machines=2)
 
 
+def project_trace(system, model_specs, gen_tp):
+    """Replay a finished trace under the projected full-scale model."""
+    model = perf_duration_fn(system, model_specs, WL, CLUSTER, gen_tp=gen_tp)
+    return build_timeline(system.controller.trace, model)
+
+
 class TestProjection:
     def test_generation_dominates_projected_iteration(self):
         system = run_system(split=False)
-        timeline = project_timeline(system, SPECS, WL, CLUSTER, gen_tp=1)
+        timeline = project_trace(system, SPECS, gen_tp=1)
         gen_events = [
             e for e in timeline.events if e.name.endswith("generate_sequences")
         ]
@@ -76,12 +88,8 @@ class TestProjection:
         assert timeline.makespan > 0
 
     def test_split_projection_overlaps_critic(self):
-        colocated = project_timeline(
-            run_system(split=False), SPECS, WL, CLUSTER, gen_tp=1
-        )
-        split = project_timeline(
-            run_system(split=True), SPECS, WL, CLUSTER, gen_tp=1
-        )
+        colocated = project_trace(run_system(split=False), SPECS, gen_tp=1)
+        split = project_trace(run_system(split=True), SPECS, gen_tp=1)
         assert split.makespan < colocated.makespan
 
     def test_non_nn_workers_are_near_free(self):
@@ -94,9 +102,9 @@ class TestProjection:
 
     def test_bigger_model_projects_slower(self):
         system = run_system(split=False)
-        small = project_timeline(system, SPECS, WL, CLUSTER, gen_tp=1)
+        small = project_trace(system, SPECS, gen_tp=1)
         big_specs = {m: MODEL_SPECS["llama-13b"] for m in SPECS}
-        big = project_timeline(system, big_specs, WL, CLUSTER, gen_tp=2)
+        big = project_trace(system, big_specs, gen_tp=2)
         assert big.makespan > small.makespan
 
     def test_update_duration_scales_with_minibatches(self):
@@ -108,3 +116,58 @@ class TestProjection:
             r for r in system.controller.trace if r.method == "update_actor"
         )
         assert fn1(update) > fn8(update)
+
+
+class TestProjectedModelIsADropIn:
+    """The projected model installed as the controller's one duration model
+    re-times the shipped job without changing what it runs."""
+
+    @staticmethod
+    def run_shipped(install_projection: bool):
+        spec = SystemSpec()
+        system = spec.build()
+        controller = system.controller
+        if install_projection:
+            controller.planned_duration = perf_duration_fn(
+                system, SPECS, WL, CLUSTER
+            )
+        system.trainer.train(spec.dataset(), 2, 8)
+        return system
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [self.run_shipped(install) for install in (False, True)]
+
+    def test_same_calls_in_the_same_order_and_the_same_state(self, runs):
+        table, projected = runs
+
+        def calls(system):
+            return [
+                (r.group, r.method, r.pool, r.deps) for r in system.controller.trace
+            ]
+
+        assert calls(table) == calls(projected)
+        assert table.state_digest() == projected.state_digest()
+        # the two models price the run differently
+        assert table.controller.clock.now != projected.controller.clock.now
+
+    def test_the_clock_is_the_installed_model_summed_over_the_trace(self, runs):
+        for system in runs:
+            controller = system.controller
+            charged = 0.0
+            for record in controller.trace:
+                charged += controller.planned_duration(record)
+            assert controller.clock.now == charged
+
+    def test_the_replay_reproduces_what_dispatch_charged(self, runs):
+        for system in runs:
+            controller = system.controller
+            tracer = controller.tracer
+            spans = {span.span_id: span for span in tracer.spans}
+            timeline = build_timeline(controller.trace, controller.planned_duration)
+            assert [e.seq for e in timeline.events] == [
+                r.seq for r in controller.trace
+            ]
+            for event in timeline.events:
+                span = spans[tracer.span_id_for_seq(event.seq)]
+                assert event.end == event.start + span.attrs["duration_model"]

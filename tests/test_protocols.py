@@ -241,6 +241,14 @@ class TestFutures:
         assert future.resolved
         assert len(controller.trace) == 1
 
+    def test_deferred_input_runs_before_its_consumer_takes_a_seq(self):
+        controller, group = make_group(ParallelConfig(1, 1, 2))
+        group.broadcasted(group.lazy())
+        assert [(r.seq, r.method, r.deps) for r in controller.trace] == [
+            (0, "lazy", ()),
+            (1, "broadcasted", (0,)),
+        ]
+
     def test_future_args_are_unwrapped(self):
         _, group = make_group(ParallelConfig(1, 1, 2))
         wrapped = DataFuture(batch_of(2))

@@ -217,8 +217,8 @@ class TestSeededBreaks:
             world_size=8,
             capacity_bytes=80 * 10**9,
         )
-        verifier.verify_fsdp(
-            FsdpConfig(dp=8, strategy="full"),
+        verifier.verify_zero(
+            FsdpConfig(dp=8, strategy="full").as_zero(),
             10**9,
             8,
             capacity_bytes=80 * 10**9,

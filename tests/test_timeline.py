@@ -1,18 +1,18 @@
 """Tests for the execution-timeline scheduler (Figure 3 semantics)."""
 
+import pathlib
+import re
+
 import numpy as np
+
+import repro
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
 from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.runtime.timeline import (
-    Timeline,
-    TimelineEvent,
-    build_timeline,
-    planned_durations,
-)
+from repro.runtime.timeline import Timeline, TimelineEvent, build_timeline
 from repro.single_controller.controller import ExecutionRecord
 
 CFG = TinyLMConfig(
@@ -56,7 +56,7 @@ def build_system(split: bool):
 
 
 def replay(controller):
-    return build_timeline(controller.trace, planned_durations(controller))
+    return build_timeline(controller.trace, controller.planned_duration)
 
 
 def run_iteration(split: bool):
@@ -166,20 +166,24 @@ class TestFigure3Semantics:
 
 
 class TestPlannedDuration:
-    """One duration lookup: dispatch, fault injector and timeline agree."""
+    """One duration model: dispatch, fault injector and timeline agree."""
+
+    @staticmethod
+    def record(method, group="actor", pool="main"):
+        return ExecutionRecord(0, group, method, pool)
 
     def test_controller_table_and_fallback(self):
         controller = build_system(split=False).controller
-        assert controller.planned_duration("generate_sequences") == 6.0
-        assert controller.planned_duration("update_actor") == 3.0
-        assert controller.planned_duration("mystery_method") == 1.0
+        assert controller.planned_duration(self.record("generate_sequences")) == 6.0
+        assert controller.planned_duration(self.record("update_actor")) == 3.0
+        assert controller.planned_duration(self.record("mystery_method")) == 1.0
 
     def test_dispatch_injector_and_timeline_read_the_same_seam(self):
         from repro.faults import FaultInjector, FaultPlan
 
         system = run_iteration(split=False)
         controller = system.controller
-        planned = sum(controller.planned_duration(r.method) for r in controller.trace)
+        planned = sum(controller.planned_duration(r) for r in controller.trace)
         # fault-free dispatch advanced the clock by exactly the planned total
         assert controller.clock.now == planned
         # and the default replay charges every record the same durations
@@ -190,8 +194,31 @@ class TestPlannedDuration:
         controller.attach_fault_injector(injector)
         injector.straggle[0] = 2.5
         actor = system.groups["actor"]
-        assert injector.call_duration(actor, "update_actor") == 2.5 * 3.0
-        controller.planned_duration = lambda method: 10.0
-        assert injector.call_duration(actor, "update_actor") == 25.0
+        update = self.record("update_actor")
+        assert injector.call_duration(actor, update) == 2.5 * 3.0
+        controller.planned_duration = lambda record: 10.0
+        assert injector.call_duration(actor, update) == 25.0
         assert {e.duration for e in replay(controller).events} == {10.0}
 
+
+
+class TestOneDurationModel:
+    """How long a call takes is decided in one module: the controller's
+    default model is the only code that reads its table."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def files_naming(self, pattern):
+        return sorted(
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            if re.search(pattern, path.read_text())
+        )
+
+    def test_only_the_controller_names_the_table_and_its_fallback(self):
+        assert self.files_naming(r"\b(DEFAULT_DURATIONS|FALLBACK_DURATION)\b") == [
+            "single_controller/controller.py"
+        ]
+
+    def test_no_wrapper_over_the_controllers_model(self):
+        assert self.files_naming(r"\bplanned_durations\b") == []

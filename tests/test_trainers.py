@@ -151,7 +151,7 @@ class TestReMax:
         def duration(record):
             if record.method == "compute_reward":
                 return 3.0
-            return controller.planned_duration(record.method)
+            return controller.planned_duration(record)
 
         events = build_timeline(controller.trace, duration).events
         baseline = [e for e in events if e.name == "reward.compute_reward"][-1]

@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ClusterSpec, ParallelConfig
 from repro.data.batch import DataBatch
 from repro.models.tinylm import TinyLMConfig
-from repro.parallel.fsdp import (
-    FsdpConfig,
-    fsdp_grad_sync_volume,
-    fsdp_memory_per_rank,
-    fsdp_param_gather_volume,
-)
+from repro.parallel.fsdp import FsdpConfig
 from repro.parallel.zero import (
     ZeroConfig,
     ZeroStage,
@@ -72,18 +67,13 @@ class TestZeroComm:
 
 class TestFsdp:
     def test_full_shard_equals_zero3(self):
-        assert fsdp_memory_per_rank(P, FsdpConfig(8, "full")) == zero_memory_per_rank(
-            P, ZeroConfig(ZeroStage.PARAMETERS, 8)
-        )
-        assert fsdp_param_gather_volume(P, FsdpConfig(8, "full")) == (
-            zero_param_gather_volume(P, ZeroConfig(ZeroStage.PARAMETERS, 8))
-        )
+        assert FsdpConfig(8, "full").as_zero() == ZeroConfig(ZeroStage.PARAMETERS, 8)
 
     def test_strategies(self):
-        assert fsdp_memory_per_rank(P, FsdpConfig(8, "no_shard")) == 16 * P
-        grad_op = fsdp_memory_per_rank(P, FsdpConfig(8, "grad_op"))
+        assert zero_memory_per_rank(P, FsdpConfig(8, "no_shard").as_zero()) == 16 * P
+        grad_op = zero_memory_per_rank(P, FsdpConfig(8, "grad_op").as_zero())
         assert 16 * P // 8 < grad_op < 16 * P
-        assert fsdp_grad_sync_volume(P, FsdpConfig(8, "full")) > 0
+        assert zero_grad_sync_volume(P, FsdpConfig(8, "full").as_zero()) > 0
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
