@@ -23,8 +23,8 @@ Seven passes behind one report type:
   themselves — the async pipeline's loop, buffer and publisher, the
   serving drain, the fleet gang scheduler — each driven at small scope by
   a harness in :mod:`repro.analysis.protocols` with stand-ins for the
-  numerics; violations carry minimal counterexample schedules replayable
-  on the real objects through the RaceDetector / TraceAuditor.
+  numerics; violations carry minimal counterexample schedules that
+  ``Harness.run_schedule`` re-runs on fresh real objects.
 * :class:`ShapeFlowChecker` — shape/dtype flow by a probe run: each
   trainer's own ``step`` once per plan, every call through its method's
   real transfer protocol over stand-in groups of the plan's geometry,
@@ -47,7 +47,6 @@ from repro.analysis.modelcheck import (
     Counterexample,
     ModelChecker,
     ModelCheckResult,
-    cross_validate,
     shipped_models,
 )
 from repro.analysis.mutants import Mutant, seeded_mutants, witness_reports
@@ -98,7 +97,6 @@ __all__ = [
     "ShardingVerifier",
     "TraceAuditor",
     "WARNING",
-    "cross_validate",
     "parse_contract",
     "predict_system_outputs",
     "registered_methods",

@@ -39,13 +39,11 @@ could tear.
 
 A violation is reported as a ``Finding`` carrying a *minimal*
 counterexample schedule (breadth-first shortened after the DFS finds a
-witness).  Counterexamples are replayable:
-:func:`~repro.analysis.protocols.core.replay_schedule` re-runs one on the
-real objects and turns the footprints the calls left into trace records,
-access events and a contract ledger, which :func:`cross_validate` feeds to
-the existing :class:`~repro.analysis.races.RaceDetector` and
-:class:`~repro.analysis.trace_audit.TraceAuditor` — a dropped guard found
-by the checker shows up again as RC501 / TA205 in the dynamic passes.
+witness).  A counterexample is debugged where it was found:
+:meth:`~repro.analysis.protocols.core.Harness.run_schedule` re-runs it on
+fresh real objects, and the final state's ``viol`` names the rule.  The
+RC5xx and TA2xx passes audit only what really ran (a live system, an
+exported trace); each protocol fact is checked in one family.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import dataclasses
 from collections import deque
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.analysis.protocols.core import Harness, independent, replay_schedule
+from repro.analysis.protocols.core import Harness, independent
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.config import bounded, check_bounds
 
@@ -62,8 +60,8 @@ from repro.config import bounded, check_bounds
 MC_RULES: Dict[str, Tuple[str, str]] = {
     "MC601": (
         "component stuck",
-        "replay the schedule with replay_schedule() and inspect which "
-        "guard starves the component, or which call raised",
+        "re-run the schedule with Harness.run_schedule() and inspect "
+        "which guard starves the component, or which call raised",
     ),
     "MC602": (
         "protocol livelock",
@@ -362,7 +360,7 @@ class ModelChecker:
         Results (including counterexample schedules and coverage
         counters) are kept on ``self.last_results`` for callers that
         need more than findings — the CLI's MC report artifact and the
-        cross-validation tests read them from there.
+        golden tests read them from there.
         """
         report = report or AnalysisReport("modelcheck")
         self.last_results: List[ModelCheckResult] = []
@@ -449,36 +447,10 @@ def shipped_models() -> Tuple[Harness, ...]:
     )
 
 
-def cross_validate(
-    model: Harness, schedule: Iterable[str]
-) -> AnalysisReport:
-    """Replay a (counterexample) schedule through the dynamic validators.
-
-    The schedule is re-executed on the harness's real objects; the records
-    and access events its calls left go to
-    :class:`~repro.analysis.races.RaceDetector`, the contract ledger to
-    :class:`~repro.analysis.trace_audit.TraceAuditor`.  An intact
-    component's schedules replay clean; a mutant's counterexample is
-    flagged by RC501 (unordered conflicting accesses) and/or TA205
-    (ledger contract violated).
-    """
-    from repro.analysis.races import RaceDetector
-    from repro.analysis.trace_audit import TraceAuditor
-
-    records, events, device = replay_schedule(model, list(schedule))
-    report = AnalysisReport(f"replay:{model.name}")
-    RaceDetector().detect(records, events, report=report)
-    report.merge(
-        TraceAuditor().audit(devices=[device], check_busy_accounting=False)
-    )
-    return report
-
-
 __all__ = [
     "Counterexample",
     "MC_RULES",
     "ModelChecker",
     "ModelCheckResult",
-    "cross_validate",
     "shipped_models",
 ]

@@ -11,18 +11,14 @@ from repro.analysis.protocols.core import (
     Action,
     Harness,
     Mutant,
-    ReplayDevice,
     Step,
     independent,
-    replay_schedule,
 )
 
 __all__ = [
     "Action",
     "Harness",
     "Mutant",
-    "ReplayDevice",
     "Step",
     "independent",
-    "replay_schedule",
 ]

@@ -13,21 +13,16 @@ allows from there; nothing about the component is restated.
 Each :class:`Action` carries the footprint its real call left:
 
 * ``reads`` / ``writes`` — *data* resources, from the access log, device
-  ledgers and results the call wrote.  They become access events on replay,
-  and a mutant that breaks a guard turns into a vector-clock race on them.
+  ledgers and results the call wrote.
 * ``ctrl_reads`` / ``ctrl_writes`` — *control* state: the fingerprint
-  components the call changed, and those its guard reads.  Control state is
-  excluded from the replayed access log, but the checker's partial-order
-  reduction may only commute actions whose full footprints are disjoint.
+  components the call changed, and those its guard reads.
+* ``syncs`` / ``releases`` — the happens-before edges the call observed (a
+  read of what another thread wrote, a device handed from one gang to the
+  next).
 
-``syncs`` / ``releases`` are the happens-before edges the call observed (a
-read of what another thread wrote, a device handed from one gang to the
-next).  ``allocs`` / ``frees`` charge a replay ledger whose per-tag
-capacities are the component's *contract* (at most ``W + 1`` batches in
-flight, staleness at most ``W``, one gang per device, one hand-off per
-request).  A counterexample replayed through :func:`replay_schedule` feeds
-RaceDetector (RC501) and TraceAuditor (TA205) the same way a recorded run
-does.
+The checker's partial-order reduction commutes two actions only when these
+footprints are disjoint.  A counterexample is a schedule of action names;
+:meth:`Harness.run_schedule` re-runs it on fresh real objects.
 
 Actions are computed when a state is first expanded: each candidate runs on
 a copy of the objects, so its footprint, its violations and the state it
@@ -62,17 +57,15 @@ class Action(NamedTuple):
     ctrl_writes: Tuple[str, ...] = ()
     syncs: Tuple[str, ...] = ()
     releases: Tuple[str, ...] = ()
-    allocs: Tuple[Tuple[str, int], ...] = ()
-    frees: Tuple[Tuple[str, int], ...] = ()
 
 
 def independent(a: Action, b: Action) -> bool:
     """Conservative Mazurkiewicz independence: may the checker commute them?
 
     Same-thread actions are program-ordered, never independent.  Otherwise
-    the *full* footprints (data + control + sync tokens + ledger tags) must
-    be disjoint — any overlap could change the other action's guard,
-    effect, or ordering, so the pair must be explored in both orders.
+    the *full* footprints (data + control + sync tokens) must be disjoint —
+    any overlap could change the other action's guard, effect, or
+    ordering, so the pair must be explored in both orders.
     """
     if a.thread == b.thread:
         return False
@@ -83,10 +76,6 @@ def independent(a: Action, b: Action) -> bool:
     if (a_writes & b_touch) or (b_writes & a_touch):
         return False
     if set(a.releases) & set(b.syncs) or set(b.releases) & set(a.syncs):
-        return False
-    a_tags = {tag for tag, _ in a.allocs} | {tag for tag, _ in a.frees}
-    b_tags = {tag for tag, _ in b.allocs} | {tag for tag, _ in b.frees}
-    if a_tags & b_tags:
         return False
     return True
 
@@ -102,24 +91,7 @@ class Step:
     ctrl_reads: Tuple[str, ...] = ()
     syncs: Tuple[str, ...] = ()
     releases: Tuple[str, ...] = ()
-    allocs: Tuple[Tuple[str, int], ...] = ()
-    frees: Tuple[Tuple[str, int], ...] = ()
     viol: Violations = ()
-
-
-def _net(allocs, frees):
-    """A call's ledger charges netted per tag: a call is atomic, so only
-    its net effect on a contract is observable (a device passed from a
-    victim to a waiter in one admission round holds one gang throughout)."""
-    net: Dict[str, int] = {}
-    for tag, n in allocs:
-        net[tag] = net.get(tag, 0) + n
-    for tag, n in frees:
-        net[tag] = net.get(tag, 0) - n
-    return (
-        tuple((tag, n) for tag, n in net.items() if n > 0),
-        tuple((tag, -n) for tag, n in net.items() if n < 0),
-    )
 
 
 def _shared(index: int) -> Any:
@@ -239,10 +211,6 @@ class Harness:
         """Violations only a finished run exhibits (lost work, leaks)."""
         return ()
 
-    def tag_capacity(self, tag: str) -> Optional[int]:
-        """Contract capacity of a replay-ledger tag (None = unbounded)."""
-        return None
-
     # -- the interface the checker explores --------------------------------------------
 
     def initial_state(self) -> _Node:
@@ -272,7 +240,7 @@ class Harness:
                 actions.append(
                     Action(
                         name, thread, step.reads, step.writes, step.ctrl_reads,
-                        changed, step.syncs, step.releases, *_net(step.allocs, step.frees),
+                        changed, step.syncs, step.releases,
                     )
                 )
                 state.children[name] = (child, step.viol, after)
@@ -367,147 +335,10 @@ class Harness:
         return state.world
 
 
-class _LedgerEvent(NamedTuple):
-    op: str
-    tag: str
-    nbytes: int
-    balance: int
-
-
-class _ReplayMemory:
-    """Duck-typed device memory for TraceAuditor's ledger audit.
-
-    ``balance`` after each event is the most negative of (remaining
-    per-tag contract headroom, the tag's outstanding allocation) — so
-    both over-subscription (allocating past the component's contract) and
-    a free-without-alloc surface as ``TA205``.
-    """
-
-    def __init__(self, cap_fn) -> None:
-        self.cap_fn = cap_fn
-        self.events: List[_LedgerEvent] = []
-        self.ever_allocated: set = set()
-        self._tags: Dict[str, int] = {}
-
-    def _balance(self, tag: str) -> int:
-        outstanding = self._tags.get(tag, 0)
-        cap = self.cap_fn(tag)
-        if cap is None:
-            return outstanding
-        return min(outstanding, cap - outstanding)
-
-    def alloc(self, tag: str, n: int) -> None:
-        self._tags[tag] = self._tags.get(tag, 0) + n
-        self.ever_allocated.add(tag)
-        self.events.append(_LedgerEvent("alloc", tag, n, self._balance(tag)))
-
-    def free(self, tag: str, n: int) -> None:
-        self._tags[tag] = self._tags.get(tag, 0) - n
-        self.events.append(_LedgerEvent("free", tag, n, self._balance(tag)))
-
-    def tags(self) -> List[Tuple[str, int]]:
-        return sorted(self._tags.items())
-
-
-class ReplayDevice:
-    """Synthetic device carrying the replayed contract ledger."""
-
-    def __init__(self, model: Harness) -> None:
-        self.global_rank = 0
-        self.model_name = model.name
-        self.busy_time = 0.0
-        self.memory = _ReplayMemory(model.tag_capacity)
-
-
-class _ReplayRecord:
-    """ExecutionRecord-shaped row for the RaceDetector."""
-
-    __slots__ = ("seq", "pool", "group", "method", "deps")
-
-    def __init__(
-        self, seq: int, pool: str, group: str, method: str,
-        deps: Tuple[int, ...],
-    ) -> None:
-        self.seq = seq
-        self.pool = pool
-        self.group = group
-        self.method = method
-        self.deps = deps
-
-
-def replay_schedule(model: Harness, schedule: List[str]):
-    """Re-execute ``schedule`` and emit validator-shaped artifacts.
-
-    Returns ``(records, events, device)``:
-
-    * ``records`` — one ExecutionRecord-shaped entry per action; ``pool``
-      is the action's thread, ``deps`` are the records that last released
-      each token the action syncs on (the happens-before edges its real
-      call observed).
-    * ``events`` — one :class:`AccessEvent` per *data* access the call made.
-    * ``device`` — a :class:`ReplayDevice` whose ledger was charged by the
-      actions' ``allocs`` / ``frees`` against the component's contract.
-
-    Feeding these to :class:`~repro.analysis.races.RaceDetector` /
-    :class:`~repro.analysis.trace_audit.TraceAuditor` cross-validates a
-    counterexample with the shipped dynamic analyses: an intact component's
-    schedules replay clean, a dropped guard shows up as RC501 / TA205.
-    """
-    from repro.single_controller.access_log import READ, WRITE, AccessEvent
-
-    state = model.initial_state()
-    records: List[_ReplayRecord] = []
-    events: List[Any] = []
-    device = ReplayDevice(model)
-    released_at: Dict[str, int] = {}
-    for seq, name in enumerate(schedule):
-        action = model.action_named(state, name)
-        if action is None:
-            have = [a.name for a in model.enabled(state)]
-            raise ValueError(
-                f"{model.name}: replay step {seq} action {name!r} not "
-                f"enabled (enabled: {have})"
-            )
-        deps = tuple(
-            sorted(
-                {
-                    released_at[token]
-                    for token in action.syncs
-                    if token in released_at
-                }
-            )
-        )
-        records.append(
-            _ReplayRecord(seq, action.thread, model.name, action.name, deps)
-        )
-        for kind, resources in ((READ, action.reads), (WRITE, action.writes)):
-            for resource in resources:
-                events.append(
-                    AccessEvent(
-                        kind=kind,
-                        resource=f"{model.name}/{resource}",
-                        rank=0,
-                        seq=seq,
-                        after_seq=seq,
-                        note=action.name,
-                    )
-                )
-        for tag, n in action.allocs:
-            device.memory.alloc(tag, n)
-        for tag, n in action.frees:
-            device.memory.free(tag, n)
-        for token in action.releases:
-            released_at[token] = seq
-        state = model.apply(state, action)
-    return records, events, device
-
-
 __all__ = [
     "Action",
     "Harness",
     "Mutant",
-    "ReplayDevice",
     "Step",
     "independent",
-    "replay_schedule",
 ]

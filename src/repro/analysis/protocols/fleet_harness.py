@@ -199,14 +199,12 @@ class FleetHarness(Harness):
         granted, freed = sorted(ranks - held_ranks), sorted(held_ranks - ranks)
         started = [n for n, g in after.items() if held.get(n) != g]
         stopped = [n for n in running if n not in after]
-        allocs, frees, touched = [], [], []
+        touched = []
         for device, was_busy in zip(cluster.devices, busy):
-            gpu, events = f"gpu{device.global_rank}", device.memory.events
-            allocs += [(gpu, 1) for e in events if e.op == "alloc"]
-            frees += [(gpu, 1) for e in events if e.op != "alloc"]
+            events = device.memory.events
             # a fault is the cluster's doing, no thread's access
             if not move.startswith("kill") and (events or device.busy_time != was_busy):
-                touched.append(gpu)
+                touched.append(f"gpu{device.global_rank}")
             events.clear()  # read: the next move's ledger starts empty
         own = [move[5:-1]] if move.startswith("step") else []
         return Step(
@@ -221,8 +219,6 @@ class FleetHarness(Harness):
             releases=tuple(f"dev{r}" for r in freed)
             + tuple(f"run.{n}" for n in started)
             + tuple(f"step.{n}" for n in own),
-            allocs=tuple(allocs),
-            frees=tuple(frees),
             viol=viol,
         )
 
@@ -248,10 +244,6 @@ class FleetHarness(Harness):
         return not _pending(scheduler) and all(
             j.state in _DONE for j in scheduler.jobs
         )
-
-    def tag_capacity(self, tag: str) -> Optional[int]:
-        # the contract: a device belongs to at most one gang
-        return 1 if tag.startswith("gpu") else None
 
 
 def _pending(scheduler: FleetScheduler) -> Tuple[Any, ...]:

@@ -110,7 +110,6 @@ class PipelineHarness(Harness):
         buffer, publisher = driver.buffer, driver.publisher
         done, staged = len(trainer.history), publisher.staged_version
         index = done + len(buffer)
-        lag = done - buffer.version_of(done) if done in buffer.indices() else 0
         log = trainer.actor.log
         log.clear()
         viol: Violations = ()
@@ -123,25 +122,18 @@ class PipelineHarness(Harness):
             viol = (("MC601", f"{move} raised {type(err).__name__}: {err}"),)
         reads = tuple(e.resource for e in log.events if e.kind == READ)
         writes = tuple(e.resource for e in log.events if e.kind == WRITE)
-        allocs: Tuple[Tuple[str, int], ...] = ()
-        frees: Tuple[Tuple[str, int], ...] = ()
-        if move == "rollout":
-            allocs = (("experience", 1),)
-            if index in buffer.indices():
-                version = buffer.version_of(index)
-                allocs += ((f"lag[{index}]", index - version),)
-                if version < staged and not viol:
-                    viol = (("MC606", f"rollout {index} decodes version {version} while "
-                             f"version {staged} is staged: the publication was lost "
-                             "at the acquire"),)
-        elif move == "learn":
-            frees = (("experience", 1), (f"lag[{done}]", lag))
+        if move == "rollout" and index in buffer.indices() and not viol:
+            version = buffer.version_of(index)
+            if version < staged:
+                viol = (("MC606", f"rollout {index} decodes version {version} while "
+                         f"version {staged} is staged: the publication was lost "
+                         "at the acquire"),)
         if driver.max_staleness_seen > self.window and not viol:
             viol = (("MC603", f"batch {done} trained at staleness "
                      f"{driver.max_staleness_seen}, past the bound W={self.window}"),)
         return Step(
             reads=reads, writes=writes, ctrl_reads=("history", "buffer", "staged"),
-            syncs=reads, releases=writes, allocs=allocs, frees=frees, viol=viol,
+            syncs=reads, releases=writes, viol=viol,
         )
 
     def fingerprint(self, world: Any) -> Dict[str, Hashable]:
@@ -163,12 +155,6 @@ class PipelineHarness(Harness):
             ("MC604", f"batch {i} still buffered at run end: generated, never trained")
             for i in world.driver.buffer.indices()
         )
-
-    def tag_capacity(self, tag: str) -> Optional[int]:
-        # the contract: W + 1 batches in flight, each at most W versions stale
-        if tag == "experience":
-            return self.window + 1
-        return self.window if tag.startswith("lag") else None
 
 
 def _publish_unstaged(self: WeightPublisher, version: int) -> int:

@@ -116,8 +116,6 @@ class ServingHarness(Harness):
             writes=tuple(f"result[{r}]" for r in grown + finished),
             ctrl_reads=("submitted", "queue", "running", "requests", "slots", "kv"),
             syncs=queued,
-            allocs=tuple((f"done[{r}]", 1) for r in finished),
-            frees=tuple((f"done[{r}]", 1) for r in handed),
             viol=viol,
         )
 
@@ -154,10 +152,6 @@ class ServingHarness(Harness):
             for c in world.server._completed
             if c.request_id not in handed
         )
-
-    def tag_capacity(self, tag: str) -> Optional[int]:
-        # the contract: one hand-off per completion
-        return 1 if tag.startswith("done") else None
 
 
 def _hand_off_reversed(finished, on_finish) -> None:

@@ -34,17 +34,12 @@ from repro.analysis.report import ERROR, WARNING, AnalysisReport, Finding
 #: leaks when the run ends with them allocated.
 PERSISTENT_SUFFIXES = ("/params", "/grads", "/optim")
 
+#: Seconds two interval endpoints may disagree by and still count as equal.
+TOLERANCE = 1e-6
+
 
 class TraceAuditor:
     """Happens-before and ledger-consistency checks over a finished run."""
-
-    def __init__(
-        self,
-        tolerance: float = 1e-6,
-        persistent_suffixes: Tuple[str, ...] = PERSISTENT_SUFFIXES,
-    ) -> None:
-        self.tolerance = tolerance
-        self.persistent_suffixes = persistent_suffixes
 
     # -- entry points ----------------------------------------------------------------
 
@@ -153,8 +148,8 @@ class TraceAuditor:
                 continue
             p_start, p_end, _, p_name = spans_by_id[parent_id]
             if (
-                start < p_start - self.tolerance
-                or end > p_end + self.tolerance
+                start < p_start - TOLERANCE
+                or end > p_end + TOLERANCE
             ):
                 report.add(
                     "TA202",
@@ -176,7 +171,7 @@ class TraceAuditor:
     ) -> None:
         ordered = sorted(events)
         for (s0, e0, n0), (s1, e1, n1) in zip(ordered, ordered[1:]):
-            if s1 < e0 - self.tolerance:
+            if s1 < e0 - TOLERANCE:
                 report.add(
                     "TA201",
                     ERROR,
@@ -211,8 +206,8 @@ class TraceAuditor:
             if parent is None:
                 continue
             if (
-                span.start < parent.start - self.tolerance
-                or span.end > parent.end + self.tolerance
+                span.start < parent.start - TOLERANCE
+                or span.end > parent.end + TOLERANCE
             ):
                 report.add(
                     "TA202",
@@ -225,7 +220,7 @@ class TraceAuditor:
                 )
 
     def _is_persistent(self, tag: str) -> bool:
-        return any(tag.endswith(suffix) for suffix in self.persistent_suffixes)
+        return any(tag.endswith(suffix) for suffix in PERSISTENT_SUFFIXES)
 
     def _check_ledger(self, device: Any, report: AnalysisReport) -> None:
         memory = device.memory
@@ -290,7 +285,7 @@ class TraceAuditor:
                 continue
             report.note_checked("busy_accounted_devices")
             delta = abs(device.busy_time - expected[pool])
-            if delta > max(self.tolerance, 1e-9 * expected[pool]):
+            if delta > max(TOLERANCE, 1e-9 * expected[pool]):
                 report.add(
                     "TA206",
                     WARNING,

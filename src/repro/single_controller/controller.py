@@ -77,6 +77,8 @@ DEFAULT_DURATIONS = {
     "generate_sequences": 6.0,
     "update_actor": 3.0,
     "update_critic": 3.0,
+    "update_sft": 3.0,
+    "update_reward": 3.0,
     "compute_values": 1.0,
     "compute_ref_log_prob": 1.0,
     "compute_reward": 1.0,

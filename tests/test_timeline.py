@@ -222,3 +222,19 @@ class TestOneDurationModel:
 
     def test_no_wrapper_over_the_controllers_model(self):
         assert self.files_naming(r"\bplanned_durations\b") == []
+
+    def test_every_registered_worker_method_is_priced(self):
+        # a method off the table is charged the flat fallback: every
+        # dispatchable method of a shipped worker has its own entry
+        import repro.workers
+        from repro.analysis import registered_methods
+        from repro.single_controller.controller import DEFAULT_DURATIONS
+
+        unpriced = [
+            f"{name}.{method}"
+            for name in repro.workers.__all__
+            if isinstance(getattr(repro.workers, name), type)
+            for method, _ in registered_methods(getattr(repro.workers, name))
+            if method not in DEFAULT_DURATIONS
+        ]
+        assert unpriced == []
