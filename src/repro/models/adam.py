@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.models.autograd import Tensor, _recycle, _scratch
+from repro.models.autograd import Tensor, _scratch
 
 
 class FlatParams:
@@ -147,7 +147,6 @@ class Adam:
             # summed per tensor: numpy's pairwise summation over a contiguous
             # run adds exactly what ``(grad**2).sum()`` of the tensor does
             total += float(np.add.reduce(squares[self.flat.slices[name]]))
-        _recycle(squares)
         return float(np.sqrt(total))
 
     def clip_gradients(self) -> float:
@@ -187,7 +186,6 @@ class Adam:
             denom += self.eps
             update /= denom
             p -= update
-            _recycle(a, b)
 
     # -- checkpointing --------------------------------------------------------------
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -308,71 +307,11 @@ class Tensor:
 # those arrays and the gradient it is given as scratch, takes weight
 # gradients as one GEMM over the stream's tokens, and hands results on as owned.
 
-#: Free lists of block-internal scratch buffers, flat, by size.  glibc hands
-#: freed heap top above ~2 MB back to the kernel, so a block's temporaries
-#: were unmapped when a graph died and faulted in again by the next update
-#: (docs/PERF.md has the counts with and without); recycling keeps the pages.
-#: A buffer big enough to fault holds the power of two at or above the
-#: element count asked for, and every shape gets a view of one: the token
-#: counts of ragged batches, new with every batch, reuse the last batch's
-#: buffers instead of adding sizes.  Only arrays that never leave a primitive
-#: go through here, and the table keeps at most ``_RECYCLE_MAX_BYTES``, less
-#: the scratch of graphs kept past the call that built them
-#: (:func:`hold_scratch`); past that a buffer given back is freed.
-_FREE: Dict[int, List[np.ndarray]] = {}
-_RECYCLE_MIN_SIZE = 1 << 13  # float64 elements: 64 KiB
-_RECYCLE_MAX_BYTES = 16 << 20
-#: Bytes of flat buffers :func:`_scratch` lent and :func:`_recycle` has not
-#: taken back.  A graph dropped without a backward never gives its buffers
-#: back, so only differences of it mean anything.
-_LENT = 0
-#: Scratch bytes held by kept graphs, by the object keeping each; an entry
-#: leaves with its owner.
-_HELD: "weakref.WeakKeyDictionary[Any, int]" = weakref.WeakKeyDictionary()
-
 
 def _scratch(*shape: int) -> np.ndarray:
-    """An uninitialised float64 array; from ``_RECYCLE_MIN_SIZE`` elements, a
-    view of a flat buffer, recycled when one of its size is held."""
-    # the pool's books are interpreter-global by design, as its free lists
-    global _LENT  # repro-lint: ignore[RL305]
-    n = math.prod(shape)
-    if n < _RECYCLE_MIN_SIZE:  # exact: rounded up, they tripled faults
-        return np.empty(shape, dtype=np.float64)
-    size = 1 << (n - 1).bit_length()
-    free = _FREE.get(size)
-    flat = free.pop() if free else np.empty(size, dtype=np.float64)
-    _LENT += flat.nbytes
-    return flat[:n].reshape(shape)
-
-
-def _recycle(*arrays: np.ndarray) -> None:
-    """Take :func:`_scratch` arrays (or views of them) back once nothing
-    will read them again."""
-    global _LENT  # repro-lint: ignore[RL305]
-    held = None
-    for a in arrays:
-        flat = a.base  # a lent buffer is flat; a view of anything else is not
-        if flat is None or flat.ndim > 1 or flat.size < _RECYCLE_MIN_SIZE:
-            continue
-        _LENT -= flat.nbytes
-        if held is None:
-            held = sum(_HELD.values()) if _HELD else 0
-            held += 8 * sum(size * len(free) for size, free in _FREE.items())
-        if held + flat.nbytes <= _RECYCLE_MAX_BYTES:
-            _FREE.setdefault(flat.size, []).append(flat)
-            held += flat.nbytes
-
-
-def hold_scratch(owner: Any, forward: Callable[[], Tensor]) -> Tensor:
-    """Run ``forward``, whose graph ``owner`` keeps past the call that built
-    it, and charge the scratch buffers that graph saved against
-    ``_RECYCLE_MAX_BYTES`` for as long as ``owner`` lives: the free lists
-    then do not refill on top of a graph that will give its buffers back."""
-    lent = _LENT
-    out = forward()
-    _HELD[owner] = _LENT - lent
-    return out
+    """An uninitialised float64 array: the one allocation point of the
+    primitives' temporaries, so a test can hand out poisoned ones."""
+    return np.empty(shape, dtype=np.float64)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -727,15 +666,12 @@ def attention(
         _put(block, slots, stream.run, flat[:n])
         if tiling:
             np.add.at(block.reshape(-1, h), stream.gather[n:], flat[n:])
-        _recycle(flat)
         return block
 
     xr = xd[reads]
     q = heads(blocked(projected(xr, wq)))
     if cache is not None:
-        new = [projected(xd, w) for w in (wk, wv)]
-        kv = cache.extend(layer, *new)
-        _recycle(*new)
+        kv = cache.extend(layer, *(projected(xd, w) for w in (wk, wv)))
     else:
         keys = stream.keys
         kv = _scratch(2, rows, width, h)
@@ -743,7 +679,6 @@ def attention(
         for block, w in zip(kv, (wk, wv)):
             proj = projected(xd, w)
             _put(block, keys.at, keys.run, proj[: len(keys.src)] if keys.run else proj[keys.src])
-            _recycle(proj)
     k, v = heads(kv[0]), heads(kv[1])
     # each head's context in its columns of the block: BLAS writes a GEMM
     # at any output row stride alike
@@ -764,26 +699,23 @@ def attention(
         a /= a.sum(axis=-1, keepdims=True)
         np.matmul(a, v[:r, :, :depth], out=heads(ctx_block)[:r, :, lo:hi])
         if not tracked:
-            _recycle(a)
-        elif att is None:  # one block: the square itself
+            continue
+        if att is None:  # one block: the square itself
             att = a
         else:
             att[r:, :, lo:hi] = 0.0
             att[:r, :, lo:hi, depth:] = 0.0
             att[:r, :, lo:hi, :depth] = a
-            _recycle(a)
     # a tiling token repeats its first: its context is that token's
     ctx = ctx_block.reshape(-1, h)
     if not full or len(xr) > n:
         ctx = _scratch(*xr.shape)
         ctx[:n] = _take(ctx_block, slots, stream.run)
         ctx[n:] = ctx_block.reshape(-1, h)[stream.gather[n:]]
-        _recycle(ctx_block)
     out = ctx @ wo.data
     if residual is not None:
         out += residual.data[reads]
     if not tracked:
-        _recycle(ctx, kv, q)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
@@ -800,14 +732,12 @@ def attention(
         datt *= scale
         np.matmul(datt, k, out=heads(dq))
         np.matmul(datt.swapaxes(-1, -2), q, out=heads(dk))
-        _recycle(att, kv, q, dctx)
         at_queries = slice(0, n) if stream.reads is None else stream.reads[:n]
         terms = [(wq, xr[:n], _take(dq, slots, stream.run), at_queries)]
         for w, d in ((wk, dk), (wv, dv)):
             # a key position's gradient sums into the stream token it read
             tokens, d = stream.keys.folded(d)
             terms.append((w, xd[tokens], d, tokens))
-        _recycle(datt, dq, dk, dv)
         dx = np.zeros(xd.shape, dtype=np.float64)
         for w, src, d, at in terms:
             if w.requires_grad:
@@ -816,7 +746,6 @@ def attention(
                 dx[at] += d @ w.data.T
         if x.requires_grad:
             x._accumulate(dx, owned=True)
-        _recycle(ctx)
         if residual is not None and residual.requires_grad:
             if stream.reads is not None:
                 g, returned = np.zeros(xd.shape, dtype=np.float64), g
@@ -852,21 +781,17 @@ def swiglu_mlp(
 
     act = activation()
     out = act @ w_down.data
-    _recycle(act)  # a backward computes it again
     if residual is not None:
         out += residual.data
     parents = (x, w_gate, w_up, w_down) + (() if residual is None else (residual,))
     if not _tracked(*parents):
-        _recycle(z, up, sig)
         return Tensor._from_op(out, (), None)
 
     def backward(g: np.ndarray) -> None:
         h, f = xd.shape[-1], z.shape[-1]
         g2, x2 = g.reshape(-1, h), xd.reshape(-1, h)
         if w_down.requires_grad:
-            act = activation()
-            w_down._accumulate(act.reshape(-1, f).T @ g2, owned=True)
-            _recycle(act)
+            w_down._accumulate(activation().reshape(-1, f).T @ g2, owned=True)
         z2, sig2, up2 = (a.reshape(-1, f) for a in (z, sig, up))
         dz = g2 @ w_down.data.T  # d(act) for now
         dup = np.multiply(z2, sig2, out=_scratch(*z2.shape))
@@ -885,7 +810,6 @@ def swiglu_mlp(
             dx = dup @ w_up.data.T
             dx += dz @ w_gate.data.T
             x._accumulate(dx.reshape(xd.shape), owned=True)
-        _recycle(z, up, sig, dup)
         if residual is not None and residual.requires_grad:
             residual._accumulate(g, owned=True)
 

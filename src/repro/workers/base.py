@@ -32,8 +32,7 @@ simulated at the storage/communication level, with its latency modelled by
 from __future__ import annotations
 
 import contextlib
-import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from repro.comm import collectives
 from repro.comm.groups import ProcessGroup, ring_all_gather_bytes
 from repro.data.batch import DataBatch
 from repro.models.adam import Adam, FlatParams
-from repro.models.autograd import Tensor, hold_scratch, no_grad
+from repro.models.autograd import Tensor, no_grad
 from repro.models.sharding import (
     flat_shard_params,
     gather_flat_shards,
@@ -82,14 +81,14 @@ def _rows_key(batch: DataBatch) -> Tuple[Any, ...]:
     )
 
 
-class _KeptGraph:
+class _KeptGraph(NamedTuple):
     """A scoring forward's output, graph attached, that a replica lead keeps
     for its next update: that update's forward on the rows ``key`` names at
     the shard versions ``versions``."""
 
-    def __init__(self, key: Tuple[Any, ...], versions: Tuple[int, ...]) -> None:
-        self.key, self.versions = key, versions
-        self.output: Optional[Tensor] = None
+    key: Tuple[Any, ...]
+    versions: Tuple[int, ...]
+    output: Tensor
 
 
 class ShardedModelWorker(Worker):
@@ -335,13 +334,10 @@ class ShardedModelWorker(Worker):
             self._count_kept_graph("used")
             return kept.output
         layout = Layout(real_lengths(batch), batch.meta["prompt_length"])
-        forward = functools.partial(head, batch["sequences"], layout)
-        if not keep:
-            return forward()
-        kept = _KeptGraph(_rows_key(batch), self._merged)
-        kept.output = hold_scratch(kept, forward)
-        self._kept = kept
-        return kept.output
+        output = head(batch["sequences"], layout)
+        if keep:
+            self._kept = _KeptGraph(_rows_key(batch), self._merged, output)
+        return output
 
     def _drop_kept_graph(self, rows: Optional[DataBatch] = None) -> None:
         """Drop the kept graph unless it was built on ``rows`` at the shard

@@ -527,37 +527,33 @@ def attention_square_reference(
         return block.reshape(len(block), -1, n_heads, hd).transpose(0, 2, 1, 3)
 
     def projected(src, w):
-        return np.matmul(src, w.data, out=ag._scratch(*src.shape))
+        return np.matmul(src, w.data, out=np.empty(src.shape))
 
     def blocked(flat, tiling=False):
         """The query block of the stream ``flat``; ``tiling``: a tiling
         token's row sums into its first token's slot."""
         if full and (len(flat) == n or not tiling):
             return flat[:n].reshape(rows, height, h)
-        block = ag._scratch(rows, height, h)
+        block = np.empty((rows, height, h))
         block[:, stream.run or 0 :] = 0.0
         ag._put(block, slots, stream.run, flat[:n])
         if tiling:
             np.add.at(block.reshape(-1, h), stream.gather[n:], flat[n:])
-        ag._recycle(flat)
         return block
 
     xr = xd[reads]
     q = heads(blocked(projected(xr, wq)))
     if cache is not None:
-        new = [projected(xd, w) for w in (wk, wv)]
-        kv = cache.extend(layer, *new)
-        ag._recycle(*new)
+        kv = cache.extend(layer, *(projected(xd, w) for w in (wk, wv)))
     else:
         keys = stream.keys
-        kv = ag._scratch(2, rows, width, h)
+        kv = np.empty((2, rows, width, h))
         kv[:, :, keys.run or 0 :] = 0.0
         for block, w in zip(kv, (wk, wv)):
             proj = projected(xd, w)
             ag._put(block, keys.at, keys.run, proj[: len(keys.src)] if keys.run else proj[keys.src])
-            ag._recycle(proj)
     k, v = heads(kv[0]), heads(kv[1])
-    att = np.matmul(q, k.swapaxes(-1, -2), out=ag._scratch(rows, n_heads, height, width))
+    att = np.matmul(q, k.swapaxes(-1, -2), out=np.empty((rows, n_heads, height, width)))
     att *= scale
     att += square_mask(stream)
     att -= att.max(axis=-1, keepdims=True)
@@ -565,20 +561,18 @@ def attention_square_reference(
     att /= att.sum(axis=-1, keepdims=True)
     # each head's context in its columns of the block: BLAS writes a GEMM
     # at any output row stride alike
-    ctx_block = ag._scratch(rows, height, h)
+    ctx_block = np.empty((rows, height, h))
     np.matmul(att, v, out=heads(ctx_block))
     # a tiling token repeats its first: its context is that token's
     ctx = ctx_block.reshape(-1, h)
     if not full or len(xr) > n:
-        ctx = ag._scratch(*xr.shape)
+        ctx = np.empty(xr.shape)
         ctx[:n] = ag._take(ctx_block, slots, stream.run)
         ctx[n:] = ctx_block.reshape(-1, h)[stream.gather[n:]]
-        ag._recycle(ctx_block)
     out = ctx @ wo.data
     if residual is not None:
         out += residual.data[reads]
     if not tracked:
-        ag._recycle(ctx, att, kv, q)
         return Tensor._from_op(out, (), None)
 
     def backward(g):
@@ -586,23 +580,21 @@ def attention_square_reference(
             wo._accumulate(ctx.T @ g, owned=True)
         dctx = heads(blocked(g @ wo.data.T, tiling=True))
         # each head's gradient in its columns of a ``(rows, depth, hidden)`` block
-        dq, dk, dv = (ag._scratch(rows, depth, h) for depth in (height, width, width))
+        dq, dk, dv = (np.empty((rows, depth, h)) for depth in (height, width, width))
         np.matmul(att.swapaxes(-1, -2), dctx, out=heads(dv))
-        datt = np.matmul(dctx, v.swapaxes(-1, -2), out=ag._scratch(*att.shape))
+        datt = np.matmul(dctx, v.swapaxes(-1, -2), out=np.empty(att.shape))
         # softmax VJP (masked entries have att == 0), then the score scaling
         datt -= np.einsum("...k,...k->...", datt, att)[..., None]
         datt *= att
         datt *= scale
         np.matmul(datt, k, out=heads(dq))
         np.matmul(datt.swapaxes(-1, -2), q, out=heads(dk))
-        ag._recycle(att, kv, q, dctx)
         at_queries = slice(0, n) if stream.reads is None else stream.reads[:n]
         terms = [(wq, xr[:n], ag._take(dq, slots, stream.run), at_queries)]
         for w, d in ((wk, dk), (wv, dv)):
             # a key position's gradient sums into the stream token it read
             tokens, d = stream.keys.folded(d)
             terms.append((w, xd[tokens], d, tokens))
-        ag._recycle(datt, dq, dk, dv)
         dx = np.zeros(xd.shape, dtype=np.float64)
         for w, src, d, at in terms:
             if w.requires_grad:
@@ -611,7 +603,6 @@ def attention_square_reference(
                 dx[at] += d @ w.data.T
         if x.requires_grad:
             x._accumulate(dx, owned=True)
-        ag._recycle(ctx)
         if residual is not None and residual.requires_grad:
             if stream.reads is not None:
                 g, returned = np.zeros(xd.shape, dtype=np.float64), g

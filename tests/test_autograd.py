@@ -430,7 +430,7 @@ def test_vjp_matches_oracle_and_central_differences(name, data):
 
 #: callable public names that build no tape node
 NOT_PRIMITIVES = {
-    "no_grad", "hold_scratch", "key_width", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"
+    "no_grad", "key_width", "Tensor.backward", "Tensor.item", "Tensor.zero_grad"
 }
 #: ``Tensor``'s operators are called by syntax, so no search finds their
 #: callers; each is listed with one

@@ -238,7 +238,6 @@ class TestKeptGraphLifetime:
             train(build(algo, tc=tc))
         assert forwards[0] == fresh[0]
         assert kept_counts(system) == {"used": 0, "dropped": 0}
-        assert len(ag._HELD) == 0
 
     def test_single_pass_saves_one_forward_per_lead_and_iteration(self):
         with counting_forwards() as forwards:
@@ -252,8 +251,7 @@ class TestKeptGraphLifetime:
     def test_one_role_holds_graphs_at_a_time(self, algo, dp):
         """After every dispatch and at every backward, the live kept graphs
         are one role's, at most one per replica lead (at ``dp=1``, at most
-        one in the process), and no graph is charged to the scratch pool
-        but theirs."""
+        one in the process)."""
         system = build(algo, dp=dp)
         workers = [w for g in system.groups.values() for w in g.workers]
         seen = []
@@ -262,7 +260,6 @@ class TestKeptGraphLifetime:
             holders = [w for w in workers if getattr(w, "_kept", None) is not None]
             assert len({w.tag for w in holders}) <= 1
             assert all(w.is_replica_lead for w in holders)
-            assert len(ag._HELD) == len(holders)
             seen.append(len(holders))
 
         real_backward = ag.Tensor.backward

@@ -24,6 +24,7 @@ Regenerate the golden's ``"now"`` entries with
 ``PYTHONPATH=src python tests/test_modelcheck.py`` and keep the causes.
 """
 
+import copy
 import json
 import pathlib
 import random
@@ -387,6 +388,19 @@ def current_findings(shipped_results):
     return models, mutants
 
 
+def assert_mutants_match(golden, mutants):
+    """Each rule's current mutant finding is its ``mutant:`` move, or else its
+    recorded entry less the ``rule`` key and every retired field."""
+    moved = {m["what"]: m["now"] for m in golden["moved"] if m["what"].startswith("mutant:")}
+    retired = {m["what"][len("field:"):] for m in golden["moved"] if m["what"].startswith("field:")}
+    retired.add("rule")  # the key of a recorded entry, not a finding
+    kept = lambda entry: entry and {k: v for k, v in entry.items() if k not in retired}  # noqa: E731
+    recorded = {m["rule"]: m for m in golden["mutants"]}
+    for rule in set(recorded) | set(mutants):
+        expected = moved[f"mutant:{rule}"] if f"mutant:{rule}" in moved else recorded.get(rule)
+        assert mutants.get(rule) == kept(expected), rule
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -419,16 +433,19 @@ class TestGolden:
                 assert models[name] == recorded[name], name
 
     def test_mutants_match_the_golden_apart_from_what_moved(self, golden, now):
+        assert_mutants_match(golden, now[1])
+
+    def test_a_rule_without_a_move_matches_its_recorded_entry(self, golden, now):
         _, mutants = now
-        moved = {m["what"]: m["now"] for m in golden["moved"] if m["what"].startswith("mutant:")}
-        retired = {m["what"][len("field:"):] for m in golden["moved"] if m["what"].startswith("field:")}
-        kept = lambda entry: entry and {k: v for k, v in entry.items() if k not in retired}  # noqa: E731
-        recorded = {m["rule"]: m for m in golden["mutants"]}
-        for rule in set(recorded) | set(mutants):
-            if f"mutant:{rule}" in moved:
-                assert mutants.get(rule) == kept(moved[f"mutant:{rule}"]), rule
-            else:
-                assert mutants[rule] == kept(recorded[rule]), rule
+        rule = "MC606"
+        edited = copy.deepcopy(golden)
+        edited["moved"] = [m for m in edited["moved"] if m["what"] != f"mutant:{rule}"]
+        # recorded as found now; ``rule`` and the retired field stay
+        next(m for m in edited["mutants"] if m["rule"] == rule).update(mutants[rule])
+        assert_mutants_match(edited, mutants)
+        gone = {r: m for r, m in mutants.items() if r != rule}
+        with pytest.raises(AssertionError, match=rule):
+            assert_mutants_match(edited, gone)
 
     def test_every_move_names_its_cause(self, golden):
         assert all(m["cause"] for m in golden["moved"])
