@@ -415,10 +415,7 @@ class Stream:
     the tokens the forward returns — each row's from ``read_from`` on
     (``reads``, an index of the stream) — which ``out`` lays on the
     ``shape`` grid (:func:`unpack`), a follower's prompt positions reading
-    its leader's.  With ``cached`` (each row's cached positions,
-    :meth:`KVStore.at <repro.models.tinylm.KVStore.at>`) the grid is a
-    cached forward's new tokens, queried at ``cached[i] + j`` in one block
-    of height ``seq``, and keys and values come from the store.
+    its leader's.  A cached forward's layout is :meth:`cached`.
     """
 
     def __init__(
@@ -428,7 +425,6 @@ class Stream:
         leaders: Optional[np.ndarray] = None,
         shared: int = 0,
         read_from: int = 0,
-        cached: Optional[np.ndarray] = None,
     ) -> None:
         batch, seq = shape
         lengths = np.zeros(batch, dtype=np.int64) + np.minimum(
@@ -441,27 +437,24 @@ class Stream:
         own = lengths - skip
         # row ``i``'s own position ``p`` is stream token ``base[i] + p``
         base = np.cumsum(own) - own - skip
-        offset = np.zeros(batch, dtype=np.int64) if cached is None else cached
-        self.rows, self.width = batch, key_width(int((lengths + offset).max()))
+        self.rows, self.width = batch, key_width(int(lengths.max()))
         self.reads: Optional[np.ndarray] = None  # every token
-        keys = None  # the cache's, when cached
-        if cached is None:
-            # the stream token each key position ``(row, pos)`` reads
-            keys = np.arange(len(row)), row, pos
-            if skip.any():  # followers read their leader's prompt keys
-                lead_row, lead_pos = _spans(np.zeros(batch, dtype=np.int64), skip)
-                keys = tuple(np.concatenate(pair) for pair in zip(
-                    keys, (base[leaders[lead_row]] + lead_pos, lead_row, lead_pos)))
-            if not skip.any() and (lengths == lengths[0]).all():
-                keys += (int(lengths[0]),)
-        self._queries(seq, row, pos, skip, offset, keys, seq if cached is not None else None)
+        # the stream token each key position ``(row, pos)`` reads
+        keys = np.arange(len(row)), row, pos
+        if skip.any():  # followers read their leader's prompt keys
+            lead_row, lead_pos = _spans(np.zeros(batch, dtype=np.int64), skip)
+            keys = tuple(np.concatenate(pair) for pair in zip(
+                keys, (base[leaders[lead_row]] + lead_pos, lead_row, lead_pos)))
+        if not skip.any() and (lengths == lengths[0]).all():
+            keys += (int(lengths[0]),)
+        self._queries(seq, row, pos, skip, keys)
         self.tail = self
         first = np.maximum(skip, read_from)
         if read_from:
             self.tail = tail = copy.copy(self)
             row, pos = _spans(first, lengths)
             tail.reads = (base[row] + pos)[self._pad(len(row))]
-            tail._queries(seq, row, pos, first, offset, keys)
+            tail._queries(seq, row, pos, first, keys)
         # the output: the returned tokens, a follower's prompt its leader's
         out_seq = seq - read_from
         src, at = np.arange(len(row)), row * out_seq + pos - read_from
@@ -478,17 +471,32 @@ class Stream:
     def _pad(n: int) -> np.ndarray:  # ``n`` tokens in whole tiles: the first repeat
         return np.arange(_tiled(n)) % max(n, 1)
 
-    def _queries(self, seq, row, pos, start, offset, keys, height=None) -> None:
-        """Query tokens ``(row, pos)`` in stream order, row ``i``'s block
-        from position ``start[i]`` on, at key position ``offset[i] + pos``;
-        ``keys``: ``(src, row, pos[, run])`` of each key position, or
-        ``None`` (the cache's).  ``height`` (a cached forward's): one block."""
+    @classmethod
+    def cached(cls, rows: int, t: int, offsets: np.ndarray) -> "Stream":
+        """A cached forward's layout (``KVStore.at``): ``t`` new tokens a row,
+        row ``i``'s at ``offsets[i] + j``, in one block of height ``t``."""
+        self = cls.__new__(cls)
+        self.rows, self.height, self.n, self.run = rows, t, rows * t, t
+        self.width, self.reads, self.keys = key_width(int(offsets.max()) + t), None, None
+        self.first = offsets[:1] if (offsets == offsets[0]).all() else offsets
+        self.slots, self.index = np.arange(self.n), self._pad(self.n)  # in stream order
+        self.gather, self.blocks = self.index, [self._block(rows, 0, t, self.width)]
+        self.tail, self.shape, self.out = self, (rows, t), _Fold(self.slots, self.slots)
+        return self
+
+    def _block(self, r: int, lo: int, hi: int, w: int) -> Tuple[int, int, int, int, np.ndarray]:
+        """One of ``blocks``: slots ``lo:hi`` of ``r`` core rows at key width ``w``, masked."""
+        queries = self.first[:r, None] + np.arange(lo, hi)
+        return r, lo, hi, w, np.where(np.arange(w) > queries[:, None, :, None], -1e9, 0.0)
+
+    def _queries(self, seq, row, pos, start, keys) -> None:
+        """Query tokens ``(row, pos)`` in stream order, row ``i``'s block from
+        ``start[i]`` on; ``keys``: ``(src, row, pos[, run])`` of each key position."""
         pad = self._pad(len(row))
         self.n, self.index = len(row), (row * seq + pos)[pad]
         counts = np.bincount(row, minlength=len(start))
-        tiled = _tiled(int(counts.max(initial=0)))
-        staircase = height is None and tiled > QUERY_BLOCK
-        self.height = height = tiled if height is None else height
+        self.height = height = _tiled(int(counts.max(initial=0)))
+        staircase = height > QUERY_BLOCK
         # core row of each row: most queries first, so the rows with
         # queries in a block are a prefix
         order = np.argsort(-counts, kind="stable") if staircase else np.arange(len(start))
@@ -498,11 +506,9 @@ class Stream:
         self.slots = core[row] * height + pos - start[row]
         self.gather = self.slots[pad]
         self.run = int(counts[0]) if len(counts) and (counts == counts[0]).all() else None
-        self.keys: Optional[_Fold] = None
-        if keys is not None:
-            src, key_row, key_pos, *run = keys
-            self.keys = _Fold(src, core[key_row] * self.width + key_pos, *run)
-        first = (start + offset)[order]
+        src, key_row, key_pos, *run = keys
+        self.keys: Optional[_Fold] = _Fold(src, core[key_row] * self.width + key_pos, *run)
+        first = start[order]
         last = first + counts[order]  # the end of the keys a core row's queries read
         #: each core row's first query position (one, when all start alike)
         self.first = first[:1] if (first == first[0]).all() else first
@@ -515,11 +521,7 @@ class Stream:
             if steps and steps[-1][0] == r and steps[-1][3] == w:  # a cut that saves nothing
                 lo = steps.pop()[1]
             steps.append((r, lo, hi, w))
-        self.blocks: List[Tuple[int, int, int, int, np.ndarray]] = []
-        for r, lo, hi, w in steps:
-            queries = self.first[:r, None] + np.arange(lo, hi)
-            mask = np.where(np.arange(w) > queries[:, None, :, None], -1e9, 0.0)
-            self.blocks.append((r, lo, hi, w, mask))
+        self.blocks = [self._block(*step) for step in steps]
 
 
 def embed(
@@ -683,9 +685,7 @@ def attention(
     # each head's context in its columns of the block: BLAS writes a GEMM
     # at any output row stride alike
     ctx_block = _scratch(rows, height, h)
-    # what a backward reads: every block's probabilities in one square,
-    # exact zeros at the entries no block computes
-    att = _scratch(rows, n_heads, height, width) if tracked and len(stream.blocks) > 1 else None
+    kept: List[np.ndarray] = []  # what a backward reads: each block's probabilities
     for r, lo, hi, depth, mask in stream.blocks:
         # contiguous, so each elementwise pass below is one loop
         a = np.matmul(
@@ -698,14 +698,8 @@ def attention(
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
         np.matmul(a, v[:r, :, :depth], out=heads(ctx_block)[:r, :, lo:hi])
-        if not tracked:
-            continue
-        if att is None:  # one block: the square itself
-            att = a
-        else:
-            att[r:, :, lo:hi] = 0.0
-            att[:r, :, lo:hi, depth:] = 0.0
-            att[:r, :, lo:hi, :depth] = a
+        if tracked:
+            kept.append(a)
     # a tiling token repeats its first: its context is that token's
     ctx = ctx_block.reshape(-1, h)
     if not full or len(xr) > n:
@@ -722,16 +716,43 @@ def attention(
         if wo.requires_grad:
             wo._accumulate(ctx.T @ g, owned=True)
         dctx = heads(blocked(g @ wo.data.T, tiling=True))
-        # each head's gradient in its columns of a ``(rows, depth, hidden)`` block
+        # the blocks in one square, exact zeros at the entries no block
+        # computes: a GEMM that skips them skips only exact zeros at the
+        # start or the end of each of its sums, so every bit is the square's
+        att = _scratch(rows, n_heads, height, width)
+        # per run of keys, the first block that reads it; the runs end at
+        # ``width``, which the block with the longest row's last query reads
+        runs, start = [], 0
+        for (r, lo, hi, depth, _), a in zip(stream.blocks, kept):
+            att[r:, :, lo:hi] = 0.0
+            att[:r, :, lo:hi, depth:] = 0.0
+            att[:r, :, lo:hi, :depth] = a
+            if depth > start:
+                runs.append((r, lo, start, depth))
+                start = depth
+
+        def over_queries(d: np.ndarray, right: np.ndarray) -> None:
+            """``d = att^T @ right`` per run of keys, over the query slots
+            from its first block on; 0 where no query reads the key."""
+            for r, lo, begin, end in runs:
+                np.matmul(att[:r, :, lo:, begin:end].swapaxes(-1, -2), right[:r, :, lo:],
+                          out=heads(d)[:r, :, begin:end])
+                d[r:, begin:end] = 0.0
+
+        # each head's gradient in its columns of a ``(rows, depth, hidden)``
+        # block; a query slot past its block's rows is never read
         dq, dk, dv = (_scratch(rows, depth, h) for depth in (height, width, width))
-        np.matmul(att.swapaxes(-1, -2), dctx, out=heads(dv))
-        datt = np.matmul(dctx, v.swapaxes(-1, -2), out=_scratch(*att.shape))
-        # softmax VJP (masked entries have att == 0), then the score scaling
-        datt -= np.einsum("...k,...k->...", datt, att)[..., None]
-        datt *= att
-        datt *= scale
-        np.matmul(datt, k, out=heads(dq))
-        np.matmul(datt.swapaxes(-1, -2), q, out=heads(dk))
+        over_queries(dv, dctx)
+        for (r, lo, hi, depth, _), a in zip(stream.blocks, kept):
+            # datt over the block's probabilities: softmax VJP (masked
+            # entries have a == 0), then the score scaling
+            datt = np.matmul(dctx[:r, :, lo:hi], v[:r, :, :depth].swapaxes(-1, -2),
+                             out=att[:r, :, lo:hi, :depth])
+            datt -= np.einsum("...k,...k->...", datt, a)[..., None]
+            datt *= a
+            datt *= scale
+            np.matmul(datt, k[:r, :, :depth], out=heads(dq)[:r, :, lo:hi])
+        over_queries(dk, q)
         at_queries = slice(0, n) if stream.reads is None else stream.reads[:n]
         terms = [(wq, xr[:n], _take(dq, slots, stream.run), at_queries)]
         for w, d in ((wk, dk), (wv, dv)):

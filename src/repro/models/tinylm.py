@@ -140,7 +140,7 @@ class KVStore:
         if end > self.capacity:
             raise ValueError(f"position {end} is past KV capacity {self.capacity}")
         view = copy.copy(self)
-        view.stream = ag.Stream((rows, t), cached=offsets)
+        view.stream = ag.Stream.cached(rows, t, offsets)
         width, ends = view.stream.width, offsets + t
         slots = np.arange(rows) if self.slots is None else self.slots
         first = int(slots[0])

@@ -34,6 +34,7 @@ of work does.
 from __future__ import annotations
 
 import contextlib
+import resource
 import tracemalloc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -47,6 +48,12 @@ def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
     if kind not in ("exact", "min", "info"):
         raise ValueError(f"unknown metric kind {kind!r}")
     return {"kind": kind, "value": value, **extra}
+
+
+def _minor_faults() -> int:
+    """Page faults this process has taken without I/O: memory the
+    allocator handed back to the kernel and touched again."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 # -- workloads -----------------------------------------------------------------------
@@ -249,11 +256,13 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     TinyLM._trunk = last_layer
     tracemalloc.start()
     try:
+        faults = _minor_faults()
         system.trainer.train(
             spec.dataset(),
             n_iterations=pins["n_iterations"],
             batch_size=pins["batch_size"],
         )
+        faults = _minor_faults() - faults
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -286,6 +295,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # their last layer at the response positions only
         "last_layer_tokens": _metric("exact", counts["last_layer_tokens"]),
         "train_peak_bytes": _metric("info", peak_bytes),
+        "minor_faults": _metric("info", faults),
         "simulated_seconds": _metric("info", float(system.controller.clock.now)),
     }
     return pins, metrics
@@ -348,7 +358,9 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     ag.embed, TinyLM._trunk = embedding, gridded
     try:
         with _counted_gathers() as gathers, _counted_cores() as cores:
+            faults = _minor_faults()
             system.trainer.train(spec.dataset(), 1, pins["batch_size"])
+            faults = _minor_faults() - faults
     finally:
         ag.embed, TinyLM._trunk = embed, trunk
     served = system.controller.metrics.total("repro_serving_tokens_total")
@@ -366,6 +378,7 @@ def bench_grpo_eos_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         # the prefilling admissions hold one run of slots, the reusers
         # after them: every forward binds the store as views
         "kv_gathers": _metric("exact", gathers[0]),
+        "minor_faults": _metric("info", faults),
     }
     return pins, metrics
 

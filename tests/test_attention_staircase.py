@@ -157,3 +157,35 @@ def test_bench_grpo_layout_scores_only_what_the_mask_keeps():
     # a stream whose queries fit one block is the square itself
     short = ag.Stream((32, 8), np.full(32, 8))
     assert len(short.blocks) == 1 and scores(short) == 32 * 8 * 16
+
+
+def probability_bytes(out, n_heads):
+    """Bytes of the probabilities a tracked attention call keeps for its
+    backward: the arrays its VJP closes over (or over a list of) that own
+    their memory and have a heads axis."""
+    kept = {}
+    for cell in out._backward.__closure__:
+        value = cell.cell_contents
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, np.ndarray) and item.base is None and item.ndim == 4 \
+                    and item.shape[1] == n_heads:
+                kept[id(item)] = item.nbytes
+    return sum(kept.values())
+
+
+@pytest.mark.parametrize("last_layer", [False, True])
+def test_bench_grpo_call_keeps_only_the_staircase_probabilities(last_layer):
+    """On grpo_serve_ragged's layout a tracked attention call keeps each
+    block's probabilities, 8 bytes per score the staircase computes, not the
+    zero-padded square (32 % of it in the first layers, 39 % in the last)."""
+    cfg = CONFIGS["bench"]
+    _, _, ids, (lengths, prompt) = _bench_grpo("lm")
+    stream = ag.Stream(ids.shape, lengths, _leaders(ids, prompt), prompt, prompt - 1)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(len(stream.index), cfg.hidden_size)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=(cfg.hidden_size,) * 2), requires_grad=True) for _ in "qkvo"]
+    layer = stream.tail if last_layer else stream
+    out = ag.attention(x, *weights, cfg.n_heads, layer, residual=x)
+    kept = probability_bytes(out, cfg.n_heads)
+    assert 0 < kept <= 8 * cfg.n_heads * scores(layer)
+    assert kept < 0.45 * 8 * cfg.n_heads * layer.rows * layer.height * layer.width
