@@ -51,8 +51,9 @@ def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
 
 
 def _minor_faults() -> int:
-    """Page faults this process has taken without I/O: memory the
-    allocator handed back to the kernel and touched again."""
+    """Page faults this process has taken without I/O: pages touched for
+    the first time.  The builder keeps the heap (``runtime.builder.keep_heap``),
+    so they count heap growth, not memory returned and faulted in again."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 

@@ -15,7 +15,9 @@ hyperparameter.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -76,6 +78,31 @@ class RlhfSystem:
         return digest.hexdigest()
 
 
+@functools.cache
+def keep_heap() -> None:
+    """Set glibc's heap policy once per process: freed temporaries stay in
+    the heap for the next call instead of going back to the kernel.
+
+    Each worker call builds and drops graphs of a few MiB.  By default glibc
+    unmaps a freed chunk above its mmap threshold and trims the heap top
+    above its trim threshold, so the next call faults the same pages in
+    again (~11,000 minor faults per ``async_ppo_w1`` step).  Both thresholds
+    are set to what glibc's own dynamic rule tops out at on 64-bit: mmap at
+    32 MiB (``DEFAULT_MMAP_THRESHOLD_MAX``) and trim at twice that.  Both are
+    needed: setting either one freezes the other, and a trim threshold alone
+    leaves the mmap threshold at 128 KiB, where every large temporary is
+    mapped and unmapped per call.  Where libc has no ``mallopt`` (or
+    rejects the setting, as musl's stub does) this does nothing; the
+    arithmetic is untouched either way.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def required_models(algo: AlgoType) -> tuple:
     """Model roles an algorithm's dataflow contains (Figure 1): the roles
     its trainer's ``step`` calls."""
@@ -132,6 +159,7 @@ def build_rlhf_system(
             overriding the serving engine's defaults (slots, block size,
             SLOs); eos/temperature/seed fields are filled in per call.
     """
+    keep_heap()
     trainer_cls = trainer_class(algo)
     models = required_models(trainer_cls)
     missing = [m for m in models if m not in plan.assignments]
