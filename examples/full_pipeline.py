@@ -147,9 +147,9 @@ def main(argv=None) -> int:
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")
 
-        # post-run audit: happens-before over the spans and ledgers, then
-        # vector-clock race detection over the same trace plus the
-        # shared-state access log (device memory, checkpoints, merges); the
+        # post-run audit: happens-before over the spans and the device
+        # ledgers' balances, then vector-clock race detection over the same
+        # trace plus the shared-state access log (checkpoints, merges); the
         # findings ride along inside the machine-readable run report
         audit, races = system_audit(system)
         for line in audit.summary_lines():

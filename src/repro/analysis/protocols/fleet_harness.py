@@ -44,11 +44,14 @@ class _StandInRun(_JobRuntime):
         self.dataset = None
         self.gang = None
         self.saved: Optional[int] = None
+        #: Ranks whose ledger this run wrote since the harness last read it.
+        self.wrote: List[int] = []
 
     def start(self) -> Optional[RecoveryEvent]:
         self.gang = self.cluster.allocate(self.spec.gpus_at(self.dp))
         for device in self.gang:
             device.memory.alloc(f"fleet/{self.spec.name}", 1)
+        self.wrote += self.gang.global_ranks
         if self.saved is None:
             self.save()
             return None
@@ -82,6 +85,8 @@ class _StandInRun(_JobRuntime):
         return {}
 
     def stop(self) -> None:
+        # the release clears each live device's tag; a dead one's went with it
+        self.wrote += [d.global_rank for d in self.gang if d.alive]
         self.cluster.release(self.gang)
         self.gang = None
 
@@ -199,13 +204,17 @@ class FleetHarness(Harness):
         granted, freed = sorted(ranks - held_ranks), sorted(held_ranks - ranks)
         started = [n for n, g in after.items() if held.get(n) != g]
         stopped = [n for n in running if n not in after]
-        touched = []
-        for device, was_busy in zip(cluster.devices, busy):
-            events = device.memory.events
+        wrote = set()
+        for job in scheduler.jobs:
+            wrote.update(job.wrote)
+            job.wrote.clear()  # read: the next move's writes start empty
+        touched = [
+            f"gpu{device.global_rank}"
+            for device, was_busy in zip(cluster.devices, busy)
             # a fault is the cluster's doing, no thread's access
-            if not move.startswith("kill") and (events or device.busy_time != was_busy):
-                touched.append(f"gpu{device.global_rank}")
-            events.clear()  # read: the next move's ledger starts empty
+            if not move.startswith("kill")
+            and (device.global_rank in wrote or device.busy_time != was_busy)
+        ]
         own = [move[5:-1]] if move.startswith("step") else []
         return Step(
             writes=tuple(touched),

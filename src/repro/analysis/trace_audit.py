@@ -10,7 +10,6 @@ correct single-controller execution must satisfy:
 ``TA202``  a child span's interval escapes its parent's
 ``TA203``  a memory tag is still allocated at run end (leak)
 ``TA204``  a tag is freed twice without an allocation in between
-``TA205``  a ledger event left a negative balance
 ``TA206``  device busy-time accounting disagrees with the timeline replay
 ========  ====================================================================
 
@@ -237,33 +236,14 @@ class TraceAuditor:
                         "buffers) when their stage finishes"
                     ),
                 )
-        last_op: Dict[str, str] = {}
-        for event in getattr(memory, "events", ()):
-            report.note_checked("ledger_events")
-            if event.balance < 0:
-                report.add(
-                    "TA205",
-                    ERROR,
-                    f"{event.op} on {event.tag!r} left a negative balance "
-                    f"({event.balance} bytes)",
-                    location=f"device {device.global_rank}",
-                    hint="the ledger can never go below zero",
-                )
-            if (
-                event.op == "free"
-                and event.nbytes == 0
-                and event.tag in memory.ever_allocated
-                and last_op.get(event.tag) == "free"
-            ):
-                report.add(
-                    "TA204",
-                    ERROR,
-                    f"tag {event.tag!r} freed twice with no allocation in "
-                    "between",
-                    location=f"device {device.global_rank}",
-                    hint="track ownership of the buffer; free it once",
-                )
-            last_op[event.tag] = event.op
+        for tag in memory.double_frees:
+            report.add(
+                "TA204",
+                ERROR,
+                f"tag {tag!r} freed twice with no allocation in between",
+                location=f"device {device.global_rank}",
+                hint="track ownership of the buffer; free it once",
+            )
 
     def _check_busy_accounting(
         self,

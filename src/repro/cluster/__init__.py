@@ -8,7 +8,6 @@ hierarchy, all of which are modelled here.
 
 from repro.cluster.device import (
     DeviceMemory,
-    LedgerEvent,
     OutOfDeviceMemory,
     SimDevice,
 )
@@ -17,7 +16,6 @@ from repro.cluster.cluster import DeviceSet, SimCluster
 __all__ = [
     "DeviceMemory",
     "DeviceSet",
-    "LedgerEvent",
     "OutOfDeviceMemory",
     "SimCluster",
     "SimDevice",

@@ -9,29 +9,9 @@ simulated device tracks every named allocation and raises
 
 from __future__ import annotations
 
-import dataclasses
-import sys
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.config import GpuSpec
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class LedgerEvent:
-    """One memory-ledger operation, kept for the post-run TraceAuditor.
-
-    ``nbytes`` is the bytes the operation moved (requested for ``alloc`` /
-    ``resize``, released for ``free`` / ``clear``); ``balance`` is what the
-    tag holds afterwards.  A ``free`` with ``nbytes == 0`` on a tag whose
-    previous event was also a ``free`` is a double free; a negative
-    ``balance`` can only come from a corrupted event stream — both are
-    findings of :class:`~repro.analysis.TraceAuditor`.
-    """
-
-    op: str  # "alloc" | "free" | "resize" | "clear"
-    tag: str
-    nbytes: int
-    balance: int
 
 
 class OutOfDeviceMemory(RuntimeError):
@@ -62,22 +42,15 @@ class DeviceMemory:
         self._device = device
         self._allocations: Dict[str, int] = {}
         self.peak_used = 0
-        #: Every ledger operation in order, for the TraceAuditor.
-        self.events: List[LedgerEvent] = []
         #: Tags that ever held bytes on this device — distinguishes a benign
         #: free of a tag this rank never allocated (e.g. broadcast teardown)
         #: from a genuine double free.
         self.ever_allocated: Set[str] = set()
-        #: Optional ``recorder(op, tag)`` callback, wired by the controller
-        #: that owns this device's pool so every ledger mutation also lands
-        #: in the shared-state access log (race detection, RC5xx).
-        self.recorder: Optional[Callable[[str, str], None]] = None
-
-    def _log(self, op: str, tag: str, nbytes: int, balance: int) -> None:
-        # the same few tags recur every iteration: keep one str of each
-        self.events.append(LedgerEvent(op, sys.intern(tag), nbytes, balance))
-        if self.recorder is not None:
-            self.recorder(op, tag)
+        #: Tags whose last ledger operation was a free.
+        self._freed: Set[str] = set()
+        #: Each free of an allocated tag already freed with no allocation in
+        #: between, in order — ``TA204`` of the TraceAuditor.
+        self.double_frees: List[str] = []
 
     @property
     def used(self) -> int:
@@ -97,12 +70,14 @@ class DeviceMemory:
         self.peak_used = max(self.peak_used, self.used)
         if nbytes > 0:
             self.ever_allocated.add(tag)
-        self._log("alloc", tag, nbytes, self._allocations[tag])
+        self._freed.discard(tag)
 
     def free_tag(self, tag: str) -> int:
         """Release everything under ``tag``; returns the bytes released."""
         released = self._allocations.pop(tag, 0)
-        self._log("free", tag, released, 0)
+        if tag in self._freed and tag in self.ever_allocated:
+            self.double_frees.append(tag)
+        self._freed.add(tag)
         return released
 
     def resize(self, tag: str, nbytes: int) -> None:
@@ -118,7 +93,7 @@ class DeviceMemory:
             self._allocations[tag] = nbytes
             self.ever_allocated.add(tag)
         self.peak_used = max(self.peak_used, self.used)
-        self._log("resize", tag, nbytes, nbytes)
+        self._freed.discard(tag)
 
     def bytes_for(self, tag: str) -> int:
         return self._allocations.get(tag, 0)
@@ -133,8 +108,6 @@ class DeviceMemory:
         """Drop every allocation (device failed or its workers were torn down).
 
         ``peak_used`` is kept — it is a historical high-water mark."""
-        for tag, nbytes in sorted(self._allocations.items()):
-            self._log("clear", tag, nbytes, 0)
         self._allocations.clear()
 
     def __repr__(self) -> str:

@@ -4,8 +4,8 @@ The simulated runtime executes strictly sequentially, so it can never
 *exhibit* a data race — but a plan that only works because the simulator
 serialises everything would corrupt state on a real cluster.  To catch that
 class of bug statically, the controller records every read/write of shared
-state (device-memory tags, checkpoint files, worker-group merge buffers)
-together with enough ordering context for
+state (checkpoint files, worker-group merge buffers, published weight
+versions) together with enough ordering context for
 :class:`repro.analysis.races.RaceDetector` to rebuild the *intended*
 happens-before relation and flag conflicting accesses it does not order.
 
@@ -36,7 +36,7 @@ class AccessEvent:
     """One read or write of a named shared resource."""
 
     kind: str  # READ or WRITE
-    resource: str  # e.g. "mem[3]/actor/kv_cache", "checkpoint:/tmp/ckpt"
+    resource: str  # e.g. "merge[actor.generate_sequences]", "checkpoint:/tmp/ckpt"
     rank: int  # global device rank, or CONTROLLER_RANK
     seq: Optional[int]  # dispatch seq this happened inside; None = controller
     after_seq: int  # dispatches completed when the event was recorded

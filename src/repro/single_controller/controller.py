@@ -151,22 +151,7 @@ class SingleController:
         if pool.name in self.pools:
             raise ValueError(f"duplicate pool name {pool.name!r}")
         self.pools[pool.name] = pool
-        for device in pool.devices:
-            device.memory.recorder = self._memory_recorder(device.global_rank)
         return pool
-
-    def _memory_recorder(self, rank: int):
-        """Route a device's ledger mutations into the access log.
-
-        Every ledger op is a *write* to that device's tag; the resource name
-        embeds the rank, so only genuinely cross-rank hazards (which would
-        need two devices writing one resource) can ever collide.
-        """
-
-        def recorder(op: str, tag: str) -> None:
-            self.record_access(WRITE, f"mem[{rank}]/{tag}", rank=rank, note=op)
-
-        return recorder
 
     def release_pools(self) -> None:
         """Return every pool's devices to the cluster (recovery teardown).

@@ -408,17 +408,6 @@ class ShardedModelWorker(Worker):
             name=f"{self.tag}/dp_grads",
             meter=meter,
         )
-        # every replica lead contributes its gradients to one shared
-        # all-reduce buffer; the contribution order is deterministic (leads
-        # in rank order), which the access log records for race analysis
-        for lead in leads:
-            self.ctx.group.record_access(
-                "write",
-                f"gradsync[{self.tag}]",
-                rank=lead.ctx.global_rank,
-                ordered=True,
-                note="all_reduce",
-            )
         # average gradients across replicas: one in-place all-reduce of the
         # flat buffers, metered per tensor
         grads = [lead._resident.grad for lead in leads]

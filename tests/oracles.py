@@ -12,11 +12,15 @@ RLHF losses are written with them; the fused primitives in
 those compositions.  :func:`estimate_iteration_reference` is the stage-sum
 iteration model the cost model's timeline replay is graded against, and
 :func:`orca_trace_reference` the Orca schedule the rollout server's drain is.
+:func:`ledger_streams` records the per-operation stream the device ledger
+no longer keeps, and :func:`double_frees_reference` is the post-run
+double-free rule that once read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from collections import defaultdict
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -957,3 +961,68 @@ def orca_trace_reference(lengths: Sequence[int], capacity: int) -> List[Tuple[in
         active = [active[i] for i in keep]
         progress = [progress[i] for i in keep]
     return trace
+
+
+# -- the device ledger's operation stream --------------------------------------------
+
+
+LedgerOp = Tuple[str, str, int, int]
+
+
+def ledger_streams(monkeypatch) -> Dict[object, List[LedgerOp]]:
+    """Every ``DeviceMemory`` operation from now on, keyed by the ledger, as
+    the ledger once kept them itself: ``(op, tag, nbytes, balance)``, where
+    ``nbytes`` is what the operation asked for (``alloc``/``resize``) or
+    released (``free``/``clear``) and ``balance`` what the tag holds after.
+    A ``clear`` is one event per held tag, in tag order; an operation that
+    raises leaves none."""
+    from repro.cluster import DeviceMemory
+
+    streams: Dict[object, List[LedgerOp]] = defaultdict(list)
+    alloc, free_tag = DeviceMemory.alloc, DeviceMemory.free_tag
+    resize, clear = DeviceMemory.resize, DeviceMemory.clear
+
+    def recorded_alloc(memory, tag, nbytes):
+        alloc(memory, tag, nbytes)
+        streams[memory].append(("alloc", tag, nbytes, memory.bytes_for(tag)))
+
+    def recorded_free(memory, tag):
+        released = free_tag(memory, tag)
+        streams[memory].append(("free", tag, released, 0))
+        return released
+
+    def recorded_resize(memory, tag, nbytes):
+        resize(memory, tag, nbytes)
+        streams[memory].append(("resize", tag, nbytes, nbytes))
+
+    def recorded_clear(memory):
+        streams[memory] += [("clear", tag, nbytes, 0) for tag, nbytes in memory.tags()]
+        clear(memory)
+
+    monkeypatch.setattr(DeviceMemory, "alloc", recorded_alloc)
+    monkeypatch.setattr(DeviceMemory, "free_tag", recorded_free)
+    monkeypatch.setattr(DeviceMemory, "resize", recorded_resize)
+    monkeypatch.setattr(DeviceMemory, "clear", recorded_clear)
+    return streams
+
+
+def double_frees_reference(
+    stream: Sequence[LedgerOp], ever_allocated: Set[str]
+) -> List[Tuple[int, str]]:
+    """``(index, tag)`` of each double free in one ledger's ``stream``, by
+    the rule the TraceAuditor ran over the kept stream after the run: a
+    ``free`` that released nothing, of a tag whose previous operation was a
+    ``free``, counts when the tag is in ``ever_allocated`` — the ledger's
+    set as it stood at audit time, not at the free."""
+    last_op: Dict[str, str] = {}
+    found = []
+    for i, (op, tag, nbytes, _balance) in enumerate(stream):
+        if (
+            op == "free"
+            and nbytes == 0
+            and tag in ever_allocated
+            and last_op.get(tag) == "free"
+        ):
+            found.append((i, tag))
+        last_op[tag] = op
+    return found

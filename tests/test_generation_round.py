@@ -4,7 +4,8 @@ micro-batch in one loop, and each replica gets what it would alone.
 The oracle is :func:`generate` on one lead's micro-batch, with that lead's
 own materialized weights and a fresh rng from its ``(seed, local_rank,
 gen_calls)``; the ledger oracle is the same group with the round swapped
-for one ``generate`` per micro-batch.
+for one ``generate`` per micro-batch, every ledger operation of both
+recorded by :func:`tests.oracles.ledger_streams`.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.models.tinylm import TinyLM, TinyLMConfig
 from repro.runtime import SystemSpec
 from repro.single_controller import SingleController, WorkerGroup
 from repro.workers import ActorWorker
+from tests.oracles import ledger_streams
 
 CFG = TinyLMConfig(
     n_layers=2,
@@ -91,12 +93,15 @@ def replica_weights(monkeypatch, perturb_rank=None):
     return weights
 
 
-def ledgers(group):
+def ledgers(group, streams):
     return [
-        ([(e.op, e.tag, e.nbytes, e.balance) for e in w.ctx.device.memory.events],
-         w.ctx.device.memory.peak_used)
+        (streams[w.ctx.device.memory], w.ctx.device.memory.peak_used)
         for w in group.workers
     ]
+
+
+def kv_charges(stream):
+    return [n for op, tag, n, _ in stream if op == "alloc" and tag == "actor/kv_cache"]
 
 
 class TestARoundEqualsEachReplicaAlone:
@@ -125,6 +130,7 @@ class TestARoundEqualsEachReplicaAlone:
             return [generate(model, m.prompts, rng=m.rng, **kwargs) for m in micros]
 
         kwargs = dict(eos_token_id=eos, temperature=temperature, seed=seed % 5)
+        streams = ledger_streams(mp)
         group, alone_group = actor_group(*layout, **kwargs), actor_group(*layout, **kwargs)
         n_rows = rows * len(leads(group))
         prompts = DataBatch({
@@ -164,15 +170,11 @@ class TestARoundEqualsEachReplicaAlone:
                 assert np.array_equal(mine["response_mask"], oracle.response_mask)
             round_rng = rng_of[id(mine["prompts"])]
             assert round_rng.bit_generator.state == rng.bit_generator.state
-            charged = [
-                e.nbytes
-                for e in lead.ctx.device.memory.events
-                if e.op == "alloc" and e.tag == "actor/kv_cache"
-            ]
+            charged = kv_charges(streams[lead.ctx.device.memory])
             assert charged == [oracle.kv_cache_bytes]
         # the whole ledger, every device's peak and the collected batch are
         # what one loop per replica gives
-        assert ledgers(group) == ledgers(alone_group)
+        assert ledgers(group, streams) == ledgers(alone_group, streams)
         for name in alone_out.keys():
             assert np.array_equal(out[name], alone_out[name]), name
         return calls
@@ -181,6 +183,7 @@ class TestARoundEqualsEachReplicaAlone:
 class TestAFailedRoundLeavesNothingBehind:
     def test_the_next_dispatch_decodes_only_its_own_micro_batches(self, monkeypatch):
         rounds = recorded_rounds(monkeypatch)
+        streams = ledger_streams(monkeypatch)
         spec = SystemSpec(tp=4)  # four generation replicas: ranks 1, 2 are middle
         failed, clean = spec.build(), spec.build()
         prompts = DataBatch({
@@ -210,21 +213,12 @@ class TestAFailedRoundLeavesNothingBehind:
             theirs.load_from_checkpoint(dict(mine.state_for_checkpoint()))
         assert failed.state_digest() == clean.state_digest()
 
-        def kv_charges(system):
-            return [
-                [
-                    e.nbytes
-                    for e in w.ctx.device.memory.events[start[i]:]
-                    if e.op == "alloc" and e.tag == "actor/kv_cache"
-                ]
-                for i, w in enumerate(system.group("actor").workers)
-            ]
-
         outs, charges = [], []
         for system in (failed, clean):
-            start = [len(w.ctx.device.memory.events) for w in system.group("actor").workers]
+            memories = [w.ctx.device.memory for w in system.group("actor").workers]
+            start = [len(streams[m]) for m in memories]
             outs.append(system.group("actor").generate_sequences(prompts).get())
-            charges.append(kv_charges(system))
+            charges.append([kv_charges(streams[m][s:]) for m, s in zip(memories, start)])
         assert [len(micros) for micros, _ in rounds] == [4, 4]
         assert charges[0] == charges[1] and all(len(c) == 1 for c in charges[0])
         for name in outs[1].keys():
